@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/benet"
 	"repro/internal/bitvec"
@@ -27,9 +29,11 @@ func init() {
 type BELoadPoint struct {
 	// OfferedLoad is the per-node injection probability per cycle.
 	OfferedLoad float64 `json:"offered_load"`
-	// MeanLatency and P95Latency are in cycles.
-	MeanLatency float64 `json:"mean_latency"`
-	P95Latency  float64 `json:"p95_latency"`
+	// MeanLatency and P95Latency are in cycles. P95Latency is +Inf
+	// (null in JSON) when the quantile lies past the histogram's last
+	// bound.
+	MeanLatency float64   `json:"mean_latency"`
+	P95Latency  JSONFloat `json:"p95_latency"`
 	// Delivered counts completed messages.
 	Delivered int `json:"delivered"`
 	// Throughput is delivered messages per node per 100 cycles.
@@ -77,11 +81,25 @@ func BELoadData() ([]BELoadPoint, error) {
 		return BELoadPoint{
 			OfferedLoad: load,
 			MeanLatency: lat.Mean(),
-			P95Latency:  hist.Quantile(0.95),
+			P95Latency:  JSONFloat(hist.Quantile(0.95)),
 			Delivered:   delivered,
 			Throughput:  float64(delivered) / 16 / cycles * 100,
 		}, nil
 	})
+}
+
+// JSONFloat is a float64 whose JSON encoding writes the values
+// encoding/json rejects (±Inf, NaN) as null, so a result holding one
+// still encodes. Text rendering is that of a float64.
+type JSONFloat float64
+
+// MarshalJSON implements json.Marshaler.
+func (f JSONFloat) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(v)
 }
 
 func renderBELoad(w io.Writer, pts []BELoadPoint) error {

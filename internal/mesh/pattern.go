@@ -77,28 +77,6 @@ type PatternConfig struct {
 	// them into one distribution. Off by default: a plain run only needs
 	// the summary moments.
 	RetainLatency bool
-	// Warm, when non-nil, connects the run to the warm-start checkpoint
-	// layer: before simulating, Lookup is consulted for a checkpoint of
-	// this exact configuration prefix (everything but the run length);
-	// a hit restores it and simulates only the remaining cycles, with
-	// results byte-identical to a full run by the snapshot exactness
-	// contract. After the run the final state is offered to Store. Any
-	// snapshot or restore failure falls back silently to full
-	// simulation.
-	Warm *WarmHook
-}
-
-// WarmHook is the checkpoint exchange of a warm-started pattern run. The
-// caller owns keying: both callbacks are already scoped to one
-// configuration prefix (same mesh, pattern, injection, seed, retention —
-// different run length), so the hook only speaks cycles and bytes.
-type WarmHook struct {
-	// Lookup returns a stored checkpoint taken at cycle <= maxCycle,
-	// preferring the latest, and whether one exists.
-	Lookup func(maxCycle uint64) (data []byte, cycle uint64, ok bool)
-	// Store persists a checkpoint taken at the given cycle. Implementations
-	// decide retention; Store may be nil.
-	Store func(cycle uint64, data []byte)
 }
 
 // Validate checks the configuration.
@@ -493,8 +471,7 @@ func (d *patternSink) IdleWindow(n uint64) { d.cycle += n }
 // feeds — the data-word generator, the in-flight injection stamps and
 // the warm-up injection record. Embedding *pattern.Source forwards the
 // kernel interfaces (sim.Clocked, Quiescer, IdleWindower, Timed); the
-// wrapper adds sim.Snapshotter over the whole flow-head state so a
-// warm-start checkpoint captures the flow exactly.
+// wrapper adds the flow's trace name.
 type patternSource struct {
 	*pattern.Source
 	gen    *bitvec.FlipGen
@@ -512,28 +489,15 @@ type liveFlow struct {
 	idx  int
 }
 
-// patternSim is one pattern run split into phases so the warm-start
-// layer can interpose: setup (mesh construction, metering, lane
-// establishment, component registration), run (cold, or
-// restore-then-continue from a checkpoint) and finish (counts, warm-up
-// truncation, power reports).
-type patternSim struct {
-	cfg    PatternConfig
-	m      *Mesh
-	dom    *PowerDomain
-	alloc  *laneAlloc
-	res    *PatternResult
-	warmup bool
-	latRec *stats.TimedSeries // non-nil when warm-up accounting is on
-	live   []liveFlow
-}
-
-// newPatternSim validates the configuration and builds the fully
-// established world, stopping just short of simulating. Establishment
-// happens here — before any checkpoint restore — because lane setup is
-// an instantaneous, deterministic function of the configuration, so the
-// restored state was produced by an identical establishment.
-func newPatternSim(cfg PatternConfig) (*patternSim, error) {
+// RunPattern simulates the pattern on a W×H circuit-switched mesh. Each
+// flow of the spatial pattern gets a single-lane circuit (XY then YX
+// probing); flows the allocator cannot route are reported as not
+// established — the circuit fabric's admission-time answer to
+// overload. Established flows are driven by event-scheduled
+// pattern.Sources and drained by quiescent sinks, so a sparse run
+// fast-forwards between words under sim.KernelEvent with results
+// byte-identical to the gated and naive kernels.
+func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -541,18 +505,12 @@ func newPatternSim(cfg PatternConfig) (*patternSim, error) {
 	if cfg.Params != nil {
 		p = *cfg.Params
 	}
-	ps := &patternSim{
-		cfg: cfg,
-		m: New(cfg.W, cfg.H, p, core.DefaultAssemblyOptions(),
-			sim.WithKernel(cfg.Kernel), sim.WithParallelism(cfg.SimWorkers),
-			sim.WithTracer(cfg.Obs.Tracer)),
-		res:    &PatternResult{},
-		warmup: cfg.WarmupCycles > 0 || cfg.WarmupAuto,
-	}
-	m, res := ps.m, ps.res
+	m := New(cfg.W, cfg.H, p, core.DefaultAssemblyOptions(),
+		sim.WithKernel(cfg.Kernel), sim.WithParallelism(cfg.SimWorkers),
+		sim.WithTracer(cfg.Obs.Tracer))
+	res := &PatternResult{}
 	dom := m.BindMeters(cfg.Lib, cfg.FreqMHz, cfg.Gated)
 	alloc := newLaneAlloc(m, cfg.Obs.Metrics)
-	ps.dom, ps.alloc = dom, alloc
 
 	if cfg.RetainLatency {
 		// The sinks feed res.Latency directly; under warm-up accounting
@@ -569,13 +527,14 @@ func newPatternSim(cfg PatternConfig) (*patternSim, error) {
 	// collected per flow (each source's Eval appends to its own slice,
 	// so the sharded sweep races on nothing) and only counted after the
 	// run.
-	warmup := ps.warmup
+	warmup := cfg.WarmupCycles > 0 || cfg.WarmupAuto
+	var latRec *stats.TimedSeries
 	if warmup {
-		ps.latRec = &stats.TimedSeries{}
+		latRec = &stats.TimedSeries{}
 	}
-	latRec := ps.latRec
 
 	tracer := cfg.Obs.Tracer
+	var live []liveFlow
 	for _, f := range flows {
 		srcC := Coord{X: f.Src % cfg.W, Y: f.Src / cfg.W}
 		dstC := Coord{X: f.Dst % cfg.W, Y: f.Dst / cfg.W}
@@ -633,19 +592,15 @@ func newPatternSim(cfg PatternConfig) (*patternSim, error) {
 		// converter.
 		m.World().DependsOn(ms)
 		m.World().DependsOn(sink, m.At(dstC))
-		ps.live = append(ps.live, liveFlow{src: ms, sink: sink, idx: len(res.Flows)})
+		live = append(live, liveFlow{src: ms, sink: sink, idx: len(res.Flows)})
 		res.Flows = append(res.Flows, pf)
 	}
-	return ps, nil
-}
 
-// finish reads the post-run world into the result.
-func (ps *patternSim) finish() (*PatternResult, error) {
-	cfg, res := ps.cfg, ps.res
+	m.Run(cfg.Cycles)
 	if cfg.Observe != nil {
-		cfg.Observe(ps.m.World())
+		cfg.Observe(m.World())
 	}
-	for _, lf := range ps.live {
+	for _, lf := range live {
 		pf := &res.Flows[lf.idx]
 		pf.WordsSent = lf.src.Sent()
 		pf.WordsDelivered = lf.sink.popped
@@ -653,12 +608,11 @@ func (ps *patternSim) finish() (*PatternResult, error) {
 		res.WordsDelivered += pf.WordsDelivered
 	}
 	res.MeasuredCycles = uint64(cfg.Cycles)
-	if ps.warmup {
+	if warmup {
 		// Resolve the effective warm-up cycle — configured, or the
 		// MSER-5 steady-state truncation of the delivery-latency
 		// sequence — then recompute the aggregate statistics over the
 		// measurement window. Per-flow counts stay full-run.
-		latRec := ps.latRec
 		w := uint64(cfg.WarmupCycles)
 		start := latRec.TruncateCycle(w)
 		if cfg.WarmupAuto && latRec.Len() > 0 {
@@ -670,7 +624,7 @@ func (ps *patternSim) finish() (*PatternResult, error) {
 		res.MeasuredCycles = uint64(cfg.Cycles) - w
 		res.WordsDelivered = uint64(latRec.Len() - start)
 		var sent uint64
-		for _, lf := range ps.live {
+		for _, lf := range live {
 			for _, c := range lf.src.sent {
 				if c >= w {
 					sent++
@@ -679,39 +633,10 @@ func (ps *patternSim) finish() (*PatternResult, error) {
 		}
 		res.WordsSent = sent
 	}
-	res.LaneUtilization = ps.alloc.utilization()
-	res.Power = ps.dom.Report(fmt.Sprintf("pattern %v x %v", cfg.Spatial, cfg.Injection))
-	res.PerNode = ps.dom.PerNode("pattern node")
+	res.LaneUtilization = alloc.utilization()
+	res.Power = dom.Report(fmt.Sprintf("pattern %v x %v", cfg.Spatial, cfg.Injection))
+	res.PerNode = dom.PerNode("pattern node")
 	return res, nil
-}
-
-// RunPattern simulates the pattern on a W×H circuit-switched mesh. Each
-// flow of the spatial pattern gets a single-lane circuit (XY then YX
-// probing); flows the allocator cannot route are reported as not
-// established — the circuit fabric's admission-time answer to
-// overload. Established flows are driven by event-scheduled
-// pattern.Sources and drained by quiescent sinks, so a sparse run
-// fast-forwards between words under sim.KernelEvent with results
-// byte-identical to the gated and naive kernels.
-//
-// With cfg.Warm set, the run may start from a stored checkpoint of the
-// same configuration prefix and simulate only the remaining cycles; the
-// result is byte-identical either way by the snapshot exactness
-// contract, and any snapshot failure falls back to full simulation.
-func RunPattern(cfg PatternConfig) (*PatternResult, error) {
-	ps, err := newPatternSim(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if !ps.runWarm() {
-		// A checkpoint restore failed partway and may have left the
-		// world tainted: rebuild from scratch and run cold.
-		if ps, err = newPatternSim(cfg); err != nil {
-			return nil, err
-		}
-		ps.m.Run(cfg.Cycles)
-	}
-	return ps.finish()
 }
 
 var _ sim.IdleWindower = (*patternSink)(nil)

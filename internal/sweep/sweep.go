@@ -155,100 +155,6 @@ func RunMonitored[T any](ctx context.Context, n, workers int, m Monitor,
 	return nil
 }
 
-// RunCached is Run with a lookup layer in front of the worker pool:
-// before dispatching job i it consults lookup(i), and a hit short-cuts
-// the job entirely — only misses enter the pool. Results still reach
-// emit in strict index order (hits interleaved with computed misses at
-// their original indices), so the emitted stream is byte-identical to a
-// plain Run for any worker count and any hit pattern. A computed miss
-// that returns no error is offered to store(i, v) before it is emitted,
-// so later overlapping runs can hit on it. lookup, store and emit are
-// all called from the RunCached goroutine and need no locking.
-func RunCached[T any](ctx context.Context, n, workers int,
-	lookup func(i int) (T, bool),
-	job func(ctx context.Context, i int) (T, error),
-	store func(i int, v T),
-	emit func(i int, v T, err error) error) error {
-	return RunCachedMonitored(ctx, n, workers, nil, lookup, job, store, emit)
-}
-
-// RunCachedMonitored is RunCached with a scheduling monitor attached to
-// the worker pool; cache hits bypass the pool and are never reported to
-// the monitor. A nil monitor is exactly RunCached.
-func RunCachedMonitored[T any](ctx context.Context, n, workers int, m Monitor,
-	lookup func(i int) (T, bool),
-	job func(ctx context.Context, i int) (T, error),
-	store func(i int, v T),
-	emit func(i int, v T, err error) error) error {
-	if n <= 0 {
-		return nil
-	}
-	hitVal := make([]T, n)
-	hit := make([]bool, n)
-	var misses []int
-	for i := 0; i < n; i++ {
-		if v, ok := lookup(i); ok {
-			hitVal[i], hit[i] = v, true
-		} else {
-			misses = append(misses, i)
-		}
-	}
-
-	// next is the global emission cursor; flushHits emits the run of
-	// cache hits at the cursor, up to (exclusive) the given index.
-	next := 0
-	flushHits := func(until int) error {
-		for next < until && hit[next] {
-			if err := emit(next, hitVal[next], nil); err != nil {
-				return err
-			}
-			var zero T
-			hitVal[next] = zero // release the payload as soon as it is out
-			next++
-		}
-		return nil
-	}
-
-	var mm Monitor
-	if m != nil {
-		// The inner pool runs over miss indices; report the global job
-		// indices the caller knows.
-		mm = remapMonitor{m: m, idx: misses}
-	}
-	err := RunMonitored(ctx, len(misses), workers, mm,
-		func(ctx context.Context, mi int) (T, error) {
-			return job(ctx, misses[mi])
-		},
-		func(mi int, v T, err error) error {
-			gi := misses[mi]
-			if ferr := flushHits(gi); ferr != nil {
-				return ferr
-			}
-			if err == nil && store != nil {
-				store(gi, v)
-			}
-			if eerr := emit(gi, v, err); eerr != nil {
-				return eerr
-			}
-			next = gi + 1
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	return flushHits(n)
-}
-
-// remapMonitor translates an inner pool's job indices through an index
-// table before forwarding to the caller's monitor.
-type remapMonitor struct {
-	m   Monitor
-	idx []int
-}
-
-func (r remapMonitor) JobStart(w, i int) { r.m.JobStart(w, r.idx[i]) }
-func (r remapMonitor) JobDone(w, i int)  { r.m.JobDone(w, r.idx[i]) }
-
 // Map runs f over 0..n-1 in parallel and returns the results in index
 // order. The first job error aborts the map and is returned.
 func Map[T any](ctx context.Context, n, workers int,

@@ -172,112 +172,3 @@ func TestNormalize(t *testing.T) {
 		t.Errorf("Normalize(-1, 0) = %d, want 1", w)
 	}
 }
-
-func TestRunCachedOrderAndStores(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		for _, hitMod := range []int{0, 1, 2, 3} { // 0: no hits; 1: all hits
-			t.Run(fmt.Sprintf("workers=%d hitMod=%d", workers, hitMod), func(t *testing.T) {
-				const n = 41
-				var order []int
-				var stored []int
-				var ran int32
-				err := RunCached(context.Background(), n, workers,
-					func(i int) (int, bool) {
-						if hitMod > 0 && i%hitMod == 0 {
-							return i * 10, true
-						}
-						return 0, false
-					},
-					func(_ context.Context, i int) (int, error) {
-						atomic.AddInt32(&ran, 1)
-						time.Sleep(time.Duration(n-i) * 5 * time.Microsecond)
-						return i * 10, nil
-					},
-					func(i int, v int) { stored = append(stored, i) },
-					func(i int, v int, err error) error {
-						if err != nil {
-							return err
-						}
-						if v != i*10 {
-							t.Fatalf("index %d got %d", i, v)
-						}
-						order = append(order, i)
-						return nil
-					})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(order) != n {
-					t.Fatalf("emitted %d of %d", len(order), n)
-				}
-				for i, g := range order {
-					if g != i {
-						t.Fatalf("out of order at %d: %v", i, order[:i+1])
-					}
-				}
-				wantMisses := 0
-				for i := 0; i < n; i++ {
-					if hitMod == 0 || i%hitMod != 0 {
-						wantMisses++
-					}
-				}
-				if int(ran) != wantMisses {
-					t.Fatalf("ran %d jobs, want %d", ran, wantMisses)
-				}
-				if len(stored) != wantMisses {
-					t.Fatalf("stored %d, want %d", len(stored), wantMisses)
-				}
-			})
-		}
-	}
-}
-
-func TestRunCachedEmitErrorStops(t *testing.T) {
-	boom := errors.New("boom")
-	calls := 0
-	err := RunCached(context.Background(), 10, 2,
-		func(i int) (int, bool) { return i, i%2 == 0 },
-		func(_ context.Context, i int) (int, error) { return i, nil },
-		nil,
-		func(i int, v int, err error) error {
-			calls++
-			if i == 3 {
-				return boom
-			}
-			return nil
-		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 4 { // 0,1,2,3
-		t.Fatalf("emit called %d times", calls)
-	}
-}
-
-func TestRunCachedJobErrorPassesThroughWithoutStore(t *testing.T) {
-	boom := errors.New("job failed")
-	var stored int
-	var got map[int]error = map[int]error{}
-	err := RunCached(context.Background(), 6, 3,
-		func(i int) (int, bool) { return 0, false },
-		func(_ context.Context, i int) (int, error) {
-			if i == 2 {
-				return 0, boom
-			}
-			return i, nil
-		},
-		func(i int, v int) { stored++ },
-		func(i int, v int, err error) error {
-			got[i] = err
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[2] != boom {
-		t.Fatalf("index 2 err = %v", got[2])
-	}
-	if stored != 5 {
-		t.Fatalf("stored %d results, want 5 (failed job must not be stored)", stored)
-	}
-}

@@ -3,6 +3,9 @@ package noc
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"sync"
 	"testing"
 )
 
@@ -45,14 +48,12 @@ func TestCacheKeyGolden(t *testing.T) {
 		{"packet-I", cellKey(KindPacket, makeConfig(nil), sc).String()},
 		{"tdm-I", cellKey(KindTDM, makeConfig(nil), sc).String()},
 		{"circuit-pattern", cellKey(KindCircuit, makeConfig(nil), pat).String()},
-		{"circuit-warm-prefix", warmPrefixKey(KindCircuit, makeConfig(nil), pat).String()},
 	}
 	want := map[string]string{
-		"circuit-I":           "24cc213b20a4de6eacf8fa27ff8907b8102fea93beaac274fec29ebef74c2d09",
-		"packet-I":            "4f9892cf8ee7402e6249d39ba0698e61c9e1baec288b3494c5b94fae95c970d8",
-		"tdm-I":               "530d8e6cd451c3de6b66ee1c0bcc58880d68a88bfa182436f1d0664f7c7ff197",
-		"circuit-pattern":     "480af403790f62662cfcd15be98c9d010b7c168d0401cc97630d0573562b006d",
-		"circuit-warm-prefix": "21fa946d2fc714cd382cc1c50d320ebf7790f13ed6c3d5c0d88e7aaf58fb10c5",
+		"circuit-I":       "24cc213b20a4de6eacf8fa27ff8907b8102fea93beaac274fec29ebef74c2d09",
+		"packet-I":        "4f9892cf8ee7402e6249d39ba0698e61c9e1baec288b3494c5b94fae95c970d8",
+		"tdm-I":           "530d8e6cd451c3de6b66ee1c0bcc58880d68a88bfa182436f1d0664f7c7ff197",
+		"circuit-pattern": "480af403790f62662cfcd15be98c9d010b7c168d0401cc97630d0573562b006d",
 	}
 	for _, g := range golden {
 		if g.key != want[g.name] {
@@ -171,33 +172,48 @@ func TestResultEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFabricRunCached: the façade-level cache serves a repeat run
-// byte-identically and reports hit/miss through Result.CacheStats.
-func TestFabricRunCached(t *testing.T) {
+// countersSince returns the cache's traffic since the before snapshot.
+func countersSince(c *Cache, before CacheCounters) CacheCounters {
+	now := c.Counters()
+	return CacheCounters{Hits: now.Hits - before.Hits, Misses: now.Misses - before.Misses,
+		Puts: now.Puts - before.Puts}
+}
+
+// TestFabricRunServedFromCache: the façade-level cache serves a repeat
+// run byte-identically. The first run is one miss and one store, the
+// repeat one hit, as both the cache counters and each run's metrics
+// snapshot report.
+func TestFabricRunServedFromCache(t *testing.T) {
 	withTestFingerprint(t, "test-fingerprint-run")
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := cacheTestScenario(t)
-	for _, f := range []Fabric{CircuitSwitched(), PacketSwitched(), AetherealTDM()} {
+	for _, build := range []func(...Option) Fabric{CircuitSwitched, PacketSwitched, AetherealTDM} {
+		f := build(WithMetrics(true))
 		f.(cacheSettable).setCache(cache)
+		before := cache.Counters()
 		first, err := f.Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", f.Kind(), err)
 		}
-		if first.CacheStats == nil || first.CacheStats.Hit {
-			t.Fatalf("%s: first run CacheStats %+v, want miss", f.Kind(), first.CacheStats)
+		if got := countersSince(cache, before); got != (CacheCounters{Misses: 1, Puts: 1}) {
+			t.Fatalf("%s: first run counters %+v, want one miss and one put", f.Kind(), got)
 		}
+		if v, _ := metricValue(first, "cache.misses"); v != 1 {
+			t.Fatalf("%s: first run cache.misses = %d, want 1", f.Kind(), v)
+		}
+		mid := cache.Counters()
 		second, err := f.Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", f.Kind(), err)
 		}
-		if second.CacheStats == nil || !second.CacheStats.Hit {
-			t.Fatalf("%s: second run CacheStats %+v, want hit", f.Kind(), second.CacheStats)
+		if got := countersSince(cache, mid); got != (CacheCounters{Hits: 1}) {
+			t.Fatalf("%s: second run counters %+v, want one hit", f.Kind(), got)
 		}
-		if second.CacheStats.Key != first.CacheStats.Key {
-			t.Fatalf("%s: key changed between runs", f.Kind())
+		if v, _ := metricValue(second, "cache.hits"); v != 1 {
+			t.Fatalf("%s: second run cache.hits = %d, want 1", f.Kind(), v)
 		}
 		j1, _ := first.JSON()
 		j2, _ := second.JSON()
@@ -208,8 +224,7 @@ func TestFabricRunCached(t *testing.T) {
 }
 
 // cacheSweepSpec is the sweep used by the cold/warm byte-compare: a
-// pattern grid (exercising the warm-start path on the circuit fabric)
-// over all three fabrics, with a replicated axis.
+// pattern grid over all three fabrics.
 func cacheSweepSpec(workers int, dir string) SweepSpec {
 	return SweepSpec{
 		Fabrics: []FabricSpec{{Kind: KindCircuit}, {Kind: KindPacket}, {Kind: KindTDM}},
@@ -313,5 +328,135 @@ func TestSweepCacheReplications(t *testing.T) {
 	}
 	if !bytes.Equal(off.Bytes(), warm.Bytes()) {
 		t.Fatal("replicated cached sweep differs from cache-disabled sweep")
+	}
+}
+
+// TestSweepCacheHitPatterns: sweep output is byte-identical to an
+// uncached sweep for any mix of cached and uncached jobs at any worker
+// count, and only the misses are simulated and stored. Before each
+// sweep, every hitMod-th cell is primed through its own fabric (hitMod
+// 0: none, 1: all), so hits and slower misses interleave in the pool.
+func TestSweepCacheHitPatterns(t *testing.T) {
+	withTestFingerprint(t, "test-fingerprint-hits")
+	ctx := context.Background()
+	base := SweepSpec{
+		Fabrics: []FabricSpec{{Kind: KindCircuit}, {Kind: KindPacket}},
+		Grid:    &Grid{Scenarios: []string{"I", "III"}, Loads: []float64{0.5, 1}, Cycles: []int{300}},
+		Seed:    3,
+	}
+	var off bytes.Buffer
+	if err := SweepJSON(ctx, base, &off); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := base.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, hitMod := range []int{0, 1, 2, 3} {
+			t.Run(fmt.Sprintf("workers=%d hitMod=%d", workers, hitMod), func(t *testing.T) {
+				dir := t.TempDir()
+				cache, err := OpenCache(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				primed := 0
+				for i, c := range cells {
+					if hitMod == 0 || i%hitMod != 0 {
+						continue
+					}
+					f, err := c.Fabric.Fabric()
+					if err != nil {
+						t.Fatal(err)
+					}
+					f.(cacheSettable).setCache(cache)
+					if _, err := f.Run(c.Scenario); err != nil {
+						t.Fatal(err)
+					}
+					primed++
+				}
+				before := cache.Counters()
+				spec := base
+				spec.Workers, spec.CacheDir = workers, dir
+				var got bytes.Buffer
+				if err := SweepJSON(ctx, spec, &got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(off.Bytes(), got.Bytes()) {
+					t.Fatal("partly cached sweep differs from the uncached sweep")
+				}
+				misses := uint64(len(cells) - primed)
+				want := CacheCounters{Hits: uint64(primed), Misses: misses, Puts: misses}
+				if got := countersSince(cache, before); got != want {
+					t.Errorf("sweep counters %+v, want %+v (hits = primed cells)", got, want)
+				}
+			})
+		}
+	}
+}
+
+// startCounter is a SweepMonitor counting JobStart calls per job.
+type startCounter struct {
+	mu     sync.Mutex
+	starts map[int]int
+}
+
+func (m *startCounter) JobStart(_, job int) {
+	m.mu.Lock()
+	m.starts[job]++
+	m.mu.Unlock()
+}
+
+func (m *startCounter) JobDone(_, _ int) {}
+
+// TestSweepWarmReplayHitsEveryJob: every sweep job runs on the worker
+// pool and consults the cache once, hit or miss. The cold pass misses
+// and stores each job once; a warm replay at 1 and 4 workers serves
+// every job from the cache (CacheHits == JobsTotal) while the monitor
+// still sees one JobStart per job.
+func TestSweepWarmReplayHitsEveryJob(t *testing.T) {
+	withTestFingerprint(t, "test-fingerprint-replay")
+	dir := t.TempDir()
+	ctx := context.Background()
+	spec := cacheSweepSpec(2, dir)
+	spec.Replications = 2
+	var last SweepProgress
+	spec.Obs.Progress = func(p SweepProgress) error { last = p; return nil }
+	if err := SweepJSON(ctx, spec, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	jobs := last.JobsTotal
+	if jobs <= last.CellsTotal {
+		t.Fatalf("%d jobs for %d cells: replications did not fan out", jobs, last.CellsTotal)
+	}
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cache.Counters(), (CacheCounters{Misses: uint64(jobs), Puts: uint64(jobs)}); got != want {
+		t.Fatalf("cold pass counters %+v, want %+v (one lookup per job)", got, want)
+	}
+	if last.CacheHits != 0 {
+		t.Fatalf("cold pass reported %d cache hits", last.CacheHits)
+	}
+	for _, workers := range []int{1, 4} {
+		spec.Workers = workers
+		mon := &startCounter{starts: map[int]int{}}
+		spec.Obs.Monitor = mon
+		if err := SweepJSON(ctx, spec, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if last.JobsDone != jobs || last.CacheHits != jobs {
+			t.Errorf("workers=%d: warm replay finished %d jobs with %d cache hits, want %d each",
+				workers, last.JobsDone, last.CacheHits, jobs)
+		}
+		if len(mon.starts) != jobs {
+			t.Errorf("workers=%d: monitor saw %d of %d jobs start", workers, len(mon.starts), jobs)
+		}
+		for job, n := range mon.starts {
+			if n != 1 {
+				t.Errorf("workers=%d: job %d started %d times", workers, job, n)
+			}
+		}
 	}
 }

@@ -64,15 +64,13 @@ func (f *circuitFabric) Run(sc Scenario) (*Result, error) {
 }
 
 // run executes one non-replicated, defaulted, validated scenario.
-func (f *circuitFabric) run(cfg config, cache *Cache, sc Scenario) (*Result, error) {
+func (f *circuitFabric) run(cfg config, sc Scenario) (*Result, error) {
 	if sc.IsPattern() {
-		cfg.cache = cache
 		return runCircuitPattern(cfg, sc)
 	}
 	if sc.IsWorkload() {
 		return runCircuitWorkload(cfg, sc)
 	}
-	var ks *KernelStats
 	rc := traffic.RunConfig{
 		Cycles: sc.Cycles, FreqMHz: sc.FreqMHz,
 		Lib: cfg.mustLib(), Gated: cfg.gated,
@@ -80,7 +78,7 @@ func (f *circuitFabric) run(cfg config, cache *Cache, sc Scenario) (*Result, err
 		Kernel:         cfg.simKernel(),
 		SimWorkers:     cfg.parallelism,
 		WordsPerStream: sc.WordsPerStream,
-		Observe:        cfg.observeKernel(&ks),
+		Observe:        cfg.observeKernel(),
 		Obs:            cfg.obs,
 	}
 	pat := traffic.Pattern{FlipProb: sc.Data.FlipProb, Load: sc.Data.Load}
@@ -98,7 +96,6 @@ func (f *circuitFabric) run(cfg config, cache *Cache, sc Scenario) (*Result, err
 		ThroughputMbps: stats.Rate(tr.WordsDelivered, wordBits, uint64(sc.Cycles), sc.FreqMHz),
 		Power:          powerFrom(tr.Power),
 		PerComponent:   attributionComponents(tr.Attribution, tr.Power.StaticUW),
-		Kernel:         ks,
 	}
 	if n := cfg.latencySamples(); n > 0 && len(sc.Streams) > 0 {
 		lr, err := traffic.MeasureCircuitLatency(cfg.resolvedCoreParams(), sc.Data.Load, n,

@@ -122,7 +122,7 @@ func TestFabricParity(t *testing.T) {
 }
 
 func TestResultJSONRoundTrip(t *testing.T) {
-	f := CircuitSwitched(WithLatencyWords(50))
+	f := CircuitSwitched(WithLatencyWords(50), WithMetrics(true))
 	sc, err := PaperScenario("II")
 	if err != nil {
 		t.Fatal(err)
@@ -140,12 +140,13 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	// The kernel diagnostics are deliberately excluded from the wire
-	// format (cross-kernel byte-identity), so they cannot round-trip.
-	if res.Kernel == nil {
+	// The metrics snapshot (kernel diagnostics included) is deliberately
+	// excluded from the wire format (cross-kernel byte-identity), so it
+	// cannot round-trip.
+	if _, ok := metricValue(res, "kernel.polls"); !ok {
 		t.Error("run attached no kernel diagnostics")
 	}
-	res.Kernel = nil
+	res.Metrics = nil
 	// The raw latency samples are likewise off the wire: the summary
 	// moments are the stable contract, the samples exist only so
 	// replicated runs can pool them.

@@ -176,10 +176,11 @@ func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n 
 // byte-identically instead of re-simulating. dir persists results on
 // disk across processes; the empty string keeps a process-wide
 // in-memory cache. Caches for the same directory are shared within the
-// process. Circuit-mesh pattern runs additionally exchange warm-start
-// world checkpoints, so runs differing only in length fork from a
-// common prefix. See also SweepSpec.Cache / SweepSpec.CacheDir and the
-// `nocbench -cache` flag.
+// process. The cache reuses whole runs only: a run that differs from a
+// cached one in any key field (its length included) simulates from
+// cycle 0. With WithMetrics, Result.Metrics reports the lookup as
+// cache.hits or cache.misses. See also SweepSpec.Cache /
+// SweepSpec.CacheDir and the `nocbench -cache` flag.
 func WithCache(dir string) Option {
 	return func(c *config) { c.cacheOn, c.cacheDir = true, dir }
 }
@@ -371,14 +372,12 @@ func (c config) worldOpts() []sim.WorldOption {
 }
 
 // observeKernel builds the Observe hook the runners install on their
-// simulation worlds: it captures the world's scheduling diagnostics
-// into *ks for Result.Kernel, mirrors them into the metrics registry
-// when one is attached, and chains the test-only world observer.
-// Gauges, not counters — a replicated run observes several worlds and
-// the snapshot reports the last.
-func (c config) observeKernel(ks **KernelStats) func(*sim.World) {
+// simulation worlds: it mirrors the world's scheduling diagnostics into
+// the metrics registry when one is attached and chains the test-only
+// world observer. Gauges, not counters — a replicated run observes
+// several worlds and the snapshot reports the last.
+func (c config) observeKernel() func(*sim.World) {
 	return func(w *sim.World) {
-		*ks = &KernelStats{Parked: w.Parked(), Activations: w.Activations(), Polls: w.Polls()}
 		if m := c.obs.Metrics; m != nil {
 			m.Gauge("kernel.parked").Set(int64(w.Parked()))
 			m.Gauge("kernel.activations").Set(int64(w.Activations()))

@@ -56,20 +56,19 @@ func (f *packetFabric) Run(sc Scenario) (*Result, error) {
 }
 
 // run executes one non-replicated, defaulted, validated scenario.
-func (f *packetFabric) run(cfg config, _ *Cache, sc Scenario) (*Result, error) {
+func (f *packetFabric) run(cfg config, sc Scenario) (*Result, error) {
 	if sc.IsPattern() {
 		return runPacketPattern(cfg, sc)
 	}
 	if sc.IsWorkload() {
 		return nil, fmt.Errorf("noc: the packet-switched fabric does not support workload scenarios (use CircuitSwitched)")
 	}
-	var ks *KernelStats
 	rc := traffic.RunConfig{
 		Cycles: sc.Cycles, FreqMHz: sc.FreqMHz,
 		Lib: cfg.mustLib(), PSParams: cfg.psParams(),
 		Seed: sc.Seed, Kernel: cfg.simKernel(), SimWorkers: cfg.parallelism,
 		WordsPerStream: sc.WordsPerStream,
-		Observe:        cfg.observeKernel(&ks),
+		Observe:        cfg.observeKernel(),
 		Obs:            cfg.obs,
 	}
 	pat := traffic.Pattern{FlipProb: sc.Data.FlipProb, Load: sc.Data.Load}
@@ -87,7 +86,6 @@ func (f *packetFabric) run(cfg config, _ *Cache, sc Scenario) (*Result, error) {
 		ThroughputMbps: stats.Rate(tr.WordsDelivered, wordBits, uint64(sc.Cycles), sc.FreqMHz),
 		Power:          powerFrom(tr.Power),
 		PerComponent:   attributionComponents(tr.Attribution, tr.Power.StaticUW),
-		Kernel:         ks,
 	}
 	if n := cfg.latencySamples(); n > 0 && len(sc.Streams) > 0 {
 		// With several streams converging on one output port the

@@ -24,7 +24,6 @@ func runCircuitPattern(cfg config, sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ks *KernelStats
 	pr, err := mesh.RunPattern(mesh.PatternConfig{
 		W: sc.MeshWidth, H: sc.MeshHeight,
 		Cycles: sc.Cycles, FreqMHz: sc.FreqMHz,
@@ -34,11 +33,10 @@ func runCircuitPattern(cfg config, sc Scenario) (*Result, error) {
 		Seed:     sc.Seed, WordsPerFlow: sc.WordsPerStream,
 		Params: cfg.coreParams(), Kernel: cfg.simKernel(),
 		SimWorkers:    cfg.parallelism,
-		Observe:       cfg.observeKernel(&ks),
+		Observe:       cfg.observeKernel(),
 		WarmupCycles:  sc.WarmupCycles,
 		WarmupAuto:    sc.WarmupAuto,
 		RetainLatency: sc.poolLatency,
-		Warm:          cfg.cache.patternWarmHook(KindCircuit, cfg, sc),
 		Obs:           cfg.obs,
 	})
 	if err != nil {
@@ -59,7 +57,6 @@ func runCircuitPattern(cfg config, sc Scenario) (*Result, error) {
 		LinkUtilization:  pr.LaneUtilization,
 		FlowsRequested:   pr.FlowsRequested,
 		FlowsEstablished: pr.FlowsEstablished,
-		Kernel:           ks,
 	}
 	return res, nil
 }
@@ -98,13 +95,12 @@ func runPacketPattern(cfg config, sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ks *KernelStats
 	rc := traffic.RunConfig{
 		Cycles: sc.Cycles, FreqMHz: sc.FreqMHz,
 		Lib: cfg.mustLib(), PSParams: cfg.psParams(),
 		Seed: sc.Seed, Kernel: cfg.simKernel(), SimWorkers: cfg.parallelism,
 		WordsPerStream: sc.WordsPerStream,
-		Observe:        cfg.observeKernel(&ks),
+		Observe:        cfg.observeKernel(),
 		WarmupCycles:   sc.WarmupCycles, WarmupAuto: sc.WarmupAuto,
 		RetainLatency: sc.poolLatency,
 		Obs:           cfg.obs,
@@ -114,7 +110,6 @@ func runPacketPattern(cfg config, sc Scenario) (*Result, error) {
 		return nil, err
 	}
 	res := patternResult(KindPacket, sc, tr)
-	res.Kernel = ks
 	return res, nil
 }
 
@@ -125,13 +120,12 @@ func runTDMPattern(cfg config, sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ks *KernelStats
 	rc := traffic.RunConfig{
 		Cycles: sc.Cycles, FreqMHz: sc.FreqMHz,
 		Lib:  cfg.mustLib(),
 		Seed: sc.Seed, Kernel: cfg.simKernel(), SimWorkers: cfg.parallelism,
 		WordsPerStream: sc.WordsPerStream,
-		Observe:        cfg.observeKernel(&ks),
+		Observe:        cfg.observeKernel(),
 		WarmupCycles:   sc.WarmupCycles, WarmupAuto: sc.WarmupAuto,
 		RetainLatency: sc.poolLatency,
 		Obs:           cfg.obs,
@@ -141,6 +135,5 @@ func runTDMPattern(cfg config, sc Scenario) (*Result, error) {
 		return nil, err
 	}
 	res := patternResult(KindTDM, sc, tr)
-	res.Kernel = ks
 	return res, nil
 }

@@ -161,11 +161,11 @@ func TestPatternSparse16x16ActivePolls(t *testing.T) {
 		Cycles: 5000, Seed: 9,
 		Injection: &Injection{Process: "bernoulli", Rate: 0.05},
 	}
-	event, err := CircuitSwitched(WithKernel(KernelEvent)).Run(sc)
+	event, err := CircuitSwitched(WithKernel(KernelEvent), WithMetrics(true)).Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	active, err := CircuitSwitched(WithKernel(KernelActive)).Run(sc)
+	active, err := CircuitSwitched(WithKernel(KernelActive), WithMetrics(true)).Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,16 +180,18 @@ func TestPatternSparse16x16ActivePolls(t *testing.T) {
 	if !bytes.Equal(be, ba) {
 		t.Errorf("event vs active results differ\n%s\n%s", be, ba)
 	}
-	if event.Kernel == nil || active.Kernel == nil {
+	ep, eok := metricValue(event, "kernel.polls")
+	ap, aok := metricValue(active, "kernel.polls")
+	if !eok || !aok {
 		t.Fatal("runs attached no kernel diagnostics")
 	}
-	if active.Kernel.Parked == 0 {
+	if v, _ := metricValue(active, "kernel.parked"); v == 0 {
 		t.Error("active kernel run ended with nothing parked")
 	}
-	if active.Kernel.Activations == 0 {
+	if v, _ := metricValue(active, "kernel.activations"); v == 0 {
 		t.Error("active kernel run performed no activations")
 	}
-	if ep, ap := event.Kernel.Polls, active.Kernel.Polls; ap*5 > ep {
+	if ap*5 > ep {
 		t.Errorf("active kernel polls %d > 1/5 of event kernel polls %d (%.1fx reduction)",
 			ap, ep, float64(ep)/float64(ap))
 	}

@@ -224,37 +224,26 @@ type Result struct {
 	// above echo replication 0; the aggregates are the statistically
 	// meaningful figures.
 	Replication *ReplicationStats `json:"replication,omitempty"`
-	// Kernel carries scheduling diagnostics of the simulation world the
-	// run executed on. It is excluded from the JSON encoding so Result
-	// output stays byte-identical across kernels and worker counts (the
-	// property the CI equivalence compares enforce); consume it
-	// programmatically, in kernel tests and benchmarks.
-	Kernel *KernelStats `json:"-"`
-	// CacheStats reports how the content-addressed result cache handled
-	// this run: nil when caching was off, otherwise the run's content
-	// address and whether it was served from the cache. Excluded from
-	// the wire format — cached and fresh results are byte-identical.
-	CacheStats *CacheStats `json:"-"`
 	// Metrics is the deterministic sorted snapshot of the run's metrics
-	// registry when WithMetrics was enabled: kernel scheduling gauges,
-	// lane-allocator counters, cache traffic. Excluded from the wire
-	// format so Result output bytes are identical with metrics on or
-	// off; nil when metrics were off. A run served from the cache
-	// simulates nothing, so its snapshot carries only the cache
-	// counters.
+	// registry when WithMetrics was enabled; nil when metrics were off.
+	// It is the run's one off-wire diagnostics surface:
+	//   - kernel.parked, kernel.activations and kernel.polls gauge the
+	//     last simulation world the run executed on (parked components
+	//     at the end, park exits, Quiescent polls; the first two stay 0
+	//     outside KernelActive);
+	//   - mesh.alloc.* count the circuit mesh's lane-allocator probes,
+	//     rejections and route hops;
+	//   - cache.hits and cache.misses count the run's result-cache
+	//     lookups under WithCache, and cellcache.* gauge the shared
+	//     store.
+	// Excluded from the wire format so Result output bytes are identical
+	// with metrics on or off. A run served from the cache simulates
+	// nothing, so its snapshot carries only the cache metrics.
 	Metrics []obs.Sample `json:"-"`
-}
 
-// KernelStats is the scheduling diagnostic a run's simulation world
-// reports: Parked counts the components sitting on the active kernel's
-// parked list when the run ended, Activations the park exits it
-// performed, and Polls the Quiescent() invocations the kernel issued —
-// the work proxy the active-vs-event comparison is judged by. Parked
-// and Activations are zero outside KernelActive.
-type KernelStats struct {
-	Parked      int
-	Activations uint64
-	Polls       uint64
+	// cacheHit records that Cache.runThrough served this Result from
+	// the cache; the sweep engine counts it in SweepProgress.CacheHits.
+	cacheHit bool
 }
 
 // MetAllRequirements reports whether every channel of a workload run met

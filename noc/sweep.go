@@ -380,10 +380,12 @@ type SweepObs struct {
 	// only counts, so it stays deterministic.
 	Progress func(SweepProgress) error
 	// Monitor observes worker-pool scheduling (which worker picked up
-	// which job, and when it finished). Calls arrive concurrently from
-	// the worker goroutines and must not block; cache hits bypass the
-	// pool and are never reported. Scheduling is timing-dependent, so a
-	// monitor sees a different interleaving every run — results do not.
+	// which job, and when it finished). Every job runs on the pool, cache
+	// hits included — a hit is served inside its job — so the monitor
+	// sees JobStart and JobDone once per job. Calls arrive concurrently
+	// from the worker goroutines and must not block. Scheduling is
+	// timing-dependent, so a monitor sees a different interleaving every
+	// run — results do not.
 	Monitor SweepMonitor
 }
 
@@ -403,8 +405,9 @@ type SweepProgress struct {
 	CellsDone, CellsTotal int
 	// JobsDone and JobsTotal count completed and total jobs.
 	JobsDone, JobsTotal int
-	// CacheHits counts jobs served from the result cache (pre-dispatch
-	// lookups and fabric-level hits alike).
+	// CacheHits counts completed jobs whose Result the fabric served
+	// from the result cache instead of simulating; a warm replay of a
+	// fully cached sweep reports CacheHits == JobsTotal.
 	CacheHits int
 	// Errors counts failed cells so far.
 	Errors int
@@ -423,8 +426,8 @@ func (a monitorAdapter) JobStart(worker, job int) { a.m.JobStart(worker, job) }
 func (a monitorAdapter) JobDone(worker, job int)  { a.m.JobDone(worker, job) }
 
 // cacheSettable lets the sweep engine hand its resolved cache instance
-// to the fabrics it builds, so per-run caching and the sweep's
-// pre-dispatch lookup share one store.
+// to the fabrics it builds; each job's run then consults the cache
+// itself (Cache.runThrough), hit or miss.
 type cacheSettable interface {
 	setCache(*Cache)
 }
@@ -626,45 +629,6 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 		}
 		return h
 	}
-	// jobScenario resolves job i's single-run scenario exactly as the
-	// fabric will see it — replication substitution first, then defaults
-	// — so the pre-dispatch lookup and the fabric-side cache compute
-	// identical keys.
-	jobScenario := func(i int) Scenario {
-		j := jobs[i]
-		sc := cells[j.cell].Scenario
-		if sc.Replications > 1 {
-			sc = replicaScenario(sc, j.rep)
-		}
-		return sc.withDefaults()
-	}
-	// lookup consults the Level-1 store before a job is dispatched to
-	// the pool; a hit skips the run entirely. The fabric's own
-	// runThrough stores fresh results, so RunCached's store is nil.
-	lookup := func(i int) (repOut, bool) {
-		if cache == nil {
-			return repOut{}, false
-		}
-		j := jobs[i]
-		fs := cells[j.cell].Fabric
-		cfg := makeConfig(fs.options())
-		key := cellKey(fs.Kind, cfg, jobScenario(i))
-		res, ok := cache.lookupResult(key)
-		if !ok {
-			return repOut{}, false
-		}
-		// A pre-dispatch hit never reaches a fabric, so the engine
-		// reports it to the sinks itself — the honest trace of a run
-		// that was never simulated.
-		if col != nil {
-			col.Emit(obs.Event{Cell: cells[j.cell].Index, Track: "cache",
-				Kind: obs.KindCacheHit, Detail: key.String()[:16]})
-		}
-		if m := spec.Obs.Metrics; m != nil {
-			m.Counter("cache.hits").Add(1)
-		}
-		return repOut{res: res}, true
-	}
 	// Streaming per-cell fold state: replications arrive consecutively
 	// and in order, so one accumulator suffices. The progress counters
 	// live on the same single emission goroutine.
@@ -675,7 +639,7 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 	if spec.Obs.Monitor != nil {
 		monitor = monitorAdapter{m: spec.Obs.Monitor}
 	}
-	err = sweep.RunCachedMonitored(ctx, len(jobs), spec.Workers, monitor, lookup,
+	err = sweep.RunMonitored(ctx, len(jobs), spec.Workers, monitor,
 		func(ctx context.Context, i int) (repOut, error) {
 			j := jobs[i]
 			cell := cells[j.cell]
@@ -722,7 +686,6 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 			}
 			return repOut{res: res}, nil
 		},
-		nil,
 		func(i int, out repOut, err error) error {
 			if err != nil {
 				return err
@@ -735,8 +698,8 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 			}
 			j := jobs[i]
 			prog.JobsDone++
-			prog.CyclesDone += uint64(jobScenario(i).Cycles)
-			if out.res != nil && out.res.CacheStats != nil && out.res.CacheStats.Hit {
+			prog.CyclesDone += uint64(cells[j.cell].Scenario.withDefaults().Cycles)
+			if out.res != nil && out.res.cacheHit {
 				prog.CacheHits++
 			}
 			if out.res != nil {

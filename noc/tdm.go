@@ -62,7 +62,7 @@ func (f *tdmFabric) Run(sc Scenario) (*Result, error) {
 }
 
 // run executes one non-replicated, defaulted, validated scenario.
-func (f *tdmFabric) run(cfg config, _ *Cache, sc Scenario) (*Result, error) {
+func (f *tdmFabric) run(cfg config, sc Scenario) (*Result, error) {
 	if sc.IsPattern() {
 		return runTDMPattern(cfg, sc)
 	}
@@ -179,8 +179,7 @@ func (f *tdmFabric) run(cfg config, _ *Cache, sc Scenario) (*Result, error) {
 	}
 
 	w.Run(sc.Cycles)
-	var ks *KernelStats
-	cfg.observeKernel(&ks)(w)
+	cfg.observeKernel()(w)
 
 	var delivered uint64
 	for _, fl := range flows {
@@ -197,7 +196,6 @@ func (f *tdmFabric) run(cfg config, _ *Cache, sc Scenario) (*Result, error) {
 		Power:          powerFrom(breakdown),
 		PerComponent:   attributionComponents(meter.AttributionSorted(), breakdown.StaticUW),
 		Latency:        latencyFrom(lat),
-		Kernel:         ks,
 	}
 	for _, s := range sources {
 		res.WordsSent += s.Sent()

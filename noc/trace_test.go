@@ -20,6 +20,17 @@ func collectEvents(t *testing.T, f Fabric, sc Scenario) []obs.Event {
 	return col.Events()
 }
 
+// metricValue returns the named sample's value from the Result's metrics
+// snapshot, and whether the snapshot holds it.
+func metricValue(res *Result, name string) (int64, bool) {
+	for _, s := range res.Metrics {
+		if s.Name == name {
+			return s.Value, true
+		}
+	}
+	return 0, false
+}
+
 // domainOnly filters a stream down to ScopeDomain events.
 func domainOnly(evs []obs.Event) []obs.Event {
 	var out []obs.Event

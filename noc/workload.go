@@ -276,7 +276,7 @@ func runCircuitWorkload(cfg config, sc Scenario) (*Result, error) {
 	}
 
 	m.Run(sc.Cycles)
-	cfg.observeKernel(&res.Kernel)(world)
+	cfg.observeKernel()(world)
 
 	for _, st := range states {
 		received := st.sink.grx.Received()

@@ -118,19 +118,27 @@ func TestExperimentsFacade(t *testing.T) {
 	if data == nil {
 		t.Fatal("nil experiment data")
 	}
-	b, err := ExperimentJSON("table3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		ID   string          `json:"id"`
-		Data json.RawMessage `json:"data"`
-	}
-	if err := json.Unmarshal(b, &decoded); err != nil {
-		t.Fatalf("experiment JSON invalid: %v", err)
-	}
-	if decoded.ID != "table3" || len(decoded.Data) == 0 {
-		t.Errorf("experiment JSON incomplete: %s", b)
+	// Every experiment encodes as JSON and decodes again with its
+	// identity and data intact; a non-finite float in a result (beload's
+	// P95 lies past its histogram's last bound at high load) must not
+	// break the encoding.
+	for _, e := range exps {
+		b, err := ExperimentJSON(e.ID)
+		if err != nil {
+			t.Errorf("%s: %v", e.ID, err)
+			continue
+		}
+		var decoded struct {
+			ID   string          `json:"id"`
+			Data json.RawMessage `json:"data"`
+		}
+		if err := json.Unmarshal(b, &decoded); err != nil {
+			t.Errorf("%s: experiment JSON invalid: %v", e.ID, err)
+			continue
+		}
+		if decoded.ID != e.ID || len(decoded.Data) == 0 || string(decoded.Data) == "null" {
+			t.Errorf("%s: experiment JSON incomplete: %.200s", e.ID, b)
+		}
 	}
 	if _, err := ExperimentData("nope"); err == nil {
 		t.Error("unknown experiment accepted")
