@@ -89,13 +89,14 @@ type Injection struct {
 	Burstiness float64
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. NaN and infinite parameters are
+// rejected.
 func (i Injection) Validate() error {
-	if i.Rate <= 0 || i.Rate > 1 {
+	if !(i.Rate > 0 && i.Rate <= 1) {
 		return fmt.Errorf("pattern: injection rate %v out of (0,1]", i.Rate)
 	}
-	if i.Proc == OnOff && i.Burstiness < 1 {
-		return fmt.Errorf("pattern: on-off burstiness %v must be >= 1", i.Burstiness)
+	if i.Proc == OnOff && !(i.Burstiness >= 1 && !math.IsInf(i.Burstiness, 1)) {
+		return fmt.Errorf("pattern: on-off burstiness %v must be finite and >= 1", i.Burstiness)
 	}
 	if i.Proc != OnOff && i.Burstiness != 0 {
 		return fmt.Errorf("pattern: burstiness only applies to the onoff process")

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -141,6 +142,33 @@ func TestInjectionValidate(t *testing.T) {
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted", bad)
+		}
+	}
+}
+
+// TestNonFiniteParametersRejected: NaN fails every comparison, so a
+// range check written as "reject if out of range" lets it through. Each
+// parameter must reject NaN and both infinities, with an error naming
+// the parameter.
+func TestNonFiniteParametersRejected(t *testing.T) {
+	parseSpatial := func(s string) error { _, err := ParseSpatial(s); return err }
+	parseInjection := func(s string) error { _, err := ParseInjection(s); return err }
+	for _, v := range []string{"nan", "NaN", "inf", "-inf"} {
+		for _, c := range []struct {
+			field, spec string
+			parse       func(string) error
+		}{
+			{"hotspot fraction", "hotspot:" + v, parseSpatial},
+			{"injection rate", "poisson:" + v, parseInjection},
+			{"injection rate", "onoff:" + v + ":4", parseInjection},
+			{"burstiness", "onoff:0.1:" + v, parseInjection},
+		} {
+			err := c.parse(c.spec)
+			if err == nil {
+				t.Errorf("%q accepted", c.spec)
+			} else if !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%q: error %q does not name the %s", c.spec, err, c.field)
+			}
 		}
 	}
 }

@@ -18,7 +18,6 @@ package pattern
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -103,7 +102,8 @@ func ParseSpatial(s string) (Spatial, error) {
 			return Spatial{}, fmt.Errorf("pattern: %s takes no parameter (got %q)", name, arg)
 		}
 		a, err := strconv.ParseFloat(arg, 64)
-		if err != nil || a <= 0 || a > 1 {
+		// Written so that NaN, which fails every comparison, is rejected.
+		if err != nil || !(a > 0 && a <= 1) {
 			return Spatial{}, fmt.Errorf("pattern: hotspot fraction %q out of (0,1]", arg)
 		}
 		sp.Alpha = a
@@ -152,7 +152,7 @@ func HotspotNode(w, h int) int { return (h/2)*w + w/2 }
 // fixedDest returns the single destination of a deterministic pattern
 // for the given source node, or -1 when the node generates no traffic
 // (a fixed point). Permutation requires the seed-derived table, so it is
-// resolved by Flows/ProbWeights instead.
+// resolved by Flows/prob instead.
 func (sp Spatial) fixedDest(src, w, h int) int {
 	n := w * h
 	switch sp.Kind {
@@ -295,55 +295,6 @@ func drawOther(rng *bitvec.XorShift64, self, n int) int {
 	return d
 }
 
-// ProbWeights returns the destination probability distribution of words
-// injected at src — the analytic counterpart of Draw, used to project a
-// pattern onto a single observed router. The map only contains non-zero
-// entries and sums to 1 (or is empty for a fixed point of a
-// deterministic pattern).
-func (sp Spatial) ProbWeights(src, w, h int, seed uint64) map[int]float64 {
-	n := w * h
-	out := map[int]float64{}
-	switch sp.Kind {
-	case Uniform:
-		for d := 0; d < n; d++ {
-			if d != src {
-				out[d] = 1 / float64(n-1)
-			}
-		}
-	case Hotspot:
-		hot := HotspotNode(w, h)
-		a := sp.alpha()
-		if src == hot {
-			a = 0
-		}
-		for d := 0; d < n; d++ {
-			if d == src {
-				continue
-			}
-			p := (1 - a) / float64(n-1)
-			if d == hot {
-				p += a
-			}
-			out[d] = p
-		}
-	case Neighbour:
-		nb := neighbours(src, w, h)
-		for _, d := range nb {
-			out[d] += 1 / float64(len(nb))
-		}
-	case Permutation:
-		d := permTable(n, seed)[src]
-		if d != src {
-			out[d] = 1
-		}
-	default:
-		if d := sp.fixedDest(src, w, h); d >= 0 {
-			out[d] = 1
-		}
-	}
-	return out
-}
-
 // PortFlow is one aggregated input-port→output-port traffic relation at
 // an observed router: the expected number of words crossing that
 // port pair per word injected per node under the pattern.
@@ -365,43 +316,102 @@ type PortFlow struct {
 // single-router models, and the projection computes the traffic matrix
 // such a router would see at that position in the mesh. Flows are
 // returned in a fixed port-major order.
+//
+// An XY route crosses obs = (ox, oy) only on its X leg, which runs
+// along the source's row, or on its Y leg, which runs along the
+// destination's column. So only sources in row oy (against every
+// destination) and destinations in column ox (for every other source)
+// are visited: O(N·(W+H)) pairs instead of N². They are visited in
+// ascending source-then-destination order, so every port pair receives
+// the same float additions in the same order as a full N² scan would
+// give it, and the weights are bit-identical to that scan's. A relation
+// with probability 0 (every non-hotspot destination under hotspot:1)
+// still creates its port pair.
 func PortFlows(sp Spatial, w, h, obs int, seed uint64) []PortFlow {
 	n := w * h
-	acc := map[[2]core.Port]float64{}
+	ox, oy := obs%w, obs/w
+	var perm []int
+	if sp.Kind == Permutation {
+		perm = permTable(n, seed)
+	}
+	// Port pairs, indexed by core.Port (Tile through West).
+	var weight [5][5]float64
+	var present [5][5]bool
 	for src := 0; src < n; src++ {
-		ws := sp.ProbWeights(src, w, h, seed)
-		// Accumulate in sorted destination order: distinct destinations can
-		// fold into the same port pair, and float addition is not
-		// associative, so ranging the map directly would make the low bits
-		// of the flow weights depend on iteration order.
-		dsts := make([]int, 0, len(ws))
-		for dst := range ws {
-			dsts = append(dsts, dst)
+		first, step := ox, w
+		if src/w == oy {
+			first, step = 0, 1
 		}
-		sort.Ints(dsts)
-		for _, dst := range dsts {
+		for dst := first; dst < n; dst += step {
+			p, ok := sp.prob(src, dst, w, h, perm)
+			if !ok {
+				continue
+			}
 			in, out, ok := portsThrough(src, dst, obs, w)
 			if !ok {
 				continue
 			}
-			acc[[2]core.Port{in, out}] += ws[dst]
+			weight[in][out] += p
+			present[in][out] = true
 		}
 	}
-	keys := make([][2]core.Port, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	// XY routing admits at most 16 port pairs: four exits each from the
+	// tile and the two horizontal entries, and two from each vertical one.
+	flows := make([]PortFlow, 0, 16)
+	for in := range present {
+		for out, ok := range present[in] {
+			if ok {
+				flows = append(flows, PortFlow{In: core.Port(in), Out: core.Port(out), Weight: weight[in][out]})
+			}
 		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]PortFlow, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, PortFlow{In: k[0], Out: k[1], Weight: acc[k]})
 	}
-	return out
+	return flows
+}
+
+// prob returns the probability that a word injected at src is addressed
+// to dst — the analytic counterpart of Draw — and whether dst is in the
+// support of src's destination distribution at all. A destination can
+// be in the support with probability 0: under hotspot:1 every
+// non-hotspot destination of a non-hotspot source is. perm is the
+// permutation table, needed only for Permutation.
+func (sp Spatial) prob(src, dst, w, h int, perm []int) (float64, bool) {
+	if dst == src {
+		return 0, false
+	}
+	n := w * h
+	switch sp.Kind {
+	case Uniform:
+		return 1 / float64(n-1), true
+	case Hotspot:
+		hot := HotspotNode(w, h)
+		a := sp.alpha()
+		if src == hot {
+			a = 0
+		}
+		p := (1 - a) / float64(n-1)
+		if dst == hot {
+			p += a
+		}
+		return p, true
+	case Neighbour:
+		sx, sy, dx, dy := src%w, src/w, dst%w, dst/w
+		adjacent := (sy == dy && (dx == sx+1 || dx == sx-1)) ||
+			(sx == dx && (dy == sy+1 || dy == sy-1))
+		if !adjacent {
+			return 0, false
+		}
+		degree := 0
+		for _, has := range [4]bool{sy > 0, sx+1 < w, sy+1 < h, sx > 0} {
+			if has {
+				degree++
+			}
+		}
+		return 1 / float64(degree), true
+	case Permutation:
+		return 1, perm[src] == dst
+	default:
+		return 1, sp.fixedDest(src, w, h) == dst
+	}
 }
 
 // portsThrough XY-routes src→dst (X first, then Y) and reports the entry

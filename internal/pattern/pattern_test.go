@@ -3,6 +3,7 @@ package pattern
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -166,6 +167,205 @@ func abs(x int) int {
 		return -x
 	}
 	return x
+}
+
+// ProbWeights returns the destination probability distribution of words
+// injected at src — the analytic counterpart of Draw. The map holds
+// every destination in the support, including those with probability
+// 0 (hotspot:1), and sums to 1 (or is empty for a fixed point of a
+// deterministic pattern). It is the reference that PortFlows' inline
+// probabilities are checked against.
+func (sp Spatial) ProbWeights(src, w, h int, seed uint64) map[int]float64 {
+	n := w * h
+	out := map[int]float64{}
+	switch sp.Kind {
+	case Uniform:
+		for d := 0; d < n; d++ {
+			if d != src {
+				out[d] = 1 / float64(n-1)
+			}
+		}
+	case Hotspot:
+		hot := HotspotNode(w, h)
+		a := sp.alpha()
+		if src == hot {
+			a = 0
+		}
+		for d := 0; d < n; d++ {
+			if d == src {
+				continue
+			}
+			p := (1 - a) / float64(n-1)
+			if d == hot {
+				p += a
+			}
+			out[d] = p
+		}
+	case Neighbour:
+		nb := neighbours(src, w, h)
+		for _, d := range nb {
+			out[d] += 1 / float64(len(nb))
+		}
+	case Permutation:
+		d := permTable(n, seed)[src]
+		if d != src {
+			out[d] = 1
+		}
+	default:
+		if d := sp.fixedDest(src, w, h); d >= 0 {
+			out[d] = 1
+		}
+	}
+	return out
+}
+
+// referencePortFlows is the projection as a full N² scan: every
+// source's ProbWeights map, accumulated into a port-pair map in sorted
+// destination order. PortFlows must match it bit for bit.
+func referencePortFlows(sp Spatial, w, h, obs int, seed uint64) []PortFlow {
+	n := w * h
+	acc := map[[2]core.Port]float64{}
+	for src := 0; src < n; src++ {
+		ws := sp.ProbWeights(src, w, h, seed)
+		// Accumulate in sorted destination order: distinct destinations can
+		// fold into the same port pair, and float addition is not
+		// associative, so ranging the map directly would make the low bits
+		// of the flow weights depend on iteration order.
+		dsts := make([]int, 0, len(ws))
+		for dst := range ws {
+			dsts = append(dsts, dst)
+		}
+		sort.Ints(dsts)
+		for _, dst := range dsts {
+			in, out, ok := portsThrough(src, dst, obs, w)
+			if !ok {
+				continue
+			}
+			acc[[2]core.Port{in, out}] += ws[dst]
+		}
+	}
+	keys := make([][2]core.Port, 0, len(acc))
+	for k := range acc {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	out := make([]PortFlow, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, PortFlow{In: k[0], Out: k[1], Weight: acc[k]})
+	}
+	return out
+}
+
+// checkPortFlows compares PortFlows against the reference scan: the
+// same port pairs in the same order, with bit-identical weights.
+func checkPortFlows(t *testing.T, sp Spatial, w, h, obs int, seed uint64) {
+	t.Helper()
+	got := PortFlows(sp, w, h, obs, seed)
+	want := referencePortFlows(sp, w, h, obs, seed)
+	if len(got) != len(want) {
+		t.Fatalf("%v %dx%d obs %d seed %d: %d flows, reference has %d\ngot  %v\nwant %v",
+			sp, w, h, obs, seed, len(got), len(want), got, want)
+	}
+	for i, g := range got {
+		r := want[i]
+		if g.In != r.In || g.Out != r.Out || math.Float64bits(g.Weight) != math.Float64bits(r.Weight) {
+			t.Fatalf("%v %dx%d obs %d seed %d: flow %d is %+v, reference %+v",
+				sp, w, h, obs, seed, i, g, r)
+		}
+	}
+}
+
+// TestPortFlowsMatchesReference checks the row-and-column projection
+// against the N² scan on every pattern, every mesh up to 9×9 and every
+// observed node.
+func TestPortFlowsMatchesReference(t *testing.T) {
+	specs := append(Names(), "hotspot:0.3", "hotspot:1")
+	for _, spec := range specs {
+		sp, err := ParseSpatial(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds := []uint64{1}
+		if sp.Kind == Permutation {
+			seeds = []uint64{1, 2}
+		}
+		for w := 1; w <= 9; w++ {
+			for h := 1; h <= 9; h++ {
+				if w*h < 2 {
+					continue
+				}
+				for obs := 0; obs < w*h; obs++ {
+					for _, seed := range seeds {
+						checkPortFlows(t, sp, w, h, obs, seed)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzPortFlows checks the projection against the reference scan on
+// generated cases. Byte layout: mesh width, mesh height, observed node
+// (two bytes), spatial pattern, hotspot fraction (two bytes), seed (two
+// bytes). Missing bytes read as zero, so every input decodes to a valid
+// case: a 1–16 × 1–16 mesh, any observed node, any pattern and a
+// hotspot fraction in (0,1].
+func FuzzPortFlows(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		w, h := 1+next()%16, 1+next()%16
+		obs := (next()<<8 | next()) % (w * h)
+		names := Names()
+		sp, err := ParseSpatial(names[next()%len(names)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frac := float64((next()<<8|next())+1) / (1 << 16); sp.Kind == Hotspot {
+			sp.Alpha = frac
+		}
+		checkPortFlows(t, sp, w, h, obs, uint64(next()<<8|next()))
+	})
+}
+
+// TestPortFlowsAllocs pins the projection's cost: a fixed handful of
+// allocations whatever the mesh size (the N² scan made one map and one
+// sorted slice per source).
+func TestPortFlowsAllocs(t *testing.T) {
+	sp := Spatial{Kind: Hotspot, Alpha: 1}
+	for _, m := range []int{16, 64} {
+		obs := HotspotNode(m, m)
+		allocs := testing.AllocsPerRun(3, func() { PortFlows(sp, m, m, obs, 1) })
+		if allocs > 8 {
+			t.Errorf("%dx%d hotspot:1 projection: %.0f allocations, want <= 8", m, m, allocs)
+		}
+	}
+}
+
+// BenchmarkPortFlows64x64 times the hotspot:1 projection onto the
+// centre of a 64×64 mesh, as the 64×64 hotspot study runs it.
+func BenchmarkPortFlows64x64(b *testing.B) {
+	sp := Spatial{Kind: Hotspot, Alpha: 1}
+	obs := HotspotNode(64, 64)
+	b.ReportAllocs()
+	var flows []PortFlow
+	for i := 0; i < b.N; i++ {
+		flows = PortFlows(sp, 64, 64, obs, 1)
+	}
+	if len(flows) == 0 {
+		b.Fatal("empty projection")
+	}
 }
 
 func TestProbWeightsSumToOne(t *testing.T) {

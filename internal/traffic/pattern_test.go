@@ -119,6 +119,26 @@ func TestPortFlowsFeedTileAndMeshPorts(t *testing.T) {
 	}
 }
 
+// TestHotspotOneZeroWeightFlows pins the zero-probability port pairs of
+// a hotspot:1 projection. On the centre of a 16×16 mesh, 8 of the 16
+// port pairs carry only through traffic between non-hotspot nodes,
+// which hotspot:1 sends with probability 0. They count as requested but
+// are never established, and every later flow's tag and seed follow
+// from its position in the list, so pattern results depend on them.
+func TestHotspotOneZeroWeightFlows(t *testing.T) {
+	flows := pattern.PortFlows(pattern.Spatial{Kind: pattern.Hotspot, Alpha: 1},
+		16, 16, pattern.HotspotNode(16, 16), 1)
+	res, err := RunPacketPattern(flows, pattern.Injection{Proc: pattern.Bernoulli, Rate: 0.05},
+		0.5, patternRC(sim.KernelEvent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FlowsRequested != 16 || res.FlowsEstablished != 8 {
+		t.Errorf("flows requested %d, established %d; want 16 and 8",
+			res.FlowsRequested, res.FlowsEstablished)
+	}
+}
+
 // TestPatternWarmupTruncatesLatency pins the projections' warm-up
 // behavior: the latency distribution is truncated to the measurement
 // window (word counts stay full-run), the effective warm-up is

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -354,5 +356,28 @@ func TestPatternSweepBurstinessAxis(t *testing.T) {
 	bad = SweepSpec{Grid: &Grid{Patterns: []string{"uniform"}, Workloads: []string{"drm"}}}
 	if err := bad.Validate(); err == nil {
 		t.Error("patterns+workloads accepted")
+	}
+}
+
+// TestNonFinitePatternParametersRejected: NaN and infinite pattern
+// parameters fail on both entry points, the -inject parser and a
+// scenario's own fields, with an error naming the field.
+func TestNonFinitePatternParametersRejected(t *testing.T) {
+	if _, err := ParseInjection("poisson:nan"); err == nil || !strings.Contains(err.Error(), "rate") {
+		t.Errorf("ParseInjection(poisson:nan): error %v does not name the rate", err)
+	}
+	for _, c := range []struct {
+		field string
+		sc    Scenario
+	}{
+		{"hotspot fraction", Scenario{Pattern: "hotspot:nan"}},
+		{"rate", Scenario{Pattern: "uniform", Injection: &Injection{Rate: math.NaN()}}},
+		{"burstiness", Scenario{Pattern: "uniform",
+			Injection: &Injection{Process: "onoff", Rate: 0.1, Burstiness: math.Inf(1)}}},
+	} {
+		err := c.sc.withDefaults().Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("non-finite %s: Validate error %v does not name it", c.field, err)
+		}
 	}
 }
