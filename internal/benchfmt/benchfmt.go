@@ -64,7 +64,9 @@ type File struct {
 	// Benchmarks is sorted by (pkg, name, procs) and de-duplicated:
 	// when the same benchmark appears more than once in the input (the
 	// gating 1x pass plus a focused measured pass), the occurrence
-	// with the most iterations wins — the better measurement.
+	// with the most iterations wins — the better measurement — and
+	// among equal iteration counts (a -count pass) the lowest ns/op
+	// wins, so a best-of-N pass yields its best line.
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -155,7 +157,8 @@ func Parse(r io.Reader) (*File, error) {
 			return nil, fmt.Errorf("benchfmt: no ns/op measurement in %q", line)
 		}
 		if j, ok := best[b.key()]; ok {
-			if b.Iterations >= f.Benchmarks[j].Iterations {
+			if prior := f.Benchmarks[j]; b.Iterations > prior.Iterations ||
+				b.Iterations == prior.Iterations && b.NsPerOp < prior.NsPerOp {
 				f.Benchmarks[j] = b
 			}
 			continue

@@ -68,6 +68,31 @@ BenchmarkX-8 	       1	     9999 ns/op
 	}
 }
 
+// TestParseDedupTieKeepsFastest: among lines with equal iteration
+// counts — the repeats of a -count pass — the lowest ns/op wins in any
+// order, so the Makefile's best-of-N passes gate their best sample.
+func TestParseDedupTieKeepsFastest(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		in   string
+		want float64
+	}{
+		{"best first", "BenchmarkX-2 20000 100 ns/op\nBenchmarkX-2 20000 300 ns/op\nBenchmarkX-2 20000 200 ns/op\n", 100},
+		{"best middle", "BenchmarkX-2 20000 300 ns/op\nBenchmarkX-2 20000 100 ns/op\nBenchmarkX-2 20000 200 ns/op\n", 100},
+		{"best last", "BenchmarkX-2 20000 300 ns/op\nBenchmarkX-2 20000 200 ns/op\nBenchmarkX-2 20000 100 ns/op\n", 100},
+		{"more iterations beat faster", "BenchmarkX-2 20000 100 ns/op\nBenchmarkX-2 40000 300 ns/op\nBenchmarkX-2 1 50 ns/op\n", 300},
+		{"1x pass then best-of-3", "BenchmarkX-2 1 9999 ns/op\nBenchmarkX-2 500 70 ns/op\nBenchmarkX-2 500 60 ns/op\nBenchmarkX-2 500 65 ns/op\n", 60},
+	} {
+		f, err := Parse(strings.NewReader(c.in))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(f.Benchmarks) != 1 || f.Benchmarks[0].NsPerOp != c.want {
+			t.Errorf("%s: dedup kept %+v, want %v ns/op", c.name, f.Benchmarks, c.want)
+		}
+	}
+}
+
 func TestParseRejectsMalformed(t *testing.T) {
 	for _, in := range []string{
 		"",                              // no benchmarks at all

@@ -96,7 +96,7 @@ func (a *Assembly) BindMeter(m *power.Meter, lib stdcell.Lib, gated bool) {
 	a.meter = m
 	a.lib = lib
 	a.gated = gated
-	a.R.BindMeter(m, lib, gated)
+	a.R.BindMeter(m)
 	for _, tx := range a.Tx {
 		tx.BindMeter(m)
 	}

@@ -45,7 +45,7 @@ func BenchmarkRouterStepMetered(b *testing.B) {
 	lib := stdcell.Default013()
 	r := NewRouter(p)
 	m := power.NewMeter(Netlist(p, lib), lib, 25)
-	r.BindMeter(m, lib, false)
+	r.BindMeter(m)
 	inputs := make([]uint8, p.TotalLanes())
 	for g := 0; g < p.TotalLanes(); g++ {
 		r.ConnectIn(g, &inputs[g])

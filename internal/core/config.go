@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bitvec"
 )
@@ -73,13 +74,32 @@ func DecodeConfigCmd(p Params, w uint32) (ConfigCmd, error) {
 
 // Config is the router's configuration memory: one LaneSel per output lane.
 type Config struct {
-	p    Params
+	p Params
+	// sels is the memory image: every lane's select and activation bits,
+	// including the stale select of a disabled lane, which Bits prices
+	// on configuration writes.
 	sels []LaneSel
+	// src[g] is output lane g's selected global input lane, or noInput
+	// when the lane is disabled. It is derived from sels, written only
+	// by SetLane and copied by Copy, so the per-cycle datapath reads one
+	// entry instead of decoding a select.
+	src []int32
 }
+
+// noInput marks a disabled output lane in Config.src.
+const noInput = -1
 
 // NewConfig returns an all-disabled configuration memory.
 func NewConfig(p Params) *Config {
-	return &Config{p: p, sels: make([]LaneSel, p.TotalLanes())}
+	n := p.TotalLanes()
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("core: %d lanes exceed the crossbar select table", n))
+	}
+	src := make([]int32, n)
+	for g := range src {
+		src[g] = noInput
+	}
+	return &Config{p: p, sels: make([]LaneSel, n), src: src}
 }
 
 // Lane returns the configuration of output lane g.
@@ -91,6 +111,10 @@ func (c *Config) SetLane(g int, s LaneSel) {
 		panic(fmt.Sprintf("core: select %d out of range", s.In))
 	}
 	c.sels[g] = s
+	c.src[g] = noInput
+	if s.Enable {
+		c.src[g] = int32(c.p.InputLane(c.p.LaneOf(g).Port, s.In))
+	}
 }
 
 // Apply executes a configuration command.
@@ -111,11 +135,11 @@ func (c *Config) EnabledLanes() int {
 // InputFor returns the global input lane feeding output lane g and whether
 // the lane is enabled.
 func (c *Config) InputFor(g int) (int, bool) {
-	s := c.sels[g]
-	if !s.Enable {
+	in := c.src[g]
+	if in == noInput {
 		return 0, false
 	}
-	return c.p.InputLane(c.p.LaneOf(g).Port, s.In), true
+	return int(in), true
 }
 
 // Bits renders the configuration memory as its hardware bit image
@@ -139,6 +163,7 @@ func (c *Config) Bits() *bitvec.Vec {
 func (c *Config) Copy() *Config {
 	n := NewConfig(c.p)
 	copy(n.sels, c.sels)
+	copy(n.src, c.src)
 	return n
 }
 

@@ -57,11 +57,13 @@ type TxConverter struct {
 	ackIn *bool // from the router's AckOut of this input lane
 
 	// committed state
-	shift   uint32 // remaining nibbles, top nibble next
-	cnt     int    // nibbles still to emit (incl. the one in shift top)
-	wc      int    // window counter
-	pending *Word  // accepted word waiting for serialization
-	staged  *Word  // word pushed this cycle, committed into pending
+	shift      uint32 // remaining nibbles, top nibble next
+	cnt        int    // nibbles still to emit (incl. the one in shift top)
+	wc         int    // window counter
+	pending    Word   // accepted word waiting for serialization
+	hasPending bool
+	staged     Word // word pushed this cycle, committed into pending
+	hasStaged  bool
 
 	// next state
 	nextShift uint32
@@ -100,7 +102,7 @@ func (t *TxConverter) ConnectAck(src *bool) { t.ackIn = src }
 func (t *TxConverter) BindMeter(m *power.Meter) { t.meter = m }
 
 // Ready reports whether a new word can be pushed this cycle.
-func (t *TxConverter) Ready() bool { return t.staged == nil && t.pending == nil }
+func (t *TxConverter) Ready() bool { return !t.hasStaged && !t.hasPending }
 
 // Push hands a word to the converter. It returns false (and drops nothing —
 // the caller keeps the word) if the converter cannot accept it this cycle.
@@ -109,8 +111,7 @@ func (t *TxConverter) Push(w Word) bool {
 	if !t.Enabled || !t.Ready() {
 		return false
 	}
-	cp := w
-	t.staged = &cp
+	t.staged, t.hasStaged = w, true
 	if t.wake != nil {
 		t.wake()
 	}
@@ -126,7 +127,7 @@ func (t *TxConverter) SetWake(fn func()) { t.wake = fn }
 // arriving (an ack replenishes the window counter, which is a state
 // change).
 func (t *TxConverter) Quiescent() bool {
-	return t.staged == nil && t.pending == nil && t.cnt == 0 &&
+	return !t.hasStaged && !t.hasPending && t.cnt == 0 &&
 		t.shift == 0 && t.Out == 0 && !(t.ackIn != nil && *t.ackIn)
 }
 
@@ -186,13 +187,13 @@ func (t *TxConverter) Eval() {
 			t.nextCnt = 0
 		}
 	}
-	if t.pending != nil && !t.willLoad && t.cnt <= 1 {
+	if t.hasPending && !t.willLoad && t.cnt <= 1 {
 		t.stalledCount++
 	}
 }
 
 func (t *TxConverter) canLoad() bool {
-	if !t.Enabled || t.pending == nil {
+	if !t.Enabled || !t.hasPending {
 		return false
 	}
 	if t.flow.UseAck {
@@ -231,15 +232,15 @@ func (t *TxConverter) Commit() {
 		t.wc = w
 	}
 	if t.willLoad {
-		t.pending = nil
+		t.hasPending = false
 		t.sent++
 	}
 	t.shift = t.nextShift
 	t.cnt = t.nextCnt
 	t.Out = t.nextOut
-	if t.pending == nil && t.staged != nil {
-		t.pending = t.staged
-		t.staged = nil
+	if !t.hasPending && t.hasStaged {
+		t.pending, t.hasPending = t.staged, true
+		t.hasStaged = false
 	}
 }
 
@@ -302,10 +303,11 @@ type RxConverter struct {
 	dropped  uint64
 
 	// next state
-	nextAcc  uint32
-	nextCnt  int
-	complete *Word
-	popN     int // words consumed by the tile this cycle (staged)
+	nextAcc   uint32
+	nextCnt   int
+	complete  Word // word reassembled this cycle, valid when completed
+	completed bool
+	popN      int // words consumed by the tile this cycle (staged)
 
 	meter *power.Meter
 	wake  func()
@@ -395,7 +397,7 @@ func (r *RxConverter) Dropped() uint64 { return r.dropped }
 
 // Eval implements sim.Clocked.
 func (r *RxConverter) Eval() {
-	r.complete = nil
+	r.completed = false
 	var nib uint8
 	if r.in != nil {
 		nib = *r.in & uint8(1<<uint(r.p.LaneWidth)-1)
@@ -416,8 +418,7 @@ func (r *RxConverter) Eval() {
 	r.nextAcc = r.acc<<4 | uint32(nib)
 	r.nextCnt = r.cnt + 1
 	if r.nextCnt == r.p.PacketNibbles() {
-		w := Unpack(r.nextAcc)
-		r.complete = &w
+		r.complete, r.completed = Unpack(r.nextAcc), true
 		r.nextAcc, r.nextCnt = 0, 0
 	}
 }
@@ -436,20 +437,23 @@ func (r *RxConverter) Commit() {
 	r.cnt = r.nextCnt
 
 	if r.popN > 0 {
-		r.buf = r.buf[r.popN:]
+		// Move the unconsumed words to the front: the backing array
+		// keeps its capacity, so the buffer stops allocating once it
+		// has grown to its high-water mark.
+		r.buf = append(r.buf[:0], r.buf[r.popN:]...)
 		if r.flow.UseAck {
 			r.unacked += r.popN
 		}
 		r.popN = 0
 	}
-	if r.complete != nil {
+	if r.completed {
 		r.received++
 		if len(r.buf) >= r.bufCap {
 			r.dropped++
 		} else {
-			r.buf = append(r.buf, *r.complete)
+			r.buf = append(r.buf, r.complete)
 		}
-		r.complete = nil
+		r.completed = false
 	}
 	// Acknowledge every X consumed packets: one cycle high per batch.
 	if r.ackHigh > 0 {

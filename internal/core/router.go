@@ -46,16 +46,13 @@ type Router struct {
 	nextOut []uint8
 	nextAck []bool
 
+	// mask keeps a lane value's LaneWidth bits; global lanes below
+	// tileLanes belong to the tile port.
+	mask      uint8
+	tileLanes int
+
 	// meter, when non-nil, receives this router's switching activity.
-	meter *power.Meter
-	lib   stdcell.Lib
-	// gated enables the configuration-driven clock gating of Section 7.3:
-	// output registers of disabled lanes draw no clock energy.
-	gated bool
-	// ownTick, when true, makes the router account clock energy for its
-	// own registers each cycle. Assemblies that share a meter across a
-	// router and its converters leave this on; the converters then only
-	// add their own register energy.
+	meter      *power.Meter
 	statsWords uint64
 
 	// activity tracking (sim.Quiescer): a router with no configured lanes,
@@ -77,14 +74,16 @@ func NewRouter(p Params) *Router {
 	}
 	n := p.TotalLanes()
 	return &Router{
-		P:       p,
-		Out:     make([]uint8, n),
-		AckOut:  make([]bool, n),
-		in:      make([]*uint8, n),
-		ackIn:   make([]*bool, n),
-		cfg:     NewConfig(p),
-		nextOut: make([]uint8, n),
-		nextAck: make([]bool, n),
+		P:         p,
+		Out:       make([]uint8, n),
+		AckOut:    make([]bool, n),
+		in:        make([]*uint8, n),
+		ackIn:     make([]*bool, n),
+		cfg:       NewConfig(p),
+		nextOut:   make([]uint8, n),
+		nextAck:   make([]bool, n),
+		mask:      uint8(1<<uint(p.LaneWidth) - 1),
+		tileLanes: p.LanesPerPort,
 	}
 }
 
@@ -146,15 +145,14 @@ func (r *Router) Quiescent() bool {
 	if r.activeLanes == 0 {
 		return true
 	}
-	for g := 0; g < r.P.TotalLanes(); g++ {
-		in, ok := r.cfg.InputFor(g)
-		if !ok {
+	for g, in := range r.cfg.src {
+		if in == noInput {
 			continue
 		}
-		if r.readIn(in) != 0 {
+		if r.readIn(int(in)) != 0 {
 			return false
 		}
-		if r.ackIn[g] != nil && *r.ackIn[g] {
+		if a := r.ackIn[g]; a != nil && *a {
 			return false
 		}
 	}
@@ -177,15 +175,10 @@ func (r *Router) Unconfigured() bool {
 	return r.activeLanes == 0 && len(r.cfgPending) == 0
 }
 
-// BindMeter attaches a power meter. If gated is true the router models the
-// configuration-driven clock gating the paper proposes as future work;
-// otherwise every register draws clock energy every cycle, matching the
-// paper's measured implementation.
-func (r *Router) BindMeter(m *power.Meter, lib stdcell.Lib, gated bool) {
-	r.meter = m
-	r.lib = lib
-	r.gated = gated
-}
+// BindMeter attaches a power meter for the router's switching activity.
+// Clock energy, gated or not, is charged by whoever ticks the meter; an
+// Assembly does so through ClockFJ.
+func (r *Router) BindMeter(m *power.Meter) { r.meter = m }
 
 // WordsRouted returns the number of valid header nibbles that crossed the
 // crossbar, a convenience traffic statistic.
@@ -193,62 +186,81 @@ func (r *Router) WordsRouted() uint64 { return r.statsWords }
 
 // readIn returns the current value of input lane g (0 when unconnected).
 func (r *Router) readIn(g int) uint8 {
-	if r.in[g] == nil {
-		return 0
+	if src := r.in[g]; src != nil {
+		return *src & r.mask
 	}
-	return *r.in[g] & r.laneMask()
+	return 0
 }
-
-func (r *Router) laneMask() uint8 { return uint8(1<<uint(r.P.LaneWidth) - 1) }
 
 // Eval implements sim.Clocked: it computes the crossbar outputs and the
 // reverse acknowledgement routing from the committed inputs.
 func (r *Router) Eval() {
-	n := r.P.TotalLanes()
-	for g := 0; g < n; g++ {
-		r.nextAck[g] = false
-	}
-	for g := 0; g < n; g++ {
-		in, ok := r.cfg.InputFor(g)
-		if !ok {
+	clear(r.nextAck)
+	for g, in := range r.cfg.src {
+		if in == noInput {
 			r.nextOut[g] = 0
 			continue
 		}
-		r.nextOut[g] = r.readIn(in)
+		r.nextOut[g] = r.readIn(int(in))
 		// The acknowledgement arriving with output lane g is routed back
 		// to the circuit's input lane. With multicast (several outputs
 		// selecting one input) acknowledgements are ORed; the window
 		// counter mechanism is defined for unicast circuits.
-		if r.ackIn[g] != nil && *r.ackIn[g] {
+		if a := r.ackIn[g]; a != nil && *a {
 			r.nextAck[in] = true
 		}
 	}
 }
 
-// Commit implements sim.Clocked: it latches outputs, applies staged
-// configuration writes and accounts power.
+// Commit implements sim.Clocked: in one pass over the lanes it counts
+// this cycle's switching activity and latches the outputs; it then
+// charges the activity to the meter and applies staged configuration
+// writes.
+//
+// Activity covers output register and link toggles, crossbar
+// multiplexer activity and acknowledgement wires. Clock energy is not
+// charged here: the assembly ticks the meter once per cycle (see
+// Assembly.Commit and ClockFJ).
 func (r *Router) Commit() {
-	n := r.P.TotalLanes()
-
-	if r.meter != nil {
-		r.accountPower()
-	}
-
+	regFlips, linkFlips, gateFlips, ackFlips := 0, 0, 0, 0
 	dirty := false
-	for g := 0; g < n; g++ {
-		if r.nextOut[g]&uint8(HdrValid) != 0 {
+	for g, next := range r.nextOut {
+		ack := r.nextAck[g]
+		if d := bitvec.Hamming16(uint16(r.Out[g]), uint16(next)); d != 0 {
+			regFlips += d
+			// The output register drives the inter-router link; the tile
+			// port drives the short local connection to the converter.
+			if g < r.tileLanes {
+				gateFlips += d
+			} else {
+				linkFlips += d
+			}
+			// Data toggles ripple through about two 2:1 stages of the
+			// output's multiplexer tree (the selected path; unselected
+			// subtrees are logically shielded).
+			gateFlips += 2 * d
+		}
+		if r.AckOut[g] != ack {
+			ackFlips++
+		}
+		if next&uint8(HdrValid) != 0 {
 			// Counting header nibbles overcounts (data nibbles may have
 			// bit 0 set); the converter-level statistics are exact. This
 			// is only a coarse activity indicator.
 			r.statsWords++
 		}
-		if r.nextOut[g] != 0 || r.nextAck[g] {
+		if next != 0 || ack {
 			dirty = true
 		}
-		r.Out[g] = r.nextOut[g]
-		r.AckOut[g] = r.nextAck[g]
+		r.Out[g] = next
+		r.AckOut[g] = ack
 	}
 	r.outDirty = dirty
+	if r.meter != nil {
+		r.meter.AddToggles(power.ToggleReg, regFlips+ackFlips)
+		r.meter.AddToggles(power.ToggleLink, linkFlips+ackFlips)
+		r.meter.AddToggles(power.ToggleGate, gateFlips)
+	}
 
 	if len(r.cfgPending) > 0 {
 		if r.meter != nil {
@@ -265,40 +277,6 @@ func (r *Router) Commit() {
 		r.cfgPending = r.cfgPending[:0]
 		r.activeLanes = r.cfg.EnabledLanes()
 	}
-}
-
-// accountPower records this cycle's switching activity: output register and
-// link toggles, crossbar multiplexer activity and acknowledgement wires.
-// Clock energy for the router's registers is recorded here too; converters
-// bound to the same meter account only their own registers.
-func (r *Router) accountPower() {
-	n := r.P.TotalLanes()
-	regFlips, linkFlips, gateFlips, ackFlips := 0, 0, 0, 0
-	for g := 0; g < n; g++ {
-		d := bitvec.Hamming16(uint16(r.Out[g]), uint16(r.nextOut[g]))
-		if d != 0 {
-			regFlips += d
-			// The output register drives the inter-router link; the tile
-			// port drives the short local connection to the converter.
-			if r.P.LaneOf(g).Port == Tile {
-				gateFlips += d
-			} else {
-				linkFlips += d
-			}
-			// Data toggles ripple through about two 2:1 stages of the
-			// output's multiplexer tree (the selected path; unselected
-			// subtrees are logically shielded).
-			gateFlips += 2 * d
-		}
-		if r.AckOut[g] != r.nextAck[g] {
-			ackFlips++
-		}
-	}
-	r.meter.AddToggles(power.ToggleReg, regFlips+ackFlips)
-	r.meter.AddToggles(power.ToggleLink, linkFlips+ackFlips)
-	r.meter.AddToggles(power.ToggleGate, gateFlips)
-	// Clock energy: the meter's Tick is driven by the assembly once per
-	// cycle; see Assembly.Commit and ClockFJ.
 }
 
 // RouterRegBits returns the router's sequential cell census (excluding
@@ -319,8 +297,8 @@ func (r *Router) ClockFJ(lib stdcell.Lib, gated bool) float64 {
 		return power.ClockEnergyFor(lib, RouterRegBits(r.P), 0)
 	}
 	active := r.P.ConfigBits() // configuration memory is always live
-	for g := 0; g < r.P.TotalLanes(); g++ {
-		if _, ok := r.cfg.InputFor(g); ok {
+	for _, in := range r.cfg.src {
+		if in != noInput {
 			active += r.P.LaneWidth + 1
 		}
 	}

@@ -204,7 +204,7 @@ func TestRouterPowerAccounting(t *testing.T) {
 	d := Netlist(p, lib)
 	r := NewRouter(p)
 	m := power.NewMeter(d, lib, 25)
-	r.BindMeter(m, lib, false)
+	r.BindMeter(m)
 	src := uint8(0)
 	in := LaneID{Port: West, Lane: 0}
 	r.ConnectIn(p.Global(in), &src)

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/bitvec"
@@ -87,10 +88,10 @@ func (c PatternConfig) Validate() error {
 	if c.Cycles < 1 {
 		return fmt.Errorf("mesh: need at least 1 cycle")
 	}
-	if c.FreqMHz <= 0 {
-		return fmt.Errorf("mesh: non-positive frequency")
+	if !(c.FreqMHz > 0) || math.IsInf(c.FreqMHz, 1) {
+		return fmt.Errorf("mesh: frequency %v must be finite and positive", c.FreqMHz)
 	}
-	if c.FlipProb < 0 || c.FlipProb > 1 {
+	if !(c.FlipProb >= 0 && c.FlipProb <= 1) {
 		return fmt.Errorf("mesh: flip probability %v out of [0,1]", c.FlipProb)
 	}
 	if err := c.Injection.Validate(); err != nil {

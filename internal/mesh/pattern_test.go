@@ -2,6 +2,8 @@ package mesh
 
 import (
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/pattern"
@@ -286,5 +288,27 @@ func TestPatternConfigWarmupValidation(t *testing.T) {
 	cfg.WarmupCycles, cfg.WarmupAuto = 10, true
 	if _, err := RunPattern(cfg); err == nil {
 		t.Fatal("explicit + auto warm-up should be rejected")
+	}
+}
+
+// TestPatternConfigNonFiniteRejected: NaN and ±Inf in the frequency or
+// the flip probability fail validation with the field named, instead of
+// running into NaN power figures.
+func TestPatternConfigNonFiniteRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []struct {
+			field string
+			set   func(*PatternConfig)
+		}{
+			{"frequency", func(c *PatternConfig) { c.FreqMHz = v }},
+			{"flip probability", func(c *PatternConfig) { c.FlipProb = v }},
+		} {
+			cfg := patternCfg(sim.KernelEvent)
+			c.set(&cfg)
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s %v: Validate error %v does not name the field", c.field, v, err)
+			}
+		}
 	}
 }

@@ -18,6 +18,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/netlist"
@@ -129,10 +130,10 @@ type clockRun struct {
 	n  uint64  // cycles in the run
 }
 
-// Meter accumulates activity for one design over a simulation.
+// Meter accumulates activity for one design over a simulation. Everything
+// the design and library decide is resolved when the meter is built, so a
+// meter holds no copy of either.
 type Meter struct {
-	lib     stdcell.Lib
-	design  *netlist.Design
 	freqMHz float64
 
 	cycles      uint64
@@ -140,21 +141,32 @@ type Meter struct {
 	internalFJ  float64    // accumulated non-clock internal energy
 	switchingFJ float64    // accumulated net switching energy
 	toggles     [numToggleKinds]uint64
+	// energy[k] is toggleEnergy(lib, k), resolved once per meter.
+	energy [numToggleKinds]toggleCost
 
 	fullClockFJ float64 // per-cycle clock energy when ungated
+	staticUW    float64 // the design's leakage power
 }
 
-// NewMeter returns a meter for the design at the given clock frequency.
+// toggleCost is the (internal, switching) energy in fJ of one transition.
+type toggleCost struct{ internal, switching float64 }
+
+// NewMeter returns a meter for the design at the given clock frequency,
+// which must be finite and positive.
 func NewMeter(d *netlist.Design, lib stdcell.Lib, freqMHz float64) *Meter {
-	if freqMHz <= 0 {
-		panic("power: non-positive frequency")
+	if !(freqMHz > 0) || math.IsInf(freqMHz, 1) {
+		panic(fmt.Sprintf("power: frequency %v MHz must be finite and positive", freqMHz))
 	}
-	return &Meter{
-		lib:         lib,
-		design:      d,
+	m := &Meter{
 		freqMHz:     freqMHz,
 		fullClockFJ: d.ClockEnergyPerCycle(lib),
+		staticUW:    d.LeakageUW(lib),
 	}
+	for k := range m.energy {
+		in, sw := toggleEnergy(lib, ToggleKind(k))
+		m.energy[k] = toggleCost{internal: in, switching: sw}
+	}
+	return m
 }
 
 // Tick records one clock cycle with the full (ungated) clock network active.
@@ -210,9 +222,9 @@ func (m *Meter) AddToggles(k ToggleKind, n int) {
 	if n == 0 {
 		return
 	}
-	in, sw := toggleEnergy(m.lib, k)
-	m.internalFJ += in * float64(n)
-	m.switchingFJ += sw * float64(n)
+	e := m.energy[k]
+	m.internalFJ += e.internal * float64(n)
+	m.switchingFJ += e.switching * float64(n)
 	m.toggles[k] += uint64(n)
 }
 
@@ -242,7 +254,7 @@ func (m *Meter) Report(name string) Breakdown {
 		Name:        name,
 		FreqMHz:     m.freqMHz,
 		Cycles:      m.cycles,
-		StaticUW:    m.design.LeakageUW(m.lib),
+		StaticUW:    m.staticUW,
 		InternalUW:  (m.clockFJ() + m.internalFJ) / t / 1e3,
 		SwitchingUW: m.switchingFJ / t / 1e3,
 	}
@@ -255,8 +267,8 @@ func (m *Meter) ClassUW(k ToggleKind) float64 {
 	if m.cycles == 0 {
 		return 0
 	}
-	in, sw := toggleEnergy(m.lib, k)
-	e := (in + sw) * float64(m.toggles[k])
+	c := m.energy[k]
+	e := (c.internal + c.switching) * float64(m.toggles[k])
 	return e / m.SimTimeUS() / 1e3
 }
 
@@ -298,7 +310,8 @@ func (m *Meter) AttributionSorted() []AttributionEntry {
 	return out
 }
 
-// Reset clears accumulated activity, keeping the design binding.
+// Reset clears accumulated activity, keeping the design's resolved clock,
+// leakage and toggle energies.
 func (m *Meter) Reset() {
 	m.cycles = 0
 	m.clockRuns = m.clockRuns[:0]

@@ -155,14 +155,35 @@ func TestMeterPanics(t *testing.T) {
 		m := NewMeter(testDesign(), lib, 25)
 		m.AddToggles(ToggleReg, -1)
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("zero frequency did not panic")
-			}
+	for _, f := range []float64{0, -25, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("frequency %v did not panic", f)
+				}
+			}()
+			NewMeter(testDesign(), lib, f)
 		}()
-		NewMeter(testDesign(), lib, 0)
-	}()
+	}
+}
+
+// TestMeterToggleTableMatchesToggleEnergy: the per-kind energies a meter
+// resolves at construction are toggleEnergy's, bit for bit, on both
+// library corners, so AddToggles and ClassUW charge exactly what the
+// per-call lookup charged.
+func TestMeterToggleTableMatchesToggleEnergy(t *testing.T) {
+	for _, l := range []stdcell.Lib{stdcell.Default013(), stdcell.HighVT013()} {
+		m := NewMeter(testDesign(), l, 25)
+		for k := ToggleKind(0); k < numToggleKinds; k++ {
+			in, sw := toggleEnergy(l, k)
+			got := m.energy[k]
+			if math.Float64bits(got.internal) != math.Float64bits(in) ||
+				math.Float64bits(got.switching) != math.Float64bits(sw) {
+				t.Errorf("%s %v: table (%v, %v), toggleEnergy (%v, %v)",
+					l.Name, k, got.internal, got.switching, in, sw)
+			}
+		}
+	}
 }
 
 func TestBreakdownArithmetic(t *testing.T) {

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -237,5 +238,35 @@ func TestWorkloadUnsupportedOnPacketAndTDM(t *testing.T) {
 	}
 	if _, err := AetherealTDM().Run(sc); err == nil {
 		t.Fatal("TDM fabric accepted a workload scenario")
+	}
+}
+
+// TestScenarioNonFiniteRejected: NaN and ±Inf in the frequency, flip
+// probability or load fail Validate with the field named. Before, a NaN
+// or +Inf frequency passed and ran to a Result whose NaN power could not
+// be marshalled, and a NaN flip probability or load ran silently.
+func TestScenarioNonFiniteRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []struct {
+			field string
+			set   func(*Scenario)
+		}{
+			{"frequency", func(s *Scenario) { s.FreqMHz = v }},
+			{"flip probability", func(s *Scenario) { s.Data.FlipProb = v }},
+			{"load", func(s *Scenario) { s.Data.Load = v }},
+		} {
+			sc, err := PaperScenario("I")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.set(&sc)
+			err = sc.withDefaults().Validate()
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s %v: Validate error %v does not name the field", c.field, v, err)
+			}
+			if _, err := CircuitSwitched().Run(sc); err == nil {
+				t.Errorf("%s %v: Run accepted the scenario", c.field, v)
+			}
+		}
 	}
 }

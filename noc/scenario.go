@@ -3,6 +3,7 @@ package noc
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -277,17 +278,18 @@ func (s Scenario) withDefaults() Scenario {
 // Validate checks the scenario (after defaulting; Run applies defaults
 // for you).
 func (s Scenario) Validate() error {
-	if s.FreqMHz <= 0 {
-		return fmt.Errorf("noc: scenario %q: non-positive frequency %v", s.Name, s.FreqMHz)
+	// Each range check is written so that NaN fails it too.
+	if !(s.FreqMHz > 0) || math.IsInf(s.FreqMHz, 1) {
+		return fmt.Errorf("noc: scenario %q: frequency %v must be finite and positive", s.Name, s.FreqMHz)
 	}
 	if s.Cycles < 1 {
 		return fmt.Errorf("noc: scenario %q: need at least 1 cycle", s.Name)
 	}
-	if s.Data.FlipProb < 0 || s.Data.FlipProb > 1 {
+	if !(s.Data.FlipProb >= 0 && s.Data.FlipProb <= 1) {
 		return fmt.Errorf("noc: scenario %q: flip probability %v out of [0,1]",
 			s.Name, s.Data.FlipProb)
 	}
-	if s.Data.Load <= 0 || s.Data.Load > 1 {
+	if !(s.Data.Load > 0 && s.Data.Load <= 1) {
 		return fmt.Errorf("noc: scenario %q: load %v out of (0,1]", s.Name, s.Data.Load)
 	}
 	if s.Replications < 0 {
