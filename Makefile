@@ -4,7 +4,7 @@ NOCVET := $(CURDIR)/bin/nocvet
 
 # BENCH_BASE is the tracked benchmark baseline the regression gate
 # compares against; bump the number when re-baselining on purpose.
-BENCH_BASE := BENCH_11.json
+BENCH_BASE := BENCH_12.json
 
 .PHONY: build test race vet nocvet bench bench-json benchdiff
 
@@ -37,15 +37,16 @@ bench:
 # the fastest). Gated benchmarks whose single-shot spread approaches
 # their gate threshold run with -count so the best-of-N line wins — the
 # 2% tracer-nil pair gate in particular needs the sub-30ms pair
-# measured more than once. The component passes (router, converter,
-# assembly) run at fixed counts with -benchmem: one cold 1x iteration
-# reads them 10-100x high. The core pass includes internal/packetsw,
-# whose BenchmarkRouterStepMetered shares a gated name. CI archives the
-# file and gates it against $(BENCH_BASE) via `make benchdiff`.
+# measured more than once. The component passes (circuit and packet
+# routers, converter, assembly) run at fixed counts with -benchmem: one
+# cold 1x iteration reads them 10-100x high. The core pass includes
+# internal/packetsw, whose BenchmarkRouterStepMetered shares a gated
+# name, and its BenchmarkRouterStepSaturated. CI archives the file and
+# gates it against $(BENCH_BASE) via `make benchdiff`.
 bench-json:
 	go test -bench . -benchtime 1x -run '^$$' ./... | tee bench.txt
-	go test -bench '^Benchmark(RouterStep|RouterStepMetered|AssemblyStep)$$' -benchtime 200000x -benchmem -count 3 -run '^$$' ./internal/core ./internal/packetsw | tee -a bench.txt
-	go test -bench '^Benchmark(CircuitRouterCycle|Mesh4x4Cycle|ConverterRoundTrip)$$' -benchtime 20000x -benchmem -count 3 -run '^$$' . | tee -a bench.txt
+	go test -bench '^Benchmark(RouterStep|RouterStepMetered|RouterStepSaturated|AssemblyStep)$$' -benchtime 200000x -benchmem -count 3 -run '^$$' ./internal/core ./internal/packetsw | tee -a bench.txt
+	go test -bench '^Benchmark(CircuitRouterCycle|PacketRouterCycle|BERouterFlit|Mesh4x4Cycle|ConverterRoundTrip)$$' -benchtime 20000x -benchmem -count 3 -run '^$$' . | tee -a bench.txt
 	go test -bench '(Mesh|Scenario).*Kernel' -benchtime 20000x -run '^$$' . | tee -a bench.txt
 	go test -bench 'MeshSparse(Gated|TracerNil)Kernel' -benchtime 20000x -count 6 -run '^$$' . | tee -a bench.txt
 	go test -bench 'FiniteWorkload|BEBurst' -benchtime 50x -run '^$$' . | tee -a bench.txt
@@ -70,5 +71,5 @@ bench-json:
 # overhead within the same bench run: the nil-tracer kernel twin must
 # stay within 2% of its untouched twin (host-speed drift cancels out).
 benchdiff:
-	go run ./cmd/benchdiff -base $(BENCH_BASE) -cur BENCH_ci.json -match 'Kernel$$|SweepSingleRun|SweepReplicated|SweepOverlap|^Benchmark(RouterStep|RouterStepMetered|AssemblyStep|CircuitRouterCycle|Mesh4x4Cycle|ConverterRoundTrip)$$'
+	go run ./cmd/benchdiff -base $(BENCH_BASE) -cur BENCH_ci.json -match 'Kernel$$|SweepSingleRun|SweepReplicated|SweepOverlap|^Benchmark(RouterStep|RouterStepMetered|RouterStepSaturated|AssemblyStep|CircuitRouterCycle|PacketRouterCycle|BERouterFlit|Mesh4x4Cycle|ConverterRoundTrip)$$'
 	go run ./cmd/benchdiff -cur BENCH_ci.json -threshold 0.02 -pair 'BenchmarkMeshSparseTracerNilKernel=BenchmarkMeshSparseGatedKernel'

@@ -122,10 +122,11 @@ func (g *Manager) kindOK(processKind string, c mesh.Coord) bool {
 }
 
 // NewManager returns a CCN for the mesh, with the network clock used for
-// bandwidth feasibility checks.
+// bandwidth feasibility checks. It panics unless the clock is finite and
+// positive.
 func NewManager(m *mesh.Mesh, freqMHz float64) *Manager {
-	if freqMHz <= 0 {
-		panic("ccn: non-positive frequency")
+	if !(freqMHz > 0) || math.IsInf(freqMHz, 1) {
+		panic(fmt.Sprintf("ccn: frequency %v MHz must be finite and positive", freqMHz))
 	}
 	mgr := &Manager{
 		m:         m,

@@ -1,6 +1,9 @@
 package ccn
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/benet"
@@ -13,6 +16,19 @@ import (
 func newMgr(w, h int, freq float64) (*Manager, *mesh.Mesh) {
 	m := mesh.New(w, h, core.DefaultParams(), core.DefaultAssemblyOptions())
 	return NewManager(m, freq), m
+}
+
+func TestNewManagerRejectsBadClock(t *testing.T) {
+	for _, f := range []float64{0, -25, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(f), func(t *testing.T) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "frequency") {
+					t.Fatalf("panic %q, want one naming the frequency", msg)
+				}
+			}()
+			newMgr(2, 2, f)
+		})
+	}
 }
 
 func TestLaneMath(t *testing.T) {

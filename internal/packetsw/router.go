@@ -31,8 +31,8 @@ type Router struct {
 	inSrc    []*Flit   // upstream output registers, per port
 	creditIn [][]*bool // downstream credit pulses, per output port per VC
 
-	fifos     [][][]Flit // [port][vc] input buffer
-	routed    [][]bool   // [port][vc] packet in progress
+	fifos     []ring   // [port*VCs+vc] input buffer
+	routed    [][]bool // [port][vc] packet in progress
 	routeTo   [][]core.Port
 	credits   [][]int // [outPort][vc] downstream buffer slots available
 	rrPtr     []int   // per output port, round-robin position over input VCs
@@ -42,13 +42,17 @@ type Router struct {
 	// different packets from interleaving within one virtual channel.
 	outOwner [][]int
 
+	// reqs lists, per output port, the input VCs whose head flit routes
+	// there, in ascending index order: the switch allocator's requesters
+	// this cycle. Each list has room for every other port's VCs.
+	reqs [][]int
+
 	// next state
 	nextOut    []Flit
 	pops       []popOp
 	pushes     []pushOp
 	injStaged  []Flit
 	nextCredit [][]bool
-	poppedScr  []bool // scratch: input VCs popped this cycle
 
 	cycle uint64
 
@@ -78,6 +82,35 @@ type popOp struct{ port, vc int }
 type pushOp struct {
 	port int
 	f    Flit
+}
+
+// ring is an input VC's flit FIFO: Depth slots allocated with the router,
+// so pushes and pops never allocate.
+type ring struct {
+	buf  []Flit
+	head int // slot of the oldest flit
+	n    int // flits held
+}
+
+func (q *ring) front() *Flit { return &q.buf[q.head] }
+
+func (q *ring) push(f Flit) {
+	t := q.head + q.n
+	if t >= len(q.buf) {
+		t -= len(q.buf)
+	}
+	q.buf[t] = f
+	q.n++
+}
+
+func (q *ring) pop() Flit {
+	f := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return f
 }
 
 // NewRouter returns an idle router using the given routing function.
@@ -115,14 +148,21 @@ func NewRouter(p Params, route RouteFunc) *Router {
 		}
 	}
 	r.creditIn = make([][]*bool, p.Ports)
-	r.fifos = make([][][]Flit, p.Ports)
+	r.fifos = make([]ring, p.InputVCs())
+	slots := make([]Flit, p.InputVCs()*p.Depth)
+	for i := range r.fifos {
+		r.fifos[i].buf = slots[i*p.Depth : (i+1)*p.Depth]
+	}
+	r.reqs = make([][]int, p.Ports)
+	for o := range r.reqs {
+		r.reqs[o] = make([]int, 0, p.InputVCs()-p.VCs)
+	}
 	r.routeTo = make([][]core.Port, p.Ports)
 	r.credits = make([][]int, p.Ports)
 	r.lastWritten = make([][]uint32, p.Ports)
 	r.lastRead = make([][]uint32, p.Ports)
 	for i := 0; i < p.Ports; i++ {
 		r.creditIn[i] = make([]*bool, p.VCs)
-		r.fifos[i] = make([][]Flit, p.VCs)
 		r.routeTo[i] = make([]core.Port, p.VCs)
 		r.credits[i] = make([]int, p.VCs)
 		r.lastWritten[i] = make([]uint32, p.VCs)
@@ -165,7 +205,7 @@ func (r *Router) Inject(f Flit) bool {
 			staged++
 		}
 	}
-	if len(r.fifos[core.Tile][f.VC])+staged >= r.P.Depth {
+	if r.fifo(int(core.Tile), f.VC).n+staged >= r.P.Depth {
 		return false
 	}
 	f.InjectCycle = r.cycle
@@ -231,7 +271,7 @@ func (r *Router) EjectedPending() int { return len(r.ejected) }
 // compare against Params.Depth — the accounting hardware would get
 // from the credit path.
 func (r *Router) InputBacklog(p core.Port, vc int) int {
-	return len(r.fifos[p][vc])
+	return r.fifo(int(p), vc).n
 }
 
 // InjectReady reports whether VC v of the tile port can accept a flit.
@@ -242,7 +282,7 @@ func (r *Router) InjectReady(vc int) bool {
 			staged++
 		}
 	}
-	return len(r.fifos[core.Tile][vc])+staged < r.P.Depth
+	return r.fifo(int(core.Tile), vc).n+staged < r.P.Depth
 }
 
 // Drain returns and clears the flits ejected at the tile port since the
@@ -279,15 +319,18 @@ func (r *Router) CreditViolations() uint64 { return r.creditViolations }
 // Cycle returns the router's elapsed clock cycles.
 func (r *Router) Cycle() uint64 { return r.cycle }
 
+// fifo returns the input FIFO of VC v at port p.
+func (r *Router) fifo(p, v int) *ring { return &r.fifos[p*r.P.VCs+v] }
+
 // headRoute returns the output port of the packet at the head of FIFO
 // (p,v), and whether one exists.
 func (r *Router) headRoute(p, v int) (core.Port, bool) {
-	q := r.fifos[p][v]
-	if len(q) == 0 {
+	q := r.fifo(p, v)
+	if q.n == 0 {
 		return 0, false
 	}
-	if q[0].Kind.Opens() {
-		return r.Route(q[0].Data), true
+	if h := q.front(); h.Kind.Opens() {
+		return r.Route(h.Data), true
 	}
 	if r.routed[p][v] {
 		return r.routeTo[p][v], true
@@ -313,56 +356,31 @@ func (r *Router) Eval() {
 		}
 	}
 
-	// Switch allocation: per output port, round-robin over input VCs.
-	if r.poppedScr == nil {
-		r.poppedScr = make([]bool, p.InputVCs())
+	// Requests: each occupied input VC asks for the one output its head
+	// flit routes to, joining that output's list in ascending index
+	// order. A head routed back to its own input port, or to no port of
+	// this router, never requests, so it waits.
+	for out := range r.reqs {
+		r.reqs[out] = r.reqs[out][:0]
 	}
-	popped := r.poppedScr
-	for i := range popped {
-		popped[i] = false
+	for idx := 0; idx < p.InputVCs(); idx++ {
+		port := idx / p.VCs
+		dst, ok := r.headRoute(port, idx%p.VCs)
+		if !ok || int(dst) == port || dst < 0 || int(dst) >= p.Ports {
+			continue
+		}
+		r.reqs[dst] = append(r.reqs[dst], idx)
 	}
+
+	// Switch allocation: per output port, round-robin over its requesters.
 	for out := 0; out < p.Ports; out++ {
 		r.nextOut[out] = Flit{}
-		n := p.InputVCs()
-		granted := -1
-		for i := 1; i <= n; i++ {
-			idx := (r.rrPtr[out] + i) % n
-			port, vc := idx/p.VCs, idx%p.VCs
-			if port == out || popped[idx] {
-				continue
-			}
-			dst, ok := r.headRoute(port, vc)
-			if !ok || int(dst) != out {
-				continue
-			}
-			// Wormhole discipline: the output VC is owned by one packet
-			// until its tail passes; new packets may only claim a free
-			// output VC.
-			owner := r.outOwner[out][vc]
-			head := r.fifos[port][vc][0]
-			if head.Kind.Opens() {
-				if owner != -1 && owner != idx {
-					continue
-				}
-			} else if owner != idx {
-				continue
-			}
-			// Credit check: the tile output is an always-ready sink (the
-			// 16-bit tile interface consumes a flit per cycle), and an
-			// output with no credit wire attached is a testbench sink.
-			if core.Port(out) != core.Tile && r.creditIn[out][vc] != nil &&
-				r.credits[out][vc] <= 0 {
-				continue
-			}
-			granted = idx
-			break
-		}
+		granted := r.arbitrate(out)
 		if granted < 0 {
 			continue
 		}
 		port, vc := granted/p.VCs, granted%p.VCs
-		popped[granted] = true
-		r.nextOut[out] = r.fifos[port][vc][0]
+		r.nextOut[out] = *r.fifo(port, vc).front()
 		r.pops = append(r.pops, popOp{port: port, vc: vc})
 		r.rrPtr[out] = granted
 		if r.meter != nil && granted != r.lastGrant[out] {
@@ -374,6 +392,45 @@ func (r *Router) Eval() {
 		}
 		r.lastGrant[out] = granted
 	}
+}
+
+// arbitrate returns the requester output port out grants this cycle, or
+// -1: the first one after rrPtr[out] in cyclic input-VC order whose head
+// may take the output VC and has a credit for it.
+func (r *Router) arbitrate(out int) int {
+	reqs := r.reqs[out]
+	start := 0
+	for start < len(reqs) && reqs[start] <= r.rrPtr[out] {
+		start++
+	}
+	for k := range reqs {
+		i := start + k
+		if i >= len(reqs) {
+			i -= len(reqs)
+		}
+		idx := reqs[i]
+		vc := idx % r.P.VCs
+		// Wormhole discipline: the output VC is owned by one packet
+		// until its tail passes; new packets may only claim a free
+		// output VC.
+		owner := r.outOwner[out][vc]
+		if r.fifos[idx].front().Kind.Opens() {
+			if owner != -1 && owner != idx {
+				continue
+			}
+		} else if owner != idx {
+			continue
+		}
+		// Credit check: the tile output is an always-ready sink (the
+		// 16-bit tile interface consumes a flit per cycle), and an
+		// output with no credit wire attached is a testbench sink.
+		if core.Port(out) != core.Tile && r.creditIn[out][vc] != nil &&
+			r.credits[out][vc] <= 0 {
+			continue
+		}
+		return idx
+	}
+	return -1
 }
 
 // Commit implements sim.Clocked.
@@ -391,9 +448,7 @@ func (r *Router) Commit() {
 		}
 	}
 	for _, op := range r.pops {
-		q := r.fifos[op.port][op.vc]
-		f := q[0]
-		r.fifos[op.port][op.vc] = q[1:]
+		f := r.fifo(op.port, op.vc).pop()
 		r.buffered--
 		r.nextCredit[op.port][op.vc] = true
 		r.flitsRouted++
@@ -476,7 +531,8 @@ func (r *Router) Commit() {
 }
 
 func (r *Router) pushFIFO(port int, f Flit) {
-	if len(r.fifos[port][f.VC]) >= r.P.Depth {
+	q := r.fifo(port, f.VC)
+	if q.n >= r.P.Depth {
 		r.dropped++
 		return
 	}
@@ -486,7 +542,7 @@ func (r *Router) pushFIFO(port int, f Flit) {
 			bitvec.Hamming32(w, r.lastWritten[port][f.VC]))
 		r.lastWritten[port][f.VC] = w
 	}
-	r.fifos[port][f.VC] = append(r.fifos[port][f.VC], f)
+	q.push(f)
 	r.buffered++
 }
 
@@ -516,7 +572,7 @@ func (r *Router) accountDatapath() {
 		r.meter.AddToggles(power.ToggleGate, 2*d)
 	}
 	for _, op := range r.pops {
-		w := r.fifos[op.port][op.vc][0].wireBits()
+		w := r.fifo(op.port, op.vc).front().wireBits()
 		r.meter.AddToggles(power.ToggleGate,
 			bitvec.Hamming32(w, r.lastRead[op.port][op.vc]))
 		r.lastRead[op.port][op.vc] = w

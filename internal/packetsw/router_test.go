@@ -1,6 +1,8 @@
 package packetsw
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -393,6 +395,19 @@ func TestInjectChecksVCRange(t *testing.T) {
 		}
 	}()
 	r.Inject(Flit{Kind: HeadTail, VC: 7})
+}
+
+func TestBodyFlitAtIdleHeadPanics(t *testing.T) {
+	r := NewRouter(DefaultParams(), PortRoute)
+	r.Inject(Flit{Kind: Body, VC: 2, Data: 1})
+	r.Eval()
+	r.Commit()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "body flit at head of idle VC 0.2") {
+			t.Fatalf("panic %q, want the protocol error", msg)
+		}
+	}()
+	r.Eval()
 }
 
 func TestInjectRejectsInvalidAndFull(t *testing.T) {

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -84,8 +85,8 @@ func (c RunConfig) Validate() error {
 	if c.Cycles < 1 {
 		return fmt.Errorf("traffic: need at least 1 cycle")
 	}
-	if c.FreqMHz <= 0 {
-		return fmt.Errorf("traffic: non-positive frequency")
+	if !(c.FreqMHz > 0) || math.IsInf(c.FreqMHz, 1) {
+		return fmt.Errorf("traffic: FreqMHz %v must be finite and positive", c.FreqMHz)
 	}
 	if c.Params != nil {
 		if err := c.Params.Validate(); err != nil {

@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -139,8 +141,12 @@ func TestRunConfigValidate(t *testing.T) {
 	if (RunConfig{Cycles: 0, FreqMHz: 25}).Validate() == nil {
 		t.Error("zero cycles accepted")
 	}
-	if (RunConfig{Cycles: 10, FreqMHz: 0}).Validate() == nil {
-		t.Error("zero frequency accepted")
+	for _, f := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		c := DefaultRunConfig(lib)
+		c.FreqMHz = f
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "FreqMHz") {
+			t.Errorf("FreqMHz %v: error %v, want one naming FreqMHz", f, err)
+		}
 	}
 	if DefaultRunConfig(lib).Validate() != nil {
 		t.Error("default config rejected")

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
@@ -93,5 +94,65 @@ func TestResultGoldens(t *testing.T) {
 				t.Errorf("Result.JSON sha256 = %s, want %s", got, c.want)
 			}
 		})
+	}
+}
+
+// TestExperimentGoldens pins the exact text of every registered
+// experiment, as RunExperiment renders it: the paper evaluation that
+// nocbench prints with no flags. The packet-switched and TDM comparators,
+// the best-effort configuration network and the mesh mapper all feed
+// these tables and figures, so a change to any of them that moves one
+// printed digit fails here. The outputs concatenated in this order are
+// exactly nocbench's default output; paperEvalDigest pins that too.
+//
+// A deliberate change to an experiment's output updates its digest and
+// paperEvalDigest in the same commit, with the reason.
+func TestExperimentGoldens(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skip("digests are pinned on linux/amd64; other architectures may fuse multiply-adds and round power figures differently")
+	}
+	const paperEvalDigest = "cc3cca5c937affd644b83d17907051268a610e40a8cd445b0149a47398bdd64a"
+	want := []struct{ id, sum string }{
+		{"apps", "f6d3adc6b7b13cf4c2edd6e54b81121883429dd13790fa34d76f3fc39df2a9a6"},
+		{"beload", "41eb94a9c1b166900856d7e9a9a7468454ea43be4e1322f4ae2cf5c404e4172c"},
+		{"crossover", "d92f8ccb937752a962d5db398429bd3bce6ad96c4034b1ed9912f5f9cade99f1"},
+		{"fig10", "a69106ed27faf0106782e2349db87250334294e797dc27b10ce326dcb97798bc"},
+		{"fig9", "13cd594089e7fec1a4da7b1708e4ee95f6ff3d51870af387b6d281315bacdac4"},
+		{"fig9gated", "364bda0aa256bb0c53074f11f1a3f923ab5e4a83aa45e84138023da4b3f1785b"},
+		{"freqsweep", "4c6656b974a494ef636fc93a6a028f8e0a98fc8ef50aa16368c7512c81f75572"},
+		{"lanes", "e8eb238e38c0fd29a67030e2915542ddc5b60467a7a83c3c736d0c707d2ce31f"},
+		{"latency", "99023301f7ee9dedffd25d97d5f0b21eef09ca3347e1a8947502cf7948e880c4"},
+		{"meshpower", "e58eb27c5c78d2de99fd7a299f1378cb7fbaf192a1914543137c215653bf49b4"},
+		{"multicast", "7fa9bc3ecaed7ffec996dbdefb9f949bd18f919b66046f196c59d1b1bf5bbe66"},
+		{"psdepth", "fcee9ff5b5136f26a0fe4b8a43652228fca1d8f87ab5a927f4457215df87fd2e"},
+		{"schedule", "ab1844623de8360e91ef4aea25bcb0711b6d9012ce640a064100bc454010ebea"},
+		{"setup", "d20883d70c2c7dd3cd73082e0572275cd00c1b6940a12aaae56d53277aa9a85e"},
+		{"table1", "ea7e6e986d79823dccef3b19125a5c62c95e395b065eae06470535bd70fbe035"},
+		{"table2", "565170ee416f16aa407c08e71739e0c30ac3271aa9e0656453fe423ed3e187ae"},
+		{"table3", "6ca011339b63aa427a7ffc94ee8c843faa28fed9721fdd490afd9c5a9e0d432d"},
+		{"table4", "ae4ee0c00a9df67963c4e6a498addc5849280f00ae554b96179ee93f5b9cbe02"},
+		{"window", "fd64b1a1904a31d22b019cbe238c6bf1bb8e8b33f06a3065f936d5893efe9bca"},
+	}
+	exps := Experiments()
+	if len(exps) != len(want) {
+		t.Fatalf("%d experiments registered, %d pinned", len(exps), len(want))
+	}
+	all := sha256.New()
+	for i, e := range exps {
+		if e.ID != want[i].id {
+			t.Fatalf("experiment %d is %q, pinned %q", i, e.ID, want[i].id)
+		}
+		var b bytes.Buffer
+		if err := RunExperiment(&b, e.ID); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		all.Write(b.Bytes())
+		sum := sha256.Sum256(b.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want[i].sum {
+			t.Errorf("%s: text sha256 = %s, want %s", e.ID, got, want[i].sum)
+		}
+	}
+	if got := hex.EncodeToString(all.Sum(nil)); got != paperEvalDigest {
+		t.Errorf("concatenated text sha256 = %s, want %s", got, paperEvalDigest)
 	}
 }

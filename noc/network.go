@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ccn"
@@ -42,13 +43,14 @@ type Mapping struct {
 }
 
 // NewNetwork builds a W×H circuit-switched mesh with its Central
-// Coordination Node at the given clock.
+// Coordination Node at the given clock, which must be finite and
+// positive.
 func NewNetwork(w, h int, freqMHz float64) (*Network, error) {
 	if w < 2 || h < 2 {
 		return nil, fmt.Errorf("noc: network mesh must be at least 2x2, have %dx%d", w, h)
 	}
-	if freqMHz <= 0 {
-		return nil, fmt.Errorf("noc: non-positive frequency %v", freqMHz)
+	if !(freqMHz > 0) || math.IsInf(freqMHz, 1) {
+		return nil, fmt.Errorf("noc: network frequency %v MHz must be finite and positive", freqMHz)
 	}
 	m := mesh.New(w, h, core.DefaultParams(), core.DefaultAssemblyOptions())
 	return &Network{

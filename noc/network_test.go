@@ -1,6 +1,10 @@
 package noc
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 func TestNetworkMapUnmapRemap(t *testing.T) {
 	net, err := NewNetwork(4, 3, 100)
@@ -70,8 +74,12 @@ func TestNetworkErrors(t *testing.T) {
 	if _, err := NewNetwork(1, 1, 100); err == nil {
 		t.Error("1x1 mesh accepted")
 	}
-	if _, err := NewNetwork(4, 3, 0); err == nil {
-		t.Error("zero frequency accepted")
+	// A NaN or infinite clock would size lane paths from NaN lane rates,
+	// and int(math.Ceil(bw/NaN)) is -2^63 lanes.
+	for _, f := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewNetwork(4, 3, f); err == nil || !strings.Contains(err.Error(), "frequency") {
+			t.Errorf("NewNetwork(4, 3, %v) error %v, want one naming the frequency", f, err)
+		}
 	}
 	net, err := NewNetwork(4, 3, 100)
 	if err != nil {
