@@ -4,7 +4,7 @@ NOCVET := $(CURDIR)/bin/nocvet
 
 # BENCH_BASE is the tracked benchmark baseline the regression gate
 # compares against; bump the number when re-baselining on purpose.
-BENCH_BASE := BENCH_12.json
+BENCH_BASE := BENCH_13.json
 
 .PHONY: build test race vet nocvet bench bench-json benchdiff
 
@@ -31,10 +31,10 @@ bench:
 	go test -bench . -benchtime 1x -run '^$$' ./...
 
 # bench-json runs the gating 1x pass plus the measured component,
-# kernel, event, pattern and sweep passes, then folds the combined text
-# into the canonical BENCH_ci.json (cmd/benchdiff -parse keeps the
-# line with the most iterations per benchmark, and among equal counts
-# the fastest). Gated benchmarks whose single-shot spread approaches
+# kernel, fast-forward, pattern and sweep passes, then folds the
+# combined text into the canonical BENCH_ci.json (cmd/benchdiff -parse
+# keeps the line with the most iterations per benchmark, and among equal
+# counts the fastest). Gated benchmarks whose single-shot spread approaches
 # their gate threshold run with -count so the best-of-N line wins — the
 # 2% tracer-nil pair gate in particular needs the sub-30ms pair
 # measured more than once. The component passes (circuit and packet
@@ -48,7 +48,7 @@ bench-json:
 	go test -bench '^Benchmark(RouterStep|RouterStepMetered|RouterStepSaturated|AssemblyStep)$$' -benchtime 200000x -benchmem -count 3 -run '^$$' ./internal/core ./internal/packetsw | tee -a bench.txt
 	go test -bench '^Benchmark(CircuitRouterCycle|PacketRouterCycle|BERouterFlit|Mesh4x4Cycle|ConverterRoundTrip)$$' -benchtime 20000x -benchmem -count 3 -run '^$$' . | tee -a bench.txt
 	go test -bench '(Mesh|Scenario).*Kernel' -benchtime 20000x -run '^$$' . | tee -a bench.txt
-	go test -bench 'MeshSparse(Gated|TracerNil)Kernel' -benchtime 20000x -count 6 -run '^$$' . | tee -a bench.txt
+	go test -bench 'MeshSparse(Active|TracerNil)Kernel' -benchtime 20000x -count 6 -run '^$$' . | tee -a bench.txt
 	go test -bench 'FiniteWorkload|BEBurst' -benchtime 50x -run '^$$' . | tee -a bench.txt
 	go test -bench 'Pattern16|PatternSource' -benchtime 5x -run '^$$' . | tee -a bench.txt
 	go test -bench 'PatternSource' -benchtime 5x -count 6 -run '^$$' . | tee -a bench.txt
@@ -72,4 +72,4 @@ bench-json:
 # stay within 2% of its untouched twin (host-speed drift cancels out).
 benchdiff:
 	go run ./cmd/benchdiff -base $(BENCH_BASE) -cur BENCH_ci.json -match 'Kernel$$|SweepSingleRun|SweepReplicated|SweepOverlap|^Benchmark(RouterStep|RouterStepMetered|RouterStepSaturated|AssemblyStep|CircuitRouterCycle|PacketRouterCycle|BERouterFlit|Mesh4x4Cycle|ConverterRoundTrip)$$'
-	go run ./cmd/benchdiff -cur BENCH_ci.json -threshold 0.02 -pair 'BenchmarkMeshSparseTracerNilKernel=BenchmarkMeshSparseGatedKernel'
+	go run ./cmd/benchdiff -cur BENCH_ci.json -threshold 0.02 -pair 'BenchmarkMeshSparseTracerNilKernel=BenchmarkMeshSparseActiveKernel'

@@ -15,7 +15,6 @@
 //	nocbench -sweep spec.json -csv same, as CSV
 //	nocbench -sweep spec.json -workers 4
 //	nocbench -sweep spec.json -kernel naive
-//	nocbench -sweep spec.json -kernel active -simworkers 8
 //	nocbench -sweep spec.json -reps 8
 //	nocbench -pattern hotspot:0.7 -inject poisson:0.05 -mesh 16
 //	nocbench -pattern uniform -reps 8 -warmup auto
@@ -35,10 +34,12 @@
 // a spatial pattern name ("uniform", "transpose", "bitcomp", "bitrev",
 // "hotspot[:frac]", "neighbour", "perm") optionally combined with
 // -inject "process:rate[:burstiness]" ("cbr", "bernoulli", "poisson",
-// "onoff") and -mesh N for an N×N mesh (default 8). The circuit fabric
-// simulates the whole mesh; the packet and TDM fabrics are driven with
-// the pattern's projection onto the mesh-centre router. Output is one
-// JSON result per fabric.
+// "onoff") and -mesh N for an N×N mesh (default 8) and -cycles for the
+// simulated length (default 5000). The circuit fabric simulates the
+// whole mesh; the packet and TDM fabrics are driven with the pattern's
+// projection onto the mesh-centre router. Output is one JSON result per
+// fabric. A default applies only to a flag left off the command line:
+// an explicit -mesh 0 or -cycles 0 is an error.
 //
 // -reps runs every cell of a -sweep, or every fabric of a -pattern run,
 // that many times with independent replication seeds and attaches
@@ -48,16 +49,16 @@
 // for MSER steady-state detection.
 //
 // -kernel selects the simulation kernel of a -sweep or -pattern run:
-// "event" (the default: fully quiescent windows are fast-forwarded),
-// "gated" (activity tracking only), "naive" (evaluate everything) or
-// "active" (explicit active/parked component lists with a sharded
-// parallel Eval sweep; -simworkers N bounds the goroutine pool, 0
-// means GOMAXPROCS). Results are byte-identical under all of them —
-// the CI equivalence job runs the same sweep under each and
-// byte-compares, including the active kernel at different worker
-// counts. The experiments (-run/-parallel) always use the default, so
-// the flags are rejected without -sweep or -pattern rather than
-// silently ignored.
+// "active" (the default production kernel: quiescent components are
+// skipped, inert ones parked out of the sweep, fully quiescent windows
+// fast-forwarded) or "naive" (evaluate everything, the oracle).
+// "gated" and "event" are accepted as deprecated spellings of "active".
+// Results are byte-identical under both kernels — the CI equivalence
+// job runs the same sweeps under each and byte-compares. Every
+// simulation runs on one goroutine; -workers spreads sweep cells and
+// replications across cores. The experiments (-run/-parallel) always
+// use the default, so the flag is rejected without -sweep or -pattern
+// rather than silently ignored.
 //
 // Observability (none of it changes a byte of stdout results):
 //
@@ -121,78 +122,114 @@ func main() {
 	}
 }
 
+// cliFlags is nocbench's parsed and checked command line.
+type cliFlags struct {
+	list                        bool
+	runIDs, out                 string
+	jsonOut, parallel, csv      bool
+	sweepFile                   string
+	workers                     int
+	kernel                      string
+	pattern, inject             string
+	meshSize, cycles, reps      int
+	warmup, cacheDir, traceFile string
+	progress, metrics           bool
+	vcdFile, httpAddr           string
+	cpuProfile, memProfile      string
+}
+
+// parseFlags defines nocbench's flags on fs, parses args and checks them.
+// A flag counts as given when it appears on the command line (flag.Visit),
+// whatever its value, and a default applies only to a flag the caller did
+// not give: an explicit `-mesh 0` or `-cycles 0` is an error, never a
+// silent run of the 8×8, 5000-cycle defaults. Every error names its flag.
+func parseFlags(fs *flag.FlagSet, args []string) (*cliFlags, error) {
+	f := &cliFlags{}
+	fs.BoolVar(&f.list, "list", false, "list available experiments")
+	fs.StringVar(&f.runIDs, "run", "", "comma-separated experiment ids (default: all)")
+	fs.StringVar(&f.out, "out", "", "also write output to this file")
+	fs.BoolVar(&f.jsonOut, "json", false, "emit typed experiment results as JSON instead of text")
+	fs.StringVar(&f.sweepFile, "sweep", "", "run a parallel sweep from this JSON spec file")
+	fs.IntVar(&f.workers, "workers", 0, "worker pool size for -sweep and -parallel (default GOMAXPROCS)")
+	fs.BoolVar(&f.parallel, "parallel", false, "measure experiments on all cores (text output unchanged)")
+	fs.BoolVar(&f.csv, "csv", false, "with -sweep: emit CSV instead of JSON")
+	fs.StringVar(&f.kernel, "kernel", "", `with -sweep/-pattern: simulation kernel, "active" (default) or "naive" (the oracle); "gated" and "event" are deprecated spellings of "active"`)
+	fs.StringVar(&f.pattern, "pattern", "", `run a synthetic traffic pattern on all three fabrics (e.g. "uniform", "hotspot:0.7")`)
+	fs.StringVar(&f.inject, "inject", "", `with -pattern: injection process as "process:rate[:burstiness]" (e.g. "poisson:0.05", "onoff:0.1:8")`)
+	fs.IntVar(&f.meshSize, "mesh", 0, "with -pattern: mesh size N for an NxN mesh, positive (default 8)")
+	fs.IntVar(&f.cycles, "cycles", 0, "with -pattern: simulated cycles, positive (default 5000)")
+	fs.IntVar(&f.reps, "reps", 0, "with -sweep/-pattern: replications per cell, aggregated as mean/CI95 (default single run)")
+	fs.StringVar(&f.warmup, "warmup", "", `with -pattern: warm-up truncation, a cycle count or "auto" (MSER steady-state detection)`)
+	fs.StringVar(&f.cacheDir, "cache", "", "with -sweep: serve cells from a content-addressed result cache in this directory")
+	fs.StringVar(&f.traceFile, "trace", "", `with -sweep/-pattern: write the run's structured events as Chrome trace-event JSON to this file (open in Perfetto; -pattern writes one file per fabric with the kind inserted before the extension)`)
+	fs.BoolVar(&f.progress, "progress", false, "with -sweep: stream a live progress heartbeat (cells, jobs, cache hits, cycle rate, worker busy fraction, ETA) to stderr")
+	fs.BoolVar(&f.metrics, "metrics", false, "with -sweep/-pattern: dump the metrics registry snapshot to stderr after the run")
+	fs.StringVar(&f.vcdFile, "vcd", "", "write the single-router quicklook capture (trace-recorder probes) as a VCD waveform to this file and its ASCII render to stdout")
+	fs.StringVar(&f.httpAddr, "http", "", `serve expvar (/debug/vars) and pprof (/debug/pprof) on this address for the duration of the run (e.g. "localhost:6060")`)
+	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&f.memProfile, "memprofile", "", "write a heap profile at exit to this file")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	set := map[string]bool{}
+	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+
+	if _, err := noc.ParseKernel(f.kernel); err != nil {
+		return nil, err
+	}
+	sweepOrPattern := f.sweepFile != "" || f.pattern != ""
+	if set["kernel"] && !sweepOrPattern {
+		return nil, fmt.Errorf("-kernel only applies to -sweep and -pattern runs (experiments always use the default)")
+	}
+	if (set["inject"] || set["mesh"] || set["cycles"]) && f.pattern == "" {
+		return nil, fmt.Errorf("-inject, -mesh and -cycles only apply to -pattern runs")
+	}
+	if set["mesh"] && f.meshSize <= 0 {
+		return nil, fmt.Errorf("-mesh must be positive, got %d", f.meshSize)
+	}
+	if set["cycles"] && f.cycles <= 0 {
+		return nil, fmt.Errorf("-cycles must be positive, got %d", f.cycles)
+	}
+	if f.reps < 0 {
+		return nil, fmt.Errorf("-reps must be non-negative, got %d", f.reps)
+	}
+	if set["reps"] && !sweepOrPattern {
+		return nil, fmt.Errorf("-reps only applies to -sweep and -pattern runs")
+	}
+	if set["warmup"] && f.pattern == "" {
+		return nil, fmt.Errorf("-warmup only applies to -pattern runs")
+	}
+	if set["cache"] && f.sweepFile == "" {
+		return nil, fmt.Errorf("-cache only applies to -sweep runs")
+	}
+	if set["trace"] && !sweepOrPattern {
+		return nil, fmt.Errorf("-trace only applies to -sweep and -pattern runs")
+	}
+	if f.progress && f.sweepFile == "" {
+		return nil, fmt.Errorf("-progress only applies to -sweep runs")
+	}
+	if f.metrics && !sweepOrPattern {
+		return nil, fmt.Errorf("-metrics only applies to -sweep and -pattern runs")
+	}
+	if f.vcdFile != "" && sweepOrPattern {
+		return nil, fmt.Errorf("-vcd is a standalone single-router capture; it does not combine with -sweep or -pattern")
+	}
+	return f, nil
+}
+
 // run owns every deferred cleanup (profile flushes, file closes), so any
 // exit path — error, Ctrl-C cancellation, success — leaves complete,
 // loadable pprof files behind.
 func run() (err error) {
-	list := flag.Bool("list", false, "list available experiments")
-	runIDs := flag.String("run", "", "comma-separated experiment ids (default: all)")
-	out := flag.String("out", "", "also write output to this file")
-	jsonOut := flag.Bool("json", false, "emit typed experiment results as JSON instead of text")
-	sweepFile := flag.String("sweep", "", "run a parallel sweep from this JSON spec file")
-	workers := flag.Int("workers", 0, "worker pool size for -sweep and -parallel (default GOMAXPROCS)")
-	parallel := flag.Bool("parallel", false, "measure experiments on all cores (text output unchanged)")
-	csvOut := flag.Bool("csv", false, "with -sweep: emit CSV instead of JSON")
-	kernel := flag.String("kernel", "", `with -sweep/-pattern: simulation kernel, "event" (default), "gated", "naive" or "active"`)
-	simWorkers := flag.Int("simworkers", 0, `with -sweep/-pattern: active-kernel Eval shard bound (default GOMAXPROCS)`)
-	patternName := flag.String("pattern", "", `run a synthetic traffic pattern on all three fabrics (e.g. "uniform", "hotspot:0.7")`)
-	inject := flag.String("inject", "", `with -pattern: injection process as "process:rate[:burstiness]" (e.g. "poisson:0.05", "onoff:0.1:8")`)
-	meshSize := flag.Int("mesh", 0, "with -pattern: mesh size N for an NxN mesh (default 8)")
-	cycles := flag.Int("cycles", 0, "with -pattern: simulated cycles (default 5000)")
-	reps := flag.Int("reps", 0, "with -sweep/-pattern: replications per cell, aggregated as mean/CI95 (default single run)")
-	warmup := flag.String("warmup", "", `with -pattern: warm-up truncation, a cycle count or "auto" (MSER steady-state detection)`)
-	cacheDir := flag.String("cache", "", "with -sweep: serve cells from a content-addressed result cache in this directory")
-	traceFile := flag.String("trace", "", `with -sweep/-pattern: write the run's structured events as Chrome trace-event JSON to this file (open in Perfetto; -pattern writes one file per fabric with the kind inserted before the extension)`)
-	progress := flag.Bool("progress", false, "with -sweep: stream a live progress heartbeat (cells, jobs, cache hits, cycle rate, worker busy fraction, ETA) to stderr")
-	metricsOut := flag.Bool("metrics", false, "with -sweep/-pattern: dump the metrics registry snapshot to stderr after the run")
-	vcdFile := flag.String("vcd", "", "write the single-router quicklook capture (trace-recorder probes) as a VCD waveform to this file and its ASCII render to stdout")
-	httpAddr := flag.String("http", "", `serve expvar (/debug/vars) and pprof (/debug/pprof) on this address for the duration of the run (e.g. "localhost:6060")`)
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	flag.Parse()
-
-	if _, kerr := noc.ParseKernel(*kernel); kerr != nil {
-		return kerr
+	fl, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		return err
 	}
-	if *kernel != "" && *sweepFile == "" && *patternName == "" {
-		return fmt.Errorf("-kernel only applies to -sweep and -pattern runs (experiments always use the default)")
-	}
-	if *simWorkers < 0 {
-		return fmt.Errorf("-simworkers must be non-negative, got %d", *simWorkers)
-	}
-	if *simWorkers != 0 && *sweepFile == "" && *patternName == "" {
-		return fmt.Errorf("-simworkers only applies to -sweep and -pattern runs")
-	}
-	if (*inject != "" || *meshSize != 0 || *cycles != 0) && *patternName == "" {
-		return fmt.Errorf("-inject, -mesh and -cycles only apply to -pattern runs")
-	}
-	if *reps < 0 {
-		return fmt.Errorf("-reps must be non-negative, got %d", *reps)
-	}
-	if *reps != 0 && *sweepFile == "" && *patternName == "" {
-		return fmt.Errorf("-reps only applies to -sweep and -pattern runs")
-	}
-	if *warmup != "" && *patternName == "" {
-		return fmt.Errorf("-warmup only applies to -pattern runs")
-	}
-	if *cacheDir != "" && *sweepFile == "" {
-		return fmt.Errorf("-cache only applies to -sweep runs")
-	}
-	if *traceFile != "" && *sweepFile == "" && *patternName == "" {
-		return fmt.Errorf("-trace only applies to -sweep and -pattern runs")
-	}
-	if *progress && *sweepFile == "" {
-		return fmt.Errorf("-progress only applies to -sweep runs")
-	}
-	if *metricsOut && *sweepFile == "" && *patternName == "" {
-		return fmt.Errorf("-metrics only applies to -sweep and -pattern runs")
-	}
-	if *vcdFile != "" && (*sweepFile != "" || *patternName != "") {
-		return fmt.Errorf("-vcd is a standalone single-router capture; it does not combine with -sweep or -pattern")
-	}
-
-	if *cpuProfile != "" {
-		f, ferr := os.Create(*cpuProfile)
+	if fl.cpuProfile != "" {
+		f, ferr := os.Create(fl.cpuProfile)
 		if ferr != nil {
 			return ferr
 		}
@@ -202,16 +239,16 @@ func run() (err error) {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
+	if fl.memProfile != "" {
 		defer func() {
-			werr := writeHeapProfile(*memProfile)
+			werr := writeHeapProfile(fl.memProfile)
 			if err == nil {
 				err = werr
 			}
 		}()
 	}
 
-	if *list {
+	if fl.list {
 		for _, e := range noc.Experiments() {
 			fmt.Printf("%-10s %-55s [%s]\n", e.ID, e.Title, e.Paper)
 		}
@@ -219,8 +256,8 @@ func run() (err error) {
 	}
 
 	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, ferr := os.Create(*out)
+	if fl.out != "" {
+		f, ferr := os.Create(fl.out)
 		if ferr != nil {
 			return ferr
 		}
@@ -228,10 +265,10 @@ func run() (err error) {
 		w = io.MultiWriter(os.Stdout, f)
 	}
 
-	if *httpAddr != "" {
+	if fl.httpAddr != "" {
 		// expvar and net/http/pprof register on the default mux at
 		// import; progress expvars are published by runSweep.
-		ln, lerr := net.Listen("tcp", *httpAddr)
+		ln, lerr := net.Listen("tcp", fl.httpAddr)
 		if lerr != nil {
 			return lerr
 		}
@@ -242,41 +279,41 @@ func run() (err error) {
 		fmt.Fprintf(os.Stderr, "nocbench: serving http://%s/debug/vars and /debug/pprof\n", ln.Addr())
 	}
 
-	if *vcdFile != "" {
-		return writeQuicklookVCD(w, *vcdFile)
+	if fl.vcdFile != "" {
+		return writeQuicklookVCD(w, fl.vcdFile)
 	}
-	if *sweepFile != "" {
-		return runSweep(w, *sweepFile, sweepFlags{
-			workers: *workers, simWorkers: *simWorkers, reps: *reps,
-			csv: *csvOut, kernel: *kernel, cacheDir: *cacheDir,
-			traceFile: *traceFile, progress: *progress, metrics: *metricsOut,
-			expvars: *httpAddr != "",
+	if fl.sweepFile != "" {
+		return runSweep(w, fl.sweepFile, sweepFlags{
+			workers: fl.workers, reps: fl.reps,
+			csv: fl.csv, kernel: fl.kernel, cacheDir: fl.cacheDir,
+			traceFile: fl.traceFile, progress: fl.progress, metrics: fl.metrics,
+			expvars: fl.httpAddr != "",
 		})
 	}
-	if *patternName != "" {
-		return runPattern(w, *patternName, *inject, *meshSize, *cycles, *kernel,
-			*simWorkers, *reps, *warmup, *traceFile, *metricsOut)
+	if fl.pattern != "" {
+		return runPattern(w, fl.pattern, fl.inject, fl.meshSize, fl.cycles, fl.kernel,
+			fl.reps, fl.warmup, fl.traceFile, fl.metrics)
 	}
 
 	var ids []string
-	if *runIDs == "" {
+	if fl.runIDs == "" {
 		for _, e := range noc.Experiments() {
 			ids = append(ids, e.ID)
 		}
 	} else {
-		for _, id := range strings.Split(*runIDs, ",") {
+		for _, id := range strings.Split(fl.runIDs, ",") {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
 
-	if *jsonOut {
+	if fl.jsonOut {
 		// Measure everything before emitting, so an unknown id or a
 		// failed run never leaves truncated JSON on stdout. With
 		// -parallel the measurements run on all cores; the emitted
 		// JSON is identical either way.
 		jsonWorkers := 1
-		if *parallel {
-			jsonWorkers = *workers
+		if fl.parallel {
+			jsonWorkers = fl.workers
 		}
 		parts, jerr := noc.ExperimentsJSON(ids, jsonWorkers)
 		if jerr != nil {
@@ -295,8 +332,8 @@ func run() (err error) {
 		fmt.Fprintln(w, "]")
 		return nil
 	}
-	if *parallel {
-		return noc.RunExperimentsParallel(w, ids, *workers)
+	if fl.parallel {
+		return noc.RunExperimentsParallel(w, ids, fl.workers)
 	}
 	for _, id := range ids {
 		if rerr := noc.RunExperiment(w, id); rerr != nil {
@@ -363,7 +400,7 @@ func dumpMetrics(label string, samples []obs.Sample) {
 // fabric's structured events go to their own Chrome trace JSON; with
 // metrics each fabric's registry snapshot is dumped to stderr. Neither
 // changes a byte of the JSON results on stdout.
-func runPattern(w io.Writer, name, inject string, meshSize, cycles int, kernel string, simWorkers, reps int, warmup, traceFile string, metrics bool) error {
+func runPattern(w io.Writer, name, inject string, meshSize, cycles int, kernel string, reps int, warmup, traceFile string, metrics bool) error {
 	sc := noc.Scenario{Name: "pattern:" + name, Pattern: name}
 	if inject != "" {
 		inj, err := noc.ParseInjection(inject)
@@ -395,7 +432,7 @@ func runPattern(w io.Writer, name, inject string, meshSize, cycles int, kernel s
 	kinds := []noc.Kind{noc.KindCircuit, noc.KindPacket, noc.KindTDM}
 	fabricOpts := make([][]noc.Option, len(kinds))
 	for i, kind := range kinds {
-		fabricOpts[i] = []noc.Option{noc.WithKernel(k), noc.WithParallelism(simWorkers)}
+		fabricOpts[i] = []noc.Option{noc.WithKernel(k)}
 		if traceFile != "" {
 			f, ferr := os.Create(patternTracePath(traceFile, kind))
 			if ferr != nil {
@@ -443,7 +480,7 @@ func runPattern(w io.Writer, name, inject string, meshSize, cycles int, kernel s
 
 // sweepFlags bundles the command-line knobs of a -sweep run.
 type sweepFlags struct {
-	workers, simWorkers, reps   int
+	workers, reps               int
 	csv, progress, metrics      bool
 	kernel, cacheDir, traceFile string
 	expvars                     bool
@@ -516,9 +553,6 @@ func runSweep(w io.Writer, path string, fl sweepFlags) error {
 	}
 	if fl.kernel != "" {
 		spec.Kernel = fl.kernel
-	}
-	if fl.simWorkers != 0 {
-		spec.SimWorkers = fl.simWorkers
 	}
 	if fl.reps != 0 {
 		spec.Replications = fl.reps

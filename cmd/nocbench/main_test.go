@@ -1,0 +1,56 @@
+package main
+
+import (
+	"flag"
+	"io"
+	"strings"
+	"testing"
+)
+
+// TestParseFlags runs the command-line checks over a fresh flag set per
+// case. A flag counts as given whenever it appears, whatever its value,
+// so explicit zeros fail instead of silently running the defaults, and
+// every error names the flag at fault.
+func TestParseFlags(t *testing.T) {
+	cases := []struct {
+		args []string
+		err  string // substring of the expected error; "" means accepted
+	}{
+		{nil, ""},
+		{[]string{"-pattern", "uniform"}, ""},
+		{[]string{"-pattern", "uniform", "-mesh", "4", "-cycles", "100"}, ""},
+		{[]string{"-pattern", "uniform", "-mesh", "0"}, "-mesh must be positive, got 0"},
+		{[]string{"-pattern", "uniform", "-mesh", "-3"}, "-mesh must be positive, got -3"},
+		{[]string{"-pattern", "uniform", "-cycles", "0"}, "-cycles must be positive, got 0"},
+		{[]string{"-pattern", "uniform", "-mesh", "8", "-cycles", "-1"}, "-cycles must be positive"},
+		{[]string{"-mesh", "0"}, "-mesh"},
+		{[]string{"-cycles", "0"}, "-cycles"},
+		{[]string{"-inject", "poisson:0.1"}, "-inject"},
+		{[]string{"-kernel", "naive"}, "-kernel"},
+		{[]string{"-sweep", "s.json", "-kernel", "naive"}, ""},
+		{[]string{"-sweep", "s.json", "-kernel", "gated"}, ""},
+		{[]string{"-sweep", "s.json", "-kernel", "warp"}, "warp"},
+		{[]string{"-reps", "0"}, "-reps"},
+		{[]string{"-pattern", "uniform", "-reps", "-1"}, "-reps must be non-negative"},
+		{[]string{"-warmup", "auto"}, "-warmup"},
+		{[]string{"-cache", "dir"}, "-cache"},
+		{[]string{"-trace", "t.json"}, "-trace"},
+		{[]string{"-progress"}, "-progress"},
+		{[]string{"-metrics"}, "-metrics"},
+		{[]string{"-pattern", "uniform", "-vcd", "q.vcd"}, "-vcd"},
+		{[]string{"-run", "fig9", "extra"}, `"extra"`},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("nocbench", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, err := parseFlags(fs, c.args)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%q: unexpected error %v", c.args, err)
+		case c.err != "" && err == nil:
+			t.Errorf("%q: accepted, want an error naming %s", c.args, c.err)
+		case c.err != "" && !strings.Contains(err.Error(), c.err):
+			t.Errorf("%q: error %q does not contain %q", c.args, err, c.err)
+		}
+	}
+}

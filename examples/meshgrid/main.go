@@ -2,9 +2,9 @@
 // over mesh sizes up to 16×16 that maps all three wireless applications
 // concurrently via the CCN and reports placement, link utilization and
 // the per-router power attribution. The idle majority of a 256-node mesh
-// made runs like this expensive under per-cycle simulation; the event
-// kernel's activity tracking and fast-forward make the grid axis
-// affordable, which is exactly why the sweep spec grew it.
+// made runs like this expensive under per-cycle simulation; the
+// production kernel's activity tracking, parking and fast-forward make
+// the grid axis affordable, which is exactly why the sweep spec grew it.
 package main
 
 import (
@@ -31,8 +31,7 @@ func main() {
 			FreqsMHz: []float64{200},
 			Cycles:   []int{20000},
 		},
-		Kernel: string(noc.KernelEvent),
-		Seed:   1,
+		Seed: 1,
 	}
 
 	cells, err := noc.SweepAll(context.Background(), spec)

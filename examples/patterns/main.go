@@ -7,9 +7,9 @@
 // fabric admits slot reservations (the same answer in time instead of
 // space), and the packet-switched fabric admits everything and queues
 // (latency grows instead). The sources are event-scheduled, so at the
-// sparse 0.05 flits/cycle/node operating point the event kernel
-// fast-forwards the idle windows between words — which is what makes a
-// 256-node study like this cheap to run.
+// sparse 0.05 flits/cycle/node operating point the kernel parks idle
+// sources and fast-forwards the idle windows between words — which is
+// what makes a 256-node study like this cheap to run.
 package main
 
 import (

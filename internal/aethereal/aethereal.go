@@ -216,8 +216,7 @@ func (r *Router) ConnectIn(i int, data *uint32, valid *bool) {
 }
 
 // BindMeter attaches a power meter whose clock network the router ticks
-// itself: once per Commit, once per IdleTick, and in one run-length
-// batch per IdleWindow. Folding the tick into the router (instead of an
+// itself: once per Commit, and in one run-length batch per IdleWindow. Folding the tick into the router (instead of an
 // every-cycle monitor Func) is what lets TDM scenarios fast-forward —
 // the meter's run-length encoded clock energy makes the batched window
 // bit-identical to per-cycle ticks. The TDM router has no clock gating,
@@ -291,7 +290,7 @@ func (r *Router) Commit() {
 // input presents a valid word, every best-effort FIFO is empty and every
 // output register is idle — i.e. none of its reserved slots is occupied
 // and no BE traffic is waiting. The slot counter still advances on skipped
-// cycles via IdleTick, keeping the TDM frame phase cycle-accurate.
+// cycles via IdleWindow, keeping the TDM frame phase cycle-accurate.
 func (r *Router) Quiescent() bool {
 	for o := 0; o < r.P.Ports; o++ {
 		if r.OutValid[o] || len(r.beFIFOs[o]) != 0 {
@@ -304,19 +303,11 @@ func (r *Router) Quiescent() bool {
 	return true
 }
 
-// IdleTick implements sim.IdleTicker: on an idle cycle the slot counter
-// moves and the (ungated) clock network is charged.
-func (r *Router) IdleTick() {
-	r.slot = (r.slot + 1) % r.P.Slots
-	if r.meter != nil {
-		r.meter.Tick()
-	}
-}
-
-// IdleWindow implements sim.IdleWindower: a window of n idle cycles
-// advances the slot counter by n modulo the table length and charges n
-// clock ticks in one O(1) run-length extension, keeping both the TDM
-// frame phase and the accumulated clock energy bit-identical across a
+// IdleWindow implements sim.IdleWindower: on an idle cycle the slot
+// counter moves and the (ungated) clock network is charged. A window of n
+// idle cycles advances the slot counter by n modulo the table length and
+// charges n clock ticks in one O(1) run-length extension, keeping both the
+// TDM frame phase and the accumulated clock energy bit-identical across a
 // fast-forward.
 func (r *Router) IdleWindow(n uint64) {
 	r.slot = int((uint64(r.slot) + n) % uint64(r.P.Slots))

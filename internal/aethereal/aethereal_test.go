@@ -219,7 +219,7 @@ func TestGTShareProperty(t *testing.T) {
 
 // TestBindMeterTicksEveryCycle: with the meter folded into the router,
 // the clock network must be charged exactly once per cycle whatever mix
-// of Commit, IdleTick and batched IdleWindow advanced the clock — the
+// of Commit, single-cycle and batched IdleWindow advanced the clock — the
 // bit-identity the TDM fast-forward rests on.
 func TestBindMeterTicksEveryCycle(t *testing.T) {
 	lib := stdcell.Default013()
@@ -233,7 +233,7 @@ func TestBindMeterTicksEveryCycle(t *testing.T) {
 		rA.Commit()
 	}
 	for i := 0; i < 300; i++ {
-		rA.IdleTick()
+		rA.IdleWindow(1)
 	}
 
 	batched := power.NewMeter(Netlist(p, lib), lib, 25)

@@ -3,9 +3,10 @@
 // no assignment may write a field of another component. Eval computes
 // next state from the currently visible outputs of all components; only
 // Commit may publish state. A cross-component write in Eval makes the
-// result depend on component evaluation order — exactly the property
-// parallel intra-world stepping (ROADMAP item 2) must be able to assume
-// never holds.
+// result depend on component evaluation order — exactly the property the
+// kernels must be able to assume never holds, since a skipped or parked
+// component's missed Eval may run out of registration order when a wake
+// revises its skip.
 //
 // The rule: for every assignment (including ++/-- and compound forms)
 // whose left-hand side selects a struct field, if the expression being

@@ -2,20 +2,17 @@
 // sim.Clocked implementation matrix of every component type:
 //
 //   - A component implementing sim.Quiescer must also implement
-//     sim.IdleTicker (or sim.IdleWindower, which embeds it). A quiescer
-//     without idle replay either has no per-cycle bookkeeping — in which
-//     case an explicit no-op IdleTick documents that — or it has some and
-//     silently desyncs power accounting under fast-forward.
+//     sim.IdleWindower. The kernel replays every skipped cycle, every
+//     fast-forwarded window and every parked stretch through IdleWindow,
+//     so a quiescer without it either has no per-cycle bookkeeping — in
+//     which case an explicit no-op IdleWindow documents that — or it has
+//     some and silently desyncs power accounting whenever it is skipped.
 //   - A component implementing sim.Timed must also implement
-//     sim.Quiescer: the event kernel only polls NextEvent on fully
-//     quiescent cycles, so a non-quiescent Timed component blocks every
-//     fast-forward it schedules and its events are never honoured.
-//   - A component implementing sim.Timed must also implement
-//     sim.IdleWindower (the parking contract): the active kernel parks
-//     timed components between events and replays the skipped stretch as
-//     one batched IdleWindow when they unpark. With only a per-cycle
-//     IdleTick the batched replay is unavailable, so parking would
-//     silently change the component's idle bookkeeping.
+//     sim.Quiescer: the kernel only consults NextEvent on quiescent
+//     components, so a non-quiescent Timed component blocks every
+//     fast-forward it schedules and its events are never honoured. (With
+//     the first rule, a Timed component is therefore an IdleWindower too,
+//     which parking it between events requires.)
 //
 // Both checks apply to named non-interface types that implement
 // sim.Clocked. Matching is structural (against synthesized copies of the
@@ -31,13 +28,13 @@ import (
 	"repro/internal/analysis/nocvet"
 )
 
-// Analyzer checks Quiescer/IdleTicker/Timed implementation consistency.
+// Analyzer checks Quiescer/IdleWindower/Timed implementation consistency.
 var Analyzer = &analysis.Analyzer{
 	Name: "kernelcontract",
 	Doc: "check sim.Clocked components implement consistent kernel contracts\n\n" +
-		"sim.Quiescer without sim.IdleTicker/IdleWindower desyncs idle bookkeeping " +
-		"under fast-forward; sim.Timed without sim.Quiescer blocks every fast-forward " +
-		"it schedules. Suppress with //nocvet:allow kernelcontract on the type declaration.",
+		"sim.Quiescer without sim.IdleWindower desyncs idle bookkeeping whenever it " +
+		"is skipped; sim.Timed without sim.Quiescer blocks every fast-forward it " +
+		"schedules. Suppress with //nocvet:allow kernelcontract on the type declaration.",
 	Run: run,
 }
 
@@ -66,20 +63,14 @@ func checkType(pass *analysis.Pass, sup *nocvet.Suppressions, tn *types.TypeName
 	if !nocvet.Implements(T, k.Clocked) {
 		return
 	}
-	if nocvet.Implements(T, k.Quiescer) &&
-		!nocvet.Implements(T, k.IdleTicker) && !nocvet.Implements(T, k.IdleWindower) {
+	if nocvet.Implements(T, k.Quiescer) && !nocvet.Implements(T, k.IdleWindower) {
 		nocvet.Report(pass, sup, tn.Pos(),
-			"%s implements sim.Quiescer but not sim.IdleTicker or sim.IdleWindower: idle bookkeeping desyncs under fast-forward (add an IdleTick, a no-op one if the component has none)",
+			"%s implements sim.Quiescer but not sim.IdleWindower: idle bookkeeping desyncs whenever it is skipped (add an IdleWindow, a no-op one if the component has none)",
 			tn.Name())
 	}
 	if nocvet.Implements(T, k.Timed) && !nocvet.Implements(T, k.Quiescer) {
 		nocvet.Report(pass, sup, tn.Pos(),
 			"%s implements sim.Timed but not sim.Quiescer: a non-quiescent Timed component blocks every fast-forward it schedules",
-			tn.Name())
-	}
-	if nocvet.Implements(T, k.Timed) && !nocvet.Implements(T, k.IdleWindower) {
-		nocvet.Report(pass, sup, tn.Pos(),
-			"%s implements sim.Timed but not sim.IdleWindower: the active kernel parks timed components and replays skipped cycles as one batched IdleWindow (add one, typically cycle += n)",
 			tn.Name())
 	}
 }

@@ -1,5 +1,5 @@
 // Package a is kernelcontract golden-test input: component types with
-// consistent and inconsistent Quiescer/IdleTicker/Timed matrices. The
+// consistent and inconsistent Quiescer/IdleWindower/Timed matrices. The
 // analyzer matches the kernel interfaces structurally, so no sim import
 // is needed.
 package a
@@ -8,22 +8,13 @@ package a
 // consistent contract.
 type Good struct{ cycle uint64 }
 
-func (g *Good) Eval()           {}
-func (g *Good) Commit()         {}
-func (g *Good) Quiescent() bool { return true }
-func (g *Good) IdleTick()       { g.cycle++ }
-
-// GoodWindower replays idle windows in one call.
-type GoodWindower struct{ cycle uint64 }
-
-func (g *GoodWindower) Eval()               {}
-func (g *GoodWindower) Commit()             {}
-func (g *GoodWindower) Quiescent() bool     { return true }
-func (g *GoodWindower) IdleTick()           { g.cycle++ }
-func (g *GoodWindower) IdleWindow(n uint64) { g.cycle += n }
+func (g *Good) Eval()               {}
+func (g *Good) Commit()             {}
+func (g *Good) Quiescent() bool     { return true }
+func (g *Good) IdleWindow(n uint64) { g.cycle += n }
 
 // BadQuiescer skips cycles but has no idle replay.
-type BadQuiescer struct{} // want `BadQuiescer implements sim\.Quiescer but not sim\.IdleTicker or sim\.IdleWindower`
+type BadQuiescer struct{} // want `BadQuiescer implements sim\.Quiescer but not sim\.IdleWindower`
 
 func (b *BadQuiescer) Eval()           {}
 func (b *BadQuiescer) Commit()         {}
@@ -31,27 +22,26 @@ func (b *BadQuiescer) Quiescent() bool { return true }
 
 // BadTimed self-schedules events but can never be skipped, so it blocks
 // every fast-forward it schedules.
-type BadTimed struct{} // want `BadTimed implements sim\.Timed but not sim\.Quiescer` `BadTimed implements sim\.Timed but not sim\.IdleWindower`
+type BadTimed struct{} // want `BadTimed implements sim\.Timed but not sim\.Quiescer`
 
 func (b *BadTimed) Eval()                     {}
 func (b *BadTimed) Commit()                   {}
 func (b *BadTimed) NextEvent() (uint64, bool) { return 0, false }
 
 // GoodTimed is the consistent Timed contract: quiescent, with batched
-// idle replay so the active kernel can park it between events.
+// idle replay so the kernel can park it between events.
 type GoodTimed struct{ cycle uint64 }
 
 func (g *GoodTimed) Eval()                     {}
 func (g *GoodTimed) Commit()                   {}
 func (g *GoodTimed) Quiescent() bool           { return true }
-func (g *GoodTimed) IdleTick()                 { g.cycle++ }
 func (g *GoodTimed) IdleWindow(n uint64)       { g.cycle += n }
 func (g *GoodTimed) NextEvent() (uint64, bool) { return 0, false }
 
 // BadTimedTicker schedules events and is quiescent, but only replays
-// idle time cycle by cycle — the active kernel cannot park it without
-// desyncing its bookkeeping.
-type BadTimedTicker struct{ cycle uint64 } // want `BadTimedTicker implements sim\.Timed but not sim\.IdleWindower`
+// idle time cycle by cycle through a per-cycle IdleTick, which no kernel
+// calls: its bookkeeping desyncs on every skipped cycle.
+type BadTimedTicker struct{ cycle uint64 } // want `BadTimedTicker implements sim\.Quiescer but not sim\.IdleWindower`
 
 func (b *BadTimedTicker) Eval()                     {}
 func (b *BadTimedTicker) Commit()                   {}

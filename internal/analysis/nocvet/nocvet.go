@@ -11,10 +11,11 @@
 //     every run is byte-identical given the same seed.
 //   - maporder: no order-sensitive output assembled from an unsorted map
 //     iteration, so JSON/CSV encoders emit byte-identical bytes.
-//   - kernelcontract: the sim.Quiescer/IdleTicker/Timed implementation
-//     matrix stays consistent, so fast-forward replay stays exact.
+//   - kernelcontract: the sim.Quiescer/IdleWindower/Timed implementation
+//     matrix stays consistent, so idle replay and fast-forward stay
+//     exact.
 //   - evalpure: Eval never writes another component's state, the
-//     two-phase discipline parallel stepping will rely on.
+//     two-phase discipline the kernels' skip and wake logic relies on.
 package nocvet
 
 import (
@@ -153,8 +154,7 @@ func Report(pass *analysis.Pass, sup *Suppressions, pos token.Pos, format string
 type KernelIfaces struct {
 	Clocked      *types.Interface // Eval(); Commit()
 	Quiescer     *types.Interface // Quiescent() bool
-	IdleTicker   *types.Interface // IdleTick()
-	IdleWindower *types.Interface // IdleTick(); IdleWindow(uint64)
+	IdleWindower *types.Interface // IdleWindow(uint64)
 	Timed        *types.Interface // NextEvent() (uint64, bool)
 }
 
@@ -176,12 +176,10 @@ func Kernel() KernelIfaces {
 	u64 := types.Typ[types.Uint64]
 	boolean := types.Typ[types.Bool]
 	return KernelIfaces{
-		Clocked:    iface(m("Eval", void), m("Commit", void)),
-		Quiescer:   iface(m("Quiescent", sig(nil, types.NewTuple(v(boolean))))),
-		IdleTicker: iface(m("IdleTick", void)),
-		IdleWindower: iface(m("IdleTick", void),
-			m("IdleWindow", sig(types.NewTuple(v(u64)), nil))),
-		Timed: iface(m("NextEvent", sig(nil, types.NewTuple(v(u64), v(boolean))))),
+		Clocked:      iface(m("Eval", void), m("Commit", void)),
+		Quiescer:     iface(m("Quiescent", sig(nil, types.NewTuple(v(boolean))))),
+		IdleWindower: iface(m("IdleWindow", sig(types.NewTuple(v(u64)), nil))),
+		Timed:        iface(m("NextEvent", sig(nil, types.NewTuple(v(u64), v(boolean))))),
 	}
 }
 

@@ -47,7 +47,6 @@ func TestKernelIfacesMatchSim(t *testing.T) {
 	for name, synth := range map[string]*types.Interface{
 		"Clocked":      k.Clocked,
 		"Quiescer":     k.Quiescer,
-		"IdleTicker":   k.IdleTicker,
 		"IdleWindower": k.IdleWindower,
 		"Timed":        k.Timed,
 	} {

@@ -3,7 +3,7 @@
 // the globally seeded math/rand generators, OS entropy, and crypto/rand.
 //
 // Every headline claim the repo makes — byte-identical results across the
-// naive/gated/event kernels, byte-identical sweep output for any worker
+// naive and production kernels, byte-identical sweep output for any worker
 // count, float-exact idle-window replay — requires that the only
 // randomness in simulation code flows from an explicit seed. The one
 // sanctioned source is the value-type, seed-constructed

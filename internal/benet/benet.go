@@ -80,8 +80,8 @@ type Network struct {
 }
 
 // New builds a W×H best-effort mesh with XY routing. World options select
-// the simulation kernel (default: the activity-tracked gated kernel, which
-// skips routers with no buffered flits or arriving traffic).
+// the simulation kernel (default: the production kernel, which skips
+// routers with no buffered flits or arriving traffic).
 func New(w, h int, p packetsw.Params, wopts ...sim.WorldOption) *Network {
 	if w < 1 || h < 1 {
 		panic(fmt.Sprintf("benet: invalid size %dx%d", w, h))
@@ -127,10 +127,12 @@ func New(w, h int, p packetsw.Params, wopts ...sim.WorldOption) *Network {
 		}
 	}
 	// Injection and ejection glue per node. Pumps are first-class
-	// components, not bare sim.Funcs, so the activity-tracked kernels can
-	// skip a node whose injection queue is empty and whose router has
-	// nothing ejected — on a quiet mesh the whole world then quiesces and
-	// the event kernel fast-forwards to the next scheduled burst.
+	// components, not bare sim.Funcs, so the kernel can skip a node whose
+	// injection queue is empty and whose router has nothing ejected — on
+	// a quiet mesh the whole world then quiesces and fast-forwards to the
+	// next scheduled burst. Pumps are Quiescers but not Wakers: they are
+	// registered after the scheduler, whose Eval fills their queues
+	// before their poll in the same cycle's sweep.
 	for i := range n.routers {
 		n.world.Add(&pump{net: n, idx: i})
 	}
@@ -156,18 +158,14 @@ func (p *pump) Quiescent() bool {
 	return len(p.net.sendQ[p.idx]) == 0 && p.net.routers[p.idx].EjectedPending() == 0
 }
 
-// IdleTick implements sim.IdleTicker: the pump keeps no per-cycle state,
+// IdleWindow implements sim.IdleWindower: the pump keeps no per-cycle state,
 // so idle replay is a no-op, declared explicitly to satisfy the Quiescer
 // contract checked by nocvet.
-func (p *pump) IdleTick() {}
-
-// IdleWindow implements sim.IdleWindower: any idle window replays to the
-// same no-op, keeping event-kernel fast-forward O(1).
 func (p *pump) IdleWindow(n uint64) {}
 
 // scheduler releases messages queued with SendAt when their cycle comes.
 // It is the BE network's event source: quiescent between bursts, and a
-// sim.Timed so the event kernel knows the next release cycle and can
+// sim.Timed so the kernel knows the next release cycle and can
 // fast-forward the idle window between configuration bursts instead of
 // polling it cycle by cycle.
 type scheduler struct {
@@ -206,14 +204,10 @@ func (s *scheduler) NextEvent() (uint64, bool) {
 	return s.pending[0].cycle, true
 }
 
-// IdleTick implements sim.IdleTicker: between bursts the scheduler keeps
+// IdleWindow implements sim.IdleWindower: between bursts the scheduler keeps
 // no per-cycle state (pending releases are keyed by absolute cycle), so
 // idle replay is a no-op, declared explicitly to satisfy the Quiescer
 // contract checked by nocvet.
-func (s *scheduler) IdleTick() {}
-
-// IdleWindow implements sim.IdleWindower: any idle window replays to the
-// same no-op, keeping event-kernel fast-forward O(1).
 func (s *scheduler) IdleWindow(n uint64) {}
 
 var (
@@ -258,8 +252,8 @@ func (n *Network) Send(msg Message) {
 // SendAt schedules a message for release at the given absolute cycle —
 // the shape of the CCN's configuration bursts, which are planned ahead of
 // time and sparse. Between releases the scheduler is quiescent and
-// reports the next due cycle to the kernel, so the event kernel
-// fast-forwards the dead window instead of polling it. It panics on a
+// reports the next due cycle to the kernel, so the kernel fast-forwards
+// the dead window instead of polling it. It panics on a
 // cycle already in the past; the current cycle is allowed and releases on
 // the next step.
 func (n *Network) SendAt(cycle uint64, msg Message) {
@@ -307,8 +301,8 @@ func (n *Network) complete(dst mesh.Coord) {
 // Step advances the network one cycle.
 func (n *Network) Step() { n.world.Step() }
 
-// Run advances the network n cycles through the world's kernel, so the
-// event kernel may fast-forward quiet windows between scheduled bursts.
+// Run advances the network n cycles through the world's kernel, which
+// may fast-forward quiet windows between scheduled bursts.
 func (n *Network) Run(cycles int) { n.world.Run(cycles) }
 
 // Cycle returns the elapsed cycles.

@@ -208,7 +208,7 @@ func (a *Assembly) SetWake(fn func()) {
 
 // Quiescent implements sim.Quiescer: the assembly is skippable only when
 // the router and every converter are individually at rest. The per-cycle
-// meter tick a skipped cycle still owes is reproduced by IdleTick.
+// meter tick a skipped cycle still owes is reproduced by IdleWindow.
 func (a *Assembly) Quiescent() bool {
 	if a.asleep {
 		return true
@@ -260,19 +260,15 @@ func (a *Assembly) anyConverterEnabled() bool {
 	return false
 }
 
-// IdleTick implements sim.IdleTicker: a skipped cycle charges exactly the
-// clock energy an active-but-idle cycle would have charged — the full
-// clock network ungated, or the cached configuration-dependent share when
-// gated. The cache is recomputed whenever a converter enable changed
-// underneath it, so direct Enabled writes (the CCN's unmap path) stay
-// exact.
-func (a *Assembly) IdleTick() { a.IdleWindow(1) }
-
-// IdleWindow implements sim.IdleWindower: n skipped cycles charge n times
-// the idle clock energy in one O(1) meter extension — the meter's
-// run-length accounting makes the batch bit-identical to n IdleTicks, so
-// the event kernel can fast-forward whole idle windows across this
-// assembly.
+// IdleWindow implements sim.IdleWindower: each skipped cycle charges
+// exactly the clock energy an active-but-idle cycle would have charged —
+// the full clock network ungated, or the cached configuration-dependent
+// share when gated. The cache is recomputed whenever a converter enable
+// changed underneath it, so direct Enabled writes (the CCN's unmap path)
+// stay exact. n skipped cycles charge n times that energy in one O(1)
+// meter extension — the meter's run-length accounting makes the batch
+// bit-identical to n single cycles, so the kernel can fast-forward whole
+// idle windows across this assembly.
 func (a *Assembly) IdleWindow(n uint64) {
 	if a.meter == nil {
 		return
@@ -320,5 +316,5 @@ var _ sim.Waker = (*Router)(nil)
 var _ sim.Waker = (*TxConverter)(nil)
 var _ sim.Waker = (*RxConverter)(nil)
 
-var _ sim.IdleTicker = (*Assembly)(nil)
+var _ sim.IdleWindower = (*Assembly)(nil)
 var _ sim.IdleWindower = (*Assembly)(nil)

@@ -131,13 +131,9 @@ func (t *TxConverter) Quiescent() bool {
 		t.shift == 0 && t.Out == 0 && !(t.ackIn != nil && *t.ackIn)
 }
 
-// IdleTick implements sim.IdleTicker: an idle converter accrues no
+// IdleWindow implements sim.IdleWindower: an idle converter accrues no
 // per-cycle state, so idle replay is a no-op, declared explicitly to
 // satisfy the Quiescer contract checked by nocvet.
-func (t *TxConverter) IdleTick() {}
-
-// IdleWindow implements sim.IdleWindower: any idle window replays to the
-// same no-op, keeping event-kernel fast-forward O(1).
 func (t *TxConverter) IdleWindow(n uint64) {}
 
 // Window returns the current window counter value.
@@ -379,13 +375,9 @@ func (r *RxConverter) Quiescent() bool {
 	return true
 }
 
-// IdleTick implements sim.IdleTicker: an idle receive converter accrues
+// IdleWindow implements sim.IdleWindower: an idle receive converter accrues
 // no per-cycle state, so idle replay is a no-op, declared explicitly to
 // satisfy the Quiescer contract checked by nocvet.
-func (r *RxConverter) IdleTick() {}
-
-// IdleWindow implements sim.IdleWindower: any idle window replays to the
-// same no-op, keeping event-kernel fast-forward O(1).
 func (r *RxConverter) IdleWindow(n uint64) {}
 
 // Received returns the number of completely reassembled words.

@@ -159,14 +159,10 @@ func (r *Router) Quiescent() bool {
 	return true
 }
 
-// IdleTick implements sim.IdleTicker: a quiescent router records zero
+// IdleWindow implements sim.IdleWindower: a quiescent router records zero
 // toggles and its meter cycle accounting is driven externally, so idle
 // replay is a no-op, declared explicitly to satisfy the Quiescer
 // contract checked by nocvet.
-func (r *Router) IdleTick() {}
-
-// IdleWindow implements sim.IdleWindower: any idle window replays to the
-// same no-op, keeping event-kernel fast-forward O(1).
 func (r *Router) IdleWindow(n uint64) {}
 
 // Unconfigured reports whether no circuit is configured and none is

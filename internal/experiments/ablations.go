@@ -229,10 +229,9 @@ func WindowData() ([]WindowPoint, error) {
 		}); err != nil {
 			return WindowPoint{}, err
 		}
-		// The gated kernel skips neither assembly here (both carry an
-		// established circuit), but the explicit choice documents that the
-		// sweep is kernel-agnostic by construction.
-		world := sim.NewWorld(sim.WithKernel(sim.KernelGated))
+		// The kernel skips neither assembly here: both carry an
+		// established circuit.
+		world := sim.NewWorld()
 		world.Add(a, b)
 		n, recv := 0, 0
 		world.Add(&sim.Func{OnEval: func() {

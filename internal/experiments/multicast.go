@@ -57,7 +57,7 @@ func MulticastData() ([]MulticastPoint, error) {
 				return MulticastPoint{}, err
 			}
 		}
-		w := sim.NewWorld(sim.WithKernel(sim.KernelGated))
+		w := sim.NewWorld()
 		w.Add(a)
 		gen := bitvec.NewFlipGen(16, 0.5, 9)
 		w.Add(&sim.Func{OnEval: func() {
@@ -74,7 +74,7 @@ func MulticastData() ([]MulticastPoint, error) {
 		r := packetsw.NewRouter(pp, packetsw.PortRoute)
 		pm := power.NewMeter(packetsw.Netlist(pp, lib), lib, 25)
 		r.BindMeter(pm)
-		pw := sim.NewWorld(sim.WithKernel(sim.KernelGated))
+		pw := sim.NewWorld()
 		pw.Add(r)
 		pgen := bitvec.NewFlipGen(16, 0.5, 9)
 		injected := uint64(0)

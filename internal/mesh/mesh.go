@@ -33,9 +33,10 @@ type Mesh struct {
 
 // New builds a fully wired W×H mesh with the given per-node assembly
 // options. World options select the simulation kernel: by default the
-// activity-tracked gated kernel skips unconfigured routers, which is what
-// makes large sparsely loaded meshes cheap to simulate; pass
-// sim.WithKernel(sim.KernelNaive) to force the evaluate-everything kernel.
+// production kernel skips unconfigured routers and parks them out of the
+// sweep, which is what makes large sparsely loaded meshes cheap to
+// simulate; pass sim.WithKernel(sim.KernelNaive) to force the
+// evaluate-everything kernel.
 func New(w, h int, p core.Params, opt core.AssemblyOptions, wopts ...sim.WorldOption) *Mesh {
 	if w < 1 || h < 1 {
 		panic(fmt.Sprintf("mesh: invalid size %dx%d", w, h))

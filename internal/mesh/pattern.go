@@ -3,7 +3,6 @@ package mesh
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
@@ -20,7 +19,7 @@ import (
 // circuit-switched mesh: a spatial pattern chooses each node's
 // destination, a temporal injection process times its words, and every
 // source is an event-scheduled component, so sparse runs fast-forward
-// under sim.KernelEvent.
+// and idle sources park under the production kernel.
 type PatternConfig struct {
 	// W and H are the mesh dimensions.
 	W, H int
@@ -42,7 +41,7 @@ type PatternConfig struct {
 	// Seed decorrelates runs; every flow derives its own streams.
 	Seed uint64
 	// WordsPerFlow caps each flow's words; 0 = unlimited. Exhausted
-	// sources retire, and once the network drains the event kernel
+	// sources retire, and once the network drains the kernel
 	// fast-forwards the rest of the run.
 	WordsPerFlow uint64
 	// WarmupCycles truncates the measurement window: words injected or
@@ -58,12 +57,9 @@ type PatternConfig struct {
 	WarmupAuto bool
 	// Params overrides the router geometry (nil: paper defaults).
 	Params *core.Params
-	// Kernel selects the simulation kernel.
+	// Kernel selects the simulation kernel (zero value: the production
+	// kernel, sim.KernelActive).
 	Kernel sim.Kernel
-	// SimWorkers bounds the goroutine pool the active kernel shards its
-	// Eval sweep over (0 = GOMAXPROCS, 1 = sequential). Results are
-	// byte-identical for every value; other kernels ignore it.
-	SimWorkers int
 	// Observe, when non-nil, receives the world after the run — kernel
 	// diagnostics for tests and benchmarks. It must not mutate it.
 	Observe func(*sim.World)
@@ -371,24 +367,15 @@ func (a *laneAlloc) utilization() float64 {
 
 // flowStamps carries one flow's injection timestamps from its source to
 // its sink. Both endpoints touch it during the Eval phase — the source
-// appends from Emit, the sink pops — and under the active kernel's
-// sharded sweep those Evals may run concurrently, so the queue carries
-// its own lock. Per-flow FIFO order is exact: the flow is a single
-// circuit lane, words cannot overtake.
+// appends from Emit, the sink pops. Per-flow FIFO order is exact: the
+// flow is a single circuit lane, words cannot overtake.
 type flowStamps struct {
-	mu sync.Mutex
-	q  []uint64
+	q []uint64
 }
 
-func (s *flowStamps) push(c uint64) {
-	s.mu.Lock()
-	s.q = append(s.q, c)
-	s.mu.Unlock()
-}
+func (s *flowStamps) push(c uint64) { s.q = append(s.q, c) }
 
 func (s *flowStamps) pop() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.q) == 0 {
 		return 0, false
 	}
@@ -404,10 +391,10 @@ func (s *flowStamps) pop() (uint64, bool) {
 // warm-up accounting on, samples go to the cycle-stamped recorder so
 // the transient can be truncated after the run; otherwise they
 // accumulate directly. The recorder and series are shared by every
-// sink in the run, so samples are recorded in the sequential Commit
-// phase — in registration order, the same accumulation order under
-// every kernel and shard count — never in the (possibly parallel)
-// Eval phase.
+// sink in the run, so samples are recorded in the Commit phase — in
+// registration order, the same accumulation order under every kernel —
+// never in the Eval phase, where a wake may run a missed Eval out of
+// registration order.
 type patternSink struct {
 	rx     *core.RxConverter
 	stamps *flowStamps
@@ -420,9 +407,8 @@ type patternSink struct {
 	hasPending bool
 
 	// tracer, when non-nil, receives a domain-scope deliver event per
-	// drained word on the track name. Emission happens in Commit — the
-	// sequential phase — so the stream is identical under every kernel
-	// and shard count.
+	// drained word on the track name. Emission happens in Commit, in
+	// registration order, so the stream is identical under every kernel.
 	tracer obs.Tracer
 	track  string
 }
@@ -461,10 +447,7 @@ func (d *patternSink) TraceName() string { return d.track }
 // Quiescent implements sim.Quiescer: nothing buffered, nothing to pop.
 func (d *patternSink) Quiescent() bool { return d.rx.Available() == 0 }
 
-// IdleTick implements sim.IdleTicker: track skipped cycles.
-func (d *patternSink) IdleTick() { d.cycle++ }
-
-// IdleWindow implements sim.IdleWindower.
+// IdleWindow implements sim.IdleWindower: track skipped cycles.
 func (d *patternSink) IdleWindow(n uint64) { d.cycle += n }
 
 // patternSource drives one established flow: the event-scheduled
@@ -496,8 +479,8 @@ type liveFlow struct {
 // established — the circuit fabric's admission-time answer to
 // overload. Established flows are driven by event-scheduled
 // pattern.Sources and drained by quiescent sinks, so a sparse run
-// fast-forwards between words under sim.KernelEvent with results
-// byte-identical to the gated and naive kernels.
+// fast-forwards between words under the production kernel with results
+// byte-identical to the naive kernel.
 func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -507,8 +490,7 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 		p = *cfg.Params
 	}
 	m := New(cfg.W, cfg.H, p, core.DefaultAssemblyOptions(),
-		sim.WithKernel(cfg.Kernel), sim.WithParallelism(cfg.SimWorkers),
-		sim.WithTracer(cfg.Obs.Tracer))
+		sim.WithKernel(cfg.Kernel), sim.WithTracer(cfg.Obs.Tracer))
 	res := &PatternResult{}
 	dom := m.BindMeters(cfg.Lib, cfg.FreqMHz, cfg.Gated)
 	alloc := newLaneAlloc(m, cfg.Obs.Metrics)
@@ -525,9 +507,8 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 	// Warm-up accounting: cycle-stamped latency samples and injection
 	// stamps, collected only when a measurement window is requested so
 	// the default path stays allocation-free. Injection stamps are
-	// collected per flow (each source's Eval appends to its own slice,
-	// so the sharded sweep races on nothing) and only counted after the
-	// run.
+	// collected per flow (each source's Eval appends to its own slice)
+	// and only counted after the run.
 	warmup := cfg.WarmupCycles > 0 || cfg.WarmupAuto
 	var latRec *stats.TimedSeries
 	if warmup {

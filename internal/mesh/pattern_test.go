@@ -59,49 +59,22 @@ func TestRunPatternKernelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v naive: %v", sp, err)
 		}
-		cfg.Kernel = sim.KernelGated
-		gated, err := RunPattern(cfg)
-		if err != nil {
-			t.Fatalf("%v gated: %v", sp, err)
-		}
-		cfg.Kernel = sim.KernelEvent
-		event, err := RunPattern(cfg)
-		if err != nil {
-			t.Fatalf("%v event: %v", sp, err)
-		}
 		cfg.Kernel = sim.KernelActive
-		cfg.SimWorkers = 1
-		active1, err := RunPattern(cfg)
+		active, err := RunPattern(cfg)
 		if err != nil {
 			t.Fatalf("%v active: %v", sp, err)
-		}
-		cfg.SimWorkers = 8
-		active8, err := RunPattern(cfg)
-		if err != nil {
-			t.Fatalf("%v active/8: %v", sp, err)
 		}
 		if naive.WordsDelivered == 0 {
 			t.Fatalf("%v: nothing delivered", sp)
 		}
-		fn, fg, fe := fingerprint(t, naive), fingerprint(t, gated), fingerprint(t, event)
-		fa1, fa8 := fingerprint(t, active1), fingerprint(t, active8)
-		if fn != fg {
-			t.Errorf("%v: naive vs gated differ\n%s\n%s", sp, fn, fg)
-		}
-		if fn != fe {
-			t.Errorf("%v: naive vs event differ\n%s\n%s", sp, fn, fe)
-		}
-		if fn != fa1 {
-			t.Errorf("%v: naive vs active differ\n%s\n%s", sp, fn, fa1)
-		}
-		if fa1 != fa8 {
-			t.Errorf("%v: active workers 1 vs 8 differ\n%s\n%s", sp, fa1, fa8)
+		if fn, fa := fingerprint(t, naive), fingerprint(t, active); fn != fa {
+			t.Errorf("%v: naive vs active differ\n%s\n%s", sp, fn, fa)
 		}
 	}
 }
 
 func TestRunPatternDeterministicAcrossRuns(t *testing.T) {
-	cfg := patternCfg(sim.KernelEvent)
+	cfg := patternCfg(sim.KernelActive)
 	a, err := RunPattern(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +100,7 @@ func TestRunPatternHotspotBlocksFlows(t *testing.T) {
 	// All-to-hotspot traffic cannot be admitted on a circuit fabric:
 	// the hotspot tile has LanesPerPort output lanes, so only a handful
 	// of flows establish. That is the expected admission-time answer.
-	cfg := patternCfg(sim.KernelEvent)
+	cfg := patternCfg(sim.KernelActive)
 	cfg.Spatial = pattern.Spatial{Kind: pattern.Hotspot, Alpha: 1}
 	r, err := RunPattern(cfg)
 	if err != nil {
@@ -145,7 +118,7 @@ func TestRunPatternHotspotBlocksFlows(t *testing.T) {
 func TestRunPatternNeighbourEstablishesAll(t *testing.T) {
 	// One-hop neighbour flows never contend for more lanes than a port
 	// has; every flow must establish.
-	cfg := patternCfg(sim.KernelEvent)
+	cfg := patternCfg(sim.KernelActive)
 	cfg.Spatial = pattern.Spatial{Kind: pattern.Neighbour}
 	r, err := RunPattern(cfg)
 	if err != nil {
@@ -160,9 +133,9 @@ func TestRunPatternNeighbourEstablishesAll(t *testing.T) {
 }
 
 func TestRunPatternSparseFastForwards(t *testing.T) {
-	// Finite sparse flows retire; the event kernel must fast-forward
-	// the drained tail — the bulk of the run.
-	cfg := patternCfg(sim.KernelEvent)
+	// Finite sparse flows retire; the kernel must fast-forward the
+	// drained tail — the bulk of the run.
+	cfg := patternCfg(sim.KernelActive)
 	cfg.Injection = pattern.Injection{Proc: pattern.Bernoulli, Rate: 0.01}
 	cfg.WordsPerFlow = 5
 	cfg.Cycles = 100000
@@ -188,11 +161,11 @@ func TestRunPatternSparseFastForwards(t *testing.T) {
 // counts and latency distribution, reports the window, and stays
 // byte-identical across kernels.
 func TestRunPatternWarmupExplicit(t *testing.T) {
-	full, err := RunPattern(patternCfg(sim.KernelEvent))
+	full, err := RunPattern(patternCfg(sim.KernelActive))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := patternCfg(sim.KernelEvent)
+	cfg := patternCfg(sim.KernelActive)
 	cfg.WarmupCycles = 1000
 	warm, err := RunPattern(cfg)
 	if err != nil {
@@ -223,7 +196,7 @@ func TestRunPatternWarmupExplicit(t *testing.T) {
 	}
 
 	// Kernel equivalence holds under truncation too.
-	for _, k := range []sim.Kernel{sim.KernelNaive, sim.KernelGated} {
+	for _, k := range []sim.Kernel{sim.KernelNaive} {
 		cfg := patternCfg(k)
 		cfg.WarmupCycles = 1000
 		other, err := RunPattern(cfg)
@@ -243,7 +216,7 @@ func TestRunPatternWarmupExplicit(t *testing.T) {
 // detected window is deterministic, within the run, and identical
 // across kernels.
 func TestRunPatternWarmupAuto(t *testing.T) {
-	cfg := patternCfg(sim.KernelEvent)
+	cfg := patternCfg(sim.KernelActive)
 	cfg.WarmupAuto = true
 	first, err := RunPattern(cfg)
 	if err != nil {
@@ -258,7 +231,7 @@ func TestRunPatternWarmupAuto(t *testing.T) {
 	if first.Latency.N() == 0 {
 		t.Fatal("auto warm-up truncated every observation")
 	}
-	for _, k := range []sim.Kernel{sim.KernelEvent, sim.KernelNaive, sim.KernelGated} {
+	for _, k := range []sim.Kernel{sim.KernelActive, sim.KernelNaive} {
 		cfg := patternCfg(k)
 		cfg.WarmupAuto = true
 		again, err := RunPattern(cfg)
@@ -274,17 +247,17 @@ func TestRunPatternWarmupAuto(t *testing.T) {
 
 // TestPatternConfigWarmupValidation pins the config errors.
 func TestPatternConfigWarmupValidation(t *testing.T) {
-	cfg := patternCfg(sim.KernelEvent)
+	cfg := patternCfg(sim.KernelActive)
 	cfg.WarmupCycles = cfg.Cycles
 	if _, err := RunPattern(cfg); err == nil {
 		t.Fatal("warm-up >= cycles should be rejected")
 	}
-	cfg = patternCfg(sim.KernelEvent)
+	cfg = patternCfg(sim.KernelActive)
 	cfg.WarmupCycles = -1
 	if _, err := RunPattern(cfg); err == nil {
 		t.Fatal("negative warm-up should be rejected")
 	}
-	cfg = patternCfg(sim.KernelEvent)
+	cfg = patternCfg(sim.KernelActive)
 	cfg.WarmupCycles, cfg.WarmupAuto = 10, true
 	if _, err := RunPattern(cfg); err == nil {
 		t.Fatal("explicit + auto warm-up should be rejected")
@@ -303,7 +276,7 @@ func TestPatternConfigNonFiniteRejected(t *testing.T) {
 			{"frequency", func(c *PatternConfig) { c.FreqMHz = v }},
 			{"flip probability", func(c *PatternConfig) { c.FlipProb = v }},
 		} {
-			cfg := patternCfg(sim.KernelEvent)
+			cfg := patternCfg(sim.KernelActive)
 			c.set(&cfg)
 			err := cfg.Validate()
 			if err == nil || !strings.Contains(err.Error(), c.field) {

@@ -97,7 +97,8 @@ func (r *Registry) checkName(name, kind string) {
 }
 
 // Counter is a monotonically increasing uint64, safe for concurrent
-// Add calls (the sharded Eval pass may increment from several shards).
+// Add calls (a sweep shares one registry across cells running on
+// several workers).
 type Counter struct{ v atomic.Uint64 }
 
 // Add increments the counter; no-op on a nil counter.

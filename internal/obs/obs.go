@@ -11,13 +11,13 @@
 // branch and no argument construction — the nil-tracer fast path the
 // kernel benchmarks gate at <2%.
 //
-// Under the active kernel's sharded Eval pass events are emitted
+// A sweep's cells run on several workers and emit into one collector
 // concurrently, so a Collector serialises appends with a mutex and the
 // exporters canonically sort events before writing (cell, cycle, scope,
 // track, kind, value, detail). Per-track relative order is already
 // deterministic — a component emits at most once per (cycle, kind, value)
-// — so the sort normalises away only the scheduler-dependent cross-track
-// interleaving and exported traces are byte-identical for any shard
+// — so the sort normalises away only the scheduler-dependent cross-cell
+// interleaving and exported traces are byte-identical for any worker
 // count.
 package obs
 
@@ -36,8 +36,7 @@ const (
 	ScopeDomain Scope = iota
 	// ScopeKernel events record scheduling decisions (eval, park, wake,
 	// fast-forward, timer) of the selected kernel. They are deterministic
-	// per kernel (including across shard counts) but differ between
-	// kernels by design.
+	// per kernel but differ between kernels by design.
 	ScopeKernel
 )
 
@@ -119,8 +118,8 @@ func SortEvents(evs []Event) {
 }
 
 // Tracer receives events. Implementations must be safe for concurrent
-// Emit calls: the active kernel's sharded Eval pass emits from multiple
-// goroutines. Simulation code must nil-check its tracer at every call
+// Emit calls: a sweep's cells emit from their workers' goroutines into
+// one shared tracer. Simulation code must nil-check its tracer at every call
 // site (the obspure analyzer enforces this) so the disabled path skips
 // argument construction entirely.
 type Tracer interface {

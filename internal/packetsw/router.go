@@ -243,15 +243,13 @@ func (r *Router) Quiescent() bool {
 	return true
 }
 
-// IdleTick implements sim.IdleTicker: a skipped cycle still advances the
-// router's cycle counter (flit timestamps reference it) and charges the
-// ungated clock network — the packet-switched router has no clock gating,
-// the source of its large dynamic power offset.
-func (r *Router) IdleTick() { r.IdleWindow(1) }
-
-// IdleWindow implements sim.IdleWindower: n idle cycles advance the cycle
-// counter and charge n ungated clock ticks in one O(1) meter extension,
-// so the event kernel can fast-forward idle windows across this router.
+// IdleWindow implements sim.IdleWindower: a skipped cycle still advances
+// the router's cycle counter (flit timestamps reference it) and charges
+// the ungated clock network — the packet-switched router has no clock
+// gating, the source of its large dynamic power offset. n idle cycles
+// advance the counter and charge n ungated clock ticks in one O(1) meter
+// extension, so the kernel can fast-forward idle windows across this
+// router.
 func (r *Router) IdleWindow(n uint64) {
 	if r.meter != nil {
 		r.meter.TickN(n)
@@ -549,7 +547,6 @@ func (r *Router) pushFIFO(port int, f Flit) {
 var (
 	_ sim.Clocked      = (*Router)(nil)
 	_ sim.Quiescer     = (*Router)(nil)
-	_ sim.IdleTicker   = (*Router)(nil)
 	_ sim.IdleWindower = (*Router)(nil)
 	_ sim.Waker        = (*Router)(nil)
 )

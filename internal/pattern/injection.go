@@ -151,7 +151,7 @@ func ParseInjection(s string) (Injection, error) {
 // cbrScale is the fixed-point denominator of the CBR accumulator. Using
 // exact integer arithmetic (instead of a float accumulator) makes a
 // window of n idle cycles algebraically identical to n single cycles,
-// which the event kernel's fast-forward replay depends on.
+// which the kernel's fast-forward and parked replay depend on.
 const cbrScale = 1 << 32
 
 // Sampler draws the inter-arrival gaps of one configured process. It is

@@ -10,8 +10,8 @@
 // The package is deliberately kernel-friendly: every generator is
 // deterministic given a seed, every temporal process samples its next
 // arrival directly (no per-cycle coin flips), and the Source component
-// implements sim.Timed — so a sparse pattern fast-forwards under the
-// event kernel instead of polling every cycle. See Source for the
+// implements sim.Timed — so a sparse pattern's sources park and the
+// world fast-forwards instead of polling every cycle. See Source for the
 // contract.
 package pattern
 

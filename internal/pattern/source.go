@@ -10,21 +10,21 @@ import (
 // temporal process, retires after an optional word budget, and — unlike
 // the every-cycle sim.Func drivers it replaces — tells the kernel when
 // its next arrival is due, so a world of sparse sources fast-forwards
-// between words under sim.KernelEvent.
+// between words, and an idle source parks, under the production kernel.
 //
 // Kernel equivalence holds by construction:
 //
 //   - The sampler draws once per arrival, never per cycle, so the
 //     random sequence is the same whether or not idle cycles were
 //     skipped.
-//   - The local cycle counter advances in Commit, IdleTick and
-//     IdleWindow alike, so it always equals the world clock.
+//   - The local cycle counter advances in Commit and IdleWindow alike,
+//     so it always equals the world clock.
 //   - Quiescent is true exactly on the cycles Eval would do nothing:
 //     no arrival due, nothing backlogged, or retired. A refused Emit
 //     (backpressure) keeps the source active until the word is
 //     accepted; arrivals falling due meanwhile accumulate as credits.
-//   - NextEvent reports the next arrival, so the event kernel never
-//     fast-forwards past it (sim.Timed).
+//   - NextEvent reports the next arrival, so the kernel never
+//     fast-forwards past it and unparks the source on time (sim.Timed).
 type Source struct {
 	// Emit offers one word downstream; it returns false when the sink
 	// cannot accept it this cycle, and the source retries next cycle.
@@ -33,9 +33,9 @@ type Source struct {
 	// Tracer, when non-nil, receives a domain-scope inject event for
 	// every accepted word and a flow-teardown event when the word budget
 	// retires the source, on the Track name. Injection happens on the
-	// same cycles under every kernel, so the stream is kernel-invariant;
-	// Emit may run inside the active kernel's sharded Eval pass, so the
-	// tracer must accept concurrent calls.
+	// same cycles under every kernel, so the stream is kernel-invariant.
+	// The tracer may be shared with runs on other goroutines (a sweep's
+	// cells), so it must accept concurrent calls.
 	Tracer obs.Tracer
 	// Track names this source's trace track (e.g. "flow3.src").
 	Track string
@@ -114,17 +114,13 @@ func (s *Source) Quiescent() bool {
 	return s.cycle < s.next
 }
 
-// IdleTick implements sim.IdleTicker: the local clock tracks skipped
+// IdleWindow implements sim.IdleWindower: the local clock tracks skipped
 // cycles.
-func (s *Source) IdleTick() { s.cycle++ }
-
-// IdleWindow implements sim.IdleWindower: integer bookkeeping only, so
-// one call is exactly n IdleTicks.
 func (s *Source) IdleWindow(n uint64) { s.cycle += n }
 
 // NextEvent implements sim.Timed: the next scheduled arrival ends the
-// source's quiescence with no external stimulus, so the event kernel
-// must not fast-forward past it.
+// source's quiescence with no external stimulus, so the kernel must not
+// fast-forward past it.
 func (s *Source) NextEvent() (uint64, bool) {
 	if s.retired {
 		return 0, false

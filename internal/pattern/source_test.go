@@ -8,7 +8,9 @@ import (
 
 // runSource drives one source for cycles under the kernel, recording the
 // emission cycle of every accepted word. refuse makes Emit refuse its
-// first n offers, exercising the backpressure retry path.
+// first n offers, exercising the backpressure retry path. The source is
+// declared parkable with no upstream, as the circuit mesh declares it, so
+// the production kernel parks it between arrivals.
 func runSource(t *testing.T, k sim.Kernel, inj Injection, limit uint64, cycles int, refuse int) []uint64 {
 	t.Helper()
 	w := sim.NewWorld(sim.WithKernel(k))
@@ -23,6 +25,7 @@ func runSource(t *testing.T, k sim.Kernel, inj Injection, limit uint64, cycles i
 		return true
 	}
 	w.Add(src)
+	w.DependsOn(src)
 	w.Run(cycles)
 	return emitted
 }
@@ -35,14 +38,13 @@ func TestSourceKernelEquivalence(t *testing.T) {
 		{Proc: OnOff, Rate: 0.08, Burstiness: 6},
 	} {
 		naive := runSource(t, sim.KernelNaive, inj, 0, 4000, 0)
-		gated := runSource(t, sim.KernelGated, inj, 0, 4000, 0)
-		event := runSource(t, sim.KernelEvent, inj, 0, 4000, 0)
+		active := runSource(t, sim.KernelActive, inj, 0, 4000, 0)
 		if len(naive) == 0 {
 			t.Fatalf("%v: no emissions", inj)
 		}
-		if !equalU64(naive, gated) || !equalU64(naive, event) {
-			t.Errorf("%v: emission cycles differ across kernels\nnaive %v\ngated %v\nevent %v",
-				inj, head(naive), head(gated), head(event))
+		if !equalU64(naive, active) {
+			t.Errorf("%v: emission cycles differ across kernels\nnaive  %v\nactive %v",
+				inj, head(naive), head(active))
 		}
 	}
 }
@@ -52,9 +54,9 @@ func TestSourceBackpressureRetries(t *testing.T) {
 	// the retry cycles immediately after, identically under all kernels.
 	inj := Injection{Proc: CBR, Rate: 0.01}
 	naive := runSource(t, sim.KernelNaive, inj, 0, 1000, 3)
-	event := runSource(t, sim.KernelEvent, inj, 0, 1000, 3)
-	if !equalU64(naive, event) {
-		t.Fatalf("backpressure cycles differ: naive %v event %v", naive, event)
+	active := runSource(t, sim.KernelActive, inj, 0, 1000, 3)
+	if !equalU64(naive, active) {
+		t.Fatalf("backpressure cycles differ: naive %v active %v", naive, active)
 	}
 	// First arrival at cycle 100, refused for 3 cycles, accepted at 103.
 	if naive[0] != 103 {
@@ -63,7 +65,7 @@ func TestSourceBackpressureRetries(t *testing.T) {
 }
 
 func TestSourceRetiresAtLimit(t *testing.T) {
-	w := sim.NewWorld(sim.WithKernel(sim.KernelEvent))
+	w := sim.NewWorld()
 	src := NewSource(Injection{Proc: CBR, Rate: 0.1}, 1, 5, nil)
 	src.Emit = func() bool { return true }
 	w.Add(src)
@@ -79,7 +81,7 @@ func TestSourceRetiresAtLimit(t *testing.T) {
 }
 
 func TestSourceFastForwardsBetweenArrivals(t *testing.T) {
-	w := sim.NewWorld(sim.WithKernel(sim.KernelEvent))
+	w := sim.NewWorld()
 	src := NewSource(Injection{Proc: CBR, Rate: 0.001}, 1, 0, nil)
 	n := 0
 	src.Emit = func() bool { n++; return true }

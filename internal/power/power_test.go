@@ -281,8 +281,8 @@ func TestAttribution(t *testing.T) {
 	}
 }
 
-// TestBatchedTicksBitIdentical pins the contract the event kernel's
-// fast-forward relies on: recording an idle window with one TickN /
+// TestBatchedTicksBitIdentical pins the contract the kernel's
+// fast-forward and parked replay rely on: recording an idle window with one TickN /
 // TickGatedN call produces bit-identical reports to recording the same
 // cycles one at a time, for any interleaving of energy levels.
 func TestBatchedTicksBitIdentical(t *testing.T) {

@@ -1,26 +1,19 @@
 package sim
 
 import (
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"math/bits"
 
 	"repro/internal/obs"
 )
 
-// This file implements KernelActive: the O(active) kernel with optional
-// sharded parallel Eval.
+// This file implements KernelActive, the production kernel.
 //
-// # Active and parked lists
+// # Active and parked sets
 //
-// The event kernel removed the O(components·cycles) term for windows in
-// which the *whole* world is idle, but on any cycle it cannot
-// fast-forward it still polls Quiescent on every component. KernelActive
-// removes that term per component: the world is split into an active
-// list (polled and evaluated every cycle, exactly like the gated kernel)
-// and a parked list (not visited at all). A component may be parked only
-// when it is provably inert until an external stimulus:
+// The world is split into an active set (polled and, unless quiescent,
+// evaluated every cycle) and a parked set (not visited at all). A
+// component may be parked only when it is provably inert until an
+// external stimulus:
 //
 //   - it was quiescent this cycle, and
 //   - it is parkable: its complete set of upstream signal drivers was
@@ -31,7 +24,7 @@ import (
 //     receives), a pending WakeAt timer firing, or its own self-scheduled
 //     NextEvent cycle arriving (sim.Timed).
 //
-// There is a second, declaration-free route into the parked list: a
+// There is a second, declaration-free route into the parked set: a
 // component implementing Sleeper parks on any cycle Asleep() is true.
 // Asleep certifies input-deafness — no register the component reads can
 // end its quiescence, only its own staging mutators can — so the kernel
@@ -39,117 +32,100 @@ import (
 // the wake closure is its sole re-activation channel. This is how mesh
 // assemblies park: a dormant assembly (unconfigured crossbar, disabled
 // converters) latches asleep and leaves the sweep, while a configured
-// one is never parked and watches its neighbour wires every cycle,
-// exactly like the gated kernel. Declaring neighbour links with
-// DependsOn instead would be sound but slow: every commit of a
-// streaming assembly would wake its parked neighbours into a
-// poll/re-park churn.
+// one is never parked and watches its neighbour wires every cycle.
+// Declaring neighbour links with DependsOn instead would be sound but
+// slow: every commit of a streaming assembly would wake its parked
+// neighbours into a poll/re-park churn.
 //
 // Components with neither a DependsOn declaration nor a Sleeper
-// implementation are never parked and behave exactly as under the gated
-// kernel, so the kernel is conservative by construction: declaring
-// nothing costs only speed, never correctness.
+// implementation are never parked and are polled every cycle, so the
+// kernel is conservative by construction: declaring nothing costs only
+// speed, never correctness.
 //
 // Parked components are re-activated through exactly the channels above:
 //
-//   - wake calls (staged mutators Push/Inject/PushConfig/Pop) unpark at
-//     once when they arrive during the Eval phase, and are queued for the
-//     next cycle when they arrive between cycles;
-//   - a committing component unparks its declared downstream components
-//     for the next cycle — the earliest cycle on which the commit's
-//     register changes are visible to their Quiescent polls;
+//   - a wake call (staged mutators Push/Inject/PushConfig/Pop) unparks at
+//     once when it arrives during the Eval phase, and is queued for the
+//     next cycle when it arrives between cycles;
+//   - a committing component unparks its parked declared dependents for
+//     the next cycle — the earliest cycle on which the commit's register
+//     changes are visible to their Quiescent polls — and keeps a
+//     dependent that is still active this cycle from parking at all;
 //   - a WakeAt timer coming due unparks every parked component (timers
 //     are world-global and rare; one conservative full poll per timer
 //     keeps them exact);
 //   - a parked Timed component's NextEvent, cached at park time, unparks
 //     it when the clock reaches it. While parked the component's state
-//     is frozen, so the cached value stays valid — the "stable NextEvent"
-//     half of the parking contract, checked structurally by the
-//     kernelcontract analyzer (a Timed component must be an IdleWindower
-//     so its parked window replays in one batch).
+//     is frozen, so the cached value stays valid.
 //
 // A parked component receives no per-cycle bookkeeping at all; the idle
 // cycles it owes are replayed in one IdleWindow batch when it unparks
-// (or when the world flushes at a Run/Step boundary), exactly as
-// fast-forward replays them today. By the same fixed-point argument —
-// a parked component's registers cannot change, and nothing it reads
-// changes while every declared upstream is parked or quiescent — the
-// replay is exact and results stay byte-identical to the naive, gated
-// and event kernels.
+// (or when the world settles at a Run/Step boundary), exactly as
+// fast-forward replays them. By the same fixed-point argument — a parked
+// component's registers cannot change, and nothing it reads changes
+// while every declared upstream is parked or quiescent — the replay is
+// exact and results stay byte-identical to the naive kernel.
 //
-// # Two-phase sweep with a wake queue
+// # One pass in registration order
 //
-// Unlike the gated kernel's interleaved poll-then-eval sweep, the active
-// kernel polls the whole active list first (pass 1) and then evaluates
-// the non-quiescent components (pass 2). The split is what makes pass 2
-// data-parallel: during pass 1 no Eval runs, so no staging mutator can
-// fire, and every Quiescent poll observes the same committed pre-edge
-// state; during pass 2 every staged mutation lands in staging fields
-// that no Eval reads (the two-phase contract the wake mechanism already
-// relies on). A mutator invoked during pass 2 therefore cannot change
-// any Eval's outcome — it only changes the target's *next* quiescence —
-// so its wake is appended to a queue instead of running the missed Eval
-// inline. After pass 2 the queue is drained: sorted by registration
-// index, deduplicated, and each still-skipped (or parked) target runs
-// its missed Eval sequentially, chaining further wakes inline. The drain
-// order is deterministic, so results are byte-identical no matter how
-// the scheduler interleaved pass 2.
+// Each cycle the kernel walks the active set once, in registration
+// order, and at every component polls Quiescent and, unless quiescent,
+// runs its Eval at once. A component is therefore polled after every
+// earlier component's Eval, so an earlier Eval may stage work into a
+// later component without waking it: the poll observes the staged work.
+// The best-effort network relies on this — its burst scheduler, first
+// in the world, releases messages into the injection queues its per-node
+// pumps (Quiescers, not Wakers) poll later in the same cycle. A wake
+// into a slot the sweep has already passed runs the missed Eval inline;
+// a wake that unparks a component ahead of the sweep just returns it to
+// the active set, where the sweep polls it in order. The Commit pass
+// then walks the same set, committing evaluated components and replaying
+// IdleWindow(1) on skipped ones.
 //
-// # Sharded parallel Eval
+// The active set is a bitset in registration order: park clears a bit,
+// unpark sets one. The sweep walks registration indices and, while
+// anything is parked, skips parked ones by reading the bitset afresh, so
+// a component unparked ahead of the sweep joins it in the same cycle.
+// Park and unpark are O(1), nothing is sorted or allocated per cycle, a
+// mostly parked world costs about one word read per 64 components, and a
+// world with nothing parked walks its components like the naive kernel.
 //
-// With the sweep split as above, both passes shard over a bounded set of
-// goroutines (WithParallelism, default GOMAXPROCS): pass 1 writes only
-// the per-component skip flags and shard-local poll counters, pass 2
-// runs disjoint Evals whose only cross-component writes are staging
-// fields no concurrent reader touches. The goroutines claim work by
-// stealing fixed-size chunks off a shared atomic cursor rather than by a
-// static split, so a cluster of expensive active components (one hot
-// region of a mostly parked mesh) spreads across all workers instead of
-// serializing on whichever shard the static split dealt it to. Chunk
-// assignment is scheduler dependent, but every chunk runs exactly once
-// and all cross-chunk writes are disjoint, so nothing observable depends
-// on the interleaving. Everything order-sensitive —
-// the wake-queue drain, the Commit sweep, the evals/skips counter folds,
-// the park decisions — runs sequentially in registration order, the
-// same in-order fold that makes the sweep pool deterministic. Output is
-// byte-identical for any shard count, including 1; worlds below
-// parallelMinActive active components skip the goroutine hand-off
-// entirely and run both passes on the caller.
-
-// parallelMinActive is the active-list size below which the sharded
-// sweep is not worth the goroutine hand-off and both passes run on the
-// calling goroutine. The cutover does not affect results: the sharded
-// and sequential sweeps execute the same two passes over the same list.
-const parallelMinActive = 256
-
-// WithParallelism bounds the goroutine pool the active kernel shards
-// its Eval sweep over: n == 1 keeps the sweep on the calling
-// goroutine, n <= 0 (the default) means GOMAXPROCS, larger values
-// allow up to n shards (capped by the active-list size). Results are
-// byte-identical for every value. The option only affects
-// KernelActive; the other kernels are single-threaded by design.
-func WithParallelism(n int) WorldOption {
-	return func(w *World) { w.parallelism = n }
-}
+// An earlier design polled the whole active list before running any
+// Eval, so that the Eval pass could shard across goroutines. Polling
+// every component before the scheduler's Eval made the pumps miss a
+// release and delivered the first scheduled burst one cycle late, and
+// the shards engaged only above 256 active components — on a dense
+// 16×16 mesh, which they slowed; on the sparse hotspot meshes about 106
+// components stay active and they never engaged. Both went with the
+// one-pass sweep.
 
 // DependsOn declares component c's complete upstream set: the
-// components whose Commit can change a signal c reads. Under
-// KernelActive the declaration makes c parkable — on any cycle c is
-// quiescent it leaves the per-cycle sweep entirely, and it is woken by
-// its staging mutators, by a pending timer, by its own NextEvent, or by
-// any declared upstream committing. The declaration is a contract: an
-// undeclared upstream whose commit can end c's quiescence would desync
-// c, exactly like a Quiescent that ignores staged work. Components
-// never passed to DependsOn are never parked. All components involved
-// must already be registered with Add.
+// components whose Commit can change a signal c reads. The declaration
+// makes c parkable — on any cycle c is quiescent it leaves the per-cycle
+// sweep entirely, and it is woken by its staging mutators, by a pending
+// timer, by its own NextEvent, or by any declared upstream committing.
+// The declaration is a contract: an undeclared upstream whose commit can
+// end c's quiescence would desync c, exactly like a Quiescent that
+// ignores staged work. Components never passed to DependsOn are never
+// parked (unless they are asleep Sleepers). All components involved must
+// already be registered with Add.
 func (w *World) DependsOn(c Clocked, upstreams ...Clocked) {
 	ci := w.mustIndexOf(c)
-	w.parkable[ci] = true
+	w.deps[ci] |= depParkable
 	for _, u := range upstreams {
 		ui := w.mustIndexOf(u)
 		w.downstream[ui] = append(w.downstream[ui], ci)
+		w.deps[ui] |= depNotifies
 	}
 }
+
+// Per-component parking flags, one byte the Commit pass tests before
+// touching the dependent lists or the Sleeper interface.
+const (
+	depParkable uint8 = 1 << iota // declared its upstream set (DependsOn)
+	depNotifies                   // is a declared upstream of some component
+	depSleeper                    // implements Sleeper
+)
 
 // mustIndexOf resolves a registered component's index.
 func (w *World) mustIndexOf(c Clocked) int {
@@ -159,19 +135,17 @@ func (w *World) mustIndexOf(c Clocked) int {
 	panic("sim: DependsOn on a component not registered with Add")
 }
 
-// Parked returns the number of currently parked components. Outside
-// KernelActive it is always zero.
+// Parked returns the number of currently parked components. Under
+// KernelNaive it is always zero.
 func (w *World) Parked() int { return w.parkedCount }
 
 // Activations returns how many times a parked component was returned to
-// the active list — the unpark count, the activity churn the parking
+// the active set — the unpark count, the activity churn the parking
 // heuristics are judged by.
 func (w *World) Activations() uint64 { return w.activations }
 
-// Polls returns the number of Quiescent() polls executed so far, across
-// all kernels — the per-cycle overhead term the active kernel exists to
-// shrink.
-func (w *World) Polls() uint64 { return w.polls }
+// isParked reports whether component i is outside the active set.
+func (w *World) isParked(i int) bool { return w.live[i>>6]&(1<<(i&63)) == 0 }
 
 // eventEntry is one cached NextEvent of a parked Timed component.
 type eventEntry struct {
@@ -231,54 +205,9 @@ func (h *eventHeap) pop() {
 	}
 }
 
-// activeState is the KernelActive bookkeeping attached to a World. It is
-// nil under every other kernel, so they carry no overhead.
-type activeState struct {
-	active   []int // sorted registration indices of unparked components
-	scratch  []int // commit-phase compaction buffer
-	joinNew  []int // components Added since the last cycle began
-	joined   []int // unparked mid-cycle (wake drain), merged before Commit
-	pending  []int // unpark requests for the next cycle
-	events   eventHeap
-	sharding shardState
-
-	wakeMu sync.Mutex
-	wakeQ  []int // wakes collected during the parallel Eval pass
-}
-
-// shardState is the scratch the sharded passes fold from.
-type shardState struct {
-	polls  []uint64     // per-shard Quiescent poll counts
-	cursor atomic.Int64 // work-stealing chunk cursor, reset per pass
-}
-
-// stealChunk is the work-stealing grain of the sharded passes: each
-// goroutine claims this many consecutive active-list slots per cursor
-// bump. Small enough that a cluster of expensive components spreads
-// across workers, large enough that the atomic add amortizes to noise.
-const stealChunk = 64
-
-// stealRange claims the next chunk of the active list; ok is false when
-// the list is exhausted. Which goroutine claims which chunk is scheduler
-// dependent, but every chunk is claimed exactly once, so any per-chunk
-// work whose writes are disjoint (skip flags, Evals) and any total folded
-// from all chunks (poll counts) is deterministic.
-func (s *shardState) stealRange(n int) (lo, hi int, ok bool) {
-	lo = int(s.cursor.Add(stealChunk)) - stealChunk
-	if lo >= n {
-		return 0, 0, false
-	}
-	hi = lo + stealChunk
-	if hi > n {
-		hi = n
-	}
-	return lo, hi, true
-}
-
 // parkedPendingSkips returns the skipped cycles currently deferred on
 // parked components — the correction the counter accessors apply so
-// Skips and ComponentActivity read exactly as under the gated kernel
-// even mid-run.
+// Skips and ComponentActivity read the same at any time, even mid-run.
 func (w *World) parkedPendingSkips() uint64 {
 	if w.parkedCount == 0 {
 		return 0
@@ -286,17 +215,16 @@ func (w *World) parkedPendingSkips() uint64 {
 	return uint64(w.parkedCount)*w.cycle - w.sumParkedAt
 }
 
-// park removes component i from the active sweep, starting with the next
-// cycle. Called from the Commit phase after i was skipped; the current
+// park removes component i from the active set, starting with the next
+// cycle. Called from the Commit pass after i was skipped; the current
 // cycle's bookkeeping has already been done the normal way.
 func (w *World) park(i int) {
-	w.parked[i] = true
+	w.live[i>>6] &^= 1 << (i & 63)
 	w.parkedAt[i] = w.cycle + 1
 	w.parkedCount++
 	w.sumParkedAt += w.parkedAt[i]
 	if w.tracer != nil {
-		w.tracer.Emit(obs.Event{Cycle: w.cycle, Scope: obs.ScopeKernel,
-			Track: w.track(i), Kind: obs.KindPark})
+		w.emit(i, obs.KindPark, 0)
 	}
 	if td := w.timed[i]; td != nil {
 		// Cache the component's self-scheduled horizon; its state is
@@ -304,15 +232,14 @@ func (w *World) park(i int) {
 		// contract). A stale entry left by an earlier wake-unpark is
 		// harmless: it triggers one spurious poll.
 		if c, ok := td.NextEvent(); ok {
-			w.as.events.push(eventEntry{cycle: c, idx: i})
+			w.events.push(eventEntry{cycle: c, idx: i})
 		}
 	}
 }
 
 // settleParked replays the idle cycles component i owes up to the
-// current cycle: the deferred skip counters and one IdleWindow batch
-// (or per-cycle IdleTicks). The component stays parked; unparking is
-// the caller's business.
+// current cycle: the deferred skip counters and one IdleWindow batch.
+// The component stays parked; unparking is the caller's business.
 func (w *World) settleParked(i int) {
 	owed := w.cycle - w.parkedAt[i]
 	if owed == 0 {
@@ -322,27 +249,19 @@ func (w *World) settleParked(i int) {
 	w.skipsBy[i] += owed
 	w.sumParkedAt += owed
 	w.parkedAt[i] = w.cycle
-	if w.windowers[i] != nil {
-		w.windowers[i].IdleWindow(owed)
-		return
-	}
-	if w.idlers[i] != nil {
-		for k := uint64(0); k < owed; k++ {
-			w.idlers[i].IdleTick()
-		}
+	if iw := w.windowers[i]; iw != nil {
+		iw.IdleWindow(owed)
 	}
 }
 
-// unpark settles component i's deferred bookkeeping and removes it from
-// the parked set. The caller must re-insert i into the active list (or
-// the joined buffer when mid-cycle).
+// unpark settles component i's deferred bookkeeping and returns it to
+// the active set.
 func (w *World) unpark(i int) {
 	if w.tracer != nil {
-		w.tracer.Emit(obs.Event{Cycle: w.cycle, Scope: obs.ScopeKernel,
-			Track: w.track(i), Kind: obs.KindUnpark, Value: int64(w.cycle - w.parkedAt[i])})
+		w.emit(i, obs.KindUnpark, int64(w.cycle-w.parkedAt[i]))
 	}
 	w.settleParked(i)
-	w.parked[i] = false
+	w.live[i>>6] |= 1 << (i & 63)
 	w.parkedCount--
 	w.sumParkedAt -= w.parkedAt[i]
 	w.activations++
@@ -351,283 +270,100 @@ func (w *World) unpark(i int) {
 // flushParked settles every parked component's deferred bookkeeping
 // without unparking it, so all externally visible state — power meters,
 // cycle counters, activity statistics — reads exactly as under the
-// gated kernel. Called at every public Step, at Run return and before
-// every RunUntil predicate evaluation.
+// naive kernel. Called at every public Step and at Run return while
+// anything is parked.
 func (w *World) flushParked() {
-	if w.parkedCount == 0 {
-		return
-	}
-	for i := range w.components {
-		if w.parked[i] {
-			w.settleParked(i)
+	n := len(w.components)
+	for wi, word := range w.live {
+		parked := ^word
+		if rest := n - wi<<6; rest < 64 {
+			parked &= 1<<rest - 1
+		}
+		for ; parked != 0; parked &= parked - 1 {
+			w.settleParked(wi<<6 | bits.TrailingZeros64(parked))
 		}
 	}
 }
 
-// mergeActive inserts the sorted-unique index set add into the sorted
-// active list in place.
-func (w *World) mergeActive(add []int) {
-	if len(add) == 0 {
-		return
-	}
-	a := w.as
-	dst := a.scratch[:0]
-	act := a.active
-	i, j := 0, 0
-	for i < len(act) || j < len(add) {
-		switch {
-		case j == len(add) || (i < len(act) && act[i] < add[j]):
-			dst = append(dst, act[i])
-			i++
-		case i == len(act) || add[j] < act[i]:
-			dst = append(dst, add[j])
-			j++
-		default: // equal; keep one
-			dst = append(dst, act[i])
-			i, j = i+1, j+1
-		}
-	}
-	a.scratch = act[:0]
-	a.active = dst
-}
-
-// sortedUnique sorts s ascending and removes duplicates in place.
-func sortedUnique(s []int) []int {
-	if len(s) < 2 {
-		return s
-	}
-	sort.Ints(s)
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// beginCycleActive processes everything that re-activates components at
-// the top of a cycle: components Added since the last cycle, queued
-// unpark requests (downstream commits, between-cycle wakes), cached
-// NextEvent cycles that have come due, and — conservatively — a pending
-// WakeAt timer, which unparks everything for one full poll.
-func (w *World) beginCycleActive() {
-	a := w.as
-	var due []int
-	if len(a.joinNew) > 0 {
-		due = append(due, a.joinNew...)
-		a.joinNew = a.joinNew[:0]
-	}
-	if len(a.pending) > 0 {
-		for _, i := range a.pending {
-			if w.parked[i] {
+// beginCycle returns to the active set everything due this cycle:
+// queued unpark requests (dependents of last cycle's commits,
+// between-cycle wakes), cached NextEvent cycles that have come due, and —
+// conservatively — everything when a WakeAt timer fires.
+func (w *World) beginCycle() {
+	if len(w.pending) > 0 {
+		for _, i := range w.pending {
+			if w.isParked(i) {
 				w.unpark(i)
-				due = append(due, i)
 			}
 		}
-		a.pending = a.pending[:0]
+		w.pending = w.pending[:0]
 	}
-	for {
-		e, ok := a.events.peek()
-		if !ok || e.cycle > w.cycle {
-			break
-		}
-		a.events.pop()
-		if w.parked[e.idx] {
-			w.unpark(e.idx)
-			due = append(due, e.idx)
+	for len(w.events.heap) > 0 && w.events.heap[0].cycle <= w.cycle {
+		i := w.events.heap[0].idx
+		w.events.pop()
+		if w.isParked(i) {
+			w.unpark(i)
 		}
 	}
-	w.dropSpentTimers()
-	if t, ok := w.timers.peek(); ok && t <= w.cycle && w.parkedCount > 0 {
-		// A timer fires this cycle: some driver staged work for it, and
-		// that work may concern any component. Poll everything once.
-		for i := range w.components {
-			if w.parked[i] {
-				w.unpark(i)
-				due = append(due, i)
-			}
-		}
-	}
-	w.mergeActive(sortedUnique(due))
-}
-
-// shardCount resolves how many goroutines the parallel passes use for
-// the current active-list size.
-func (w *World) shardCount() int {
-	n := len(w.as.active)
-	if n < parallelMinActive {
-		return 1
-	}
-	p := w.parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
-// pollActive is pass 1: the quiescence poll over the active list. It
-// only writes per-component skip flags and shard-local poll counters,
-// so the shards race on nothing.
-func (w *World) pollActive(shards int) {
-	a := w.as
-	act := a.active
-	poll := func(lo, hi int) uint64 {
-		var polls uint64
-		for _, i := range act[lo:hi] {
-			if w.quiescers[i] != nil {
-				polls++
-				w.skipped[i] = w.quiescers[i].Quiescent()
-			} else {
-				w.skipped[i] = false
-			}
-		}
-		return polls
-	}
-	if shards == 1 {
-		w.polls += poll(0, len(act))
-		return
-	}
-	if cap(a.sharding.polls) < shards {
-		a.sharding.polls = make([]uint64, shards)
-	}
-	counts := a.sharding.polls[:shards]
-	a.sharding.cursor.Store(0)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			var polls uint64
-			for {
-				lo, hi, ok := a.sharding.stealRange(len(act))
-				if !ok {
-					break
-				}
-				polls += poll(lo, hi)
-			}
-			counts[s] = polls
-		}(s)
-	}
-	wg.Wait()
-	for _, c := range counts {
-		w.polls += c
-	}
-}
-
-// evalActive is pass 2: Eval every non-quiescent active component.
-// Sequentially it tracks evalPos so wake calls into already-passed slots
-// run inline while later slots are left for the sweep itself, mirroring
-// the gated kernel exactly; in parallel every wake is queued
-// (parallelEval mode) and drained afterwards. See the package comment
-// for why the queue is sufficient.
-func (w *World) evalActive(shards int) {
-	act := w.as.active
-	if shards == 1 {
-		for _, i := range act {
-			w.evalPos = i
-			if !w.skipped[i] {
-				w.components[i].Eval()
-			}
-		}
-		return
-	}
-	a := w.as
-	a.sharding.cursor.Store(0)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo, hi, ok := a.sharding.stealRange(len(act))
-				if !ok {
-					return
-				}
-				for _, i := range act[lo:hi] {
-					if !w.skipped[i] {
-						w.components[i].Eval()
-					}
+	if len(w.timers.heap) > 0 && w.timers.heap[0] <= w.cycle {
+		w.dropSpentTimers()
+		if t, ok := w.timers.peek(); ok && t == w.cycle && w.parkedCount > 0 {
+			// A timer fires this cycle: some driver staged work for it,
+			// and that work may concern any component. Poll everything
+			// once.
+			for i := range w.components {
+				if w.isParked(i) {
+					w.unpark(i)
 				}
 			}
-		}()
+		}
 	}
-	wg.Wait()
 }
 
-// drainWakes runs the missed Evals of every component woken during pass
-// 2, in registration order. Chained wakes (a drained Eval staging work
-// into yet another skipped component) execute inline through the normal
-// sequential wake path.
-func (w *World) drainWakes() {
-	a := w.as
-	if len(a.wakeQ) == 0 {
-		return
-	}
-	q := sortedUnique(a.wakeQ)
-	for _, i := range q {
-		w.wakeActiveKernel(i)
-	}
-	a.wakeQ = a.wakeQ[:0]
-}
-
-// wakeActiveKernel is the sequential wake path of the active kernel,
-// used by wakes during the sequential pass-2 sweep, during the drain,
-// and by chained wakes. A parked target unparks and runs its missed
-// Eval (it is outside the active list, so nothing re-evals it); an
-// active-but-skipped target runs the missed Eval inline only if its
-// sweep slot already passed — a later slot just clears the skip flag
-// and lets the sweep eval it in order, exactly like a gated-kernel poll
-// observing staged work. Either way the target commits normally.
-func (w *World) wakeActiveKernel(i int) {
-	if w.parked[i] {
+// wake is the Eval-phase half of the wake closure. A target whose slot
+// the sweep has already passed runs its missed Eval inline (unparking
+// it first if it was parked); a parked target ahead of the sweep returns
+// to the active set and is polled in its slot, where the staged work
+// makes it non-quiescent; an active target ahead of the sweep needs
+// nothing. Either way the target commits this cycle, exactly as under
+// the naive kernel.
+func (w *World) wake(i int) {
+	if w.isParked(i) {
 		w.unpark(i)
-		w.skipped[i] = false
-		if w.tracer != nil {
-			w.tracer.Emit(obs.Event{Cycle: w.cycle, Scope: obs.ScopeKernel,
-				Track: w.track(i), Kind: obs.KindWake})
+		if i > w.evalPos {
+			return
 		}
-		w.components[i].Eval()
-		w.as.joined = append(w.as.joined, i)
-		return
-	}
-	if !w.skipped[i] {
+	} else if i > w.evalPos || !w.skipped[i] {
 		return
 	}
 	w.skipped[i] = false
 	if w.tracer != nil {
-		w.tracer.Emit(obs.Event{Cycle: w.cycle, Scope: obs.ScopeKernel,
-			Track: w.track(i), Kind: obs.KindWake})
+		w.emit(i, obs.KindWake, 0)
 	}
-	if i <= w.evalPos {
-		w.components[i].Eval()
-	}
+	w.components[i].Eval()
 }
 
-// horizonActive is the active kernel's fast-forward bound. Unlike the
-// event kernel's horizon it never scans the whole world: parked Timed
-// components already cached their NextEvent in the unpark heap, so only
-// the (quiescent) active components need a live poll — O(active), and
-// O(1) once everything is parked.
-func (w *World) horizonActive(end uint64) uint64 {
+// horizon returns the cycle up to which the world may fast-forward after
+// a fully quiescent step: the earliest pending timer, the earliest cached
+// NextEvent of a parked component, the earliest live NextEvent of an
+// active one, or the end of the Run window, whichever comes first. It
+// never returns less than the current cycle, and once everything is
+// parked it costs O(1) plus one word read per 64 components.
+func (w *World) horizon(end uint64) uint64 {
 	h := end
 	w.dropSpentTimers()
 	if t, ok := w.timers.peek(); ok && t < h {
 		h = t
 	}
-	if e, ok := w.as.events.peek(); ok && e.cycle < h {
+	if e, ok := w.events.peek(); ok && e.cycle < h {
 		h = e.cycle
 	}
-	for _, i := range w.as.active {
-		if td := w.timed[i]; td != nil {
-			if c, ok := td.NextEvent(); ok && c < h {
-				h = c
+	for wi, word := range w.live {
+		for ; word != 0; word &= word - 1 {
+			if td := w.timed[wi<<6|bits.TrailingZeros64(word)]; td != nil {
+				if c, ok := td.NextEvent(); ok && c < h {
+					h = c
+				}
 			}
 		}
 	}
@@ -637,86 +373,100 @@ func (w *World) horizonActive(end uint64) uint64 {
 	return h
 }
 
-// runActive is Run's loop for KernelActive: per-cycle stepping over the
-// active list, fast-forwarding fully quiescent windows like the event
-// kernel (parked components are left untouched by fast-forward — their
-// deferred window simply grows), and a final flush so every parked
-// component's bookkeeping is settled when Run returns.
-func (w *World) runActive(n int) {
-	end := w.cycle + uint64(n)
-	for w.cycle < end {
-		w.stepActive()
-		if w.allSkipped && w.cycle < end {
-			if ff := w.horizonActive(end) - w.cycle; ff > 0 {
-				w.fastForward(ff)
-			}
-		}
-	}
-	w.flushParked()
-}
-
-// stepActive advances a KernelActive world by one cycle.
+// stepActive advances a KernelActive world by one cycle: one poll-and-
+// Eval pass over the active set in registration order, then one Commit
+// pass over the same set that replays idle bookkeeping, takes the park
+// decisions and notifies declared dependents. Both passes walk the
+// registration indices and consult the bitset only while something is
+// parked, so a world with nothing parked pays nothing for it.
 func (w *World) stepActive() {
-	w.beginCycleActive()
-	a := w.as
+	if len(w.pending) > 0 || len(w.events.heap) > 0 || len(w.timers.heap) > 0 {
+		w.beginCycle()
+	}
 	n0 := len(w.components) // components Added mid-cycle join next cycle
 
-	shards := w.shardCount()
 	w.inEval = true
-	w.evalPos = -1 // no slot passed yet; Quiescent may not invoke mutators
-	w.pollActive(shards)
-	if shards > 1 {
-		w.parallelEval = true
-		w.evalActive(shards)
-		w.parallelEval = false
-	} else {
-		w.evalActive(1)
-	}
-	w.evalPos = n0 - 1 // every slot has passed: drained wakes eval inline
-	w.drainWakes()
-	w.inEval = false
-
-	w.mergeActive(sortedUnique(a.joined))
-	a.joined = a.joined[:0]
-
-	// Commit phase: sequential, in registration order, exactly like the
-	// gated kernel — counters, idle bookkeeping, park decisions and
-	// downstream unparks all fold deterministically here.
-	all := len(w.components) > 0
-	keep := a.scratch[:0]
-	for _, i := range a.active {
-		if w.skipped[i] {
-			w.skips++
-			w.skipsBy[i]++
-			if w.idlers[i] != nil {
-				w.idlers[i].IdleTick()
+	for i := 0; i < n0; i++ {
+		if w.parkedCount > 0 && w.isParked(i) {
+			if i = w.nextLive(i, n0); i >= n0 {
+				break
 			}
-			if w.parkable[i] || (w.sleepers[i] != nil && w.sleepers[i].Asleep()) {
-				w.park(i)
+		}
+		w.evalPos = i
+		if q := w.quiescers[i]; q != nil {
+			w.polls++
+			if q.Quiescent() {
+				w.skipped[i] = true
 				continue
 			}
-			keep = append(keep, i)
+		}
+		w.skipped[i] = false
+		w.components[i].Eval()
+	}
+	w.inEval = false
+
+	all := n0 > 0
+	next := w.cycle + 1
+	for i := 0; i < n0; i++ {
+		if w.parkedCount > 0 && w.isParked(i) {
+			if i = w.nextLive(i, n0); i >= n0 {
+				break
+			}
+		}
+		if !w.skipped[i] {
+			all = false
+			w.evals++
+			w.evalsBy[i]++
+			if w.tracer != nil {
+				w.emit(i, obs.KindEval, 0)
+			}
+			w.components[i].Commit()
+			if w.deps[i]&depNotifies != 0 {
+				w.notify(i, next)
+			}
 			continue
 		}
-		all = false
-		w.evals++
-		w.evalsBy[i]++
-		if w.tracer != nil {
-			w.tracer.Emit(obs.Event{Cycle: w.cycle, Scope: obs.ScopeKernel,
-				Track: w.track(i), Kind: obs.KindEval})
+		w.skips++
+		w.skipsBy[i]++
+		if iw := w.windowers[i]; iw != nil {
+			iw.IdleWindow(1)
 		}
-		w.components[i].Commit()
-		keep = append(keep, i)
-		// Unconditionally: a dependent later in this same sweep may not
-		// have parked yet — the next cycle's intake ignores entries that
-		// are not parked by then.
-		a.pending = append(a.pending, w.downstream[i]...)
+		if f := w.deps[i]; f&depParkable != 0 && w.fedAt[i] != next ||
+			f&depSleeper != 0 && w.sleepers[i].Asleep() {
+			w.park(i)
+		}
 	}
-	a.scratch = a.active[:0]
-	a.active = keep
 	if len(w.components) != n0 {
 		all = false // a mid-cycle Add must be polled before fast-forward
 	}
 	w.allSkipped = all
-	w.cycle++
+	w.cycle = next
+}
+
+// nextLive returns the first unparked component at or after i (possibly
+// one Added past n0 this cycle), or n0 when there is none before n0. It
+// reads the bitset afresh, so a component a wake has just unparked ahead
+// of the Eval sweep is found and polled in its slot.
+func (w *World) nextLive(i, n0 int) int {
+	for i < n0 {
+		if rest := w.live[i>>6] >> (i & 63); rest != 0 {
+			return i + bits.TrailingZeros64(rest)
+		}
+		i = i&^63 + 64
+	}
+	return n0
+}
+
+// notify tells component i's declared dependents that it committed: a
+// parked one unparks next cycle, when the new register values are first
+// visible to its poll; an active one is stamped so it does not park this
+// cycle only to be unparked at the start of the next.
+func (w *World) notify(i int, next uint64) {
+	for _, d := range w.downstream[i] {
+		if w.isParked(d) {
+			w.pending = append(w.pending, d)
+		} else {
+			w.fedAt[d] = next
+		}
+	}
 }

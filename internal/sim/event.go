@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/obs"
 )
@@ -59,14 +60,15 @@ func (t *timerWheel) pop() {
 	}
 }
 
-// WakeAt schedules a timer at the given absolute cycle: the event kernel
-// will not fast-forward past it, so a driver that stages work for that
-// cycle (a scheduled configuration burst, a timeout) is guaranteed the
-// cycle executes as a normal step. A timer at the current cycle is legal
-// and spent immediately; a timer in the past is a programming error.
-// Duplicate timers are allowed and coalesce. The gated and naive kernels
-// execute every cycle anyway, so for them WakeAt is bookkeeping only —
-// behaviour is byte-identical across kernels with or without timers.
+// WakeAt schedules a timer at the given absolute cycle: the kernel will
+// not fast-forward past it, and it unparks every parked component for one
+// poll when it fires, so a driver that stages work for that cycle (a
+// scheduled configuration burst, a timeout) is guaranteed the cycle
+// executes as a normal step. A timer at the current cycle is legal and
+// spent immediately; a timer in the past is a programming error.
+// Duplicate timers are allowed and coalesce. The naive kernel executes
+// every cycle anyway, so for it WakeAt is bookkeeping only — behaviour is
+// byte-identical across kernels with or without timers.
 func (w *World) WakeAt(cycle uint64) error {
 	if cycle < w.cycle {
 		return fmt.Errorf("sim: WakeAt(%d) is in the past (cycle %d)", cycle, w.cycle)
@@ -98,57 +100,25 @@ func (w *World) dropSpentTimers() {
 	}
 }
 
-// horizon returns the cycle up to which the world may fast-forward after
-// a fully quiescent step: the earliest pending timer, the earliest
-// self-scheduled component event (NextEvent of a Timed component), or the
-// end of the Run window, whichever comes first. It never returns less
-// than the current cycle.
-func (w *World) horizon(end uint64) uint64 {
-	h := end
-	w.dropSpentTimers()
-	if t, ok := w.timers.peek(); ok && t < h {
-		h = t
-	}
-	for _, td := range w.timed {
-		if td == nil {
-			continue
-		}
-		if c, ok := td.NextEvent(); ok && c < h {
-			h = c
-		}
-	}
-	if h < w.cycle {
-		h = w.cycle
-	}
-	return h
-}
-
 // fastForward advances the world by n fully quiescent cycles in one step:
-// every component receives its idle bookkeeping — IdleWindow when
-// implemented, n IdleTicks otherwise — and the skip counters advance as
-// if the gated kernel had stepped each cycle individually. The caller
-// (Run) has established that every component was quiescent and that no
-// timer or self-scheduled event lies inside the window, so by the
-// fixed-point argument in the package comment the replay is exact.
+// every active component receives its idle bookkeeping as one IdleWindow
+// batch, and the skip counters advance as if each cycle had been stepped
+// individually. The caller (Run) has established that every component was
+// quiescent and that no timer or self-scheduled event lies inside the
+// window, so by the fixed-point argument in the package comment the
+// replay is exact. A parked component's deferred window simply grows; its
+// bookkeeping is settled in one batch at unpark or flush.
 func (w *World) fastForward(n uint64) {
 	if w.tracer != nil {
 		w.tracer.Emit(obs.Event{Cycle: w.cycle, Scope: obs.ScopeKernel,
 			Track: kernelTrack, Kind: obs.KindFastForward, Value: int64(n)})
 	}
-	for i := range w.components {
-		if w.parked[i] {
-			// A parked component's deferred window simply grows; its
-			// bookkeeping is settled in one batch at unpark or flush.
-			continue
-		}
-		w.skipsBy[i] += n
-		if w.windowers[i] != nil {
-			w.windowers[i].IdleWindow(n)
-			continue
-		}
-		if w.idlers[i] != nil {
-			for k := uint64(0); k < n; k++ {
-				w.idlers[i].IdleTick()
+	for wi, word := range w.live {
+		for ; word != 0; word &= word - 1 {
+			i := wi<<6 | bits.TrailingZeros64(word)
+			w.skipsBy[i] += n
+			if iw := w.windowers[i]; iw != nil {
+				iw.IdleWindow(n)
 			}
 		}
 	}

@@ -2,21 +2,27 @@ package sim
 
 import "testing"
 
-// tickerComp counts cycles three ways — evaluated, idle-ticked one at a
-// time, idle-ticked in windows — and can be quiescent on demand. The sum
-// of the three must equal the elapsed cycles under every kernel.
+// tickerComp counts cycles three ways — evaluated, replayed one idle
+// cycle at a time, replayed in multi-cycle windows — and can be quiescent
+// on demand. The sum of the three must equal the elapsed cycles under
+// every kernel.
 type tickerComp struct {
 	quiet   bool
 	evals   uint64
-	idles   uint64
-	windows uint64 // cycles received through IdleWindow
+	idles   uint64 // cycles received through IdleWindow(1)
+	windows uint64 // cycles received through longer IdleWindows
 }
 
-func (c *tickerComp) Eval()               {}
-func (c *tickerComp) Commit()             { c.evals++ }
-func (c *tickerComp) Quiescent() bool     { return c.quiet }
-func (c *tickerComp) IdleTick()           { c.idles++ }
-func (c *tickerComp) IdleWindow(n uint64) { c.windows += n }
+func (c *tickerComp) Eval()           {}
+func (c *tickerComp) Commit()         { c.evals++ }
+func (c *tickerComp) Quiescent() bool { return c.quiet }
+func (c *tickerComp) IdleWindow(n uint64) {
+	if n == 1 {
+		c.idles++
+		return
+	}
+	c.windows += n
+}
 
 func (c *tickerComp) total() uint64 { return c.evals + c.idles + c.windows }
 
@@ -41,7 +47,7 @@ func (c *timedComp) NextEvent() (uint64, bool) {
 // TestWakeAtValidation covers the timer-registration edge cases: the
 // current cycle is legal, the past is an error, duplicates coalesce.
 func TestWakeAtValidation(t *testing.T) {
-	w := NewWorld(WithKernel(KernelEvent))
+	w := NewWorld()
 	w.Add(&tickerComp{quiet: true})
 	w.Run(10)
 	if err := w.WakeAt(w.Cycle()); err != nil {
@@ -69,7 +75,7 @@ func TestWakeAtValidation(t *testing.T) {
 // window in one step, the idle bookkeeping covers every skipped cycle,
 // and the per-component counters agree with the aggregate ones.
 func TestFastForwardBookkeeping(t *testing.T) {
-	w := NewWorld(WithKernel(KernelEvent))
+	w := NewWorld()
 	c := &tickerComp{quiet: true}
 	w.Add(c)
 	w.Run(1000)
@@ -100,7 +106,7 @@ func TestFastForwardBookkeeping(t *testing.T) {
 // forces that cycle to execute as a normal step, so a mutation staged for
 // it is observed exactly on time.
 func TestTimerBoundsFastForward(t *testing.T) {
-	w := NewWorld(WithKernel(KernelEvent))
+	w := NewWorld()
 	c := &tickerComp{quiet: true}
 	w.Add(c)
 	if err := w.WakeAt(500); err != nil {
@@ -122,7 +128,7 @@ func TestTimerBoundsFastForward(t *testing.T) {
 // (is spent) even though the window ends there, and one exactly past the
 // end stays pending — the boundary is exclusive.
 func TestTimerAtRunBoundary(t *testing.T) {
-	w := NewWorld(WithKernel(KernelEvent))
+	w := NewWorld()
 	w.Add(&tickerComp{quiet: true})
 	if err := w.WakeAt(99); err != nil { // last cycle executed by Run(100)
 		t.Fatal(err)
@@ -147,7 +153,7 @@ func TestTimerAtRunBoundary(t *testing.T) {
 // event is executed on exactly its cycle, with the dead time around it
 // fast-forwarded.
 func TestNextEventBoundsFastForward(t *testing.T) {
-	w := NewWorld(WithKernel(KernelEvent))
+	w := NewWorld()
 	c := &timedComp{world: w, due: 700}
 	w.Add(c)
 	w.Run(2000)
@@ -164,11 +170,11 @@ func TestNextEventBoundsFastForward(t *testing.T) {
 
 // TestMonitorBlocksFastForward: one every-cycle component (a sim.Func
 // monitor) in the world disables fast-forward entirely — the monitor
-// observes every cycle under the event kernel, the same contract as under
-// the others — while the quiescent component next to it is still skipped
-// cycle by cycle.
+// observes every cycle under the production kernel, the same contract as
+// under the naive one — while the quiescent component next to it is
+// still skipped cycle by cycle.
 func TestMonitorBlocksFastForward(t *testing.T) {
-	w := NewWorld(WithKernel(KernelEvent))
+	w := NewWorld()
 	c := &tickerComp{quiet: true}
 	observed := uint64(0)
 	w.Add(c, &Func{OnEval: func() { observed++ }})
@@ -185,36 +191,10 @@ func TestMonitorBlocksFastForward(t *testing.T) {
 	}
 }
 
-// TestEventKernelIdleTickFallback: a component without IdleWindow still
-// gets its per-cycle IdleTick across a fast-forwarded window.
-type noWindowComp struct {
-	quiet bool
-	idles uint64
-	evals uint64
-}
-
-func (c *noWindowComp) Eval()           {}
-func (c *noWindowComp) Commit()         { c.evals++ }
-func (c *noWindowComp) Quiescent() bool { return c.quiet }
-func (c *noWindowComp) IdleTick()       { c.idles++ }
-
-func TestEventKernelIdleTickFallback(t *testing.T) {
-	w := NewWorld(WithKernel(KernelEvent))
-	c := &noWindowComp{quiet: true}
-	w.Add(c)
-	w.Run(300)
-	if c.idles+c.evals != 300 {
-		t.Fatalf("fallback bookkeeping covers %d of 300 cycles", c.idles+c.evals)
-	}
-	if _, ffCycles := w.FastForwards(); ffCycles == 0 {
-		t.Fatal("fast-forward never engaged")
-	}
-}
-
 // TestEventKernelRunUntilPerCycle: RunUntil never fast-forwards — the
 // predicate is a monitor and may read the cycle counter.
 func TestEventKernelRunUntilPerCycle(t *testing.T) {
-	w := NewWorld(WithKernel(KernelEvent))
+	w := NewWorld()
 	w.Add(&tickerComp{quiet: true})
 	checks := 0
 	ok := w.RunUntil(func() bool { checks++; return w.Cycle() >= 50 }, 200)

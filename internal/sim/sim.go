@@ -11,23 +11,41 @@
 // registered"), there are no combinational paths between components, and
 // components may be evaluated in any order.
 //
-// # Activity tracking
+// # One production kernel and the naive oracle
 //
-// The paper's circuit-switched router wins on energy because idle lanes and
-// gated clocks do no work; the kernel exploits the same sparsity in
-// software. A component may additionally implement Quiescer; each cycle the
-// gated kernel (the default, KernelGated) polls Quiescent at the
-// component's Eval slot and, when true, skips both Eval and Commit for that
-// cycle, running the component's IdleTick (if implemented) in the Commit
-// phase instead. The contract making this exact, not approximate:
+// A World runs on one of two kernels. KernelNaive evaluates and commits
+// every component every cycle; it is the oracle the production kernel is
+// checked against. KernelActive, the zero value and the kernel every
+// world runs on by default, skips the work the paper's router saves in
+// hardware: idle lanes and gated clocks do no work, and idle components
+// cost the simulator nothing or next to nothing. It does so on three
+// levels, each byte-identical to the naive kernel:
+//
+//   - Per cycle, a component implementing Quiescer is polled at its Eval
+//     slot and, when quiescent, skips both Eval and Commit; its idle
+//     bookkeeping is replayed by IdleWindow(1) in the Commit phase.
+//   - Per component, a quiescent component that is provably inert until
+//     an external stimulus parks: it leaves the sweep entirely, and the
+//     cycles it owes are replayed in one IdleWindow batch when it
+//     unparks or the world settles (active.go).
+//   - Per world, a Run window in which every component is quiescent
+//     fast-forwards to the next event horizon: the earliest pending timer
+//     (WakeAt), the earliest self-scheduled component event (NextEvent),
+//     or the end of the window.
+//
+// # The skipping contract
+//
+// Skipping is exact, not approximate, under these rules:
 //
 //   - Quiescent must return true only when running Eval+Commit now would
 //     leave every externally visible value unchanged, except for uniform
 //     per-cycle bookkeeping (cycle counters, slot counters, constant clock
-//     energy) that IdleTick reproduces exactly.
+//     energy) that IdleWindow reproduces exactly.
 //   - Quiescent must account for all staged work (pushed words, injected
 //     flits, pending configuration writes), so work staged before the poll
-//     is never missed.
+//     is never missed. Since the sweep polls each component at its own
+//     slot, after every earlier component's Eval, an earlier component may
+//     stage work into a later one without waking it.
 //   - A mutator that stages work during the Eval phase after the
 //     component's slot has already been polled must wake the component: the
 //     kernel hands Wakers a wake function at registration, and the wake
@@ -35,58 +53,22 @@
 //     processed in Commit and never read by Eval). Such mutators must only
 //     be called during the Eval phase, the same rule the two-phase
 //     semantics already impose on Push/Inject/Pop.
-//
-// Under these rules the gated kernel is byte-identical to the naive kernel
-// on every scenario — verified by the gated-vs-naive comparison tests and
-// the CI byte-compare — while skipping the >90% of Eval/Commit pairs a
-// sparse mesh would otherwise waste on idle routers.
-//
-// # Event-driven scheduling
-//
-// The gated kernel still visits every component every cycle, if only to
-// poll Quiescent. The event kernel (KernelEvent) removes the remaining
-// O(components·cycles) term for windows in which the whole world is idle:
-// when a Run cycle skips every component, the kernel fast-forwards the
-// global clock to the next event horizon — the earliest pending timer
-// (WakeAt), the earliest self-scheduled component event (NextEvent), or
-// the end of the Run window — and replays the skipped window's idle
-// bookkeeping in O(components), using IdleWindow where implemented and
-// falling back to per-cycle IdleTick otherwise.
-//
-// Fast-forward is exact, not approximate, by a fixed-point argument: a
-// cycle in which every component is quiescent commits no register, so the
-// pre-edge signal state the next cycle's Quiescent polls would observe is
-// unchanged — every later cycle up to the horizon would skip identically
-// under the gated kernel. The two holes in that argument are closed by
-// contract:
-//
-//   - Bookkeeping replayed by IdleTick must never influence Quiescent. A
+//   - Bookkeeping replayed by IdleWindow must never influence Quiescent. A
 //     component whose quiescence can end purely through the passage of
 //     cycles (a timer expiring, a scheduled burst coming due) must
 //     implement Timed and report that cycle via NextEvent; the kernel
-//     never fast-forwards past it.
-//   - Stimulus and monitors that must observe every cycle stay sim.Func
-//     (or any non-Quiescer): one such component in the world disables
-//     fast-forward entirely, because no cycle then skips all components.
-//     Monitors therefore keep their every-cycle contract under every
-//     kernel without declaring anything.
+//     never fast-forwards past it and unparks it on time.
 //
-// External drivers that mutate the world between Run calls need no
-// declaration either — fast-forward never crosses a Run boundary. Timers
-// (WakeAt) exist for drivers that stage future work inside a Run window,
-// e.g. the BE network's scheduled configuration bursts.
-//
-// # O(active) scheduling and parallel Eval
-//
-// The event kernel still polls every component on any cycle it cannot
-// fast-forward. The active kernel (KernelActive) splits the world into
-// an active list and a parked list: components whose complete upstream
-// set was declared with DependsOn leave the sweep entirely while
-// provably inert, and the remaining active list is polled and evaluated
-// in a two-pass sweep that can shard across a bounded goroutine pool
-// (WithParallelism). Results are byte-identical to every other kernel
-// for any shard count; the full design and determinism argument live in
-// active.go.
+// Fast-forward is exact by a fixed-point argument: a cycle in which every
+// component is quiescent commits no register, so the pre-edge signal state
+// the next cycle's polls would observe is unchanged — every later cycle up
+// to the horizon would skip identically. Stimulus and monitors that must
+// observe every cycle stay sim.Func (or any non-Quiescer): one such
+// component in the world disables fast-forward, because no cycle then
+// skips all components. External drivers that mutate the world between
+// Run calls need no declaration either — fast-forward never crosses a Run
+// boundary. Timers (WakeAt) exist for drivers that stage future work
+// inside a Run window.
 package sim
 
 import (
@@ -108,32 +90,24 @@ type Clocked interface {
 
 // Quiescer is optionally implemented by components that can report having
 // no pending work. Quiescent must be true only if Eval+Commit this cycle
-// would change nothing externally visible beyond what IdleTick reproduces,
-// and must account for all staged work (see the package comment).
+// would change nothing externally visible beyond what IdleWindow
+// reproduces, and must account for all staged work (see the package
+// comment). Every Quiescer must also be an IdleWindower — a no-op one
+// when the component keeps no per-cycle bookkeeping — which the nocvet
+// kernelcontract analyzer enforces.
 type Quiescer interface {
 	Quiescent() bool
 }
 
-// IdleTicker is optionally implemented by Quiescers whose Commit performs
-// uniform per-cycle bookkeeping even when idle — advancing a cycle or slot
-// counter, charging the constant idle clock energy to a power meter. The
-// kernel calls IdleTick in the Commit phase of every skipped cycle; it must
-// reproduce that bookkeeping exactly (same floating-point operations, so
-// accumulated energy stays bit-identical to the naive kernel).
-type IdleTicker interface {
-	IdleTick()
-}
-
-// IdleWindower is optionally implemented by IdleTickers whose idle
-// bookkeeping for n consecutive cycles can be replayed in one call.
-// IdleWindow(n) must leave the component in exactly the state n calls to
-// IdleTick would have — including bit-identical accumulated floats — so
-// the event kernel can fast-forward a quiescent window in O(1) per
-// component instead of O(cycles). Components without it still work under
-// the event kernel; the kernel falls back to calling IdleTick n times.
+// IdleWindower is implemented by Quiescers whose Commit performs uniform
+// per-cycle bookkeeping even when idle — advancing a cycle or slot
+// counter, charging the constant idle clock energy to a power meter.
+// IdleWindow(n) replays n skipped cycles of that bookkeeping and must
+// leave the component in exactly the state n idle Commits would have,
+// including bit-identical accumulated floats. The kernel calls
+// IdleWindow(1) in the Commit phase of every skipped cycle, and one
+// batched IdleWindow for a fast-forwarded window or a parked stretch.
 type IdleWindower interface {
-	IdleTicker
-	// IdleWindow replays n idle cycles of bookkeeping at once.
 	IdleWindow(n uint64)
 }
 
@@ -141,9 +115,9 @@ type IdleWindower interface {
 // without any external register changing or mutator being invoked — purely
 // because the clock reaches some cycle (a scheduled burst coming due, a
 // timeout expiring). NextEvent returns the earliest such absolute cycle,
-// or ok=false when no self-scheduled work is pending. The event kernel
-// polls NextEvent on fully quiescent cycles and never fast-forwards past
-// the reported cycle; the gated and naive kernels ignore it.
+// or ok=false when no self-scheduled work is pending. The kernel never
+// fast-forwards past the reported cycle and unparks a parked Timed
+// component on it; the naive kernel ignores it.
 type Timed interface {
 	NextEvent() (cycle uint64, ok bool)
 }
@@ -153,8 +127,9 @@ type Timed interface {
 // during the Eval phase. The kernel calls SetWake at registration; the
 // component must invoke the wake function from every such mutator so a
 // skip decision already taken this cycle is revised. The wake function is
-// safe to call at any time (it is a no-op outside the Eval phase, where
-// Quiescent polling covers the staged work instead).
+// safe to call at any time (outside the Eval phase it only unparks a
+// parked component for the next cycle; the next poll covers the staged
+// work).
 type Waker interface {
 	SetWake(func())
 }
@@ -163,11 +138,10 @@ type Waker interface {
 // stronger form of quiescence: Asleep must be true only while no change
 // on any input register the component reads can end its quiescence —
 // only one of its own staging mutators (which call the wake function)
-// can. Under KernelActive an asleep component parks without a DependsOn
-// declaration and receives no upstream-commit notifications; the wake
-// closure is its sole re-activation channel, so the component must clear
-// the asleep condition before (or upon) the wake function running. The
-// other kernels ignore the interface.
+// can. An asleep component parks without a DependsOn declaration and
+// receives no upstream-commit notifications; the wake closure is its sole
+// re-activation channel, so the component must clear the asleep condition
+// before (or upon) the wake function running.
 type Sleeper interface {
 	Waker
 	Asleep() bool
@@ -177,39 +151,24 @@ type Sleeper interface {
 type Kernel int
 
 const (
-	// KernelGated is the activity-tracked kernel: quiescent components are
-	// skipped, with byte-identical results to KernelNaive. The default.
-	KernelGated Kernel = iota
-	// KernelNaive evaluates and commits every component every cycle.
+	// KernelActive is the production kernel and the zero value:
+	// quiescent components are skipped, provably inert ones are parked
+	// out of the sweep, and fully quiescent Run windows are
+	// fast-forwarded, with results byte-identical to KernelNaive. See
+	// active.go.
+	KernelActive Kernel = iota
+	// KernelNaive evaluates and commits every component every cycle:
+	// the oracle the production kernel is checked against.
 	KernelNaive
-	// KernelEvent is the event-driven scheduler: per-cycle it behaves
-	// like KernelGated, and additionally fast-forwards Run windows in
-	// which every component is quiescent to the next timer (WakeAt),
-	// self-scheduled component event (NextEvent) or window end,
-	// replaying idle bookkeeping in O(components). Byte-identical to
-	// both other kernels.
-	KernelEvent
-	// KernelActive is the O(active) kernel: components whose complete
-	// upstream set was declared with DependsOn are parked while
-	// provably inert and leave the per-cycle sweep entirely, and the
-	// remaining active list is polled/evaluated in a two-pass sweep
-	// that optionally shards across a bounded goroutine pool
-	// (WithParallelism). Byte-identical to every other kernel for any
-	// shard count; see active.go.
-	KernelActive
 )
 
 // String names the kernel.
 func (k Kernel) String() string {
 	switch k {
-	case KernelGated:
-		return "gated"
-	case KernelNaive:
-		return "naive"
-	case KernelEvent:
-		return "event"
 	case KernelActive:
 		return "active"
+	case KernelNaive:
+		return "naive"
 	default:
 		return "kernel(?)"
 	}
@@ -218,7 +177,7 @@ func (k Kernel) String() string {
 // WorldOption configures a World at construction.
 type WorldOption func(*World)
 
-// WithKernel selects the world's kernel (default KernelGated).
+// WithKernel selects the world's kernel (default KernelActive).
 func WithKernel(k Kernel) WorldOption {
 	return func(w *World) { w.kernel = k }
 }
@@ -228,8 +187,7 @@ func WithKernel(k Kernel) WorldOption {
 // timestamped in cycles. A nil tracer (the default) is the fast path —
 // every emission site is a single predictable branch — and tracing never
 // influences scheduling, so results are byte-identical with or without
-// it. The tracer must be safe for concurrent Emit calls when the active
-// kernel's sharded Eval pass is enabled.
+// it.
 func WithTracer(t obs.Tracer) WorldOption {
 	return func(w *World) { w.tracer = t }
 }
@@ -250,9 +208,9 @@ const kernelTrack = "kernel"
 type World struct {
 	components []Clocked
 	quiescers  []Quiescer     // parallel to components; nil if not implemented
-	idlers     []IdleTicker   // parallel to components; nil if not implemented
 	windowers  []IdleWindower // parallel to components; nil if not implemented
 	timed      []Timed        // parallel to components; nil if not implemented
+	sleepers   []Sleeper      // parallel to components; nil if not implemented
 	skipped    []bool         // per component, skip decision of the current cycle
 	kernel     Kernel
 	cycle      uint64
@@ -264,44 +222,37 @@ type World struct {
 	skips   uint64   // Eval/Commit pairs skipped
 	evalsBy []uint64 // per-component share of evals
 	skipsBy []uint64 // per-component share of skips
+	polls   uint64   // Quiescent() polls executed
 
-	allSkipped bool       // last Step skipped every component
-	timers     timerWheel // pending WakeAt cycles (event kernel)
+	allSkipped bool       // last cycle skipped every component
+	timers     timerWheel // pending WakeAt cycles
 	ffWindows  uint64     // fast-forward windows taken
 	ffCycles   uint64     // cycles covered by fast-forward
 
-	polls uint64 // Quiescent() polls executed (all kernels)
-
-	// KernelActive state; the parallel slices are maintained under every
-	// kernel so DependsOn declarations are kernel-independent, and the
-	// per-run scratch lives in as (nil outside KernelActive). See
-	// active.go.
-	index        map[Clocked]int // component -> registration index
-	parkable     []bool          // parallel; DependsOn declared
-	sleepers     []Sleeper       // parallel; nil unless the component is a Sleeper
-	downstream   [][]int         // parallel; declared dependents
-	parked       []bool          // parallel; currently parked
-	parkedAt     []uint64        // parallel; first unsettled parked cycle
-	parkedCount  int
-	sumParkedAt  uint64 // sum of parkedAt over parked components
-	activations  uint64 // unpark count
-	parallelism  int    // WithParallelism bound; 0 = GOMAXPROCS
-	parallelEval bool   // inside the sharded Eval pass: wakes are queued
-	as           *activeState
+	// Parking state (active.go). The declarations are recorded under
+	// both kernels; only KernelActive ever parks.
+	index       map[Clocked]int // component -> registration index
+	deps        []uint8         // parallel; depParkable | depNotifies | depSleeper
+	downstream  [][]int         // parallel; declared dependents
+	fedAt       []uint64        // parallel; cycle+1 of the last upstream commit
+	live        []uint64        // bitset of unparked components
+	parkedAt    []uint64        // parallel; first unsettled parked cycle
+	parkedCount int
+	sumParkedAt uint64    // sum of parkedAt over parked components
+	activations uint64    // unpark count
+	pending     []int     // unpark requests for the next cycle
+	events      eventHeap // cached NextEvent of parked Timed components
 
 	tracer obs.Tracer // kernel event sink; nil (the default) is the fast path
 	tracks []string   // per-component track names, built lazily while tracing
 }
 
-// NewWorld returns an empty world. Without options it uses the
-// activity-tracked gated kernel.
+// NewWorld returns an empty world. Without options it runs on the
+// production kernel, KernelActive.
 func NewWorld(opts ...WorldOption) *World {
 	w := &World{index: make(map[Clocked]int)}
 	for _, o := range opts {
 		o(w)
-	}
-	if w.kernel == KernelActive {
-		w.as = &activeState{}
 	}
 	return w
 }
@@ -310,7 +261,8 @@ func NewWorld(opts ...WorldOption) *World {
 func (w *World) Kernel() Kernel { return w.kernel }
 
 // Add registers components with the world's clock. Nil components are
-// rejected so wiring bugs fail fast.
+// rejected so wiring bugs fail fast. A component Added mid-run — even
+// mid-cycle — joins the sweep at the next cycle boundary.
 func (w *World) Add(cs ...Clocked) {
 	for _, c := range cs {
 		if c == nil {
@@ -320,72 +272,48 @@ func (w *World) Add(cs ...Clocked) {
 		w.components = append(w.components, c)
 		q, _ := c.(Quiescer)
 		w.quiescers = append(w.quiescers, q)
-		it, _ := c.(IdleTicker)
-		w.idlers = append(w.idlers, it)
 		iw, _ := c.(IdleWindower)
 		w.windowers = append(w.windowers, iw)
 		td, _ := c.(Timed)
 		w.timed = append(w.timed, td)
+		sl, isSleeper := c.(Sleeper)
+		w.sleepers = append(w.sleepers, sl)
 		w.skipped = append(w.skipped, false)
 		w.evalsBy = append(w.evalsBy, 0)
 		w.skipsBy = append(w.skipsBy, 0)
-		w.parkable = append(w.parkable, false)
-		sl, _ := c.(Sleeper)
-		w.sleepers = append(w.sleepers, sl)
-		w.downstream = append(w.downstream, nil)
-		w.parked = append(w.parked, false)
-		w.parkedAt = append(w.parkedAt, 0)
-		w.index[c] = idx
-		if w.as != nil {
-			// The active kernel sweeps its own list; a component Added
-			// mid-run (even mid-cycle) joins it at the next cycle
-			// boundary, which is also when the stepping kernels first
-			// visit it.
-			w.as.joinNew = append(w.as.joinNew, idx)
+		var dep uint8
+		if isSleeper {
+			dep = depSleeper
 		}
+		w.deps = append(w.deps, dep)
+		w.downstream = append(w.downstream, nil)
+		w.fedAt = append(w.fedAt, 0)
+		w.parkedAt = append(w.parkedAt, 0)
+		if idx&63 == 0 {
+			w.live = append(w.live, 0)
+		}
+		w.live[idx>>6] |= 1 << (idx & 63)
+		w.index[c] = idx
 		if wk, ok := c.(Waker); ok {
 			wk.SetWake(w.wakeFn(idx))
 		}
 	}
 }
 
-// wakeFn builds the wake closure handed to Wakers: if the component's Eval
-// slot has already passed this cycle and it was skipped, run the missed
-// Eval now so the staged work commits this cycle, exactly as it would have
-// under the naive kernel. In every other situation the Quiescent poll
-// observes the staged work itself and the wake is a no-op — except under
-// KernelActive, where a wake also (a) queues the target when raised from
-// the sharded Eval pass, (b) unparks a parked target immediately during
-// the sweep or drain, and (c) records an unpark request for the next
-// cycle when a driver stages work between cycles. The closure captures
-// the registration index, which is stable for the world's lifetime even
-// when components are Added mid-run.
+// wakeFn builds the wake closure handed to Wakers. During the Eval phase
+// it revises a skip decision already taken this cycle (see wake); between
+// cycles it records an unpark request for a parked component, whose next
+// poll then observes the staged work. The closure captures the
+// registration index, which is stable for the world's lifetime even when
+// components are Added mid-run.
 func (w *World) wakeFn(i int) func() {
 	return func() {
-		if w.parallelEval {
-			a := w.as
-			a.wakeMu.Lock()
-			a.wakeQ = append(a.wakeQ, i)
-			a.wakeMu.Unlock()
-			return
-		}
 		if w.inEval {
-			if w.kernel == KernelActive {
-				w.wakeActiveKernel(i)
-				return
-			}
-			if i <= w.evalPos && w.skipped[i] {
-				w.skipped[i] = false
-				if w.tracer != nil {
-					w.tracer.Emit(obs.Event{Cycle: w.cycle, Scope: obs.ScopeKernel,
-						Track: w.track(i), Kind: obs.KindWake})
-				}
-				w.components[i].Eval()
-			}
+			w.wake(i)
 			return
 		}
-		if w.kernel == KernelActive && w.parked[i] {
-			w.as.pending = append(w.as.pending, i)
+		if w.isParked(i) {
+			w.pending = append(w.pending, i)
 		}
 	}
 }
@@ -416,10 +344,9 @@ func (w *World) Cycle() uint64 { return w.cycle }
 // Evals returns the number of Eval/Commit pairs executed so far.
 func (w *World) Evals() uint64 { return w.evals }
 
-// Skips returns the number of Eval/Commit pairs the activity-tracked
-// kernels skipped, including cycles covered by fast-forward and cycles
-// deferred on parked components that have not been settled yet, so the
-// count reads identically under every kernel at any time.
+// Skips returns the number of Eval/Commit pairs skipped, including cycles
+// covered by fast-forward and cycles deferred on parked components that
+// have not been settled yet, so the count reads the same at any time.
 func (w *World) Skips() uint64 { return w.skips + w.parkedPendingSkips() }
 
 // ComponentActivity returns the Eval/Commit pairs executed and skipped for
@@ -428,24 +355,25 @@ func (w *World) Skips() uint64 { return w.skips + w.parkedPendingSkips() }
 // deferred on a parked component are included.
 func (w *World) ComponentActivity(i int) (evals, skips uint64) {
 	skips = w.skipsBy[i]
-	if w.parked[i] {
+	if w.isParked(i) {
 		skips += w.cycle - w.parkedAt[i]
 	}
 	return w.evalsBy[i], skips
 }
 
-// FastForwards returns how many fast-forward windows the event kernel has
+// FastForwards returns how many fast-forward windows the kernel has
 // taken and how many cycles they covered in total.
 func (w *World) FastForwards() (windows, cycles uint64) {
 	return w.ffWindows, w.ffCycles
 }
 
-// Step advances the world by one clock cycle: Eval on every active
-// component, then Commit on every active component (IdleTick on the
-// skipped ones). Under KernelActive the cycle additionally settles every
-// parked component's deferred bookkeeping before returning, so external
-// observers of a stepped world read the same state as under the gated
-// kernel.
+// Polls returns the number of Quiescent() polls executed so far — the
+// per-cycle overhead term parking exists to shrink.
+func (w *World) Polls() uint64 { return w.polls }
+
+// Step advances the world by one clock cycle and settles every parked
+// component's deferred bookkeeping, so external observers of a stepped
+// world read the same state as under the naive kernel.
 func (w *World) Step() {
 	w.step()
 	if w.parkedCount > 0 {
@@ -453,93 +381,83 @@ func (w *World) Step() {
 	}
 }
 
-// step advances one cycle without settling parked components; Run flushes
-// once at the end instead of every cycle.
+// step advances one cycle without settling parked components; Run
+// flushes once at the end instead of every cycle.
 func (w *World) step() {
-	if w.kernel == KernelActive {
-		w.stepActive()
+	if w.kernel == KernelNaive {
+		w.stepNaive()
 		return
 	}
-	gated := w.kernel != KernelNaive
+	w.stepActive()
+}
+
+// stepNaive evaluates, then commits, every component.
+func (w *World) stepNaive() {
 	n0 := len(w.components) // components Added mid-cycle join next cycle
 	w.inEval = true
 	for i := 0; i < n0; i++ {
-		c := w.components[i]
 		w.evalPos = i
-		if gated && w.quiescers[i] != nil {
-			w.polls++
-			if w.quiescers[i].Quiescent() {
-				w.skipped[i] = true
-				continue
-			}
-		}
-		w.skipped[i] = false
-		c.Eval()
+		w.components[i].Eval()
 	}
 	w.inEval = false
-	all := len(w.components) > 0
 	for i := 0; i < n0; i++ {
-		if w.skipped[i] {
-			w.skips++
-			w.skipsBy[i]++
-			if w.idlers[i] != nil {
-				w.idlers[i].IdleTick()
-			}
-			continue
-		}
-		all = false
-		w.evals++
-		w.evalsBy[i]++
-		if w.tracer != nil {
-			w.tracer.Emit(obs.Event{Cycle: w.cycle, Scope: obs.ScopeKernel,
-				Track: w.track(i), Kind: obs.KindEval})
-		}
-		w.components[i].Commit()
+		w.commit(i)
 	}
-	if len(w.components) != n0 {
-		all = false // a mid-cycle Add must be polled before fast-forward
-	}
-	w.allSkipped = all
+	w.allSkipped = false
 	w.cycle++
 }
 
-// Run advances the world by n cycles. Under the event kernel, windows in
+// commit runs component i's Commit and counts the evaluated pair.
+func (w *World) commit(i int) {
+	w.evals++
+	w.evalsBy[i]++
+	if w.tracer != nil {
+		w.emit(i, obs.KindEval, 0)
+	}
+	w.components[i].Commit()
+}
+
+// emit traces a kernel event on component i's track. Callers check for
+// a nil tracer first as well, so untraced worlds skip the call.
+func (w *World) emit(i int, kind string, value int64) {
+	if w.tracer != nil {
+		w.tracer.Emit(obs.Event{Cycle: w.cycle, Scope: obs.ScopeKernel,
+			Track: w.track(i), Kind: kind, Value: value})
+	}
+}
+
+// Run advances the world by n cycles. Under KernelActive, windows in
 // which every component is quiescent are fast-forwarded to the next
-// pending timer, self-scheduled component event or the end of the window,
-// with the skipped cycles' idle bookkeeping replayed exactly. The active
-// kernel does the same over its active list and settles all parked
-// bookkeeping before returning.
+// pending timer, self-scheduled component event or the end of the
+// window, with the skipped cycles' idle bookkeeping replayed exactly,
+// and every parked component's bookkeeping is settled before Run
+// returns.
 func (w *World) Run(n int) {
 	if n <= 0 {
 		return
 	}
-	switch w.kernel {
-	case KernelActive:
-		w.runActive(n)
-	case KernelEvent:
-		end := w.cycle + uint64(n)
-		for w.cycle < end {
-			w.step()
-			if w.allSkipped && w.cycle < end {
-				if ff := w.horizon(end) - w.cycle; ff > 0 {
-					w.fastForward(ff)
-				}
+	end := w.cycle + uint64(n)
+	for w.cycle < end {
+		w.step()
+		if w.allSkipped && w.cycle < end {
+			if ff := w.horizon(end) - w.cycle; ff > 0 {
+				w.fastForward(ff)
 			}
 		}
-	default:
-		for i := 0; i < n; i++ {
-			w.step()
-		}
+	}
+	if w.parkedCount > 0 {
+		w.flushParked()
 	}
 }
 
 // RunUntil steps the world until the predicate returns true or maxCycles
 // elapse; it reports whether the predicate was satisfied. The predicate is
-// evaluated after each cycle, including cycles in which every component was
-// quiescent, so a wake-cycle event is observed on the cycle it happens.
-// Because the predicate may read Cycle() or any other per-cycle state, the
-// event kernel never fast-forwards inside RunUntil — the predicate is a
-// monitor, and monitors observe every cycle under every kernel.
+// evaluated after each cycle, with all parked bookkeeping settled,
+// including cycles in which every component was quiescent, so a
+// wake-cycle event is observed on the cycle it happens. Because the
+// predicate may read Cycle() or any other per-cycle state, RunUntil never
+// fast-forwards — the predicate is a monitor, and monitors observe every
+// cycle.
 func (w *World) RunUntil(pred func() bool, maxCycles int) bool {
 	for i := 0; i < maxCycles; i++ {
 		w.Step()

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // counter is a toy clocked component: a register that increments each cycle.
 type counter struct {
@@ -96,8 +99,8 @@ func TestAddNilPanics(t *testing.T) {
 }
 
 // sleeper is a quiescer with a Push/Inject-style staging mutator: Set
-// stages a value during the Eval phase, Commit latches it. IdleTick counts
-// the cycles the kernel skipped.
+// stages a value during the Eval phase, Commit latches it. IdleWindow
+// counts the cycles the kernel skipped.
 type sleeper struct {
 	cur    int
 	staged *int
@@ -114,9 +117,9 @@ func (s *sleeper) Commit() {
 		s.staged = nil
 	}
 }
-func (s *sleeper) Quiescent() bool   { return s.staged == nil }
-func (s *sleeper) IdleTick()         { s.idle++ }
-func (s *sleeper) SetWake(fn func()) { s.wake = fn }
+func (s *sleeper) Quiescent() bool     { return s.staged == nil }
+func (s *sleeper) IdleWindow(n uint64) { s.idle += n }
+func (s *sleeper) SetWake(fn func())   { s.wake = fn }
 func (s *sleeper) Set(v int) {
 	cp := v
 	s.staged = &cp
@@ -129,7 +132,7 @@ func (s *sleeper) Set(v int) {
 // re-activated by a staging mutator invoked later in the Eval phase, so the
 // staged value commits on the same clock edge as under the naive kernel.
 func TestWakeOnStagedMutation(t *testing.T) {
-	for _, k := range []Kernel{KernelGated, KernelNaive} {
+	for _, k := range []Kernel{KernelActive, KernelNaive} {
 		s := &sleeper{}
 		w := NewWorld(WithKernel(k))
 		w.Add(s) // before the stimulus: its Eval slot passes first
@@ -151,11 +154,12 @@ func TestWakeOnStagedMutation(t *testing.T) {
 	}
 }
 
-// TestIdleTickEveryskippedCycle: skipped cycles run IdleTick instead of
-// Commit, once per cycle, and active cycles run Commit.
+// TestIdleTickEverySkippedCycle: skipped cycles replay their idle
+// bookkeeping instead of Commit, once per cycle, and active cycles run
+// Commit.
 func TestIdleTickEverySkippedCycle(t *testing.T) {
 	s := &sleeper{}
-	w := NewWorld() // gated by default
+	w := NewWorld() // the production kernel by default
 	w.Add(s)
 	w.Add(&Func{OnEval: func() {
 		if w.Cycle() == 5 {
@@ -205,8 +209,9 @@ func (w *watcher) Eval() {
 		w.staged++
 	}
 }
-func (w *watcher) Commit()         { w.seen = w.staged }
-func (w *watcher) Quiescent() bool { return *w.src == 0 }
+func (w *watcher) Commit()             { w.seen = w.staged }
+func (w *watcher) Quiescent() bool     { return *w.src == 0 }
+func (w *watcher) IdleWindow(n uint64) {}
 
 // TestNeighbourCommitWakes: a quiescent component is woken by a
 // neighbour's commit making its input non-idle, on exactly the cycle the
@@ -220,20 +225,20 @@ func TestNeighbourCommitWakes(t *testing.T) {
 		w.Add(wt)
 		return w, wt
 	}
-	wg, g := run(KernelGated)
+	wa, a := run(KernelActive)
 	wn, n := run(KernelNaive)
 	for i := 0; i < 12; i++ {
-		wg.Step()
+		wa.Step()
 		wn.Step()
-		if g.seen != n.seen {
-			t.Fatalf("cycle %d: gated saw %d, naive saw %d", i, g.seen, n.seen)
+		if a.seen != n.seen {
+			t.Fatalf("cycle %d: active saw %d, naive saw %d", i, a.seen, n.seen)
 		}
 	}
-	if g.seen != 1 {
-		t.Fatalf("watcher saw %d pulses, want 1", g.seen)
+	if a.seen != 1 {
+		t.Fatalf("watcher saw %d pulses, want 1", a.seen)
 	}
-	if wg.Skips() == 0 {
-		t.Fatal("gated kernel never skipped the watcher")
+	if wa.Skips() == 0 {
+		t.Fatal("active kernel never skipped the watcher")
 	}
 }
 
@@ -258,7 +263,7 @@ func TestRunUntilFiresOnWakeCycle(t *testing.T) {
 }
 
 // TestFuncNeverSkipped: monitors and stimulus wrapped in Func run every
-// cycle under the gated kernel, even in an otherwise fully quiescent
+// cycle under the production kernel, even in an otherwise fully quiescent
 // world.
 func TestFuncNeverSkipped(t *testing.T) {
 	s := &sleeper{}
@@ -298,6 +303,100 @@ func TestEvalSeesPreEdgeState(t *testing.T) {
 	for i := range want {
 		if observed[i] != want[i] {
 			t.Fatalf("probe saw %v, want %v", observed, want)
+		}
+	}
+}
+
+// inbox is a Quiescer that is not a Waker: Post stages a value with no
+// wake call, the way the best-effort network's burst scheduler releases
+// messages into the injection queues of its pumps. Eval stamps the staged
+// values with the cycle they were evaluated in; Commit latches them.
+type inbox struct {
+	world  *World
+	staged []int
+	next   [][2]uint64
+	got    [][2]uint64 // (value, Eval cycle)
+}
+
+func (b *inbox) Post(v int) { b.staged = append(b.staged, v) }
+func (b *inbox) Eval() {
+	b.next = b.next[:0]
+	for _, v := range b.staged {
+		b.next = append(b.next, [2]uint64{uint64(v), b.world.Cycle()})
+	}
+}
+func (b *inbox) Commit() {
+	b.got = append(b.got, b.next...)
+	b.staged = b.staged[:0]
+}
+func (b *inbox) Quiescent() bool     { return len(b.staged) == 0 }
+func (b *inbox) IdleWindow(n uint64) {}
+
+// TestEarlierEvalStagesIntoLaterComponent: component 0's Eval stages work
+// into later components in the same cycle — an inbox that is polled but
+// never woken, and parked sleepers ahead of the sweep in the same and in
+// a later bitset word, which the wake returns to the active set. Each
+// must Eval and commit the staged value in the staging cycle under both
+// kernels, exactly as the naive kernel does. A kernel that polls every
+// component before running any Eval sees the inbox quiescent and
+// evaluates it one cycle late.
+func TestEarlierEvalStagesIntoLaterComponent(t *testing.T) {
+	type outcome struct {
+		got          [][2]uint64
+		near, far    int
+		nearC, farC  uint64
+		evals, skips uint64
+	}
+	run := func(k Kernel) outcome {
+		w := NewWorld(WithKernel(k))
+		box := &inbox{world: w}
+		near, far := &sleeper{}, &sleeper{}
+		w.Add(&Func{OnEval: func() {
+			switch w.Cycle() {
+			case 3:
+				box.Post(7)
+				near.Set(1)
+				far.Set(2)
+			case 9:
+				box.Post(8)
+			}
+		}})
+		w.Add(box, near)
+		w.DependsOn(near)
+		for i := 0; i < 100; i++ { // push far into the second bitset word
+			c := &tickerComp{quiet: true}
+			w.Add(c)
+			w.DependsOn(c)
+		}
+		w.Add(far)
+		w.DependsOn(far)
+		w.Run(3) // cycles 0-2: everything quiescent parks
+		if k == KernelActive && w.Parked() < 100 {
+			t.Fatalf("only %d components parked before the staging cycle", w.Parked())
+		}
+		w.Step() // cycle 3
+		o := outcome{near: near.cur, far: far.cur, nearC: near.commit, farC: far.commit}
+		w.Run(16)
+		o.got = box.got
+		o.evals, o.skips = w.Evals(), w.Skips()
+		return o
+	}
+	want := [][2]uint64{{7, 3}, {8, 9}}
+	for _, k := range []Kernel{KernelNaive, KernelActive} {
+		o := run(k)
+		if fmt.Sprint(o.got) != fmt.Sprint(want) {
+			t.Errorf("%v: inbox evaluated %v, want %v (value, cycle)", k, o.got, want)
+		}
+		if o.near != 1 || o.far != 2 {
+			t.Errorf("%v: parked sleepers committed near=%d far=%d in the staging cycle, want 1/2",
+				k, o.near, o.far)
+		}
+		if k == KernelActive && (o.nearC != 1 || o.farC != 1) {
+			t.Errorf("%v: sleepers committed %d/%d times by the staging cycle, want 1/1",
+				k, o.nearC, o.farC)
+		}
+		if o.evals+o.skips != 20*104 {
+			t.Errorf("%v: evals+skips = %d, want %d", k, o.evals+o.skips, 20*104)
 		}
 	}
 }

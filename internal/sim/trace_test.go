@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -22,7 +21,6 @@ func (p *pulser) Commit() { p.n++; p.cycle++ }
 func (p *pulser) Quiescent() bool {
 	return (p.cycle+1)%p.period != 0
 }
-func (p *pulser) IdleTick()           { p.cycle++ }
 func (p *pulser) IdleWindow(n uint64) { p.cycle += n }
 func (p *pulser) TraceName() string   { return "pulser" }
 func (p *pulser) NextEvent() (uint64, bool) {
@@ -34,7 +32,7 @@ func (p *pulser) NextEvent() (uint64, bool) {
 // fast-forward events and that an attached tracer does not change the
 // simulated outcome.
 func TestTracerKernelEvents(t *testing.T) {
-	for _, k := range []sim.Kernel{sim.KernelGated, sim.KernelNaive, sim.KernelEvent, sim.KernelActive} {
+	for _, k := range []sim.Kernel{sim.KernelNaive, sim.KernelActive} {
 		t.Run(k.String(), func(t *testing.T) {
 			run := func(tr obs.Tracer) *pulser {
 				p := &pulser{period: 8}
@@ -82,29 +80,10 @@ func TestTracerKernelEvents(t *testing.T) {
 	}
 }
 
-// TestTracerDeterministicAcrossShards: the active kernel's kernel-event
-// stream is identical for any shard count.
-func TestTracerDeterministicAcrossShards(t *testing.T) {
-	run := func(workers int) []obs.Event {
-		c := obs.NewCollector()
-		w := sim.NewWorld(sim.WithKernel(sim.KernelActive),
-			sim.WithParallelism(workers), sim.WithTracer(c))
-		// Enough components to clear the parallel cutover.
-		for i := 0; i < 300; i++ {
-			w.Add(&pulser{period: uint64(3 + i%5)})
-		}
-		w.Run(40)
-		return c.Events()
-	}
-	if !reflect.DeepEqual(run(1), run(8)) {
-		t.Fatal("active-kernel trace differs between shard counts")
-	}
-}
-
 // TestTracerTimerEvent: WakeAt is traced on the kernel track.
 func TestTracerTimerEvent(t *testing.T) {
 	c := obs.NewCollector()
-	w := sim.NewWorld(sim.WithKernel(sim.KernelEvent), sim.WithTracer(c))
+	w := sim.NewWorld(sim.WithTracer(c))
 	w.Add(&pulser{period: 1 << 60}) // effectively always idle
 	if err := w.WakeAt(5); err != nil {
 		t.Fatal(err)

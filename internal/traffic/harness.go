@@ -68,9 +68,9 @@ type sourceDriver struct {
 
 	// tracer, when non-nil, receives a domain-scope inject event per
 	// pushed word on the track name. Words are pushed on the same cycles
-	// under every kernel, so the stream is kernel-invariant; Emit may run
-	// inside the active kernel's sharded Eval pass, so the tracer must
-	// accept concurrent calls.
+	// under every kernel, so the stream is kernel-invariant. The tracer
+	// may be shared with runs on other goroutines (a sweep's cells), so
+	// it must accept concurrent calls.
 	tracer obs.Tracer
 	track  string
 	cycle  uint64
@@ -106,22 +106,16 @@ func (d *sourceDriver) done() bool {
 // words has no further work.
 func (d *sourceDriver) Quiescent() bool { return d.done() }
 
-// IdleTick implements sim.IdleTicker: a retired source accrues only its
-// local clock, which exists to cycle-stamp trace events.
-func (d *sourceDriver) IdleTick() { d.cycle++ }
-
-// IdleWindow implements sim.IdleWindower: integer bookkeeping only, so
-// one call is exactly n IdleTicks and event-kernel fast-forward stays
-// O(1).
+// IdleWindow implements sim.IdleWindower: a retired source accrues only
+// its local clock, which exists to cycle-stamp trace events.
 func (d *sourceDriver) IdleWindow(n uint64) { d.cycle += n }
 
 // sinkDriver drains a receive converter on behalf of the tile: one Pop
 // opportunity per cycle. A first-class component rather than a bare
-// sim.Func so the activity-tracked kernels can skip it while the buffer
-// is empty — Pop on an empty buffer is a no-op, so skipping is exact —
-// which lets a fully drained world (retired sources, empty converters)
-// quiesce end to end and the event kernel fast-forward to the end of the
-// run.
+// sim.Func so the kernel can skip it while the buffer is empty — Pop on
+// an empty buffer is a no-op, so skipping is exact — which lets a fully
+// drained world (retired sources, empty converters) quiesce end to end
+// and fast-forward to the end of the run.
 type sinkDriver struct {
 	rx *core.RxConverter
 
@@ -154,13 +148,8 @@ func (d *sinkDriver) TraceName() string { return d.track }
 // Quiescent implements sim.Quiescer: nothing buffered, nothing to pop.
 func (d *sinkDriver) Quiescent() bool { return d.rx.Available() == 0 }
 
-// IdleTick implements sim.IdleTicker: an empty sink accrues only its
+// IdleWindow implements sim.IdleWindower: an empty sink accrues only its
 // local clock, which exists to cycle-stamp trace events.
-func (d *sinkDriver) IdleTick() { d.cycle++ }
-
-// IdleWindow implements sim.IdleWindower: integer bookkeeping only, so
-// one call is exactly n IdleTicks and event-kernel fast-forward stays
-// O(1).
 func (d *sinkDriver) IdleWindow(n uint64) { d.cycle += n }
 
 var _ sim.Quiescer = (*sourceDriver)(nil)

@@ -10,14 +10,14 @@ import (
 	"repro/internal/stdcell"
 )
 
-// allKernels is the three-way equivalence set every runner-level test
-// compares across.
-var allKernels = []sim.Kernel{sim.KernelGated, sim.KernelNaive, sim.KernelEvent}
+// allKernels is the equivalence set every runner-level test compares
+// across: the naive oracle and the production kernel.
+var allKernels = []sim.Kernel{sim.KernelNaive, sim.KernelActive}
 
 // TestRunCircuitKernelEquivalence: the scenario runner must produce
-// identical results under all three kernels, including with a finite
-// word budget whose exhausted sources go quiescent mid-run — the case
-// where the event kernel fast-forwards the drained tail of the run.
+// identical results under both kernels, including with a finite word
+// budget whose exhausted sources go quiescent mid-run — the case where
+// the production kernel fast-forwards the drained tail of the run.
 func TestRunCircuitKernelEquivalence(t *testing.T) {
 	lib := stdcell.Default013()
 	pat := Pattern{FlipProb: 0.5, Load: 1}
@@ -101,15 +101,13 @@ func TestMeasureLatencyKernelEquivalence(t *testing.T) {
 		return lat{cr.Words, cr.Cycles.Mean(), cr.Jitter},
 			lat{pr.Words, pr.Cycles.Mean(), pr.Jitter}
 	}
-	cg, pg := measure(sim.KernelGated)
-	for _, k := range []sim.Kernel{sim.KernelNaive, sim.KernelEvent} {
-		ck, pk := measure(k)
-		if cg != ck {
-			t.Errorf("circuit latency disagrees: gated %+v %v %+v", cg, k, ck)
-		}
-		if pg != pk {
-			t.Errorf("packet latency disagrees: gated %+v %v %+v", pg, k, pk)
-		}
+	cn, pn := measure(sim.KernelNaive)
+	ca, pa := measure(sim.KernelActive)
+	if cn != ca {
+		t.Errorf("circuit latency disagrees: naive %+v active %+v", cn, ca)
+	}
+	if pn != pa {
+		t.Errorf("packet latency disagrees: naive %+v active %+v", pn, pa)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // projection pattern.PortFlows computes for the observed router. Every
 // flow is driven by an event-scheduled pattern.Source and every helper
 // component is quiescent when idle, so sparse pattern runs fast-forward
-// under sim.KernelEvent with results byte-identical to the other
-// kernels.
+// under the production kernel with results byte-identical to the naive
+// kernel.
 
 // PatternPacketWords is the payload length of a synthetic-pattern
 // packet on the packet-switched router: short packets keep the latency
@@ -138,13 +138,9 @@ func (d *tileInjector) Commit() {}
 // Quiescent implements sim.Quiescer.
 func (d *tileInjector) Quiescent() bool { return len(d.queue) == 0 }
 
-// IdleTick implements sim.IdleTicker: an empty injector accrues no
+// IdleWindow implements sim.IdleWindower: an empty injector accrues no
 // per-cycle state, so idle replay is a no-op, declared explicitly to
 // satisfy the Quiescer contract checked by nocvet.
-func (d *tileInjector) IdleTick() {}
-
-// IdleWindow implements sim.IdleWindower: any idle window replays to the
-// same no-op, keeping event-kernel fast-forward O(1).
 func (d *tileInjector) IdleWindow(n uint64) {}
 
 // flitFeeder presents queued flits on an upstream input register, one
@@ -193,13 +189,9 @@ func (d *flitFeeder) Commit() {}
 // Quiescent implements sim.Quiescer.
 func (d *flitFeeder) Quiescent() bool { return len(d.queue) == 0 && !d.dirty }
 
-// IdleTick implements sim.IdleTicker: a drained feeder accrues no
+// IdleWindow implements sim.IdleWindower: a drained feeder accrues no
 // per-cycle state, so idle replay is a no-op, declared explicitly to
 // satisfy the Quiescer contract checked by nocvet.
-func (d *flitFeeder) IdleTick() {}
-
-// IdleWindow implements sim.IdleWindower: any idle window replays to the
-// same no-op, keeping event-kernel fast-forward O(1).
 func (d *flitFeeder) IdleWindow(n uint64) {}
 
 // patternDrain pops the router's tile ejection queue, counting data
@@ -241,9 +233,6 @@ func (d *patternDrain) Commit() { d.cycle++ }
 
 // Quiescent implements sim.Quiescer: nothing ejected, nothing to drain.
 func (d *patternDrain) Quiescent() bool { return d.r.EjectedPending() == 0 }
-
-// IdleTick implements sim.IdleTicker.
-func (d *patternDrain) IdleTick() { d.cycle++ }
 
 // IdleWindow implements sim.IdleWindower.
 func (d *patternDrain) IdleWindow(n uint64) { d.cycle += n }
@@ -556,8 +545,8 @@ func (p *TDMPresenter) Eval() {
 
 // Commit implements sim.Clocked: words staged by Enqueue during this
 // cycle's Eval phase become queued — visible to the next cycle's
-// presentation — in the sequential commit sweep, so the hand-off is
-// deterministic under every kernel and any Eval shard count.
+// presentation — in the commit sweep, so the hand-off is deterministic
+// under every kernel.
 func (p *TDMPresenter) Commit() {
 	for _, f := range p.flows {
 		if len(f.staged) > 0 {
@@ -579,9 +568,6 @@ func (p *TDMPresenter) Quiescent() bool {
 	}
 	return true
 }
-
-// IdleTick implements sim.IdleTicker.
-func (p *TDMPresenter) IdleTick() { p.cycle++ }
 
 // IdleWindow implements sim.IdleWindower.
 func (p *TDMPresenter) IdleWindow(n uint64) { p.cycle += n }

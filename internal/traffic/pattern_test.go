@@ -34,13 +34,13 @@ func TestRunPacketPatternKernelEquivalence(t *testing.T) {
 		}
 		return res
 	}
-	naive, gated, event := run(sim.KernelNaive), run(sim.KernelGated), run(sim.KernelEvent)
+	naive, active := run(sim.KernelNaive), run(sim.KernelActive)
 	if naive.WordsDelivered == 0 {
 		t.Fatal("nothing delivered")
 	}
-	if !reflect.DeepEqual(naive, gated) || !reflect.DeepEqual(naive, event) {
-		t.Errorf("packet pattern results differ across kernels:\nnaive %+v\ngated %+v\nevent %+v",
-			naive, gated, event)
+	if !reflect.DeepEqual(naive, active) {
+		t.Errorf("packet pattern results differ across kernels:\nnaive  %+v\nactive %+v",
+			naive, active)
 	}
 }
 
@@ -51,7 +51,7 @@ func TestRunPacketPatternKernelEquivalence(t *testing.T) {
 func TestRunPacketPatternDepthOne(t *testing.T) {
 	pp := packetsw.DefaultParams()
 	pp.Depth = 1
-	cfg := patternRC(sim.KernelEvent)
+	cfg := patternRC(sim.KernelActive)
 	cfg.PSParams = &pp
 	res, err := RunPacketPattern(testFlows(), pattern.Injection{Proc: pattern.CBR, Rate: 0.05}, 0.5, cfg)
 	if err != nil {
@@ -71,11 +71,11 @@ func TestRunTDMPatternKernelEquivalence(t *testing.T) {
 		}
 		return res
 	}
-	naive, gated, event := run(sim.KernelNaive), run(sim.KernelGated), run(sim.KernelEvent)
+	naive, active := run(sim.KernelNaive), run(sim.KernelActive)
 	if naive.WordsDelivered == 0 {
 		t.Fatal("nothing delivered")
 	}
-	if !reflect.DeepEqual(naive, gated) || !reflect.DeepEqual(naive, event) {
+	if !reflect.DeepEqual(naive, active) {
 		t.Errorf("TDM pattern results differ across kernels")
 	}
 }
@@ -86,7 +86,7 @@ func TestRunTDMPatternAdmission(t *testing.T) {
 	ap := aethereal.DefaultParams()
 	ap.Slots = 4
 	res, err := RunTDMPattern(ap, testFlows(), pattern.Injection{Proc: pattern.Poisson, Rate: 0.5},
-		0.5, patternRC(sim.KernelEvent))
+		0.5, patternRC(sim.KernelActive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestHotspotOneZeroWeightFlows(t *testing.T) {
 	flows := pattern.PortFlows(pattern.Spatial{Kind: pattern.Hotspot, Alpha: 1},
 		16, 16, pattern.HotspotNode(16, 16), 1)
 	res, err := RunPacketPattern(flows, pattern.Injection{Proc: pattern.Bernoulli, Rate: 0.05},
-		0.5, patternRC(sim.KernelEvent))
+		0.5, patternRC(sim.KernelActive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestPatternWarmupTruncatesLatency(t *testing.T) {
 			return RunTDMPattern(aethereal.DefaultParams(), testFlows(), inj, 0.5, rc)
 		}},
 	} {
-		rc := patternRC(sim.KernelEvent)
+		rc := patternRC(sim.KernelActive)
 		full, err := fabric.run(rc)
 		if err != nil {
 			t.Fatalf("%s full: %v", fabric.name, err)
@@ -179,7 +179,7 @@ func TestPatternWarmupTruncatesLatency(t *testing.T) {
 		// Identical across kernels, auto mode included.
 		for _, auto := range []bool{false, true} {
 			var base PatternRunResult
-			for i, k := range []sim.Kernel{sim.KernelEvent, sim.KernelNaive, sim.KernelGated} {
+			for i, k := range []sim.Kernel{sim.KernelActive, sim.KernelNaive} {
 				rc := patternRC(k)
 				if auto {
 					rc.WarmupAuto = true
@@ -204,12 +204,12 @@ func TestPatternWarmupTruncatesLatency(t *testing.T) {
 
 // TestRunConfigWarmupValidation pins the config errors.
 func TestRunConfigWarmupValidation(t *testing.T) {
-	rc := patternRC(sim.KernelEvent)
+	rc := patternRC(sim.KernelActive)
 	rc.WarmupCycles = rc.Cycles
 	if err := rc.Validate(); err == nil {
 		t.Fatal("warm-up >= cycles should be rejected")
 	}
-	rc = patternRC(sim.KernelEvent)
+	rc = patternRC(sim.KernelActive)
 	rc.WarmupCycles, rc.WarmupAuto = 5, true
 	if err := rc.Validate(); err == nil {
 		t.Fatal("explicit + auto warm-up should be rejected")

@@ -37,16 +37,14 @@ type RunConfig struct {
 	// paper-default seeding (sources seeded by stream id alone).
 	Seed uint64
 	// Kernel selects the simulation kernel. The zero value is the
-	// activity-tracked gated kernel; results are byte-identical under
-	// both, so sim.KernelNaive exists for verification and benchmarking.
+	// production kernel, sim.KernelActive; results are byte-identical
+	// under both, so sim.KernelNaive exists for verification and
+	// benchmarking.
 	Kernel sim.Kernel
-	// SimWorkers bounds the goroutine pool the active kernel shards its
-	// Eval sweep over; 0 means GOMAXPROCS. The other kernels ignore it.
-	SimWorkers int
 	// WordsPerStream caps each stream source's emitted words; 0 means
 	// unlimited (the paper's open-loop scenarios). With a cap, exhausted
-	// sources go quiescent, the gated kernel retires them, and the event
-	// kernel fast-forwards the drained tail of the run.
+	// sources go quiescent, the kernel retires them and fast-forwards
+	// the drained tail of the run.
 	WordsPerStream uint64
 	// Observe, when non-nil, receives the simulation world after the run
 	// completes — kernel diagnostics (fast-forward windows, per-component
@@ -116,11 +114,10 @@ func (c RunConfig) coreParams() core.Params {
 }
 
 // worldOpts returns the simulation-world options the run configuration
-// selects: the kernel, for the active kernel the Eval parallelism, and
-// the structured-event tracer when one is attached.
+// selects: the kernel and the structured-event tracer when one is
+// attached.
 func (c RunConfig) worldOpts() []sim.WorldOption {
-	return []sim.WorldOption{sim.WithKernel(c.Kernel),
-		sim.WithParallelism(c.SimWorkers), sim.WithTracer(c.Obs.Tracer)}
+	return []sim.WorldOption{sim.WithKernel(c.Kernel), sim.WithTracer(c.Obs.Tracer)}
 }
 
 // psParams returns the packet-switched configuration to simulate.

@@ -1,8 +1,8 @@
 package repro_test
 
-// Micro-benchmarks of the activity-tracked simulation kernel: the same
-// 5×5 mesh under the gated and the naive kernel, sparse (2 streams, >80%
-// of routers idle — where skipping pays) and dense (a stream through
+// Micro-benchmarks of the simulation kernel: the same 5×5 mesh under the
+// production and the naive kernel, sparse (2 streams, >80% of routers
+// idle — where skipping and parking pay) and dense (a stream through
 // every row — the worst case for the quiescence poll). A deterministic
 // companion test pins the skip rate itself, so the speedup claim does not
 // rest on wall-clock measurements alone.
@@ -26,7 +26,7 @@ import (
 // West→East stream along each of the given rows: entering at the tile
 // port of column 0, crossing span routers, leaving at the tile port of
 // column span-1. All other routers stay unconfigured — the sparsity the
-// paper's clock gating (and the gated kernel) exploits.
+// paper's clock gating (and the production kernel) exploits.
 func buildStreamMesh(tb testing.TB, kernel sim.Kernel, w, h int, rows []int, span int, opts ...sim.WorldOption) *mesh.Mesh {
 	tb.Helper()
 	p := core.DefaultParams()
@@ -73,11 +73,11 @@ func benchMeshKernel(b *testing.B, kernel sim.Kernel, rows []int, span int) {
 	m.Run(b.N)
 }
 
-// BenchmarkMeshSparseGatedKernel: 5×5 mesh, two single-hop streams (4 of
-// 25 routers configured, the rest idle), gated kernel — the acceptance
-// benchmark; must run at least 2× faster than its naive twin.
-func BenchmarkMeshSparseGatedKernel(b *testing.B) {
-	benchMeshKernel(b, sim.KernelGated, []int{0, 2}, 2)
+// BenchmarkMeshSparseActiveKernel: 5×5 mesh, two single-hop streams (4
+// of 25 routers configured, the rest idle), production kernel — the
+// acceptance benchmark; must run at least 2× faster than its naive twin.
+func BenchmarkMeshSparseActiveKernel(b *testing.B) {
+	benchMeshKernel(b, sim.KernelActive, []int{0, 2}, 2)
 }
 
 // BenchmarkMeshSparseNaiveKernel is the evaluate-everything baseline.
@@ -86,23 +86,23 @@ func BenchmarkMeshSparseNaiveKernel(b *testing.B) {
 }
 
 // BenchmarkMeshSparseTracerNilKernel is the disabled-observability twin
-// of BenchmarkMeshSparseGatedKernel: the same mesh and streams with the
+// of BenchmarkMeshSparseActiveKernel: the same mesh and streams with the
 // tracer hook explicitly threaded through the world as nil — the
 // configuration every untraced run uses. The benchdiff -pair gate holds
 // it within 2% of its untouched twin in the same bench run, pinning the
 // obs layer's zero-overhead-when-disabled contract against host-speed
 // drift.
 func BenchmarkMeshSparseTracerNilKernel(b *testing.B) {
-	m := buildStreamMesh(b, sim.KernelGated, 5, 5, []int{0, 2}, 2, sim.WithTracer(nil))
+	m := buildStreamMesh(b, sim.KernelActive, 5, 5, []int{0, 2}, 2, sim.WithTracer(nil))
 	b.ResetTimer()
 	m.Run(b.N)
 }
 
-// BenchmarkMeshDenseGatedKernel: a stream across the full width of every
-// row; the quiescence poll runs but almost never skips — the kernel's
-// overhead bound.
-func BenchmarkMeshDenseGatedKernel(b *testing.B) {
-	benchMeshKernel(b, sim.KernelGated, []int{0, 1, 2, 3, 4}, 5)
+// BenchmarkMeshDenseActiveKernel: a stream across the full width of
+// every row; the quiescence poll runs but almost never skips — the
+// kernel's overhead bound.
+func BenchmarkMeshDenseActiveKernel(b *testing.B) {
+	benchMeshKernel(b, sim.KernelActive, []int{0, 1, 2, 3, 4}, 5)
 }
 
 // BenchmarkMeshDenseNaiveKernel is the dense baseline.
@@ -122,27 +122,27 @@ func benchScenarioKernel(b *testing.B, scenario int, k sim.Kernel) {
 	}
 }
 
-// BenchmarkScenarioIGatedKernel measures the static-offset scenario under
-// the gated kernel: the assembly is quiescent every cycle, only the meter
-// tick remains.
-func BenchmarkScenarioIGatedKernel(b *testing.B) { benchScenarioKernel(b, 0, sim.KernelGated) }
+// BenchmarkScenarioIActiveKernel measures the static-offset scenario
+// under the production kernel: the assembly is quiescent every cycle,
+// only the meter tick remains.
+func BenchmarkScenarioIActiveKernel(b *testing.B) { benchScenarioKernel(b, 0, sim.KernelActive) }
 
 // BenchmarkScenarioINaiveKernel is its evaluate-everything baseline.
 func BenchmarkScenarioINaiveKernel(b *testing.B) { benchScenarioKernel(b, 0, sim.KernelNaive) }
 
-// BenchmarkScenarioIVGatedKernel measures the fully loaded scenario under
-// the gated kernel (nothing to skip; overhead bound).
-func BenchmarkScenarioIVGatedKernel(b *testing.B) { benchScenarioKernel(b, 3, sim.KernelGated) }
+// BenchmarkScenarioIVActiveKernel measures the fully loaded scenario
+// under the production kernel (nothing to skip; overhead bound).
+func BenchmarkScenarioIVActiveKernel(b *testing.B) { benchScenarioKernel(b, 3, sim.KernelActive) }
 
 // BenchmarkScenarioIVNaiveKernel is its baseline.
 func BenchmarkScenarioIVNaiveKernel(b *testing.B) { benchScenarioKernel(b, 3, sim.KernelNaive) }
 
 // TestSparseMeshSkipRate pins the property behind the benchmark numbers
 // deterministically: on the sparse 5×5 mesh (two single-hop streams, 21
-// of 25 routers unconfigured) the gated kernel must skip more than 75%
-// of all component visits, and the streams must still flow.
+// of 25 routers unconfigured) the production kernel must skip more than
+// 75% of all component visits, and the streams must still flow.
 func TestSparseMeshSkipRate(t *testing.T) {
-	m := buildStreamMesh(t, sim.KernelGated, 5, 5, []int{0, 2}, 2)
+	m := buildStreamMesh(t, sim.KernelActive, 5, 5, []int{0, 2}, 2)
 	const cycles = 2000
 	m.Run(cycles)
 	w := m.World()
@@ -151,12 +151,12 @@ func TestSparseMeshSkipRate(t *testing.T) {
 		t.Fatal("no component visits recorded")
 	}
 	if frac := float64(w.Skips()) / float64(total); frac < 0.75 {
-		t.Fatalf("gated kernel skipped only %.0f%% of visits (evals=%d skips=%d)",
+		t.Fatalf("active kernel skipped only %.0f%% of visits (evals=%d skips=%d)",
 			frac*100, w.Evals(), w.Skips())
 	}
 	for _, y := range []int{0, 2} {
 		if got := m.At(mesh.Coord{X: 1, Y: y}).Rx[0].Received(); got == 0 {
-			t.Fatalf("row %d delivered nothing under the gated kernel", y)
+			t.Fatalf("row %d delivered nothing under the active kernel", y)
 		}
 	}
 }
@@ -193,25 +193,23 @@ func TestBENetKernelEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	g := run(sim.KernelGated)
-	if len(g) == 0 {
+	n := run(sim.KernelNaive)
+	if len(n) == 0 {
 		t.Fatal("no deliveries")
 	}
-	for _, k := range []sim.Kernel{sim.KernelNaive, sim.KernelEvent} {
-		o := run(k)
-		if len(g) != len(o) {
-			t.Fatalf("delivery counts differ: gated %d %v %d", len(g), k, len(o))
-		}
-		for i := range g {
-			if g[i] != o[i] {
-				t.Fatalf("delivery %d differs: gated %+v %v %+v", i, g[i], k, o[i])
-			}
+	a := run(sim.KernelActive)
+	if len(n) != len(a) {
+		t.Fatalf("delivery counts differ: naive %d active %d", len(n), len(a))
+	}
+	for i := range n {
+		if n[i] != a[i] {
+			t.Fatalf("delivery %d differs: naive %+v active %+v", i, n[i], a[i])
 		}
 	}
 }
 
 // TestStreamMeshKernelEquivalence: the mesh harness delivers identical
-// word counts under all three kernels, for both the sparse and the
+// word counts under both kernels, for both the sparse and the
 // mesh-crossing stream shapes.
 func TestStreamMeshKernelEquivalence(t *testing.T) {
 	for _, span := range []int{2, 5} {
@@ -223,11 +221,8 @@ func TestStreamMeshKernelEquivalence(t *testing.T) {
 				m.At(mesh.Coord{X: span - 1, Y: 2}).Rx[0].Received(),
 			}
 		}
-		g := counts(sim.KernelGated)
-		for _, k := range []sim.Kernel{sim.KernelNaive, sim.KernelEvent} {
-			if o := counts(k); g != o {
-				t.Fatalf("span %d: kernels disagree: gated %v %v %v", span, g, k, o)
-			}
+		if n, a := counts(sim.KernelNaive), counts(sim.KernelActive); n != a {
+			t.Fatalf("span %d: kernels disagree: naive %v active %v", span, n, a)
 		}
 	}
 }
@@ -235,7 +230,8 @@ func TestStreamMeshKernelEquivalence(t *testing.T) {
 // benchFiniteWorkload runs the retired-source finite workload: scenario
 // IV with a 100-word budget per stream inside a 20000-cycle window. The
 // sources retire within ~600 cycles; the remaining ~97% of the run is
-// dead time the event kernel fast-forwards and the others poll through.
+// dead time the production kernel fast-forwards and the naive kernel
+// steps through.
 func benchFiniteWorkload(b *testing.B, k sim.Kernel) {
 	sc := traffic.Scenarios()[3]
 	pat := traffic.Pattern{FlipProb: 0.5, Load: 1}
@@ -249,14 +245,10 @@ func benchFiniteWorkload(b *testing.B, k sim.Kernel) {
 	}
 }
 
-// BenchmarkFiniteWorkloadEventKernel is the acceptance benchmark for the
-// event kernel: it must beat its gated twin by at least 5x on this
-// workload (see TestFiniteWorkloadFastForward for the deterministic
+// BenchmarkFiniteWorkloadActiveKernel is the acceptance benchmark for
+// fast-forward (see TestFiniteWorkloadFastForward for the deterministic
 // counterpart of the claim).
-func BenchmarkFiniteWorkloadEventKernel(b *testing.B) { benchFiniteWorkload(b, sim.KernelEvent) }
-
-// BenchmarkFiniteWorkloadGatedKernel is the per-cycle-polling baseline.
-func BenchmarkFiniteWorkloadGatedKernel(b *testing.B) { benchFiniteWorkload(b, sim.KernelGated) }
+func BenchmarkFiniteWorkloadActiveKernel(b *testing.B) { benchFiniteWorkload(b, sim.KernelActive) }
 
 // BenchmarkFiniteWorkloadNaiveKernel is the evaluate-everything baseline.
 func BenchmarkFiniteWorkloadNaiveKernel(b *testing.B) { benchFiniteWorkload(b, sim.KernelNaive) }
@@ -284,23 +276,20 @@ func benchBEBurst(b *testing.B, k sim.Kernel) {
 	}
 }
 
-// BenchmarkBEBurstEventKernel measures the scheduled-burst case the
-// ROADMAP names: timer-based wake lets the BE network skip whole idle
-// windows between configuration bursts.
-func BenchmarkBEBurstEventKernel(b *testing.B) { benchBEBurst(b, sim.KernelEvent) }
-
-// BenchmarkBEBurstGatedKernel is the per-cycle-polling baseline.
-func BenchmarkBEBurstGatedKernel(b *testing.B) { benchBEBurst(b, sim.KernelGated) }
+// BenchmarkBEBurstActiveKernel measures the scheduled-burst case: the
+// scheduler's NextEvent lets the BE network skip whole idle windows
+// between configuration bursts.
+func BenchmarkBEBurstActiveKernel(b *testing.B) { benchBEBurst(b, sim.KernelActive) }
 
 // benchPattern16 runs the acceptance pattern workload: a sparse
 // (0.05 flits/cycle/node) 16×16 uniform-random pattern whose flows
 // retire after 4 words inside a 20000-cycle window. The sources drain
 // within the first few hundred cycles; the rest of the run is dead time
-// the event kernel fast-forwards while the gated kernel polls all ~700
-// components through it. The acceptance claim (event ≥5× gated here)
-// is pinned deterministically by TestPatternSparse16x16EventSpeedup in
-// the noc package; this benchmark provides the wall-clock numbers for
-// the BENCH_ci artifact.
+// the production kernel fast-forwards. The acceptance claim (≥5× fewer
+// visits than polling every component through it) is pinned
+// deterministically by TestPatternSparse16x16EventSpeedup in the noc
+// package; this benchmark provides the wall-clock numbers for the
+// BENCH_ci artifact.
 func benchPattern16(b *testing.B, k sim.Kernel) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -320,24 +309,20 @@ func benchPattern16(b *testing.B, k sim.Kernel) {
 	}
 }
 
-// BenchmarkPattern16x16EventKernel is the event-kernel side of the
-// pattern acceptance comparison.
-func BenchmarkPattern16x16EventKernel(b *testing.B) { benchPattern16(b, sim.KernelEvent) }
-
-// BenchmarkPattern16x16GatedKernel is the per-cycle-polling baseline.
-func BenchmarkPattern16x16GatedKernel(b *testing.B) { benchPattern16(b, sim.KernelGated) }
+// BenchmarkPattern16x16ActiveKernel is the production-kernel side of
+// the pattern acceptance comparison.
+func BenchmarkPattern16x16ActiveKernel(b *testing.B) { benchPattern16(b, sim.KernelActive) }
 
 // benchPatternHotspot runs the admission-limited sparse hotspot
 // pattern under the given kernel: hotspot:1 routes every flow at the
 // mesh centre, whose lanes admit only a handful, so most of the mesh
 // holds no circuit and latches asleep. The continuous low-rate
-// injection never drains, so the event kernel cannot fast-forward and
-// must poll the full component sweep every cycle — while the active
-// kernel parks the dormant assemblies and sweeps only the live rim.
-// TestPatternSparse16x16ActivePolls (noc package) pins the ≥5× poll
-// reduction deterministically; these benchmarks record the wall-clock
-// counterpart at both mesh scales.
-func benchPatternHotspot(b *testing.B, w, h, cycles int, k sim.Kernel, workers int) {
+// injection never drains, so the world cannot fast-forward — the
+// production kernel parks the dormant assemblies and sweeps only the
+// live rim. TestPatternSparse16x16ActivePolls (noc package) pins the
+// ≥5× poll reduction deterministically; these benchmarks record the
+// wall-clock counterpart at both mesh scales.
+func benchPatternHotspot(b *testing.B, w, h, cycles int, k sim.Kernel) {
 	for i := 0; i < b.N; i++ {
 		res, err := mesh.RunPattern(mesh.PatternConfig{
 			W: w, H: h, Cycles: cycles, FreqMHz: 25,
@@ -345,7 +330,6 @@ func benchPatternHotspot(b *testing.B, w, h, cycles int, k sim.Kernel, workers i
 			Spatial:   pattern.Spatial{Kind: pattern.Hotspot, Alpha: 1},
 			Injection: pattern.Injection{Proc: pattern.Bernoulli, Rate: 0.05},
 			FlipProb:  0.5, Seed: 9, Kernel: k,
-			SimWorkers: workers,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -356,34 +340,15 @@ func benchPatternHotspot(b *testing.B, w, h, cycles int, k sim.Kernel, workers i
 	}
 }
 
-// BenchmarkHotspot16x16ActiveKernel is the active-kernel side of the
-// 16×16 parked-list comparison (worker pool at GOMAXPROCS).
+// BenchmarkHotspot16x16ActiveKernel is the 16×16 parked-set benchmark.
 func BenchmarkHotspot16x16ActiveKernel(b *testing.B) {
-	benchPatternHotspot(b, 16, 16, 10000, sim.KernelActive, 0)
+	benchPatternHotspot(b, 16, 16, 10000, sim.KernelActive)
 }
 
-// BenchmarkHotspot16x16EventKernel is its full-sweep baseline.
-func BenchmarkHotspot16x16EventKernel(b *testing.B) {
-	benchPatternHotspot(b, 16, 16, 10000, sim.KernelEvent, 0)
-}
-
-// BenchmarkHotspot64x64ActiveKernel is the acceptance benchmark at the
-// large scale: 4096 assemblies, nearly all parked. It must beat its
-// event twin by ≥4× wall-clock (the parked list alone delivers that
-// serially; the sharded Eval widens it on multi-core runners).
+// BenchmarkHotspot64x64ActiveKernel is the benchmark at the large scale:
+// 4096 assemblies, nearly all parked.
 func BenchmarkHotspot64x64ActiveKernel(b *testing.B) {
-	benchPatternHotspot(b, 64, 64, 20000, sim.KernelActive, 0)
-}
-
-// BenchmarkHotspot64x64ActiveSerialKernel pins the workers=1
-// configuration, isolating the parked-list win from the sharding win.
-func BenchmarkHotspot64x64ActiveSerialKernel(b *testing.B) {
-	benchPatternHotspot(b, 64, 64, 20000, sim.KernelActive, 1)
-}
-
-// BenchmarkHotspot64x64EventKernel is the 64×64 full-sweep baseline.
-func BenchmarkHotspot64x64EventKernel(b *testing.B) {
-	benchPatternHotspot(b, 64, 64, 20000, sim.KernelEvent, 0)
+	benchPatternHotspot(b, 64, 64, 20000, sim.KernelActive)
 }
 
 // BenchmarkHotspot64x64ShortActiveKernel pins the short-run case where
@@ -393,7 +358,7 @@ func BenchmarkHotspot64x64EventKernel(b *testing.B) {
 // mesh-radius routes, which cut this benchmark ~3× — the fixed cost
 // every cell of a short-cycle sweep pays.
 func BenchmarkHotspot64x64ShortActiveKernel(b *testing.B) {
-	benchPatternHotspot(b, 64, 64, 500, sim.KernelActive, 1)
+	benchPatternHotspot(b, 64, 64, 500, sim.KernelActive)
 }
 
 // benchPatternSource measures one event-scheduled source alone: the
@@ -407,29 +372,31 @@ func benchPatternSource(b *testing.B, k sim.Kernel, inj pattern.Injection) {
 	w.Run(b.N)
 }
 
-// BenchmarkPatternSourcePoissonEventKernel: a sparse Poisson source
-// under the event kernel fast-forwards between arrivals.
-func BenchmarkPatternSourcePoissonEventKernel(b *testing.B) {
-	benchPatternSource(b, sim.KernelEvent, pattern.Injection{Proc: pattern.Poisson, Rate: 0.01})
+// BenchmarkPatternSourcePoissonActiveKernel: a sparse Poisson source
+// under the production kernel fast-forwards between arrivals.
+func BenchmarkPatternSourcePoissonActiveKernel(b *testing.B) {
+	benchPatternSource(b, sim.KernelActive, pattern.Injection{Proc: pattern.Poisson, Rate: 0.01})
 }
 
-// BenchmarkPatternSourcePoissonGatedKernel polls the same source every
-// cycle.
-func BenchmarkPatternSourcePoissonGatedKernel(b *testing.B) {
-	benchPatternSource(b, sim.KernelGated, pattern.Injection{Proc: pattern.Poisson, Rate: 0.01})
-}
-
-// BenchmarkPatternSourceOnOffEventKernel: the bursty two-state process,
+// BenchmarkPatternSourceOnOffActiveKernel: the bursty two-state process,
 // where fast-forward windows alternate with back-to-back bursts.
-func BenchmarkPatternSourceOnOffEventKernel(b *testing.B) {
-	benchPatternSource(b, sim.KernelEvent, pattern.Injection{Proc: pattern.OnOff, Rate: 0.05, Burstiness: 8})
+func BenchmarkPatternSourceOnOffActiveKernel(b *testing.B) {
+	benchPatternSource(b, sim.KernelActive, pattern.Injection{Proc: pattern.OnOff, Rate: 0.05, Burstiness: 8})
 }
 
-// TestFiniteWorkloadFastForward pins the property behind the ≥5x
-// benchmark deterministically, so the claim does not rest on wall-clock
-// noise: on the finite workload the event kernel must cover >90% of all
-// cycles with fast-forward windows, execute <20% of the gated kernel's
-// per-component visits, and still deliver identical results.
+// gatedKernelVisits is the component visit count of the finite workload
+// below under the retired gated kernel, which polled all 7 components on
+// every one of the 20000 cycles — measured on that kernel before it was
+// folded into the production kernel, and pinned here as the bound's
+// reference.
+const gatedKernelVisits = 140000
+
+// TestFiniteWorkloadFastForward pins the property behind the finite
+// workload benchmark deterministically, so the claim does not rest on
+// wall-clock noise: on the finite workload the production kernel must
+// cover >90% of all cycles with fast-forward windows, execute <20% of
+// the per-cycle polling kernel's component visits (gatedKernelVisits),
+// and still deliver the naive kernel's results.
 func TestFiniteWorkloadFastForward(t *testing.T) {
 	sc := traffic.Scenarios()[3]
 	pat := traffic.Pattern{FlipProb: 0.5, Load: 1}
@@ -455,16 +422,16 @@ func TestFiniteWorkloadFastForward(t *testing.T) {
 		st.res = res
 		return st
 	}
-	ev, gt := run(sim.KernelEvent), run(sim.KernelGated)
-	if !reflect.DeepEqual(ev.res, gt.res) {
-		t.Fatalf("kernels disagree:\nevent: %+v\ngated: %+v", ev.res, gt.res)
+	ac, nv := run(sim.KernelActive), run(sim.KernelNaive)
+	if !reflect.DeepEqual(ac.res, nv.res) {
+		t.Fatalf("kernels disagree:\nactive: %+v\nnaive:  %+v", ac.res, nv.res)
 	}
-	if frac := float64(ev.ffCycles) / float64(ev.cycles); frac < 0.9 {
-		t.Fatalf("event kernel fast-forwarded only %.0f%% of the run (%d of %d cycles)",
-			frac*100, ev.ffCycles, ev.cycles)
+	if frac := float64(ac.ffCycles) / float64(ac.cycles); frac < 0.9 {
+		t.Fatalf("active kernel fast-forwarded only %.0f%% of the run (%d of %d cycles)",
+			frac*100, ac.ffCycles, ac.cycles)
 	}
-	if ev.visits*5 > gt.visits {
-		t.Fatalf("event kernel visited %d component slots, gated %d — less than the 5x reduction the benchmark claims",
-			ev.visits, gt.visits)
+	if ac.visits*5 > gatedKernelVisits {
+		t.Fatalf("active kernel visited %d component slots, per-cycle polling %d — less than the 5x reduction the benchmark claims",
+			ac.visits, gatedKernelVisits)
 	}
 }

@@ -65,8 +65,8 @@ func codeFingerprint() string {
 }
 
 // fabricKeyMaterial is the result-relevant fabric configuration, fully
-// resolved. Kernel and SimWorkers are deliberately absent (results are
-// byte-identical across them); the test-only world observer disables
+// resolved. The kernel is deliberately absent (results are
+// byte-identical across kernels); the test-only world observer disables
 // caching instead of participating in the key.
 type fabricKeyMaterial struct {
 	Lanes        int    `json:"lanes"`

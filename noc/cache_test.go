@@ -127,12 +127,9 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 	withTestFingerprint(t, "test-fingerprint-1")
 
-	// Deliberate exclusions: kernel and worker count.
+	// Deliberate exclusion: the kernel.
 	if k := cellKey(KindCircuit, makeConfig([]Option{WithKernel(KernelNaive)}), base); k != baseKey {
 		t.Error("kernel choice changes the key; cross-kernel byte-identity makes it shareable")
-	}
-	if k := cellKey(KindCircuit, makeConfig([]Option{WithParallelism(4)}), base); k != baseKey {
-		t.Error("worker bound changes the key; results are byte-identical at any worker count")
 	}
 }
 

@@ -76,7 +76,6 @@ func (f *circuitFabric) run(cfg config, sc Scenario) (*Result, error) {
 		Lib: cfg.mustLib(), Gated: cfg.gated,
 		Params: cfg.coreParams(), Seed: sc.Seed,
 		Kernel:         cfg.simKernel(),
-		SimWorkers:     cfg.parallelism,
 		WordsPerStream: sc.WordsPerStream,
 		Observe:        cfg.observeKernel(),
 		Obs:            cfg.obs,

@@ -24,17 +24,16 @@ func kernelCases() []kernelCase {
 	}
 }
 
-// allKernels is the four-way equivalence set: the gated kernel is the
-// reference, and the naive, event and active kernels must match it
-// byte for byte.
-var allKernels = []Kernel{KernelGated, KernelNaive, KernelEvent, KernelActive}
+// allKernels is the equivalence set: the naive oracle is the reference,
+// and the production kernel must match it byte for byte.
+var allKernels = []Kernel{KernelNaive, KernelActive}
 
-// TestKernelEquivalenceScenarios: the activity-tracked kernels must
-// produce byte-identical Result JSON to the naive kernel on every paper
+// TestKernelEquivalenceScenarios: the production kernel must produce
+// byte-identical Result JSON to the naive kernel on every paper
 // scenario, every fabric, with and without the clock-gating ablation —
-// the contract the CI naive/gated/event byte-compare enforces end to
-// end. A finite variant (WordsPerStream) adds the retired-source case,
-// where the event kernel fast-forwards the drained tail of the run.
+// the contract the CI naive-vs-default byte-compare enforces end to end.
+// A finite variant (WordsPerStream) adds the retired-source case, where
+// the production kernel fast-forwards the drained tail of the run.
 func TestKernelEquivalenceScenarios(t *testing.T) {
 	scenarios := PaperScenarios()
 	finite, err := PaperScenario("IV")
@@ -111,42 +110,37 @@ func TestKernelEquivalenceWaveform(t *testing.T) {
 		t.Fatal(err)
 	}
 	if wf.Cycles == 0 || len(wf.VCD) == 0 {
-		t.Fatal("empty capture under the gated kernel")
+		t.Fatal("empty capture under the production kernel")
 	}
 	// The capture must show the word serializing on both probes: skipping
 	// the assembly before its cycle-2 configuration must not lose edges.
 	for _, sig := range wf.Signals {
 		if sig.Transitions == 0 {
-			t.Errorf("probe %s recorded no transitions under the gated kernel", sig.Name)
+			t.Errorf("probe %s recorded no transitions under the production kernel", sig.Name)
 		}
 	}
 }
 
 // TestParseKernel covers the kernel name resolution used by nocbench and
-// the sweep spec: the empty string selects the event-kernel default,
-// every name round-trips, and unknown names are rejected with an error
-// that lists the valid kernels.
+// the sweep spec: the empty string and the deprecated spellings "gated"
+// and "event" select the production-kernel default, every name
+// round-trips, and unknown names are rejected with an error that lists
+// the valid kernels.
 func TestParseKernel(t *testing.T) {
-	for _, s := range []string{"", "event"} {
+	for _, s := range []string{"", "active", "gated", "event"} {
 		k, err := ParseKernel(s)
-		if err != nil || k != KernelEvent {
-			t.Fatalf("ParseKernel(%q) = %v, %v (event is the default)", s, k, err)
+		if err != nil || k != KernelActive {
+			t.Fatalf("ParseKernel(%q) = %v, %v (active is the default)", s, k, err)
 		}
-	}
-	if k, err := ParseKernel("gated"); err != nil || k != KernelGated {
-		t.Fatalf("ParseKernel(gated) = %v, %v", k, err)
 	}
 	if k, err := ParseKernel("naive"); err != nil || k != KernelNaive {
 		t.Fatalf("ParseKernel(naive) = %v, %v", k, err)
-	}
-	if k, err := ParseKernel("active"); err != nil || k != KernelActive {
-		t.Fatalf("ParseKernel(active) = %v, %v", k, err)
 	}
 	_, err := ParseKernel("warp")
 	if err == nil {
 		t.Fatal("ParseKernel accepted an unknown kernel")
 	}
-	for _, name := range []string{"gated", "naive", "event", "active"} {
+	for _, name := range []string{"active", "naive"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("ParseKernel error %q does not list %q", err, name)
 		}

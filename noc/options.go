@@ -16,54 +16,34 @@ import (
 type Kernel string
 
 const (
-	// KernelGated is the activity-tracked kernel: quiescent components
-	// — unconfigured routers, drained converters, exhausted sources —
-	// are skipped each cycle, with results byte-identical to
-	// KernelNaive. The software analogue of the paper's clock gating.
-	KernelGated Kernel = "gated"
-	// KernelNaive evaluates every component every cycle. It exists for
-	// verification (the CI byte-compare) and benchmarking the speedup.
-	KernelNaive Kernel = "naive"
-	// KernelEvent is the event-driven scheduler (the default): per
-	// cycle it matches the gated kernel, and additionally fast-forwards
-	// whole windows in which every component is quiescent — sparse
-	// pattern sources, retired finite workloads, the dead time between
-	// scheduled BE bursts — replaying idle bookkeeping in O(components)
-	// instead of O(components·cycles). Results stay byte-identical to
-	// both other kernels, which is why it can be the default: with
-	// every stimulus now a first-class quiescent component (no
-	// every-cycle Func channel drivers remain), fast-forward engages
-	// whenever the world is genuinely idle and costs nothing when it
-	// is not.
-	KernelEvent Kernel = "event"
-	// KernelActive keeps explicit active/parked component lists: a
-	// component that is provably inert until external stimulus — parked
-	// routers, drained converters, self-scheduled sources between
-	// emissions — leaves the per-cycle sweep entirely and is
-	// re-activated by the event that touches it. The remaining active
-	// list's Eval sweep is sharded across a bounded goroutine pool
-	// (WithParallelism). Results stay byte-identical to the other
-	// kernels for every worker count.
+	// KernelActive is the production kernel and the default: quiescent
+	// components — unconfigured routers, drained converters, sources
+	// between emissions — are skipped each cycle, provably inert ones are
+	// parked out of the per-cycle sweep until the event that touches
+	// them, and windows in which every component is quiescent are
+	// fast-forwarded. The software analogue of the paper's clock gating;
+	// results are byte-identical to KernelNaive.
 	KernelActive Kernel = "active"
+	// KernelNaive evaluates every component every cycle. It is the oracle
+	// the production kernel is checked against (the CI byte-compares)
+	// and the baseline its speedup is measured from.
+	KernelNaive Kernel = "naive"
 )
 
-// ParseKernel resolves a kernel name; the empty string means the
-// default event kernel. Unknown names are rejected with the valid
+// ParseKernel resolves a kernel name; the empty string means the default,
+// KernelActive. "gated" and "event", the names of two kernels since
+// folded into the production kernel, are accepted as deprecated
+// spellings of the default. Unknown names are rejected with the valid
 // kernels listed — a typoed kernel fails loudly instead of silently
 // running the default.
 func ParseKernel(s string) (Kernel, error) {
 	switch Kernel(s) {
-	case "", KernelEvent:
-		return KernelEvent, nil
-	case KernelGated:
-		return KernelGated, nil
+	case "", KernelActive, "gated", "event":
+		return KernelActive, nil
 	case KernelNaive:
 		return KernelNaive, nil
-	case KernelActive:
-		return KernelActive, nil
 	default:
-		return "", fmt.Errorf("noc: unknown kernel %q (have %s, %s, %s, %s)",
-			s, KernelGated, KernelNaive, KernelEvent, KernelActive)
+		return "", fmt.Errorf("noc: unknown kernel %q (have %s, %s)", s, KernelActive, KernelNaive)
 	}
 }
 
@@ -87,8 +67,7 @@ type config struct {
 	corner       string // library corner: "nominal" (default) or "hvt"
 	latencyWords int    // latency sample count; -1 default, 0 disables
 	traceCycles  int    // workload runs: VCD capture depth for node (0,0)
-	kernel       Kernel // simulation kernel; "" means event
-	parallelism  int    // active kernel: Eval shard pool; 0 means GOMAXPROCS
+	kernel       Kernel // simulation kernel; "" means active
 
 	worldObserver func(*sim.World) // test hook: kernel diagnostics after a run
 
@@ -154,20 +133,12 @@ func WithLatencyWords(n int) Option { return func(c *config) { c.latencyWords = 
 // Result.NodeVCD. Zero (the default) disables tracing.
 func WithNodeTrace(cycles int) Option { return func(c *config) { c.traceCycles = cycles } }
 
-// WithKernel selects the simulation kernel (default KernelEvent).
-// Results are byte-identical under all kernels; they differ only in
-// speed. The gated kernel skips quiescent components cycle by cycle;
-// the event kernel additionally fast-forwards fully idle windows, which
-// pays on sparse pattern runs, finite workloads (WordsPerStream) and
-// scheduled bursts. The naive kernel evaluates everything and exists
-// for verification.
+// WithKernel selects the simulation kernel (default KernelActive).
+// Results are byte-identical under both kernels; they differ only in
+// speed. The naive kernel evaluates everything and exists for
+// verification. Every simulation is single-threaded; parallelism comes
+// from the sweep pool, one run per worker.
 func WithKernel(k Kernel) Option { return func(c *config) { c.kernel = k } }
-
-// WithParallelism bounds the goroutine pool KernelActive shards its
-// Eval sweep over: 1 keeps the simulation single-threaded, 0 (the
-// default) means GOMAXPROCS. Results are byte-identical for every
-// value; the other kernels ignore it.
-func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
 // WithCache enables the content-addressed result cache: every single
 // run (including each replication of a replicated run) is keyed by a
@@ -348,27 +319,20 @@ func (c config) latencySamples() int {
 
 // simKernel maps the facade's kernel choice onto the kernel type the
 // internal simulation worlds take. Unknown names cannot reach here:
-// validate rejects them via ParseKernel before any world is built.
+// validate rejects them via ParseKernel before any world is built, and
+// every other accepted name means the production kernel.
 func (c config) simKernel() sim.Kernel {
-	switch c.kernel {
-	case KernelNaive:
+	if c.kernel == KernelNaive {
 		return sim.KernelNaive
-	case KernelGated:
-		return sim.KernelGated
-	case KernelActive:
-		return sim.KernelActive
-	default:
-		return sim.KernelEvent
 	}
+	return sim.KernelActive
 }
 
 // worldOpts returns the simulation-world options the fabric's worlds
-// are built with: the kernel choice, the active kernel's Eval
-// parallelism bound, and the structured-event tracer when one is
-// attached.
+// are built with: the kernel choice and the structured-event tracer
+// when one is attached.
 func (c config) worldOpts() []sim.WorldOption {
-	return []sim.WorldOption{sim.WithKernel(c.simKernel()),
-		sim.WithParallelism(c.parallelism), sim.WithTracer(c.obs.Tracer)}
+	return []sim.WorldOption{sim.WithKernel(c.simKernel()), sim.WithTracer(c.obs.Tracer)}
 }
 
 // observeKernel builds the Observe hook the runners install on their

@@ -66,7 +66,7 @@ func (f *packetFabric) run(cfg config, sc Scenario) (*Result, error) {
 	rc := traffic.RunConfig{
 		Cycles: sc.Cycles, FreqMHz: sc.FreqMHz,
 		Lib: cfg.mustLib(), PSParams: cfg.psParams(),
-		Seed: sc.Seed, Kernel: cfg.simKernel(), SimWorkers: cfg.parallelism,
+		Seed: sc.Seed, Kernel: cfg.simKernel(),
 		WordsPerStream: sc.WordsPerStream,
 		Observe:        cfg.observeKernel(),
 		Obs:            cfg.obs,

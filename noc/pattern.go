@@ -32,7 +32,6 @@ func runCircuitPattern(cfg config, sc Scenario) (*Result, error) {
 		FlipProb: sc.Data.FlipProb,
 		Seed:     sc.Seed, WordsPerFlow: sc.WordsPerStream,
 		Params: cfg.coreParams(), Kernel: cfg.simKernel(),
-		SimWorkers:    cfg.parallelism,
 		Observe:       cfg.observeKernel(),
 		WarmupCycles:  sc.WarmupCycles,
 		WarmupAuto:    sc.WarmupAuto,
@@ -98,7 +97,7 @@ func runPacketPattern(cfg config, sc Scenario) (*Result, error) {
 	rc := traffic.RunConfig{
 		Cycles: sc.Cycles, FreqMHz: sc.FreqMHz,
 		Lib: cfg.mustLib(), PSParams: cfg.psParams(),
-		Seed: sc.Seed, Kernel: cfg.simKernel(), SimWorkers: cfg.parallelism,
+		Seed: sc.Seed, Kernel: cfg.simKernel(),
 		WordsPerStream: sc.WordsPerStream,
 		Observe:        cfg.observeKernel(),
 		WarmupCycles:   sc.WarmupCycles, WarmupAuto: sc.WarmupAuto,
@@ -123,7 +122,7 @@ func runTDMPattern(cfg config, sc Scenario) (*Result, error) {
 	rc := traffic.RunConfig{
 		Cycles: sc.Cycles, FreqMHz: sc.FreqMHz,
 		Lib:  cfg.mustLib(),
-		Seed: sc.Seed, Kernel: cfg.simKernel(), SimWorkers: cfg.parallelism,
+		Seed: sc.Seed, Kernel: cfg.simKernel(),
 		WordsPerStream: sc.WordsPerStream,
 		Observe:        cfg.observeKernel(),
 		WarmupCycles:   sc.WarmupCycles, WarmupAuto: sc.WarmupAuto,

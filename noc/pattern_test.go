@@ -67,40 +67,28 @@ func TestPatternScenarioAllFabrics(t *testing.T) {
 }
 
 // TestPatternKernelEquivalence: pattern runs are byte-identical across
-// the three kernels on every fabric.
+// the naive and production kernels on every fabric.
 func TestPatternKernelEquivalence(t *testing.T) {
 	sc := patternScenario()
 	build := []func(...Option) Fabric{CircuitSwitched, PacketSwitched, AetherealTDM}
 	for _, mk := range build {
 		naive := runJSON(t, mk(WithKernel(KernelNaive)), sc)
-		gated := runJSON(t, mk(WithKernel(KernelGated)), sc)
-		event := runJSON(t, mk(WithKernel(KernelEvent)), sc)
-		active1 := runJSON(t, mk(WithKernel(KernelActive), WithParallelism(1)), sc)
-		active8 := runJSON(t, mk(WithKernel(KernelActive), WithParallelism(8)), sc)
-		kind := mk().Kind()
-		if !bytes.Equal(naive, gated) {
-			t.Errorf("%s: naive vs gated results differ", kind)
-		}
-		if !bytes.Equal(naive, event) {
-			t.Errorf("%s: naive vs event results differ", kind)
-		}
-		if !bytes.Equal(naive, active1) {
-			t.Errorf("%s: naive vs active results differ", kind)
-		}
-		if !bytes.Equal(active1, active8) {
-			t.Errorf("%s: active results differ between 1 and 8 workers", kind)
+		active := runJSON(t, mk(WithKernel(KernelActive)), sc)
+		if !bytes.Equal(naive, active) {
+			t.Errorf("%s: naive vs active results differ", mk().Kind())
 		}
 	}
 }
 
 // TestPatternSparse16x16EventSpeedup is the acceptance check of the
-// pattern subsystem: a sparse-injection (0.05 flits/cycle/node, under
-// the 0.1 ceiling) 16×16 uniform pattern with finite flows must (a)
-// produce byte-identical Results under naive, gated and event kernels
-// and (b) cut the event kernel's per-cycle component visits at least
-// 5× below the gated kernel's, via fast-forward. The visit count is a
-// deterministic proxy for wall-clock speed — the wall-clock comparison
-// lives in the pattern kernel benchmarks (BENCH_ci).
+// pattern subsystem's fast-forward: a sparse-injection (0.05
+// flits/cycle/node, under the 0.1 ceiling) 16×16 uniform pattern with
+// finite flows must (a) produce byte-identical Results under the naive
+// and production kernels and (b) cut the per-cycle visits at least 5×
+// below a kernel that visits every component every cycle, via
+// fast-forward. The visit count is a deterministic proxy for wall-clock
+// speed — the wall-clock comparison lives in the pattern kernel
+// benchmarks (BENCH_ci).
 func TestPatternSparse16x16EventSpeedup(t *testing.T) {
 	sc := Scenario{
 		Name: "sparse16", Pattern: "uniform", MeshWidth: 16, MeshHeight: 16,
@@ -108,21 +96,16 @@ func TestPatternSparse16x16EventSpeedup(t *testing.T) {
 		Injection: &Injection{Process: "bernoulli", Rate: 0.05},
 	}
 	naive := runJSON(t, CircuitSwitched(WithKernel(KernelNaive)), sc)
-	gated := runJSON(t, CircuitSwitched(WithKernel(KernelGated)), sc)
-	event := runJSON(t, CircuitSwitched(WithKernel(KernelEvent)), sc)
-	if !bytes.Equal(naive, gated) {
-		t.Error("naive vs gated results differ")
-	}
-	if !bytes.Equal(naive, event) {
-		t.Error("naive vs event results differ")
+	active := runJSON(t, CircuitSwitched(WithKernel(KernelActive)), sc)
+	if !bytes.Equal(naive, active) {
+		t.Error("naive vs active results differ")
 	}
 
-	// Work proxy: the gated kernel visits every component every cycle
-	// (to poll quiescence); the event kernel only visits components on
-	// live cycles plus one O(components) replay per fast-forward
-	// window.
+	// Work proxy: a polling kernel visits every component every cycle;
+	// the production kernel only visits components on live cycles plus
+	// one replay per fast-forward window.
 	var ffWindows, ffCycles, cycles uint64
-	r, err := CircuitSwitched(WithKernel(KernelEvent), withWorldObserver(func(w *sim.World) {
+	r, err := CircuitSwitched(WithKernel(KernelActive), withWorldObserver(func(w *sim.World) {
 		ffWindows, ffCycles = w.FastForwards()
 		cycles = w.Cycle()
 	})).Run(sc)
@@ -135,35 +118,40 @@ func TestPatternSparse16x16EventSpeedup(t *testing.T) {
 	if cycles == 0 {
 		t.Fatal("observer saw no cycles")
 	}
-	gatedVisits := float64(cycles)
-	eventVisits := float64(cycles-ffCycles) + float64(ffWindows)
-	if speedup := gatedVisits / eventVisits; speedup < 5 {
-		t.Errorf("event kernel visit reduction %.1fx < 5x (ff %d cycles in %d windows of %d)",
+	pollVisits := float64(cycles)
+	ffVisits := float64(cycles-ffCycles) + float64(ffWindows)
+	if speedup := pollVisits / ffVisits; speedup < 5 {
+		t.Errorf("fast-forward visit reduction %.1fx < 5x (ff %d cycles in %d windows of %d)",
 			speedup, ffCycles, ffWindows, cycles)
 	}
 }
 
+// eventKernelPolls16x16 is the Quiescent() poll count of the sparse
+// 16×16 hotspot run below under the retired event kernel, which polled
+// every component on every cycle it could not fast-forward — measured
+// on that kernel before it was folded into the production kernel, and
+// pinned here as the bound's reference.
+const eventKernelPolls16x16 = 1328404
+
 // TestPatternSparse16x16ActivePolls is the acceptance check of the
-// active kernel's parked list: on the same sparse 16×16 pattern run it
-// must (a) stay byte-identical to the event kernel, (b) actually park
-// and re-activate components, and (c) issue at most a fifth of the
-// event kernel's Quiescent() polls — the event kernel re-polls every
-// component on every live cycle, the active kernel only polls the
-// active list. The all-to-hotspot pattern is admission-limited on the
-// circuit fabric: only the few flows that win lanes into the centre
-// establish, so most of the mesh holds no circuit, latches asleep
-// (sim.Sleeper) and parks, while the sustained low-rate injection keeps
-// the event kernel from ever fast-forwarding past the live circuits.
-// The poll count is a deterministic proxy for wall-clock speed; the
-// measured comparison lives in the pattern kernel benchmarks
-// (BENCH_active).
+// production kernel's parked set: on a sparse 16×16 pattern run it must
+// (a) stay byte-identical to the naive kernel, (b) actually park and
+// re-activate components, and (c) issue at most a fifth of the polls of
+// a kernel that re-polls every component on every live cycle
+// (eventKernelPolls16x16). The all-to-hotspot pattern is
+// admission-limited on the circuit fabric: only the few flows that win
+// lanes into the centre establish, so most of the mesh holds no
+// circuit, latches asleep (sim.Sleeper) and parks, while the sustained
+// low-rate injection keeps the world from ever fast-forwarding past the
+// live circuits. The poll count is a deterministic proxy for wall-clock
+// speed; the measured comparison lives in the pattern kernel benchmarks.
 func TestPatternSparse16x16ActivePolls(t *testing.T) {
 	sc := Scenario{
 		Name: "sparse16", Pattern: "hotspot:1", MeshWidth: 16, MeshHeight: 16,
 		Cycles: 5000, Seed: 9,
 		Injection: &Injection{Process: "bernoulli", Rate: 0.05},
 	}
-	event, err := CircuitSwitched(WithKernel(KernelEvent), WithMetrics(true)).Run(sc)
+	naive, err := CircuitSwitched(WithKernel(KernelNaive)).Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +159,7 @@ func TestPatternSparse16x16ActivePolls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := json.Marshal(event)
+	bn, err := json.Marshal(naive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +167,13 @@ func TestPatternSparse16x16ActivePolls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(be, ba) {
-		t.Errorf("event vs active results differ\n%s\n%s", be, ba)
+	if !bytes.Equal(bn, ba) {
+		t.Errorf("naive vs active results differ\n%s\n%s", bn, ba)
 	}
-	ep, eok := metricValue(event, "kernel.polls")
+	const ep = eventKernelPolls16x16
 	ap, aok := metricValue(active, "kernel.polls")
-	if !eok || !aok {
-		t.Fatal("runs attached no kernel diagnostics")
+	if !aok {
+		t.Fatal("run attached no kernel diagnostics")
 	}
 	if v, _ := metricValue(active, "kernel.parked"); v == 0 {
 		t.Error("active kernel run ended with nothing parked")
@@ -201,9 +189,9 @@ func TestPatternSparse16x16ActivePolls(t *testing.T) {
 
 // TestSweepActiveWorkerCountByteIdentical pins the worker-count
 // determinism contract at the sweep level, the same comparison the CI
-// -simworkers byte-compare job performs with nocbench: one sweep spec
-// run under the active kernel with 1 and 8 Eval workers must emit
-// byte-identical JSON.
+// pattern-sweep job performs with nocbench: one sweep spec run under the
+// production kernel with 1 and 8 pool workers must emit byte-identical
+// JSON, identical to the naive kernel's.
 func TestSweepActiveWorkerCountByteIdentical(t *testing.T) {
 	spec := SweepSpec{
 		Name:    "active-workers",
@@ -217,18 +205,26 @@ func TestSweepActiveWorkerCountByteIdentical(t *testing.T) {
 		Kernel: string(KernelActive),
 		Seed:   7,
 	}
-	var out1, out8 bytes.Buffer
-	spec.SimWorkers = 1
+	var out1, out8, naive bytes.Buffer
+	spec.Workers = 1
 	if err := SweepJSON(context.Background(), spec, &out1); err != nil {
 		t.Fatal(err)
 	}
-	spec.SimWorkers = 8
+	spec.Workers = 8
 	if err := SweepJSON(context.Background(), spec, &out8); err != nil {
+		t.Fatal(err)
+	}
+	spec.Kernel = string(KernelNaive)
+	if err := SweepJSON(context.Background(), spec, &naive); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out1.Bytes(), out8.Bytes()) {
 		t.Errorf("sweep JSON differs between 1 and 8 workers\n%s\n%s",
 			out1.Bytes(), out8.Bytes())
+	}
+	if !bytes.Equal(out1.Bytes(), naive.Bytes()) {
+		t.Errorf("sweep JSON differs between the active and naive kernels\n%s\n%s",
+			out1.Bytes(), naive.Bytes())
 	}
 	if out1.Len() == 0 {
 		t.Fatal("sweep emitted nothing")
@@ -237,9 +233,9 @@ func TestSweepActiveWorkerCountByteIdentical(t *testing.T) {
 
 // TestTDMPowerIdenticalAcrossKernels verifies the folded meter tick:
 // with the every-cycle meter Func replaced by the router's own
-// IdleTick/IdleWindow bookkeeping, TDM power totals stay bit-identical
-// across all three kernels on classic stream scenarios — including a
-// finite run whose drained tail the event kernel fast-forwards.
+// IdleWindow bookkeeping, TDM power totals stay bit-identical across
+// both kernels on classic stream scenarios — including a finite run
+// whose drained tail the production kernel fast-forwards.
 func TestTDMPowerIdenticalAcrossKernels(t *testing.T) {
 	base, err := PaperScenario("IV")
 	if err != nil {
@@ -250,9 +246,8 @@ func TestTDMPowerIdenticalAcrossKernels(t *testing.T) {
 	finite.WordsPerStream = 50
 	for _, sc := range []Scenario{base, finite} {
 		naive := runJSON(t, AetherealTDM(WithKernel(KernelNaive)), sc)
-		gated := runJSON(t, AetherealTDM(WithKernel(KernelGated)), sc)
-		event := runJSON(t, AetherealTDM(WithKernel(KernelEvent)), sc)
-		if !bytes.Equal(naive, gated) || !bytes.Equal(naive, event) {
+		active := runJSON(t, AetherealTDM(WithKernel(KernelActive)), sc)
+		if !bytes.Equal(naive, active) {
 			t.Errorf("words_per_stream=%d: TDM results differ across kernels", sc.WordsPerStream)
 		}
 	}
@@ -269,7 +264,7 @@ func TestTDMFiniteRunFastForwards(t *testing.T) {
 	sc.Cycles = 50000
 	sc.WordsPerStream = 20
 	var ffCycles uint64
-	_, err = AetherealTDM(WithKernel(KernelEvent), withWorldObserver(func(w *sim.World) {
+	_, err = AetherealTDM(withWorldObserver(func(w *sim.World) {
 		_, ffCycles = w.FastForwards()
 	})).Run(sc)
 	if err != nil {
@@ -308,10 +303,8 @@ func TestPatternSweepDeterminism(t *testing.T) {
 	if !bytes.Equal(w1, w8) {
 		t.Error("pattern sweep differs between 1 and 8 workers")
 	}
-	for _, k := range []string{"gated", "naive"} {
-		if !bytes.Equal(w1, out(4, k)) {
-			t.Errorf("pattern sweep differs between event and %s kernels", k)
-		}
+	if !bytes.Equal(w1, out(4, string(KernelNaive))) {
+		t.Error("pattern sweep differs between the active and naive kernels")
 	}
 	if !bytes.Contains(w1, []byte(`"pattern"`)) {
 		t.Error("sweep output carries no pattern field")

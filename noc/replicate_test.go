@@ -241,7 +241,7 @@ func TestPooledLatencyDeterministic(t *testing.T) {
 		return res.Replication.PooledLatency
 	}
 
-	ref := run(KernelGated)
+	ref := run(KernelActive)
 	if ref.Words <= 0 {
 		t.Fatalf("empty pool: %+v", ref)
 	}
@@ -284,7 +284,7 @@ func TestPooledLatencyDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []Kernel{KernelGated, KernelNaive, KernelEvent, KernelActive} {
+	for _, k := range []Kernel{KernelActive, KernelNaive} {
 		b, err := json.Marshal(run(k))
 		if err != nil {
 			t.Fatal(err)

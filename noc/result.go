@@ -229,8 +229,8 @@ type Result struct {
 	// It is the run's one off-wire diagnostics surface:
 	//   - kernel.parked, kernel.activations and kernel.polls gauge the
 	//     last simulation world the run executed on (parked components
-	//     at the end, park exits, Quiescent polls; the first two stay 0
-	//     outside KernelActive);
+	//     at the end, park exits, Quiescent polls; all three stay 0
+	//     under KernelNaive, which neither polls nor parks);
 	//   - mesh.alloc.* count the circuit mesh's lane-allocator probes,
 	//     rejections and route hops;
 	//   - cache.hits and cache.misses count the run's result-cache

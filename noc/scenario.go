@@ -215,7 +215,7 @@ type Scenario struct {
 	// pattern run, each flow source) emits; 0 means unlimited (the
 	// paper's open-loop scenarios). With a cap the run is a finite
 	// workload: sources retire once their budget is spent, the network
-	// drains, and the event kernel fast-forwards the drained tail on
+	// drains, and the kernel fast-forwards the drained tail on
 	// every fabric — stream and pattern drivers alike are first-class
 	// quiescent components (the packet fabrics round the cap up to
 	// their packet boundary, since a wormhole packet must close with

@@ -41,15 +41,12 @@ type FabricSpec struct {
 	// LatencyWords overrides the latency sample count; nil keeps the
 	// default, 0 disables the latency measurement (WithLatencyWords).
 	LatencyWords *int `json:"latency_words,omitempty"`
-	// Kernel selects the simulation kernel: "event" (default), "gated",
-	// "naive" or "active" (WithKernel). Results are byte-identical under
-	// all of them; the CI equivalence check runs the same sweep under
-	// each and compares. Unknown names are rejected at spec validation.
+	// Kernel selects the simulation kernel: "active" (the default) or
+	// "naive" (WithKernel); "gated" and "event" are deprecated spellings
+	// of "active". Results are byte-identical under both; the CI
+	// equivalence check runs the same sweep under each and compares.
+	// Unknown names are rejected at spec validation.
 	Kernel string `json:"kernel,omitempty"`
-	// SimWorkers bounds the active kernel's Eval shard pool
-	// (WithParallelism); 0 means GOMAXPROCS. Results are byte-identical
-	// for every value, which the CI worker-count byte-compare checks.
-	SimWorkers int `json:"sim_workers,omitempty"`
 }
 
 // options converts the spec into the functional options it describes.
@@ -84,9 +81,6 @@ func (fs FabricSpec) options() []Option {
 	}
 	if fs.Kernel != "" {
 		opts = append(opts, WithKernel(Kernel(fs.Kernel)))
-	}
-	if fs.SimWorkers != 0 {
-		opts = append(opts, WithParallelism(fs.SimWorkers))
 	}
 	return opts
 }
@@ -130,8 +124,8 @@ type Grid struct {
 	// exclusive with Scenarios and Workloads.
 	Patterns []string `json:"patterns,omitempty"`
 	// MeshSizes sweeps the mesh as N×N placements — the large-mesh
-	// axis the event kernel's fast-forward makes affordable. Requires
-	// Workloads or Patterns.
+	// axis the kernel's parking and fast-forward make affordable; each
+	// value must be positive. Requires Workloads or Patterns.
 	MeshSizes []int `json:"mesh_sizes,omitempty"`
 	// InjectionRates sweeps the pattern injection rate in words per
 	// cycle per node (the process shape comes from the base scenario's
@@ -147,7 +141,7 @@ type Grid struct {
 	Loads []float64 `json:"loads,omitempty"`
 	// FlipProbs sweeps the data bit-flip fraction.
 	FlipProbs []float64 `json:"flip_probs,omitempty"`
-	// Cycles sweeps the simulated length.
+	// Cycles sweeps the simulated length; each value must be positive.
 	Cycles []int `json:"cycles,omitempty"`
 }
 
@@ -219,6 +213,18 @@ func (g Grid) expand() ([]Scenario, error) {
 	bases, err := g.bases()
 	if err != nil {
 		return nil, err
+	}
+	// An explicit zero would name its cells "mesh=0" or "cycles=0" while
+	// the scenario default silently ran instead.
+	for _, ax := range []struct {
+		name   string
+		values []int
+	}{{"mesh_sizes", g.MeshSizes}, {"cycles", g.Cycles}} {
+		for _, v := range ax.values {
+			if v <= 0 {
+				return nil, fmt.Errorf("noc: sweep: grid %s value %d must be positive", ax.name, v)
+			}
+		}
 	}
 	var out []Scenario
 	for _, base := range bases {
@@ -330,16 +336,11 @@ type SweepSpec struct {
 	// behaviour.
 	Replications int `json:"replications,omitempty"`
 	// Kernel is the default simulation kernel for every fabric that does
-	// not choose its own: "event" (default), "gated", "naive" or
-	// "active". The `nocbench -kernel` flag sets it from the command
-	// line; unknown names are rejected at spec validation with the valid
-	// kernels listed.
+	// not choose its own: "active" (the default) or "naive"; "gated" and
+	// "event" are deprecated spellings of "active". The `nocbench
+	// -kernel` flag sets it from the command line; unknown names are
+	// rejected at spec validation with the valid kernels listed.
 	Kernel string `json:"kernel,omitempty"`
-	// SimWorkers is the default Eval shard bound for every fabric that
-	// does not choose its own; 0 means GOMAXPROCS. Only the active
-	// kernel uses it. The `nocbench -simworkers` flag sets it from the
-	// command line.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// Cache enables the content-addressed result cache: each cell (and
 	// each replication of a replicated cell) is keyed by its fully
 	// resolved configuration and served from the cache when a previous
@@ -647,15 +648,12 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 				return repOut{}, err
 			}
 			// The sweep-level kernel is applied at run time, not stored in
-			// the cell, so gated and naive runs of the same spec emit
+			// the cell, so naive and production runs of the same spec emit
 			// byte-identical cells — the property the CI equivalence check
 			// compares.
 			fs := cell.Fabric
 			if fs.Kernel == "" {
 				fs.Kernel = spec.Kernel
-			}
-			if fs.SimWorkers == 0 {
-				fs.SimWorkers = spec.SimWorkers
 			}
 			f, err := fs.Fabric()
 			if err != nil {

@@ -298,6 +298,29 @@ func TestParseSweepSpec(t *testing.T) {
 	if _, err := ParseSweepSpec([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// Removed knobs fail as unknown fields rather than being ignored.
+	if _, err := ParseSweepSpec([]byte(`{"sim_workers": 8}`)); err == nil ||
+		!strings.Contains(err.Error(), "sim_workers") {
+		t.Fatalf("sim_workers: err = %v, want an unknown-field error naming it", err)
+	}
+	if _, err := ParseSweepSpec([]byte(`{"fabrics": [{"kind": "circuit", "sim_workers": 8}]}`)); err == nil ||
+		!strings.Contains(err.Error(), "sim_workers") {
+		t.Fatalf("fabric sim_workers: err = %v, want an unknown-field error naming it", err)
+	}
+	// Explicit zeros on the integer axes are rejected, naming the axis,
+	// instead of labelling cells "mesh=0" or "cycles=0" while the
+	// defaults run.
+	for _, c := range []struct{ spec, axis string }{
+		{`{"grid": {"patterns": ["uniform"], "mesh_sizes": [0], "cycles": [500]}}`, "mesh_sizes"},
+		{`{"grid": {"patterns": ["uniform"], "mesh_sizes": [4, -2]}}`, "mesh_sizes"},
+		{`{"grid": {"scenarios": ["III"], "cycles": [0]}}`, "cycles"},
+		{`{"grid": {"patterns": ["uniform"], "cycles": [-5]}}`, "cycles"},
+	} {
+		_, err := ParseSweepSpec([]byte(c.spec))
+		if err == nil || !strings.Contains(err.Error(), c.axis) {
+			t.Errorf("%s: err = %v, want an error naming %s", c.spec, err, c.axis)
+		}
+	}
 }
 
 func TestFabricSpecRoundTrip(t *testing.T) {
@@ -362,7 +385,6 @@ func TestSweepGridWorkloadMeshAxis(t *testing.T) {
 	out, err := SweepAll(context.Background(), SweepSpec{
 		Fabrics: []FabricSpec{{Kind: KindCircuit}},
 		Grid:    &Grid{Workloads: []string{"drm"}, MeshSizes: []int{4}, Cycles: []int{500}},
-		Kernel:  "event",
 	})
 	if err != nil {
 		t.Fatal(err)

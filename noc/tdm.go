@@ -133,10 +133,10 @@ func (f *tdmFabric) run(cfg config, sc Scenario) (*Result, error) {
 	}
 
 	meter := power.NewMeter(aethereal.Netlist(p, lib), lib, sc.FreqMHz)
-	// The router ticks the meter itself (Commit, IdleTick and batched
-	// IdleWindow), replacing the every-cycle monitor Func that used to
-	// pin every kernel to every cycle — with componentized stream
-	// drivers below, finite TDM scenarios now fast-forward.
+	// The router ticks the meter itself (Commit and IdleWindow),
+	// replacing the every-cycle monitor Func that used to pin every
+	// kernel to every cycle — with componentized stream drivers below,
+	// finite TDM scenarios now fast-forward.
 	r.BindMeter(meter)
 	w := sim.NewWorld(cfg.worldOpts()...)
 	w.Add(r)
@@ -243,12 +243,9 @@ func (s *tdmOffer) Quiescent() bool {
 	return s.limit > 0 && s.src.Sent() >= s.limit
 }
 
-// IdleTick implements sim.IdleTicker: the local clock tracks skipped
+// IdleWindow implements sim.IdleWindower: the local clock tracks skipped
 // cycles (only reachable after retirement, where it is no longer read,
 // but kept exact regardless).
-func (s *tdmOffer) IdleTick() { s.cycle++ }
-
-// IdleWindow implements sim.IdleWindower.
 func (s *tdmOffer) IdleWindow(n uint64) { s.cycle += n }
 
 var _ sim.IdleWindower = (*tdmOffer)(nil)

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -80,28 +81,31 @@ func TestTraceEquivalenceKernels(t *testing.T) {
 	}
 }
 
-// TestTraceEquivalenceShards: under the active kernel the full event
-// stream — kernel scope included — must be byte-identical for any Eval
-// shard count, because kernel events are emitted only from the
-// sequential commit loop and the exporter order is canonical.
+// TestTraceEquivalenceShards: a traced sweep whose cells are sharded
+// across the worker pool must export the identical Chrome trace — kernel
+// scope included — for any worker count, because every event is stamped
+// with its cell and the exporter order is canonical.
 func TestTraceEquivalenceShards(t *testing.T) {
-	sc, err := PaperScenario("IV")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Cycles = 800
-	build := func(workers int) Fabric {
-		return CircuitSwitched(WithKernel(KernelActive), WithParallelism(workers))
-	}
-	one := collectEvents(t, build(1), sc)
-	many := collectEvents(t, build(8), sc)
-	if len(one) != len(many) {
-		t.Fatalf("1 worker traced %d events, 8 workers traced %d", len(one), len(many))
-	}
-	for i := range one {
-		if one[i] != many[i] {
-			t.Fatalf("event stream diverges at %d:\n1 worker:  %+v\n8 workers: %+v", i, one[i], many[i])
+	trace := func(workers int) []byte {
+		spec := SweepSpec{
+			Fabrics: []FabricSpec{{Kind: KindCircuit}, {Kind: KindTDM}},
+			Grid:    &Grid{Scenarios: []string{"III", "IV"}, Cycles: []int{400}},
+			Workers: workers,
+			Seed:    3,
 		}
+		var out, tr bytes.Buffer
+		spec.Obs.Trace = &tr
+		if err := SweepJSON(context.Background(), spec, &out); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Bytes()
+	}
+	one, many := trace(1), trace(8)
+	if !bytes.Contains(one, []byte(`"eval"`)) {
+		t.Fatalf("trace holds no kernel-scope eval events: %.200s", one)
+	}
+	if !bytes.Equal(one, many) {
+		t.Fatalf("sweep trace differs between 1 and 8 workers (%d vs %d bytes)", len(one), len(many))
 	}
 }
 

@@ -51,11 +51,12 @@ func CaptureWaveform() (*Waveform, error) {
 		trace.U8("east0.lane", p.LaneWidth, &a.R.Out[east0]),
 	)
 
-	// The activity-tracked kernel: cycles 0–1 are fully quiescent and
-	// skipped, the configuration write at cycle 2 wakes the assembly, and
-	// the recorder (a plain component, never skipped) still samples every
-	// cycle — the capture is identical to the naive kernel's.
-	w := sim.NewWorld(sim.WithKernel(sim.KernelGated))
+	// The production kernel: cycles 0–1 are fully quiescent, so the
+	// dormant assembly is skipped and parks; the configuration write at
+	// cycle 2 wakes it, and the recorder (a plain component, never
+	// skipped) still samples every cycle — the capture is identical to
+	// the naive kernel's.
+	w := sim.NewWorld()
 	w.Add(a)
 
 	var setupErr error

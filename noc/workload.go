@@ -133,16 +133,10 @@ func (s *chanSource) Quiescent() bool {
 	return s.credits == 0 && (s.acc+s.num)>>32 == 0
 }
 
-// IdleTick implements sim.IdleTicker: the accumulator advances on
+// IdleWindow implements sim.IdleWindower: the accumulator advances on
 // skipped cycles too (by the Quiescent contract it cannot produce a
-// credit there).
-func (s *chanSource) IdleTick() {
-	s.accrue()
-	s.cycle++
-}
-
-// IdleWindow implements sim.IdleWindower: integer accrual commutes, so
-// one call is exactly n IdleTicks.
+// credit there), and integer accrual commutes, so one call is exactly n
+// single-cycle accruals.
 func (s *chanSource) IdleWindow(n uint64) {
 	s.acc += n * s.num
 	s.credits += s.acc >> 32
@@ -184,13 +178,9 @@ func (d *chanSink) Commit() {}
 // not arrived.
 func (d *chanSink) Quiescent() bool { return !d.grx.Available() }
 
-// IdleTick implements sim.IdleTicker: an empty sink accrues no per-cycle
-// state, so idle replay is a no-op, declared explicitly to satisfy the
-// Quiescer contract checked by nocvet.
-func (d *chanSink) IdleTick() {}
-
-// IdleWindow implements sim.IdleWindower: any idle window replays to the
-// same no-op, keeping event-kernel fast-forward O(1).
+// IdleWindow implements sim.IdleWindower: an empty sink accrues no
+// per-cycle state, so idle replay is a no-op, declared explicitly to
+// satisfy the Quiescer contract checked by nocvet.
 func (d *chanSink) IdleWindow(n uint64) {}
 
 var (
