@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/mesh"
 	"repro/internal/packetsw"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -131,13 +130,6 @@ func BenchmarkPacketRouterCycle(b *testing.B) {
 	if _, err := traffic.RunPacket(sc, traffic.Pattern{FlipProb: 0.5, Load: 1}, cfg); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// BenchmarkMesh4x4Cycle measures a full 4x4 mesh simulation step.
-func BenchmarkMesh4x4Cycle(b *testing.B) {
-	m := mesh.New(4, 4, core.DefaultParams(), core.DefaultAssemblyOptions())
-	b.ResetTimer()
-	m.Run(b.N)
 }
 
 // BenchmarkConverterRoundTrip measures serialize+deserialize of one word

@@ -10,11 +10,13 @@
 //   - A component implementing sim.Timed must also implement
 //     sim.Quiescer: the kernel only consults NextEvent on quiescent
 //     components, so a non-quiescent Timed component blocks every
-//     fast-forward it schedules and its events are never honoured. (With
-//     the first rule, a Timed component is therefore an IdleWindower too,
-//     which parking it between events requires.)
+//     fast-forward it schedules and its events are never honoured.
+//   - A component implementing sim.Sleeper must not implement sim.Timed:
+//     an asleep Sleeper parks out of the sweep, the wake closure is its
+//     only way back, and the kernel never reads a parked component's
+//     NextEvent, so a self-scheduled event would be slept through.
 //
-// Both checks apply to named non-interface types that implement
+// The checks apply to named non-interface types that implement
 // sim.Clocked. Matching is structural (against synthesized copies of the
 // kernel interfaces), so components are checked even in packages that
 // never import sim directly.
@@ -28,13 +30,15 @@ import (
 	"repro/internal/analysis/nocvet"
 )
 
-// Analyzer checks Quiescer/IdleWindower/Timed implementation consistency.
+// Analyzer checks Quiescer/IdleWindower/Timed/Sleeper implementation
+// consistency.
 var Analyzer = &analysis.Analyzer{
 	Name: "kernelcontract",
 	Doc: "check sim.Clocked components implement consistent kernel contracts\n\n" +
 		"sim.Quiescer without sim.IdleWindower desyncs idle bookkeeping whenever it " +
 		"is skipped; sim.Timed without sim.Quiescer blocks every fast-forward it " +
-		"schedules. Suppress with //nocvet:allow kernelcontract on the type declaration.",
+		"schedules; a sim.Sleeper that is sim.Timed sleeps through its own events " +
+		"while parked. Suppress with //nocvet:allow kernelcontract on the type declaration.",
 	Run: run,
 }
 
@@ -71,6 +75,11 @@ func checkType(pass *analysis.Pass, sup *nocvet.Suppressions, tn *types.TypeName
 	if nocvet.Implements(T, k.Timed) && !nocvet.Implements(T, k.Quiescer) {
 		nocvet.Report(pass, sup, tn.Pos(),
 			"%s implements sim.Timed but not sim.Quiescer: a non-quiescent Timed component blocks every fast-forward it schedules",
+			tn.Name())
+	}
+	if nocvet.Implements(T, k.Sleeper) && nocvet.Implements(T, k.Timed) {
+		nocvet.Report(pass, sup, tn.Pos(),
+			"%s implements both sim.Sleeper and sim.Timed: the kernel never reads a parked component's NextEvent, so it would sleep through its own events",
 			tn.Name())
 	}
 }

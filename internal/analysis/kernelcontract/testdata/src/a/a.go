@@ -1,7 +1,7 @@
 // Package a is kernelcontract golden-test input: component types with
-// consistent and inconsistent Quiescer/IdleWindower/Timed matrices. The
-// analyzer matches the kernel interfaces structurally, so no sim import
-// is needed.
+// consistent and inconsistent Quiescer/IdleWindower/Timed/Sleeper
+// matrices. The analyzer matches the kernel interfaces structurally, so
+// no sim import is needed.
 package a
 
 // Good is a quiescent component with idle bookkeeping — the full,
@@ -29,7 +29,7 @@ func (b *BadTimed) Commit()                   {}
 func (b *BadTimed) NextEvent() (uint64, bool) { return 0, false }
 
 // GoodTimed is the consistent Timed contract: quiescent, with batched
-// idle replay so the kernel can park it between events.
+// idle replay so the kernel can fast-forward it between events.
 type GoodTimed struct{ cycle uint64 }
 
 func (g *GoodTimed) Eval()                     {}
@@ -48,6 +48,28 @@ func (b *BadTimedTicker) Commit()                   {}
 func (b *BadTimedTicker) Quiescent() bool           { return true }
 func (b *BadTimedTicker) IdleTick()                 { b.cycle++ }
 func (b *BadTimedTicker) NextEvent() (uint64, bool) { return 0, false }
+
+// GoodSleeper parks while asleep and is woken only by its mutators.
+type GoodSleeper struct{ wake func() }
+
+func (g *GoodSleeper) Eval()               {}
+func (g *GoodSleeper) Commit()             {}
+func (g *GoodSleeper) Quiescent() bool     { return true }
+func (g *GoodSleeper) IdleWindow(n uint64) {}
+func (g *GoodSleeper) SetWake(fn func())   { g.wake = fn }
+func (g *GoodSleeper) Asleep() bool        { return true }
+
+// BadTimedSleeper self-schedules events but parks while asleep, where
+// the kernel never reads its NextEvent.
+type BadTimedSleeper struct{ wake func() } // want `BadTimedSleeper implements both sim\.Sleeper and sim\.Timed`
+
+func (b *BadTimedSleeper) Eval()                     {}
+func (b *BadTimedSleeper) Commit()                   {}
+func (b *BadTimedSleeper) Quiescent() bool           { return true }
+func (b *BadTimedSleeper) IdleWindow(n uint64)       {}
+func (b *BadTimedSleeper) SetWake(fn func())         { b.wake = fn }
+func (b *BadTimedSleeper) Asleep() bool              { return true }
+func (b *BadTimedSleeper) NextEvent() (uint64, bool) { return 0, false }
 
 // NotAComponent has a Quiescent method but no Eval/Commit; the kernel
 // contracts do not apply.

@@ -156,6 +156,7 @@ type KernelIfaces struct {
 	Quiescer     *types.Interface // Quiescent() bool
 	IdleWindower *types.Interface // IdleWindow(uint64)
 	Timed        *types.Interface // NextEvent() (uint64, bool)
+	Sleeper      *types.Interface // SetWake(func()); Asleep() bool
 }
 
 // Kernel returns the synthesized kernel interfaces.
@@ -180,6 +181,8 @@ func Kernel() KernelIfaces {
 		Quiescer:     iface(m("Quiescent", sig(nil, types.NewTuple(v(boolean))))),
 		IdleWindower: iface(m("IdleWindow", sig(types.NewTuple(v(u64)), nil))),
 		Timed:        iface(m("NextEvent", sig(nil, types.NewTuple(v(u64), v(boolean))))),
+		Sleeper: iface(m("SetWake", sig(types.NewTuple(v(void)), nil)),
+			m("Asleep", sig(nil, types.NewTuple(v(boolean))))),
 	}
 }
 

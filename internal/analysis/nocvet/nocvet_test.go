@@ -49,6 +49,7 @@ func TestKernelIfacesMatchSim(t *testing.T) {
 		"Quiescer":     k.Quiescer,
 		"IdleWindower": k.IdleWindower,
 		"Timed":        k.Timed,
+		"Sleeper":      k.Sleeper,
 	} {
 		obj := pkg.Scope().Lookup(name)
 		if obj == nil {

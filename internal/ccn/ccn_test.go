@@ -13,8 +13,8 @@ import (
 	"repro/internal/sim"
 )
 
-func newMgr(w, h int, freq float64) (*Manager, *mesh.Mesh) {
-	m := mesh.New(w, h, core.DefaultParams(), core.DefaultAssemblyOptions())
+func newMgr(w, h int, freq float64, wopts ...sim.WorldOption) (*Manager, *mesh.Mesh) {
+	m := mesh.New(w, h, core.DefaultParams(), core.DefaultAssemblyOptions(), wopts...)
 	return NewManager(m, freq), m
 }
 
@@ -232,45 +232,69 @@ func TestLinkUtilization(t *testing.T) {
 	}
 }
 
+// TestBEConfiguratorDeliversAndMeetsBudget configures a circuit over the
+// BE network, meets the paper's per-command budget and streams words
+// through it. The flow runs under both kernels: the configuration timing
+// and the delivered words must agree, and the production kernel must
+// re-activate parked assemblies — PushConfig's wake is how a dormant
+// assembly leaves the parked set.
 func TestBEConfiguratorDeliversAndMeetsBudget(t *testing.T) {
-	g, m := newMgr(4, 4, 25)
-	be := benet.New(4, 4, packetsw.DefaultParams())
-	bc := &BEConfigurator{Net: be, Mesh: m, CCNNode: mesh.Coord{X: 0, Y: 0}}
-	c, err := g.Allocate(mesh.Coord{X: 0, Y: 1}, mesh.Coord{X: 3, Y: 3}, 160)
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		res         ConfigureResult
+		words       []core.Word
+		activations uint64
 	}
-	res, err := bc.Configure(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Commands != 2*len(c.Route) {
-		t.Fatalf("commands = %d, want %d (2 lanes × %d hops)",
-			res.Commands, 2*len(c.Route), len(c.Route))
-	}
-	// The paper's budget: < 1 ms per lane configuration at the BE clock.
-	if ms := res.MaxCommandTimeMS(25); ms >= 1 {
-		t.Fatalf("per-command configuration took %.3f ms, budget 1 ms", ms)
-	}
-	// The circuit must now actually work.
-	m.Step()
-	a, b := m.At(mesh.Coord{X: 0, Y: 1}), m.At(mesh.Coord{X: 3, Y: 3})
-	txLane := c.Segments[0][0].Circuit.In.Lane
-	rxLane := c.Segments[0][len(c.Segments[0])-1].Circuit.Out.Lane
-	delivered := 0
-	n := 0
-	m.World().Add(&sim.Func{OnEval: func() {
-		if a.Tx[txLane].Ready() {
-			if a.Tx[txLane].Push(core.DataWord(uint16(n))) {
-				n++
+	run := func(k sim.Kernel) outcome {
+		g, m := newMgr(4, 4, 25, sim.WithKernel(k))
+		be := benet.New(4, 4, packetsw.DefaultParams(), sim.WithKernel(k))
+		bc := &BEConfigurator{Net: be, Mesh: m, CCNNode: mesh.Coord{X: 0, Y: 0}}
+		c, err := g.Allocate(mesh.Coord{X: 0, Y: 1}, mesh.Coord{X: 3, Y: 3}, 160)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := bc.Configure(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Commands != 2*len(c.Route) {
+			t.Fatalf("%v: commands = %d, want %d (2 lanes × %d hops)",
+				k, res.Commands, 2*len(c.Route), len(c.Route))
+		}
+		// The paper's budget: < 1 ms per lane configuration at the BE clock.
+		if ms := res.MaxCommandTimeMS(25); ms >= 1 {
+			t.Fatalf("%v: per-command configuration took %.3f ms, budget 1 ms", k, ms)
+		}
+		// The circuit must now actually work.
+		m.Step()
+		a, b := m.At(mesh.Coord{X: 0, Y: 1}), m.At(mesh.Coord{X: 3, Y: 3})
+		txLane := c.Segments[0][0].Circuit.In.Lane
+		rxLane := c.Segments[0][len(c.Segments[0])-1].Circuit.Out.Lane
+		var words []core.Word
+		n := 0
+		m.World().Add(&sim.Func{OnEval: func() {
+			if a.Tx[txLane].Ready() {
+				if a.Tx[txLane].Push(core.DataWord(uint16(n))) {
+					n++
+				}
 			}
+			if w, ok := b.Rx[rxLane].Pop(); ok {
+				words = append(words, w)
+			}
+		}})
+		if !m.World().RunUntil(func() bool { return len(words) >= 10 }, 3000) {
+			t.Fatalf("%v: BE-configured circuit carried %d words", k, len(words))
 		}
-		if _, ok := b.Rx[rxLane].Pop(); ok {
-			delivered++
-		}
-	}})
-	if !m.World().RunUntil(func() bool { return delivered >= 10 }, 3000) {
-		t.Fatalf("BE-configured circuit carried %d words", delivered)
+		return outcome{res, words, m.World().Activations()}
+	}
+	naive, active := run(sim.KernelNaive), run(sim.KernelActive)
+	if naive.res != active.res {
+		t.Errorf("configuration differs across kernels: naive %+v, active %+v", naive.res, active.res)
+	}
+	if fmt.Sprint(naive.words) != fmt.Sprint(active.words) {
+		t.Errorf("delivered words differ across kernels:\nnaive  %v\nactive %v", naive.words, active.words)
+	}
+	if active.activations == 0 {
+		t.Error("production kernel re-activated no parked assembly")
 	}
 }
 

@@ -241,8 +241,8 @@ func (a *Assembly) Quiescent() bool {
 // asleep the unconfigured crossbar and disabled converters ignore every
 // input register, so only a staging mutator — which runs the wake
 // closure and clears the latch — can end the assembly's quiescence. The
-// active kernel parks asleep assemblies without any upstream
-// declaration; committing neighbours need not (and do not) wake them.
+// active kernel parks asleep assemblies; committing neighbours need not
+// (and do not) wake them.
 func (a *Assembly) Asleep() bool { return a.asleep }
 
 // anyConverterEnabled reports whether any tile converter is enabled.

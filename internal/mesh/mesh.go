@@ -59,12 +59,11 @@ func New(w, h int, p core.Params, opt core.AssemblyOptions, wopts ...sim.WorldOp
 			}
 		}
 	}
-	// No DependsOn declarations for the assemblies: an assembly with any
-	// configured lane or enabled converter must watch its neighbour
-	// wires every cycle (so it stays active, exactly like the gated
-	// kernel), while a dormant assembly certifies input-deafness through
-	// sim.Sleeper and parks with no upstream set at all — committing
-	// neighbours stream past it without waking it.
+	// Assemblies park only as sim.Sleepers: one with any configured lane
+	// or enabled converter watches its neighbour wires every cycle and
+	// is never parked, while a dormant one certifies input-deafness and
+	// parks until a staging mutator such as PushConfig wakes it —
+	// committing neighbours stream past it without waking it.
 	return m
 }
 
@@ -103,21 +102,6 @@ func (m *Mesh) Nodes() int { return m.W * m.H }
 // World returns the simulation world so callers can add stimulus
 // components.
 func (m *Mesh) World() *sim.World { return m.world }
-
-// NodeActivity returns the kernel's Eval/Commit counts for the assembly
-// at the coordinate: pairs executed and pairs skipped (including
-// fast-forwarded windows). Together they are the per-router activity
-// factor behind the per-component power attribution — an idle router
-// shows ~100% skips, a streaming router ~100% evals. Under the naive
-// kernel skips are always zero.
-func (m *Mesh) NodeActivity(c Coord) (evals, skips uint64) {
-	if !m.InBounds(c) {
-		panic(fmt.Sprintf("mesh: %v outside %dx%d", c, m.W, m.H))
-	}
-	// Assemblies are the first W*H components registered with the world,
-	// in row-major order.
-	return m.world.ComponentActivity(c.Y*m.W + c.X)
-}
 
 // Step advances the whole mesh by one clock cycle.
 func (m *Mesh) Step() { m.world.Step() }

@@ -19,7 +19,7 @@ import (
 // circuit-switched mesh: a spatial pattern chooses each node's
 // destination, a temporal injection process times its words, and every
 // source is an event-scheduled component, so sparse runs fast-forward
-// and idle sources park under the production kernel.
+// between arrivals under the production kernel.
 type PatternConfig struct {
 	// W and H are the mesh dimensions.
 	W, H int
@@ -568,12 +568,6 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 		sink := &patternSink{rx: rx, stamps: ms.stamps, lat: &res.Latency, rec: latRec,
 			tracer: tracer, track: fmt.Sprintf("flow%d.sink", flowIdx)}
 		m.World().Add(ms, sink)
-		// Parking contract: the source is self-scheduled (woken only by
-		// its own NextEvent), the sink's quiescence ends only when its
-		// destination assembly commits a delivery into the receive
-		// converter.
-		m.World().DependsOn(ms)
-		m.World().DependsOn(sink, m.At(dstC))
 		live = append(live, liveFlow{src: ms, sink: sink, idx: len(res.Flows)})
 		res.Flows = append(res.Flows, pf)
 	}

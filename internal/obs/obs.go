@@ -57,7 +57,6 @@ const (
 	KindPark           = "park"
 	KindUnpark         = "unpark"
 	KindFastForward    = "fast-forward"
-	KindTimer          = "timer"
 	KindFlowSetup      = "flow-setup"
 	KindFlowTeardown   = "flow-teardown"
 	KindAdmissionBlock = "admission-block"

@@ -10,7 +10,10 @@ import (
 // temporal process, retires after an optional word budget, and — unlike
 // the every-cycle sim.Func drivers it replaces — tells the kernel when
 // its next arrival is due, so a world of sparse sources fast-forwards
-// between words, and an idle source parks, under the production kernel.
+// between words under the production kernel. Between arrivals an idle
+// source is skipped cycle by cycle, not parked: only a sim.Sleeper parks,
+// and a Timed component must stay in the sweep for its NextEvent to be
+// read.
 //
 // Kernel equivalence holds by construction:
 //
@@ -24,7 +27,7 @@ import (
 //     (backpressure) keeps the source active until the word is
 //     accepted; arrivals falling due meanwhile accumulate as credits.
 //   - NextEvent reports the next arrival, so the kernel never
-//     fast-forwards past it and unparks the source on time (sim.Timed).
+//     fast-forwards past it (sim.Timed).
 type Source struct {
 	// Emit offers one word downstream; it returns false when the sink
 	// cannot accept it this cycle, and the source retries next cycle.

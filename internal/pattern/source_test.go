@@ -8,9 +8,7 @@ import (
 
 // runSource drives one source for cycles under the kernel, recording the
 // emission cycle of every accepted word. refuse makes Emit refuse its
-// first n offers, exercising the backpressure retry path. The source is
-// declared parkable with no upstream, as the circuit mesh declares it, so
-// the production kernel parks it between arrivals.
+// first n offers, exercising the backpressure retry path.
 func runSource(t *testing.T, k sim.Kernel, inj Injection, limit uint64, cycles int, refuse int) []uint64 {
 	t.Helper()
 	w := sim.NewWorld(sim.WithKernel(k))
@@ -25,7 +23,6 @@ func runSource(t *testing.T, k sim.Kernel, inj Injection, limit uint64, cycles i
 		return true
 	}
 	w.Add(src)
-	w.DependsOn(src)
 	w.Run(cycles)
 	return emitted
 }

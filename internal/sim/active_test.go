@@ -4,8 +4,8 @@ import "testing"
 
 // quietPulse is a quiescent, self-scheduled pulse: inert until cycle at,
 // where it drives its registered output to 1 for one cycle, then inert
-// forever. The shape of a scheduled traffic burst, and the canonical
-// upstream for parking tests: it commits exactly twice (raise, lower).
+// forever. The shape of a scheduled traffic burst: it commits exactly
+// twice (raise, lower).
 type quietPulse struct {
 	out, next int
 	at        uint64
@@ -41,7 +41,7 @@ type commitPulse struct{ quietPulse }
 func (p *commitPulse) Commit() { p.out = p.next }
 
 // activeWatcher observes an upstream register; quiescent while it reads
-// zero. Parked variants declare the upstream with DependsOn.
+// zero.
 type activeWatcher struct {
 	src     *int
 	seen    int
@@ -72,8 +72,6 @@ func TestActiveKernelEquivalenceChain(t *testing.T) {
 		p.world = w
 		wt := &activeWatcher{src: &p.out}
 		w.Add(p, wt)
-		w.DependsOn(p)
-		w.DependsOn(wt, p)
 		return w, p, wt
 	}
 	type snap struct {
@@ -86,13 +84,7 @@ func TestActiveKernelEquivalenceChain(t *testing.T) {
 		var out []snap
 		for i := 0; i < 100; i++ {
 			w.Step()
-			e0, s0 := w.ComponentActivity(0)
-			e1, s1 := w.ComponentActivity(1)
-			out = append(out, snap{wt.seen, e0 + e1, s0 + s1, w.Cycle()})
-			if e0+e1 != w.Evals() || s0+s1 != w.Skips() {
-				t.Fatalf("%v cycle %d: per-component (%d,%d) vs world (%d,%d)",
-					k, i, e0+e1, s0+s1, w.Evals(), w.Skips())
-			}
+			out = append(out, snap{wt.seen, w.Evals(), w.Skips(), w.Cycle()})
 		}
 		return out
 	}
@@ -115,17 +107,16 @@ func TestActiveKernelEquivalenceChain(t *testing.T) {
 	}
 }
 
-// TestActiveKernelParksDeclaredComponents: in a world of declared inert
-// components the active list drains, Parked() reports it, fast-forward
-// still engages, and the deferred idle bookkeeping settles to exactly
-// the elapsed cycles when Run returns.
+// TestActiveKernelParksDeclaredComponents: in a world of asleep Sleepers
+// the active list drains, Parked() reports it, fast-forward still
+// engages, and the deferred idle bookkeeping settles to exactly the
+// elapsed cycles when Run returns.
 func TestActiveKernelParksDeclaredComponents(t *testing.T) {
 	w := NewWorld(WithKernel(KernelActive))
-	comps := make([]*tickerComp, 8)
+	comps := make([]*sleepyTicker, 8)
 	for i := range comps {
-		comps[i] = &tickerComp{quiet: true}
+		comps[i] = &sleepyTicker{tickerComp{quiet: true}}
 		w.Add(comps[i])
-		w.DependsOn(comps[i])
 	}
 	w.Run(1000)
 	if w.Cycle() != 1000 {
@@ -149,25 +140,6 @@ func TestActiveKernelParksDeclaredComponents(t *testing.T) {
 	}
 }
 
-// TestActiveKernelTimedUnpark: a parked Timed component is woken by its
-// own cached NextEvent at exactly the right cycle.
-func TestActiveKernelTimedUnpark(t *testing.T) {
-	w := NewWorld(WithKernel(KernelActive))
-	c := &timedComp{world: w, due: 700}
-	w.Add(c)
-	w.DependsOn(c)
-	w.Run(2000)
-	if c.fired != 1 {
-		t.Fatalf("timed component fired %d times, want 1", c.fired)
-	}
-	if c.total() != 2000 {
-		t.Fatalf("bookkeeping covers %d of 2000 cycles", c.total())
-	}
-	if w.Activations() == 0 {
-		t.Fatal("component never unparked")
-	}
-}
-
 // TestActiveKernelWakeUnparks: a staging mutator invoked during the Eval
 // phase unparks its parked target and the staged value commits on the
 // same clock edge as under the naive kernel; a mutator invoked between
@@ -177,7 +149,6 @@ func TestActiveKernelWakeUnparks(t *testing.T) {
 		s := &sleeper{}
 		w := NewWorld(WithKernel(k))
 		w.Add(s)
-		w.DependsOn(s)
 		w.Add(&Func{OnEval: func() {
 			if w.Cycle() == 3 {
 				s.Set(42)
@@ -189,39 +160,25 @@ func TestActiveKernelWakeUnparks(t *testing.T) {
 		if s.cur != 0 {
 			t.Fatalf("%v: early commit: cur=%d", k, s.cur)
 		}
+		if k == KernelActive && w.Parked() != 1 {
+			t.Fatalf("asleep target not parked before the wake: Parked = %d", w.Parked())
+		}
 		w.Step()
 		if s.cur != 42 {
 			t.Fatalf("%v: staged value not committed on the wake cycle: cur=%d", k, s.cur)
 		}
 		// Between-cycles mutation: the wake arrives outside the Eval
-		// phase and must be honoured on the next cycle.
+		// phase, after an idle cycle has parked the target again, and
+		// must be honoured on the next cycle.
+		w.Step()
+		if k == KernelActive && w.Parked() != 1 {
+			t.Fatalf("idle target not parked again: Parked = %d", w.Parked())
+		}
 		s.Set(77)
 		w.Step()
 		if s.cur != 77 {
 			t.Fatalf("%v: between-cycle staged value not committed: cur=%d", k, s.cur)
 		}
-	}
-}
-
-// TestActiveKernelTimerUnparksAll: a WakeAt timer forces its cycle to be
-// a real poll of every parked component.
-func TestActiveKernelTimerUnparksAll(t *testing.T) {
-	w := NewWorld(WithKernel(KernelActive))
-	c := &tickerComp{quiet: true}
-	w.Add(c)
-	w.DependsOn(c)
-	if err := w.WakeAt(500); err != nil {
-		t.Fatal(err)
-	}
-	w.Run(1000)
-	if w.Activations() == 0 {
-		t.Fatal("timer did not unpark the parked component")
-	}
-	if c.total() != 1000 {
-		t.Fatalf("bookkeeping covers %d of 1000 cycles", c.total())
-	}
-	if n := w.PendingTimers(); n != 0 {
-		t.Fatalf("timer still pending: %d", n)
 	}
 }
 
@@ -231,9 +188,8 @@ func TestActiveKernelTimerUnparksAll(t *testing.T) {
 // run would show.
 func TestActiveKernelRunUntilSettled(t *testing.T) {
 	w := NewWorld(WithKernel(KernelActive))
-	c := &tickerComp{quiet: true}
+	c := &sleepyTicker{tickerComp{quiet: true}}
 	w.Add(c)
-	w.DependsOn(c)
 	checks := 0
 	ok := w.RunUntil(func() bool {
 		checks++
@@ -264,7 +220,6 @@ func TestAddMidRun(t *testing.T) {
 			// Add between runs: must behave like a fresh component.
 			late := &sleeper{}
 			w.Add(late)
-			w.DependsOn(late)
 
 			// Add from inside the Eval phase: the kernel must not commit
 			// the new component this cycle (it was never evaluated).
@@ -274,7 +229,6 @@ func TestAddMidRun(t *testing.T) {
 				case 7:
 					mid = &sleeper{}
 					w.Add(mid)
-					w.DependsOn(mid)
 				case 9:
 					late.Set(1)
 					mid.Set(2)
@@ -295,16 +249,4 @@ func TestAddMidRun(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestDependsOnUnregisteredPanics: declaring dependencies for a
-// component the world has never seen is a wiring bug and fails fast.
-func TestDependsOnUnregisteredPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	w := NewWorld()
-	w.DependsOn(&counter{})
 }

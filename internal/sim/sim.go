@@ -24,14 +24,15 @@
 //   - Per cycle, a component implementing Quiescer is polled at its Eval
 //     slot and, when quiescent, skips both Eval and Commit; its idle
 //     bookkeeping is replayed by IdleWindow(1) in the Commit phase.
-//   - Per component, a quiescent component that is provably inert until
-//     an external stimulus parks: it leaves the sweep entirely, and the
+//   - Per component, a skipped Sleeper that certifies it is asleep —
+//     only its own staging mutators can end its quiescence — parks: it
+//     leaves the sweep entirely until its wake closure runs, and the
 //     cycles it owes are replayed in one IdleWindow batch when it
 //     unparks or the world settles (active.go).
 //   - Per world, a Run window in which every component is quiescent
-//     fast-forwards to the next event horizon: the earliest pending timer
-//     (WakeAt), the earliest self-scheduled component event (NextEvent),
-//     or the end of the window.
+//     fast-forwards to the next event horizon: the earliest
+//     self-scheduled event (NextEvent) of an active component, or the
+//     end of the window.
 //
 // # The skipping contract
 //
@@ -57,7 +58,7 @@
 //     component whose quiescence can end purely through the passage of
 //     cycles (a timer expiring, a scheduled burst coming due) must
 //     implement Timed and report that cycle via NextEvent; the kernel
-//     never fast-forwards past it and unparks it on time.
+//     never fast-forwards past it. Such a component is never parked.
 //
 // Fast-forward is exact by a fixed-point argument: a cycle in which every
 // component is quiescent commits no register, so the pre-edge signal state
@@ -67,8 +68,7 @@
 // component in the world disables fast-forward, because no cycle then
 // skips all components. External drivers that mutate the world between
 // Run calls need no declaration either — fast-forward never crosses a Run
-// boundary. Timers (WakeAt) exist for drivers that stage future work
-// inside a Run window.
+// boundary.
 package sim
 
 import (
@@ -116,8 +116,10 @@ type IdleWindower interface {
 // because the clock reaches some cycle (a scheduled burst coming due, a
 // timeout expiring). NextEvent returns the earliest such absolute cycle,
 // or ok=false when no self-scheduled work is pending. The kernel never
-// fast-forwards past the reported cycle and unparks a parked Timed
-// component on it; the naive kernel ignores it.
+// fast-forwards past the reported cycle; the naive kernel ignores it.
+// A Timed component stays in the active set: the kernel reads NextEvent
+// only there, so a Timed component must not be a Sleeper (the nocvet
+// kernelcontract analyzer rejects the pair).
 type Timed interface {
 	NextEvent() (cycle uint64, ok bool)
 }
@@ -129,7 +131,7 @@ type Timed interface {
 // skip decision already taken this cycle is revised. The wake function is
 // safe to call at any time (outside the Eval phase it only unparks a
 // parked component for the next cycle; the next poll covers the staged
-// work).
+// work). For a parked Sleeper it is the only way back into the sweep.
 type Waker interface {
 	SetWake(func())
 }
@@ -138,10 +140,12 @@ type Waker interface {
 // stronger form of quiescence: Asleep must be true only while no change
 // on any input register the component reads can end its quiescence —
 // only one of its own staging mutators (which call the wake function)
-// can. An asleep component parks without a DependsOn declaration and
-// receives no upstream-commit notifications; the wake closure is its sole
-// re-activation channel, so the component must clear the asleep condition
-// before (or upon) the wake function running.
+// can. A Sleeper skipped on a cycle it is asleep parks: it leaves the
+// per-cycle sweep, and the wake closure is its sole re-activation
+// channel, so the component must clear the asleep condition before (or
+// upon) the wake function running. Sleepers are the only components the
+// kernel parks, and a Sleeper must not be Timed: nothing reads a parked
+// component's NextEvent.
 type Sleeper interface {
 	Waker
 	Asleep() bool
@@ -152,8 +156,8 @@ type Kernel int
 
 const (
 	// KernelActive is the production kernel and the zero value:
-	// quiescent components are skipped, provably inert ones are parked
-	// out of the sweep, and fully quiescent Run windows are
+	// quiescent components are skipped, asleep Sleepers are parked out
+	// of the sweep, and fully quiescent Run windows are
 	// fast-forwarded, with results byte-identical to KernelNaive. See
 	// active.go.
 	KernelActive Kernel = iota
@@ -183,7 +187,7 @@ func WithKernel(k Kernel) WorldOption {
 }
 
 // WithTracer attaches a structured event tracer to the world: the kernel
-// emits eval, wake, park/unpark, fast-forward and timer events into it,
+// emits eval, wake, park/unpark and fast-forward events into it,
 // timestamped in cycles. A nil tracer (the default) is the fast path —
 // every emission site is a single predictable branch — and tracing never
 // influences scheduling, so results are byte-identical with or without
@@ -199,8 +203,8 @@ type TraceNamer interface {
 	TraceName() string
 }
 
-// kernelTrack is the track kernel-global events (fast-forward, timer)
-// are emitted on.
+// kernelTrack is the track kernel-global events (fast-forward) are
+// emitted on.
 const kernelTrack = "kernel"
 
 // World is an ordered collection of clocked components driven by a common
@@ -218,30 +222,21 @@ type World struct {
 	inEval  bool // currently inside the Eval sweep
 	evalPos int  // index of the component whose Eval slot is active
 
-	evals   uint64   // Eval/Commit pairs executed
-	skips   uint64   // Eval/Commit pairs skipped
-	evalsBy []uint64 // per-component share of evals
-	skipsBy []uint64 // per-component share of skips
-	polls   uint64   // Quiescent() polls executed
+	evals uint64 // Eval/Commit pairs executed
+	skips uint64 // Eval/Commit pairs skipped
+	polls uint64 // Quiescent() polls executed
 
-	allSkipped bool       // last cycle skipped every component
-	timers     timerWheel // pending WakeAt cycles
-	ffWindows  uint64     // fast-forward windows taken
-	ffCycles   uint64     // cycles covered by fast-forward
+	allSkipped bool   // last cycle skipped every component
+	ffWindows  uint64 // fast-forward windows taken
+	ffCycles   uint64 // cycles covered by fast-forward
 
-	// Parking state (active.go). The declarations are recorded under
-	// both kernels; only KernelActive ever parks.
-	index       map[Clocked]int // component -> registration index
-	deps        []uint8         // parallel; depParkable | depNotifies | depSleeper
-	downstream  [][]int         // parallel; declared dependents
-	fedAt       []uint64        // parallel; cycle+1 of the last upstream commit
-	live        []uint64        // bitset of unparked components
-	parkedAt    []uint64        // parallel; first unsettled parked cycle
+	// Parking state (active.go); only KernelActive ever parks.
+	live        []uint64 // bitset of unparked components
+	parkedAt    []uint64 // parallel; first unsettled parked cycle
 	parkedCount int
-	sumParkedAt uint64    // sum of parkedAt over parked components
-	activations uint64    // unpark count
-	pending     []int     // unpark requests for the next cycle
-	events      eventHeap // cached NextEvent of parked Timed components
+	sumParkedAt uint64 // sum of parkedAt over parked components
+	activations uint64 // unpark count
+	pending     []int  // unpark requests for the next cycle
 
 	tracer obs.Tracer // kernel event sink; nil (the default) is the fast path
 	tracks []string   // per-component track names, built lazily while tracing
@@ -250,7 +245,7 @@ type World struct {
 // NewWorld returns an empty world. Without options it runs on the
 // production kernel, KernelActive.
 func NewWorld(opts ...WorldOption) *World {
-	w := &World{index: make(map[Clocked]int)}
+	w := &World{}
 	for _, o := range opts {
 		o(w)
 	}
@@ -276,24 +271,14 @@ func (w *World) Add(cs ...Clocked) {
 		w.windowers = append(w.windowers, iw)
 		td, _ := c.(Timed)
 		w.timed = append(w.timed, td)
-		sl, isSleeper := c.(Sleeper)
+		sl, _ := c.(Sleeper)
 		w.sleepers = append(w.sleepers, sl)
 		w.skipped = append(w.skipped, false)
-		w.evalsBy = append(w.evalsBy, 0)
-		w.skipsBy = append(w.skipsBy, 0)
-		var dep uint8
-		if isSleeper {
-			dep = depSleeper
-		}
-		w.deps = append(w.deps, dep)
-		w.downstream = append(w.downstream, nil)
-		w.fedAt = append(w.fedAt, 0)
 		w.parkedAt = append(w.parkedAt, 0)
 		if idx&63 == 0 {
 			w.live = append(w.live, 0)
 		}
 		w.live[idx>>6] |= 1 << (idx & 63)
-		w.index[c] = idx
 		if wk, ok := c.(Waker); ok {
 			wk.SetWake(w.wakeFn(idx))
 		}
@@ -349,18 +334,6 @@ func (w *World) Evals() uint64 { return w.evals }
 // have not been settled yet, so the count reads the same at any time.
 func (w *World) Skips() uint64 { return w.skips + w.parkedPendingSkips() }
 
-// ComponentActivity returns the Eval/Commit pairs executed and skipped for
-// the i-th registered component (registration order) — the per-component
-// activity factor a finer-grained power attribution is keyed by. Skips
-// deferred on a parked component are included.
-func (w *World) ComponentActivity(i int) (evals, skips uint64) {
-	skips = w.skipsBy[i]
-	if w.isParked(i) {
-		skips += w.cycle - w.parkedAt[i]
-	}
-	return w.evalsBy[i], skips
-}
-
 // FastForwards returns how many fast-forward windows the kernel has
 // taken and how many cycles they covered in total.
 func (w *World) FastForwards() (windows, cycles uint64) {
@@ -410,7 +383,6 @@ func (w *World) stepNaive() {
 // commit runs component i's Commit and counts the evaluated pair.
 func (w *World) commit(i int) {
 	w.evals++
-	w.evalsBy[i]++
 	if w.tracer != nil {
 		w.emit(i, obs.KindEval, 0)
 	}
@@ -428,10 +400,9 @@ func (w *World) emit(i int, kind string, value int64) {
 
 // Run advances the world by n cycles. Under KernelActive, windows in
 // which every component is quiescent are fast-forwarded to the next
-// pending timer, self-scheduled component event or the end of the
-// window, with the skipped cycles' idle bookkeeping replayed exactly,
-// and every parked component's bookkeeping is settled before Run
-// returns.
+// self-scheduled component event or the end of the window, with the
+// skipped cycles' idle bookkeeping replayed exactly, and every parked
+// component's bookkeeping is settled before Run returns.
 func (w *World) Run(n int) {
 	if n <= 0 {
 		return

@@ -100,7 +100,8 @@ func TestAddNilPanics(t *testing.T) {
 
 // sleeper is a quiescer with a Push/Inject-style staging mutator: Set
 // stages a value during the Eval phase, Commit latches it. IdleWindow
-// counts the cycles the kernel skipped.
+// counts the cycles the kernel skipped. It is asleep while nothing is
+// staged, so the production kernel parks it until Set wakes it.
 type sleeper struct {
 	cur    int
 	staged *int
@@ -120,6 +121,7 @@ func (s *sleeper) Commit() {
 func (s *sleeper) Quiescent() bool     { return s.staged == nil }
 func (s *sleeper) IdleWindow(n uint64) { s.idle += n }
 func (s *sleeper) SetWake(fn func())   { s.wake = fn }
+func (s *sleeper) Asleep() bool        { return s.staged == nil }
 func (s *sleeper) Set(v int) {
 	cp := v
 	s.staged = &cp
@@ -362,14 +364,10 @@ func TestEarlierEvalStagesIntoLaterComponent(t *testing.T) {
 			}
 		}})
 		w.Add(box, near)
-		w.DependsOn(near)
 		for i := 0; i < 100; i++ { // push far into the second bitset word
-			c := &tickerComp{quiet: true}
-			w.Add(c)
-			w.DependsOn(c)
+			w.Add(&sleepyTicker{tickerComp{quiet: true}})
 		}
 		w.Add(far)
-		w.DependsOn(far)
 		w.Run(3) // cycles 0-2: everything quiescent parks
 		if k == KernelActive && w.Parked() < 100 {
 			t.Fatalf("only %d components parked before the staging cycle", w.Parked())

@@ -80,28 +80,24 @@ func TestTracerKernelEvents(t *testing.T) {
 	}
 }
 
-// TestTracerTimerEvent: WakeAt is traced on the kernel track.
-func TestTracerTimerEvent(t *testing.T) {
+// TestTracerFastForwardEvent: a fast-forward window is traced on the
+// kernel track with the number of cycles it covered.
+func TestTracerFastForwardEvent(t *testing.T) {
 	c := obs.NewCollector()
 	w := sim.NewWorld(sim.WithTracer(c))
 	w.Add(&pulser{period: 1 << 60}) // effectively always idle
-	if err := w.WakeAt(5); err != nil {
-		t.Fatal(err)
-	}
 	w.Run(10)
-	var timer, ff bool
+	_, ffCycles := w.FastForwards()
+	var traced int64
 	for _, e := range c.Events() {
-		if e.Track == "kernel" && e.Kind == obs.KindTimer && e.Value == 5 {
-			timer = true
-		}
 		if e.Track == "kernel" && e.Kind == obs.KindFastForward {
-			ff = true
+			traced += e.Value
 		}
 	}
-	if !timer {
-		t.Fatal("no timer event traced")
-	}
-	if !ff {
+	if traced == 0 {
 		t.Fatal("no fast-forward event traced")
+	}
+	if traced != int64(ffCycles) {
+		t.Fatalf("traced fast-forward windows cover %d cycles, kernel counted %d", traced, ffCycles)
 	}
 }

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/cellcache"
@@ -10,10 +11,14 @@ import (
 // the fabric constructor to run it on. Byte layout, one field per byte
 // unless noted: fabric, spatial pattern, mesh width, mesh height,
 // injection process, rate, burstiness, cycles (two bytes), flags (bit 0:
-// auto warm-up), replications, seed (two bytes). Missing bytes read as
-// zero, so every input decodes to a valid scenario: a 2–5 × 2–5 mesh,
+// auto warm-up), replications, seed (two bytes), mesh growth (bits 0–1
+// widen, bits 2–3 heighten the mesh by 0–3), explicit warm-up (that many
+// 256ths of the run, ignored under auto warm-up). Missing bytes read as
+// zero, so every input decodes to a valid scenario — a 2–8 × 2–8 mesh,
 // any pattern and process, a rate in (0,1], a burstiness of 1–8 for the
-// onoff process, 50–400 cycles and 1–2 replications.
+// onoff process, 50–400 cycles, 1–2 replications and a warm-up shorter
+// than the run — and inputs written before a field was appended decode
+// as they always did.
 func fuzzPatternCase(data []byte) (func(...Option) Fabric, Scenario) {
 	next := func() int {
 		if len(data) == 0 {
@@ -40,14 +45,20 @@ func fuzzPatternCase(data []byte) (func(...Option) Fabric, Scenario) {
 	sc.WarmupAuto = next()&1 == 1
 	sc.Replications = 1 + next()%2
 	sc.Seed = uint64(next()<<8 | next())
+	grow := next()
+	sc.MeshWidth += grow & 3
+	sc.MeshHeight += grow >> 2 & 3
+	if warm := next(); !sc.WarmupAuto {
+		sc.WarmupCycles = sc.Cycles * warm / 256
+	}
 	return build, sc
 }
 
 // FuzzCacheEquivalence checks the result cache against the determinism
 // contract on generated pattern scenarios: an uncached run, a cache
-// miss, a cache hit and a naive-kernel run must give identical Result
-// JSON, and on a fresh cache the miss run misses, and the hit run hits,
-// once per replication.
+// miss, a cache hit, a naive-kernel run and a run with tracing and
+// metrics on must give identical Result JSON, and on a fresh cache the
+// miss run misses, and the hit run hits, once per replication.
 func FuzzCacheEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		build, sc := fuzzPatternCase(data)
@@ -76,9 +87,11 @@ func FuzzCacheEquivalence(f *testing.F) {
 		hit := run(cached(c))
 		afterHit := c.Counters()
 		naive := run(build(WithKernel(KernelNaive)))
+		observed := run(build(WithTrace(io.Discard), WithMetrics(true)))
 
 		for _, v := range []struct{ name, out string }{
 			{"cache miss", miss}, {"cache hit", hit}, {"naive kernel", naive},
+			{"traced run", observed},
 		} {
 			if v.out != plain {
 				t.Fatalf("%+v: %s differs from the uncached run\nuncached: %s\n%s: %s",

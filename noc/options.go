@@ -18,9 +18,9 @@ type Kernel string
 const (
 	// KernelActive is the production kernel and the default: quiescent
 	// components — unconfigured routers, drained converters, sources
-	// between emissions — are skipped each cycle, provably inert ones are
-	// parked out of the per-cycle sweep until the event that touches
-	// them, and windows in which every component is quiescent are
+	// between emissions — are skipped each cycle, dormant routers are
+	// parked out of the per-cycle sweep until a configuration write
+	// wakes them, and windows in which every component is quiescent are
 	// fast-forwarded. The software analogue of the paper's clock gating;
 	// results are byte-identical to KernelNaive.
 	KernelActive Kernel = "active"

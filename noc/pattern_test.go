@@ -135,9 +135,9 @@ const eventKernelPolls16x16 = 1328404
 
 // TestPatternSparse16x16ActivePolls is the acceptance check of the
 // production kernel's parked set: on a sparse 16×16 pattern run it must
-// (a) stay byte-identical to the naive kernel, (b) actually park and
-// re-activate components, and (c) issue at most a fifth of the polls of
-// a kernel that re-polls every component on every live cycle
+// (a) stay byte-identical to the naive kernel, (b) actually park
+// components, and (c) issue at most a fifth of the polls of a kernel
+// that re-polls every component on every live cycle
 // (eventKernelPolls16x16). The all-to-hotspot pattern is
 // admission-limited on the circuit fabric: only the few flows that win
 // lanes into the centre establish, so most of the mesh holds no
@@ -145,6 +145,9 @@ const eventKernelPolls16x16 = 1328404
 // low-rate injection keeps the world from ever fast-forwarding past the
 // live circuits. The poll count is a deterministic proxy for wall-clock
 // speed; the measured comparison lives in the pattern kernel benchmarks.
+// No configuration write reaches a parked assembly here, so nothing
+// re-activates: ccn's TestBEConfiguratorDeliversAndMeetsBudget checks
+// re-activation where it happens.
 func TestPatternSparse16x16ActivePolls(t *testing.T) {
 	sc := Scenario{
 		Name: "sparse16", Pattern: "hotspot:1", MeshWidth: 16, MeshHeight: 16,
@@ -177,9 +180,6 @@ func TestPatternSparse16x16ActivePolls(t *testing.T) {
 	}
 	if v, _ := metricValue(active, "kernel.parked"); v == 0 {
 		t.Error("active kernel run ended with nothing parked")
-	}
-	if v, _ := metricValue(active, "kernel.activations"); v == 0 {
-		t.Error("active kernel run performed no activations")
 	}
 	if ap*5 > ep {
 		t.Errorf("active kernel polls %d > 1/5 of event kernel polls %d (%.1fx reduction)",
