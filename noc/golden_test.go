@@ -4,16 +4,23 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestResultGoldens pins the exact bytes of Result.JSON for a fixed table
 // of runs: the paper's four scenarios on every fabric (and on the circuit
-// fabric with clock gating), an 8×8 uniform circuit mesh and an 8×8
-// hotspot pattern on every fabric. The kernel and cache equivalence tests
-// compare paths that share the same router code, so a datapath change
-// that flips one bit of a power figure passes them; this table does not.
+// fabric with clock gating), an 8×8 uniform circuit mesh, an 8×8 hotspot
+// pattern on every fabric, and two CCN-mapped workload runs at 100 MHz —
+// UMTS on 4×3, and HiperLAN/2 plus UMTS sharing a 6×4 mesh with ganged
+// 2-lane paths — each of which must meet every channel's requirement. The
+// kernel and cache equivalence tests compare paths that share the same
+// router code, so a datapath change that flips one bit of a power figure
+// passes them; this table does not.
 // Pattern runs use the cbr process, whose arrival times are exact fixed
 // point, so the digests do not depend on math.Log across Go releases.
 //
@@ -37,13 +44,10 @@ func TestResultGoldens(t *testing.T) {
 		sc.Cycles = 400
 		return sc
 	}
-	uniform := Scenario{
-		Name: "uniform-cbr", Pattern: "uniform", MeshWidth: 8, MeshHeight: 8,
-		Cycles: 500, Seed: 1, Injection: &Injection{Process: "cbr", Rate: 0.3},
-	}
-	hotspot := Scenario{
-		Name: "hotspot-cbr", Pattern: "hotspot:1", MeshWidth: 8, MeshHeight: 8,
-		Cycles: 500, Seed: 2, Injection: &Injection{Process: "cbr", Rate: 0.05},
+	uniform, hotspot := uniformCBR(), hotspotCBR()
+	workload := func(name string, w, h int, apps ...string) Scenario {
+		return Scenario{Name: name, Workloads: apps, MeshWidth: w, MeshHeight: h,
+			FreqMHz: 100, Cycles: 2000}
 	}
 	cases := []golden{
 		{"circuit/I", CircuitSwitched(), paper("I"),
@@ -86,14 +90,89 @@ func TestResultGoldens(t *testing.T) {
 			"aff11392fbe6a82d39c7509c846733cd19387093fbedc214a6160fd58dbf9dbc"},
 		{"aethereal/hotspot-cbr", AetherealTDM(), hotspot,
 			"4c9253d8e38324a2dd250a423c37246f057f8828690f722e2f2ea21ab664eeec"},
+		{"circuit/umts-4x3", CircuitSwitched(), workload("umts-4x3", 4, 3, "umts"),
+			"8ec42deda0b23e09d971001931045b5168b9fc4482273e7bab04fdc664b69754"},
+		{"circuit/hiperlan2,umts-6x4", CircuitSwitched(),
+			workload("hiperlan2,umts-6x4", 6, 4, "hiperlan2", "umts"),
+			"0632fc9e1cb1e0804d499bfeaa66e55251358917e1152000443ab2aa16131c94"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			sum := sha256.Sum256(runJSON(t, c.fabric, c.sc))
+			r, err := c.fabric.Run(c.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.sc.IsWorkload() && !r.MetAllRequirements() {
+				t.Errorf("a guaranteed-throughput channel missed its requirement: %+v", r.Channels)
+			}
+			b, err := r.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
 			if got := hex.EncodeToString(sum[:]); got != c.want {
 				t.Errorf("Result.JSON sha256 = %s, want %s", got, c.want)
 			}
 		})
+	}
+}
+
+// TestAllocMetricsGolden pins the circuit mesh's lane-allocator
+// instruments on two TestResultGoldens rows: the route probes, rejected
+// flows and hop histogram of the established routes. hotspot-cbr rejects
+// almost every flow at its endpoints; uniform-cbr establishes all 64
+// flows, one of them on its YX fallback route. The instruments are
+// off-wire (Result.Metrics), so the Result digests do not cover them.
+func TestAllocMetricsGolden(t *testing.T) {
+	counter := func(name string, v int64) obs.Sample {
+		return obs.Sample{Name: name, Kind: "counter", Value: v}
+	}
+	cases := []struct {
+		sc   Scenario
+		want []obs.Sample
+	}{
+		{hotspotCBR(), []obs.Sample{
+			{Name: "mesh.alloc.hops", Kind: "histogram", Value: 5, Sum: 31,
+				Buckets: []obs.Bucket{{Le: 7, Count: 4}, {Le: 15, Count: 1}}},
+			counter("mesh.alloc.probes", 5),
+			counter("mesh.alloc.rejections", 59),
+		}},
+		{uniformCBR(), []obs.Sample{
+			{Name: "mesh.alloc.hops", Kind: "histogram", Value: 64, Sum: 358,
+				Buckets: []obs.Bucket{{Le: 1, Count: 3}, {Le: 3, Count: 15}, {Le: 7, Count: 29}, {Le: 15, Count: 17}}},
+			counter("mesh.alloc.probes", 65),
+			counter("mesh.alloc.rejections", 0),
+		}},
+	}
+	for _, c := range cases {
+		res, err := CircuitSwitched(WithMetrics(true)).Run(c.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []obs.Sample
+		for _, s := range res.Metrics {
+			if strings.HasPrefix(s.Name, "mesh.alloc.") {
+				got = append(got, s)
+			}
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: mesh.alloc metrics\n got %+v\nwant %+v", c.sc.Name, got, c.want)
+		}
+	}
+}
+
+// uniformCBR and hotspotCBR are TestResultGoldens' 8×8 pattern rows.
+func uniformCBR() Scenario {
+	return Scenario{
+		Name: "uniform-cbr", Pattern: "uniform", MeshWidth: 8, MeshHeight: 8,
+		Cycles: 500, Seed: 1, Injection: &Injection{Process: "cbr", Rate: 0.3},
+	}
+}
+
+func hotspotCBR() Scenario {
+	return Scenario{
+		Name: "hotspot-cbr", Pattern: "hotspot:1", MeshWidth: 8, MeshHeight: 8,
+		Cycles: 500, Seed: 2, Injection: &Injection{Process: "cbr", Rate: 0.05},
 	}
 }
 
