@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/benet"
 	"repro/internal/core"
+	"repro/internal/kpn"
 	"repro/internal/mesh"
 	"repro/internal/packetsw"
 	"repro/internal/sim"
@@ -44,6 +45,35 @@ func TestLaneMath(t *testing.T) {
 	}
 	if g.Feasible(321) == nil {
 		t.Fatal("5 lanes needed but only 4 exist")
+	}
+}
+
+// TestBandwidthMustBeFinite: a NaN, infinite or huge bandwidth is
+// infeasible. LanesFor's int conversion turns all of them into a
+// negative lane count, which once passed Feasible's lane check:
+// Allocate then returned a "connection" of math.MinInt64 lanes and no
+// lane path, and MapApplication mapped such a channel.
+func TestBandwidthMustBeFinite(t *testing.T) {
+	src, dst := mesh.Coord{X: 0, Y: 0}, mesh.Coord{X: 2, Y: 1}
+	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		g, _ := newMgr(3, 3, 25)
+		if err := g.Feasible(bw); err == nil {
+			t.Errorf("Feasible(%v) accepted", bw)
+		}
+		if c, err := g.Allocate(src, dst, bw); err == nil {
+			t.Errorf("Allocate(%v) = %d lanes on %d lane paths, want an error", bw, c.Lanes, len(c.Segments))
+		}
+		graph := &kpn.Graph{
+			Name:      "two",
+			Processes: []kpn.Process{{Name: "a"}, {Name: "b"}},
+			Channels:  []kpn.Channel{{Name: "ab", From: "a", To: "b", BandwidthMbps: bw, Class: kpn.GT}},
+		}
+		if _, err := g.MapApplication(graph); err == nil {
+			t.Errorf("MapApplication mapped a %v Mbit/s channel", bw)
+		}
+		if ids := g.Connections(); len(ids) != 0 || g.LinkUtilization() != 0 {
+			t.Errorf("%v Mbit/s left connections %v, link utilisation %v", bw, ids, g.LinkUtilization())
+		}
 	}
 }
 

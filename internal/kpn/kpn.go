@@ -7,7 +7,10 @@
 // control traffic.
 package kpn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Class is the paper's traffic taxonomy (Section 3.3, after Rijpkema et
 // al.): guaranteed throughput or best effort.
@@ -103,8 +106,10 @@ func (g *Graph) Validate() error {
 		if c.From == c.To {
 			return fmt.Errorf("kpn: channel %q is a self loop", c.Name)
 		}
-		if c.BandwidthMbps <= 0 {
-			return fmt.Errorf("kpn: channel %q has non-positive bandwidth", c.Name)
+		// Written so that NaN fails too.
+		if !(c.BandwidthMbps > 0) || math.IsInf(c.BandwidthMbps, 1) {
+			return fmt.Errorf("kpn: channel %q bandwidth %v Mbit/s must be finite and positive",
+				c.Name, c.BandwidthMbps)
 		}
 	}
 	return nil

@@ -1,6 +1,9 @@
 package kpn
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func valid() *Graph {
 	return &Graph{
@@ -33,6 +36,9 @@ func TestValidateRejects(t *testing.T) {
 		"self loop":      func(g *Graph) { g.Channels[0].To = "a" },
 		"zero bandwidth": func(g *Graph) { g.Channels[0].BandwidthMbps = 0 },
 		"neg bandwidth":  func(g *Graph) { g.Channels[0].BandwidthMbps = -1 },
+		"NaN bandwidth":  func(g *Graph) { g.Channels[0].BandwidthMbps = math.NaN() },
+		"+Inf bandwidth": func(g *Graph) { g.Channels[0].BandwidthMbps = math.Inf(1) },
+		"-Inf bandwidth": func(g *Graph) { g.Channels[0].BandwidthMbps = math.Inf(-1) },
 	}
 	for name, mut := range cases {
 		g := valid()

@@ -2,6 +2,11 @@
 // two-dimensional mesh topology (Section 1.1): every router is connected to
 // its four neighbours by bidirectional point-to-point links (lane bundles in
 // each direction) and to one processing tile through the tile interface.
+//
+// LaneBook is the mesh's one lane allocator: it reserves lane paths
+// along the X-then-Y or Y-then-X route, configures and releases them and
+// reports utilisation, for the CCN's channel mapping (package ccn) and
+// for RunPattern's synthetic-traffic flows alike.
 package mesh
 
 import (
@@ -168,4 +173,11 @@ func XYPath(from, to Coord) []Coord {
 		path = append(path, c)
 	}
 	return path
+}
+
+// YXPath returns the Y-then-X alternative to XYPath, inclusive of both
+// endpoints: it turns at (from.X, to.Y).
+func YXPath(from, to Coord) []Coord {
+	mid := Coord{X: from.X, Y: to.Y}
+	return append(XYPath(from, mid), XYPath(mid, to)[1:]...)
 }

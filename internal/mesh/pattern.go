@@ -147,222 +147,11 @@ type PatternResult struct {
 	Power   power.Breakdown
 	PerNode []power.Breakdown
 	// LaneUtilization is the fraction of the mesh's output lanes
-	// reserved by established flows.
+	// reserved by established flows, tile ports and edge ports without
+	// a neighbour included (LaneBook.LaneUtilization).
 	LaneUtilization float64
 	// Flows describes every requested flow, in source order.
 	Flows []PatternFlow
-}
-
-// laneAlloc is the harness's single-lane circuit allocator: the same
-// XY-then-YX probing the CCN uses, reduced to one lane per flow. (The
-// CCN itself lives above this package and cannot be imported here.)
-type laneAlloc struct {
-	m      *Mesh
-	used   [][]bool // per node, per global output lane
-	tileIn [][]bool // per node, per tile input (transmit converter) lane
-
-	// Optional establishment metrics (nil when metrics are disabled):
-	// route probes attempted, flows rejected, hop counts of established
-	// routes.
-	probes  *obs.Counter
-	rejects *obs.Counter
-	hops    *obs.Histogram
-}
-
-func newLaneAlloc(m *Mesh, metrics *obs.Registry) *laneAlloc {
-	a := &laneAlloc{
-		m:       m,
-		probes:  metrics.Counter("mesh.alloc.probes"),
-		rejects: metrics.Counter("mesh.alloc.rejections"),
-		hops:    metrics.Histogram("mesh.alloc.hops"),
-	}
-	for i := 0; i < m.Nodes(); i++ {
-		a.used = append(a.used, make([]bool, m.P.TotalLanes()))
-		a.tileIn = append(a.tileIn, make([]bool, m.P.LanesPerPort))
-	}
-	return a
-}
-
-func (a *laneAlloc) idx(c Coord) int { return c.Y*a.m.W + c.X }
-
-// establish reserves and configures a single-lane circuit along the
-// XY route (falling back to YX) and returns the endpoint converters.
-//
-// Endpoint admission runs first: both candidate routes start at the
-// source's tile input and end at the destination's tile output, so a
-// flow that cannot get either lane cannot be established on any route.
-// Rejecting it here costs O(1) instead of two O(route) probes with
-// their reservation bookkeeping — the cost that used to dominate short
-// saturated pattern runs (a 64×64 hotspot run probes the full
-// mesh-radius route twice for every one of ~4k doomed flows before
-// failing at the same exhausted destination port every time).
-func (a *laneAlloc) establish(src, dst Coord) (*core.TxConverter, *core.RxConverter, int, error) {
-	if a.freeTileIn(src) < 0 {
-		if a.rejects != nil {
-			a.rejects.Add(1)
-		}
-		return nil, nil, 0, fmt.Errorf("mesh: no free tile input lane at %v", src)
-	}
-	if a.freeLane(dst, core.Tile) < 0 {
-		if a.rejects != nil {
-			a.rejects.Add(1)
-		}
-		return nil, nil, 0, fmt.Errorf("mesh: no free tile output lane at %v", dst)
-	}
-	routes := [][]Coord{XYPath(src, dst), yxPath(src, dst)}
-	var lastErr error
-	for _, route := range routes {
-		if a.probes != nil {
-			a.probes.Add(1)
-		}
-		tx, rx, err := a.tryRoute(route)
-		if err == nil {
-			if a.hops != nil {
-				a.hops.Observe(uint64(len(route) - 1))
-			}
-			return tx, rx, len(route) - 1, nil
-		}
-		lastErr = err
-	}
-	if a.rejects != nil {
-		a.rejects.Add(1)
-	}
-	return nil, nil, 0, lastErr
-}
-
-// yxPath is the Y-then-X alternative to XYPath.
-func yxPath(from, to Coord) []Coord {
-	mid := Coord{X: from.X, Y: to.Y}
-	path := XYPath(from, mid)
-	rest := XYPath(mid, to)
-	return append(path, rest[1:]...)
-}
-
-// tryRoute reserves one free lane on every hop of the route and
-// configures the circuits; on failure nothing is reserved.
-func (a *laneAlloc) tryRoute(route []Coord) (*core.TxConverter, *core.RxConverter, error) {
-	type reservation struct {
-		node int
-		lane int // global output lane, or -1 for a tile input
-		tin  int
-	}
-	var reserved []reservation
-	release := func() {
-		for _, r := range reserved {
-			if r.lane >= 0 {
-				a.used[r.node][r.lane] = false
-			} else {
-				a.tileIn[r.node][r.tin] = false
-			}
-		}
-	}
-	p := a.m.P
-
-	// Source tile input lane.
-	srcIdx := a.idx(route[0])
-	tin := a.freeTileIn(route[0])
-	if tin < 0 {
-		return nil, nil, fmt.Errorf("mesh: no free tile input lane at %v", route[0])
-	}
-	a.tileIn[srcIdx][tin] = true
-	reserved = append(reserved, reservation{node: srcIdx, lane: -1, tin: tin})
-
-	type seg struct {
-		node Coord
-		circ core.Circuit
-	}
-	var segs []seg
-	inLane := core.LaneID{Port: core.Tile, Lane: tin}
-	for h := 0; h < len(route)-1; h++ {
-		node, next := route[h], route[h+1]
-		outPort, err := PortTowards(node, next)
-		if err != nil {
-			release()
-			return nil, nil, err
-		}
-		l := a.freeLane(node, outPort)
-		if l < 0 {
-			release()
-			return nil, nil, fmt.Errorf("mesh: no free lane %v -> %v", node, next)
-		}
-		gl := p.Global(core.LaneID{Port: outPort, Lane: l})
-		a.used[a.idx(node)][gl] = true
-		reserved = append(reserved, reservation{node: a.idx(node), lane: gl})
-		segs = append(segs, seg{node: node, circ: core.Circuit{
-			In:  inLane,
-			Out: core.LaneID{Port: outPort, Lane: l},
-		}})
-		inLane = core.LaneID{Port: outPort.Opposite(), Lane: l}
-	}
-	// Destination tile output lane.
-	dstC := route[len(route)-1]
-	l := a.freeLane(dstC, core.Tile)
-	if l < 0 {
-		release()
-		return nil, nil, fmt.Errorf("mesh: no free tile output lane at %v", dstC)
-	}
-	gl := p.Global(core.LaneID{Port: core.Tile, Lane: l})
-	a.used[a.idx(dstC)][gl] = true
-	reserved = append(reserved, reservation{node: a.idx(dstC), lane: gl})
-	segs = append(segs, seg{node: dstC, circ: core.Circuit{
-		In:  inLane,
-		Out: core.LaneID{Port: core.Tile, Lane: l},
-	}})
-
-	// Configure the routers and enable the endpoint converters.
-	for i, s := range segs {
-		asm := a.m.At(s.node)
-		if err := asm.R.Configure(s.circ); err != nil {
-			release()
-			return nil, nil, err
-		}
-		if i == 0 && s.circ.In.Port == core.Tile {
-			asm.Tx[s.circ.In.Lane].Enabled = true
-		}
-		if i == len(segs)-1 && s.circ.Out.Port == core.Tile {
-			asm.Rx[s.circ.Out.Lane].Enabled = true
-		}
-	}
-	return a.m.At(route[0]).Tx[tin], a.m.At(dstC).Rx[l], nil
-}
-
-// freeTileIn returns a free tile input (transmit converter) lane index
-// at the node, or -1.
-func (a *laneAlloc) freeTileIn(node Coord) int {
-	for l, used := range a.tileIn[a.idx(node)] {
-		if !used {
-			return l
-		}
-	}
-	return -1
-}
-
-// freeLane returns a free lane index on the node's port, or -1.
-func (a *laneAlloc) freeLane(node Coord, port core.Port) int {
-	p := a.m.P
-	for l := 0; l < p.LanesPerPort; l++ {
-		if !a.used[a.idx(node)][p.Global(core.LaneID{Port: port, Lane: l})] {
-			return l
-		}
-	}
-	return -1
-}
-
-// utilization returns the reserved fraction of all output lanes.
-func (a *laneAlloc) utilization() float64 {
-	total, used := 0, 0
-	for _, lanes := range a.used {
-		for _, u := range lanes {
-			total++
-			if u {
-				used++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(used) / float64(total)
 }
 
 // flowStamps carries one flow's injection timestamps from its source to
@@ -474,10 +263,10 @@ type liveFlow struct {
 }
 
 // RunPattern simulates the pattern on a W×H circuit-switched mesh. Each
-// flow of the spatial pattern gets a single-lane circuit (XY then YX
-// probing); flows the allocator cannot route are reported as not
-// established — the circuit fabric's admission-time answer to
-// overload. Established flows are driven by event-scheduled
+// flow of the spatial pattern gets a single-lane circuit reserved in the
+// run's LaneBook (XY then YX probing, as the CCN maps channels); flows
+// the book cannot route are reported as not established — the circuit
+// fabric's admission-time answer to overload. Established flows are driven by event-scheduled
 // pattern.Sources and drained by quiescent sinks, so a sparse run
 // fast-forwards between words under the production kernel with results
 // byte-identical to the naive kernel.
@@ -493,7 +282,7 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 		sim.WithKernel(cfg.Kernel), sim.WithTracer(cfg.Obs.Tracer))
 	res := &PatternResult{}
 	dom := m.BindMeters(cfg.Lib, cfg.FreqMHz, cfg.Gated)
-	alloc := newLaneAlloc(m, cfg.Obs.Metrics)
+	book := NewLaneBook(m, cfg.Obs.Metrics)
 
 	if cfg.RetainLatency {
 		// The sinks feed res.Latency directly; under warm-up accounting
@@ -522,7 +311,7 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 		dstC := Coord{X: f.Dst % cfg.W, Y: f.Dst / cfg.W}
 		pf := PatternFlow{Src: srcC, Dst: dstC}
 		flowIdx := len(res.Flows)
-		tx, rx, hops, err := alloc.establish(srcC, dstC)
+		route, paths, err := book.Reserve(srcC, dstC, 1)
 		if err != nil {
 			if tracer != nil {
 				tracer.Emit(obs.Event{Track: "mesh.flows",
@@ -532,13 +321,19 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 			res.Flows = append(res.Flows, pf)
 			continue
 		}
+		if err := book.Configure(paths); err != nil {
+			return nil, fmt.Errorf("mesh: configuring flow %v->%v: %w", srcC, dstC, err)
+		}
+		path := paths[0]
+		tx := m.At(srcC).Tx[path[0].Circuit.In.Lane]
+		rx := m.At(dstC).Rx[path[len(path)-1].Circuit.Out.Lane]
 		pf.Established = true
-		pf.Hops = hops
+		pf.Hops = len(route) - 1
 		res.FlowsEstablished++
 		if tracer != nil {
 			tracer.Emit(obs.Event{Track: "mesh.flows",
 				Kind: obs.KindFlowSetup, Value: int64(flowIdx),
-				Detail: fmt.Sprintf("%v->%v hops=%d", srcC, dstC, hops)})
+				Detail: fmt.Sprintf("%v->%v hops=%d", srcC, dstC, pf.Hops)})
 		}
 
 		// Per-flow deterministic streams: data words and arrival times
@@ -609,7 +404,7 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 		}
 		res.WordsSent = sent
 	}
-	res.LaneUtilization = alloc.utilization()
+	res.LaneUtilization = book.LaneUtilization()
 	res.Power = dom.Report(fmt.Sprintf("pattern %v x %v", cfg.Spatial, cfg.Injection))
 	res.PerNode = dom.PerNode("pattern node")
 	return res, nil

@@ -23,9 +23,10 @@ import (
 // latency of a fixed set of workloads, use a workload Scenario on the
 // CircuitSwitched fabric instead.
 type Network struct {
-	mgr  *ccn.Manager
-	maps map[int]*ccn.Mapping
-	next int
+	mgr   *ccn.Manager
+	tiles int
+	maps  map[int]*ccn.Mapping
+	next  int
 }
 
 // Mapping describes one application currently mapped on a Network.
@@ -54,8 +55,9 @@ func NewNetwork(w, h int, freqMHz float64) (*Network, error) {
 	}
 	m := mesh.New(w, h, core.DefaultParams(), core.DefaultAssemblyOptions())
 	return &Network{
-		mgr:  ccn.NewManager(m, freqMHz),
-		maps: map[int]*ccn.Mapping{},
+		mgr:   ccn.NewManager(m, freqMHz),
+		tiles: m.Nodes(),
+		maps:  map[int]*ccn.Mapping{},
 	}, nil
 }
 
@@ -64,7 +66,7 @@ func NewNetwork(w, h int, freqMHz float64) (*Network, error) {
 // throughput lane paths for every channel. It fails — leaving existing
 // mappings untouched — when tiles or lanes run out.
 func (n *Network) Map(workload string) (Mapping, error) {
-	graph, err := workloadGraph(workload)
+	graph, err := workloadGraph(workload, n.tiles)
 	if err != nil {
 		return Mapping{}, err
 	}

@@ -207,8 +207,11 @@ type Result struct {
 	// Channels and Placements describe workload runs.
 	Channels   []Channel   `json:"channels,omitempty"`
 	Placements []Placement `json:"placements,omitempty"`
-	// LinkUtilization is the fraction of mesh lane capacity allocated
-	// (workload and circuit pattern runs).
+	// LinkUtilization is the fraction of mesh lane capacity allocated,
+	// with two meanings: a workload run counts the output lanes of
+	// inter-router links only (mesh.LaneBook.LinkUtilization); a
+	// circuit pattern run counts every output lane, tile ports and edge
+	// ports without a neighbour included (LaneBook.LaneUtilization).
 	LinkUtilization float64 `json:"link_utilization,omitempty"`
 	// FlowsRequested and FlowsEstablished describe pattern runs: how
 	// many flows the spatial pattern generated and how many the fabric

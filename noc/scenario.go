@@ -334,7 +334,7 @@ func (s Scenario) Validate() error {
 				s.Name, s.MeshWidth, s.MeshHeight)
 		}
 		for _, wl := range s.Workloads {
-			if _, err := workloadGraph(wl); err != nil {
+			if _, err := workloadGraph(wl, s.MeshWidth*s.MeshHeight); err != nil {
 				return err
 			}
 		}

@@ -22,10 +22,12 @@ import (
 // the three applications of the paper's Section 3.
 func Workloads() []string { return []string{"hiperlan2", "umts", "drm"} }
 
-// workloadGraph resolves a workload name to its process graph. UMTS
-// accepts an operating point suffix, "umts:N", selecting N rake fingers
-// (the knob the CCN re-maps at run time when reception quality changes).
-func workloadGraph(name string) (*kpn.Graph, error) {
+// workloadGraph resolves a workload name to its process graph for a mesh
+// of the given tile count. UMTS accepts an operating point suffix,
+// "umts:N", selecting N rake fingers (the knob the CCN re-maps at run
+// time when reception quality changes). Each finger is a process of its
+// own, so N above the tile count is rejected before any graph is built.
+func workloadGraph(name string, tiles int) (*kpn.Graph, error) {
 	switch low := strings.ToLower(name); low {
 	case "hiperlan", "hiperlan2":
 		return apps.HiperLANGraph(apps.DefaultHiperLAN(), apps.HiperLANModulations()[3]), nil
@@ -38,6 +40,9 @@ func workloadGraph(name string) (*kpn.Graph, error) {
 			n, err := strconv.Atoi(fingers)
 			if err != nil {
 				return nil, fmt.Errorf("noc: bad umts finger count %q", fingers)
+			}
+			if n > tiles {
+				return nil, fmt.Errorf("noc: %d umts fingers, one process each, exceed the mesh's %d tiles", n, tiles)
 			}
 			u := apps.DefaultUMTS()
 			u.Fingers = n
@@ -217,7 +222,7 @@ func runCircuitWorkload(cfg config, sc Scenario) (*Result, error) {
 	var states []chanState
 	world := m.World()
 	for _, wl := range sc.Workloads {
-		graph, err := workloadGraph(wl)
+		graph, err := workloadGraph(wl, m.Nodes())
 		if err != nil {
 			return nil, err
 		}

@@ -90,12 +90,49 @@ func TestWorkloadMultimode(t *testing.T) {
 
 func TestWorkloadGraphNames(t *testing.T) {
 	for _, wl := range Workloads() {
-		if _, err := workloadGraph(wl); err != nil {
+		if _, err := workloadGraph(wl, 12); err != nil {
 			t.Errorf("advertised workload %q does not resolve: %v", wl, err)
 		}
 	}
-	if _, err := workloadGraph("hiperlan"); err != nil {
+	if _, err := workloadGraph("hiperlan", 12); err != nil {
 		t.Errorf("alias hiperlan rejected: %v", err)
+	}
+}
+
+// TestUMTSFingersBoundedByTiles: umts:N makes each rake finger a process
+// of its own, so an N above the mesh's tile count cannot map and is
+// rejected before the graph is built. A scenario, sweep cell or
+// Network.Map asking for 100000 fingers used to build 100000 processes
+// and 300000 channels first (about 800k allocations). Plain umts on 2×2
+// still fails where it always did, in the mapping.
+func TestUMTSFingersBoundedByTiles(t *testing.T) {
+	sc := Scenario{Name: "big", Workloads: []string{"umts:100000"}, MeshWidth: 4, MeshHeight: 3}.withDefaults()
+	var err error
+	allocs := testing.AllocsPerRun(3, func() { err = sc.Validate() })
+	if err == nil || !strings.Contains(err.Error(), "12 tiles") {
+		t.Errorf("Validate(umts:100000 on 4x3) = %v, want an error naming the 12 tiles", err)
+	}
+	if allocs > 16 {
+		t.Errorf("Validate(umts:100000 on 4x3) made %.0f allocations, want <= 16", allocs)
+	}
+	net, err := NewNetwork(4, 3, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(3, func() { _, err = net.Map("umts:100000") })
+	if err == nil || allocs > 16 {
+		t.Errorf("Network.Map(umts:100000 on 4x3) = %v after %.0f allocations, want an error within 16", err, allocs)
+	}
+	fits := Scenario{Name: "fits", Workloads: []string{"umts:12"}, MeshWidth: 4, MeshHeight: 3}.withDefaults()
+	if err := fits.Validate(); err != nil {
+		t.Errorf("umts:12 on 4x3: %v", err)
+	}
+	small, err := NewNetwork(2, 2, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := small.Map("umts"); err == nil || !strings.Contains(err.Error(), "10 processes but only 4 free tiles") {
+		t.Errorf("umts on 2x2: %v, want the mapping's tile-count error", err)
 	}
 }
 
