@@ -105,13 +105,13 @@ type laneStep struct {
 // decodeLaneSteps decodes FuzzLaneReserve's input: mesh width and height
 // (2–8 each), a mode byte, then three bytes per step — op, source,
 // destination — up to 48 steps. An op ≡ 7 (mod 8) releases live
-// reservation op/8 (modulo the live count; a reserve when none is live);
-// any other op reserves 1 + (op/8 mod LanesPerPort) lane paths. An
-// endpoint byte ≥ 0xC0 names one of three hot nodes (first, last,
-// middle) so endpoints collide and run out of tile lanes; any other
-// byte names node byte mod W·H. With mode bit 0 set the sequence only
-// reserves single lane paths, the one request the pattern allocator
-// served. Missing bytes read as zero.
+// reservation op/8 (modulo the live count; with none live it reserves
+// one lane path); any other op reserves 1 + (op/8 mod LanesPerPort) lane
+// paths. An endpoint byte ≥ 0xC0 names one of three hot nodes (first,
+// last, middle) so endpoints collide and run out of tile lanes; any
+// other byte names node byte mod W·H. With mode bit 0 set the sequence
+// only reserves single lane paths, the one request the pattern
+// allocator served. Missing bytes read as zero.
 func decodeLaneSteps(data []byte) (w, h int, steps []laneStep) {
 	next := func() int {
 		if len(data) == 0 {
