@@ -15,9 +15,12 @@ import (
 // TestResultGoldens pins the exact bytes of Result.JSON for a fixed table
 // of runs: the paper's four scenarios on every fabric (and on the circuit
 // fabric with clock gating), an 8×8 uniform circuit mesh, an 8×8 hotspot
-// pattern on every fabric, and two CCN-mapped workload runs at 100 MHz —
-// UMTS on 4×3, and HiperLAN/2 plus UMTS sharing a 6×4 mesh with ganged
-// 2-lane paths — each of which must meet every channel's requirement. The
+// pattern on every fabric, one non-default lane, VC/buffer-depth and
+// slot count per fabric (8 TDM slots on scenario IV, 4 on the uniform
+// pattern, where the table admits 13 of its 16 flows), and two
+// CCN-mapped workload runs at 100 MHz — UMTS on 4×3, and HiperLAN/2 plus
+// UMTS sharing a 6×4 mesh with ganged 2-lane paths — each of which must
+// meet every channel's requirement. The
 // kernel and cache equivalence tests compare paths that share the same
 // router code, so a datapath change that flips one bit of a power figure
 // passes them; this table does not.
@@ -90,6 +93,14 @@ func TestResultGoldens(t *testing.T) {
 			"aff11392fbe6a82d39c7509c846733cd19387093fbedc214a6160fd58dbf9dbc"},
 		{"aethereal/hotspot-cbr", AetherealTDM(), hotspot,
 			"4c9253d8e38324a2dd250a423c37246f057f8828690f722e2f2ea21ab664eeec"},
+		{"aethereal-slots8/IV", AetherealTDM(WithSlots(8)), paper("IV"),
+			"ec44f4f413a303dba33dc0cf0bafc1f2f217ea1e1cfdebe38115cc73f33924da"},
+		{"aethereal-slots4/uniform-cbr", AetherealTDM(WithSlots(4)), uniform,
+			"e61387a965645271d1b5edc1adce591fcad02e522fd381ef24a259b7a5856908"},
+		{"packet-vcs3-depth2/IV", PacketSwitched(WithVirtualChannels(3), WithBufferDepth(2)), paper("IV"),
+			"d3be9364331659d6319121eb9dab0bc3218dcae42b83480bea07d9c1e39ef7e0"},
+		{"circuit-lanes3/IV", CircuitSwitched(WithLanes(3)), paper("IV"),
+			"151d07fafdebcab1a7d3b9590ab167ec56b16f0ff2b48ffb13aac127dc46c171"},
 		{"circuit/umts-4x3", CircuitSwitched(), workload("umts-4x3", 4, 3, "umts"),
 			"8ec42deda0b23e09d971001931045b5168b9fc4482273e7bab04fdc664b69754"},
 		{"circuit/hiperlan2,umts-6x4", CircuitSwitched(),
