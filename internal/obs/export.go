@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -118,174 +117,4 @@ func WriteChrome(w io.Writer, evs []Event) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// binaryMagic heads the compact binary trace format: a string table
-// followed by varint-packed events, all counts and values as varints.
-const binaryMagic = "NOCTRACE1\n"
-
-// WriteBinary writes events in the compact binary trace format. Events
-// are canonically sorted first, so the bytes are deterministic.
-func WriteBinary(w io.Writer, evs []Event) error {
-	sorted := make([]Event, len(evs))
-	copy(sorted, evs)
-	SortEvents(sorted)
-
-	// Deduplicated, sorted string table over tracks, kinds and details.
-	strIdx := make(map[string]int)
-	var strs []string
-	for _, e := range sorted {
-		for _, s := range [...]string{e.Track, e.Kind, e.Detail} {
-			if _, ok := strIdx[s]; !ok {
-				strIdx[s] = 0
-				strs = append(strs, s)
-			}
-		}
-	}
-	sort.Strings(strs)
-	for i, s := range strs {
-		strIdx[s] = i
-	}
-
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, binaryMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putU := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	putI := func(v int64) error {
-		n := binary.PutVarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putU(uint64(len(strs))); err != nil {
-		return err
-	}
-	for _, s := range strs {
-		if err := putU(uint64(len(s))); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(bw, s); err != nil {
-			return err
-		}
-	}
-	if err := putU(uint64(len(sorted))); err != nil {
-		return err
-	}
-	for _, e := range sorted {
-		if err := putU(e.Cycle); err != nil {
-			return err
-		}
-		if err := putU(uint64(e.Cell)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(e.Scope)); err != nil {
-			return err
-		}
-		if err := putU(uint64(strIdx[e.Track])); err != nil {
-			return err
-		}
-		if err := putU(uint64(strIdx[e.Kind])); err != nil {
-			return err
-		}
-		if err := putI(e.Value); err != nil {
-			return err
-		}
-		if err := putU(uint64(strIdx[e.Detail])); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses a compact binary trace written by WriteBinary.
-func ReadBinary(r io.Reader) ([]Event, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("obs: reading trace magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("obs: not a binary trace (bad magic %q)", magic)
-	}
-	nStr, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("obs: reading string count: %w", err)
-	}
-	const maxStrings = 1 << 24
-	if nStr > maxStrings {
-		return nil, fmt.Errorf("obs: string table too large (%d)", nStr)
-	}
-	strs := make([]string, nStr)
-	for i := range strs {
-		l, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("obs: reading string length: %w", err)
-		}
-		if l > 1<<20 {
-			return nil, fmt.Errorf("obs: string too long (%d)", l)
-		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, fmt.Errorf("obs: reading string: %w", err)
-		}
-		strs[i] = string(b)
-	}
-	str := func(i uint64) (string, error) {
-		if i >= nStr {
-			return "", fmt.Errorf("obs: string index %d out of %d", i, nStr)
-		}
-		return strs[i], nil
-	}
-	nEv, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("obs: reading event count: %w", err)
-	}
-	var evs []Event
-	for i := uint64(0); i < nEv; i++ {
-		var e Event
-		if e.Cycle, err = binary.ReadUvarint(br); err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
-		}
-		cell, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
-		}
-		e.Cell = int(cell)
-		sc, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
-		}
-		e.Scope = Scope(sc)
-		ti, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
-		}
-		if e.Track, err = str(ti); err != nil {
-			return nil, err
-		}
-		ki, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
-		}
-		if e.Kind, err = str(ki); err != nil {
-			return nil, err
-		}
-		if e.Value, err = binary.ReadVarint(br); err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
-		}
-		di, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
-		}
-		if e.Detail, err = str(di); err != nil {
-			return nil, err
-		}
-		evs = append(evs, e)
-	}
-	return evs, nil
 }

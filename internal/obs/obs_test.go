@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -107,36 +106,6 @@ func TestWriteChromeParses(t *testing.T) {
 	}
 	if metas == 0 {
 		t.Fatal("no process/thread name metadata emitted")
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, someEvents()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := someEvents()
-	SortEvents(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a trace at all"))); err == nil {
-		t.Fatal("garbage accepted as a binary trace")
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, someEvents()); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated trace accepted")
 	}
 }
 
