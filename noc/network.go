@@ -43,12 +43,12 @@ type Mapping struct {
 	Placements []Placement `json:"placements"`
 }
 
-// NewNetwork builds a W×H circuit-switched mesh with its Central
-// Coordination Node at the given clock, which must be finite and
-// positive.
+// NewNetwork builds a W×H circuit-switched mesh, from 2×2 up to 65,536
+// nodes, with its Central Coordination Node at the given clock, which
+// must be finite and positive.
 func NewNetwork(w, h int, freqMHz float64) (*Network, error) {
-	if w < 2 || h < 2 {
-		return nil, fmt.Errorf("noc: network mesh must be at least 2x2, have %dx%d", w, h)
+	if err := checkMesh(w, h); err != nil {
+		return nil, fmt.Errorf("noc: network %w", err)
 	}
 	if !(freqMHz > 0) || math.IsInf(freqMHz, 1) {
 		return nil, fmt.Errorf("noc: network frequency %v MHz must be finite and positive", freqMHz)

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -96,5 +97,16 @@ func TestNetworkErrors(t *testing.T) {
 	}
 	if err := net.Unmap(99); err == nil {
 		t.Error("unknown mapping id accepted")
+	}
+}
+
+// TestNewNetworkMeshSizeBounded: NewNetwork rejects a mesh over 65,536
+// nodes before building it.
+func TestNewNetworkMeshSizeBounded(t *testing.T) {
+	for _, m := range hugeMeshes {
+		checkRejectsCheaply(t, "network", fmt.Sprintf("%dx%d", m.w, m.h), func() error {
+			_, err := NewNetwork(m.w, m.h, 100)
+			return err
+		})
 	}
 }

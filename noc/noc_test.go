@@ -2,6 +2,7 @@ package noc
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -267,6 +268,54 @@ func TestScenarioNonFiniteRejected(t *testing.T) {
 			if _, err := CircuitSwitched().Run(sc); err == nil {
 				t.Errorf("%s %v: Run accepted the scenario", c.field, v)
 			}
+		}
+	}
+}
+
+// hugeMeshes are mesh sizes from outside input that must fail before
+// anything is built: one whose node count fits an int, and one whose
+// W*H would overflow.
+var hugeMeshes = []struct{ w, h int }{{100000, 100000}, {math.MaxInt, 2}}
+
+// checkRejectsCheaply runs fn under testing.AllocsPerRun and checks it
+// fails naming the mesh without allocating anything mesh-sized.
+func checkRejectsCheaply(t *testing.T, what, mesh string, fn func() error) {
+	t.Helper()
+	var err error
+	allocs := testing.AllocsPerRun(1, func() { err = fn() })
+	if err == nil || !strings.Contains(err.Error(), mesh) {
+		t.Errorf("%s %s: error %v, want one naming the mesh", what, mesh, err)
+	}
+	if allocs > 100 {
+		t.Errorf("%s %s: %v allocations to reject the mesh", what, mesh, allocs)
+	}
+}
+
+// TestMeshSizeBounded: a pattern or workload scenario, or a sweep's
+// mesh_sizes axis, asking for a mesh over 65,536 nodes is rejected by
+// validation, without the product W*H overflowing.
+func TestMeshSizeBounded(t *testing.T) {
+	for _, m := range hugeMeshes {
+		mesh := fmt.Sprintf("%dx%d", m.w, m.h)
+		checkRejectsCheaply(t, "pattern", mesh, func() error {
+			return Scenario{Name: "p", Pattern: "uniform", MeshWidth: m.w, MeshHeight: m.h}.withDefaults().Validate()
+		})
+		checkRejectsCheaply(t, "workload", mesh, func() error {
+			return Scenario{Name: "w", Workloads: []string{"umts"}, MeshWidth: m.w, MeshHeight: m.h}.withDefaults().Validate()
+		})
+	}
+	checkRejectsCheaply(t, "sweep", "100000x100000", func() error {
+		_, err := ParseSweepSpec([]byte(`{"grid":{"patterns":["uniform"],"mesh_sizes":[100000]}}`))
+		return err
+	})
+	for _, ok := range []struct{ w, h int }{{2, 2}, {256, 256}, {2, 32768}} {
+		if err := checkMesh(ok.w, ok.h); err != nil {
+			t.Errorf("%dx%d rejected: %v", ok.w, ok.h, err)
+		}
+	}
+	for _, bad := range []struct{ w, h int }{{1, 8}, {8, 1}, {257, 256}, {2, 32769}} {
+		if err := checkMesh(bad.w, bad.h); err == nil {
+			t.Errorf("%dx%d accepted", bad.w, bad.h)
 		}
 	}
 }

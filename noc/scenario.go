@@ -165,7 +165,8 @@ type Scenario struct {
 	// static offset measurement).
 	Streams []Stream `json:"streams,omitempty"`
 	// MeshWidth and MeshHeight give the NoC dimensions of a workload
-	// or pattern run (default 4×3 for workloads, 8×8 for patterns).
+	// or pattern run (default 4×3 for workloads, 8×8 for patterns), from
+	// 2×2 up to 65,536 nodes.
 	MeshWidth  int `json:"mesh_width,omitempty"`
 	MeshHeight int `json:"mesh_height,omitempty"`
 	// Workloads names the applications to map concurrently onto the
@@ -314,9 +315,8 @@ func (s Scenario) Validate() error {
 		if _, err := pattern.ParseSpatial(s.Pattern); err != nil {
 			return fmt.Errorf("noc: scenario %q: %w", s.Name, err)
 		}
-		if s.MeshWidth < 2 || s.MeshHeight < 2 {
-			return fmt.Errorf("noc: scenario %q: pattern mesh must be at least 2x2, have %dx%d",
-				s.Name, s.MeshWidth, s.MeshHeight)
+		if err := checkMesh(s.MeshWidth, s.MeshHeight); err != nil {
+			return fmt.Errorf("noc: scenario %q: pattern %w", s.Name, err)
 		}
 		if s.Injection != nil {
 			if _, err := s.Injection.internal(); err != nil {
@@ -329,9 +329,8 @@ func (s Scenario) Validate() error {
 		if len(s.Streams) > 0 {
 			return fmt.Errorf("noc: scenario %q: streams and workloads are mutually exclusive", s.Name)
 		}
-		if s.MeshWidth < 2 || s.MeshHeight < 2 {
-			return fmt.Errorf("noc: scenario %q: workload mesh must be at least 2x2, have %dx%d",
-				s.Name, s.MeshWidth, s.MeshHeight)
+		if err := checkMesh(s.MeshWidth, s.MeshHeight); err != nil {
+			return fmt.Errorf("noc: scenario %q: workload %w", s.Name, err)
 		}
 		for _, wl := range s.Workloads {
 			if _, err := workloadGraph(wl, s.MeshWidth*s.MeshHeight); err != nil {
@@ -356,6 +355,22 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("noc: scenario %q: stream %d enters and leaves on %v",
 				s.Name, st.ID, st.In)
 		}
+	}
+	return nil
+}
+
+// maxMeshNodes bounds the mesh a run or a Network may build: 256×256
+// nodes, sixteen times the 64×64 hotspot study.
+const maxMeshNodes = 256 * 256
+
+// checkMesh rejects a W×H mesh under 2×2 or over maxMeshNodes nodes.
+// Each side is compared before the two are multiplied, so no size from
+// outside input (a sweep grid, a CLI flag, a JSON scenario) overflows
+// or reaches mesh construction.
+func checkMesh(w, h int) error {
+	if w < 2 || h < 2 || w > maxMeshNodes/2 || h > maxMeshNodes/2 || w*h > maxMeshNodes {
+		return fmt.Errorf("mesh %dx%d out of range: need at least 2x2 and at most %d nodes",
+			w, h, maxMeshNodes)
 	}
 	return nil
 }
