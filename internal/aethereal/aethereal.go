@@ -99,6 +99,40 @@ func (t *SlotTable) Reserve(s, in, out int) error {
 	return nil
 }
 
+// ReserveSpread books up to n slots for input in → output out, spread
+// over the table: booking k probes forward from slot k×(Slots/n),
+// wrapping, past slots whose output is taken or whose input already
+// feeds another output (the no-multicast invariant). It stops at the
+// first booking no slot can take — the table only fills, so every later
+// one would fail too — and returns the slots booked, in booking order.
+// An error is Reserve refusing a free slot: a port out of range, or in
+// and out coinciding.
+func (t *SlotTable) ReserveSpread(in, out, n int) ([]int, error) {
+	var booked []int
+	if n < 1 {
+		return booked, nil
+	}
+	stride := max(t.p.Slots/n, 1)
+	for k := 0; k < n; k++ {
+		placed := false
+		for probe := 0; probe < t.p.Slots && !placed; probe++ {
+			s := (k*stride + probe) % t.p.Slots
+			if t.slots[s][out] != NoInput || t.InputBusy(s, in) {
+				continue
+			}
+			if err := t.Reserve(s, in, out); err != nil {
+				return booked, err
+			}
+			booked = append(booked, s)
+			placed = true
+		}
+		if !placed {
+			break
+		}
+	}
+	return booked, nil
+}
+
 // Entry returns the input reserved for output out in slot s, or NoInput.
 func (t *SlotTable) Entry(s, out int) int { return t.slots[s][out] }
 
