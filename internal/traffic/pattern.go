@@ -6,7 +6,6 @@ import (
 	"repro/internal/aethereal"
 	"repro/internal/bitvec"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/packetsw"
 	"repro/internal/pattern"
 	"repro/internal/power"
@@ -35,19 +34,12 @@ const PatternPacketWords = 4
 // accounting uses, matching the tile interface.
 const patternWordBits = 16
 
-// PatternRunResult is the outcome of a single-router pattern run.
+// PatternRunResult is the outcome of a single-router pattern run: the
+// Result of a stream run, whose Latency is the in-run delivery latency
+// distribution (injection to observable delivery) over the measurement
+// window, plus the pattern's admission and warm-up figures.
 type PatternRunResult struct {
-	// Power is the three-bucket estimate; Attribution splits the
-	// dynamic part by activity class.
-	Power       power.Breakdown
-	Attribution []power.AttributionEntry
-	// WordsSent counts data words emitted by all flow sources;
-	// WordsDelivered counts data words observed leaving the router at
-	// an observable endpoint.
-	WordsSent, WordsDelivered uint64
-	// Latency is the in-run delivery latency distribution (injection to
-	// observable delivery), in cycles, over the measurement window.
-	Latency stats.Series
+	Result
 	// WarmupCycles is the effective warm-up of the latency
 	// distribution: the configured truncation, or the MSER-detected
 	// steady-state cycle. The single-router projections truncate
@@ -377,201 +369,6 @@ func perFlowPacketCap(words uint64) uint64 {
 // TDM pattern harness
 // ---------------------------------------------------------------------
 
-// tdmPending is one word queued at a TDM input with its injection
-// stamp.
-type tdmPending struct {
-	word  uint32
-	stamp uint64
-}
-
-// TDMFlow is one (in,out) flow multiplexed by a TDMPresenter: a queue
-// of words waiting for the flow's reserved slots, the words in flight
-// through the crossbar, and the flow's measurement sinks.
-type TDMFlow struct {
-	out      int
-	reserved []bool       // per slot: this flow owns the slot
-	staged   []tdmPending // enqueued this cycle; merged into queue at Commit
-	queue    []tdmPending
-	inFlight []tdmPending
-	lat      *stats.Series
-	rec      *stats.TimedSeries // non-nil when warm-up accounting is on
-	toggles  int
-	meter    *power.Meter
-	wake     func() // the owning presenter's wake, set by AddFlow
-	tracer   obs.Tracer
-	track    string
-
-	delivered uint64
-}
-
-// Trace routes this flow's injection and delivery events to a tracer
-// under the given track name; a nil tracer leaves tracing disabled.
-func (f *TDMFlow) Trace(t obs.Tracer, track string) {
-	f.tracer = t
-	f.track = track
-}
-
-// RecordTimed routes this flow's latency observations into a
-// cycle-stamped recorder (for post-run warm-up truncation) instead of
-// the aggregate series.
-func (f *TDMFlow) RecordTimed(rec *stats.TimedSeries) { f.rec = rec }
-
-// Enqueue queues one word for presentation, stamped with its injection
-// cycle for the latency measurement. It is a staging mutator in the
-// sim.Waker sense — sources invoke it from their Eval, so the word
-// lands in a staging slice the presenter's Eval never reads (the
-// two-phase contract), is merged at the presenter's Commit the same
-// cycle whatever order the components were registered in, and becomes
-// presentable the next cycle. The wake revises a skip decision already
-// taken this cycle so that Commit actually runs.
-func (f *TDMFlow) Enqueue(word uint32, stamp uint64) {
-	f.staged = append(f.staged, tdmPending{word: word, stamp: stamp})
-	if f.tracer != nil {
-		f.tracer.Emit(obs.Event{Cycle: stamp, Track: f.track,
-			Kind: obs.KindInject, Value: int64(f.out)})
-	}
-	if f.wake != nil {
-		f.wake()
-	}
-}
-
-// Backlog returns the number of words queued but not yet presented.
-func (f *TDMFlow) Backlog() int { return len(f.staged) + len(f.queue) }
-
-// Delivered returns the words observed crossing into the output
-// register.
-func (f *TDMFlow) Delivered() uint64 { return f.delivered }
-
-// idle reports nothing staged, queued or in flight.
-func (f *TDMFlow) idle() bool {
-	return len(f.staged) == 0 && len(f.queue) == 0 && len(f.inFlight) == 0
-}
-
-// TDMPresenter owns one TDM input port's data/valid registers and
-// multiplexes its flows onto their reserved slots. It also observes
-// deliveries on each flow's output register — a word counts as
-// delivered, records its latency and pays its ToggleReg/Gate/Link
-// energy once it has crossed the crossbar into the output register —
-// work the classic harness did in an every-cycle Func, here skippable
-// whenever the port has nothing queued or in flight. It is the single
-// implementation of the slot algorithm shared by the classic stream
-// runner (noc.tdmStream feeds it through Enqueue) and the pattern
-// harness (RunTDMPattern).
-type TDMPresenter struct {
-	r     *aethereal.Router
-	in    int
-	data  *uint32
-	valid *bool
-	flows []*TDMFlow
-	cycle uint64
-	wake  func()
-}
-
-// SetWake implements sim.Waker: Enqueue is a staging mutator invoked
-// from a source component's Eval, so a skip decision already taken this
-// cycle must be revised for the enqueued word to be presented on its
-// own cycle, whatever order the components were registered in.
-func (p *TDMPresenter) SetWake(fn func()) { p.wake = fn }
-
-// NewTDMPresenter wires a presenter to the router's input port in and
-// returns it; register it with the simulation world after the router.
-func NewTDMPresenter(r *aethereal.Router, in int) *TDMPresenter {
-	p := &TDMPresenter{r: r, in: in, data: new(uint32), valid: new(bool)}
-	r.ConnectIn(in, p.data, p.valid)
-	return p
-}
-
-// AddFlow attaches one flow to the presenter: words enqueued on the
-// returned flow are presented in its reserved slots, and deliveries are
-// observed on output port out, feeding the latency series and charging
-// toggleBits per delivered word to the meter.
-func (p *TDMPresenter) AddFlow(out int, reserved []bool, lat *stats.Series,
-	toggleBits int, meter *power.Meter) *TDMFlow {
-	f := &TDMFlow{out: out, reserved: reserved, lat: lat, toggles: toggleBits, meter: meter}
-	f.wake = func() {
-		if p.wake != nil {
-			p.wake()
-		}
-	}
-	p.flows = append(p.flows, f)
-	return f
-}
-
-// Cycle returns the presenter's local clock, equal to the world clock.
-func (p *TDMPresenter) Cycle() uint64 { return p.cycle }
-
-// Eval implements sim.Clocked.
-func (p *TDMPresenter) Eval() {
-	slots := p.r.P.Slots
-	// Observe the registered outputs first: the value visible now was
-	// committed from the previous cycle's slot.
-	prev := (p.r.Slot() - 1 + slots) % slots
-	for _, f := range p.flows {
-		if p.r.OutValid[f.out] && p.r.Table.Entry(prev, f.out) == p.in && len(f.inFlight) > 0 {
-			head := f.inFlight[0]
-			f.inFlight = f.inFlight[1:]
-			f.delivered++
-			lat := float64(p.cycle - head.stamp)
-			if f.rec != nil {
-				f.rec.Add(p.cycle, lat)
-			} else {
-				f.lat.Add(lat)
-			}
-			f.meter.AddToggles(power.ToggleReg, f.toggles)
-			f.meter.AddToggles(power.ToggleGate, f.toggles)
-			f.meter.AddToggles(power.ToggleLink, f.toggles)
-			if f.tracer != nil {
-				f.tracer.Emit(obs.Event{Cycle: p.cycle, Track: f.track,
-					Kind: obs.KindDeliver, Value: int64(f.delivered)})
-			}
-		}
-	}
-	// The router's next Eval uses the slot after the current one;
-	// present a word iff that slot belongs to one of this input's flows
-	// and the flow has data queued.
-	*p.valid = false
-	upcoming := (p.r.Slot() + 1) % slots
-	for _, f := range p.flows {
-		if f.reserved[upcoming] && len(f.queue) > 0 {
-			head := f.queue[0]
-			f.queue = f.queue[1:]
-			*p.data = head.word
-			*p.valid = true
-			f.inFlight = append(f.inFlight, head)
-			break
-		}
-	}
-}
-
-// Commit implements sim.Clocked: words staged by Enqueue during this
-// cycle's Eval phase become queued — visible to the next cycle's
-// presentation — in the commit sweep, so the hand-off is deterministic
-// under every kernel.
-func (p *TDMPresenter) Commit() {
-	for _, f := range p.flows {
-		if len(f.staged) > 0 {
-			f.queue = append(f.queue, f.staged...)
-			f.staged = f.staged[:0]
-		}
-	}
-	p.cycle++
-}
-
-// Quiescent implements sim.Quiescer: nothing queued or in flight on any
-// flow. The valid register is always cleared before the port drains to
-// this state, so skipping leaves no stale word on the wire.
-func (p *TDMPresenter) Quiescent() bool {
-	for _, f := range p.flows {
-		if !f.idle() {
-			return false
-		}
-	}
-	return true
-}
-
-// IdleWindow implements sim.IdleWindower.
-func (p *TDMPresenter) IdleWindow(n uint64) { p.cycle += n }
-
 // RunTDMPattern drives the Æthereal-style TDM router with the projected
 // port flows of a spatial pattern. Each flow receives a slot-table
 // reservation sized to its rate (ceil(rate×slots) slots, spread over
@@ -609,8 +406,8 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 	toggleBits := int(flipProb*patternWordBits + 0.5)
 	latRec := latWarmupRec(cfg)
 
-	presenters := map[int]*TDMPresenter{}
-	var presenterOrder []*TDMPresenter
+	presenters := map[int]*tdmPresenter{}
+	var presenterOrder []*tdmPresenter
 	var sources []*pattern.Source
 	for i, f := range flows {
 		rate := flowRate(inj, f.Weight)
@@ -618,50 +415,26 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 			continue
 		}
 		in, out := int(f.In), int(f.Out)
-		slotsNeeded := int(rate*float64(ap.Slots) + 0.999999)
-		if slotsNeeded < 1 {
-			slotsNeeded = 1
+		slotsNeeded := max(int(rate*float64(ap.Slots)+0.999999), 1)
+		slots, err := r.Table.ReserveSpread(in, out, slotsNeeded)
+		if err != nil {
+			return PatternRunResult{}, err
 		}
-		reserved := make([]bool, ap.Slots)
-		booked := 0
-		stride := ap.Slots / slotsNeeded
-		if stride < 1 {
-			stride = 1
-		}
-		for k := 0; k < slotsNeeded; k++ {
-			for probe := 0; probe < ap.Slots; probe++ {
-				s := (k*stride + probe) % ap.Slots
-				if r.Table.Entry(s, out) != aethereal.NoInput {
-					continue
-				}
-				if r.Table.InputBusy(s, in) {
-					continue
-				}
-				if err := r.Table.Reserve(s, in, out); err != nil {
-					return PatternRunResult{}, err
-				}
-				reserved[s] = true
-				booked++
-				break
-			}
-		}
-		if booked == 0 {
+		if len(slots) == 0 {
 			continue // slot table full: flow not admitted
 		}
 		res.FlowsEstablished++
 
 		pres := presenters[in]
 		if pres == nil {
-			pres = NewTDMPresenter(r, in)
+			pres = newTDMPresenter(r, in)
 			presenters[in] = pres
 			presenterOrder = append(presenterOrder, pres)
 			w.Add(pres)
 		}
-		fs := pres.AddFlow(out, reserved, &res.Latency, toggleBits, meter)
-		if latRec != nil {
-			fs.RecordTimed(latRec)
-		}
-		fs.Trace(cfg.Obs.Tracer, fmt.Sprintf("flow%d.tdm", i))
+		fs := pres.addFlow(out, slots, &res.Latency, toggleBits, meter)
+		fs.rec = latRec
+		fs.tracer, fs.track = cfg.Obs.Tracer, fmt.Sprintf("flow%d.tdm", i)
 
 		gen := bitvec.NewFlipGen(patternWordBits, flipProb, flowSeed(cfg.Seed, i)^0xDA7A)
 		src := pattern.NewSource(flowInjection(inj, rate), flowSeed(cfg.Seed, i), cfg.WordsPerStream, nil)
@@ -669,10 +442,10 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 		src.Track = fmt.Sprintf("flow%d.src", i)
 		srcRef := src
 		src.Emit = func() bool {
-			if fs.Backlog() >= feederQueueCap*PatternPacketWords {
+			if fs.backlog() >= feederQueueCap*PatternPacketWords {
 				return false
 			}
-			fs.Enqueue(uint32(uint16(gen.Next())), srcRef.Cycle())
+			fs.enqueue(uint32(uint16(gen.Next())), srcRef.Cycle())
 			return true
 		}
 		w.Add(src)
@@ -690,11 +463,7 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 	for _, s := range sources {
 		res.WordsSent += s.Sent()
 	}
-	for _, pres := range presenterOrder {
-		for _, f := range pres.flows {
-			res.WordsDelivered += f.Delivered()
-		}
-	}
+	res.WordsDelivered = tdmDelivered(presenterOrder)
 	res.WarmupCycles = applyLatWarmup(cfg, latRec, &res.Latency)
 	res.Power = meter.Report("aethereal / pattern")
 	res.Attribution = meter.AttributionSorted()
@@ -705,6 +474,4 @@ var (
 	_ sim.Quiescer     = (*tileInjector)(nil)
 	_ sim.Quiescer     = (*flitFeeder)(nil)
 	_ sim.IdleWindower = (*patternDrain)(nil)
-	_ sim.IdleWindower = (*TDMPresenter)(nil)
-	_ sim.Waker        = (*TDMPresenter)(nil)
 )

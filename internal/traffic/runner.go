@@ -9,6 +9,7 @@ import (
 	"repro/internal/packetsw"
 	"repro/internal/power"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/stdcell"
 )
 
@@ -138,8 +139,14 @@ type Result struct {
 	// WordsSent is the total number of data words offered by all streams.
 	WordsSent uint64
 	// WordsDelivered counts words that completed their path (only streams
-	// terminating at the tile port are observable end to end).
+	// terminating at the tile port are observable end to end, except on
+	// the TDM model, which observes every output port).
 	WordsDelivered uint64
+	// Latency is the in-run delivery latency distribution, in cycles,
+	// of the runs that measure one: RunTDM and the pattern runners. The
+	// circuit and packet stream runners leave it empty; their latency
+	// comes from MeasureCircuitLatency and MeasurePacketLatency.
+	Latency stats.Series
 }
 
 // RunCircuit simulates the circuit-switched assembly under the scenario.

@@ -1,0 +1,346 @@
+package traffic
+
+import (
+	"fmt"
+
+	"repro/internal/aethereal"
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/power"
+	"repro/internal/sim"
+	"repro/internal/stats"
+)
+
+// This file holds the Æthereal-style TDM router's harness: the slot
+// presenter both TDM runners share, and the Table-3 stream runner
+// RunTDM. The pattern runner, RunTDMPattern, sits with the other
+// pattern harnesses in pattern.go.
+
+// tdmWordPeriod is the cycles per word of one circuit-switched lane: a
+// TDM stream offers one word per period, the paper's "100% load of a
+// single lane".
+const tdmWordPeriod = 5
+
+// tdmPending is one word queued at a TDM input with its injection
+// stamp.
+type tdmPending struct {
+	word  uint32
+	stamp uint64
+}
+
+// tdmFlow is one (in,out) flow multiplexed by a tdmPresenter: a queue
+// of words waiting for the flow's reserved slots, the words in flight
+// through the crossbar, and the flow's measurement sinks.
+type tdmFlow struct {
+	out      int
+	reserved []bool       // per slot: this flow owns the slot
+	staged   []tdmPending // enqueued this cycle; merged into queue at Commit
+	queue    []tdmPending
+	inFlight []tdmPending
+	lat      *stats.Series
+	rec      *stats.TimedSeries // non-nil when warm-up accounting is on
+	toggles  int
+	meter    *power.Meter
+	wake     func() // the owning presenter's wake, set by addFlow
+	tracer   obs.Tracer
+	track    string
+
+	delivered uint64
+}
+
+// enqueue queues one word for presentation, stamped with its injection
+// cycle for the latency measurement. It is a staging mutator in the
+// sim.Waker sense — sources invoke it from their Eval, so the word
+// lands in a staging slice the presenter's Eval never reads (the
+// two-phase contract), is merged at the presenter's Commit the same
+// cycle whatever order the components were registered in, and becomes
+// presentable the next cycle. The wake revises a skip decision already
+// taken this cycle so that Commit actually runs.
+func (f *tdmFlow) enqueue(word uint32, stamp uint64) {
+	f.staged = append(f.staged, tdmPending{word: word, stamp: stamp})
+	if f.tracer != nil {
+		f.tracer.Emit(obs.Event{Cycle: stamp, Track: f.track,
+			Kind: obs.KindInject, Value: int64(f.out)})
+	}
+	f.wake()
+}
+
+// backlog returns the number of words queued but not yet presented.
+func (f *tdmFlow) backlog() int { return len(f.staged) + len(f.queue) }
+
+// idle reports nothing staged, queued or in flight.
+func (f *tdmFlow) idle() bool {
+	return len(f.staged) == 0 && len(f.queue) == 0 && len(f.inFlight) == 0
+}
+
+// tdmPresenter owns one TDM input port's data/valid registers and
+// multiplexes its flows onto their reserved slots. It also observes
+// deliveries on each flow's output register: a word counts as
+// delivered, records its latency and pays its ToggleReg/Gate/Link
+// energy once it has crossed the crossbar into the output register.
+// It is skippable whenever the port has nothing queued or in flight,
+// and is the one implementation of the slot algorithm behind RunTDM
+// and RunTDMPattern.
+type tdmPresenter struct {
+	r     *aethereal.Router
+	in    int
+	data  *uint32
+	valid *bool
+	flows []*tdmFlow
+	cycle uint64
+	wake  func()
+}
+
+// SetWake implements sim.Waker: enqueue is a staging mutator invoked
+// from a source component's Eval, so a skip decision already taken this
+// cycle must be revised for the enqueued word to be presented on its
+// own cycle, whatever order the components were registered in.
+func (p *tdmPresenter) SetWake(fn func()) { p.wake = fn }
+
+// newTDMPresenter wires a presenter to the router's input port in and
+// returns it; register it with the simulation world after the router.
+func newTDMPresenter(r *aethereal.Router, in int) *tdmPresenter {
+	p := &tdmPresenter{r: r, in: in, data: new(uint32), valid: new(bool)}
+	r.ConnectIn(in, p.data, p.valid)
+	return p
+}
+
+// addFlow attaches one flow to the presenter: words enqueued on the
+// returned flow are presented in the given slots, and deliveries are
+// observed on output port out, feeding the latency series and charging
+// toggleBits per delivered word to the meter.
+func (p *tdmPresenter) addFlow(out int, slots []int, lat *stats.Series,
+	toggleBits int, meter *power.Meter) *tdmFlow {
+	f := &tdmFlow{out: out, reserved: make([]bool, p.r.P.Slots), lat: lat,
+		toggles: toggleBits, meter: meter}
+	for _, s := range slots {
+		f.reserved[s] = true
+	}
+	f.wake = func() {
+		if p.wake != nil {
+			p.wake()
+		}
+	}
+	p.flows = append(p.flows, f)
+	return f
+}
+
+// Eval implements sim.Clocked.
+func (p *tdmPresenter) Eval() {
+	slots := p.r.P.Slots
+	// Observe the registered outputs first: the value visible now was
+	// committed from the previous cycle's slot.
+	prev := (p.r.Slot() - 1 + slots) % slots
+	for _, f := range p.flows {
+		if p.r.OutValid[f.out] && p.r.Table.Entry(prev, f.out) == p.in && len(f.inFlight) > 0 {
+			head := f.inFlight[0]
+			f.inFlight = f.inFlight[1:]
+			f.delivered++
+			lat := float64(p.cycle - head.stamp)
+			if f.rec != nil {
+				f.rec.Add(p.cycle, lat)
+			} else {
+				f.lat.Add(lat)
+			}
+			f.meter.AddToggles(power.ToggleReg, f.toggles)
+			f.meter.AddToggles(power.ToggleGate, f.toggles)
+			f.meter.AddToggles(power.ToggleLink, f.toggles)
+			if f.tracer != nil {
+				f.tracer.Emit(obs.Event{Cycle: p.cycle, Track: f.track,
+					Kind: obs.KindDeliver, Value: int64(f.delivered)})
+			}
+		}
+	}
+	// The router's next Eval uses the slot after the current one;
+	// present a word iff that slot belongs to one of this input's flows
+	// and the flow has data queued.
+	*p.valid = false
+	upcoming := (p.r.Slot() + 1) % slots
+	for _, f := range p.flows {
+		if f.reserved[upcoming] && len(f.queue) > 0 {
+			head := f.queue[0]
+			f.queue = f.queue[1:]
+			*p.data = head.word
+			*p.valid = true
+			f.inFlight = append(f.inFlight, head)
+			break
+		}
+	}
+}
+
+// Commit implements sim.Clocked: words staged by enqueue during this
+// cycle's Eval phase become queued — visible to the next cycle's
+// presentation — in the commit sweep, so the hand-off is deterministic
+// under every kernel.
+func (p *tdmPresenter) Commit() {
+	for _, f := range p.flows {
+		if len(f.staged) > 0 {
+			f.queue = append(f.queue, f.staged...)
+			f.staged = f.staged[:0]
+		}
+	}
+	p.cycle++
+}
+
+// Quiescent implements sim.Quiescer: nothing queued or in flight on any
+// flow. The valid register is always cleared before the port drains to
+// this state, so skipping leaves no stale word on the wire.
+func (p *tdmPresenter) Quiescent() bool {
+	for _, f := range p.flows {
+		if !f.idle() {
+			return false
+		}
+	}
+	return true
+}
+
+// IdleWindow implements sim.IdleWindower.
+func (p *tdmPresenter) IdleWindow(n uint64) { p.cycle += n }
+
+// tdmDelivered sums the words the presenters' flows delivered.
+func tdmDelivered(presenters []*tdmPresenter) uint64 {
+	var n uint64
+	for _, p := range presenters {
+		for _, f := range p.flows {
+			n += f.delivered
+		}
+	}
+	return n
+}
+
+// tdmOffer drives one Table-3 stream's source: it offers words at the
+// lane rate through the load gate and enqueues them on the stream's
+// tdmFlow, whose presenter does the rest. It is a first-class component
+// rather than a bare sim.Func so the kernel can retire it: while the
+// source is live the offerer runs every cycle (the load gate draws once
+// per offer opportunity, part of the cross-kernel byte-identity
+// contract), but once the word budget is spent it goes quiescent
+// forever, the presenter drains, and the kernel fast-forwards the rest
+// of the run.
+type tdmOffer struct {
+	src   *Source
+	flow  *tdmFlow
+	limit uint64 // emitted-word budget; 0 = unlimited
+	cycle uint64
+}
+
+// Eval implements sim.Clocked: offer words at the lane rate, gated by
+// the load knob. A retired source (word budget exhausted) stops drawing
+// from the load gate, mirroring the other runners' drivers.
+func (s *tdmOffer) Eval() {
+	if s.cycle%tdmWordPeriod == 0 && (s.limit == 0 || s.src.Sent() < s.limit) {
+		if word, ok := s.src.Offer(); ok {
+			s.flow.enqueue(uint32(word.Data), s.cycle)
+		}
+	}
+}
+
+// Commit implements sim.Clocked.
+func (s *tdmOffer) Commit() { s.cycle++ }
+
+// Quiescent implements sim.Quiescer: only a retired source is
+// skippable — a live one's load gate must draw every period. Drained
+// queues are the presenter's quiescence condition, not the offerer's.
+func (s *tdmOffer) Quiescent() bool {
+	return s.limit > 0 && s.src.Sent() >= s.limit
+}
+
+// IdleWindow implements sim.IdleWindower: the local clock tracks skipped
+// cycles (only reachable after retirement, where it is no longer read,
+// but kept exact regardless).
+func (s *tdmOffer) IdleWindow(n uint64) { s.cycle += n }
+
+// RunTDM simulates the Æthereal-style TDM router under the scenario.
+// Each stream gets a contention-free guaranteed-throughput reservation
+// whose bandwidth share matches one circuit-switched lane: the TDM model
+// forwards one word per reserved slot, so matching a lane's word per
+// tdmWordPeriod cycles takes that fraction of the table, rounded up (the
+// 32-bit link has bandwidth to spare — the slot count, not the link
+// width, is the limit). A stream that gets fewer slots fails the run.
+// Words are then streamed through the reservations and metered; the
+// latency series covers every delivered word, since the functional
+// model observes every output port.
+func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
+	if err := pat.Validate(); err != nil {
+		return Result{}, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if err := ap.Validate(); err != nil {
+		return Result{}, err
+	}
+	r := aethereal.NewRouter(ap)
+	meter := power.NewMeter(aethereal.Netlist(ap, cfg.Lib), cfg.Lib, cfg.FreqMHz)
+	// The router ticks the meter itself (Commit and IdleWindow), so
+	// finite scenarios fast-forward once their sources retire.
+	r.BindMeter(meter)
+	w := sim.NewWorld(cfg.worldOpts()...)
+	w.Add(r)
+
+	// One stream per input port: the functional model registers one
+	// upstream word per port, like the real router's input stage, so
+	// each stream gets its own presenter.
+	seenIn := map[core.Port]bool{}
+	for _, st := range sc.Streams {
+		if seenIn[st.In] {
+			return Result{}, fmt.Errorf("traffic: TDM router: two streams enter on port %v", st.In)
+		}
+		seenIn[st.In] = true
+	}
+
+	var res Result
+	if cfg.RetainLatency {
+		res.Latency.Retain()
+	}
+	// The average toggling bits per forwarded word under the pattern's
+	// flip probability, split over register, crossbar and link nets.
+	toggleBits := int(pat.FlipProb*patternWordBits + 0.5)
+	slotsNeeded := (ap.Slots + tdmWordPeriod - 1) / tdmWordPeriod
+	var sources []*Source
+	var presenters []*tdmPresenter
+	for _, st := range sc.Streams {
+		in, out := int(st.In), int(st.Out)
+		slots, err := r.Table.ReserveSpread(in, out, slotsNeeded)
+		if err != nil {
+			return Result{}, err
+		}
+		if len(slots) < slotsNeeded {
+			return Result{}, fmt.Errorf("traffic: TDM router: slot table full for stream %d (%d slots, %d streams)",
+				st.ID, ap.Slots, len(sc.Streams))
+		}
+		src := NewSourceSeeded(pat, st.ID, cfg.Seed)
+		sources = append(sources, src)
+		// A word offered this cycle is staged through enqueue, merged at
+		// the presenter's Commit and presentable the next cycle — the
+		// registration order of offerer and presenter does not matter.
+		pres := newTDMPresenter(r, in)
+		presenters = append(presenters, pres)
+		flow := pres.addFlow(out, slots, &res.Latency, toggleBits, meter)
+		flow.tracer, flow.track = cfg.Obs.Tracer, fmt.Sprintf("stream%d.tdm", st.ID)
+		w.Add(&tdmOffer{src: src, flow: flow, limit: cfg.WordsPerStream}, pres)
+	}
+	if err := r.Table.Validate(); err != nil {
+		return Result{}, err
+	}
+
+	w.Run(cfg.Cycles)
+	if cfg.Observe != nil {
+		cfg.Observe(w)
+	}
+
+	for _, s := range sources {
+		res.WordsSent += s.Sent()
+	}
+	res.WordsDelivered = tdmDelivered(presenters)
+	res.Power = meter.Report("aethereal / scenario " + sc.Name)
+	res.Attribution = meter.AttributionSorted()
+	return res, nil
+}
+
+var (
+	_ sim.IdleWindower = (*tdmPresenter)(nil)
+	_ sim.Waker        = (*tdmPresenter)(nil)
+	_ sim.IdleWindower = (*tdmOffer)(nil)
+	_ sim.Quiescer     = (*tdmOffer)(nil)
+)

@@ -1,9 +1,13 @@
 // Package traffic implements the paper's benchmark methodology (Section 6):
 // data sources with a controlled bit-flip rate and load, the three stream
 // definitions of Table 3, and the four traffic scenarios of Fig. 8. It also
-// provides the runners that drive one circuit-switched assembly or one
-// packet-switched router with a scenario while a power meter listens — the
-// machinery behind Figures 9 and 10.
+// provides the single-router harnesses that drive one circuit-switched
+// assembly (RunCircuit), one packet-switched router (RunPacket) or one
+// Æthereal-style TDM router (RunTDM) with a scenario while a power meter
+// listens — the machinery behind Figures 9 and 10 and the noc façade's
+// stream runs — plus the pattern harnesses that drive the packet and TDM
+// routers with a mesh traffic pattern's projection onto one router, and
+// the latency measurements.
 package traffic
 
 import (

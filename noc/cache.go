@@ -81,23 +81,23 @@ type fabricKeyMaterial struct {
 	TraceCycles  int    `json:"trace_cycles"`
 }
 
-// fabricKeyOf resolves the config into key material.
-func fabricKeyOf(cfg config) fabricKeyMaterial {
-	corner := cfg.corner
+// fabricKeyOf resolves the fabric's knobs into key material.
+func fabricKeyOf(f fabric) fabricKeyMaterial {
+	corner := f.Corner
 	if corner == "" {
 		corner = "nominal"
 	}
 	return fabricKeyMaterial{
-		Lanes:        cfg.lanes,
-		LaneWidth:    cfg.laneWidth,
-		VCs:          cfg.vcs,
-		BufferDepth:  cfg.bufferDepth,
-		Slots:        cfg.slots,
-		BEDepth:      cfg.beDepth,
-		Gated:        cfg.gated,
+		Lanes:        f.Lanes,
+		LaneWidth:    f.LaneWidth,
+		VCs:          f.VCs,
+		BufferDepth:  f.BufferDepth,
+		Slots:        f.Slots,
+		BEDepth:      f.BEDepth,
+		Gated:        f.Gated,
 		Corner:       corner,
-		LatencyWords: cfg.latencySamples(),
-		TraceCycles:  cfg.traceCycles,
+		LatencyWords: f.latencySamples(),
+		TraceCycles:  f.traceCycles,
 	}
 }
 
@@ -117,12 +117,12 @@ type cacheKeyMaterial struct {
 
 // cellKey hashes one run's canonical key material. The scenario must
 // already be defaulted (withDefaults) and carry its final seed.
-func cellKey(kind Kind, cfg config, sc Scenario) cellcache.Key {
+func cellKey(f fabric, sc Scenario) cellcache.Key {
 	m := cacheKeyMaterial{
 		Schema:      cacheKeySchema,
 		Fingerprint: codeFingerprint(),
-		Kind:        kind,
-		Fabric:      fabricKeyOf(cfg),
+		Kind:        f.Kind(),
+		Fabric:      fabricKeyOf(f),
 		Scenario:    sc,
 		PoolLatency: sc.poolLatency,
 	}
@@ -245,22 +245,22 @@ func OpenCache(dir string) (*Cache, error) {
 // simulates with the tracer attached — safe because the Result wire
 // bytes are identical either way, and tracer/metrics never enter the
 // cache key.
-func (c *Cache) runThrough(kind Kind, cfg config, sc Scenario, run func() (*Result, error)) (*Result, error) {
-	if c == nil || cfg.worldObserver != nil {
-		return run()
+func (c *Cache) runThrough(f fabric, sc Scenario) (*Result, error) {
+	if c == nil || f.worldObserver != nil {
+		return f.run(sc)
 	}
-	key := cellKey(kind, cfg, sc)
+	key := cellKey(f, sc)
 	if data, ok := c.store.Get(key); ok {
 		if res, err := decodeResultEnvelope(data); err == nil {
 			res.cacheHit = true
-			c.observeOutcome(cfg, key, true)
+			c.observeOutcome(f, key, true)
 			return res, nil
 		}
 		// An undecodable entry is treated as a miss; the fresh result
 		// overwrites it below.
 	}
-	c.observeOutcome(cfg, key, false)
-	res, err := run()
+	c.observeOutcome(f, key, false)
+	res, err := f.run(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -274,15 +274,15 @@ func (c *Cache) runThrough(kind Kind, cfg config, sc Scenario, run func() (*Resu
 // observability hooks: a domain-scope hit/miss event on the "cache"
 // track (cycle 0 — the consultation precedes simulation) and per-run
 // hit/miss counters, plus the shared store's lifetime gauges.
-func (c *Cache) observeOutcome(cfg config, key cellcache.Key, hit bool) {
-	if t := cfg.obs.Tracer; t != nil {
+func (c *Cache) observeOutcome(f fabric, key cellcache.Key, hit bool) {
+	if t := f.obs.Tracer; t != nil {
 		kind := obs.KindCacheMiss
 		if hit {
 			kind = obs.KindCacheHit
 		}
 		t.Emit(obs.Event{Track: "cache", Kind: kind, Detail: key.String()[:16]})
 	}
-	if m := cfg.obs.Metrics; m != nil {
+	if m := f.obs.Metrics; m != nil {
 		if hit {
 			m.Counter("cache.hits").Add(1)
 		} else {

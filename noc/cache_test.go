@@ -44,10 +44,10 @@ func TestCacheKeyGolden(t *testing.T) {
 		name string
 		key  string
 	}{
-		{"circuit-I", cellKey(KindCircuit, makeConfig(nil), sc).String()},
-		{"packet-I", cellKey(KindPacket, makeConfig(nil), sc).String()},
-		{"tdm-I", cellKey(KindTDM, makeConfig(nil), sc).String()},
-		{"circuit-pattern", cellKey(KindCircuit, makeConfig(nil), pat).String()},
+		{"circuit-I", cellKey(*newFabric(KindCircuit, nil), sc).String()},
+		{"packet-I", cellKey(*newFabric(KindPacket, nil), sc).String()},
+		{"tdm-I", cellKey(*newFabric(KindTDM, nil), sc).String()},
+		{"circuit-pattern", cellKey(*newFabric(KindCircuit, nil), pat).String()},
 	}
 	want := map[string]string{
 		"circuit-I":       "24cc213b20a4de6eacf8fa27ff8907b8102fea93beaac274fec29ebef74c2d09",
@@ -69,7 +69,7 @@ func TestCacheKeyGolden(t *testing.T) {
 func TestCacheKeySensitivity(t *testing.T) {
 	withTestFingerprint(t, "test-fingerprint-1")
 	base := cacheTestScenario(t)
-	baseKey := cellKey(KindCircuit, makeConfig(nil), base)
+	baseKey := cellKey(*newFabric(KindCircuit, nil), base)
 
 	mutations := []struct {
 		name string
@@ -90,7 +90,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 	for _, m := range mutations {
 		sc := base
 		m.mut(&sc)
-		k := cellKey(KindCircuit, makeConfig(nil), sc).String()
+		k := cellKey(*newFabric(KindCircuit, nil), sc).String()
 		if prev, dup := seen[k]; dup {
 			t.Errorf("mutation %q collides with %q", m.name, prev)
 		}
@@ -111,24 +111,24 @@ func TestCacheKeySensitivity(t *testing.T) {
 		{"latency-words", []Option{WithLatencyWords(10)}},
 	}
 	for _, m := range cfgMutations {
-		k := cellKey(KindCircuit, makeConfig(m.opts), base).String()
+		k := cellKey(*newFabric(KindCircuit, m.opts), base).String()
 		if prev, dup := seen[k]; dup {
 			t.Errorf("config mutation %q collides with %q", m.name, prev)
 		}
 		seen[k] = "cfg:" + m.name
 	}
 
-	if k := cellKey(KindPacket, makeConfig(nil), base); k == baseKey {
+	if k := cellKey(*newFabric(KindPacket, nil), base); k == baseKey {
 		t.Error("fabric kind does not change the key")
 	}
 	withTestFingerprint(t, "test-fingerprint-2")
-	if k := cellKey(KindCircuit, makeConfig(nil), base); k == baseKey {
+	if k := cellKey(*newFabric(KindCircuit, nil), base); k == baseKey {
 		t.Error("code fingerprint does not change the key")
 	}
 	withTestFingerprint(t, "test-fingerprint-1")
 
 	// Deliberate exclusion: the kernel.
-	if k := cellKey(KindCircuit, makeConfig([]Option{WithKernel(KernelNaive)}), base); k != baseKey {
+	if k := cellKey(*newFabric(KindCircuit, []Option{WithKernel(KernelNaive)}), base); k != baseKey {
 		t.Error("kernel choice changes the key; cross-kernel byte-identity makes it shareable")
 	}
 }
@@ -189,7 +189,7 @@ func TestFabricRunServedFromCache(t *testing.T) {
 	sc := cacheTestScenario(t)
 	for _, build := range []func(...Option) Fabric{CircuitSwitched, PacketSwitched, AetherealTDM} {
 		f := build(WithMetrics(true))
-		f.(cacheSettable).setCache(cache)
+		f.(*fabric).cache = cache
 		before := cache.Counters()
 		first, err := f.Run(sc)
 		if err != nil {
@@ -366,7 +366,7 @@ func TestSweepCacheHitPatterns(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					f.(cacheSettable).setCache(cache)
+					f.(*fabric).cache = cache
 					if _, err := f.Run(c.Scenario); err != nil {
 						t.Fatal(err)
 					}

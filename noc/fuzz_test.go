@@ -76,7 +76,7 @@ func FuzzCacheEquivalence(f *testing.F) {
 		}
 		cached := func(c *Cache) Fabric {
 			fab := build()
-			fab.(cacheSettable).setCache(c)
+			fab.(*fabric).cache = c
 			return fab
 		}
 		plain := run(build())

@@ -5,11 +5,15 @@
 // returns structured, JSON-marshalable Results (latency distribution,
 // throughput, power breakdown).
 //
-// The three fabrics are interchangeable implementations of the Fabric
-// interface, built by CircuitSwitched, PacketSwitched and AetherealTDM
-// and tuned with functional options (WithLanes, WithBufferDepth,
-// WithClockGating, ...). Invalid option combinations surface as errors
-// from Fabric.Validate, which NewSimulator and Run call for you:
+// The three fabrics are interchangeable behind the Fabric interface,
+// built by CircuitSwitched, PacketSwitched and AetherealTDM (or
+// declaratively from a FabricSpec) and tuned with functional options
+// (WithLanes, WithBufferDepth, WithClockGating, ...). One fabric type
+// implements all three kinds: every knob is declared once, as a
+// FabricSpec field each option sets, and one Run dispatches a scenario
+// on its shape and the fabric's kind. Invalid option combinations
+// surface as errors from Fabric.Validate, which NewSimulator and Run
+// call for you:
 //
 //	sim, err := noc.NewSimulator(
 //		noc.CircuitSwitched(noc.WithClockGating(true)),
@@ -79,7 +83,7 @@ type Fabric interface {
 // Relevant options: WithLanes, WithLaneWidth, WithClockGating,
 // WithLibraryCorner, WithLatencyWords, WithNodeTrace.
 func CircuitSwitched(opts ...Option) Fabric {
-	return &circuitFabric{cfg: makeConfig(opts)}
+	return newFabric(KindCircuit, opts)
 }
 
 // PacketSwitched returns the baseline fabric: the packet-switched
@@ -87,14 +91,14 @@ func CircuitSwitched(opts ...Option) Fabric {
 // WithVirtualChannels, WithBufferDepth, WithLibraryCorner,
 // WithLatencyWords.
 func PacketSwitched(opts ...Option) Fabric {
-	return &packetFabric{cfg: makeConfig(opts)}
+	return newFabric(KindPacket, opts)
 }
 
 // AetherealTDM returns the comparator fabric: the Æthereal-style
 // slot-table TDM router (32 slots, 16-word BE FIFOs by default).
 // Relevant options: WithSlots, WithBEDepth, WithLibraryCorner.
 func AetherealTDM(opts ...Option) Fabric {
-	return &tdmFabric{cfg: makeConfig(opts)}
+	return newFabric(KindTDM, opts)
 }
 
 // Simulator runs Scenarios over a set of fabrics.

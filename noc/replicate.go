@@ -225,28 +225,22 @@ func aggregateResults(results []*Result) (*Result, error) {
 	return &agg, nil
 }
 
-// runFabric executes one fabric kind's defaulted, validated scenario
-// with the config's observability hooks already resolved (beginObs): a
-// single run goes through the content-addressed cache; a replicated
-// scenario runs its replications sequentially — each replication's
-// trace events stamped with the replication index, so one collector
-// carries them all — and aggregates. Sweep parallelizes replications
-// through its worker pool instead of coming through here.
-func runFabric(kind Kind, cfg config, sc Scenario,
-	run func(cfg config, sc Scenario) (*Result, error)) (*Result, error) {
-	cache, err := cfg.resolveCache()
+// runFabric executes the fabric's defaulted, validated scenario with
+// its observability hooks already resolved (beginObs): a single run
+// goes through the content-addressed cache; a replicated scenario runs
+// its replications sequentially — each replication's trace events
+// stamped with the replication index, so one collector carries them all
+// — and aggregates. Sweep parallelizes replications through its worker
+// pool instead of coming through here.
+func runFabric(f fabric, sc Scenario) (*Result, error) {
+	cache, err := f.resolveCache()
 	if err != nil {
 		return nil, err
-	}
-	one := func(cfg config, sc Scenario) (*Result, error) {
-		return cache.runThrough(kind, cfg, sc, func() (*Result, error) {
-			return run(cfg, sc)
-		})
 	}
 	if sc.Replications > 1 {
 		results := make([]*Result, sc.Replications)
 		for rep := range results {
-			r, err := one(cfg.withCell(rep), replicaScenario(sc, rep).withDefaults())
+			r, err := cache.runThrough(f.withCell(rep), replicaScenario(sc, rep).withDefaults())
 			if err != nil {
 				return nil, fmt.Errorf("noc: replication %d: %w", rep, err)
 			}
@@ -254,5 +248,5 @@ func runFabric(kind Kind, cfg config, sc Scenario,
 		}
 		return aggregateResults(results)
 	}
-	return one(cfg, sc)
+	return cache.runThrough(f, sc)
 }

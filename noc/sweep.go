@@ -15,9 +15,10 @@ import (
 )
 
 // FabricSpec is the JSON-encodable description of one fabric
-// configuration — the declarative counterpart of the CircuitSwitched /
-// PacketSwitched / AetherealTDM constructors and their options. Zero
-// fields mean the paper's defaults.
+// configuration and the one declaration of every fabric knob: each
+// tuning Option of the CircuitSwitched / PacketSwitched / AetherealTDM
+// constructors sets one of its fields, and every fabric embeds one.
+// Zero fields mean the paper's defaults.
 type FabricSpec struct {
 	// Kind selects the implementation: "circuit", "packet" or
 	// "aethereal".
@@ -49,56 +50,25 @@ type FabricSpec struct {
 	Kernel string `json:"kernel,omitempty"`
 }
 
-// options converts the spec into the functional options it describes.
-func (fs FabricSpec) options() []Option {
-	var opts []Option
-	if fs.Lanes != 0 {
-		opts = append(opts, WithLanes(fs.Lanes))
-	}
-	if fs.LaneWidth != 0 {
-		opts = append(opts, WithLaneWidth(fs.LaneWidth))
-	}
-	if fs.VCs != 0 {
-		opts = append(opts, WithVirtualChannels(fs.VCs))
-	}
-	if fs.BufferDepth != 0 {
-		opts = append(opts, WithBufferDepth(fs.BufferDepth))
-	}
-	if fs.Slots != 0 {
-		opts = append(opts, WithSlots(fs.Slots))
-	}
-	if fs.BEDepth != 0 {
-		opts = append(opts, WithBEDepth(fs.BEDepth))
-	}
-	if fs.Gated {
-		opts = append(opts, WithClockGating(true))
-	}
-	if fs.Corner != "" {
-		opts = append(opts, WithLibraryCorner(fs.Corner))
-	}
-	if fs.LatencyWords != nil {
-		opts = append(opts, WithLatencyWords(*fs.LatencyWords))
-	}
-	if fs.Kernel != "" {
-		opts = append(opts, WithKernel(Kernel(fs.Kernel)))
-	}
-	return opts
-}
-
 // Fabric builds and validates the fabric the spec describes.
 func (fs FabricSpec) Fabric() (Fabric, error) {
-	var f Fabric
+	f, err := fs.build()
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// build is Fabric with the concrete type, so the sweep engine can set
+// the cache and observability hooks on the fabrics it builds.
+func (fs FabricSpec) build() (*fabric, error) {
 	switch fs.Kind {
-	case KindCircuit:
-		f = CircuitSwitched(fs.options()...)
-	case KindPacket:
-		f = PacketSwitched(fs.options()...)
-	case KindTDM:
-		f = AetherealTDM(fs.options()...)
+	case KindCircuit, KindPacket, KindTDM:
 	default:
 		return nil, fmt.Errorf("noc: sweep: unknown fabric kind %q (have %s, %s, %s)",
 			fs.Kind, KindCircuit, KindPacket, KindTDM)
 	}
+	f := &fabric{FabricSpec: fs}
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
@@ -426,20 +396,6 @@ type monitorAdapter struct{ m SweepMonitor }
 func (a monitorAdapter) JobStart(worker, job int) { a.m.JobStart(worker, job) }
 func (a monitorAdapter) JobDone(worker, job int)  { a.m.JobDone(worker, job) }
 
-// cacheSettable lets the sweep engine hand its resolved cache instance
-// to the fabrics it builds; each job's run then consults the cache
-// itself (Cache.runThrough), hit or miss.
-type cacheSettable interface {
-	setCache(*Cache)
-}
-
-// obsSettable lets the sweep engine inject its observability hooks —
-// the shared trace collector (cell-stamped) and metrics registry — into
-// the fabrics it builds.
-type obsSettable interface {
-	setObs(obs.Hooks)
-}
-
 // resolveCache opens the spec's cache, if enabled.
 func (s SweepSpec) resolveCache() (*Cache, error) {
 	if !s.Cache && s.CacheDir == "" {
@@ -655,20 +611,11 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 			if fs.Kernel == "" {
 				fs.Kernel = spec.Kernel
 			}
-			f, err := fs.Fabric()
+			f, err := fs.build()
 			if err != nil {
 				return repOut{errText: err.Error()}, nil
 			}
-			if cache != nil {
-				if cs, ok := f.(cacheSettable); ok {
-					cs.setCache(cache)
-				}
-			}
-			if h := cellHooks(j.cell); h.Tracer != nil || h.Metrics != nil {
-				if os, ok := f.(obsSettable); ok {
-					os.setObs(h)
-				}
-			}
+			f.cache, f.obs = cache, cellHooks(j.cell)
 			sc := cell.Scenario
 			replicated := sc.Replications > 1
 			if replicated {

@@ -8,9 +8,17 @@ import (
 	"repro/internal/synth"
 )
 
-// cornerLib resolves a corner name like the WithLibraryCorner option.
+// cornerLib resolves a library corner name, as WithLibraryCorner and
+// FabricSpec.Corner take it: "nominal" (or empty) or "hvt".
 func cornerLib(corner string) (stdcell.Lib, error) {
-	return config{corner: corner}.lib()
+	switch corner {
+	case "", "nominal":
+		return stdcell.Default013(), nil
+	case "hvt":
+		return stdcell.HighVT013(), nil
+	default:
+		return stdcell.Lib{}, fmt.Errorf("noc: unknown library corner %q (have nominal, hvt)", corner)
+	}
 }
 
 // LibraryName returns the technology library name of a corner, for

@@ -14,7 +14,7 @@ import (
 func collectEvents(t *testing.T, f Fabric, sc Scenario) []obs.Event {
 	t.Helper()
 	col := obs.NewCollector()
-	f.(obsSettable).setObs(obs.Hooks{Tracer: col})
+	f.(*fabric).obs = obs.Hooks{Tracer: col}
 	if _, err := f.Run(sc); err != nil {
 		t.Fatalf("%s: %v", f, err)
 	}

@@ -198,11 +198,11 @@ var (
 // circuit-switched mesh via the CCN, drives every guaranteed-throughput
 // channel at its required rate and measures delivery, aggregate power
 // and (optionally) a waveform of node (0,0).
-func runCircuitWorkload(cfg config, sc Scenario) (*Result, error) {
-	p := cfg.resolvedCoreParams()
+func runCircuitWorkload(f fabric, sc Scenario) (*Result, error) {
+	p := f.coreParams()
 	m := mesh.New(sc.MeshWidth, sc.MeshHeight, p, core.DefaultAssemblyOptions(),
-		cfg.worldOpts()...)
-	dom := m.BindMeters(cfg.mustLib(), sc.FreqMHz, cfg.gated)
+		f.worldOpts()...)
+	dom := m.BindMeters(f.mustLib(), sc.FreqMHz, f.Gated)
 	mgr := ccn.NewManager(m, sc.FreqMHz)
 
 	res := &Result{
@@ -259,8 +259,8 @@ func runCircuitWorkload(cfg config, sc Scenario) (*Result, error) {
 	}
 
 	var rec *trace.Recorder
-	if cfg.traceCycles > 0 {
-		rec = trace.NewRecorder(cfg.traceCycles)
+	if f.traceCycles > 0 {
+		rec = trace.NewRecorder(f.traceCycles)
 		node := m.At(mesh.Coord{X: 0, Y: 0})
 		for g := 0; g < p.TotalLanes(); g++ {
 			lane := p.LaneOf(g)
@@ -271,7 +271,7 @@ func runCircuitWorkload(cfg config, sc Scenario) (*Result, error) {
 	}
 
 	m.Run(sc.Cycles)
-	cfg.observeKernel()(world)
+	f.observeKernel()(world)
 
 	for _, st := range states {
 		received := st.sink.grx.Received()
