@@ -40,6 +40,11 @@ type Assembly struct {
 	idleTxMask uint64
 	idleRxMask uint64
 
+	// live records which converters this cycle's Eval stepped, Tx[i]
+	// at i and Rx[i] at len(Tx)+i; Commit commits those, plus a skipped
+	// receive converter the tile popped after Eval.
+	live []bool
+
 	// asleep is the quiescence fast path: once an assembly is quiescent
 	// AND self-stable — router unconfigured, every converter disabled —
 	// no external register can influence it (an unconfigured crossbar
@@ -70,7 +75,7 @@ func NewAssembly(p Params, opt AssemblyOptions) *Assembly {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	a := &Assembly{R: NewRouter(p), p: p}
+	a := &Assembly{R: NewRouter(p), p: p, live: make([]bool, 2*p.LanesPerPort)}
 	for l := 0; l < p.LanesPerPort; l++ {
 		tx := NewTxConverter(p, opt.Flow)
 		rx := NewRxConverter(p, opt.Flow, opt.RxBufCap)
@@ -121,27 +126,47 @@ func (a *Assembly) EstablishLocal(c Circuit) error {
 	return nil
 }
 
-// Eval implements sim.Clocked.
+// Eval implements sim.Clocked. A converter that is disabled and at rest
+// (its Quiescent holds) is not stepped: its Eval and Commit would change
+// nothing and charge no toggles, and it stays at rest until the cycle
+// ends. A disabled transmit converter refuses Push, and a tile Pop later
+// in the cycle is caught by Commit. Enabled flags are written between
+// cycles, as the CCN and the lane book do.
 func (a *Assembly) Eval() {
 	a.R.Eval()
-	for _, tx := range a.Tx {
-		tx.Eval()
+	txLive, rxLive := a.live[:len(a.Tx)], a.live[len(a.Tx):]
+	for i, tx := range a.Tx {
+		txLive[i] = tx.Enabled || !tx.Quiescent()
+		if txLive[i] {
+			tx.Eval()
+		}
 	}
-	for _, rx := range a.Rx {
-		rx.Eval()
+	for i, rx := range a.Rx {
+		rxLive[i] = rx.Enabled || !rx.Quiescent()
+		if rxLive[i] {
+			rx.Eval()
+		}
 	}
 }
 
 // Commit implements sim.Clocked. After all sub-components commit, the
 // assembly charges this cycle's clock energy to the meter: the full design
 // when ungated, or only the configuration memory, enabled lanes and enabled
-// converters when gated.
+// converters when gated. A receive converter whose Eval was skipped
+// still commits when the tile popped a buffered word after Eval: at rest
+// its next state equals its committed state, so Commit alone trims the
+// buffer and credits the acknowledgement exactly as Eval+Commit would.
 func (a *Assembly) Commit() {
-	for _, tx := range a.Tx {
-		tx.Commit()
+	txLive, rxLive := a.live[:len(a.Tx)], a.live[len(a.Tx):]
+	for i, tx := range a.Tx {
+		if txLive[i] {
+			tx.Commit()
+		}
 	}
-	for _, rx := range a.Rx {
-		rx.Commit()
+	for i, rx := range a.Rx {
+		if rxLive[i] || rx.popN != 0 {
+			rx.Commit()
+		}
 	}
 	a.R.Commit()
 	if a.meter == nil {

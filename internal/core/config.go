@@ -120,8 +120,7 @@ func (c *Config) SetLane(g int, s LaneSel) {
 // Apply executes a configuration command.
 func (c *Config) Apply(cmd ConfigCmd) { c.SetLane(cmd.Out, cmd.Sel) }
 
-// EnabledLanes returns the number of active output lanes, which drives the
-// clock-gating power model.
+// EnabledLanes returns the number of active output lanes.
 func (c *Config) EnabledLanes() int {
 	n := 0
 	for _, s := range c.sels {

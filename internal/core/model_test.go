@@ -139,7 +139,8 @@ func refField(p Params, l refLane) uint64 {
 }
 
 // TestRouterGeometriesMatchReferenceModel drives routers of 3 and 5 ports
-// with 1, 2, 4 and 8 lanes per port through random traffic, random
+// with 1, 2, 4, 8 and 12 lanes per port (at 12 the tile port spans two
+// of Commit's 8-lane words) through random traffic, random
 // acknowledgements and random configuration writes — enables, disables
 // that leave a non-zero select in the memory, and Deactivate — and
 // checks every cycle against a reference that decodes each select
@@ -150,7 +151,7 @@ func refField(p Params, l refLane) uint64 {
 func TestRouterGeometriesMatchReferenceModel(t *testing.T) {
 	lib := stdcell.Default013()
 	for _, ports := range []int{3, 5} {
-		for _, lanes := range []int{1, 2, 4, 8} {
+		for _, lanes := range []int{1, 2, 4, 8, 12} {
 			p := Params{Ports: ports, LanesPerPort: lanes, LaneWidth: 4, TileWidth: 16}
 			t.Run(fmt.Sprintf("%dx%d", ports, lanes), func(t *testing.T) {
 				checkRouterAgainstReference(t, p, lib, uint64(ports*100+lanes))

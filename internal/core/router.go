@@ -1,9 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
-	"repro/internal/bitvec"
 	"repro/internal/power"
 	"repro/internal/stdcell"
 )
@@ -41,19 +42,27 @@ type Router struct {
 	// cfgPending holds configuration commands staged via the
 	// configuration interface, applied at the next clock edge.
 	cfgPending []ConfigCmd
+	// pairs lists the configured output lanes with their selected input
+	// lanes, in output order. It is rebuilt where staged configuration
+	// writes are applied, the only place the memory changes, so Eval,
+	// Quiescent and ClockFJ never visit a disabled lane.
+	pairs []lanePair
 
-	// next-state (computed by Eval, made visible by Commit)
-	nextOut []uint8
-	nextAck []bool
+	// The lane registers as byte images, each padded to whole 8-lane
+	// words, so Commit compares and counts eight lanes per uint64. out
+	// is the backing array of Out; ack mirrors AckOut as 0/1 bytes, and
+	// AckOut is written only where it changes. nextOut and nextAck hold
+	// the next state Eval computes. tile has 0xFF for each tile-port
+	// lane, whose output register drives the short local connection to
+	// a converter rather than an inter-router link. Padding bytes and
+	// the next state of unconfigured lanes stay zero.
+	out, nextOut, ack, nextAck, tile []uint8
 
-	// mask keeps a lane value's LaneWidth bits; global lanes below
-	// tileLanes belong to the tile port.
-	mask      uint8
-	tileLanes int
+	// mask keeps a lane value's LaneWidth bits.
+	mask uint8
 
 	// meter, when non-nil, receives this router's switching activity.
-	meter      *power.Meter
-	statsWords uint64
+	meter *power.Meter
 
 	// activity tracking (sim.Quiescer): a router with no configured lanes,
 	// no staged configuration writes and all-idle output registers is a
@@ -62,10 +71,13 @@ type Router struct {
 	// input and acknowledgement wire currently shows its idle value; the
 	// per-cycle poll re-checks the wires, so traffic lighting up an input
 	// is caught on the cycle it appears.
-	activeLanes int
-	outDirty    bool
-	wake        func()
+	outDirty bool
+	wake     func()
 }
+
+// lanePair is one configured crossbar connection: output lane out
+// latches input lane in.
+type lanePair struct{ out, in int32 }
 
 // NewRouter returns an unconfigured router with all lanes idle.
 func NewRouter(p Params) *Router {
@@ -73,18 +85,26 @@ func NewRouter(p Params) *Router {
 		panic(err)
 	}
 	n := p.TotalLanes()
-	return &Router{
-		P:         p,
-		Out:       make([]uint8, n),
-		AckOut:    make([]bool, n),
-		in:        make([]*uint8, n),
-		ackIn:     make([]*bool, n),
-		cfg:       NewConfig(p),
-		nextOut:   make([]uint8, n),
-		nextAck:   make([]bool, n),
-		mask:      uint8(1<<uint(p.LaneWidth) - 1),
-		tileLanes: p.LanesPerPort,
+	span := (n + 7) &^ 7
+	img := make([]uint8, 5*span) // one allocation for the five images
+	r := &Router{
+		P:       p,
+		Out:     img[:n:n],
+		AckOut:  make([]bool, n),
+		in:      make([]*uint8, n),
+		ackIn:   make([]*bool, n),
+		cfg:     NewConfig(p),
+		out:     img[:span],
+		nextOut: img[span : 2*span],
+		ack:     img[2*span : 3*span],
+		nextAck: img[3*span : 4*span],
+		tile:    img[4*span:],
+		mask:    uint8(1<<uint(p.LaneWidth) - 1),
 	}
+	for g := 0; g < p.LanesPerPort; g++ {
+		r.tile[g] = 0xFF
+	}
+	return r
 }
 
 // ConnectIn wires input lane g to read data from src (a registered output
@@ -95,7 +115,9 @@ func (r *Router) ConnectIn(g int, src *uint8) { r.in[g] = src }
 // from src (the upstream-facing ack register of the downstream component).
 func (r *Router) ConnectAckIn(g int, src *bool) { r.ackIn[g] = src }
 
-// Config returns the router's live configuration memory.
+// Config returns the router's live configuration memory. Write it
+// through PushConfig, Configure or Deactivate: the datapath reads the
+// configured lanes from a list rebuilt when staged writes are applied.
 func (r *Router) Config() *Config { return r.cfg }
 
 // Configure directly establishes a circuit (test and CCN fast path). The
@@ -136,23 +158,17 @@ func (r *Router) SetWake(fn func()) { r.wake = fn }
 // output registers already hold their idle values, and every configured
 // output would latch the same idle value again — its selected input
 // lane and its acknowledgement wire both idle. (With no circuits
-// configured the crossbar ignores its inputs and the scan short-cuts.)
+// configured the crossbar ignores its inputs and the scan is empty.)
 // An all-idle cycle records zero toggles, so skipping it is power-exact.
 func (r *Router) Quiescent() bool {
 	if len(r.cfgPending) != 0 || r.outDirty {
 		return false
 	}
-	if r.activeLanes == 0 {
-		return true
-	}
-	for g, in := range r.cfg.src {
-		if in == noInput {
-			continue
-		}
-		if r.readIn(int(in)) != 0 {
+	for _, pr := range r.pairs {
+		if r.readIn(int(pr.in)) != 0 {
 			return false
 		}
-		if a := r.ackIn[g]; a != nil && *a {
+		if a := r.ackIn[pr.out]; a != nil && *a {
 			return false
 		}
 	}
@@ -168,17 +184,13 @@ func (r *Router) IdleWindow(n uint64) {}
 // Unconfigured reports whether no circuit is configured and none is
 // staged — the state in which the crossbar provably ignores every input.
 func (r *Router) Unconfigured() bool {
-	return r.activeLanes == 0 && len(r.cfgPending) == 0
+	return len(r.pairs) == 0 && len(r.cfgPending) == 0
 }
 
 // BindMeter attaches a power meter for the router's switching activity.
 // Clock energy, gated or not, is charged by whoever ticks the meter; an
 // Assembly does so through ClockFJ.
 func (r *Router) BindMeter(m *power.Meter) { r.meter = m }
-
-// WordsRouted returns the number of valid header nibbles that crossed the
-// crossbar, a convenience traffic statistic.
-func (r *Router) WordsRouted() uint64 { return r.statsWords }
 
 // readIn returns the current value of input lane g (0 when unconnected).
 func (r *Router) readIn(g int) uint8 {
@@ -189,29 +201,25 @@ func (r *Router) readIn(g int) uint8 {
 }
 
 // Eval implements sim.Clocked: it computes the crossbar outputs and the
-// reverse acknowledgement routing from the committed inputs.
+// reverse acknowledgement routing from the committed inputs. Only
+// configured lanes are visited; the next state of the others stays 0.
 func (r *Router) Eval() {
 	clear(r.nextAck)
-	for g, in := range r.cfg.src {
-		if in == noInput {
-			r.nextOut[g] = 0
-			continue
-		}
-		r.nextOut[g] = r.readIn(int(in))
-		// The acknowledgement arriving with output lane g is routed back
-		// to the circuit's input lane. With multicast (several outputs
-		// selecting one input) acknowledgements are ORed; the window
-		// counter mechanism is defined for unicast circuits.
-		if a := r.ackIn[g]; a != nil && *a {
-			r.nextAck[in] = true
+	for _, pr := range r.pairs {
+		r.nextOut[pr.out] = r.readIn(int(pr.in))
+		// The acknowledgement arriving with output lane out is routed
+		// back to the circuit's input lane. With multicast (several
+		// outputs selecting one input) acknowledgements are ORed; the
+		// window counter mechanism is defined for unicast circuits.
+		if a := r.ackIn[pr.out]; a != nil && *a {
+			r.nextAck[pr.in] = 1
 		}
 	}
 }
 
-// Commit implements sim.Clocked: in one pass over the lanes it counts
-// this cycle's switching activity and latches the outputs; it then
-// charges the activity to the meter and applies staged configuration
-// writes.
+// Commit implements sim.Clocked: eight lanes per word, it counts this
+// cycle's switching activity and latches the outputs; it then charges
+// the activity to the meter and applies staged configuration writes.
 //
 // Activity covers output register and link toggles, crossbar
 // multiplexer activity and acknowledgement wires. Clock energy is not
@@ -219,39 +227,35 @@ func (r *Router) Eval() {
 // Assembly.Commit and ClockFJ).
 func (r *Router) Commit() {
 	regFlips, linkFlips, gateFlips, ackFlips := 0, 0, 0, 0
-	dirty := false
-	for g, next := range r.nextOut {
-		ack := r.nextAck[g]
-		if d := bitvec.Hamming16(uint16(r.Out[g]), uint16(next)); d != 0 {
-			regFlips += d
-			// The output register drives the inter-router link; the tile
-			// port drives the short local connection to the converter.
-			if g < r.tileLanes {
-				gateFlips += d
-			} else {
-				linkFlips += d
-			}
-			// Data toggles ripple through about two 2:1 stages of the
-			// output's multiplexer tree (the selected path; unselected
-			// subtrees are logically shielded).
-			gateFlips += 2 * d
+	out, nextOut, ack, nextAck := r.out, r.nextOut, r.ack, r.nextAck
+	var live uint64
+	for i := 0; i < len(out); i += 8 {
+		next := binary.LittleEndian.Uint64(nextOut[i:])
+		nextA := binary.LittleEndian.Uint64(nextAck[i:])
+		live |= next | nextA
+		if d := binary.LittleEndian.Uint64(out[i:]) ^ next; d != 0 {
+			n := bits.OnesCount64(d)
+			tile := binary.LittleEndian.Uint64(r.tile[i:])
+			regFlips += n
+			// The output register drives the inter-router link; the
+			// tile port drives the short local connection to the
+			// converter. Data toggles also ripple through about two 2:1
+			// stages of the output's multiplexer tree (the selected
+			// path; unselected subtrees are logically shielded).
+			gateFlips += 2*n + bits.OnesCount64(d&tile)
+			linkFlips += bits.OnesCount64(d &^ tile)
 		}
-		if r.AckOut[g] != ack {
+		// Each ack byte is 0 or 1, so a changed lane sets bit 0 of its
+		// byte.
+		for d := binary.LittleEndian.Uint64(ack[i:]) ^ nextA; d != 0; d &= d - 1 {
+			g := i + bits.TrailingZeros64(d)/8
+			r.AckOut[g] = nextAck[g] != 0
 			ackFlips++
 		}
-		if next&uint8(HdrValid) != 0 {
-			// Counting header nibbles overcounts (data nibbles may have
-			// bit 0 set); the converter-level statistics are exact. This
-			// is only a coarse activity indicator.
-			r.statsWords++
-		}
-		if next != 0 || ack {
-			dirty = true
-		}
-		r.Out[g] = next
-		r.AckOut[g] = ack
 	}
-	r.outDirty = dirty
+	copy(out, nextOut)
+	copy(ack, nextAck)
+	r.outDirty = live != 0
 	if r.meter != nil {
 		r.meter.AddToggles(power.ToggleReg, regFlips+ackFlips)
 		r.meter.AddToggles(power.ToggleLink, linkFlips+ackFlips)
@@ -271,7 +275,18 @@ func (r *Router) Commit() {
 			}
 		}
 		r.cfgPending = r.cfgPending[:0]
-		r.activeLanes = r.cfg.EnabledLanes()
+		if k := r.cfg.EnabledLanes(); cap(r.pairs) < k {
+			r.pairs = make([]lanePair, 0, k)
+		}
+		r.pairs = r.pairs[:0]
+		for g, in := range r.cfg.src {
+			if in != noInput {
+				r.pairs = append(r.pairs, lanePair{out: int32(g), in: in})
+			}
+		}
+		// Eval writes configured lanes only: a lane just disabled must
+		// latch 0 from the next edge on.
+		clear(r.nextOut)
 	}
 }
 
@@ -292,11 +307,7 @@ func (r *Router) ClockFJ(lib stdcell.Lib, gated bool) float64 {
 	if !gated {
 		return power.ClockEnergyFor(lib, RouterRegBits(r.P), 0)
 	}
-	active := r.P.ConfigBits() // configuration memory is always live
-	for _, in := range r.cfg.src {
-		if in != noInput {
-			active += r.P.LaneWidth + 1
-		}
-	}
+	// The configuration memory is always live.
+	active := r.P.ConfigBits() + len(r.pairs)*(r.P.LaneWidth+1)
 	return power.ClockEnergyFor(lib, active, 0)
 }
