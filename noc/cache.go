@@ -81,24 +81,31 @@ type fabricKeyMaterial struct {
 	TraceCycles  int    `json:"trace_cycles"`
 }
 
-// fabricKeyOf resolves the fabric's knobs into key material.
+// fabricKeyOf resolves the fabric's knobs into key material. A fabric
+// is keyed on the corner, which every kind reads, and only on its own
+// kind's knobs: the circuit geometry, gating, latency sample count and
+// node trace depth for the circuit fabric; the VC configuration and
+// latency sample count for the packet fabric; the slot table and
+// best-effort depth for the TDM fabric, which measures latency in-run.
+// The other fields stay zero, so runs that differ only in knobs their
+// kind ignores, and so print the same bytes, share one key.
 func fabricKeyOf(f fabric) fabricKeyMaterial {
 	corner := f.Corner
 	if corner == "" {
 		corner = "nominal"
 	}
-	return fabricKeyMaterial{
-		Lanes:        f.Lanes,
-		LaneWidth:    f.LaneWidth,
-		VCs:          f.VCs,
-		BufferDepth:  f.BufferDepth,
-		Slots:        f.Slots,
-		BEDepth:      f.BEDepth,
-		Gated:        f.Gated,
-		Corner:       corner,
-		LatencyWords: f.latencySamples(),
-		TraceCycles:  f.traceCycles,
+	m := fabricKeyMaterial{Corner: corner}
+	switch f.Kind() {
+	case KindCircuit:
+		m.Lanes, m.LaneWidth, m.Gated = f.Lanes, f.LaneWidth, f.Gated
+		m.LatencyWords, m.TraceCycles = f.latencySamples(), f.traceCycles
+	case KindPacket:
+		m.VCs, m.BufferDepth = f.VCs, f.BufferDepth
+		m.LatencyWords = f.latencySamples()
+	case KindTDM:
+		m.Slots, m.BEDepth = f.Slots, f.BEDepth
 	}
+	return m
 }
 
 // cacheKeyMaterial is the canonical description hashed into a cell

@@ -52,7 +52,7 @@ func TestCacheKeyGolden(t *testing.T) {
 	want := map[string]string{
 		"circuit-I":       "24cc213b20a4de6eacf8fa27ff8907b8102fea93beaac274fec29ebef74c2d09",
 		"packet-I":        "4f9892cf8ee7402e6249d39ba0698e61c9e1baec288b3494c5b94fae95c970d8",
-		"tdm-I":           "530d8e6cd451c3de6b66ee1c0bcc58880d68a88bfa182436f1d0664f7c7ff197",
+		"tdm-I":           "b565766d9a3b5922120971b557277a929e5f3e9f50feaf0c7db34a16e91895bb",
 		"circuit-pattern": "480af403790f62662cfcd15be98c9d010b7c168d0401cc97630d0573562b006d",
 	}
 	for _, g := range golden {
@@ -97,21 +97,31 @@ func TestCacheKeySensitivity(t *testing.T) {
 		seen[k] = m.name
 	}
 
+	// Each knob is applied to the kind that reads it.
+	for _, kind := range []Kind{KindPacket, KindTDM} {
+		seen[cellKey(*newFabric(kind, nil), base).String()] = "base:" + string(kind)
+	}
 	cfgMutations := []struct {
 		name string
+		kind Kind
 		opts []Option
 	}{
-		{"lanes", []Option{WithLanes(2)}},
-		{"lane-width", []Option{WithLaneWidth(4)}},
-		{"vcs", []Option{WithVirtualChannels(2)}},
-		{"buffer-depth", []Option{WithBufferDepth(4)}},
-		{"slots", []Option{WithSlots(16)}},
-		{"gating", []Option{WithClockGating(true)}},
-		{"corner", []Option{WithLibraryCorner("hvt")}},
-		{"latency-words", []Option{WithLatencyWords(10)}},
+		{"lanes", KindCircuit, []Option{WithLanes(2)}},
+		{"lane-width", KindCircuit, []Option{WithLaneWidth(4)}},
+		{"gating", KindCircuit, []Option{WithClockGating(true)}},
+		{"corner", KindCircuit, []Option{WithLibraryCorner("hvt")}},
+		{"latency-words", KindCircuit, []Option{WithLatencyWords(10)}},
+		{"node-trace", KindCircuit, []Option{WithNodeTrace(10)}},
+		{"vcs", KindPacket, []Option{WithVirtualChannels(2)}},
+		{"buffer-depth", KindPacket, []Option{WithBufferDepth(4)}},
+		{"packet-corner", KindPacket, []Option{WithLibraryCorner("hvt")}},
+		{"packet-latency-words", KindPacket, []Option{WithLatencyWords(10)}},
+		{"slots", KindTDM, []Option{WithSlots(16)}},
+		{"be-depth", KindTDM, []Option{WithBEDepth(8)}},
+		{"tdm-corner", KindTDM, []Option{WithLibraryCorner("hvt")}},
 	}
 	for _, m := range cfgMutations {
-		k := cellKey(*newFabric(KindCircuit, m.opts), base).String()
+		k := cellKey(*newFabric(m.kind, m.opts), base).String()
 		if prev, dup := seen[k]; dup {
 			t.Errorf("config mutation %q collides with %q", m.name, prev)
 		}
@@ -130,6 +140,55 @@ func TestCacheKeySensitivity(t *testing.T) {
 	// Deliberate exclusion: the kernel.
 	if k := cellKey(*newFabric(KindCircuit, []Option{WithKernel(KernelNaive)}), base); k != baseKey {
 		t.Error("kernel choice changes the key; cross-kernel byte-identity makes it shareable")
+	}
+}
+
+// TestCacheKeyIgnoresOtherKindsKnobs: a fabric's key holds only the
+// knobs its kind reads, so options meant for the other kinds — and the
+// latency sample count on the TDM fabric, which measures latency in-run
+// — leave the key unchanged, and the second of two such runs is served
+// from the cache with the first run's bytes.
+func TestCacheKeyIgnoresOtherKindsKnobs(t *testing.T) {
+	withTestFingerprint(t, "test-fingerprint-kinds")
+	circuitOpts := []Option{WithLanes(3), WithLaneWidth(8), WithClockGating(true), WithNodeTrace(10)}
+	packetOpts := []Option{WithVirtualChannels(3), WithBufferDepth(2)}
+	tdmOpts := []Option{WithSlots(8), WithBEDepth(4)}
+	cat := func(opts ...[]Option) []Option {
+		var all []Option
+		for _, o := range opts {
+			all = append(all, o...)
+		}
+		return all
+	}
+	sc := cacheTestScenario(t)
+	sc.Cycles = 400
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		kind  Kind
+		build func(...Option) Fabric
+		other []Option
+	}{
+		{KindCircuit, CircuitSwitched, cat(packetOpts, tdmOpts)},
+		{KindPacket, PacketSwitched, cat(circuitOpts, tdmOpts)},
+		{KindTDM, AetherealTDM, cat(circuitOpts, packetOpts, []Option{WithLatencyWords(0)})},
+	} {
+		if got, want := cellKey(*newFabric(c.kind, c.other), sc), cellKey(*newFabric(c.kind, nil), sc); got != want {
+			t.Errorf("%s: the other kinds' knobs change the key", c.kind)
+		}
+		plain, other := c.build(), c.build(c.other...)
+		plain.(*fabric).cache, other.(*fabric).cache = cache, cache
+		first := runJSON(t, plain, sc)
+		before := cache.Counters()
+		second := runJSON(t, other, sc)
+		if got := countersSince(cache, before); got != (CacheCounters{Hits: 1}) {
+			t.Errorf("%s: second run counters %+v, want one hit", c.kind, got)
+		}
+		if !bytes.Equal(first, second) {
+			t.Errorf("%s: the cached run's JSON differs from the first run's", c.kind)
+		}
 	}
 }
 

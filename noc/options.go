@@ -86,8 +86,9 @@ func WithClockGating(on bool) Option { return func(f *fabric) { f.Gated = on } }
 func WithLibraryCorner(corner string) Option { return func(f *fabric) { f.Corner = corner } }
 
 // WithLatencyWords sets how many timed word deliveries the latency
-// measurement collects per single-router run (default 200); 0 disables
-// the latency measurement entirely.
+// measurement of the circuit and packet fabrics collects per
+// single-router stream run (default 200); 0 disables that measurement.
+// The TDM fabric measures latency in-run and ignores the count.
 func WithLatencyWords(n int) Option { return func(f *fabric) { f.LatencyWords = &n } }
 
 // WithNodeTrace records up to the given number of cycles of node (0,0)'s

@@ -39,8 +39,10 @@ type FabricSpec struct {
 	Gated bool `json:"gated,omitempty"`
 	// Corner selects the library corner: "nominal" (default) or "hvt".
 	Corner string `json:"corner,omitempty"`
-	// LatencyWords overrides the latency sample count; nil keeps the
-	// default, 0 disables the latency measurement (WithLatencyWords).
+	// LatencyWords overrides the latency sample count of the circuit
+	// and packet fabrics; nil keeps the default, 0 disables their
+	// latency measurement (WithLatencyWords). The TDM fabric measures
+	// latency in-run and ignores it.
 	LatencyWords *int `json:"latency_words,omitempty"`
 	// Kernel selects the simulation kernel: "active" (the default) or
 	// "naive" (WithKernel); "gated" and "event" are deprecated spellings
