@@ -4,7 +4,7 @@ NOCVET := $(CURDIR)/bin/nocvet
 
 # BENCH_BASE is the tracked benchmark baseline the regression gate
 # compares against; bump the number when re-baselining on purpose.
-BENCH_BASE := BENCH_15.json
+BENCH_BASE := BENCH_16.json
 
 .PHONY: build test race vet nocvet bench bench-json benchdiff
 
@@ -49,7 +49,7 @@ bench-json:
 	go test -bench '^Benchmark(CircuitRouterCycle|PacketRouterCycle|BERouterFlit|ConverterRoundTrip)$$' -benchtime 20000x -benchmem -count 3 -run '^$$' . | tee -a bench.txt
 	go test -bench '(Mesh|Scenario).*Kernel' -benchtime 20000x -run '^$$' . | tee -a bench.txt
 	go test -bench 'MeshSparse(Active|TracerNil)Kernel' -benchtime 20000x -count 6 -run '^$$' . | tee -a bench.txt
-	go test -bench 'FiniteWorkload|BEBurst' -benchtime 50x -run '^$$' . | tee -a bench.txt
+	go test -bench 'FiniteWorkload' -benchtime 50x -run '^$$' . | tee -a bench.txt
 	go test -bench 'Pattern16|PatternSource' -benchtime 5x -run '^$$' . | tee -a bench.txt
 	go test -bench 'PatternSource' -benchtime 5x -count 6 -run '^$$' . | tee -a bench.txt
 	go test -bench 'Sweep(Single|Replicated)' -benchtime 20x -count 4 -run '^$$' . | tee -a bench.txt

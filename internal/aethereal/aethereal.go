@@ -9,13 +9,15 @@
 // table is computed contention free at configuration time, no arbitration
 // happens in the data path; unlike the paper's circuit-switched proposal,
 // bandwidth is shared in time rather than in space, and determining the
-// static slot tables "requires considerable effort" (Section 4). Best
-// effort traffic fills unreserved slots from per-port FIFOs.
+// static slot tables "requires considerable effort" (Section 4).
 //
 // Only Table 4 needs this router (total area, maximum frequency, link
 // bandwidth), but the functional model is complete enough to validate slot
 // schedules and measure GT bandwidth allocation, which the setup-time
-// comparison experiment uses.
+// comparison experiment uses. Best-effort buffering is modelled only
+// structurally: BEDepth sizes the per-port BE FIFOs of the netlist (area,
+// leakage, clock load), while the cycle model forwards GT words only and
+// leaves unreserved slots empty.
 package aethereal
 
 import (
@@ -34,7 +36,8 @@ type Params struct {
 	WordBits int
 	// Slots is the slot-table length.
 	Slots int
-	// BEDepth is the per-port best-effort FIFO depth in words.
+	// BEDepth is the per-port best-effort FIFO depth in words; it sizes
+	// the netlist's BE buffering.
 	BEDepth int
 }
 
@@ -43,6 +46,14 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{Ports: 6, WordBits: 32, Slots: 32, BEDepth: 16}
 }
+
+// Upper bounds on the table and buffer knobs, far above the Table 4
+// router: a router allocates its slot table when it is built, and the
+// netlist grows with both.
+const (
+	maxSlots   = 1024
+	maxBEDepth = 1024
+)
 
 // Validate checks the parameters.
 func (p Params) Validate() error {
@@ -53,8 +64,12 @@ func (p Params) Validate() error {
 		return fmt.Errorf("aethereal: word width %d out of range", p.WordBits)
 	case p.Slots < 1:
 		return fmt.Errorf("aethereal: need at least 1 slot, have %d", p.Slots)
+	case p.Slots > maxSlots:
+		return fmt.Errorf("aethereal: Slots %d exceeds %d slots", p.Slots, maxSlots)
 	case p.BEDepth < 1:
 		return fmt.Errorf("aethereal: need BE depth >= 1, have %d", p.BEDepth)
+	case p.BEDepth > maxBEDepth:
+		return fmt.Errorf("aethereal: BEDepth %d exceeds %d words", p.BEDepth, maxBEDepth)
 	}
 	return nil
 }
@@ -195,7 +210,7 @@ func (t *SlotTable) Validate() error {
 }
 
 // Router is the functional TDM router: a slot counter, the slot table and
-// registered outputs. Best-effort words fill unreserved output slots.
+// registered outputs. Unreserved output slots stay empty.
 type Router struct {
 	// P are the design parameters.
 	P Params
@@ -210,20 +225,11 @@ type Router struct {
 	inValid []*bool
 	slot    int
 
-	beFIFOs [][]beWord // per output port
-	beRR    int
-
 	meter *power.Meter
-
-	gtForwarded uint64
-	beForwarded uint64
 
 	nextOut   []uint32
 	nextValid []bool
-	bePops    []int
 }
-
-type beWord struct{ data uint32 }
 
 // NewRouter returns a TDM router with an empty slot table.
 func NewRouter(p Params) *Router {
@@ -237,7 +243,6 @@ func NewRouter(p Params) *Router {
 		OutValid:  make([]bool, p.Ports),
 		in:        make([]*uint32, p.Ports),
 		inValid:   make([]*bool, p.Ports),
-		beFIFOs:   make([][]beWord, p.Ports),
 		nextOut:   make([]uint32, p.Ports),
 		nextValid: make([]bool, p.Ports),
 	}
@@ -257,63 +262,27 @@ func (r *Router) ConnectIn(i int, data *uint32, valid *bool) {
 // so the full clock network is charged on idle cycles too.
 func (r *Router) BindMeter(m *power.Meter) { r.meter = m }
 
-// OfferBE queues a best-effort word for the given output port, returning
-// false if the BE FIFO is full.
-func (r *Router) OfferBE(out int, data uint32) bool {
-	if len(r.beFIFOs[out]) >= r.P.BEDepth {
-		return false
-	}
-	r.beFIFOs[out] = append(r.beFIFOs[out], beWord{data: data})
-	return true
-}
-
 // Slot returns the current slot-table position.
 func (r *Router) Slot() int { return r.slot }
 
-// GTForwarded and BEForwarded return the words moved on each service class.
-func (r *Router) GTForwarded() uint64 { return r.gtForwarded }
-
-// BEForwarded returns the number of best-effort words forwarded.
-func (r *Router) BEForwarded() uint64 { return r.beForwarded }
-
-// Eval implements sim.Clocked.
+// Eval implements sim.Clocked: each output reserved in the current slot
+// takes its input's word, if valid.
 func (r *Router) Eval() {
-	r.bePops = r.bePops[:0]
 	for o := 0; o < r.P.Ports; o++ {
 		r.nextValid[o] = false
 		r.nextOut[o] = 0
 		in := r.Table.Entry(r.slot, o)
-		if in != NoInput {
-			if r.in[in] != nil && r.inValid[in] != nil && *r.inValid[in] {
-				r.nextOut[o] = *r.in[in]
-				r.nextValid[o] = true
-			}
-			continue
-		}
-		// Unreserved slot: best effort fills it.
-		if len(r.beFIFOs[o]) > 0 {
-			r.nextOut[o] = r.beFIFOs[o][0].data
+		if in != NoInput && r.in[in] != nil && r.inValid[in] != nil && *r.inValid[in] {
+			r.nextOut[o] = *r.in[in]
 			r.nextValid[o] = true
-			r.bePops = append(r.bePops, o)
 		}
 	}
 }
 
 // Commit implements sim.Clocked.
 func (r *Router) Commit() {
-	for o := 0; o < r.P.Ports; o++ {
-		if r.nextValid[o] {
-			if r.Table.Entry(r.slot, o) != NoInput {
-				r.gtForwarded++
-			}
-		}
-		r.Out[o] = r.nextOut[o]
-		r.OutValid[o] = r.nextValid[o]
-	}
-	for _, o := range r.bePops {
-		r.beFIFOs[o] = r.beFIFOs[o][1:]
-		r.beForwarded++
-	}
+	copy(r.Out, r.nextOut)
+	copy(r.OutValid, r.nextValid)
 	r.slot = (r.slot + 1) % r.P.Slots
 	if r.meter != nil {
 		r.meter.Tick()
@@ -321,13 +290,13 @@ func (r *Router) Commit() {
 }
 
 // Quiescent implements sim.Quiescer: the TDM router is skippable when no
-// input presents a valid word, every best-effort FIFO is empty and every
-// output register is idle — i.e. none of its reserved slots is occupied
-// and no BE traffic is waiting. The slot counter still advances on skipped
-// cycles via IdleWindow, keeping the TDM frame phase cycle-accurate.
+// input presents a valid word and every output register is idle — i.e.
+// none of its reserved slots is occupied. The slot counter still advances
+// on skipped cycles via IdleWindow, keeping the TDM frame phase
+// cycle-accurate.
 func (r *Router) Quiescent() bool {
 	for o := 0; o < r.P.Ports; o++ {
-		if r.OutValid[o] || len(r.beFIFOs[o]) != 0 {
+		if r.OutValid[o] {
 			return false
 		}
 		if r.in[o] != nil && r.inValid[o] != nil && *r.inValid[o] {

@@ -9,8 +9,6 @@ package benet
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/mesh"
@@ -72,7 +70,6 @@ type Network struct {
 
 	routers []*packetsw.Router
 	world   *sim.World
-	sched   *scheduler
 
 	sendQ    [][]packetsw.Flit // per node, flits waiting for injection
 	inflight map[uint16][]Message
@@ -92,11 +89,6 @@ func New(w, h int, p packetsw.Params, wopts ...sim.WorldOption) *Network {
 		sendQ:    make([][]packetsw.Flit, w*h),
 		inflight: make(map[uint16][]Message),
 	}
-	// The burst scheduler releases SendAt messages at their due cycle. It
-	// is registered first so a release is visible to every pump of the
-	// same cycle, exactly like an external Send just before the step.
-	n.sched = &scheduler{net: n}
-	n.world.Add(n.sched)
 	n.routers = make([]*packetsw.Router, w*h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -128,11 +120,9 @@ func New(w, h int, p packetsw.Params, wopts ...sim.WorldOption) *Network {
 	}
 	// Injection and ejection glue per node. Pumps are first-class
 	// components, not bare sim.Funcs, so the kernel can skip a node whose
-	// injection queue is empty and whose router has nothing ejected — on
-	// a quiet mesh the whole world then quiesces and fast-forwards to the
-	// next scheduled burst. Pumps are Quiescers but not Wakers: they are
-	// registered after the scheduler, whose Eval fills their queues
-	// before their poll in the same cycle's sweep.
+	// injection queue is empty and whose router has nothing ejected.
+	// Pumps are Quiescers but not Wakers: Send fills their queues
+	// between steps, before the next cycle's poll.
 	for i := range n.routers {
 		n.world.Add(&pump{net: n, idx: i})
 	}
@@ -163,58 +153,7 @@ func (p *pump) Quiescent() bool {
 // contract checked by nocvet.
 func (p *pump) IdleWindow(n uint64) {}
 
-// scheduler releases messages queued with SendAt when their cycle comes.
-// It is the BE network's event source: quiescent between bursts, and a
-// sim.Timed so the kernel knows the next release cycle and can
-// fast-forward the idle window between configuration bursts instead of
-// polling it cycle by cycle.
-type scheduler struct {
-	net     *Network
-	pending []scheduledSend // sorted by cycle, insertion order within one
-}
-
-type scheduledSend struct {
-	cycle uint64
-	msg   Message
-}
-
-// Eval implements sim.Clocked: release every message due this cycle.
-func (s *scheduler) Eval() {
-	now := s.net.world.Cycle()
-	for len(s.pending) > 0 && s.pending[0].cycle <= now {
-		msg := s.pending[0].msg
-		s.pending = s.pending[1:]
-		s.net.Send(msg)
-	}
-}
-
-// Commit implements sim.Clocked.
-func (s *scheduler) Commit() {}
-
-// Quiescent implements sim.Quiescer: no release is due this cycle.
-func (s *scheduler) Quiescent() bool {
-	return len(s.pending) == 0 || s.pending[0].cycle > s.net.world.Cycle()
-}
-
-// NextEvent implements sim.Timed: the earliest scheduled release.
-func (s *scheduler) NextEvent() (uint64, bool) {
-	if len(s.pending) == 0 {
-		return 0, false
-	}
-	return s.pending[0].cycle, true
-}
-
-// IdleWindow implements sim.IdleWindower: between bursts the scheduler keeps
-// no per-cycle state (pending releases are keyed by absolute cycle), so
-// idle replay is a no-op, declared explicitly to satisfy the Quiescer
-// contract checked by nocvet.
-func (s *scheduler) IdleWindow(n uint64) {}
-
-var (
-	_ sim.Quiescer = (*pump)(nil)
-	_ sim.Quiescer = (*scheduler)(nil)
-	_ sim.Timed    = (*scheduler)(nil)
-)
+var _ sim.Quiescer = (*pump)(nil)
 
 func (n *Network) router(c mesh.Coord) *packetsw.Router { return n.routers[c.Y*n.W+c.X] }
 
@@ -226,10 +165,6 @@ func (n *Network) Router(c mesh.Coord) *packetsw.Router {
 	return n.router(c)
 }
 
-// World returns the network's simulation world so callers can co-simulate
-// stimulus.
-func (n *Network) World() *sim.World { return n.world }
-
 // Send queues a message for delivery; it is segmented into a wormhole
 // packet (head flit with the XY address, one flit per payload word). VC 0
 // carries all BE traffic in this model.
@@ -239,35 +174,10 @@ func (n *Network) Send(msg Message) {
 	}
 	msg.SentCycle = n.Cycle()
 	src := msg.Src.Y*n.W + msg.Src.X
-	flits := packetsw.MakePacket(0, HeadDataXY(msg.Dst), msg.Payload)
 	// Messages are matched to arrivals in send order per destination.
 	key := HeadDataXY(msg.Dst)
 	n.inflight[key] = append(n.inflight[key], msg)
-	for i := range flits {
-		flits[i].InjectCycle = n.Cycle()
-	}
-	n.sendQ[src] = append(n.sendQ[src], flits...)
-}
-
-// SendAt schedules a message for release at the given absolute cycle —
-// the shape of the CCN's configuration bursts, which are planned ahead of
-// time and sparse. Between releases the scheduler is quiescent and
-// reports the next due cycle to the kernel, so the kernel fast-forwards
-// the dead window instead of polling it. It panics on a
-// cycle already in the past; the current cycle is allowed and releases on
-// the next step.
-func (n *Network) SendAt(cycle uint64, msg Message) {
-	if len(msg.Payload) == 0 {
-		panic("benet: empty message")
-	}
-	if cycle < n.Cycle() {
-		panic(fmt.Sprintf("benet: SendAt(%d) is in the past (cycle %d)", cycle, n.Cycle()))
-	}
-	s := n.sched
-	at := sort.Search(len(s.pending), func(i int) bool {
-		return s.pending[i].cycle > cycle
-	})
-	s.pending = slices.Insert(s.pending, at, scheduledSend{cycle: cycle, msg: msg})
+	n.sendQ[src] = append(n.sendQ[src], packetsw.MakePacket(0, key, msg.Payload)...)
 }
 
 // pump injects queued flits and collects ejected packets at node idx.
@@ -301,10 +211,6 @@ func (n *Network) complete(dst mesh.Coord) {
 // Step advances the network one cycle.
 func (n *Network) Step() { n.world.Step() }
 
-// Run advances the network n cycles through the world's kernel, which
-// may fast-forward quiet windows between scheduled bursts.
-func (n *Network) Run(cycles int) { n.world.Run(cycles) }
-
 // Cycle returns the elapsed cycles.
 func (n *Network) Cycle() uint64 { return n.world.Cycle() }
 
@@ -315,10 +221,9 @@ func (n *Network) Delivered() []Message {
 	return d
 }
 
-// Pending returns the number of messages not yet delivered, including
-// SendAt messages still waiting for their release cycle.
+// Pending returns the number of messages not yet delivered.
 func (n *Network) Pending() int {
-	p := len(n.sched.pending)
+	p := 0
 	for _, msgs := range n.inflight {
 		p += len(msgs)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mesh"
 	"repro/internal/packetsw"
-	"repro/internal/sim"
 )
 
 func TestHeadDataXYRoundTrip(t *testing.T) {
@@ -143,102 +142,4 @@ func TestRouterAccessorBounds(t *testing.T) {
 		}
 	}()
 	n.Router(mesh.Coord{X: 2, Y: 0})
-}
-
-// burstPlan returns a deterministic sparse burst schedule: one 4-word
-// message roughly every gap cycles, alternating corners.
-func burstPlan(n int, gap uint64) []struct {
-	cycle    uint64
-	src, dst mesh.Coord
-} {
-	plan := make([]struct {
-		cycle    uint64
-		src, dst mesh.Coord
-	}, n)
-	for i := range plan {
-		plan[i].cycle = uint64(i+1) * gap
-		plan[i].src = mesh.Coord{X: i % 4, Y: (i / 4) % 4}
-		plan[i].dst = mesh.Coord{X: 3 - i%4, Y: 3 - (i/4)%4}
-		if plan[i].src == plan[i].dst {
-			plan[i].dst.X = (plan[i].dst.X + 1) % 4
-		}
-	}
-	return plan
-}
-
-// TestSendAtKernelEquivalence: a schedule of sparse configuration bursts
-// delivers identical messages with identical timestamps under the naive
-// oracle and the production kernel — while the production kernel
-// fast-forwards the dead windows the oracle steps through. The scheduler
-// releases each burst from its Eval into injection queues that pumps
-// later in the same sweep poll without being woken, so a kernel that
-// polls every component before running any Eval delivers each burst a
-// cycle late.
-func TestSendAtKernelEquivalence(t *testing.T) {
-	type delivery struct {
-		dst  [2]int
-		sent uint64
-		recv uint64
-	}
-	const cycles = 20000
-	run := func(k sim.Kernel) ([]delivery, uint64) {
-		n := New(4, 4, packetsw.DefaultParams(), sim.WithKernel(k))
-		for _, b := range burstPlan(24, 800) {
-			n.SendAt(b.cycle, Message{Src: b.src, Dst: b.dst,
-				Payload: []uint16{1, 2, 3, 4}})
-		}
-		n.Run(cycles)
-		var out []delivery
-		for _, m := range n.Delivered() {
-			out = append(out, delivery{
-				dst: [2]int{m.Dst.X, m.Dst.Y}, sent: m.SentCycle, recv: m.RecvCycle,
-			})
-		}
-		_, ffCycles := n.World().FastForwards()
-		return out, ffCycles
-	}
-	ref, _ := run(sim.KernelNaive)
-	if len(ref) != 24 {
-		t.Fatalf("naive kernel delivered %d of 24 bursts", len(ref))
-	}
-	got, ff := run(sim.KernelActive)
-	if len(got) != len(ref) {
-		t.Fatalf("active kernel delivered %d, naive %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("active kernel delivery %d differs: %+v vs naive %+v", i, got[i], ref[i])
-		}
-	}
-	if ff < cycles/2 {
-		t.Fatalf("active kernel fast-forwarded only %d of %d cycles", ff, cycles)
-	}
-}
-
-// TestSendAtValidation: empty payloads and past cycles are rejected; the
-// current cycle is legal and releases on the next step.
-func TestSendAtValidation(t *testing.T) {
-	n := New(2, 2, packetsw.DefaultParams())
-	n.Run(10)
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s accepted", name)
-			}
-		}()
-		f()
-	}
-	msg := Message{Src: mesh.Coord{X: 0, Y: 0}, Dst: mesh.Coord{X: 1, Y: 1},
-		Payload: []uint16{7}}
-	mustPanic("past cycle", func() { n.SendAt(5, msg) })
-	mustPanic("empty payload", func() {
-		n.SendAt(20, Message{Src: msg.Src, Dst: msg.Dst})
-	})
-	n.SendAt(n.Cycle(), msg) // current cycle: releases on the next step
-	for i := 0; i < 100 && n.Pending() > 0; i++ {
-		n.Step()
-	}
-	if d := n.Delivered(); len(d) != 1 || d[0].SentCycle != 10 {
-		t.Fatalf("current-cycle SendAt: deliveries %+v", d)
-	}
 }

@@ -56,54 +56,10 @@ func (b *BEConfigurator) Configure(c *Connection) (ConfigureResult, error) {
 	if len(cmds) == 0 {
 		return ConfigureResult{}, fmt.Errorf("ccn: connection has no commands")
 	}
-
-	// One BE message per command: a single 16-bit word carrying the
-	// 10-bit configuration command.
-	pending := make(map[mesh.Coord][]core.ConfigCmd)
-	for _, rc := range cmds {
-		enc, err := rc.Cmd.Encode(b.Mesh.P)
-		if err != nil {
-			return ConfigureResult{}, err
-		}
-		b.Net.Send(benet.Message{
-			Src:     b.CCNNode,
-			Dst:     rc.Node,
-			Payload: []uint16{uint16(enc)},
-		})
-		pending[rc.Node] = append(pending[rc.Node], rc.Cmd)
+	res, err := b.deliver(cmds)
+	if err != nil {
+		return res, err
 	}
-
-	var res ConfigureResult
-	res.Commands = len(cmds)
-	start := b.Net.Cycle()
-	applied := 0
-	// Generous bound: commands × mesh diameter × serialization factor.
-	maxCycles := len(cmds)*(b.Mesh.W+b.Mesh.H)*50 + 1000
-	for applied < len(cmds) {
-		if int(b.Net.Cycle()-start) > maxCycles {
-			return res, fmt.Errorf("ccn: BE configuration stalled after %d cycles (%d/%d applied)",
-				maxCycles, applied, len(cmds))
-		}
-		b.Net.Step()
-		b.Mesh.Step()
-		for _, msg := range b.Net.Delivered() {
-			q := pending[msg.Dst]
-			if len(q) == 0 {
-				return res, fmt.Errorf("ccn: unexpected delivery at %v", msg.Dst)
-			}
-			cmd := q[0]
-			pending[msg.Dst] = q[1:]
-			b.Mesh.At(msg.Dst).R.PushConfig(cmd)
-			applied++
-			if lat := msg.RecvCycle - msg.SentCycle; lat > res.MaxCommandCycles {
-				res.MaxCommandCycles = lat
-			}
-		}
-	}
-	// One more edge for the staged configuration writes to commit.
-	b.Net.Step()
-	b.Mesh.Step()
-	res.Cycles = b.Net.Cycle() - start
 
 	// Enable the endpoint converters (tile-local).
 	for _, lane := range c.Segments {
@@ -123,10 +79,7 @@ func (b *BEConfigurator) Configure(c *Connection) (ConfigureResult, error) {
 // "one single router can then be fully reconfigured within 20 ms" bound.
 func (b *BEConfigurator) FullRouterReconfig(target mesh.Coord) (ConfigureResult, error) {
 	p := b.Mesh.P
-	var res ConfigureResult
-	start := b.Net.Cycle()
-	type pendingCmd struct{ cmd core.ConfigCmd }
-	var queue []pendingCmd
+	cmds := make([]RouterCmd, 0, p.TotalLanes())
 	for g := 0; g < p.TotalLanes(); g++ {
 		out := p.LaneOf(g)
 		inPort := core.North
@@ -136,26 +89,49 @@ func (b *BEConfigurator) FullRouterReconfig(target mesh.Coord) (ConfigureResult,
 		circ := core.Circuit{In: core.LaneID{Port: inPort, Lane: out.Lane}, Out: out}
 		cmd, err := circ.Cmd(p)
 		if err != nil {
-			return res, err
+			return ConfigureResult{}, err
 		}
-		enc, err := cmd.Encode(p)
+		cmds = append(cmds, RouterCmd{Node: target, Cmd: cmd})
+	}
+	return b.deliver(cmds)
+}
+
+// deliver sends each command from the CCN node as one single-word BE
+// message and co-simulates the BE mesh and the data mesh until every
+// command has been applied at its router, plus one edge for the staged
+// configuration writes to commit. The BE network delivers one
+// destination's messages in send order, so each delivery applies the
+// oldest command still pending at its destination.
+func (b *BEConfigurator) deliver(cmds []RouterCmd) (ConfigureResult, error) {
+	res := ConfigureResult{Commands: len(cmds)}
+	pending := make(map[mesh.Coord][]core.ConfigCmd)
+	for _, rc := range cmds {
+		enc, err := rc.Cmd.Encode(b.Mesh.P)
 		if err != nil {
 			return res, err
 		}
-		b.Net.Send(benet.Message{Src: b.CCNNode, Dst: target, Payload: []uint16{uint16(enc)}})
-		queue = append(queue, pendingCmd{cmd: cmd})
-		res.Commands++
+		b.Net.Send(benet.Message{Src: b.CCNNode, Dst: rc.Node, Payload: []uint16{uint16(enc)}})
+		pending[rc.Node] = append(pending[rc.Node], rc.Cmd)
 	}
+
+	start := b.Net.Cycle()
 	applied := 0
-	maxCycles := res.Commands*(b.Mesh.W+b.Mesh.H)*50 + 1000
-	for applied < res.Commands {
+	// Generous bound: commands × mesh diameter × serialization factor.
+	maxCycles := len(cmds)*(b.Mesh.W+b.Mesh.H)*50 + 1000
+	for applied < len(cmds) {
 		if int(b.Net.Cycle()-start) > maxCycles {
-			return res, fmt.Errorf("ccn: full reconfiguration stalled")
+			return res, fmt.Errorf("ccn: BE configuration stalled after %d cycles (%d/%d applied)",
+				maxCycles, applied, len(cmds))
 		}
 		b.Net.Step()
 		b.Mesh.Step()
 		for _, msg := range b.Net.Delivered() {
-			b.Mesh.At(msg.Dst).R.PushConfig(queue[applied].cmd)
+			q := pending[msg.Dst]
+			if len(q) == 0 {
+				return res, fmt.Errorf("ccn: unexpected delivery at %v", msg.Dst)
+			}
+			pending[msg.Dst] = q[1:]
+			b.Mesh.At(msg.Dst).R.PushConfig(q[0])
 			applied++
 			if lat := msg.RecvCycle - msg.SentCycle; lat > res.MaxCommandCycles {
 				res.MaxCommandCycles = lat

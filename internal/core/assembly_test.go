@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/power"
@@ -282,5 +284,43 @@ func TestAssemblyStreamingAllocatesNothing(t *testing.T) {
 	words()
 	if got := testing.AllocsPerRun(50, words); got != 0 {
 		t.Fatalf("streaming %d words allocates %v times, want 0", batch, got)
+	}
+}
+
+// TestLanesPerPortBounded: Validate caps LanesPerPort at 64, the width of
+// the converter-enable masks the gated idle-energy cache compares. At the
+// cap, a converter enabled between cycles on the last lane still refreshes
+// the cache: an idle window then charges what a committed idle cycle does.
+func TestLanesPerPortBounded(t *testing.T) {
+	p := Params{Ports: 2, LanesPerPort: 64, LaneWidth: 4, TileWidth: 16}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("64 lanes per port rejected: %v", err)
+	}
+	for _, n := range []int{65, math.MaxInt} {
+		bad := p
+		bad.LanesPerPort = n
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "LanesPerPort") {
+			t.Errorf("%d lanes per port: error %v, want one naming LanesPerPort", n, err)
+		}
+	}
+	lib := stdcell.Default013()
+	d := Netlist(p, lib)
+	internalUW := func(replay bool) float64 {
+		a := NewAssembly(p, DefaultAssemblyOptions())
+		m := power.NewMeter(d, lib, 25)
+		a.BindMeter(m, lib, true)
+		a.IdleWindow(1) // fills the idle-energy cache
+		a.Tx[p.LanesPerPort-1].Enabled = true
+		if replay {
+			a.IdleWindow(1)
+		} else {
+			a.Eval()
+			a.Commit()
+		}
+		return m.Report("").InternalUW
+	}
+	if idle, committed := internalUW(true), internalUW(false); idle != committed {
+		t.Fatalf("idle window after enabling the last lane's Tx charged %v µW, a committed cycle %v µW",
+			idle, committed)
 	}
 }

@@ -98,6 +98,10 @@ func DefaultParams() Params {
 	return Params{Ports: 5, LanesPerPort: 4, LaneWidth: 4, TileWidth: 16}
 }
 
+// maxLanesPerPort bounds LanesPerPort: an assembly packs the enables of
+// its tile-port converters into one uint64 per direction.
+const maxLanesPerPort = 64
+
 // Validate checks the parameters for consistency.
 func (p Params) Validate() error {
 	switch {
@@ -105,6 +109,9 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: need at least 2 ports, have %d", p.Ports)
 	case p.LanesPerPort < 1:
 		return fmt.Errorf("core: need at least 1 lane per port, have %d", p.LanesPerPort)
+	case p.LanesPerPort > maxLanesPerPort:
+		return fmt.Errorf("core: LanesPerPort %d exceeds %d lanes per port",
+			p.LanesPerPort, maxLanesPerPort)
 	case p.LaneWidth < 1 || p.LaneWidth > 16:
 		return fmt.Errorf("core: lane width %d out of range 1..16", p.LaneWidth)
 	case p.TileWidth < 1 || p.TileWidth > 32:

@@ -103,16 +103,6 @@ func DataFor(id string) (any, error) {
 	return data, nil
 }
 
-// RunAll renders every experiment to w, separated by headers.
-func RunAll(w io.Writer) error {
-	for _, e := range All() {
-		if err := RunOne(w, e.ID); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunMany measures the given experiments on a bounded worker pool
 // (workers <= 0 means GOMAXPROCS) and renders them to w in the order the
 // ids were given — the parallel full-suite path behind `nocbench

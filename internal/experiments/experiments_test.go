@@ -244,16 +244,3 @@ func TestRunManyUnknownID(t *testing.T) {
 		t.Fatal("RunMany accepted unknown id")
 	}
 }
-
-func TestRunAllSucceeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweep is slow")
-	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() < 2000 {
-		t.Fatalf("suspiciously short output: %d bytes", buf.Len())
-	}
-}

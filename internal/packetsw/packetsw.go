@@ -42,6 +42,14 @@ func DefaultParams() Params {
 	return Params{Ports: 5, VCs: 4, Depth: 8, PhitBits: 16}
 }
 
+// Upper bounds on the buffer knobs, far above any router the paper
+// compares: a router allocates per-VC state and Depth flit slots per VC
+// when it is built.
+const (
+	maxVCs   = 64
+	maxDepth = 1024
+)
+
 // Validate checks the parameters.
 func (p Params) Validate() error {
 	switch {
@@ -49,8 +57,12 @@ func (p Params) Validate() error {
 		return fmt.Errorf("packetsw: need at least 2 ports, have %d", p.Ports)
 	case p.VCs < 1:
 		return fmt.Errorf("packetsw: need at least 1 VC, have %d", p.VCs)
+	case p.VCs > maxVCs:
+		return fmt.Errorf("packetsw: VCs %d exceeds %d virtual channels", p.VCs, maxVCs)
 	case p.Depth < 1:
 		return fmt.Errorf("packetsw: need FIFO depth >= 1, have %d", p.Depth)
+	case p.Depth > maxDepth:
+		return fmt.Errorf("packetsw: Depth %d exceeds %d flits", p.Depth, maxDepth)
 	case p.PhitBits < 4 || p.PhitBits > 32:
 		return fmt.Errorf("packetsw: phit width %d out of range", p.PhitBits)
 	}
@@ -112,8 +124,8 @@ type Flit struct {
 	// Data is the phit. For head flits it carries the route field.
 	Data uint16
 
-	// InjectCycle is a measurement-only annotation (not hardware) used by
-	// the benchmarks to compute packet latency.
+	// InjectCycle is a measurement-only annotation (not hardware): a
+	// feeder stamps it so its sink can compute packet latency.
 	InjectCycle uint64
 }
 

@@ -56,10 +56,7 @@ type Router struct {
 
 	cycle uint64
 
-	// statistics
-	flitsRouted      uint64
-	packetsEjected   uint64
-	latencySum       uint64
+	// fault detectors, and the tile-port flits awaiting Drain
 	dropped          uint64
 	creditViolations uint64
 	ejected          []Flit
@@ -208,7 +205,6 @@ func (r *Router) Inject(f Flit) bool {
 	if r.fifo(int(core.Tile), f.VC).n+staged >= r.P.Depth {
 		return false
 	}
-	f.InjectCycle = r.cycle
 	r.injStaged = append(r.injStaged, f)
 	if r.wake != nil {
 		r.wake()
@@ -272,38 +268,12 @@ func (r *Router) InputBacklog(p core.Port, vc int) int {
 	return r.fifo(int(p), vc).n
 }
 
-// InjectReady reports whether VC v of the tile port can accept a flit.
-func (r *Router) InjectReady(vc int) bool {
-	staged := 0
-	for _, s := range r.injStaged {
-		if s.VC == vc {
-			staged++
-		}
-	}
-	return r.fifo(int(core.Tile), vc).n+staged < r.P.Depth
-}
-
 // Drain returns and clears the flits ejected at the tile port since the
 // last call.
 func (r *Router) Drain() []Flit {
 	e := r.ejected
 	r.ejected = nil
 	return e
-}
-
-// FlitsRouted returns the number of flits that traversed the switch.
-func (r *Router) FlitsRouted() uint64 { return r.flitsRouted }
-
-// PacketsEjected returns the number of packets delivered at the tile port.
-func (r *Router) PacketsEjected() uint64 { return r.packetsEjected }
-
-// AvgLatency returns the mean head-to-eject latency in cycles of ejected
-// packets, or 0 if none were delivered.
-func (r *Router) AvgLatency() float64 {
-	if r.packetsEjected == 0 {
-		return 0
-	}
-	return float64(r.latencySum) / float64(r.packetsEjected)
 }
 
 // Dropped returns flits lost to input-FIFO overflow — zero while the
@@ -449,7 +419,6 @@ func (r *Router) Commit() {
 		f := r.fifo(op.port, op.vc).pop()
 		r.buffered--
 		r.nextCredit[op.port][op.vc] = true
-		r.flitsRouted++
 		if f.Kind.Opens() {
 			r.routed[op.port][op.vc] = true
 			r.routeTo[op.port][op.vc] = r.Route(f.Data)
@@ -516,10 +485,6 @@ func (r *Router) Commit() {
 	r.outActive = outActive
 	if f := r.Out[core.Tile]; f.Valid() {
 		r.ejected = append(r.ejected, f)
-		if f.Kind.Closes() {
-			r.packetsEjected++
-			r.latencySum += r.cycle - f.InjectCycle
-		}
 	}
 
 	if r.meter != nil {

@@ -2,6 +2,7 @@ package packetsw
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,25 @@ func TestParamsValidateRejects(t *testing.T) {
 	for i, p := range bad {
 		if p.Validate() == nil {
 			t.Errorf("case %d accepted %+v", i, p)
+		}
+	}
+	// The buffer knobs are bounded above, with errors naming the field.
+	atCap := Params{Ports: 5, VCs: 64, Depth: 1024, PhitBits: 16}
+	if err := atCap.Validate(); err != nil {
+		t.Errorf("%+v rejected: %v", atCap, err)
+	}
+	over := []struct {
+		p     Params
+		field string
+	}{
+		{Params{Ports: 5, VCs: 65, Depth: 8, PhitBits: 16}, "VCs"},
+		{Params{Ports: 5, VCs: math.MaxInt, Depth: 8, PhitBits: 16}, "VCs"},
+		{Params{Ports: 5, VCs: 4, Depth: 1025, PhitBits: 16}, "Depth"},
+		{Params{Ports: 5, VCs: 4, Depth: math.MaxInt, PhitBits: 16}, "Depth"},
+	}
+	for _, c := range over {
+		if err := c.p.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: error %v, want one naming %s", c.p, err, c.field)
 		}
 	}
 }
@@ -112,10 +132,14 @@ func TestSingleRouterTileLoopback(t *testing.T) {
 			northIn = Flit{}
 		}
 	}})
-	if !w.RunUntil(func() bool { return r.PacketsEjected() == 1 }, 100) {
+	var fl []Flit
+	delivered := func() bool {
+		fl = append(fl, r.Drain()...)
+		return len(fl) > 0 && fl[len(fl)-1].Kind.Closes()
+	}
+	if !w.RunUntil(delivered, 100) {
 		t.Fatal("packet not delivered")
 	}
-	fl := r.Drain()
 	if len(fl) != 3 {
 		t.Fatalf("ejected %d flits, want 3", len(fl))
 	}
@@ -242,8 +266,17 @@ func TestBackpressureViaCredits(t *testing.T) {
 		inj.queue = append(inj.queue, MakePacket(0, HeadData(core.East), []uint16{uint16(i), uint16(i + 1)})...)
 	}
 	w.Add(&sim.Func{OnEval: inj.eval})
-	if !w.RunUntil(func() bool { return b.PacketsEjected() == 30 }, 2000) {
-		t.Fatalf("delivered %d/30 packets", b.PacketsEjected())
+	packets := 0
+	delivered := func() bool {
+		for _, f := range b.Drain() {
+			if f.Kind.Closes() {
+				packets++
+			}
+		}
+		return packets == 30
+	}
+	if !w.RunUntil(delivered, 2000) {
+		t.Fatalf("delivered %d/30 packets", packets)
 	}
 	if b.Dropped() != 0 {
 		t.Fatalf("credit protocol failed: %d drops", b.Dropped())
@@ -279,22 +312,31 @@ func TestCreditsThrottleWhenDownstreamBlocked(t *testing.T) {
 		inj.queue = append(inj.queue, MakePacket(0, HeadData(core.East), []uint16{uint16(i)})...)
 	}
 	w.Add(&sim.Func{OnEval: inj.eval})
-	w.Run(500)
+	sent := 0 // flits a's switch moved onto its East output
+	for i := 0; i < 500; i++ {
+		w.Step()
+		if a.Out[core.East].Valid() {
+			sent++
+		}
+	}
 	if b.Dropped() != 0 {
 		t.Fatalf("backpressure failed: %d drops at b", b.Dropped())
 	}
 	// a may fill b's forwarding budget (Depth credits consumed at b's
 	// East) plus b's input FIFO (Depth), plus a couple of in-flight
 	// registers — but no more.
-	if sent := a.FlitsRouted(); sent > uint64(2*p.Depth)+4 {
+	if sent > 2*p.Depth+4 {
 		t.Fatalf("a sent %d flits into a blocked path", sent)
 	}
 	// And it must actually have been throttled: 40 flits were offered.
-	if sent := a.FlitsRouted(); sent >= 40 {
+	if sent >= 40 {
 		t.Fatalf("a was never throttled (%d flits)", sent)
 	}
 }
 
+// TestLatencyAccounting: the InjectCycle annotation rides through the
+// router unchanged, so a sink draining the tile port can time a packet
+// the way the latency harness does.
 func TestLatencyAccounting(t *testing.T) {
 	p := DefaultParams()
 	r := NewRouter(p, PortRoute)
@@ -312,15 +354,20 @@ func TestLatencyAccounting(t *testing.T) {
 			northIn = Flit{}
 		}
 	}})
+	var lat []uint64
+	w.Add(&sim.Func{OnEval: func() {
+		for _, f := range r.Drain() {
+			if f.Kind.Closes() {
+				lat = append(lat, w.Cycle()-f.InjectCycle)
+			}
+		}
+	}})
 	w.Run(20)
-	if r.PacketsEjected() != 1 {
-		t.Fatalf("ejected %d", r.PacketsEjected())
+	if len(lat) != 1 {
+		t.Fatalf("ejected %d packets, want 1", len(lat))
 	}
-	if l := r.AvgLatency(); l < 1 || l > 5 {
-		t.Fatalf("single-hop latency %.1f cycles, implausible", l)
-	}
-	if (NewRouter(p, PortRoute)).AvgLatency() != 0 {
-		t.Fatal("AvgLatency of idle router should be 0")
+	if l := lat[0]; l < 1 || l > 5 {
+		t.Fatalf("single-hop latency %d cycles, implausible", l)
 	}
 }
 
@@ -426,11 +473,9 @@ func TestInjectRejectsInvalidAndFull(t *testing.T) {
 	if n != p.Depth {
 		t.Fatalf("accepted %d staged flits, want %d", n, p.Depth)
 	}
-	if r.InjectReady(0) {
-		t.Fatal("InjectReady true on full staged FIFO")
-	}
-	if !r.InjectReady(1) {
-		t.Fatal("InjectReady false on empty VC")
+	// The room check is per VC: a full VC 0 leaves VC 1 open.
+	if !r.Inject(Flit{Kind: Body, VC: 1, Data: 1}) {
+		t.Fatal("full VC 0 blocked an injection on VC 1")
 	}
 }
 

@@ -114,13 +114,19 @@ func TestSaturatedInputDropsAreCounted(t *testing.T) {
 	w.Add(&sim.Func{OnEval: func() {
 		north = Flit{Kind: HeadTail, VC: 0, Data: HeadData(core.East)}
 	}})
-	w.Run(100)
+	crossed := 0
+	for i := 0; i < 100; i++ {
+		w.Step()
+		if r.Out[core.East].Valid() {
+			crossed++
+		}
+	}
 	if r.Dropped() == 0 {
 		t.Fatal("overflow not detected")
 	}
 	// Credits stopped the switch after Depth flits.
-	if r.FlitsRouted() > uint64(p.Depth) {
-		t.Fatalf("%d flits crossed a credit-blocked output", r.FlitsRouted())
+	if crossed > p.Depth {
+		t.Fatalf("%d flits crossed a credit-blocked output", crossed)
 	}
 }
 

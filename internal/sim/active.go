@@ -46,10 +46,8 @@ import (
 // order, and at every component polls Quiescent and, unless quiescent,
 // runs its Eval at once. A component is therefore polled after every
 // earlier component's Eval, so an earlier Eval may stage work into a
-// later component without waking it: the poll observes the staged work.
-// The best-effort network relies on this — its burst scheduler, first
-// in the world, releases messages into the injection queues its per-node
-// pumps (Quiescers, not Wakers) poll later in the same cycle. A wake
+// later component without waking it: the poll observes the staged work
+// (TestEarlierEvalStagesIntoLaterComponent pins this). A wake
 // into a slot the sweep has already passed runs the missed Eval inline;
 // a wake that unparks a component ahead of the sweep just returns it to
 // the active set, where the sweep polls it in order. The Commit pass
@@ -65,10 +63,9 @@ import (
 // world with nothing parked walks its components like the naive kernel.
 //
 // An earlier design polled the whole active list before running any
-// Eval, so that the Eval pass could shard across goroutines. Polling
-// every component before the scheduler's Eval made the pumps miss a
-// release and delivered the first scheduled burst one cycle late, and
-// the shards engaged only above 256 active components — on a dense
+// Eval, so that the Eval pass could shard across goroutines. A
+// component polled before an earlier Eval staged work into it then saw
+// that work a cycle late, and the shards engaged only above 256 active components — on a dense
 // 16×16 mesh, which they slowed; on the sparse hotspot meshes about 106
 // components stay active and they never engaged. Both went with the
 // one-pass sweep.

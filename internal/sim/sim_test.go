@@ -310,9 +310,8 @@ func TestEvalSeesPreEdgeState(t *testing.T) {
 }
 
 // inbox is a Quiescer that is not a Waker: Post stages a value with no
-// wake call, the way the best-effort network's burst scheduler releases
-// messages into the injection queues of its pumps. Eval stamps the staged
-// values with the cycle they were evaluated in; Commit latches them.
+// wake call. Eval stamps the staged values with the cycle they were
+// evaluated in; Commit latches them.
 type inbox struct {
 	world  *World
 	staged []int

@@ -253,34 +253,6 @@ func BenchmarkFiniteWorkloadActiveKernel(b *testing.B) { benchFiniteWorkload(b, 
 // BenchmarkFiniteWorkloadNaiveKernel is the evaluate-everything baseline.
 func BenchmarkFiniteWorkloadNaiveKernel(b *testing.B) { benchFiniteWorkload(b, sim.KernelNaive) }
 
-// benchBEBurst drives the best-effort mesh with a sparse schedule of
-// configuration bursts — one 4-word message every 800 cycles over a
-// 20000-cycle window — the CCN's reconfiguration traffic shape.
-func benchBEBurst(b *testing.B, k sim.Kernel) {
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := benet.New(4, 4, packetsw.DefaultParams(), sim.WithKernel(k))
-		for j := 0; j < 24; j++ {
-			src := mesh.Coord{X: j % 4, Y: (j / 4) % 4}
-			dst := mesh.Coord{X: 3 - j%4, Y: (j + 1) % 4}
-			if src == dst {
-				dst.X = (dst.X + 1) % 4
-			}
-			n.SendAt(uint64(j+1)*800, benet.Message{Src: src, Dst: dst,
-				Payload: []uint16{1, 2, 3, 4}})
-		}
-		n.Run(20000)
-		if len(n.Delivered()) != 24 {
-			b.Fatal("bursts lost")
-		}
-	}
-}
-
-// BenchmarkBEBurstActiveKernel measures the scheduled-burst case: the
-// scheduler's NextEvent lets the BE network skip whole idle windows
-// between configuration bursts.
-func BenchmarkBEBurstActiveKernel(b *testing.B) { benchBEBurst(b, sim.KernelActive) }
-
 // benchPattern16 runs the acceptance pattern workload: a sparse
 // (0.05 flits/cycle/node) 16×16 uniform-random pattern whose flows
 // retire after 4 words inside a 20000-cycle window. The sources drain

@@ -279,6 +279,42 @@ func TestFabricRunServedFromCache(t *testing.T) {
 	}
 }
 
+// TestWithCacheServesRepeatRun: WithCache(dir), the option README
+// documents, stores the first run of scenario IV in dir and serves the
+// repeat from it byte-identically, as the runs' metrics report.
+func TestWithCacheServesRepeatRun(t *testing.T) {
+	sc, err := PaperScenario("IV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := CircuitSwitched(WithCache(t.TempDir()), WithMetrics(true))
+	first, err := f.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := f.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		res          *Result
+		name         string
+		hits, misses int64
+	}{{first, "first", 0, 1}, {second, "second", 1, 0}} {
+		hits, _ := metricValue(c.res, "cache.hits")
+		misses, _ := metricValue(c.res, "cache.misses")
+		if hits != c.hits || misses != c.misses {
+			t.Errorf("%s run: cache.hits %d, cache.misses %d, want %d and %d",
+				c.name, hits, misses, c.hits, c.misses)
+		}
+	}
+	j1, _ := first.JSON()
+	j2, _ := second.JSON()
+	if !bytes.Equal(j1, j2) {
+		t.Fatalf("cached result differs from the fresh run:\n%s\n%s", j1, j2)
+	}
+}
+
 // cacheSweepSpec is the sweep used by the cold/warm byte-compare: a
 // pattern grid over all three fabrics.
 func cacheSweepSpec(workers int, dir string) SweepSpec {

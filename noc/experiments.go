@@ -34,11 +34,6 @@ func RunExperiment(w io.Writer, id string) error {
 	return experiments.RunOne(w, id)
 }
 
-// RunAllExperiments renders every experiment to w.
-func RunAllExperiments(w io.Writer) error {
-	return experiments.RunAll(w)
-}
-
 // RunExperimentsParallel measures the given experiments concurrently on
 // a bounded worker pool (workers <= 0 means GOMAXPROCS) and renders them
 // to w in the given order. The text output is byte-identical to running

@@ -278,16 +278,17 @@ func TestScenarioNonFiniteRejected(t *testing.T) {
 var hugeMeshes = []struct{ w, h int }{{100000, 100000}, {math.MaxInt, 2}}
 
 // checkRejectsCheaply runs fn under testing.AllocsPerRun and checks it
-// fails naming the mesh without allocating anything mesh-sized.
-func checkRejectsCheaply(t *testing.T, what, mesh string, fn func() error) {
+// fails naming the offending value (a mesh size or a knob's field)
+// without allocating anything sized by it.
+func checkRejectsCheaply(t *testing.T, what, name string, fn func() error) {
 	t.Helper()
 	var err error
 	allocs := testing.AllocsPerRun(1, func() { err = fn() })
-	if err == nil || !strings.Contains(err.Error(), mesh) {
-		t.Errorf("%s %s: error %v, want one naming the mesh", what, mesh, err)
+	if err == nil || !strings.Contains(err.Error(), name) {
+		t.Errorf("%s %s: error %v, want one naming %s", what, name, err, name)
 	}
 	if allocs > 100 {
-		t.Errorf("%s %s: %v allocations to reject the mesh", what, mesh, allocs)
+		t.Errorf("%s %s: %v allocations to reject it", what, name, allocs)
 	}
 }
 
@@ -316,6 +317,56 @@ func TestMeshSizeBounded(t *testing.T) {
 	for _, bad := range []struct{ w, h int }{{1, 8}, {8, 1}, {257, 256}, {2, 32769}} {
 		if err := checkMesh(bad.w, bad.h); err == nil {
 			t.Errorf("%dx%d accepted", bad.w, bad.h)
+		}
+	}
+}
+
+// TestFabricKnobsBounded: a fabric knob past its router's bound is
+// rejected by validation, naming the router parameter, before anything
+// sized by lanes, VCs or slots is built — through an option, through
+// FabricSpec.Fabric and through a sweep spec. The bounds themselves are
+// accepted.
+func TestFabricKnobsBounded(t *testing.T) {
+	cases := []struct {
+		spec   string // FabricSpec JSON
+		field  string
+		fabric Fabric
+	}{
+		{`{"kind":"circuit","lanes":100000000}`, "LanesPerPort", CircuitSwitched(WithLanes(100000000))},
+		{`{"kind":"circuit","lanes":65}`, "LanesPerPort", CircuitSwitched(WithLanes(65))},
+		{`{"kind":"packet","vcs":100000000,"buffer_depth":100000000}`, "VCs",
+			PacketSwitched(WithVirtualChannels(100000000), WithBufferDepth(100000000))},
+		{`{"kind":"packet","buffer_depth":1025}`, "Depth", PacketSwitched(WithBufferDepth(1025))},
+		{`{"kind":"aethereal","slots":1000000000,"be_depth":1000000000}`, "Slots",
+			AetherealTDM(WithSlots(1000000000), WithBEDepth(1000000000))},
+		{`{"kind":"aethereal","be_depth":1025}`, "BEDepth", AetherealTDM(WithBEDepth(1025))},
+	}
+	for _, c := range cases {
+		var fs FabricSpec
+		if err := json.Unmarshal([]byte(c.spec), &fs); err != nil {
+			t.Fatal(err)
+		}
+		checkRejectsCheaply(t, "option "+c.spec, c.field, c.fabric.Validate)
+		checkRejectsCheaply(t, "FabricSpec "+c.spec, c.field, func() error {
+			_, err := fs.Fabric()
+			return err
+		})
+		checkRejectsCheaply(t, "sweep "+c.spec, c.field, func() error {
+			_, err := ParseSweepSpec([]byte(`{"fabrics":[` + c.spec + `]}`))
+			return err
+		})
+	}
+	atCap := `{"fabrics":[{"kind":"circuit","lanes":64},` +
+		`{"kind":"packet","vcs":64,"buffer_depth":1024},` +
+		`{"kind":"aethereal","slots":1024,"be_depth":1024}]}`
+	if _, err := ParseSweepSpec([]byte(atCap)); err != nil {
+		t.Errorf("knobs at their bounds rejected: %v", err)
+	}
+	for _, f := range []Fabric{CircuitSwitched(WithLanes(64)),
+		PacketSwitched(WithVirtualChannels(64), WithBufferDepth(1024)),
+		AetherealTDM(WithSlots(1024), WithBEDepth(1024))} {
+		if err := f.Validate(); err != nil {
+			t.Errorf("%v rejected: %v", f, err)
 		}
 	}
 }
