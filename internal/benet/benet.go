@@ -73,7 +73,9 @@ type Network struct {
 
 	sendQ    [][]packetsw.Flit // per node, flits waiting for injection
 	inflight map[uint16][]Message
-	recv     []Message
+	// recv collects the deliveries since the last Delivered call; handed
+	// is the buffer that call returned, which the next call reuses.
+	recv, handed []Message
 }
 
 // New builds a W×H best-effort mesh with XY routing. World options select
@@ -99,20 +101,18 @@ func New(w, h int, p packetsw.Params, wopts ...sim.WorldOption) *Network {
 	// Wire links and credit returns in both directions.
 	wire := func(a *packetsw.Router, aPort core.Port, b *packetsw.Router, bPort core.Port) {
 		b.ConnectIn(bPort, &a.Out[aPort])
-		for v := 0; v < p.VCs; v++ {
-			a.ConnectCreditIn(aPort, v, &b.CreditOut[bPort][v])
-		}
+		a.ConnectCreditIn(aPort, &b.CreditOut[bPort])
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			r := n.router(mesh.Coord{X: x, Y: y})
+			r := n.Router(mesh.Coord{X: x, Y: y})
 			if x+1 < w {
-				e := n.router(mesh.Coord{X: x + 1, Y: y})
+				e := n.Router(mesh.Coord{X: x + 1, Y: y})
 				wire(r, core.East, e, core.West)
 				wire(e, core.West, r, core.East)
 			}
 			if y+1 < h {
-				s := n.router(mesh.Coord{X: x, Y: y + 1})
+				s := n.Router(mesh.Coord{X: x, Y: y + 1})
 				wire(r, core.South, s, core.North)
 				wire(s, core.North, r, core.South)
 			}
@@ -155,29 +155,34 @@ func (p *pump) IdleWindow(n uint64) {}
 
 var _ sim.Quiescer = (*pump)(nil)
 
-func (n *Network) router(c mesh.Coord) *packetsw.Router { return n.routers[c.Y*n.W+c.X] }
-
-// Router exposes the BE router at a coordinate (e.g. to bind power meters).
-func (n *Network) Router(c mesh.Coord) *packetsw.Router {
+// index returns the router index of a coordinate, panicking if it lies
+// outside the mesh.
+func (n *Network) index(c mesh.Coord) int {
 	if c.X < 0 || c.X >= n.W || c.Y < 0 || c.Y >= n.H {
 		panic(fmt.Sprintf("benet: %v outside %dx%d", c, n.W, n.H))
 	}
-	return n.router(c)
+	return c.Y*n.W + c.X
 }
+
+// Router exposes the BE router at a coordinate (e.g. to bind power meters).
+func (n *Network) Router(c mesh.Coord) *packetsw.Router { return n.routers[n.index(c)] }
 
 // Send queues a message for delivery; it is segmented into a wormhole
 // packet (head flit with the XY address, one flit per payload word). VC 0
-// carries all BE traffic in this model.
+// carries all BE traffic in this model. Both endpoints must lie on the
+// mesh: XY routing would carry a packet addressed beyond it off the mesh
+// edge.
 func (n *Network) Send(msg Message) {
 	if len(msg.Payload) == 0 {
 		panic("benet: empty message")
 	}
+	src := n.index(msg.Src)
+	n.index(msg.Dst)
 	msg.SentCycle = n.Cycle()
-	src := msg.Src.Y*n.W + msg.Src.X
 	// Messages are matched to arrivals in send order per destination.
 	key := HeadDataXY(msg.Dst)
 	n.inflight[key] = append(n.inflight[key], msg)
-	n.sendQ[src] = append(n.sendQ[src], packetsw.MakePacket(0, key, msg.Payload)...)
+	n.sendQ[src] = packetsw.AppendPacket(n.sendQ[src], 0, key, msg.Payload)
 }
 
 // pump injects queued flits and collects ejected packets at node idx.
@@ -214,23 +219,21 @@ func (n *Network) Step() { n.world.Step() }
 // Cycle returns the elapsed cycles.
 func (n *Network) Cycle() uint64 { return n.world.Cycle() }
 
-// Delivered returns and clears the messages delivered so far.
+// Delivered returns the messages delivered since the last call. The
+// slice is valid until the next call, which hands its buffer back to the
+// network for reuse.
 func (n *Network) Delivered() []Message {
 	d := n.recv
-	n.recv = nil
+	n.recv, n.handed = n.handed[:0], d
 	return d
 }
 
-// Pending returns the number of messages not yet delivered.
+// Pending returns the number of messages sent and not yet delivered,
+// whether still queued at their source or in the mesh.
 func (n *Network) Pending() int {
 	p := 0
 	for _, msgs := range n.inflight {
 		p += len(msgs)
-	}
-	for _, q := range n.sendQ {
-		if len(q) > 0 {
-			p++ // at least one message still queued at this node
-		}
 	}
 	return p
 }

@@ -143,3 +143,130 @@ func TestRouterAccessorBounds(t *testing.T) {
 	}()
 	n.Router(mesh.Coord{X: 2, Y: 0})
 }
+
+func TestPendingCountsUndeliveredMessages(t *testing.T) {
+	n := New(4, 4, packetsw.DefaultParams())
+	n.Send(Message{Src: mesh.Coord{X: 0, Y: 0}, Dst: mesh.Coord{X: 3, Y: 3}, Payload: []uint16{1}})
+	if got := n.Pending(); got != 1 {
+		t.Fatalf("one send: Pending() = %d before a step, want 1", got)
+	}
+	n.Step()
+	if got := n.Pending(); got != 1 {
+		t.Fatalf("one send: Pending() = %d after a step, want 1", got)
+	}
+	// Two messages queued at one node and one at another.
+	n.Send(Message{Src: mesh.Coord{X: 1, Y: 0}, Dst: mesh.Coord{X: 2, Y: 2}, Payload: []uint16{2, 3}})
+	n.Send(Message{Src: mesh.Coord{X: 1, Y: 0}, Dst: mesh.Coord{X: 0, Y: 3}, Payload: []uint16{4}})
+	n.Send(Message{Src: mesh.Coord{X: 2, Y: 1}, Dst: mesh.Coord{X: 0, Y: 3}, Payload: []uint16{5}})
+	if got := n.Pending(); got != 4 {
+		t.Fatalf("four sends from three nodes: Pending() = %d before a step, want 4", got)
+	}
+	n.Step()
+	if got := n.Pending(); got != 4 {
+		t.Fatalf("four sends from three nodes: Pending() = %d after a step, want 4", got)
+	}
+	delivered := 0
+	for i := 0; i < 500 && n.Pending() > 0; i++ {
+		n.Step()
+		delivered += len(n.Delivered())
+	}
+	if delivered != 4 || n.Pending() != 0 {
+		t.Fatalf("delivered %d of 4, Pending() = %d", delivered, n.Pending())
+	}
+}
+
+func TestSendRejectsEndpointsOffMesh(t *testing.T) {
+	on := mesh.Coord{X: 1, Y: 2}
+	// (9,9) fits the 4-bit address fields but lies outside a 4×4 mesh.
+	off := mesh.Coord{X: 9, Y: 9}
+	for _, c := range []struct {
+		name     string
+		src, dst mesh.Coord
+	}{
+		{"destination", on, off},
+		{"source", off, on},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := New(4, 4, packetsw.DefaultParams())
+			defer func() {
+				const want = "benet: (9,9) outside 4x4"
+				if r := recover(); r != want {
+					t.Fatalf("panic %v, want %q", r, want)
+				}
+				if got := n.Pending(); got != 0 {
+					t.Fatalf("rejected message left Pending() = %d", got)
+				}
+			}()
+			n.Send(Message{Src: c.src, Dst: c.dst, Payload: []uint16{1}})
+		})
+	}
+}
+
+// TestDeliveredStaysValidUntilNextCall checks the two-buffer contract:
+// the slice Delivered returns keeps its messages while later deliveries
+// collect, until Delivered is called again.
+func TestDeliveredStaysValidUntilNextCall(t *testing.T) {
+	n := New(3, 1, packetsw.DefaultParams())
+	send := func(word uint16) {
+		n.Send(Message{Src: mesh.Coord{X: 0, Y: 0}, Dst: mesh.Coord{X: 2, Y: 0}, Payload: []uint16{word}})
+	}
+	run := func() {
+		for i := 0; i < 200 && n.Pending() > 0; i++ {
+			n.Step()
+		}
+	}
+	send(1)
+	run()
+	first := n.Delivered()
+	send(2)
+	run()
+	if len(first) != 1 || first[0].Payload[0] != 1 {
+		t.Fatalf("first delivery changed before the next call: %+v", first)
+	}
+	second := n.Delivered()
+	if len(second) != 1 || second[0].Payload[0] != 2 {
+		t.Fatalf("second call returned %+v", second)
+	}
+}
+
+// TestSteppingAllocatesNothing pins the per-cycle path of a loaded mesh,
+// injection, routing, ejection and delivery, to zero allocations once its
+// buffers have grown: Send may grow its queues, stepping may not.
+func TestSteppingAllocatesNothing(t *testing.T) {
+	n := New(4, 4, packetsw.DefaultParams())
+	payload := []uint16{1, 2, 3, 4}
+	sendAll := func() {
+		for i := 0; i < 16; i++ {
+			for k := 1; k <= 8; k++ {
+				dst := (i + 5*k) % 16
+				n.Send(Message{Src: mesh.Coord{X: i % 4, Y: i / 4},
+					Dst: mesh.Coord{X: dst % 4, Y: dst / 4}, Payload: payload})
+			}
+		}
+	}
+	step := func() {
+		n.Step()
+		n.Delivered()
+	}
+	for round := 0; round < 3; round++ {
+		sendAll()
+		for i := 0; i < 2000 && n.Pending() > 0; i++ {
+			step()
+		}
+	}
+	sendAll()
+	// AllocsPerRun truncates its average, so each run steps a batch of
+	// cycles: one allocation every few cycles still reads as at least 1.
+	const batch = 8
+	got := testing.AllocsPerRun(5, func() {
+		for i := 0; i < batch; i++ {
+			step()
+		}
+	})
+	if got != 0 {
+		t.Fatalf("stepping %d loaded cycles allocates %v times, want 0", batch, got)
+	}
+	if n.Pending() == 0 {
+		t.Fatal("traffic drained before the measured cycles ended")
+	}
+}

@@ -29,21 +29,6 @@ func (mp *Mapping) TotalHops() int {
 	return h
 }
 
-// HopBandwidthProduct sums hops × bandwidth over all channels — the
-// CCN's spatial-mapping objective (energy is proportional to the distance
-// data travels).
-func (mp *Mapping) HopBandwidthProduct() float64 {
-	var s float64
-	for name, c := range mp.Connections {
-		for _, ch := range mp.Graph.Channels {
-			if ch.Name == name {
-				s += float64(len(c.Route)-1) * ch.BandwidthMbps
-			}
-		}
-	}
-	return s
-}
-
 // MapApplication performs the CCN's feasibility analysis, spatial mapping,
 // connection allocation and router configuration for an application graph
 // (Section 1.1). Placement is greedy: processes in descending order of
@@ -198,12 +183,6 @@ func (g *Manager) UnmapApplication(mp *Mapping) error {
 		}
 	}
 	return nil
-}
-
-// TileOf returns which process occupies a tile, if any.
-func (g *Manager) TileOf(c mesh.Coord) (string, bool) {
-	name, ok := g.busyTiles[c]
-	return name, ok
 }
 
 func manhattan(a, b mesh.Coord) int {

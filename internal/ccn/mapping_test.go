@@ -36,9 +36,6 @@ func TestMapUMTSOnMesh(t *testing.T) {
 	if mp.TotalHops() == 0 {
 		t.Fatal("no hops recorded")
 	}
-	if mp.HopBandwidthProduct() <= 0 {
-		t.Fatal("no mapping cost recorded")
-	}
 }
 
 func TestMapHiperLANNeedsGangedLanes(t *testing.T) {
@@ -142,9 +139,6 @@ func TestMappedChannelCarriesData(t *testing.T) {
 	}})
 	if !m.World().RunUntil(func() bool { return recv >= 20 }, 3000) {
 		t.Fatalf("mapped channel carried %d words", recv)
-	}
-	if name, ok := g.TileOf(conn.Src); !ok || name != "src" {
-		t.Fatalf("TileOf(src tile) = %q,%v", name, ok)
 	}
 }
 

@@ -54,7 +54,7 @@ func referenceGrants(r *Router) refAllocation {
 			} else if owner != idx {
 				continue
 			}
-			if core.Port(out) != core.Tile && r.creditIn[out][vc] != nil &&
+			if core.Port(out) != core.Tile && r.creditIn[out] != nil &&
 				r.credits[out][vc] <= 0 {
 				continue
 			}
@@ -109,8 +109,8 @@ type allocStats struct{ grants, uturns, outside int }
 // from ch that mixes valid ports with U-turns (a route equal to the
 // flit's input port) and routes outside [0, Ports). Every port is fed
 // through its input register with single- and multi-flit packets on
-// random VCs, never past a FIFO's depth; some outputs get a credit wire
-// per VC with random pulses, the others none.
+// random VCs, never past a FIFO's depth; some outputs get a credit word
+// with random pulses per VC, the others none.
 func driveAllocation(p Params, ch chooser, cycles int) (allocStats, error) {
 	var st allocStats
 	var routes [16]core.Port
@@ -123,15 +123,12 @@ func driveAllocation(p Params, ch chooser, cycles int) (allocStats, error) {
 	}
 	r := NewRouter(p, func(d uint16) core.Port { return routes[d&15] })
 	in := make([]Flit, p.Ports)
-	pulse := make([][]bool, p.Ports)
+	pulse := make([]uint64, p.Ports)
 	wired := make([]bool, p.Ports)
 	for port := range in {
 		r.ConnectIn(core.Port(port), &in[port])
-		pulse[port] = make([]bool, p.VCs)
 		if wired[port] = ch.intn(2) == 0; wired[port] {
-			for v := range pulse[port] {
-				r.ConnectCreditIn(core.Port(port), v, &pulse[port][v])
-			}
+			r.ConnectCreditIn(core.Port(port), &pulse[port])
 		}
 	}
 	left := make([]int, p.InputVCs()) // flits still to send of each VC's open packet
@@ -163,8 +160,11 @@ func driveAllocation(p Params, ch chooser, cycles int) (allocStats, error) {
 			in[port] = f
 		}
 		for o := range pulse {
-			for v := range pulse[o] {
-				pulse[o][v] = wired[o] && ch.intn(3) == 0
+			pulse[o] = 0
+			for v := 0; v < p.VCs; v++ {
+				if wired[o] && ch.intn(3) == 0 {
+					pulse[o] |= 1 << v
+				}
 			}
 		}
 		for idx := range r.fifos {

@@ -154,10 +154,15 @@ func HeadData(dst core.Port) uint16 { return uint16(dst) & 7 }
 // route data followed by the payload. A packet with no payload is a single
 // HeadTail flit.
 func MakePacket(vc int, route uint16, payload []uint16) []Flit {
+	return AppendPacket(make([]Flit, 0, len(payload)+1), vc, route, payload)
+}
+
+// AppendPacket appends the flits MakePacket builds to fl and returns the
+// extended slice, so a queue of flits grows without a slice per packet.
+func AppendPacket(fl []Flit, vc int, route uint16, payload []uint16) []Flit {
 	if len(payload) == 0 {
-		return []Flit{{Kind: HeadTail, VC: vc, Data: route}}
+		return append(fl, Flit{Kind: HeadTail, VC: vc, Data: route})
 	}
-	fl := make([]Flit, 0, len(payload)+1)
 	fl = append(fl, Flit{Kind: Head, VC: vc, Data: route})
 	for i, d := range payload {
 		k := Body

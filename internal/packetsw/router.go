@@ -2,6 +2,7 @@ package packetsw
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
@@ -21,17 +22,21 @@ type Router struct {
 	// or the tile sink reads it. An Invalid kind means no flit this cycle.
 	Out []Flit
 	// CreditOut holds the registered credit-return pulses towards the
-	// upstream router on each port, one per VC: true for one cycle per
-	// flit removed from the corresponding input FIFO.
-	CreditOut [][]bool
+	// upstream router, one word per port: bit v is set for one cycle per
+	// flit removed from the port's VC v input FIFO.
+	CreditOut []uint64
 
 	// Route decides the output port of a packet from its head-flit data.
 	Route RouteFunc
 
 	inSrc    []*Flit   // upstream output registers, per port
-	creditIn [][]*bool // downstream credit pulses, per output port per VC
+	creditIn []*uint64 // downstream credit pulses, per output port, bit v for VC v
+	vcMask   uint64    // the low VCs bits: the VCs a credit word can name
 
-	fifos     []ring   // [port*VCs+vc] input buffer
+	fifos []ring // [port*VCs+vc] input buffer
+	// occupied has one word per input port: bit v is set while the
+	// port's VC v FIFO holds a flit.
+	occupied  []uint64
 	routed    [][]bool // [port][vc] packet in progress
 	routeTo   [][]core.Port
 	credits   [][]int // [outPort][vc] downstream buffer slots available
@@ -52,14 +57,16 @@ type Router struct {
 	pops       []popOp
 	pushes     []pushOp
 	injStaged  []Flit
-	nextCredit [][]bool
+	nextCredit []uint64
 
 	cycle uint64
 
-	// fault detectors, and the tile-port flits awaiting Drain
+	// fault detectors, the tile-port flits awaiting Drain and the buffer
+	// the last Drain returned
 	dropped          uint64
 	creditViolations uint64
 	ejected          []Flit
+	drained          []Flit
 
 	// power
 	meter       *power.Meter
@@ -127,16 +134,11 @@ func NewRouter(p Params, route RouteFunc) *Router {
 	for o := range r.lastGrant {
 		r.lastGrant[o] = -1
 	}
-	dim2 := func() [][]bool {
-		m := make([][]bool, p.Ports)
-		for i := range m {
-			m[i] = make([]bool, p.VCs)
-		}
-		return m
-	}
-	r.CreditOut = dim2()
-	r.nextCredit = dim2()
-	r.routed = dim2()
+	r.CreditOut = make([]uint64, p.Ports)
+	r.nextCredit = make([]uint64, p.Ports)
+	r.occupied = make([]uint64, p.Ports)
+	r.vcMask = ^uint64(0) >> (64 - p.VCs)
+	r.routed = make([][]bool, p.Ports)
 	r.outOwner = make([][]int, p.Ports)
 	for o := range r.outOwner {
 		r.outOwner[o] = make([]int, p.VCs)
@@ -144,7 +146,7 @@ func NewRouter(p Params, route RouteFunc) *Router {
 			r.outOwner[o][v] = -1
 		}
 	}
-	r.creditIn = make([][]*bool, p.Ports)
+	r.creditIn = make([]*uint64, p.Ports)
 	r.fifos = make([]ring, p.InputVCs())
 	slots := make([]Flit, p.InputVCs()*p.Depth)
 	for i := range r.fifos {
@@ -159,7 +161,7 @@ func NewRouter(p Params, route RouteFunc) *Router {
 	r.lastWritten = make([][]uint32, p.Ports)
 	r.lastRead = make([][]uint32, p.Ports)
 	for i := 0; i < p.Ports; i++ {
-		r.creditIn[i] = make([]*bool, p.VCs)
+		r.routed[i] = make([]bool, p.VCs)
 		r.routeTo[i] = make([]core.Port, p.VCs)
 		r.credits[i] = make([]int, p.VCs)
 		r.lastWritten[i] = make([]uint32, p.VCs)
@@ -175,11 +177,9 @@ func NewRouter(p Params, route RouteFunc) *Router {
 // register src.
 func (r *Router) ConnectIn(p core.Port, src *Flit) { r.inSrc[p] = src }
 
-// ConnectCreditIn wires the credit pulse of output port p, VC v to the
-// downstream router's CreditOut register.
-func (r *Router) ConnectCreditIn(p core.Port, vc int, src *bool) {
-	r.creditIn[p][vc] = src
-}
+// ConnectCreditIn wires the credit pulses of output port p, one bit per
+// VC, to the downstream router's CreditOut word for the facing port.
+func (r *Router) ConnectCreditIn(p core.Port, src *uint64) { r.creditIn[p] = src }
 
 // BindMeter attaches a power meter. The packet-switched router has no
 // clock gating: every register and buffer bit is clocked every cycle, the
@@ -226,14 +226,12 @@ func (r *Router) Quiescent() bool {
 	if r.buffered != 0 || len(r.injStaged) != 0 || r.outActive {
 		return false
 	}
-	for port := 0; port < r.P.Ports; port++ {
-		if r.inSrc[port] != nil && r.inSrc[port].Valid() {
+	for port, src := range r.inSrc {
+		if src != nil && src.Valid() {
 			return false
 		}
-		for v := 0; v < r.P.VCs; v++ {
-			if r.creditIn[port][v] != nil && *r.creditIn[port][v] {
-				return false
-			}
+		if c := r.creditIn[port]; c != nil && *c&r.vcMask != 0 {
+			return false
 		}
 	}
 	return true
@@ -268,11 +266,12 @@ func (r *Router) InputBacklog(p core.Port, vc int) int {
 	return r.fifo(int(p), vc).n
 }
 
-// Drain returns and clears the flits ejected at the tile port since the
-// last call.
+// Drain returns the flits ejected at the tile port since the last call.
+// The slice is valid until the next call, which hands its buffer back to
+// the router for reuse.
 func (r *Router) Drain() []Flit {
 	e := r.ejected
-	r.ejected = nil
+	r.ejected, r.drained = r.drained[:0], e
 	return e
 }
 
@@ -331,13 +330,15 @@ func (r *Router) Eval() {
 	for out := range r.reqs {
 		r.reqs[out] = r.reqs[out][:0]
 	}
-	for idx := 0; idx < p.InputVCs(); idx++ {
-		port := idx / p.VCs
-		dst, ok := r.headRoute(port, idx%p.VCs)
-		if !ok || int(dst) == port || dst < 0 || int(dst) >= p.Ports {
-			continue
+	for port, occ := range r.occupied {
+		for ; occ != 0; occ &= occ - 1 {
+			vc := bits.TrailingZeros64(occ)
+			dst, _ := r.headRoute(port, vc)
+			if int(dst) == port || dst < 0 || int(dst) >= p.Ports {
+				continue
+			}
+			r.reqs[dst] = append(r.reqs[dst], port*p.VCs+vc)
 		}
-		r.reqs[dst] = append(r.reqs[dst], idx)
 	}
 
 	// Switch allocation: per output port, round-robin over its requesters.
@@ -392,7 +393,7 @@ func (r *Router) arbitrate(out int) int {
 		// Credit check: the tile output is an always-ready sink (the
 		// 16-bit tile interface consumes a flit per cycle), and an
 		// output with no credit wire attached is a testbench sink.
-		if core.Port(out) != core.Tile && r.creditIn[out][vc] != nil &&
+		if core.Port(out) != core.Tile && r.creditIn[out] != nil &&
 			r.credits[out][vc] <= 0 {
 			continue
 		}
@@ -410,15 +411,14 @@ func (r *Router) Commit() {
 	}
 
 	// Retire granted flits: pop FIFOs, update routes, emit credits.
-	for o := range r.nextCredit {
-		for v := range r.nextCredit[o] {
-			r.nextCredit[o][v] = false
-		}
-	}
 	for _, op := range r.pops {
-		f := r.fifo(op.port, op.vc).pop()
+		q := r.fifo(op.port, op.vc)
+		f := q.pop()
+		if q.n == 0 {
+			r.occupied[op.port] &^= 1 << op.vc
+		}
 		r.buffered--
-		r.nextCredit[op.port][op.vc] = true
+		r.nextCredit[op.port] |= 1 << op.vc
 		if f.Kind.Opens() {
 			r.routed[op.port][op.vc] = true
 			r.routeTo[op.port][op.vc] = r.Route(f.Data)
@@ -438,23 +438,26 @@ func (r *Router) Commit() {
 			r.outOwner[out][f.VC] = -1
 		}
 		// Output credit consumption (not for the tile or testbench sinks).
-		if core.Port(out) != core.Tile && r.creditIn[out][f.VC] != nil {
+		if core.Port(out) != core.Tile && r.creditIn[out] != nil {
 			r.credits[out][f.VC]--
 		}
 	}
 
-	// Credit returns from downstream.
-	for o := 0; o < p.Ports; o++ {
-		for v := 0; v < p.VCs; v++ {
-			if r.creditIn[o][v] != nil && *r.creditIn[o][v] {
-				if r.credits[o][v] >= p.Depth {
-					r.creditViolations++
-				} else {
-					r.credits[o][v]++
-				}
-				if r.meter != nil {
-					r.meter.AddToggles(power.ToggleReg, 1)
-				}
+	// Credit returns from downstream, read from the downstream router's
+	// CreditOut word as it stands when this router commits.
+	for o, src := range r.creditIn {
+		if src == nil {
+			continue
+		}
+		for m := *src & r.vcMask; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros64(m)
+			if r.credits[o][v] >= p.Depth {
+				r.creditViolations++
+			} else {
+				r.credits[o][v]++
+			}
+			if r.meter != nil {
+				r.meter.AddToggles(power.ToggleReg, 1)
 			}
 		}
 	}
@@ -468,18 +471,14 @@ func (r *Router) Commit() {
 	}
 	r.injStaged = r.injStaged[:0]
 
-	// Latch outputs; deliver the tile ejection.
+	// Latch outputs and credit pulses; deliver the tile ejection.
 	outActive := false
-	for o := 0; o < p.Ports; o++ {
+	for o, c := range r.nextCredit {
 		r.Out[o] = r.nextOut[o]
-		if r.Out[o].Valid() {
+		r.CreditOut[o] = c
+		r.nextCredit[o] = 0
+		if c != 0 || r.Out[o].Valid() {
 			outActive = true
-		}
-		for v := 0; v < p.VCs; v++ {
-			r.CreditOut[o][v] = r.nextCredit[o][v]
-			if r.nextCredit[o][v] {
-				outActive = true
-			}
 		}
 	}
 	r.outActive = outActive
@@ -506,6 +505,7 @@ func (r *Router) pushFIFO(port int, f Flit) {
 		r.lastWritten[port][f.VC] = w
 	}
 	q.push(f)
+	r.occupied[port] |= 1 << f.VC
 	r.buffered++
 }
 

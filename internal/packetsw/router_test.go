@@ -256,9 +256,7 @@ func TestBackpressureViaCredits(t *testing.T) {
 	b := NewRouter(p, func(d uint16) core.Port { return core.Tile })
 	// a.East -> b.West.
 	b.ConnectIn(core.West, &a.Out[core.East])
-	for v := 0; v < p.VCs; v++ {
-		a.ConnectCreditIn(core.East, v, &b.CreditOut[int(core.West)][v])
-	}
+	a.ConnectCreditIn(core.East, &b.CreditOut[core.West])
 	w := sim.NewWorld()
 	w.Add(a, b)
 	inj := &injector{r: a}
@@ -295,16 +293,12 @@ func TestCreditsThrottleWhenDownstreamBlocked(t *testing.T) {
 	a := NewRouter(p, PortRoute)
 	b := NewRouter(p, PortRoute)
 	b.ConnectIn(core.West, &a.Out[core.East])
-	for v := 0; v < p.VCs; v++ {
-		a.ConnectCreditIn(core.East, v, &b.CreditOut[int(core.West)][v])
-	}
+	a.ConnectCreditIn(core.East, &b.CreditOut[core.West])
 	// b routes to East. Attach a credit wire to b's East that never
 	// pulses: b may send Depth flits, then VC0 blocks, b's West FIFO
 	// fills, and a must stop sending.
-	never := false
-	for v := 0; v < p.VCs; v++ {
-		b.ConnectCreditIn(core.East, v, &never)
-	}
+	var never uint64
+	b.ConnectCreditIn(core.East, &never)
 	w := sim.NewWorld()
 	w.Add(a, b)
 	inj := &injector{r: a}

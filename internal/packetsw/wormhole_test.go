@@ -107,10 +107,8 @@ func TestSaturatedInputDropsAreCounted(t *testing.T) {
 	w.Add(r)
 	// Two flits offered per cycle is impossible; instead saturate one VC
 	// while its output is blocked by a never-pulsing credit wire.
-	never := false
-	for v := 0; v < p.VCs; v++ {
-		r.ConnectCreditIn(core.East, v, &never)
-	}
+	var never uint64
+	r.ConnectCreditIn(core.East, &never)
 	w.Add(&sim.Func{OnEval: func() {
 		north = Flit{Kind: HeadTail, VC: 0, Data: HeadData(core.East)}
 	}})
