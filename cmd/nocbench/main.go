@@ -52,7 +52,6 @@
 // "active" (the default production kernel: quiescent components are
 // skipped, inert ones parked out of the sweep, fully quiescent windows
 // fast-forwarded) or "naive" (evaluate everything, the oracle).
-// "gated" and "event" are accepted as deprecated spellings of "active".
 // Results are byte-identical under both kernels — the CI equivalence
 // job runs the same sweeps under each and byte-compares. Every
 // simulation runs on one goroutine; -workers spreads sweep cells and
@@ -153,7 +152,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cliFlags, error) {
 	fs.IntVar(&f.workers, "workers", 0, "worker pool size for -sweep and -parallel (default GOMAXPROCS)")
 	fs.BoolVar(&f.parallel, "parallel", false, "measure experiments on all cores (text output unchanged)")
 	fs.BoolVar(&f.csv, "csv", false, "with -sweep: emit CSV instead of JSON")
-	fs.StringVar(&f.kernel, "kernel", "", `with -sweep/-pattern: simulation kernel, "active" (default) or "naive" (the oracle); "gated" and "event" are deprecated spellings of "active"`)
+	fs.StringVar(&f.kernel, "kernel", "", `with -sweep/-pattern: simulation kernel, "active" (default) or "naive" (the oracle)`)
 	fs.StringVar(&f.pattern, "pattern", "", `run a synthetic traffic pattern on all three fabrics (e.g. "uniform", "hotspot:0.7")`)
 	fs.StringVar(&f.inject, "inject", "", `with -pattern: injection process as "process:rate[:burstiness]" (e.g. "poisson:0.05", "onoff:0.1:8")`)
 	fs.IntVar(&f.meshSize, "mesh", 0, "with -pattern: mesh size N for an NxN mesh, positive (default 8)")

@@ -28,7 +28,7 @@ func TestParseFlags(t *testing.T) {
 		{[]string{"-inject", "poisson:0.1"}, "-inject"},
 		{[]string{"-kernel", "naive"}, "-kernel"},
 		{[]string{"-sweep", "s.json", "-kernel", "naive"}, ""},
-		{[]string{"-sweep", "s.json", "-kernel", "gated"}, ""},
+		{[]string{"-sweep", "s.json", "-kernel", "gated"}, "gated"},
 		{[]string{"-sweep", "s.json", "-kernel", "warp"}, "warp"},
 		{[]string{"-reps", "0"}, "-reps"},
 		{[]string{"-pattern", "uniform", "-reps", "-1"}, "-reps must be non-negative"},

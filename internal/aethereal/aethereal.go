@@ -176,19 +176,6 @@ func (t *SlotTable) ReservedSlots(in, out int) int {
 	return n
 }
 
-// Utilization returns the fraction of slot-table entries that are reserved.
-func (t *SlotTable) Utilization() float64 {
-	used := 0
-	for s := range t.slots {
-		for o := range t.slots[s] {
-			if t.slots[s][o] != NoInput {
-				used++
-			}
-		}
-	}
-	return float64(used) / float64(t.p.Slots*t.p.Ports)
-}
-
 // Validate checks the contention-free invariant: within one slot, an
 // output has at most one input (guaranteed by construction) and an input
 // feeds at most one output (no multicast in this model).

@@ -78,12 +78,16 @@ type Network struct {
 	recv, handed []Message
 }
 
-// New builds a W×H best-effort mesh with XY routing. World options select
-// the simulation kernel (default: the production kernel, which skips
-// routers with no buffered flits or arriving traffic).
+// New builds a W×H best-effort mesh with XY routing. W and H are at most
+// 16: a head flit addresses x and y in 4-bit fields (HeadDataXY). World
+// options select the simulation kernel (default: the production kernel,
+// which skips routers with no buffered flits or arriving traffic).
 func New(w, h int, p packetsw.Params, wopts ...sim.WorldOption) *Network {
 	if w < 1 || h < 1 {
 		panic(fmt.Sprintf("benet: invalid size %dx%d", w, h))
+	}
+	if w > 16 || h > 16 {
+		panic(fmt.Sprintf("benet: %dx%d mesh exceeds 16x16, the reach of the 4-bit address fields", w, h))
 	}
 	n := &Network{
 		W: w, H: h, P: p,

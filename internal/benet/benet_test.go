@@ -1,6 +1,7 @@
 package benet
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -129,6 +130,32 @@ func TestNewPanicsOnBadSize(t *testing.T) {
 		}
 	}()
 	New(0, 2, packetsw.DefaultParams())
+}
+
+// TestNewBoundedByAddressFields: head flits address x and y in 4-bit
+// fields, so New rejects a mesh wider or taller than 16, naming the
+// limit, and the largest mesh still delivers corner to corner.
+func TestNewBoundedByAddressFields(t *testing.T) {
+	for _, sz := range [][2]int{{17, 1}, {20, 1}, {1, 17}} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "4-bit") {
+					t.Errorf("New(%d, %d): panic %v, want one naming the 4-bit address fields", sz[0], sz[1], r)
+				}
+			}()
+			New(sz[0], sz[1], packetsw.DefaultParams())
+		}()
+	}
+	n := New(16, 16, packetsw.DefaultParams())
+	far := mesh.Coord{X: 15, Y: 15}
+	n.Send(Message{Src: mesh.Coord{}, Dst: far, Payload: []uint16{1}})
+	for i := 0; i < 500 && n.Pending() > 0; i++ {
+		n.Step()
+	}
+	if d := n.Delivered(); len(d) != 1 || d[0].Dst != far {
+		t.Fatalf("16x16 corner to corner delivered %+v", d)
+	}
 }
 
 func TestRouterAccessorBounds(t *testing.T) {

@@ -98,13 +98,6 @@ func (v *Vec) Hamming(o *Vec) int {
 	return c
 }
 
-// Copy returns a deep copy of v.
-func (v *Vec) Copy() *Vec {
-	w := New(v.n)
-	copy(w.words, v.words)
-	return w
-}
-
 // Equal reports whether v and o have the same width and contents.
 func (v *Vec) Equal(o *Vec) bool {
 	if v.n != o.n {
@@ -143,9 +136,6 @@ func Hamming16(a, b uint16) int { return bits.OnesCount16(a ^ b) }
 // Hamming32 returns the number of differing bits between two 32-bit words.
 func Hamming32(a, b uint32) int { return bits.OnesCount32(a ^ b) }
 
-// Hamming64 returns the number of differing bits between two 64-bit words.
-func Hamming64(a, b uint64) int { return bits.OnesCount64(a ^ b) }
-
 // Nibble extracts 4-bit nibble i (0 = least significant) from w.
 func Nibble(w uint32, i int) uint8 {
 	return uint8(w >> (uint(i) * 4) & 0xF)
@@ -171,6 +161,3 @@ func JoinNibblesMSB(nibs []uint8) uint32 {
 	}
 	return w
 }
-
-// ReverseBits16 reverses the bit order of a 16-bit word.
-func ReverseBits16(w uint16) uint16 { return bits.Reverse16(w) }

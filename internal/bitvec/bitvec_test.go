@@ -66,18 +66,18 @@ func TestVecHamming(t *testing.T) {
 }
 
 func TestVecCopyEqual(t *testing.T) {
-	a := New(33)
+	a, c := New(33), New(33)
 	a.SetField(10, 8, 0xAB)
-	c := a.Copy()
+	c.SetField(10, 8, 0xAB)
 	if !a.Equal(c) {
-		t.Fatal("copy not equal to original")
+		t.Fatal("equal contents compare unequal")
 	}
 	c.SetBit(0, true)
 	if a.Equal(c) {
-		t.Fatal("mutating copy affected original equality")
+		t.Fatal("differing contents compare equal")
 	}
-	if a.Bit(0) != 0 {
-		t.Fatal("copy aliases original storage")
+	if a.Equal(New(34)) {
+		t.Fatal("differing widths compare equal")
 	}
 }
 
@@ -140,9 +140,6 @@ func TestHammingHelpers(t *testing.T) {
 	}
 	if Hamming32(0xF0F0F0F0, 0x0F0F0F0F) != 32 {
 		t.Error("Hamming32 full flip != 32")
-	}
-	if Hamming64(0, 0) != 0 {
-		t.Error("Hamming64 of equal words != 0")
 	}
 }
 
@@ -259,13 +256,6 @@ func TestFlipGenRateProperty(t *testing.T) {
 	}
 }
 
-func TestFlipGenAccessors(t *testing.T) {
-	g := NewFlipGen(20, 0.25, 5)
-	if g.Width() != 20 || g.FlipProb() != 0.25 {
-		t.Fatalf("accessors: width=%d p=%v", g.Width(), g.FlipProb())
-	}
-}
-
 func TestFlipGenPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"width 0":  func() { NewFlipGen(0, 0.5, 1) },
@@ -281,11 +271,5 @@ func TestFlipGenPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestReverseBits16(t *testing.T) {
-	if ReverseBits16(0x8000) != 0x0001 {
-		t.Fatal("ReverseBits16 failed")
 	}
 }

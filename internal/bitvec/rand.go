@@ -100,9 +100,3 @@ func (g *FlipGen) Next() uint64 {
 	g.prev ^= mask
 	return g.prev
 }
-
-// Width returns the word width in bits.
-func (g *FlipGen) Width() int { return g.width }
-
-// FlipProb returns the configured expected flip fraction.
-func (g *FlipGen) FlipProb() float64 { return g.p }

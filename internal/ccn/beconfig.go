@@ -97,21 +97,24 @@ func (b *BEConfigurator) FullRouterReconfig(target mesh.Coord) (ConfigureResult,
 }
 
 // deliver sends each command from the CCN node as one single-word BE
-// message and co-simulates the BE mesh and the data mesh until every
-// command has been applied at its router, plus one edge for the staged
-// configuration writes to commit. The BE network delivers one
-// destination's messages in send order, so each delivery applies the
-// oldest command still pending at its destination.
+// message holding its encoded configuration word, and co-simulates the
+// BE mesh and the data mesh until every command has been applied at its
+// router, plus one edge for the staged configuration writes to commit.
+// Each router applies the command it decodes from the word it received,
+// as the paper's configuration interface does (Section 5.1).
 func (b *BEConfigurator) deliver(cmds []RouterCmd) (ConfigureResult, error) {
 	res := ConfigureResult{Commands: len(cmds)}
-	pending := make(map[mesh.Coord][]core.ConfigCmd)
+	p := b.Mesh.P
+	if p.ConfigWordBits() > 16 {
+		return res, fmt.Errorf("ccn: %d-bit configuration words do not fit a 16-bit BE payload word",
+			p.ConfigWordBits())
+	}
 	for _, rc := range cmds {
-		enc, err := rc.Cmd.Encode(b.Mesh.P)
+		enc, err := rc.Cmd.Encode(p)
 		if err != nil {
 			return res, err
 		}
 		b.Net.Send(benet.Message{Src: b.CCNNode, Dst: rc.Node, Payload: []uint16{uint16(enc)}})
-		pending[rc.Node] = append(pending[rc.Node], rc.Cmd)
 	}
 
 	start := b.Net.Cycle()
@@ -126,12 +129,11 @@ func (b *BEConfigurator) deliver(cmds []RouterCmd) (ConfigureResult, error) {
 		b.Net.Step()
 		b.Mesh.Step()
 		for _, msg := range b.Net.Delivered() {
-			q := pending[msg.Dst]
-			if len(q) == 0 {
-				return res, fmt.Errorf("ccn: unexpected delivery at %v", msg.Dst)
+			cmd, err := core.DecodeConfigCmd(p, uint32(msg.Payload[0]))
+			if err != nil {
+				return res, fmt.Errorf("ccn: router %v: %w", msg.Dst, err)
 			}
-			pending[msg.Dst] = q[1:]
-			b.Mesh.At(msg.Dst).R.PushConfig(q[0])
+			b.Mesh.At(msg.Dst).R.PushConfig(cmd)
 			applied++
 			if lat := msg.RecvCycle - msg.SentCycle; lat > res.MaxCommandCycles {
 				res.MaxCommandCycles = lat

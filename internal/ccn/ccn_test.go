@@ -349,3 +349,17 @@ func TestFullRouterReconfigBudget(t *testing.T) {
 		t.Fatalf("enabled lanes = %d, want 20", got)
 	}
 }
+
+// TestBEConfigRejectsWordsWiderThanPayload: a router whose configuration
+// word exceeds the BE network's 16-bit payload word (64 lanes per port
+// need 18 bits) is refused up front instead of being configured from a
+// truncated word.
+func TestBEConfigRejectsWordsWiderThanPayload(t *testing.T) {
+	p := core.DefaultParams()
+	p.LanesPerPort = 64
+	m := mesh.New(2, 1, p, core.DefaultAssemblyOptions())
+	bc := &BEConfigurator{Net: benet.New(2, 1, packetsw.DefaultParams()), Mesh: m}
+	if _, err := bc.FullRouterReconfig(mesh.Coord{X: 1, Y: 0}); err == nil || !strings.Contains(err.Error(), "16-bit") {
+		t.Fatalf("err = %v, want an error naming the 16-bit payload word", err)
+	}
+}

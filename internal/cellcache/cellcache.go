@@ -92,9 +92,6 @@ func NewDir(dir string, maxEntries int) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the backing directory ("" for a memory-only store).
-func (s *Store) Dir() string { return s.dir }
-
 // Get returns the payload stored under k. The boolean reports whether the
 // key was found (in memory or on disk); the returned slice is a copy the
 // caller may keep.

@@ -55,6 +55,9 @@ func BELoadData() ([]BELoadPoint, error) {
 		var lat stats.Series
 		hist := stats.NewHist(10, 20, 40, 80, 160, 320)
 		delivered := 0
+		// 4-word messages (a config burst or a short control exchange).
+		// The network only reads a payload, so every message shares one.
+		payload := []uint16{1, 2, 3, 4}
 		for c := 0; c < cycles; c++ {
 			for node := 0; node < 16; node++ {
 				if !rng.Bool(load) {
@@ -65,10 +68,7 @@ func BELoadData() ([]BELoadPoint, error) {
 				if dst == src {
 					continue
 				}
-				// 4-word messages (a config burst or a short control
-				// exchange).
-				n.Send(benet.Message{Src: src, Dst: dst,
-					Payload: []uint16{1, 2, 3, 4}})
+				n.Send(benet.Message{Src: src, Dst: dst, Payload: payload})
 			}
 			n.Step()
 			for _, m := range n.Delivered() {

@@ -159,14 +159,3 @@ func (g *Graph) BEFraction() float64 {
 	}
 	return be / (be + gt)
 }
-
-// Degree returns how many channels touch the named process.
-func (g *Graph) Degree(name string) int {
-	d := 0
-	for _, c := range g.Channels {
-		if c.From == name || c.To == name {
-			d++
-		}
-	}
-	return d
-}

@@ -80,12 +80,6 @@ func TestBEFractionEmptyGraph(t *testing.T) {
 
 func TestDegreeAndLookup(t *testing.T) {
 	g := valid()
-	if d := g.Degree("b"); d != 2 {
-		t.Fatalf("degree(b) = %d", d)
-	}
-	if d := g.Degree("zz"); d != 0 {
-		t.Fatalf("degree(zz) = %d", d)
-	}
 	if _, ok := g.Process("a"); !ok {
 		t.Fatal("Process(a) not found")
 	}

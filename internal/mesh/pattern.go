@@ -93,11 +93,8 @@ func (c PatternConfig) Validate() error {
 	if err := c.Injection.Validate(); err != nil {
 		return err
 	}
-	if c.WarmupCycles < 0 || c.WarmupCycles >= c.Cycles {
-		return fmt.Errorf("mesh: warm-up %d out of [0, cycles=%d)", c.WarmupCycles, c.Cycles)
-	}
-	if c.WarmupCycles > 0 && c.WarmupAuto {
-		return fmt.Errorf("mesh: explicit warm-up and auto-detection are mutually exclusive")
+	if err := stats.CheckWarmup(c.WarmupCycles, c.Cycles, c.WarmupAuto); err != nil {
+		return fmt.Errorf("mesh: %w", err)
 	}
 	if c.Params != nil {
 		if err := c.Params.Validate(); err != nil {
@@ -343,7 +340,7 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 			gen:    bitvec.NewFlipGen(16, cfg.FlipProb, flowSeed^0xDA7A),
 			stamps: &flowStamps{},
 		}
-		src := pattern.NewSource(cfg.Injection, flowSeed, cfg.WordsPerFlow, nil)
+		src := pattern.NewSource(cfg.Injection, flowSeed, cfg.WordsPerFlow)
 		src.Emit = func() bool {
 			if !tx.Ready() {
 				return false
@@ -384,13 +381,8 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 		// MSER-5 steady-state truncation of the delivery-latency
 		// sequence — then recompute the aggregate statistics over the
 		// measurement window. Per-flow counts stay full-run.
-		w := uint64(cfg.WarmupCycles)
-		start := latRec.TruncateCycle(w)
-		if cfg.WarmupAuto && latRec.Len() > 0 {
-			start = latRec.SteadyStateIndex(stats.MSERBatch)
-			w = latRec.CycleAt(start)
-		}
-		res.Latency = latRec.SeriesFrom(start)
+		w, start, lat := latRec.Window(uint64(cfg.WarmupCycles), cfg.WarmupAuto)
+		res.Latency = lat
 		res.WarmupCycles = w
 		res.MeasuredCycles = uint64(cfg.Cycles) - w
 		res.WordsDelivered = uint64(latRec.Len() - start)

@@ -1,7 +1,7 @@
 // Package netlist provides structural hardware description: composable
-// component builders (register banks, multiplexer trees, crossbars, FIFOs,
-// arbiters, configuration memories) whose cell counts determine area,
-// leakage and clock load when priced with a stdcell.Lib.
+// component builders (multiplexer trees, crossbars, shift FIFOs,
+// arbiters, configuration memories, slot tables) whose cell counts
+// determine area, leakage and clock load when priced with a stdcell.Lib.
 //
 // This is the reproduction's stand-in for the paper's synthesis flow: the
 // routers are described as netlists of reference cells, and Table 4's area
@@ -55,15 +55,6 @@ func (c Component) Add(o Component) Component {
 	c.DFFs += o.DFFs
 	c.BufBits += o.BufBits
 	c.CombGE += o.CombGE
-	return c
-}
-
-// Scale returns the component with all cell counts multiplied by n
-// (n identical instances).
-func (c Component) Scale(n int) Component {
-	c.DFFs *= n
-	c.BufBits *= n
-	c.CombGE *= float64(n)
 	return c
 }
 
@@ -185,12 +176,6 @@ func (d *Design) Validate() error {
 
 // --- Component builders -------------------------------------------------
 
-// RegisterBank returns a bank of n flip-flops.
-func RegisterBank(name string, n int) Component {
-	mustNonNeg("RegisterBank", n)
-	return Component{Name: name, DFFs: n}
-}
-
 // MuxTreeGE returns the gate-equivalent cost of an n:1 multiplexer of one
 // bit, built from 2:1 stages: an n:1 mux needs n-1 two-input muxes.
 func MuxTreeGE(lib stdcell.Lib, ways int) float64 {
@@ -224,25 +209,9 @@ func Crossbar(lib stdcell.Lib, name string, inputs, outputs, width int) Componen
 	}
 }
 
-// FIFO returns a width×depth first-in first-out buffer implemented as a
-// register file with read multiplexing plus read/write pointers and
-// full/empty logic.
-func FIFO(lib stdcell.Lib, name string, width, depth int) Component {
-	mustNonNeg("FIFO", width, depth)
-	ptrBits := int(math.Ceil(math.Log2(math.Max(float64(depth), 2)))) + 1
-	return Component{
-		Name:    name,
-		BufBits: width * depth,
-		DFFs:    2 * ptrBits, // read and write pointer
-		// Read mux across depth entries plus ~6 GE of full/empty/credit
-		// bookkeeping per FIFO.
-		CombGE: MuxTreeGE(lib, depth)*float64(width) + 6,
-	}
-}
-
 // ShiftFIFO returns a width×depth FIFO implemented as a shift register with
 // latch-based storage bits and a fill counter — the compact style small NoC
-// routers synthesize to; unlike FIFO it needs no read multiplexer.
+// routers synthesize to, with no read multiplexer.
 func ShiftFIFO(name string, width, depth int) Component {
 	mustNonNeg("ShiftFIFO", width, depth)
 	cntBits := int(math.Ceil(math.Log2(float64(depth)+1))) + 1
@@ -288,19 +257,6 @@ func SlotTable(name string, slots, entryBits int) Component {
 		DFFs:    ctr,
 		CombGE:  float64(entryBits) * 2,
 	}
-}
-
-// ShiftRegister returns an n-bit shift register (serializer/deserializer
-// datapath of the data converter).
-func ShiftRegister(name string, bits int) Component {
-	mustNonNeg("ShiftRegister", bits)
-	return Component{Name: name, DFFs: bits, CombGE: 0.5 * float64(bits)}
-}
-
-// Counter returns an n-bit counter with increment logic (~2.5 GE/bit).
-func Counter(name string, bits int) Component {
-	mustNonNeg("Counter", bits)
-	return Component{Name: name, DFFs: bits, CombGE: 2.5 * float64(bits)}
 }
 
 func mustNonNeg(what string, ns ...int) {

@@ -26,10 +26,6 @@ func TestComponentAddScale(t *testing.T) {
 	if s.Name != "a" || s.DFFs != 11 || s.BufBits != 22 || s.CombGE != 33 {
 		t.Fatalf("Add = %+v", s)
 	}
-	m := a.Scale(4)
-	if m.DFFs != 4 || m.BufBits != 8 || m.CombGE != 12 {
-		t.Fatalf("Scale = %+v", m)
-	}
 }
 
 func TestClockEnergy(t *testing.T) {
@@ -42,13 +38,13 @@ func TestClockEnergy(t *testing.T) {
 
 func TestDesignRollup(t *testing.T) {
 	d := Design{Name: "d", CriticalPathFO4: 10}
-	d.AddBlock(RegisterBank("regs", 100))
-	d.AddBlock(FIFO(lib, "fifo", 16, 8))
+	d.AddBlock(Component{Name: "regs", DFFs: 100})
+	d.AddBlock(ShiftFIFO("fifo", 16, 8))
 	if err := d.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	tot := d.TotalCells()
-	if tot.DFFs != 100+2*4 { // 100 regs + two 4-bit pointers (depth 8 -> 3+1 bits)
+	if tot.DFFs != 100+5 { // 100 regs + a 5-bit fill counter (depth 8 -> ceil(log2 9)+1 bits)
 		t.Fatalf("total DFFs = %d", tot.DFFs)
 	}
 	if tot.BufBits != 16*8 {
@@ -117,16 +113,6 @@ func TestCrossbarShape(t *testing.T) {
 	}
 }
 
-func TestFIFOShape(t *testing.T) {
-	f := FIFO(lib, "f", 17, 8)
-	if f.BufBits != 17*8 {
-		t.Fatalf("FIFO storage = %d bits", f.BufBits)
-	}
-	if f.DFFs != 8 { // 2 pointers of ceil(log2 8)+1 = 4 bits
-		t.Fatalf("FIFO pointer DFFs = %d, want 8", f.DFFs)
-	}
-}
-
 func TestArbiterShape(t *testing.T) {
 	a := RoundRobinArbiter("arb", 20)
 	if a.DFFs != 5 {
@@ -142,13 +128,11 @@ func TestShiftFIFOShape(t *testing.T) {
 	if f.BufBits != 18*8 {
 		t.Fatalf("shift FIFO storage = %d bits", f.BufBits)
 	}
+	if f.DFFs != 5 { // fill counter of ceil(log2 9)+1 bits
+		t.Fatalf("shift FIFO fill counter = %d DFFs, want 5", f.DFFs)
+	}
 	if f.CombGE <= 0 {
 		t.Fatal("shift FIFO has no shift-enable logic")
-	}
-	// Unlike the register-file FIFO it has no read multiplexer, so for the
-	// same geometry it must be smaller.
-	if f.Area(lib) >= FIFO(lib, "g", 18, 8).Area(lib) {
-		t.Fatal("shift FIFO should be the compact option")
 	}
 }
 
@@ -172,14 +156,11 @@ func TestSlotTableShape(t *testing.T) {
 
 func TestBuildersPanicOnNegative(t *testing.T) {
 	for name, f := range map[string]func(){
-		"RegisterBank": func() { RegisterBank("r", -1) },
-		"Crossbar":     func() { Crossbar(lib, "c", -1, 2, 3) },
-		"FIFO":         func() { FIFO(lib, "f", 4, -2) },
-		"Arbiter":      func() { RoundRobinArbiter("a", -3) },
-		"Config":       func() { ConfigMemory("c", -1) },
-		"SlotTable":    func() { SlotTable("s", -1, 4) },
-		"Shift":        func() { ShiftRegister("s", -1) },
-		"Counter":      func() { Counter("c", -1) },
+		"Crossbar":  func() { Crossbar(lib, "c", -1, 2, 3) },
+		"ShiftFIFO": func() { ShiftFIFO("f", 4, -2) },
+		"Arbiter":   func() { RoundRobinArbiter("a", -3) },
+		"Config":    func() { ConfigMemory("c", -1) },
+		"SlotTable": func() { SlotTable("s", -1, 4) },
 	} {
 		func() {
 			defer func() {
@@ -194,7 +175,7 @@ func TestBuildersPanicOnNegative(t *testing.T) {
 
 func TestReportContainsBlocks(t *testing.T) {
 	d := Design{Name: "router", CriticalPathFO4: 9}
-	d.AddBlock(RegisterBank("regs", 10))
+	d.AddBlock(Component{Name: "regs", DFFs: 10})
 	r := d.Report(lib)
 	for _, want := range []string{"router", "regs", "total", "fmax"} {
 		if !strings.Contains(r, want) {
@@ -204,11 +185,16 @@ func TestReportContainsBlocks(t *testing.T) {
 }
 
 func TestAreaAdditivityProperty(t *testing.T) {
-	// Area of a scaled component equals n times the area of one instance.
+	// The area of k instances summed with Add equals k times the area
+	// of one instance.
 	f := func(dff, buf uint8, n uint8) bool {
 		c := Component{Name: "c", DFFs: int(dff), BufBits: int(buf), CombGE: float64(dff) * 1.5}
 		k := int(n%8) + 1
-		return math.Abs(c.Scale(k).Area(lib)-float64(k)*c.Area(lib)) < 1e-6
+		sum := c
+		for i := 1; i < k; i++ {
+			sum = sum.Add(c)
+		}
+		return math.Abs(sum.Area(lib)-float64(k)*c.Area(lib)) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -54,10 +54,10 @@ type Source struct {
 
 // NewSource returns a source driven by the injection process, seeded
 // per flow. limit caps the emitted words (0 = unlimited); once spent the
-// source retires and stays quiescent forever. Emit may be nil at
-// construction and assigned before the first cycle.
-func NewSource(inj Injection, seed uint64, limit uint64, emit func() bool) *Source {
-	src := &Source{Emit: emit, s: NewSampler(inj, seed), limit: limit}
+// source retires and stays quiescent forever. Assign Emit before the
+// first cycle.
+func NewSource(inj Injection, seed uint64, limit uint64) *Source {
+	src := &Source{s: NewSampler(inj, seed), limit: limit}
 	src.next = src.s.NextGap()
 	return src
 }

@@ -13,7 +13,7 @@ func runSource(t *testing.T, k sim.Kernel, inj Injection, limit uint64, cycles i
 	t.Helper()
 	w := sim.NewWorld(sim.WithKernel(k))
 	var emitted []uint64
-	src := NewSource(inj, 42, limit, nil)
+	src := NewSource(inj, 42, limit)
 	src.Emit = func() bool {
 		if refuse > 0 {
 			refuse--
@@ -63,7 +63,7 @@ func TestSourceBackpressureRetries(t *testing.T) {
 
 func TestSourceRetiresAtLimit(t *testing.T) {
 	w := sim.NewWorld()
-	src := NewSource(Injection{Proc: CBR, Rate: 0.1}, 1, 5, nil)
+	src := NewSource(Injection{Proc: CBR, Rate: 0.1}, 1, 5)
 	src.Emit = func() bool { return true }
 	w.Add(src)
 	w.Run(100000)
@@ -79,7 +79,7 @@ func TestSourceRetiresAtLimit(t *testing.T) {
 
 func TestSourceFastForwardsBetweenArrivals(t *testing.T) {
 	w := sim.NewWorld()
-	src := NewSource(Injection{Proc: CBR, Rate: 0.001}, 1, 0, nil)
+	src := NewSource(Injection{Proc: CBR, Rate: 0.001}, 1, 0)
 	n := 0
 	src.Emit = func() bool { n++; return true }
 	w.Add(src)

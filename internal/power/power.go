@@ -280,18 +280,6 @@ type AttributionEntry struct {
 	UW float64 `json:"uw"`
 }
 
-// Attribution returns the dynamic power per toggle class plus the clock
-// network, in µW, keyed by a stable name. The values sum to DynamicUW of
-// the corresponding Report.
-func (m *Meter) Attribution() map[string]float64 {
-	entries := m.AttributionSorted()
-	out := make(map[string]float64, len(entries))
-	for _, e := range entries {
-		out[e.Class] = e.UW
-	}
-	return out
-}
-
 // AttributionSorted returns the dynamic-power attribution as a slice in a
 // deterministic order (sorted by class name), so JSON and CSV encoders
 // that iterate it emit byte-identical output run to run. The values sum

@@ -13,7 +13,7 @@ var lib = stdcell.Default013()
 
 func testDesign() *netlist.Design {
 	d := &netlist.Design{Name: "test", CriticalPathFO4: 10}
-	d.AddBlock(netlist.RegisterBank("regs", 100))
+	d.AddBlock(netlist.Component{Name: "regs", DFFs: 100})
 	return d
 }
 
@@ -253,17 +253,21 @@ func TestAttribution(t *testing.T) {
 	m.Tick()
 	m.AddToggles(ToggleReg, 10)
 	m.AddToggles(ToggleLink, 5)
-	att := m.Attribution()
-	if att["register"] <= 0 || att["link"] <= 0 || att["clock"] <= 0 {
-		t.Fatalf("attribution incomplete: %v", att)
-	}
-	if att["gate"] != 0 || att["buffer-bit"] != 0 {
-		t.Fatalf("phantom attribution: %v", att)
-	}
+	att := m.AttributionSorted()
 	// The attribution sums to the dynamic power of the report.
 	var sum float64
-	for _, v := range att {
-		sum += v
+	for _, e := range att {
+		switch e.Class {
+		case "register", "link", "clock":
+			if e.UW <= 0 {
+				t.Fatalf("attribution incomplete: %v", att)
+			}
+		default:
+			if e.UW != 0 {
+				t.Fatalf("phantom attribution: %v", att)
+			}
+		}
+		sum += e.UW
 	}
 	b := m.Report("x")
 	if math.Abs(sum-b.DynamicUW()) > 1e-9 {
@@ -271,9 +275,9 @@ func TestAttribution(t *testing.T) {
 	}
 	// Before any cycle, attribution is all zeros, not a panic.
 	fresh := NewMeter(testDesign(), lib, 25)
-	for k, v := range fresh.Attribution() {
-		if v != 0 {
-			t.Fatalf("fresh meter attributes %v to %s", v, k)
+	for _, e := range fresh.AttributionSorted() {
+		if e.UW != 0 {
+			t.Fatalf("fresh meter attributes %v to %s", e.UW, e.Class)
 		}
 	}
 	if fresh.ClassUW(ToggleReg) != 0 {
@@ -319,9 +323,9 @@ func TestBatchedTicksBitIdentical(t *testing.T) {
 }
 
 // TestAttributionSortedDeterministic is the regression test for the
-// attribution ordering contract: the slice form is sorted by class name,
-// covers every toggle class plus the clock, and agrees with the map form,
-// so any JSON/CSV encoder iterating it is deterministic by construction.
+// attribution ordering contract: the slice is sorted by class name and
+// covers every toggle class plus the clock, so any JSON/CSV encoder
+// iterating it is deterministic by construction.
 func TestAttributionSortedDeterministic(t *testing.T) {
 	d := testDesign()
 	m := NewMeter(d, lib, 25)
@@ -340,13 +344,8 @@ func TestAttributionSortedDeterministic(t *testing.T) {
 				entries[i-1].Class, entries[i].Class)
 		}
 	}
-	att := m.Attribution()
 	var sum float64
 	for _, e := range entries {
-		if att[e.Class] != e.UW {
-			t.Fatalf("map/slice attribution disagree on %q: %v vs %v",
-				e.Class, att[e.Class], e.UW)
-		}
 		sum += e.UW
 	}
 	if b := m.Report("x"); math.Abs(sum-b.DynamicUW()) > 1e-9*b.DynamicUW() {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -82,7 +83,7 @@ func TestMSER(t *testing.T) {
 	for i := range flat {
 		flat[i] = 7
 	}
-	if got := MSER(flat, MSERBatch); got != 0 {
+	if got := mser(flat, mserBatch); got != 0 {
 		t.Fatalf("MSER of constant series = %d, want 0", got)
 	}
 	// An inflated head (startup transient) is truncated at a batch
@@ -95,19 +96,19 @@ func TestMSER(t *testing.T) {
 			trans[i] = 10 + float64(i%2) // noisy steady state
 		}
 	}
-	got := MSER(trans, MSERBatch)
+	got := mser(trans, mserBatch)
 	if got < 15 || got > 50 {
 		t.Fatalf("MSER truncation = %d, want the ~20-sample transient cut (and at most half)", got)
 	}
-	if got%MSERBatch != 0 {
+	if got%mserBatch != 0 {
 		t.Fatalf("MSER truncation %d not a batch multiple", got)
 	}
 	// Fewer than two batches: nothing to compare.
-	if got := MSER([]float64{1, 2, 3}, MSERBatch); got != 0 {
+	if got := mser([]float64{1, 2, 3}, mserBatch); got != 0 {
 		t.Fatalf("MSER of tiny series = %d, want 0", got)
 	}
 	// Truncation never exceeds half the batches.
-	if got := MSER(trans, MSERBatch); got > len(trans)/2 {
+	if got := mser(trans, mserBatch); got > len(trans)/2 {
 		t.Fatalf("MSER truncated %d of %d samples", got, len(trans))
 	}
 }
@@ -120,21 +121,56 @@ func TestTimedSeries(t *testing.T) {
 	if ts.Len() != 10 {
 		t.Fatalf("Len = %d", ts.Len())
 	}
-	if got := ts.TruncateCycle(35); got != 4 {
-		t.Fatalf("TruncateCycle(35) = %d, want 4", got)
+	// An explicit warm-up keeps the observations from its cycle on.
+	for _, c := range []struct {
+		warmup uint64
+		start  int
+	}{{35, 4}, {0, 0}, {1000, 10}} {
+		if w, start, s := ts.Window(c.warmup, false); w != c.warmup || start != c.start || s.N() != 10-c.start {
+			t.Fatalf("Window(%d) = %d, %d, %s; want %d, %d", c.warmup, w, start, s.String(), c.warmup, c.start)
+		}
 	}
-	if got := ts.TruncateCycle(0); got != 0 {
-		t.Fatalf("TruncateCycle(0) = %d, want 0", got)
+	if _, _, s := ts.Window(35, false); s.Min() != 4 || s.Max() != 9 || len(s.Samples()) != 6 {
+		t.Fatalf("Window(35) summarizes %s", s.String())
 	}
-	if got := ts.TruncateCycle(1000); got != 10 {
-		t.Fatalf("TruncateCycle past end = %d, want Len", got)
+	// Auto-detection cuts at the MSER index, and the warm-up becomes the
+	// cycle of the first kept observation.
+	var trans TimedSeries
+	for i := 0; i < 100; i++ {
+		v := 10 + float64(i%2)
+		if i < 20 {
+			v = 100 - float64(i)
+		}
+		trans.Add(uint64(i*3), v)
 	}
-	s := ts.SeriesFrom(4)
-	if s.N() != 6 || s.Min() != 4 || s.Max() != 9 {
-		t.Fatalf("SeriesFrom(4) = %s", s.String())
+	w, start, s := trans.Window(0, true)
+	if start == 0 || w != uint64(start*3) || s.N() != 100-start {
+		t.Fatalf("auto Window = %d, %d, n=%d; want a transient cut at cycle 3*start", w, start, s.N())
 	}
-	if got := ts.CycleAt(4); got != 40 {
-		t.Fatalf("CycleAt(4) = %d, want 40", got)
+	// No observations: auto detection keeps the configured warm-up.
+	var empty TimedSeries
+	if w, start, s := empty.Window(0, true); w != 0 || start != 0 || s.N() != 0 {
+		t.Fatalf("empty auto Window = %d, %d, n=%d", w, start, s.N())
+	}
+}
+
+func TestCheckWarmup(t *testing.T) {
+	for _, c := range []struct {
+		warmup, cycles int
+		auto           bool
+		err            string
+	}{
+		{0, 1, false, ""},
+		{0, 1, true, ""},
+		{99, 100, false, ""},
+		{-1, 100, false, "warm-up -1 out of [0, cycles=100)"},
+		{100, 100, false, "warm-up 100 out of [0, cycles=100)"},
+		{10, 100, true, "explicit warm-up and auto-detection are mutually exclusive"},
+	} {
+		err := CheckWarmup(c.warmup, c.cycles, c.auto)
+		if got := fmt.Sprint(err); (c.err == "" && err != nil) || (c.err != "" && got != c.err) {
+			t.Errorf("CheckWarmup(%d, %d, %v) = %v, want %q", c.warmup, c.cycles, c.auto, err, c.err)
+		}
 	}
 }
 

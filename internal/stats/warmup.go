@@ -1,6 +1,9 @@
 package stats
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // This file holds the warm-up (initial-transient) machinery of the
 // replication subsystem: a cycle-stamped observation series and the
@@ -8,10 +11,23 @@ import "sort"
 // confidence intervals over replicated open-loop runs are not biased by
 // the empty-network startup transient.
 
-// MSERBatch is the conventional batch size of the MSER-5 rule.
-const MSERBatch = 5
+// mserBatch is the conventional batch size of the MSER-5 rule.
+const mserBatch = 5
 
-// MSER applies the Marginal Standard Error Rule to the observation
+// CheckWarmup validates a warm-up request for a run of the given length:
+// an explicit warm-up lies in [0, cycles) and excludes automatic
+// detection. Callers prefix the error with their own context.
+func CheckWarmup(warmup, cycles int, auto bool) error {
+	if warmup < 0 || warmup >= cycles {
+		return fmt.Errorf("warm-up %d out of [0, cycles=%d)", warmup, cycles)
+	}
+	if warmup > 0 && auto {
+		return fmt.Errorf("explicit warm-up and auto-detection are mutually exclusive")
+	}
+	return nil
+}
+
+// mser applies the Marginal Standard Error Rule to the observation
 // sequence: it returns the truncation index d (a multiple of batch)
 // that minimizes the marginal standard error of the mean of the
 // remaining batch means,
@@ -24,7 +40,7 @@ const MSERBatch = 5
 // statistic's instability on short tails — and ties pick the smallest
 // truncation. Fewer than two full batches return 0 (nothing to
 // compare), and the result is deterministic for a given sequence.
-func MSER(obs []float64, batch int) int {
+func mser(obs []float64, batch int) int {
 	if batch < 1 {
 		batch = 1
 	}
@@ -69,7 +85,7 @@ type TimedSample struct {
 
 // TimedSeries accumulates cycle-stamped observations in simulation
 // order. Cycles must be nondecreasing (the simulator appends samples as
-// the clock advances); TruncateCycle relies on that ordering.
+// the clock advances); Window relies on that ordering.
 type TimedSeries struct {
 	samples []TimedSample
 }
@@ -82,37 +98,31 @@ func (t *TimedSeries) Add(cycle uint64, v float64) {
 // Len returns the number of observations.
 func (t *TimedSeries) Len() int { return len(t.samples) }
 
-// CycleAt returns the cycle stamp of observation i.
-func (t *TimedSeries) CycleAt(i int) uint64 { return t.samples[i].Cycle }
-
-// TruncateCycle returns the index of the first observation taken at or
-// after the given cycle (Len() if none), so samples[idx:] is the
-// post-warm-up measurement window.
-func (t *TimedSeries) TruncateCycle(cycle uint64) int {
-	return sort.Search(len(t.samples), func(i int) bool {
-		return t.samples[i].Cycle >= cycle
+// Window cuts a run's warm-up off the observations. With auto set and
+// at least one observation, the MSER-5 steady-state rule picks the cut
+// and the warm-up becomes the cycle of the first kept observation;
+// otherwise the window starts at the first observation taken at or
+// after the given warm-up cycle. Window returns the effective warm-up
+// cycle, the index of the first observation in the window (Len() if
+// none) and the window summarized as a Series. The Series retains its
+// samples (the timed series already holds them all, so the window stays
+// poolable at no extra asymptotic cost).
+func (t *TimedSeries) Window(warmup uint64, auto bool) (uint64, int, Series) {
+	start := sort.Search(len(t.samples), func(i int) bool {
+		return t.samples[i].Cycle >= warmup
 	})
-}
-
-// SteadyStateIndex applies MSER with the given batch size to the
-// observation values and returns the truncation index.
-func (t *TimedSeries) SteadyStateIndex(batch int) int {
-	vals := make([]float64, len(t.samples))
-	for i, s := range t.samples {
-		vals[i] = s.Value
+	if auto && len(t.samples) > 0 {
+		vals := make([]float64, len(t.samples))
+		for i, s := range t.samples {
+			vals[i] = s.Value
+		}
+		start = mser(vals, mserBatch)
+		warmup = t.samples[start].Cycle
 	}
-	return MSER(vals, batch)
-}
-
-// SeriesFrom summarizes the observations from index i on as a Series.
-// The result retains its samples (the timed series already holds them
-// all, so the projection keeps the distribution poolable at no extra
-// asymptotic cost).
-func (t *TimedSeries) SeriesFrom(i int) Series {
 	var s Series
 	s.Retain()
-	for _, smp := range t.samples[i:] {
+	for _, smp := range t.samples[start:] {
 		s.Add(smp.Value)
 	}
-	return s
+	return warmup, start, s
 }

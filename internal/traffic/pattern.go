@@ -67,13 +67,8 @@ func applyLatWarmup(cfg RunConfig, rec *stats.TimedSeries, lat *stats.Series) ui
 	if rec == nil {
 		return 0
 	}
-	w := uint64(cfg.WarmupCycles)
-	start := rec.TruncateCycle(w)
-	if cfg.WarmupAuto && rec.Len() > 0 {
-		start = rec.SteadyStateIndex(stats.MSERBatch)
-		w = rec.CycleAt(start)
-	}
-	*lat = rec.SeriesFrom(start)
+	w, _, window := rec.Window(uint64(cfg.WarmupCycles), cfg.WarmupAuto)
+	*lat = window
 	return w
 }
 
@@ -316,7 +311,7 @@ func RunPacketPattern(flows []pattern.PortFlow, inj pattern.Injection, flipProb 
 		}
 		gen := bitvec.NewFlipGen(patternWordBits, flipProb, flowSeed(cfg.Seed, i)^0xDA7A)
 		out := f.Out
-		src := pattern.NewSource(flowInjection(inj, pktRate), flowSeed(cfg.Seed, i), perFlowPacketCap(cfg.WordsPerStream), nil)
+		src := pattern.NewSource(flowInjection(inj, pktRate), flowSeed(cfg.Seed, i), perFlowPacketCap(cfg.WordsPerStream))
 		src.Tracer = cfg.Obs.Tracer
 		src.Track = fmt.Sprintf("flow%d.src", i)
 		srcRef := src
@@ -437,7 +432,7 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 		fs.tracer, fs.track = cfg.Obs.Tracer, fmt.Sprintf("flow%d.tdm", i)
 
 		gen := bitvec.NewFlipGen(patternWordBits, flipProb, flowSeed(cfg.Seed, i)^0xDA7A)
-		src := pattern.NewSource(flowInjection(inj, rate), flowSeed(cfg.Seed, i), cfg.WordsPerStream, nil)
+		src := pattern.NewSource(flowInjection(inj, rate), flowSeed(cfg.Seed, i), cfg.WordsPerStream)
 		src.Tracer = cfg.Obs.Tracer
 		src.Track = fmt.Sprintf("flow%d.src", i)
 		srcRef := src

@@ -27,8 +27,8 @@ type RunConfig struct {
 	// packet-switched router, which has no gating.
 	Gated bool
 	// Params overrides the circuit-switched router geometry (nil: the
-	// paper's defaults). Used by the public noc façade's WithLanes /
-	// WithLaneWidth options.
+	// paper's defaults). Used by the public noc façade's WithLanes
+	// option.
 	Params *core.Params
 	// PSParams overrides the packet-switched router configuration (nil:
 	// the paper's defaults). Used by WithVirtualChannels / WithBufferDepth.
@@ -97,11 +97,8 @@ func (c RunConfig) Validate() error {
 			return err
 		}
 	}
-	if c.WarmupCycles < 0 || c.WarmupCycles >= c.Cycles {
-		return fmt.Errorf("traffic: warm-up %d out of [0, cycles=%d)", c.WarmupCycles, c.Cycles)
-	}
-	if c.WarmupCycles > 0 && c.WarmupAuto {
-		return fmt.Errorf("traffic: explicit warm-up and auto-detection are mutually exclusive")
+	if err := stats.CheckWarmup(c.WarmupCycles, c.Cycles, c.WarmupAuto); err != nil {
+		return fmt.Errorf("traffic: %w", err)
 	}
 	return nil
 }

@@ -337,7 +337,7 @@ func BenchmarkHotspot64x64ShortActiveKernel(b *testing.B) {
 // per-cycle cost of the generator layer itself, per simulated cycle.
 func benchPatternSource(b *testing.B, k sim.Kernel, inj pattern.Injection) {
 	w := sim.NewWorld(sim.WithKernel(k))
-	src := pattern.NewSource(inj, 1, 0, nil)
+	src := pattern.NewSource(inj, 1, 0)
 	src.Emit = func() bool { return true }
 	w.Add(src)
 	b.ResetTimer()

@@ -31,7 +31,7 @@ import (
 
 // cacheKeySchema versions the key material; bump it when the material
 // layout or the meaning of any field changes.
-const cacheKeySchema = 1
+const cacheKeySchema = 2
 
 // fingerprintOverride replaces the build-info fingerprint when
 // non-empty. Tests use it to pin golden keys and to model a code-version
@@ -70,7 +70,6 @@ func codeFingerprint() string {
 // caching instead of participating in the key.
 type fabricKeyMaterial struct {
 	Lanes        int    `json:"lanes"`
-	LaneWidth    int    `json:"lane_width"`
 	VCs          int    `json:"vcs"`
 	BufferDepth  int    `json:"buffer_depth"`
 	Slots        int    `json:"slots"`
@@ -97,7 +96,7 @@ func fabricKeyOf(f fabric) fabricKeyMaterial {
 	m := fabricKeyMaterial{Corner: corner}
 	switch f.Kind() {
 	case KindCircuit:
-		m.Lanes, m.LaneWidth, m.Gated = f.Lanes, f.LaneWidth, f.Gated
+		m.Lanes, m.Gated = f.Lanes, f.Gated
 		m.LatencyWords, m.TraceCycles = f.latencySamples(), f.traceCycles
 	case KindPacket:
 		m.VCs, m.BufferDepth = f.VCs, f.BufferDepth

@@ -50,10 +50,10 @@ func TestCacheKeyGolden(t *testing.T) {
 		{"circuit-pattern", cellKey(*newFabric(KindCircuit, nil), pat).String()},
 	}
 	want := map[string]string{
-		"circuit-I":       "24cc213b20a4de6eacf8fa27ff8907b8102fea93beaac274fec29ebef74c2d09",
-		"packet-I":        "4f9892cf8ee7402e6249d39ba0698e61c9e1baec288b3494c5b94fae95c970d8",
-		"tdm-I":           "b565766d9a3b5922120971b557277a929e5f3e9f50feaf0c7db34a16e91895bb",
-		"circuit-pattern": "480af403790f62662cfcd15be98c9d010b7c168d0401cc97630d0573562b006d",
+		"circuit-I":       "eb242492c80d5eb5124bcce3df94baf5e686a14495d2d0b6975de25fa55c0c8b",
+		"packet-I":        "ca428bb7f82200b5e3792003dcd49318f62921b10c0826ffbc6ae0cc6086c442",
+		"tdm-I":           "84a90757078d463d885b703252c7e412a95880af9f648a6f49cedc8f12c61cbf",
+		"circuit-pattern": "c327faf58ab5143a6d18d73907cf448935f149f4275f10e98cbdead307cb3f52",
 	}
 	for _, g := range golden {
 		if g.key != want[g.name] {
@@ -107,7 +107,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 		opts []Option
 	}{
 		{"lanes", KindCircuit, []Option{WithLanes(2)}},
-		{"lane-width", KindCircuit, []Option{WithLaneWidth(4)}},
 		{"gating", KindCircuit, []Option{WithClockGating(true)}},
 		{"corner", KindCircuit, []Option{WithLibraryCorner("hvt")}},
 		{"latency-words", KindCircuit, []Option{WithLatencyWords(10)}},
@@ -150,7 +149,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 // from the cache with the first run's bytes.
 func TestCacheKeyIgnoresOtherKindsKnobs(t *testing.T) {
 	withTestFingerprint(t, "test-fingerprint-kinds")
-	circuitOpts := []Option{WithLanes(3), WithLaneWidth(8), WithClockGating(true), WithNodeTrace(10)}
+	circuitOpts := []Option{WithLanes(3), WithClockGating(true), WithNodeTrace(10)}
 	packetOpts := []Option{WithVirtualChannels(3), WithBufferDepth(2)}
 	tdmOpts := []Option{WithSlots(8), WithBEDepth(4)}
 	cat := func(opts ...[]Option) []Option {

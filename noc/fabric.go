@@ -91,17 +91,8 @@ func (f fabric) Validate() error {
 	}
 	switch f.Kind() {
 	case KindCircuit:
-		p := f.coreParams()
-		if err := p.Validate(); err != nil {
+		if err := f.coreParams().Validate(); err != nil {
 			return fmt.Errorf("noc: %w", err)
-		}
-		// The cycle-accurate data converters model the paper's Fig. 6
-		// wire format exactly; other lane widths exist only in the
-		// structural area sweeps (the `lanes` experiment).
-		if p.LaneWidth != 4 {
-			return fmt.Errorf("noc: lane width %d unsupported for simulation: "+
-				"the Fig. 6 wire format serializes 16-bit words over 4-bit lanes "+
-				"(see the lanes experiment for the structural sweep)", p.LaneWidth)
 		}
 	case KindPacket:
 		if err := f.psParams().Validate(); err != nil {
@@ -273,9 +264,6 @@ func (f fabric) coreParams() core.Params {
 	p := core.DefaultParams()
 	if f.Lanes != 0 {
 		p.LanesPerPort = f.Lanes
-	}
-	if f.LaneWidth != 0 {
-		p.LaneWidth = f.LaneWidth
 	}
 	return p
 }

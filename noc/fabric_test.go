@@ -26,7 +26,7 @@ func TestTDMSlotTableFull(t *testing.T) {
 // options meant for the other two kinds: its Result JSON on scenario IV
 // and on the hotspot pattern is byte-identical with and without them.
 func TestOtherKindsOptionsIgnored(t *testing.T) {
-	circuitOpts := []Option{WithLanes(3), WithLaneWidth(8), WithClockGating(true)}
+	circuitOpts := []Option{WithLanes(3), WithClockGating(true)}
 	packetOpts := []Option{WithVirtualChannels(3), WithBufferDepth(2)}
 	tdmOpts := []Option{WithSlots(8), WithBEDepth(4)}
 	cat := func(a, b []Option) []Option { return append(append([]Option{}, a...), b...) }

@@ -1,7 +1,10 @@
 package noc
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/cellcache"
@@ -104,6 +107,74 @@ func FuzzCacheEquivalence(f *testing.F) {
 		if hits := afterHit.Hits - afterMiss.Hits; hits != reps || afterHit.Misses != afterMiss.Misses {
 			t.Fatalf("%+v: hit run counters %+v after %+v, want %d hits and no misses",
 				sc, afterHit, afterMiss, reps)
+		}
+	})
+}
+
+// FuzzParseSweepSpec checks the sweep-spec parser on arbitrary bytes: it
+// never panics, every error it returns starts with "noc:", and a spec it
+// accepts re-marshals to a spec that parses to identical Cells (compared
+// as JSON). The
+// seeds are the CI sweep specs plus specs using the removed lane_width
+// knob and kernel names, which must fail.
+func FuzzParseSweepSpec(f *testing.F) {
+	knobs := `"fabrics":[{"kind":"circuit","lanes":3,"gated":true},{"kind":"packet","vcs":3,"buffer_depth":2},{"kind":"aethereal","slots":8,"be_depth":4}]`
+	for _, spec := range []string{
+		`{"grid":{"scenarios":["III","IV"],"loads":[0.5,1],"cycles":[500]},"seed":1}`,
+		`{"grid":{"patterns":["uniform","hotspot"],"mesh_sizes":[4],"injection_rates":[0.03,0.06],"cycles":[800]},"seed":5}`,
+		`{"fabrics":[{"kind":"circuit"}],"scenarios":[{"name":"finite","streams":[{"id":1,"in":"tile","out":"east"},{"id":2,"in":"north","out":"tile"}],"cycles":20000,"words_per_stream":100}],"seed":7}`,
+		`{"grid":{"patterns":["hotspot","uniform"],"mesh_sizes":[4],"injection_rates":[0.05],"cycles":[1000]},"seed":11}`,
+		`{"grid":{"patterns":["hotspot"],"mesh_sizes":[4],"burstiness":[8],"cycles":[1000]},"seed":11}`,
+		`{` + knobs + `,"grid":{"scenarios":["III","IV"],"cycles":[500]},"seed":1}`,
+		`{` + knobs + `,"grid":{"patterns":["uniform","hotspot"],"mesh_sizes":[4],"cycles":[1000]},"seed":3}`,
+		`{"fabrics":[{"kind":"circuit","lane_width":4}]}`,
+		`{"kernel":"gated"}`,
+		`{"fabrics":[{"kind":"circuit","kernel":"event"}]}`,
+	} {
+		f.Add([]byte(spec))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		// An accepted spec is expanded four times below; skip grids of
+		// more than a few thousand cells within the bound, so the
+		// target's memory stays small. Larger grids differ only in axis
+		// lengths.
+		var probe SweepSpec
+		if json.NewDecoder(bytes.NewReader(b)).Decode(&probe) == nil && probe.Grid != nil {
+			g := probe.Grid
+			bases := max(len(g.Scenarios)+len(g.Workloads)+len(g.Patterns), len(PaperScenarios()))
+			cells := g.size() * float64(bases*max(len(probe.Fabrics), len(defaultFabrics())))
+			if cells > 1<<12 && cells <= maxSweepJobs {
+				t.Skip("accepted spec too large to expand repeatedly")
+			}
+		}
+		spec, err := ParseSweepSpec(b)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "noc:") {
+				t.Fatalf("error %q does not start with noc:", err)
+			}
+			return
+		}
+		cells, err := spec.Cells()
+		if err != nil {
+			t.Fatalf("accepted spec fails Cells: %v", err)
+		}
+		out, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		again, err := ParseSweepSpec(out)
+		if err != nil {
+			t.Fatalf("re-marshalled spec %s rejected: %v", out, err)
+		}
+		// Cells compare as JSON: an empty list re-marshals as an absent
+		// field and decodes as nil, the same cell.
+		cells2, err := again.Cells()
+		if err != nil {
+			t.Fatalf("re-marshalled spec %s: %v", out, err)
+		}
+		want, _ := json.Marshal(cells)
+		if got, _ := json.Marshal(cells2); !bytes.Equal(got, want) {
+			t.Fatalf("re-marshalled spec %s: cells\n%s\nwant\n%s", out, got, want)
 		}
 	})
 }

@@ -17,7 +17,9 @@ import (
 // fabric with clock gating), an 8×8 uniform circuit mesh, an 8×8 hotspot
 // pattern on every fabric, one non-default lane, VC/buffer-depth and
 // slot count per fabric (8 TDM slots on scenario IV, 4 on the uniform
-// pattern, where the table admits 13 of its 16 flows), and two
+// pattern, where the table admits 13 of its 16 flows), the uniform
+// pattern with an explicit and an MSER-detected warm-up on every fabric
+// (plus one replicated run, which pins latency_pooled), and two
 // CCN-mapped workload runs at 100 MHz — UMTS on 4×3, and HiperLAN/2 plus
 // UMTS sharing a 6×4 mesh with ganged 2-lane paths — each of which must
 // meet every channel's requirement. The
@@ -48,6 +50,11 @@ func TestResultGoldens(t *testing.T) {
 		return sc
 	}
 	uniform, hotspot := uniformCBR(), hotspotCBR()
+	warm := func(cycles int, auto bool, reps int) Scenario {
+		sc := uniformCBR()
+		sc.WarmupCycles, sc.WarmupAuto, sc.Replications = cycles, auto, reps
+		return sc
+	}
 	workload := func(name string, w, h int, apps ...string) Scenario {
 		return Scenario{Name: name, Workloads: apps, MeshWidth: w, MeshHeight: h,
 			FreqMHz: 100, Cycles: 2000}
@@ -101,6 +108,20 @@ func TestResultGoldens(t *testing.T) {
 			"d3be9364331659d6319121eb9dab0bc3218dcae42b83480bea07d9c1e39ef7e0"},
 		{"circuit-lanes3/IV", CircuitSwitched(WithLanes(3)), paper("IV"),
 			"151d07fafdebcab1a7d3b9590ab167ec56b16f0ff2b48ffb13aac127dc46c171"},
+		{"circuit/uniform-cbr-warmup200", CircuitSwitched(), warm(200, false, 0),
+			"108df3dda0d50ff46b6650d92a463c3bdf83986bb48308b6101b775fff75543c"},
+		{"circuit/uniform-cbr-warmup-auto", CircuitSwitched(), warm(0, true, 0),
+			"45ea5253b973028316805b7467489ac8178528faaed258661792d53f917137f6"},
+		{"packet/uniform-cbr-warmup200", PacketSwitched(), warm(200, false, 0),
+			"2059a0fcb48616db46f86845a184032e271abc7e9229136f61323179f0edec75"},
+		{"packet/uniform-cbr-warmup-auto", PacketSwitched(), warm(0, true, 0),
+			"2bc5afcd2d05727ddff04200f54045f0bf7ec46cdcfde20363fab8474f416356"},
+		{"aethereal/uniform-cbr-warmup200", AetherealTDM(), warm(200, false, 0),
+			"9dfd2d6d3956a743bfb0ca8095cbe33ff9314eb0ee5025382cdbfab4b4f7d8b5"},
+		{"aethereal/uniform-cbr-warmup-auto", AetherealTDM(), warm(0, true, 0),
+			"cd344437c84ccc7d6a090925dc9f446489a6d8b91a1c721714d3012ae3cd98f8"},
+		{"circuit/uniform-cbr-warmup-auto-reps2", CircuitSwitched(), warm(0, true, 2),
+			"ca8cc25adcddeeaf8fa69ddd044774ab3e3b9debd91a046a5a8f1a87c30a12d2"},
 		{"circuit/umts-4x3", CircuitSwitched(), workload("umts-4x3", 4, 3, "umts"),
 			"8ec42deda0b23e09d971001931045b5168b9fc4482273e7bab04fdc664b69754"},
 		{"circuit/hiperlan2,umts-6x4", CircuitSwitched(),

@@ -3,6 +3,7 @@ package noc
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -122,12 +123,12 @@ func TestKernelEquivalenceWaveform(t *testing.T) {
 }
 
 // TestParseKernel covers the kernel name resolution used by nocbench and
-// the sweep spec: the empty string and the deprecated spellings "gated"
-// and "event" select the production-kernel default, every name
-// round-trips, and unknown names are rejected with an error that lists
-// the valid kernels.
+// the sweep spec: the empty string selects the production-kernel
+// default, every name round-trips, and unknown names — the retired
+// kernel names "gated" and "event" among them — are rejected with an
+// error that lists the valid kernels.
 func TestParseKernel(t *testing.T) {
-	for _, s := range []string{"", "active", "gated", "event"} {
+	for _, s := range []string{"", "active"} {
 		k, err := ParseKernel(s)
 		if err != nil || k != KernelActive {
 			t.Fatalf("ParseKernel(%q) = %v, %v (active is the default)", s, k, err)
@@ -135,6 +136,11 @@ func TestParseKernel(t *testing.T) {
 	}
 	if k, err := ParseKernel("naive"); err != nil || k != KernelNaive {
 		t.Fatalf("ParseKernel(naive) = %v, %v", k, err)
+	}
+	for _, s := range []string{"gated", "event"} {
+		if k, err := ParseKernel(s); err == nil {
+			t.Errorf("ParseKernel(%q) = %v, want an error", s, k)
+		}
 	}
 	_, err := ParseKernel("warp")
 	if err == nil {
@@ -162,8 +168,11 @@ func TestSweepSpecRejectsUnknownKernel(t *testing.T) {
 	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "warp") {
 		t.Fatalf("fabric-level kernel: Validate() = %v", err)
 	}
-	if _, err := ParseSweepSpec([]byte(`{"kernel":"warp"}`)); err == nil {
-		t.Fatal("ParseSweepSpec accepted an unknown kernel")
+	for _, k := range []string{"warp", "gated", "event"} {
+		spec := fmt.Sprintf(`{"kernel":%q}`, k)
+		if _, err := ParseSweepSpec([]byte(spec)); err == nil || !strings.Contains(err.Error(), k) {
+			t.Errorf("ParseSweepSpec(%s) = %v, want an error naming the kernel", spec, err)
+		}
 	}
 }
 

@@ -80,8 +80,8 @@ type Fabric interface {
 
 // CircuitSwitched returns the paper's proposed fabric: the lane-division
 // circuit-switched router (4 lanes × 4 bit per port by default).
-// Relevant options: WithLanes, WithLaneWidth, WithClockGating,
-// WithLibraryCorner, WithLatencyWords, WithNodeTrace.
+// Relevant options: WithLanes, WithClockGating, WithLibraryCorner,
+// WithLatencyWords, WithNodeTrace.
 func CircuitSwitched(opts ...Option) Fabric {
 	return newFabric(KindCircuit, opts)
 }

@@ -16,8 +16,6 @@ func TestOptionValidationErrors(t *testing.T) {
 		frag   string
 	}{
 		{"negative lanes", CircuitSwitched(WithLanes(-2)), "lane"},
-		{"zero lane width", CircuitSwitched(WithLaneWidth(-1)), "lane"},
-		{"non-Fig6 lane width", CircuitSwitched(WithLaneWidth(8)), "Fig. 6"},
 		{"zero VCs", PacketSwitched(WithVirtualChannels(-1)), "VC"},
 		{"negative buffer depth", PacketSwitched(WithBufferDepth(-4)), "depth"},
 		{"negative slots", AetherealTDM(WithSlots(-1)), "slot"},
@@ -318,6 +316,46 @@ func TestMeshSizeBounded(t *testing.T) {
 		if err := checkMesh(bad.w, bad.h); err == nil {
 			t.Errorf("%dx%d accepted", bad.w, bad.h)
 		}
+	}
+}
+
+// TestSweepJobsBounded: a sweep asking for more than maxSweepJobs jobs
+// (cells × replications) is rejected, naming the count, before its grid
+// is expanded or a cell allocated, and so is a scenario asking for more
+// replications; a sweep at the bound is accepted.
+func TestSweepJobsBounded(t *testing.T) {
+	axis := func(scale float64) string {
+		vals := make([]string, 50)
+		for i := range vals {
+			vals[i] = fmt.Sprint(float64(i+1) * scale)
+		}
+		return "[" + strings.Join(vals, ",") + "]"
+	}
+	// 3 fabrics × 4 paper scenarios × 50^4 grid points.
+	huge := fmt.Sprintf(`{"grid":{"freqs_mhz":%s,"loads":%s,"flip_probs":%s,"cycles":%s}}`,
+		axis(1), axis(0.02), axis(0.02), axis(100))
+	if len(huge) >= 1024 {
+		t.Fatalf("spec is %d bytes, want under 1 KB", len(huge))
+	}
+	for _, c := range []struct{ spec, count string }{
+		{huge, "75000000 jobs"},
+		{`{"fabrics":[{"kind":"circuit"}],"grid":{"scenarios":["I"]},"replications":1048577}`, "1048577 jobs"},
+		{`{"scenarios":[{"name":"x","replications":1048577}]}`, "3145731 jobs"},
+	} {
+		checkRejectsCheaply(t, "sweep", c.count, func() error {
+			_, err := ParseSweepSpec([]byte(c.spec))
+			return err
+		})
+	}
+	sc := Scenario{Name: "many", Replications: maxSweepJobs + 1}.withDefaults()
+	checkRejectsCheaply(t, "scenario", "1048577 replications", sc.Validate)
+	checkRejectsCheaply(t, "run", "1048577 replications", func() error {
+		_, err := CircuitSwitched().Run(sc)
+		return err
+	})
+	atBound := `{"fabrics":[{"kind":"circuit"}],"grid":{"scenarios":["I"]},"replications":1048576}`
+	if _, err := ParseSweepSpec([]byte(atBound)); err != nil {
+		t.Errorf("a sweep of exactly %d jobs rejected: %v", maxSweepJobs, err)
 	}
 }
 

@@ -26,14 +26,12 @@ const (
 )
 
 // ParseKernel resolves a kernel name; the empty string means the default,
-// KernelActive. "gated" and "event", the names of two kernels since
-// folded into the production kernel, are accepted as deprecated
-// spellings of the default. Unknown names are rejected with the valid
-// kernels listed — a typoed kernel fails loudly instead of silently
-// running the default.
+// KernelActive. Unknown names are rejected with the valid kernels listed
+// — a typoed kernel fails loudly instead of silently running the
+// default.
 func ParseKernel(s string) (Kernel, error) {
 	switch Kernel(s) {
-	case "", KernelActive, "gated", "event":
+	case "", KernelActive:
 		return KernelActive, nil
 	case KernelNaive:
 		return KernelNaive, nil
@@ -54,13 +52,6 @@ type Option func(*fabric)
 // (paper: 4). Streams occupy lane ID-1, so a scenario's highest stream
 // ID must not exceed the lane count.
 func WithLanes(n int) Option { return func(f *fabric) { f.Lanes = n } }
-
-// WithLaneWidth sets the circuit-switched lane width in bits. Only the
-// paper's 4-bit lanes can be simulated — the cycle-accurate data
-// converters model the Fig. 6 wire format exactly, so Validate rejects
-// any other value; alternative widths exist in the structural `lanes`
-// experiment (area/frequency only).
-func WithLaneWidth(bits int) Option { return func(f *fabric) { f.LaneWidth = bits } }
 
 // WithVirtualChannels sets the packet-switched router's VC count per
 // input port (paper: 4).

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pattern"
+	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -296,17 +297,14 @@ func (s Scenario) Validate() error {
 	if s.Replications < 0 {
 		return fmt.Errorf("noc: scenario %q: negative replication count %d", s.Name, s.Replications)
 	}
-	if s.WarmupCycles != 0 || s.WarmupAuto {
-		if !s.IsPattern() {
-			return fmt.Errorf("noc: scenario %q: warm-up truncation applies to pattern scenarios only", s.Name)
-		}
-		if s.WarmupCycles < 0 || s.WarmupCycles >= s.Cycles {
-			return fmt.Errorf("noc: scenario %q: warm-up %d out of [0, cycles=%d)",
-				s.Name, s.WarmupCycles, s.Cycles)
-		}
-		if s.WarmupCycles > 0 && s.WarmupAuto {
-			return fmt.Errorf("noc: scenario %q: explicit warm-up and auto-detection are mutually exclusive", s.Name)
-		}
+	if s.Replications > maxSweepJobs {
+		return fmt.Errorf("noc: scenario %q: %d replications exceed the bound of %d", s.Name, s.Replications, maxSweepJobs)
+	}
+	if (s.WarmupCycles != 0 || s.WarmupAuto) && !s.IsPattern() {
+		return fmt.Errorf("noc: scenario %q: warm-up truncation applies to pattern scenarios only", s.Name)
+	}
+	if err := stats.CheckWarmup(s.WarmupCycles, s.Cycles, s.WarmupAuto); err != nil {
+		return fmt.Errorf("noc: scenario %q: %w", s.Name, err)
 	}
 	if s.IsPattern() {
 		if len(s.Streams) > 0 || s.IsWorkload() {

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/csv"
 	"encoding/json"
@@ -23,10 +24,9 @@ type FabricSpec struct {
 	// Kind selects the implementation: "circuit", "packet" or
 	// "aethereal".
 	Kind Kind `json:"kind"`
-	// Lanes and LaneWidth configure the circuit-switched router
-	// (WithLanes / WithLaneWidth).
-	Lanes     int `json:"lanes,omitempty"`
-	LaneWidth int `json:"lane_width,omitempty"`
+	// Lanes configures the circuit-switched router's lanes per port
+	// (WithLanes); lanes are always the paper's 4 bits wide.
+	Lanes int `json:"lanes,omitempty"`
 	// VCs and BufferDepth configure the packet-switched router
 	// (WithVirtualChannels / WithBufferDepth).
 	VCs         int `json:"vcs,omitempty"`
@@ -45,8 +45,7 @@ type FabricSpec struct {
 	// latency in-run and ignores it.
 	LatencyWords *int `json:"latency_words,omitempty"`
 	// Kernel selects the simulation kernel: "active" (the default) or
-	// "naive" (WithKernel); "gated" and "event" are deprecated spellings
-	// of "active". Results are byte-identical under both; the CI
+	// "naive" (WithKernel). Results are byte-identical under both; the CI
 	// equivalence check runs the same sweep under each and compares.
 	// Unknown names are rejected at spec validation.
 	Kernel string `json:"kernel,omitempty"`
@@ -178,14 +177,22 @@ func (g Grid) bases() ([]Scenario, error) {
 	return out, nil
 }
 
-// expand materializes the grid into concrete scenarios in a fixed
-// order: scenario-major, then mesh size, frequency, load, flip
-// probability and cycle count.
-func (g Grid) expand() ([]Scenario, error) {
-	bases, err := g.bases()
-	if err != nil {
-		return nil, err
+// size is how many scenarios expand makes of each base scenario: the
+// product of the populated axes' lengths, as a float64 (see
+// SweepSpec.scenarios).
+func (g Grid) size() float64 {
+	n := 1.0
+	for _, l := range []int{len(g.MeshSizes), len(g.InjectionRates), len(g.Burstiness),
+		len(g.FreqsMHz), len(g.Loads), len(g.FlipProbs), len(g.Cycles)} {
+		n *= float64(max(l, 1))
 	}
+	return n
+}
+
+// expand materializes the grid over its base scenarios into concrete
+// scenarios in a fixed order: scenario-major, then mesh size,
+// frequency, load, flip probability and cycle count.
+func (g Grid) expand(bases []Scenario) ([]Scenario, error) {
 	// An explicit zero would name its cells "mesh=0" or "cycles=0" while
 	// the scenario default silently ran instead.
 	for _, ax := range []struct {
@@ -201,7 +208,7 @@ func (g Grid) expand() ([]Scenario, error) {
 	var out []Scenario
 	for _, base := range bases {
 		scs := []Scenario{base}
-		scs = expandIntAxis(scs, g.MeshSizes, "mesh", func(sc *Scenario, v int) {
+		scs = expandAxis(scs, g.MeshSizes, "mesh", func(sc *Scenario, v int) {
 			sc.MeshWidth, sc.MeshHeight = v, v
 		})
 		scs = expandAxis(scs, g.InjectionRates, "inj", func(sc *Scenario, v float64) {
@@ -230,7 +237,7 @@ func (g Grid) expand() ([]Scenario, error) {
 		scs = expandAxis(scs, g.FlipProbs, "flip", func(sc *Scenario, v float64) {
 			sc.Data.FlipProb = v
 		})
-		scs = expandIntAxis(scs, g.Cycles, "cycles", func(sc *Scenario, v int) {
+		scs = expandAxis(scs, g.Cycles, "cycles", func(sc *Scenario, v int) {
 			sc.Cycles = v
 		})
 		out = append(out, scs...)
@@ -239,9 +246,11 @@ func (g Grid) expand() ([]Scenario, error) {
 }
 
 // expandAxis multiplies the scenario list by one populated axis,
-// suffixing each scenario name with the axis label and value.
-func expandAxis(scs []Scenario, values []float64, label string,
-	set func(*Scenario, float64)) []Scenario {
+// suffixing each scenario name with the axis label and value. %v
+// prints a float64 in its shortest form and keeps integer labels like
+// "cycles=1000000" out of exponent notation.
+func expandAxis[T int | float64](scs []Scenario, values []T, label string,
+	set func(*Scenario, T)) []Scenario {
 	if len(values) == 0 {
 		return scs
 	}
@@ -250,27 +259,7 @@ func expandAxis(scs []Scenario, values []float64, label string,
 		for _, v := range values {
 			next := sc
 			set(&next, v)
-			next.Name = fmt.Sprintf("%s/%s=%s", sc.Name, label,
-				strconv.FormatFloat(v, 'g', -1, 64))
-			out = append(out, next)
-		}
-	}
-	return out
-}
-
-// expandIntAxis is expandAxis for integer-valued axes, keeping labels
-// like "cycles=1000000" out of float exponent notation.
-func expandIntAxis(scs []Scenario, values []int, label string,
-	set func(*Scenario, int)) []Scenario {
-	if len(values) == 0 {
-		return scs
-	}
-	out := make([]Scenario, 0, len(scs)*len(values))
-	for _, sc := range scs {
-		for _, v := range values {
-			next := sc
-			set(&next, v)
-			next.Name = fmt.Sprintf("%s/%s=%d", sc.Name, label, v)
+			next.Name = fmt.Sprintf("%s/%s=%v", sc.Name, label, v)
 			out = append(out, next)
 		}
 	}
@@ -308,8 +297,7 @@ type SweepSpec struct {
 	// behaviour.
 	Replications int `json:"replications,omitempty"`
 	// Kernel is the default simulation kernel for every fabric that does
-	// not choose its own: "active" (the default) or "naive"; "gated" and
-	// "event" are deprecated spellings of "active". The `nocbench
+	// not choose its own: "active" (the default) or "naive". The `nocbench
 	// -kernel` flag sets it from the command line; unknown names are
 	// rejected at spec validation with the valid kernels listed.
 	Kernel string `json:"kernel,omitempty"`
@@ -441,6 +429,9 @@ type SweepCell struct {
 	Error string `json:"error,omitempty"`
 }
 
+// maxSweepJobs bounds a sweep's cells × replications and a scenario's replications.
+const maxSweepJobs = 1 << 20
+
 // defaultFabrics covers all three fabrics at the paper's defaults.
 func defaultFabrics() []FabricSpec {
 	return []FabricSpec{{Kind: KindCircuit}, {Kind: KindPacket}, {Kind: KindTDM}}
@@ -453,16 +444,33 @@ func (s SweepSpec) Validate() error {
 	return err
 }
 
-// scenarios resolves the spec's scenario list.
-func (s SweepSpec) scenarios() ([]Scenario, error) {
-	switch {
-	case len(s.Scenarios) > 0:
-		return s.Scenarios, nil
-	case s.Grid != nil:
-		return s.Grid.expand()
-	default:
-		return PaperScenarios(), nil
+// scenarios resolves the spec's scenario list for the given number of
+// fabrics. It bounds the sweep's jobs (cells × replications) at
+// maxSweepJobs from the list and axis lengths before the grid is
+// expanded, counting in float64, which cannot wrap around as an int
+// product can.
+func (s SweepSpec) scenarios(fabrics int) ([]Scenario, error) {
+	scs, perScenario := s.Scenarios, float64(fabrics)
+	if s.Grid != nil {
+		bases, err := s.Grid.bases()
+		if err != nil {
+			return nil, err
+		}
+		scs, perScenario = bases, perScenario*s.Grid.size()
+	} else if len(scs) == 0 {
+		scs = PaperScenarios()
 	}
+	jobs := 0.0
+	for _, sc := range scs {
+		jobs += perScenario * float64(max(cmp.Or(sc.Replications, s.Replications), 1))
+	}
+	if jobs > maxSweepJobs {
+		return nil, fmt.Errorf("noc: sweep: %.0f jobs (cells × replications) exceed the bound of %d", jobs, maxSweepJobs)
+	}
+	if s.Grid != nil {
+		return s.Grid.expand(scs)
+	}
+	return scs, nil
 }
 
 // Cells validates the spec and enumerates the sweep's cells —
@@ -491,7 +499,7 @@ func (s SweepSpec) Cells() ([]SweepCell, error) {
 			return nil, fmt.Errorf("noc: sweep: fabric %d: %w", i, err)
 		}
 	}
-	scs, err := s.scenarios()
+	scs, err := s.scenarios(len(fabrics))
 	if err != nil {
 		return nil, err
 	}

@@ -182,7 +182,7 @@ func TestSweepSpecValidation(t *testing.T) {
 		{"unknown fabric kind", SweepSpec{
 			Fabrics: []FabricSpec{{Kind: "quantum"}}}, "unknown fabric kind"},
 		{"bad fabric config", SweepSpec{
-			Fabrics: []FabricSpec{{Kind: KindCircuit, LaneWidth: 7}}}, "lane width"},
+			Fabrics: []FabricSpec{{Kind: KindCircuit, Lanes: -1}}}, "lane per port"},
 		{"bad latency words", SweepSpec{
 			Fabrics: []FabricSpec{{Kind: KindPacket, LatencyWords: &lw}}}, "latency word"},
 		{"scenarios and grid", SweepSpec{
@@ -299,13 +299,14 @@ func TestParseSweepSpec(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 	// Removed knobs fail as unknown fields rather than being ignored.
-	if _, err := ParseSweepSpec([]byte(`{"sim_workers": 8}`)); err == nil ||
-		!strings.Contains(err.Error(), "sim_workers") {
-		t.Fatalf("sim_workers: err = %v, want an unknown-field error naming it", err)
-	}
-	if _, err := ParseSweepSpec([]byte(`{"fabrics": [{"kind": "circuit", "sim_workers": 8}]}`)); err == nil ||
-		!strings.Contains(err.Error(), "sim_workers") {
-		t.Fatalf("fabric sim_workers: err = %v, want an unknown-field error naming it", err)
+	for _, c := range []struct{ spec, field string }{
+		{`{"sim_workers": 8}`, "sim_workers"},
+		{`{"fabrics": [{"kind": "circuit", "sim_workers": 8}]}`, "sim_workers"},
+		{`{"fabrics": [{"kind": "circuit", "lane_width": 4}]}`, "lane_width"},
+	} {
+		if _, err := ParseSweepSpec([]byte(c.spec)); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: err = %v, want an unknown-field error naming %s", c.spec, err, c.field)
+		}
 	}
 	// Explicit zeros on the integer axes are rejected, naming the axis,
 	// instead of labelling cells "mesh=0" or "cycles=0" while the
