@@ -141,7 +141,9 @@ type cliFlags struct {
 // A flag counts as given when it appears on the command line (flag.Visit),
 // whatever its value, and a default applies only to a flag the caller did
 // not give: an explicit `-mesh 0` or `-cycles 0` is an error, never a
-// silent run of the 8×8, 5000-cycle defaults. Every error names its flag.
+// silent run of the 8×8, 5000-cycle defaults. Errors from fs.Parse pass
+// through unchanged; every other error starts with the -flag it
+// concerns, or with "unexpected argument".
 func parseFlags(fs *flag.FlagSet, args []string) (*cliFlags, error) {
 	f := &cliFlags{}
 	fs.BoolVar(&f.list, "list", false, "list available experiments")
@@ -177,14 +179,16 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cliFlags, error) {
 	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
 
 	if _, err := noc.ParseKernel(f.kernel); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-kernel: %w", err)
 	}
 	sweepOrPattern := f.sweepFile != "" || f.pattern != ""
 	if set["kernel"] && !sweepOrPattern {
 		return nil, fmt.Errorf("-kernel only applies to -sweep and -pattern runs (experiments always use the default)")
 	}
-	if (set["inject"] || set["mesh"] || set["cycles"]) && f.pattern == "" {
-		return nil, fmt.Errorf("-inject, -mesh and -cycles only apply to -pattern runs")
+	for _, name := range []string{"inject", "mesh", "cycles"} {
+		if set[name] && f.pattern == "" {
+			return nil, fmt.Errorf("-%s only applies to -pattern runs", name)
+		}
 	}
 	if set["mesh"] && f.meshSize <= 0 {
 		return nil, fmt.Errorf("-mesh must be positive, got %d", f.meshSize)

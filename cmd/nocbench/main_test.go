@@ -30,6 +30,7 @@ func TestParseFlags(t *testing.T) {
 		{[]string{"-sweep", "s.json", "-kernel", "naive"}, ""},
 		{[]string{"-sweep", "s.json", "-kernel", "gated"}, "gated"},
 		{[]string{"-sweep", "s.json", "-kernel", "warp"}, "warp"},
+		{[]string{"-kernel", "bogus"}, `-kernel: noc: unknown kernel "bogus"`},
 		{[]string{"-reps", "0"}, "-reps"},
 		{[]string{"-pattern", "uniform", "-reps", "-1"}, "-reps must be non-negative"},
 		{[]string{"-warmup", "auto"}, "-warmup"},
@@ -53,4 +54,56 @@ func TestParseFlags(t *testing.T) {
 			t.Errorf("%q: error %q does not contain %q", c.args, err, c.err)
 		}
 	}
+}
+
+// FuzzParseFlags feeds arbitrary argument lists, NUL-separated as in an
+// argv block, to a fresh flag set with its output discarded. parseFlags
+// must never panic; an error from fs.Parse passes through unchanged, and
+// every other error starts with a -flag given on the command line or
+// with "unexpected argument".
+func FuzzParseFlags(f *testing.F) {
+	for _, args := range []string{
+		"",
+		"-kernel\x00bogus",
+		"-pattern\x00uniform\x00-mesh\x000",
+		"-sweep\x00s.json\x00-kernel\x00naive\x00-reps\x00-1",
+		"-mesh=4",
+		"-run\x00fig9\x00extra",
+		"-nope",
+		"-h",
+	} {
+		f.Add(args)
+	}
+	f.Fuzz(func(t *testing.T, argv string) {
+		var args []string
+		if argv != "" {
+			args = strings.Split(argv, "\x00")
+		}
+		ref := flag.NewFlagSet("nocbench", flag.ContinueOnError)
+		ref.SetOutput(io.Discard)
+		if _, err := parseFlags(ref, nil); err != nil {
+			t.Fatalf("no arguments: %v", err)
+		}
+		parseErr := ref.Parse(args)
+		given := map[string]bool{}
+		ref.Visit(func(fl *flag.Flag) { given[fl.Name] = true })
+
+		fs := flag.NewFlagSet("nocbench", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, err := parseFlags(fs, args)
+		switch {
+		case parseErr != nil:
+			if err == nil || err.Error() != parseErr.Error() {
+				t.Fatalf("%q: error %v, want the flag package's %v", args, err, parseErr)
+			}
+		case err == nil:
+		case strings.HasPrefix(err.Error(), "unexpected argument "):
+		default:
+			name, _, _ := strings.Cut(strings.TrimPrefix(err.Error(), "-"), " ")
+			name = strings.TrimSuffix(name, ":")
+			if !strings.HasPrefix(err.Error(), "-") || !given[name] {
+				t.Fatalf("%q: error %q does not start with a -flag given on the command line", args, err)
+			}
+		}
+	})
 }

@@ -1,8 +1,8 @@
 // Command nocvet is the repo's custom vet tool: a go/analysis checker
-// bundling the five determinism/kernel-contract analyzers (nondeterm,
-// maporder, kernelcontract, evalpure, obspure). It speaks the go vet -vettool
-// protocol via the x/tools unitchecker driver, so it is invoked through
-// the go command, which supplies package facts and type information:
+// bundling the four determinism analyzers (nondeterm, maporder,
+// evalpure, obspure). It speaks the go vet -vettool protocol via the
+// x/tools unitchecker driver, so it is invoked through the go command,
+// which supplies package facts and type information:
 //
 //	go build -o /tmp/nocvet ./cmd/nocvet
 //	go vet -vettool=/tmp/nocvet ./...
@@ -21,7 +21,6 @@ import (
 	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"repro/internal/analysis/evalpure"
-	"repro/internal/analysis/kernelcontract"
 	"repro/internal/analysis/maporder"
 	"repro/internal/analysis/nondeterm"
 	"repro/internal/analysis/obspure"
@@ -31,7 +30,6 @@ func main() {
 	unitchecker.Main(
 		nondeterm.Analyzer,
 		maporder.Analyzer,
-		kernelcontract.Analyzer,
 		evalpure.Analyzer,
 		obspure.Analyzer,
 	)

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/netlist"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/stdcell"
 )
 
@@ -293,7 +294,7 @@ func (r *Router) Quiescent() bool {
 	return true
 }
 
-// IdleWindow implements sim.IdleWindower: on an idle cycle the slot
+// IdleWindow implements sim.Quiescer: on an idle cycle the slot
 // counter moves and the (ungated) clock network is charged. A window of n
 // idle cycles advances the slot counter by n modulo the table length and
 // charges n clock ticks in one O(1) run-length extension, keeping both the
@@ -305,6 +306,8 @@ func (r *Router) IdleWindow(n uint64) {
 		r.meter.TickN(n)
 	}
 }
+
+var _ sim.Quiescer = (*Router)(nil)
 
 // Netlist returns the structural netlist that reproduces the Table 4 row:
 // slot table storage, the GT crossbar, best-effort buffering and the

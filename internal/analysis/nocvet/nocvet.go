@@ -3,19 +3,18 @@
 // contracts apply to, the //nocvet:allow suppression mechanism, and small
 // type-system helpers used by the individual analyzers.
 //
-// The four analyzers (nondeterm, maporder, kernelcontract, evalpure) live
-// in sibling packages and are wired into the cmd/nocvet vet tool. Each
+// The four analyzers (nondeterm, maporder, evalpure, obspure) live in
+// sibling packages and are wired into the cmd/nocvet vet tool. Each
 // guards an invariant the repo's headline claims depend on:
 //
 //   - nondeterm: no wall-clock or global-RNG reads in simulation code, so
 //     every run is byte-identical given the same seed.
 //   - maporder: no order-sensitive output assembled from an unsorted map
 //     iteration, so JSON/CSV encoders emit byte-identical bytes.
-//   - kernelcontract: the sim.Quiescer/IdleWindower/Timed implementation
-//     matrix stays consistent, so idle replay and fast-forward stay
-//     exact.
 //   - evalpure: Eval never writes another component's state, the
 //     two-phase discipline the kernels' skip and wake logic relies on.
+//   - obspure: every tracer Emit is nil-guarded and observation blocks
+//     only read state, so tracing and metrics never change results.
 package nocvet
 
 import (
@@ -35,7 +34,7 @@ import (
 const SanctionedRNG = "repro/internal/bitvec"
 
 // SimPath is the import path of the simulation kernel package whose
-// interface contracts kernelcontract and evalpure enforce.
+// two-phase Clocked contract evalpure enforces.
 const SimPath = "repro/internal/sim"
 
 // simPackages is the set of packages the determinism contracts apply to:
@@ -145,45 +144,25 @@ func Report(pass *analysis.Pass, sup *Suppressions, pos token.Pos, format string
 }
 
 // KernelIfaces holds structural copies of the sim kernel interfaces
-// (repro/internal/sim). The analyzers match component types against these
-// synthesized interfaces instead of the declared ones so the contract
-// checks apply to every in-scope package — components implement the
-// kernel interfaces structurally and need not import sim at all. Method
-// sets are what Go interfaces match on, so the copies are equivalent to
-// the originals; the sim package's own tests assert they stay in sync.
+// (repro/internal/sim) the analyzers read: Clocked, for evalpure.
+// Matching component types against a synthesized copy instead of the
+// declared interface applies the check to every in-scope package —
+// components implement the kernel interfaces structurally and need not
+// import sim at all. Method sets are what Go interfaces match on, so the
+// copy is equivalent to the original; a test asserts it stays in sync.
 type KernelIfaces struct {
-	Clocked      *types.Interface // Eval(); Commit()
-	Quiescer     *types.Interface // Quiescent() bool
-	IdleWindower *types.Interface // IdleWindow(uint64)
-	Timed        *types.Interface // NextEvent() (uint64, bool)
-	Sleeper      *types.Interface // SetWake(func()); Asleep() bool
+	Clocked *types.Interface // Eval(); Commit()
 }
 
 // Kernel returns the synthesized kernel interfaces.
 func Kernel() KernelIfaces {
-	sig := func(params, results *types.Tuple) *types.Signature {
-		return types.NewSignatureType(nil, nil, nil, params, results, false)
-	}
-	v := func(t types.Type) *types.Var { return types.NewVar(token.NoPos, nil, "", t) }
-	m := func(name string, s *types.Signature) *types.Func {
-		return types.NewFunc(token.NoPos, nil, name, s)
-	}
-	iface := func(methods ...*types.Func) *types.Interface {
-		i := types.NewInterfaceType(methods, nil)
-		i.Complete()
-		return i
-	}
-	void := sig(nil, nil)
-	u64 := types.Typ[types.Uint64]
-	boolean := types.Typ[types.Bool]
-	return KernelIfaces{
-		Clocked:      iface(m("Eval", void), m("Commit", void)),
-		Quiescer:     iface(m("Quiescent", sig(nil, types.NewTuple(v(boolean))))),
-		IdleWindower: iface(m("IdleWindow", sig(types.NewTuple(v(u64)), nil))),
-		Timed:        iface(m("NextEvent", sig(nil, types.NewTuple(v(u64), v(boolean))))),
-		Sleeper: iface(m("SetWake", sig(types.NewTuple(v(void)), nil)),
-			m("Asleep", sig(nil, types.NewTuple(v(boolean))))),
-	}
+	void := types.NewSignatureType(nil, nil, nil, nil, nil, false)
+	clocked := types.NewInterfaceType([]*types.Func{
+		types.NewFunc(token.NoPos, nil, "Eval", void),
+		types.NewFunc(token.NoPos, nil, "Commit", void),
+	}, nil)
+	clocked.Complete()
+	return KernelIfaces{Clocked: clocked}
 }
 
 // Implements reports whether T or *T implements iface.

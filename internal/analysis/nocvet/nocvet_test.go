@@ -15,10 +15,9 @@ import (
 )
 
 // TestKernelIfacesMatchSim type-checks internal/sim from source and
-// asserts every synthesized interface in nocvet.Kernel() has exactly the
-// method set of its declared counterpart, so the structural matching the
-// analyzers rely on cannot silently drift from the real kernel
-// contracts.
+// asserts the synthesized nocvet.Kernel().Clocked has exactly the method
+// set of sim.Clocked, so the structural matching evalpure relies on
+// cannot silently drift from the real kernel contract.
 func TestKernelIfacesMatchSim(t *testing.T) {
 	fset := token.NewFileSet()
 	dir := filepath.Join("..", "..", "sim")
@@ -43,45 +42,29 @@ func TestKernelIfacesMatchSim(t *testing.T) {
 		t.Fatalf("type-checking internal/sim: %v", err)
 	}
 
-	k := nocvet.Kernel()
-	for name, synth := range map[string]*types.Interface{
-		"Clocked":      k.Clocked,
-		"Quiescer":     k.Quiescer,
-		"IdleWindower": k.IdleWindower,
-		"Timed":        k.Timed,
-		"Sleeper":      k.Sleeper,
-	} {
-		obj := pkg.Scope().Lookup(name)
-		if obj == nil {
-			t.Errorf("internal/sim no longer declares %s", name)
-			continue
-		}
-		decl, ok := obj.Type().Underlying().(*types.Interface)
-		if !ok {
-			t.Errorf("sim.%s is no longer an interface", name)
-			continue
-		}
-		compareIfaces(t, name, decl, synth)
+	obj := pkg.Scope().Lookup("Clocked")
+	if obj == nil {
+		t.Fatal("internal/sim no longer declares Clocked")
 	}
-}
-
-func compareIfaces(t *testing.T, name string, decl, synth *types.Interface) {
-	t.Helper()
+	decl, ok := obj.Type().Underlying().(*types.Interface)
+	if !ok {
+		t.Fatal("sim.Clocked is no longer an interface")
+	}
 	declM := methodSet(decl)
-	synthM := methodSet(synth)
+	synthM := methodSet(nocvet.Kernel().Clocked)
 	for m, sig := range declM {
 		ssig, ok := synthM[m]
 		if !ok {
-			t.Errorf("sim.%s method %s missing from synthesized copy", name, m)
+			t.Errorf("sim.Clocked method %s missing from synthesized copy", m)
 			continue
 		}
 		if !types.Identical(sig, ssig) {
-			t.Errorf("sim.%s method %s signature mismatch: declared %s, synthesized %s", name, m, sig, ssig)
+			t.Errorf("sim.Clocked method %s signature mismatch: declared %s, synthesized %s", m, sig, ssig)
 		}
 		delete(synthM, m)
 	}
 	for m := range synthM {
-		t.Errorf("synthesized %s has extra method %s", name, m)
+		t.Errorf("synthesized Clocked has extra method %s", m)
 	}
 }
 

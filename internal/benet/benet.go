@@ -152,9 +152,8 @@ func (p *pump) Quiescent() bool {
 	return len(p.net.sendQ[p.idx]) == 0 && p.net.routers[p.idx].EjectedPending() == 0
 }
 
-// IdleWindow implements sim.IdleWindower: the pump keeps no per-cycle state,
-// so idle replay is a no-op, declared explicitly to satisfy the Quiescer
-// contract checked by nocvet.
+// IdleWindow implements sim.Quiescer: the pump keeps no per-cycle state,
+// so idle replay is a no-op.
 func (p *pump) IdleWindow(n uint64) {}
 
 var _ sim.Quiescer = (*pump)(nil)

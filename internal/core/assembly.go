@@ -285,7 +285,7 @@ func (a *Assembly) anyConverterEnabled() bool {
 	return false
 }
 
-// IdleWindow implements sim.IdleWindower: each skipped cycle charges
+// IdleWindow implements sim.Quiescer: each skipped cycle charges
 // exactly the clock energy an active-but-idle cycle would have charged —
 // the full clock network ungated, or the cached configuration-dependent
 // share when gated. The cache is recomputed whenever a converter enable
@@ -330,16 +330,11 @@ var _ sim.Clocked = (*Router)(nil)
 var _ sim.Clocked = (*TxConverter)(nil)
 var _ sim.Clocked = (*RxConverter)(nil)
 
-var _ sim.Quiescer = (*Assembly)(nil)
+var _ sim.Sleeper = (*Assembly)(nil)
 var _ sim.Quiescer = (*Router)(nil)
 var _ sim.Quiescer = (*TxConverter)(nil)
 var _ sim.Quiescer = (*RxConverter)(nil)
 
-var _ sim.Waker = (*Assembly)(nil)
-var _ sim.Sleeper = (*Assembly)(nil)
 var _ sim.Waker = (*Router)(nil)
 var _ sim.Waker = (*TxConverter)(nil)
 var _ sim.Waker = (*RxConverter)(nil)
-
-var _ sim.IdleWindower = (*Assembly)(nil)
-var _ sim.IdleWindower = (*Assembly)(nil)

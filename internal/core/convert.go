@@ -131,9 +131,8 @@ func (t *TxConverter) Quiescent() bool {
 		t.shift == 0 && t.Out == 0 && !(t.ackIn != nil && *t.ackIn)
 }
 
-// IdleWindow implements sim.IdleWindower: an idle converter accrues no
-// per-cycle state, so idle replay is a no-op, declared explicitly to
-// satisfy the Quiescer contract checked by nocvet.
+// IdleWindow implements sim.Quiescer: an idle converter accrues no
+// per-cycle state, so idle replay is a no-op.
 func (t *TxConverter) IdleWindow(n uint64) {}
 
 // Window returns the current window counter value.
@@ -375,9 +374,8 @@ func (r *RxConverter) Quiescent() bool {
 	return true
 }
 
-// IdleWindow implements sim.IdleWindower: an idle receive converter accrues
-// no per-cycle state, so idle replay is a no-op, declared explicitly to
-// satisfy the Quiescer contract checked by nocvet.
+// IdleWindow implements sim.Quiescer: an idle receive converter accrues
+// no per-cycle state, so idle replay is a no-op.
 func (r *RxConverter) IdleWindow(n uint64) {}
 
 // Received returns the number of completely reassembled words.

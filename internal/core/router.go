@@ -175,10 +175,9 @@ func (r *Router) Quiescent() bool {
 	return true
 }
 
-// IdleWindow implements sim.IdleWindower: a quiescent router records zero
+// IdleWindow implements sim.Quiescer: a quiescent router records zero
 // toggles and its meter cycle accounting is driven externally, so idle
-// replay is a no-op, declared explicitly to satisfy the Quiescer
-// contract checked by nocvet.
+// replay is a no-op.
 func (r *Router) IdleWindow(n uint64) {}
 
 // Unconfigured reports whether no circuit is configured and none is

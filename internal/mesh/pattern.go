@@ -233,15 +233,15 @@ func (d *patternSink) TraceName() string { return d.track }
 // Quiescent implements sim.Quiescer: nothing buffered, nothing to pop.
 func (d *patternSink) Quiescent() bool { return d.rx.Available() == 0 }
 
-// IdleWindow implements sim.IdleWindower: track skipped cycles.
+// IdleWindow implements sim.Quiescer: track skipped cycles.
 func (d *patternSink) IdleWindow(n uint64) { d.cycle += n }
 
 // patternSource drives one established flow: the event-scheduled
 // injection source plus the flow-local stream state its Emit closure
 // feeds — the data-word generator, the in-flight injection stamps and
 // the warm-up injection record. Embedding *pattern.Source forwards the
-// kernel interfaces (sim.Clocked, Quiescer, IdleWindower, Timed); the
-// wrapper adds the flow's trace name.
+// kernel interfaces (sim.Clocked, Timed); the wrapper adds the flow's
+// trace name.
 type patternSource struct {
 	*pattern.Source
 	gen    *bitvec.FlipGen
@@ -402,5 +402,5 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 	return res, nil
 }
 
-var _ sim.IdleWindower = (*patternSink)(nil)
 var _ sim.Quiescer = (*patternSink)(nil)
+var _ sim.Timed = (*patternSource)(nil)

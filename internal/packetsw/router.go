@@ -237,7 +237,7 @@ func (r *Router) Quiescent() bool {
 	return true
 }
 
-// IdleWindow implements sim.IdleWindower: a skipped cycle still advances
+// IdleWindow implements sim.Quiescer: a skipped cycle still advances
 // the router's cycle counter (flit timestamps reference it) and charges
 // the ungated clock network — the packet-switched router has no clock
 // gating, the source of its large dynamic power offset. n idle cycles
@@ -510,10 +510,9 @@ func (r *Router) pushFIFO(port int, f Flit) {
 }
 
 var (
-	_ sim.Clocked      = (*Router)(nil)
-	_ sim.Quiescer     = (*Router)(nil)
-	_ sim.IdleWindower = (*Router)(nil)
-	_ sim.Waker        = (*Router)(nil)
+	_ sim.Clocked  = (*Router)(nil)
+	_ sim.Quiescer = (*Router)(nil)
+	_ sim.Waker    = (*Router)(nil)
 )
 
 // accountDatapath records output register, link, switch-traversal and FIFO

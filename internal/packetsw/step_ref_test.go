@@ -212,7 +212,7 @@ func (r *refRouter) Quiescent() bool {
 	return true
 }
 
-// IdleWindow implements sim.IdleWindower: a skipped cycle still advances
+// IdleWindow implements sim.Quiescer: a skipped cycle still advances
 // the router's cycle counter (flit timestamps reference it) and charges
 // the ungated clock network — the packet-switched router has no clock
 // gating, the source of its large dynamic power offset. n idle cycles

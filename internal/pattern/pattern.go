@@ -10,9 +10,9 @@
 // The package is deliberately kernel-friendly: every generator is
 // deterministic given a seed, every temporal process samples its next
 // arrival directly (no per-cycle coin flips), and the Source component
-// implements sim.Timed — so a sparse pattern's sources park and the
-// world fast-forwards instead of polling every cycle. See Source for the
-// contract.
+// implements sim.Timed — so an idle source is skipped, and a world of
+// sparse sources fast-forwards to the next arrival instead of polling
+// every cycle. See Source for the contract.
 package pattern
 
 import (

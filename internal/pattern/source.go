@@ -11,9 +11,8 @@ import (
 // the every-cycle sim.Func drivers it replaces — tells the kernel when
 // its next arrival is due, so a world of sparse sources fast-forwards
 // between words under the production kernel. Between arrivals an idle
-// source is skipped cycle by cycle, not parked: only a sim.Sleeper parks,
-// and a Timed component must stay in the sweep for its NextEvent to be
-// read.
+// source is skipped cycle by cycle, not parked: a Timed component never
+// parks, since its NextEvent is read only in the sweep.
 //
 // Kernel equivalence holds by construction:
 //
@@ -117,7 +116,7 @@ func (s *Source) Quiescent() bool {
 	return s.cycle < s.next
 }
 
-// IdleWindow implements sim.IdleWindower: the local clock tracks skipped
+// IdleWindow implements sim.Quiescer: the local clock tracks skipped
 // cycles.
 func (s *Source) IdleWindow(n uint64) { s.cycle += n }
 
@@ -132,8 +131,6 @@ func (s *Source) NextEvent() (uint64, bool) {
 }
 
 var (
-	_ sim.Clocked      = (*Source)(nil)
-	_ sim.Quiescer     = (*Source)(nil)
-	_ sim.IdleWindower = (*Source)(nil)
-	_ sim.Timed        = (*Source)(nil)
+	_ sim.Clocked = (*Source)(nil)
+	_ sim.Timed   = (*Source)(nil)
 )

@@ -28,9 +28,9 @@ import (
 // There is one way out: the wake closure every Waker receives, called
 // by its staging mutators (Push/Inject/PushConfig/Pop). A wake during
 // the Eval phase unparks at once; a wake between cycles is queued and
-// unparks the component at the start of the next cycle. A Sleeper is
-// never Timed (the nocvet kernelcontract analyzer rejects the pair):
-// the kernel never reads a parked component's NextEvent.
+// unparks the component at the start of the next cycle. World.Add never
+// registers a Timed component as a Sleeper: the kernel never reads a
+// parked component's NextEvent.
 //
 // A parked component receives no per-cycle bookkeeping at all; the idle
 // cycles it owes are replayed in one IdleWindow batch when it unparks
@@ -116,9 +116,7 @@ func (w *World) settleParked(i int) {
 	w.skips += owed
 	w.sumParkedAt += owed
 	w.parkedAt[i] = w.cycle
-	if iw := w.windowers[i]; iw != nil {
-		iw.IdleWindow(owed)
-	}
+	w.quiescers[i].IdleWindow(owed)
 }
 
 // unpark settles component i's deferred bookkeeping and returns it to
@@ -189,9 +187,9 @@ func (w *World) wake(i int) {
 // horizon returns the cycle up to which the world may fast-forward after
 // a fully quiescent step: the earliest NextEvent of an active Timed
 // component, or the end of the Run window, whichever comes first. Parked
-// components have no self-scheduled events (a Sleeper is never Timed),
-// so the walk covers the active set only. It never returns less than
-// the current cycle.
+// components have no self-scheduled events (a Timed component never
+// parks), so the walk covers the active set only. It never returns less
+// than the current cycle.
 func (w *World) horizon(end uint64) uint64 {
 	h := end
 	for wi, word := range w.live {
@@ -258,9 +256,7 @@ func (w *World) stepActive() {
 			continue
 		}
 		w.skips++
-		if iw := w.windowers[i]; iw != nil {
-			iw.IdleWindow(1)
-		}
+		w.quiescers[i].IdleWindow(1)
 		if s := w.sleepers[i]; s != nil && s.Asleep() {
 			w.park(i)
 		}

@@ -141,3 +141,52 @@ func TestEventKernelRunUntilPerCycle(t *testing.T) {
 		t.Fatalf("RunUntil fast-forwarded: %d windows", windows)
 	}
 }
+
+// quiescentOnly has Quiescent but no IdleWindow, so it is not a
+// Quiescer: the kernel must evaluate it every cycle, never skip it
+// without replaying its bookkeeping.
+type quiescentOnly struct{ evals uint64 }
+
+func (c *quiescentOnly) Eval()           {}
+func (c *quiescentOnly) Commit()         { c.evals++ }
+func (c *quiescentOnly) Quiescent() bool { return true }
+
+// TestQuiescentWithoutIdleWindowRunsEveryCycle: a type that reports
+// quiescence but cannot replay idle cycles is evaluated on every cycle.
+func TestQuiescentWithoutIdleWindowRunsEveryCycle(t *testing.T) {
+	w := NewWorld()
+	c := &quiescentOnly{}
+	w.Add(c)
+	w.Run(100)
+	if c.evals != 100 || w.Skips() != 0 {
+		t.Fatalf("evaluated on %d of 100 cycles with %d skips, want 100 and 0",
+			c.evals, w.Skips())
+	}
+}
+
+// timedSleeper is a timedComp that also claims to be asleep on every
+// cycle. The kernel reads NextEvent only in the active set, so parking
+// it would sleep through its own event.
+type timedSleeper struct{ timedComp }
+
+func (c *timedSleeper) SetWake(func()) {}
+func (c *timedSleeper) Asleep() bool   { return true }
+
+// TestTimedSleeperNeverParks: a Timed component is never parked, even
+// when it is an asleep Sleeper, and its self-scheduled event fires on
+// its cycle.
+func TestTimedSleeperNeverParks(t *testing.T) {
+	w := NewWorld()
+	c := &timedSleeper{timedComp{world: w, due: 50}}
+	w.Add(c)
+	w.Run(100)
+	if c.fired != 1 {
+		t.Fatalf("cycle-50 event fired %d times, want 1", c.fired)
+	}
+	if w.Parked() != 0 || w.Activations() != 0 {
+		t.Fatalf("timed sleeper parked: %d parked, %d activations", w.Parked(), w.Activations())
+	}
+	if c.total() != 100 {
+		t.Fatalf("bookkeeping covers %d of 100 cycles", c.total())
+	}
+}

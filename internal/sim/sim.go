@@ -60,6 +60,11 @@
 //     implement Timed and report that cycle via NextEvent; the kernel
 //     never fast-forwards past it. Such a component is never parked.
 //
+// The interfaces carry the rest of the contract: only a Quiescer, which
+// has both Quiescent and IdleWindow, is ever skipped, Timed and Sleeper
+// embed Quiescer, and Add never registers a Timed component as a
+// Sleeper.
+//
 // Fast-forward is exact by a fixed-point argument: a cycle in which every
 // component is quiescent commits no register, so the pre-edge signal state
 // the next cycle's polls would observe is unchanged — every later cycle up
@@ -89,38 +94,35 @@ type Clocked interface {
 }
 
 // Quiescer is optionally implemented by components that can report having
-// no pending work. Quiescent must be true only if Eval+Commit this cycle
-// would change nothing externally visible beyond what IdleWindow
-// reproduces, and must account for all staged work (see the package
-// comment). Every Quiescer must also be an IdleWindower — a no-op one
-// when the component keeps no per-cycle bookkeeping — which the nocvet
-// kernelcontract analyzer enforces.
-type Quiescer interface {
-	Quiescent() bool
-}
-
-// IdleWindower is implemented by Quiescers whose Commit performs uniform
-// per-cycle bookkeeping even when idle — advancing a cycle or slot
-// counter, charging the constant idle clock energy to a power meter.
-// IdleWindow(n) replays n skipped cycles of that bookkeeping and must
-// leave the component in exactly the state n idle Commits would have,
-// including bit-identical accumulated floats. The kernel calls
+// no pending work; the kernel skips, parks and fast-forwards only
+// Quiescers, so a type with Quiescent but no IdleWindow is evaluated
+// every cycle. Quiescent must be true only if Eval+Commit this cycle would
+// change nothing externally visible beyond what IdleWindow reproduces,
+// and must account for all staged work (see the package comment).
+//
+// IdleWindow(n) replays n skipped cycles of the uniform per-cycle
+// bookkeeping Commit performs even when idle — advancing a cycle or slot
+// counter, charging the constant idle clock energy to a power meter —
+// and must leave the component in exactly the state n idle Commits would
+// have, including bit-identical accumulated floats; it is a no-op for a
+// component that keeps no such bookkeeping. The kernel calls
 // IdleWindow(1) in the Commit phase of every skipped cycle, and one
 // batched IdleWindow for a fast-forwarded window or a parked stretch.
-type IdleWindower interface {
+type Quiescer interface {
+	Quiescent() bool
 	IdleWindow(n uint64)
 }
 
-// Timed is optionally implemented by components whose quiescence can end
+// Timed is optionally implemented by Quiescers whose quiescence can end
 // without any external register changing or mutator being invoked — purely
 // because the clock reaches some cycle (a scheduled burst coming due, a
 // timeout expiring). NextEvent returns the earliest such absolute cycle,
 // or ok=false when no self-scheduled work is pending. The kernel never
 // fast-forwards past the reported cycle; the naive kernel ignores it.
-// A Timed component stays in the active set: the kernel reads NextEvent
-// only there, so a Timed component must not be a Sleeper (the nocvet
-// kernelcontract analyzer rejects the pair).
+// A Timed component stays in the active set, where the kernel reads
+// NextEvent: World.Add never registers it as a Sleeper.
 type Timed interface {
+	Quiescer
 	NextEvent() (cycle uint64, ok bool)
 }
 
@@ -136,17 +138,18 @@ type Waker interface {
 	SetWake(func())
 }
 
-// Sleeper is optionally implemented by Wakers that can certify a
-// stronger form of quiescence: Asleep must be true only while no change
+// Sleeper is optionally implemented by quiescent Wakers that can certify
+// a stronger form of quiescence: Asleep must be true only while no change
 // on any input register the component reads can end its quiescence —
 // only one of its own staging mutators (which call the wake function)
 // can. A Sleeper skipped on a cycle it is asleep parks: it leaves the
 // per-cycle sweep, and the wake closure is its sole re-activation
 // channel, so the component must clear the asleep condition before (or
 // upon) the wake function running. Sleepers are the only components the
-// kernel parks, and a Sleeper must not be Timed: nothing reads a parked
+// kernel parks, and a Timed one never parks: nothing reads a parked
 // component's NextEvent.
 type Sleeper interface {
+	Quiescer
 	Waker
 	Asleep() bool
 }
@@ -211,11 +214,10 @@ const kernelTrack = "kernel"
 // clock, with an attached cycle counter.
 type World struct {
 	components []Clocked
-	quiescers  []Quiescer     // parallel to components; nil if not implemented
-	windowers  []IdleWindower // parallel to components; nil if not implemented
-	timed      []Timed        // parallel to components; nil if not implemented
-	sleepers   []Sleeper      // parallel to components; nil if not implemented
-	skipped    []bool         // per component, skip decision of the current cycle
+	quiescers  []Quiescer // parallel to components; nil if not implemented
+	timed      []Timed    // parallel to components; nil if not implemented
+	sleepers   []Sleeper  // parallel to components; nil if not implemented or Timed
+	skipped    []bool     // per component, skip decision of the current cycle
 	kernel     Kernel
 	cycle      uint64
 
@@ -257,7 +259,8 @@ func (w *World) Kernel() Kernel { return w.kernel }
 
 // Add registers components with the world's clock. Nil components are
 // rejected so wiring bugs fail fast. A component Added mid-run — even
-// mid-cycle — joins the sweep at the next cycle boundary.
+// mid-cycle — joins the sweep at the next cycle boundary. A Timed
+// component is not registered as a Sleeper, so it never parks.
 func (w *World) Add(cs ...Clocked) {
 	for _, c := range cs {
 		if c == nil {
@@ -267,11 +270,12 @@ func (w *World) Add(cs ...Clocked) {
 		w.components = append(w.components, c)
 		q, _ := c.(Quiescer)
 		w.quiescers = append(w.quiescers, q)
-		iw, _ := c.(IdleWindower)
-		w.windowers = append(w.windowers, iw)
 		td, _ := c.(Timed)
 		w.timed = append(w.timed, td)
 		sl, _ := c.(Sleeper)
+		if td != nil {
+			sl = nil
+		}
 		w.sleepers = append(w.sleepers, sl)
 		w.skipped = append(w.skipped, false)
 		w.parkedAt = append(w.parkedAt, 0)

@@ -106,7 +106,7 @@ func (d *sourceDriver) done() bool {
 // words has no further work.
 func (d *sourceDriver) Quiescent() bool { return d.done() }
 
-// IdleWindow implements sim.IdleWindower: a retired source accrues only
+// IdleWindow implements sim.Quiescer: a retired source accrues only
 // its local clock, which exists to cycle-stamp trace events.
 func (d *sourceDriver) IdleWindow(n uint64) { d.cycle += n }
 
@@ -148,7 +148,7 @@ func (d *sinkDriver) TraceName() string { return d.track }
 // Quiescent implements sim.Quiescer: nothing buffered, nothing to pop.
 func (d *sinkDriver) Quiescent() bool { return d.rx.Available() == 0 }
 
-// IdleWindow implements sim.IdleWindower: an empty sink accrues only its
+// IdleWindow implements sim.Quiescer: an empty sink accrues only its
 // local clock, which exists to cycle-stamp trace events.
 func (d *sinkDriver) IdleWindow(n uint64) { d.cycle += n }
 

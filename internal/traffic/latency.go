@@ -110,14 +110,13 @@ func MeasurePacketLatency(pp packetsw.Params, load float64, words int, backgroun
 	r.ConnectIn(core.West, &west)
 	r.ConnectIn(core.East, &east)
 
-	period := core.DefaultParams().PacketNibbles() // 1 word / 5 cycles = a lane's rate
 	src := NewSource(Pattern{FlipProb: 0.5, Load: load}, 1)
 	var res LatencyResult
 	res.Cycles.Retain() // poolable, same as the circuit harness
 	sent := 0
-	// Jitter the send instants by ±1 cycle around the mean period: a
-	// strictly periodic source phase-locks with the arbiter rotation and
-	// would hide the contention entirely.
+	// Jitter the send instants by ±1 cycle around the lane's word
+	// period: a strictly periodic source phase-locks with the arbiter
+	// rotation and would hide the contention entirely.
 	gapRng := bitvec.NewXorShift64(5)
 	nextSend := uint64(0)
 	w.Add(&sim.Func{OnEval: func() {
@@ -130,7 +129,7 @@ func MeasurePacketLatency(pp packetsw.Params, load float64, words int, backgroun
 					InjectCycle: w.Cycle(),
 				}
 				sent++
-				nextSend = w.Cycle() + uint64(period-1+gapRng.Intn(3))
+				nextSend = w.Cycle() + uint64(laneWordPeriod-1+gapRng.Intn(3))
 			}
 		}
 	}})

@@ -125,9 +125,8 @@ func (d *tileInjector) Commit() {}
 // Quiescent implements sim.Quiescer.
 func (d *tileInjector) Quiescent() bool { return len(d.queue) == 0 }
 
-// IdleWindow implements sim.IdleWindower: an empty injector accrues no
-// per-cycle state, so idle replay is a no-op, declared explicitly to
-// satisfy the Quiescer contract checked by nocvet.
+// IdleWindow implements sim.Quiescer: an empty injector accrues no
+// per-cycle state, so idle replay is a no-op.
 func (d *tileInjector) IdleWindow(n uint64) {}
 
 // flitFeeder presents queued flits on an upstream input register, one
@@ -176,9 +175,8 @@ func (d *flitFeeder) Commit() {}
 // Quiescent implements sim.Quiescer.
 func (d *flitFeeder) Quiescent() bool { return len(d.queue) == 0 && !d.dirty }
 
-// IdleWindow implements sim.IdleWindower: a drained feeder accrues no
-// per-cycle state, so idle replay is a no-op, declared explicitly to
-// satisfy the Quiescer contract checked by nocvet.
+// IdleWindow implements sim.Quiescer: a drained feeder accrues no
+// per-cycle state, so idle replay is a no-op.
 func (d *flitFeeder) IdleWindow(n uint64) {}
 
 // patternDrain pops the router's tile ejection queue, counting data
@@ -221,7 +219,7 @@ func (d *patternDrain) Commit() { d.cycle++ }
 // Quiescent implements sim.Quiescer: nothing ejected, nothing to drain.
 func (d *patternDrain) Quiescent() bool { return d.r.EjectedPending() == 0 }
 
-// IdleWindow implements sim.IdleWindower.
+// IdleWindow implements sim.Quiescer.
 func (d *patternDrain) IdleWindow(n uint64) { d.cycle += n }
 
 // feederQueueCap bounds a port driver's backlog, in packets: a source
@@ -466,7 +464,7 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 }
 
 var (
-	_ sim.Quiescer     = (*tileInjector)(nil)
-	_ sim.Quiescer     = (*flitFeeder)(nil)
-	_ sim.IdleWindower = (*patternDrain)(nil)
+	_ sim.Quiescer = (*tileInjector)(nil)
+	_ sim.Quiescer = (*flitFeeder)(nil)
+	_ sim.Quiescer = (*patternDrain)(nil)
 )

@@ -44,8 +44,10 @@ type RunConfig struct {
 	Kernel sim.Kernel
 	// WordsPerStream caps each stream source's emitted words; 0 means
 	// unlimited (the paper's open-loop scenarios). With a cap, exhausted
-	// sources go quiescent, the kernel retires them and fast-forwards
-	// the drained tail of the run.
+	// sources retire and the network drains. RunCircuit, RunTDM and the
+	// pattern runners then fast-forward the drained tail; RunPacket does
+	// not, because its injector, feeder and drain are sim.Funcs that run
+	// every cycle.
 	WordsPerStream uint64
 	// Observe, when non-nil, receives the simulation world after the run
 	// completes — kernel diagnostics (fast-forward windows, per-component
@@ -210,6 +212,12 @@ func RunCircuit(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 	return res, nil
 }
 
+// laneWordPeriod is the cycles per word of one circuit-switched lane:
+// the paper's 20-bit packet (4-bit header, 16-bit word) crosses a 4-bit
+// lane in 5 transfers. A stream at the paper's "100% load of a single
+// lane" offers one word per period on every fabric.
+const laneWordPeriod = 5
+
 // PacketWordsPerPacket is the payload length used when mapping a word
 // stream onto the packet-switched router: 16 words per packet keeps the
 // head-flit overhead near the paper's "same maximum bandwidth" framing.
@@ -217,7 +225,7 @@ const PacketWordsPerPacket = 16
 
 // RunPacket simulates the packet-switched router under the same scenario.
 // Each stream travels on virtual channel ID-1 and is throttled to one data
-// word per PacketNibbles cycles — the bandwidth of one circuit-switched
+// word per laneWordPeriod cycles — the bandwidth of one circuit-switched
 // lane, the paper's "100% load of a single lane". Streams to a shared
 // output port (scenario IV) are time multiplexed by the switch allocator.
 func RunPacket(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
@@ -228,7 +236,6 @@ func RunPacket(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 		return Result{}, err
 	}
 	pp := cfg.psParams()
-	cp := cfg.coreParams()
 	r := packetsw.NewRouter(pp, packetsw.PortRoute)
 	meter := power.NewMeter(packetsw.Netlist(pp, cfg.Lib), cfg.Lib, cfg.FreqMHz)
 	r.BindMeter(meter)
@@ -236,7 +243,6 @@ func RunPacket(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 	w := sim.NewWorld(cfg.worldOpts()...)
 	w.Add(r)
 
-	wordPeriod := cp.PacketNibbles() // 5 cycles per word at full lane load
 	var sources []*Source
 	var res Result
 	for _, st := range sc.Streams {
@@ -248,7 +254,7 @@ func RunPacket(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 		sources = append(sources, src)
 		gen := &packetGen{
 			src: src, vc: vc, dst: st.Out,
-			period: wordPeriod, limit: cfg.WordsPerStream,
+			period: laneWordPeriod, limit: cfg.WordsPerStream,
 		}
 		if st.In == core.Tile {
 			tracer, track := cfg.Obs.Tracer, fmt.Sprintf("stream%d.src", st.ID)

@@ -16,11 +16,6 @@ import (
 // RunTDM. The pattern runner, RunTDMPattern, sits with the other
 // pattern harnesses in pattern.go.
 
-// tdmWordPeriod is the cycles per word of one circuit-switched lane: a
-// TDM stream offers one word per period, the paper's "100% load of a
-// single lane".
-const tdmWordPeriod = 5
-
 // tdmPending is one word queued at a TDM input with its injection
 // stamp.
 type tdmPending struct {
@@ -194,7 +189,7 @@ func (p *tdmPresenter) Quiescent() bool {
 	return true
 }
 
-// IdleWindow implements sim.IdleWindower.
+// IdleWindow implements sim.Quiescer.
 func (p *tdmPresenter) IdleWindow(n uint64) { p.cycle += n }
 
 // tdmDelivered sums the words the presenters' flows delivered.
@@ -228,7 +223,7 @@ type tdmOffer struct {
 // the load knob. A retired source (word budget exhausted) stops drawing
 // from the load gate, mirroring the other runners' drivers.
 func (s *tdmOffer) Eval() {
-	if s.cycle%tdmWordPeriod == 0 && (s.limit == 0 || s.src.Sent() < s.limit) {
+	if s.cycle%laneWordPeriod == 0 && (s.limit == 0 || s.src.Sent() < s.limit) {
 		if word, ok := s.src.Offer(); ok {
 			s.flow.enqueue(uint32(word.Data), s.cycle)
 		}
@@ -245,7 +240,7 @@ func (s *tdmOffer) Quiescent() bool {
 	return s.limit > 0 && s.src.Sent() >= s.limit
 }
 
-// IdleWindow implements sim.IdleWindower: the local clock tracks skipped
+// IdleWindow implements sim.Quiescer: the local clock tracks skipped
 // cycles (only reachable after retirement, where it is no longer read,
 // but kept exact regardless).
 func (s *tdmOffer) IdleWindow(n uint64) { s.cycle += n }
@@ -254,7 +249,7 @@ func (s *tdmOffer) IdleWindow(n uint64) { s.cycle += n }
 // Each stream gets a contention-free guaranteed-throughput reservation
 // whose bandwidth share matches one circuit-switched lane: the TDM model
 // forwards one word per reserved slot, so matching a lane's word per
-// tdmWordPeriod cycles takes that fraction of the table, rounded up (the
+// laneWordPeriod cycles takes that fraction of the table, rounded up (the
 // 32-bit link has bandwidth to spare — the slot count, not the link
 // width, is the limit). A stream that gets fewer slots fails the run.
 // Words are then streamed through the reservations and metered; the
@@ -296,7 +291,7 @@ func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Resul
 	// The average toggling bits per forwarded word under the pattern's
 	// flip probability, split over register, crossbar and link nets.
 	toggleBits := int(pat.FlipProb*patternWordBits + 0.5)
-	slotsNeeded := (ap.Slots + tdmWordPeriod - 1) / tdmWordPeriod
+	slotsNeeded := (ap.Slots + laneWordPeriod - 1) / laneWordPeriod
 	var sources []*Source
 	var presenters []*tdmPresenter
 	for _, st := range sc.Streams {
@@ -339,8 +334,7 @@ func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Resul
 }
 
 var (
-	_ sim.IdleWindower = (*tdmPresenter)(nil)
-	_ sim.Waker        = (*tdmPresenter)(nil)
-	_ sim.IdleWindower = (*tdmOffer)(nil)
-	_ sim.Quiescer     = (*tdmOffer)(nil)
+	_ sim.Quiescer = (*tdmPresenter)(nil)
+	_ sim.Waker    = (*tdmPresenter)(nil)
+	_ sim.Quiescer = (*tdmOffer)(nil)
 )

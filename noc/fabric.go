@@ -198,11 +198,8 @@ func (f fabric) run(sc Scenario) (*Result, error) {
 }
 
 // runConfig fills the traffic.RunConfig of a single-router run with the
-// fields its kind's runners read. Only the circuit runner takes the
-// circuit geometry and clock gating, and only the packet runners the VC
-// configuration: RunPacket derives its word period from the circuit
-// geometry it is handed, which the packet fabric's lane options must
-// not reach.
+// fields its kind's runners read: the circuit runner reads the circuit
+// geometry and clock gating, the packet runners the VC configuration.
 func (f fabric) runConfig(sc Scenario) traffic.RunConfig {
 	rc := traffic.RunConfig{
 		Cycles: sc.Cycles, FreqMHz: sc.FreqMHz, Lib: f.mustLib(),

@@ -112,11 +112,12 @@ func FuzzCacheEquivalence(f *testing.F) {
 }
 
 // FuzzParseSweepSpec checks the sweep-spec parser on arbitrary bytes: it
-// never panics, every error it returns starts with "noc:", and a spec it
-// accepts re-marshals to a spec that parses to identical Cells (compared
-// as JSON). The
-// seeds are the CI sweep specs plus specs using the removed lane_width
-// knob and kernel names, which must fail.
+// never panics, every error it returns starts with "noc:", a spec it
+// accepts has only whitespace after its first JSON value, and it
+// re-marshals to a spec that parses to identical Cells (compared as
+// JSON). The seeds are the CI sweep specs plus specs using the removed
+// lane_width knob and kernel names and specs followed by garbage or by a
+// second spec, which must fail.
 func FuzzParseSweepSpec(f *testing.F) {
 	knobs := `"fabrics":[{"kind":"circuit","lanes":3,"gated":true},{"kind":"packet","vcs":3,"buffer_depth":2},{"kind":"aethereal","slots":8,"be_depth":4}]`
 	for _, spec := range []string{
@@ -130,6 +131,8 @@ func FuzzParseSweepSpec(f *testing.F) {
 		`{"fabrics":[{"kind":"circuit","lane_width":4}]}`,
 		`{"kernel":"gated"}`,
 		`{"fabrics":[{"kind":"circuit","kernel":"event"}]}`,
+		`{"grid":{"scenarios":["I"],"cycles":[100]},"seed":1} trailing garbage {`,
+		`{"grid":{"scenarios":["I"],"cycles":[100]},"seed":1}{"seed":2}`,
 	} {
 		f.Add([]byte(spec))
 	}
@@ -153,6 +156,14 @@ func FuzzParseSweepSpec(f *testing.F) {
 				t.Fatalf("error %q does not start with noc:", err)
 			}
 			return
+		}
+		var first json.RawMessage
+		dec := json.NewDecoder(bytes.NewReader(b))
+		if err := dec.Decode(&first); err != nil {
+			t.Fatalf("accepted spec is not a JSON value: %v", err)
+		}
+		if rest := b[dec.InputOffset():]; len(bytes.Trim(rest, " \t\r\n")) != 0 {
+			t.Fatalf("accepted spec has %q after its first JSON value", rest)
 		}
 		cells, err := spec.Cells()
 		if err != nil {

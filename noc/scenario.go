@@ -215,14 +215,14 @@ type Scenario struct {
 	WarmupAuto bool `json:"warmup_auto,omitempty"`
 	// WordsPerStream caps the words each stream source (or, in a
 	// pattern run, each flow source) emits; 0 means unlimited (the
-	// paper's open-loop scenarios). With a cap the run is a finite
-	// workload: sources retire once their budget is spent, the network
-	// drains, and the kernel fast-forwards the drained tail on
-	// every fabric — stream and pattern drivers alike are first-class
-	// quiescent components (the packet fabrics round the cap up to
-	// their packet boundary, since a wormhole packet must close with
-	// its Tail flit). Ignored by workload runs, whose channels are
-	// rate-driven.
+	// paper's open-loop scenarios). The packet fabrics round the cap up
+	// to their packet boundary, since a wormhole packet must close with
+	// its Tail flit. With a cap the run is a finite workload: sources
+	// retire once their budget is spent and the network drains. Pattern
+	// runs and the circuit and TDM stream runs then fast-forward the
+	// drained tail; the packet fabric's stream run does not, because its
+	// injector, feeder and drain run every cycle. Ignored by workload
+	// runs, whose channels are rate-driven.
 	WordsPerStream uint64 `json:"words_per_stream,omitempty"`
 
 	// poolLatency asks the run to retain its raw per-word latency

@@ -397,12 +397,17 @@ func (s SweepSpec) resolveCache() (*Cache, error) {
 // ParseSweepSpec decodes a JSON sweep spec (the `nocbench -sweep`
 // file format) and validates it. Unknown fields are rejected, so a
 // typoed axis name fails loudly instead of silently sweeping nothing.
+// Anything but whitespace after the spec object is rejected too: a
+// second concatenated spec fails instead of being dropped.
 func ParseSweepSpec(b []byte) (SweepSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	var spec SweepSpec
 	if err := dec.Decode(&spec); err != nil {
 		return SweepSpec{}, fmt.Errorf("noc: sweep spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return SweepSpec{}, fmt.Errorf("noc: sweep spec: unexpected data after the spec object")
 	}
 	if err := spec.Validate(); err != nil {
 		return SweepSpec{}, err

@@ -298,6 +298,20 @@ func TestParseSweepSpec(t *testing.T) {
 	if _, err := ParseSweepSpec([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// Only whitespace may follow the spec object: trailing garbage and
+	// a second concatenated spec fail instead of running the first.
+	for _, trailing := range []string{
+		`{"grid":{"scenarios":["I"],"cycles":[100]},"seed":1} trailing garbage {`,
+		`{"grid":{"scenarios":["I"],"cycles":[100]},"seed":1}{"seed":2}`,
+	} {
+		_, err := ParseSweepSpec([]byte(trailing))
+		if err == nil || !strings.HasPrefix(err.Error(), "noc:") || !strings.Contains(err.Error(), "after the spec object") {
+			t.Errorf("%s: err = %v, want a noc: error about data after the spec object", trailing, err)
+		}
+	}
+	if _, err := ParseSweepSpec([]byte("{\"seed\":1} \t\r\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
 	// Removed knobs fail as unknown fields rather than being ignored.
 	for _, c := range []struct{ spec, field string }{
 		{`{"sim_workers": 8}`, "sim_workers"},

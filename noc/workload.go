@@ -138,7 +138,7 @@ func (s *chanSource) Quiescent() bool {
 	return s.credits == 0 && (s.acc+s.num)>>32 == 0
 }
 
-// IdleWindow implements sim.IdleWindower: the accumulator advances on
+// IdleWindow implements sim.Quiescer: the accumulator advances on
 // skipped cycles too (by the Quiescent contract it cannot produce a
 // credit there), and integer accrual commutes, so one call is exactly n
 // single-cycle accruals.
@@ -183,15 +183,13 @@ func (d *chanSink) Commit() {}
 // not arrived.
 func (d *chanSink) Quiescent() bool { return !d.grx.Available() }
 
-// IdleWindow implements sim.IdleWindower: an empty sink accrues no
-// per-cycle state, so idle replay is a no-op, declared explicitly to
-// satisfy the Quiescer contract checked by nocvet.
+// IdleWindow implements sim.Quiescer: an empty sink accrues no
+// per-cycle state, so idle replay is a no-op.
 func (d *chanSink) IdleWindow(n uint64) {}
 
 var (
-	_ sim.IdleWindower = (*chanSource)(nil)
-	_ sim.Timed        = (*chanSource)(nil)
-	_ sim.Quiescer     = (*chanSink)(nil)
+	_ sim.Timed    = (*chanSource)(nil)
+	_ sim.Quiescer = (*chanSink)(nil)
 )
 
 // runCircuitWorkload maps the scenario's applications onto a W×H
