@@ -138,7 +138,8 @@ func BenchmarkConverterRoundTrip(b *testing.B) {
 	p := core.DefaultParams()
 	tx := core.NewTxConverter(p, core.FlowParams{})
 	rx := core.NewRxConverter(p, core.FlowParams{}, 8)
-	tx.Enabled, rx.Enabled = true, true
+	tx.SetEnabled(true)
+	rx.SetEnabled(true)
 	rx.ConnectIn(&tx.Out)
 	w := sim.NewWorld()
 	w.Add(tx, rx)

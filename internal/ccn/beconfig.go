@@ -65,10 +65,10 @@ func (b *BEConfigurator) Configure(c *Connection) (ConfigureResult, error) {
 	for _, lane := range c.Segments {
 		first, last := lane[0], lane[len(lane)-1]
 		if first.Circuit.In.Port == core.Tile {
-			b.Mesh.At(first.Node).Tx[first.Circuit.In.Lane].Enabled = true
+			b.Mesh.At(first.Node).Tx[first.Circuit.In.Lane].SetEnabled(true)
 		}
 		if last.Circuit.Out.Port == core.Tile {
-			b.Mesh.At(last.Node).Rx[last.Circuit.Out.Lane].Enabled = true
+			b.Mesh.At(last.Node).Rx[last.Circuit.Out.Lane].SetEnabled(true)
 		}
 	}
 	return res, nil

@@ -3,8 +3,10 @@ package cellcache
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func TestMemoryGetPut(t *testing.T) {
@@ -136,5 +138,76 @@ func TestKeyOfIsStable(t *testing.T) {
 	}
 	if a == KeyOf([]byte("material2")) {
 		t.Fatal("different material, same key")
+	}
+}
+
+// writerDirEnv names the shared cache directory when the test binary
+// runs as one of TestConcurrentWriterProcesses' writer processes.
+const writerDirEnv = "CELLCACHE_TEST_WRITER_DIR"
+
+// TestConcurrentWriterProcesses runs two processes — this test binary,
+// re-executed — that Put and Get the same keys in one directory for
+// about a second. Every Get must return a miss or the exact payload of
+// its key, and once a process has stored a key it must never miss it
+// again: the other process rewrites that entry all the while, and only
+// an atomic replace (temp file, then rename) keeps a reader from
+// catching it truncated.
+func TestConcurrentWriterProcesses(t *testing.T) {
+	if dir := os.Getenv(writerDirEnv); dir != "" {
+		hammerDir(t, dir, time.Second)
+		return
+	}
+	dir := t.TempDir()
+	var cmds []*exec.Cmd
+	var outs []*bytes.Buffer
+	for w := 0; w < 2; w++ {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestConcurrentWriterProcesses$")
+		cmd.Env = append(os.Environ(), writerDirEnv+"="+dir)
+		out := new(bytes.Buffer)
+		cmd.Stdout, cmd.Stderr = out, out
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		cmds, outs = append(cmds, cmd), append(outs, out)
+	}
+	for w, cmd := range cmds {
+		if err := cmd.Wait(); err != nil {
+			t.Errorf("writer %d: %v\n%s", w, err, outs[w])
+		}
+	}
+}
+
+// hammerDir is one writer process: it cycles through a few keys with
+// 64 KiB payloads, storing every third and reading every one, through a
+// one-entry memory store so that most reads go to disk.
+func hammerDir(t *testing.T, dir string, d time.Duration) {
+	s, err := NewDir(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 5
+	var payloads [keys][]byte
+	var stored [keys]bool
+	for i := range payloads {
+		payloads[i] = make([]byte, 64<<10)
+		for j := range payloads[i] {
+			payloads[i][j] = byte(i*37 + j + j>>8)
+		}
+	}
+	deadline := time.Now().Add(d)
+	for n := 0; time.Now().Before(deadline); n++ {
+		i := n % keys
+		k := KeyOf([]byte{'w', byte(i)})
+		v, ok := s.Get(k)
+		switch {
+		case ok && !bytes.Equal(v, payloads[i]):
+			t.Fatalf("op %d: key %d read a %d-byte payload that is not its own", n, i, len(v))
+		case !ok && stored[i]:
+			t.Fatalf("op %d: key %d missed after this process stored it", n, i)
+		}
+		if n%3 == 0 {
+			s.Put(k, payloads[i])
+			stored[i] = true
+		}
 	}
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
-	"repro/internal/netlist"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stdcell"
@@ -24,26 +24,29 @@ type Assembly struct {
 	// the router's tile output lane i.
 	Rx []*RxConverter
 
-	p      Params
-	meter  *power.Meter
-	lib    stdcell.Lib
-	gated  bool
-	design *netlist.Design
+	p     Params
+	meter *power.Meter
+	lib   stdcell.Lib
+	gated bool
 
 	// idle-cycle clock-energy cache for the activity-tracked kernel: the
 	// gated per-cycle energy depends only on the configuration memory and
-	// the converter enables, both of which are frozen while the assembly
-	// is quiescent. The enable masks validate the cache against direct
-	// Enabled-flag writes (the CCN toggles converters outside the clock).
-	idleFJ     float64
-	idleFJOK   bool
-	idleTxMask uint64
-	idleRxMask uint64
+	// the converter enables. Commit refreshes it, and a converter's
+	// SetEnabled drops it.
+	idleFJ   float64
+	idleFJOK bool
 
-	// live records which converters this cycle's Eval stepped, Tx[i]
-	// at i and Rx[i] at len(Tx)+i; Commit commits those, plus a skipped
-	// receive converter the tile popped after Eval.
-	live []bool
+	// Converter masks, bit i for Tx[i] or Rx[i]. txOn and rxOn hold the
+	// enables, kept by the converters' SetEnabled. txBusy holds the
+	// transmit converters not at rest or whose ack wire is high; rxBusy
+	// the receive converters not at rest or holding buffered words.
+	// Commit refreshes both, and nothing else can change them: a
+	// converter outside on|busy is disabled and at rest, refuses Push,
+	// has nothing to Pop and ignores its lane, so it is Quiescent until
+	// it is enabled or its ack wire rises. Eval, Commit and Quiescent
+	// visit only the on|busy converters; txLive and rxLive are the ones
+	// this cycle's Eval stepped, which Commit commits.
+	txOn, rxOn, txBusy, rxBusy, txLive, rxLive uint64
 
 	// asleep is the quiescence fast path: once an assembly is quiescent
 	// AND self-stable — router unconfigured, every converter disabled —
@@ -75,10 +78,12 @@ func NewAssembly(p Params, opt AssemblyOptions) *Assembly {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	a := &Assembly{R: NewRouter(p), p: p, live: make([]bool, 2*p.LanesPerPort)}
+	a := &Assembly{R: NewRouter(p), p: p}
 	for l := 0; l < p.LanesPerPort; l++ {
 		tx := NewTxConverter(p, opt.Flow)
 		rx := NewRxConverter(p, opt.Flow, opt.RxBufCap)
+		tx.asm, tx.lane = a, uint8(l)
+		rx.asm, rx.lane = a, uint8(l)
 		g := p.Global(LaneID{Port: Tile, Lane: l})
 		a.R.ConnectIn(g, &tx.Out)
 		tx.ConnectAck(&a.R.AckOut[g])
@@ -118,57 +123,67 @@ func (a *Assembly) EstablishLocal(c Circuit) error {
 		return err
 	}
 	if c.In.Port == Tile {
-		a.Tx[c.In.Lane].Enabled = true
+		a.Tx[c.In.Lane].SetEnabled(true)
 	}
 	if c.Out.Port == Tile {
-		a.Rx[c.Out.Lane].Enabled = true
+		a.Rx[c.Out.Lane].SetEnabled(true)
 	}
 	return nil
 }
 
-// Eval implements sim.Clocked. A converter that is disabled and at rest
-// (its Quiescent holds) is not stepped: its Eval and Commit would change
-// nothing and charge no toggles, and it stays at rest until the cycle
-// ends. A disabled transmit converter refuses Push, and a tile Pop later
-// in the cycle is caught by Commit. Enabled flags are written between
-// cycles, as the CCN and the lane book do.
+// setEnabled records converter lane's enable in mask (txOn or rxOn) and
+// drops the idle clock-energy cache, which depends on it.
+func (a *Assembly) setEnabled(mask *uint64, lane uint8, on bool) {
+	if on {
+		*mask |= 1 << uint(lane)
+	} else {
+		*mask &^= 1 << uint(lane)
+	}
+	a.idleFJOK = false
+}
+
+// Eval implements sim.Clocked. Only the enabled or busy converters are
+// stepped: any other one is disabled and at rest, so its Eval and
+// Commit would change nothing and charge no toggles, and it stays so
+// until the cycle ends. Enables are written between cycles, as the CCN
+// and the lane book do.
 func (a *Assembly) Eval() {
 	a.R.Eval()
-	txLive, rxLive := a.live[:len(a.Tx)], a.live[len(a.Tx):]
-	for i, tx := range a.Tx {
-		txLive[i] = tx.Enabled || !tx.Quiescent()
-		if txLive[i] {
-			tx.Eval()
-		}
+	a.txLive, a.rxLive = a.txOn|a.txBusy, a.rxOn|a.rxBusy
+	for m := a.txLive; m != 0; m &= m - 1 {
+		a.Tx[bits.TrailingZeros64(m)].Eval()
 	}
-	for i, rx := range a.Rx {
-		rxLive[i] = rx.Enabled || !rx.Quiescent()
-		if rxLive[i] {
-			rx.Eval()
-		}
+	for m := a.rxLive; m != 0; m &= m - 1 {
+		a.Rx[bits.TrailingZeros64(m)].Eval()
 	}
 }
 
 // Commit implements sim.Clocked. After all sub-components commit, the
-// assembly charges this cycle's clock energy to the meter: the full design
-// when ungated, or only the configuration memory, enabled lanes and enabled
-// converters when gated. A receive converter whose Eval was skipped
-// still commits when the tile popped a buffered word after Eval: at rest
-// its next state equals its committed state, so Commit alone trims the
-// buffer and credits the acknowledgement exactly as Eval+Commit would.
+// assembly refreshes its busy masks and charges this cycle's clock
+// energy to the meter: the full design when ungated, or only the
+// configuration memory, enabled lanes and enabled converters when gated.
+// A receive converter the tile pops from holds buffered words, so it is
+// busy and was stepped by Eval.
 func (a *Assembly) Commit() {
-	txLive, rxLive := a.live[:len(a.Tx)], a.live[len(a.Tx):]
-	for i, tx := range a.Tx {
-		if txLive[i] {
-			tx.Commit()
+	var txBusy, rxBusy uint64
+	for m := a.txLive; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		tx := a.Tx[i]
+		tx.Commit()
+		if !tx.atRest() {
+			txBusy |= 1 << uint(i)
 		}
 	}
-	for i, rx := range a.Rx {
-		if rxLive[i] || rx.popN != 0 {
-			rx.Commit()
+	for m := a.rxLive; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		rx := a.Rx[i]
+		rx.Commit()
+		if !rx.atRest() || len(rx.buf) != 0 {
+			rxBusy |= 1 << uint(i)
 		}
 	}
 	a.R.Commit()
+	a.txBusy, a.rxBusy = txBusy|a.R.tileAck, rxBusy
 	if a.meter == nil {
 		return
 	}
@@ -178,37 +193,21 @@ func (a *Assembly) Commit() {
 	}
 	e := a.gatedClockFJ()
 	a.idleFJ, a.idleFJOK = e, true
-	a.idleTxMask, a.idleRxMask = a.enableMasks()
 	a.meter.TickGated(e)
 }
 
 // gatedClockFJ returns the clock energy one cycle draws under the
-// configuration-driven gating of Section 7.3.
+// configuration-driven gating of Section 7.3. A disabled converter
+// draws none, so only the enabled ones are summed, in lane order.
 func (a *Assembly) gatedClockFJ() float64 {
 	e := a.R.ClockFJ(a.lib, true)
-	for _, tx := range a.Tx {
-		e += tx.ClockFJ(a.lib, true)
+	for m := a.txOn; m != 0; m &= m - 1 {
+		e += a.Tx[bits.TrailingZeros64(m)].ClockFJ(a.lib, true)
 	}
-	for _, rx := range a.Rx {
-		e += rx.ClockFJ(a.lib, true)
+	for m := a.rxOn; m != 0; m &= m - 1 {
+		e += a.Rx[bits.TrailingZeros64(m)].ClockFJ(a.lib, true)
 	}
 	return e
-}
-
-// enableMasks summarizes which converters are enabled, the only gated
-// clock-energy input that can change without a clock edge.
-func (a *Assembly) enableMasks() (txm, rxm uint64) {
-	for i, tx := range a.Tx {
-		if tx.Enabled {
-			txm |= 1 << uint(i)
-		}
-	}
-	for i, rx := range a.Rx {
-		if rx.Enabled {
-			rxm |= 1 << uint(i)
-		}
-	}
-	return txm, rxm
 }
 
 // SetWake implements sim.Waker, forwarding the wake to the router and the
@@ -232,8 +231,10 @@ func (a *Assembly) SetWake(fn func()) {
 }
 
 // Quiescent implements sim.Quiescer: the assembly is skippable only when
-// the router and every converter are individually at rest. The per-cycle
-// meter tick a skipped cycle still owes is reproduced by IdleWindow.
+// the router and every converter are individually at rest. Converters
+// outside the on|busy masks are Quiescent, so only the others are
+// asked. The per-cycle meter tick a skipped cycle still owes is
+// reproduced by IdleWindow.
 func (a *Assembly) Quiescent() bool {
 	if a.asleep {
 		return true
@@ -241,13 +242,13 @@ func (a *Assembly) Quiescent() bool {
 	if !a.R.Quiescent() {
 		return false
 	}
-	for _, tx := range a.Tx {
-		if !tx.Quiescent() {
+	for m := a.txOn | a.txBusy; m != 0; m &= m - 1 {
+		if !a.Tx[bits.TrailingZeros64(m)].Quiescent() {
 			return false
 		}
 	}
-	for _, rx := range a.Rx {
-		if !rx.Quiescent() {
+	for m := a.rxOn | a.rxBusy; m != 0; m &= m - 1 {
+		if !a.Rx[bits.TrailingZeros64(m)].Quiescent() {
 			return false
 		}
 	}
@@ -256,7 +257,7 @@ func (a *Assembly) Quiescent() bool {
 	// its inputs, and a disabled converter ignores its lane and ack
 	// wires. Any enabled converter (or configured lane) keeps the full
 	// poll, since upstream traffic or acks could arrive on any cycle.
-	if a.R.Unconfigured() && !a.anyConverterEnabled() {
+	if a.R.Unconfigured() && a.txOn|a.rxOn == 0 {
 		a.asleep = true
 	}
 	return true
@@ -270,30 +271,14 @@ func (a *Assembly) Quiescent() bool {
 // (and do not) wake them.
 func (a *Assembly) Asleep() bool { return a.asleep }
 
-// anyConverterEnabled reports whether any tile converter is enabled.
-func (a *Assembly) anyConverterEnabled() bool {
-	for _, tx := range a.Tx {
-		if tx.Enabled {
-			return true
-		}
-	}
-	for _, rx := range a.Rx {
-		if rx.Enabled {
-			return true
-		}
-	}
-	return false
-}
-
 // IdleWindow implements sim.Quiescer: each skipped cycle charges
 // exactly the clock energy an active-but-idle cycle would have charged —
 // the full clock network ungated, or the cached configuration-dependent
-// share when gated. The cache is recomputed whenever a converter enable
-// changed underneath it, so direct Enabled writes (the CCN's unmap path)
-// stay exact. n skipped cycles charge n times that energy in one O(1)
-// meter extension — the meter's run-length accounting makes the batch
-// bit-identical to n single cycles, so the kernel can fast-forward whole
-// idle windows across this assembly.
+// share when gated, recomputed when the cache was dropped. n skipped
+// cycles charge n times that energy in one O(1) meter extension — the
+// meter's run-length accounting makes the batch bit-identical to n
+// single cycles, so the kernel can fast-forward whole idle windows
+// across this assembly.
 func (a *Assembly) IdleWindow(n uint64) {
 	if a.meter == nil {
 		return
@@ -302,10 +287,8 @@ func (a *Assembly) IdleWindow(n uint64) {
 		a.meter.TickN(n)
 		return
 	}
-	txm, rxm := a.enableMasks()
-	if !a.idleFJOK || txm != a.idleTxMask || rxm != a.idleRxMask {
+	if !a.idleFJOK {
 		a.idleFJ, a.idleFJOK = a.gatedClockFJ(), true
-		a.idleTxMask, a.idleRxMask = txm, rxm
 	}
 	a.meter.TickGatedN(a.idleFJ, n)
 }

@@ -192,10 +192,10 @@ func TestAssemblyGatedTickNeverExceedsBudget(t *testing.T) {
 		}
 	}
 	for _, tx := range a.Tx {
-		tx.Enabled = true
+		tx.SetEnabled(true)
 	}
 	for _, rx := range a.Rx {
-		rx.Enabled = true
+		rx.SetEnabled(true)
 	}
 	w := sim.NewWorld()
 	w.Add(a)
@@ -310,7 +310,7 @@ func TestLanesPerPortBounded(t *testing.T) {
 		m := power.NewMeter(d, lib, 25)
 		a.BindMeter(m, lib, true)
 		a.IdleWindow(1) // fills the idle-energy cache
-		a.Tx[p.LanesPerPort-1].Enabled = true
+		a.Tx[p.LanesPerPort-1].SetEnabled(true)
 		if replay {
 			a.IdleWindow(1)
 		} else {

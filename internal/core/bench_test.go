@@ -112,3 +112,44 @@ func BenchmarkAssemblyStep(b *testing.B) {
 		a.Commit()
 	}
 }
+
+// BenchmarkAssemblyPassThrough measures a mid-path router of a sparse
+// mesh under the kernel's poll-then-step protocol: one configured
+// West→East lane carrying a word every 20 cycles, every converter
+// disabled, a meter bound. Each iteration is one cycle: Quiescent, then
+// Eval+Commit or the skipped cycle's IdleWindow.
+func BenchmarkAssemblyPassThrough(b *testing.B) {
+	p := DefaultParams()
+	lib := stdcell.Default013()
+	a := NewAssembly(p, DefaultAssemblyOptions())
+	a.BindMeter(power.NewMeter(Netlist(p, lib), lib, 25), lib, false)
+	var in uint8
+	a.R.ConnectIn(p.Global(LaneID{Port: West, Lane: 0}), &in)
+	if err := a.R.Configure(Circuit{
+		In:  LaneID{Port: West, Lane: 0},
+		Out: LaneID{Port: East, Lane: 0},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	a.Eval()
+	a.Commit()
+	// The word's five nibbles, header first, as a converter emits them.
+	var nibbles [5]uint8
+	packed := DataWord(0xA5C3).Pack()
+	for k := range nibbles {
+		nibbles[k] = uint8(packed >> (16 - 4*k) & 0xF)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in = 0
+		if k := i % 20; k < len(nibbles) {
+			in = nibbles[k]
+		}
+		if a.Quiescent() {
+			a.IdleWindow(1)
+			continue
+		}
+		a.Eval()
+		a.Commit()
+	}
+}

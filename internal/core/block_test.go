@@ -12,7 +12,8 @@ func blockPair(t *testing.T) (*BlockTx, *BlockRx, *sim.World) {
 	p := DefaultParams()
 	tx := NewTxConverter(p, FlowParams{})
 	rx := NewRxConverter(p, FlowParams{}, 1<<16)
-	tx.Enabled, rx.Enabled = true, true
+	tx.SetEnabled(true)
+	rx.SetEnabled(true)
 	rx.ConnectIn(&tx.Out)
 	w := sim.NewWorld()
 	w.Add(tx, rx)

@@ -50,9 +50,14 @@ type TxConverter struct {
 
 	// Out is the registered lane value the router's tile input lane reads.
 	Out uint8
-	// Enabled gates the converter: a disabled converter holds its lane
-	// idle and (with clock gating) draws no clock energy.
-	Enabled bool
+
+	// enabled gates the converter: a disabled converter holds its lane
+	// idle and (with clock gating) draws no clock energy. SetEnabled
+	// writes it and reports it to asm, the assembly whose tile lane
+	// this converter feeds, if any.
+	enabled bool
+	lane    uint8
+	asm     *Assembly
 
 	ackIn *bool // from the router's AckOut of this input lane
 
@@ -101,6 +106,19 @@ func (t *TxConverter) ConnectAck(src *bool) { t.ackIn = src }
 // BindMeter attaches a power meter for the converter's activity.
 func (t *TxConverter) BindMeter(m *power.Meter) { t.meter = m }
 
+// SetEnabled gates the converter: a disabled converter holds its lane
+// idle, refuses Push and (with clock gating) draws no clock energy.
+// Call it between cycles, as the CCN and the lane book do.
+func (t *TxConverter) SetEnabled(on bool) {
+	t.enabled = on
+	if t.asm != nil {
+		t.asm.setEnabled(&t.asm.txOn, t.lane, on)
+	}
+}
+
+// Enabled reports whether the converter is enabled.
+func (t *TxConverter) Enabled() bool { return t.enabled }
+
 // Ready reports whether a new word can be pushed this cycle.
 func (t *TxConverter) Ready() bool { return !t.hasStaged && !t.hasPending }
 
@@ -108,7 +126,7 @@ func (t *TxConverter) Ready() bool { return !t.hasStaged && !t.hasPending }
 // the caller keeps the word) if the converter cannot accept it this cycle.
 // Call during the Eval phase.
 func (t *TxConverter) Push(w Word) bool {
-	if !t.Enabled || !t.Ready() {
+	if !t.enabled || !t.Ready() {
 		return false
 	}
 	t.staged, t.hasStaged = w, true
@@ -122,13 +140,17 @@ func (t *TxConverter) Push(w Word) bool {
 // converter in the cycle it is staged.
 func (t *TxConverter) SetWake(fn func()) { t.wake = fn }
 
-// Quiescent implements sim.Quiescer: true only when the converter holds no
-// word in any stage, its output lane is idle and no acknowledgement is
-// arriving (an ack replenishes the window counter, which is a state
-// change).
+// Quiescent implements sim.Quiescer: true only when the converter is at
+// rest and no acknowledgement is arriving (an ack replenishes the
+// window counter, which is a state change).
 func (t *TxConverter) Quiescent() bool {
-	return !t.hasStaged && !t.hasPending && t.cnt == 0 &&
-		t.shift == 0 && t.Out == 0 && !(t.ackIn != nil && *t.ackIn)
+	return t.atRest() && !(t.ackIn != nil && *t.ackIn)
+}
+
+// atRest reports whether the converter holds no word in any stage and
+// its output lane is idle.
+func (t *TxConverter) atRest() bool {
+	return !t.hasStaged && !t.hasPending && t.cnt == 0 && t.shift == 0 && t.Out == 0
 }
 
 // IdleWindow implements sim.Quiescer: an idle converter accrues no
@@ -188,7 +210,7 @@ func (t *TxConverter) Eval() {
 }
 
 func (t *TxConverter) canLoad() bool {
-	if !t.Enabled || !t.hasPending {
+	if !t.enabled || !t.hasPending {
 		return false
 	}
 	if t.flow.UseAck {
@@ -264,7 +286,7 @@ func TxRegBits(p Params) int {
 // ClockFJ returns the clock energy this converter draws per cycle; with
 // gating, a disabled converter draws none.
 func (t *TxConverter) ClockFJ(lib stdcell.Lib, gated bool) float64 {
-	if gated && !t.Enabled {
+	if gated && !t.enabled {
 		return 0
 	}
 	return power.ClockEnergyFor(lib, TxRegBits(t.p), 0)
@@ -282,8 +304,12 @@ type RxConverter struct {
 	// AckOut is the registered acknowledgement wire towards the network;
 	// the router's tile-port ConnectAckIn points here.
 	AckOut bool
-	// Enabled gates the converter like the transmit side.
-	Enabled bool
+
+	// enabled gates the converter like the transmit side, and SetEnabled
+	// reports it to asm likewise.
+	enabled bool
+	lane    uint8
+	asm     *Assembly
 
 	in *uint8 // the router's tile-port output lane register
 
@@ -328,6 +354,19 @@ func (r *RxConverter) ConnectIn(src *uint8) { r.in = src }
 // BindMeter attaches a power meter for the converter's activity.
 func (r *RxConverter) BindMeter(m *power.Meter) { r.meter = m }
 
+// SetEnabled gates the converter: a disabled converter ignores its lane
+// and (with clock gating) draws no clock energy; words it already
+// buffers can still be popped. Call it between cycles.
+func (r *RxConverter) SetEnabled(on bool) {
+	r.enabled = on
+	if r.asm != nil {
+		r.asm.setEnabled(&r.asm.rxOn, r.lane, on)
+	}
+}
+
+// Enabled reports whether the converter is enabled.
+func (r *RxConverter) Enabled() bool { return r.enabled }
+
 // Available returns the number of words waiting in the destination buffer.
 func (r *RxConverter) Available() int { return len(r.buf) - r.popN }
 
@@ -356,22 +395,27 @@ func (r *RxConverter) Pop() (Word, bool) {
 // converter so the buffer trim and acknowledgement credit commit on time.
 func (r *RxConverter) SetWake(fn func()) { r.wake = fn }
 
-// Quiescent implements sim.Quiescer: true only when no packet is being
-// reassembled, no pop is staged, the acknowledgement machinery is at rest
-// and no valid nibble is arriving on the watched lane. Words parked in the
-// destination buffer do not count as activity — they change nothing until
-// the tile pops them, and Pop wakes the converter.
+// Quiescent implements sim.Quiescer: true only when the converter is at
+// rest and, if enabled, no valid nibble is arriving on the watched lane.
+// Words parked in the destination buffer do not count as activity — they
+// change nothing until the tile pops them, and Pop wakes the converter.
 func (r *RxConverter) Quiescent() bool {
-	if r.cnt != 0 || r.acc != 0 || r.popN != 0 || r.ackHigh > 0 || r.AckOut {
+	if !r.atRest() {
 		return false
 	}
-	if r.Enabled && r.in != nil {
+	if r.enabled && r.in != nil {
 		nib := *r.in & uint8(1<<uint(r.p.LaneWidth)-1)
 		if Header(nib)&HdrValid != 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// atRest reports whether no packet is being reassembled, no pop is
+// staged and the acknowledgement machinery is at rest.
+func (r *RxConverter) atRest() bool {
+	return r.cnt == 0 && r.acc == 0 && r.popN == 0 && r.ackHigh == 0 && !r.AckOut
 }
 
 // IdleWindow implements sim.Quiescer: an idle receive converter accrues
@@ -392,7 +436,7 @@ func (r *RxConverter) Eval() {
 	if r.in != nil {
 		nib = *r.in & uint8(1<<uint(r.p.LaneWidth)-1)
 	}
-	if !r.Enabled {
+	if !r.enabled {
 		r.nextAcc, r.nextCnt = 0, 0
 		return
 	}
@@ -466,7 +510,7 @@ func RxRegBits(p Params) int {
 
 // ClockFJ returns the clock energy this converter draws per cycle.
 func (r *RxConverter) ClockFJ(lib stdcell.Lib, gated bool) float64 {
-	if gated && !r.Enabled {
+	if gated && !r.enabled {
 		return 0
 	}
 	return power.ClockEnergyFor(lib, RxRegBits(r.p), 0)

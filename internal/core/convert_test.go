@@ -23,8 +23,8 @@ func newTxRx(t *testing.T, flow FlowParams, bufCap int) *txRxHarness {
 		rx: NewRxConverter(p, flow, bufCap),
 		w:  sim.NewWorld(),
 	}
-	h.tx.Enabled = true
-	h.rx.Enabled = true
+	h.tx.SetEnabled(true)
+	h.rx.SetEnabled(true)
 	h.rx.ConnectIn(&h.tx.Out)
 	h.tx.ConnectAck(&h.rx.AckOut)
 	h.w.Add(h.tx, h.rx)
@@ -85,7 +85,7 @@ func TestBackToBackThroughput(t *testing.T) {
 func TestDeserializerIgnoresIdleAndSyncs(t *testing.T) {
 	p := DefaultParams()
 	rx := NewRxConverter(p, FlowParams{}, 8)
-	rx.Enabled = true
+	rx.SetEnabled(true)
 	lane := uint8(0)
 	rx.ConnectIn(&lane)
 	w := sim.NewWorld()

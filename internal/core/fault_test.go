@@ -30,7 +30,8 @@ func newFaultyPair(t *testing.T) (*TxConverter, *RxConverter, *faultyLane, *sim.
 	p := DefaultParams()
 	tx := NewTxConverter(p, FlowParams{})
 	rx := NewRxConverter(p, FlowParams{}, 1<<16)
-	tx.Enabled, rx.Enabled = true, true
+	tx.SetEnabled(true)
+	rx.SetEnabled(true)
 	fl := &faultyLane{in: &tx.Out}
 	rx.ConnectIn(&fl.Out)
 	w := sim.NewWorld()

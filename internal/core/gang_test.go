@@ -24,7 +24,8 @@ func newGang(t *testing.T, k int) *gangHarness {
 	for i := 0; i < k; i++ {
 		tx := NewTxConverter(p, FlowParams{})
 		rx := NewRxConverter(p, FlowParams{}, 64)
-		tx.Enabled, rx.Enabled = true, true
+		tx.SetEnabled(true)
+		rx.SetEnabled(true)
 		rx.ConnectIn(&tx.Out)
 		w.Add(tx, rx)
 		txs = append(txs, tx)
@@ -120,7 +121,8 @@ func TestGangStrictOrderNeverSkips(t *testing.T) {
 	p := DefaultParams()
 	lane0 := NewTxConverter(p, FlowParams{})
 	lane1 := NewTxConverter(p, FlowParams{})
-	lane0.Enabled, lane1.Enabled = true, true
+	lane0.SetEnabled(true)
+	lane1.SetEnabled(true)
 	g := NewGangTx([]*TxConverter{lane0, lane1})
 	// Occupy lane 0 directly, leaving lane 1 free.
 	if !lane0.Push(DataWord(0xAA)) {

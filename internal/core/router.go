@@ -61,6 +61,10 @@ type Router struct {
 	// mask keeps a lane value's LaneWidth bits.
 	mask uint8
 
+	// tileAck has bit l set while AckOut of tile input lane l is high:
+	// an Assembly reads its transmit converters' ack wires from it.
+	tileAck uint64
+
 	// meter, when non-nil, receives this router's switching activity.
 	meter *power.Meter
 
@@ -249,6 +253,9 @@ func (r *Router) Commit() {
 		for d := binary.LittleEndian.Uint64(ack[i:]) ^ nextA; d != 0; d &= d - 1 {
 			g := i + bits.TrailingZeros64(d)/8
 			r.AckOut[g] = nextAck[g] != 0
+			if g < r.P.LanesPerPort {
+				r.tileAck ^= 1 << uint(g)
+			}
 			ackFlips++
 		}
 	}

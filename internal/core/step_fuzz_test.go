@@ -13,20 +13,26 @@ import (
 // per-lane router and every-converter step, kept in step_ref_test.go)
 // through the same generated run and requires identical registers,
 // converter state, quiescence, toggle counts and power report on every
-// cycle.
+// cycle. It also requires the production assembly's enable masks to
+// match the converters' enables, and every converter outside its
+// on|busy masks to be disabled, Quiescent and, on the receive side,
+// empty: the property that lets the assembly visit only the converters
+// inside them.
 //
 // The input's first five bytes pick the geometry — 2 to 6 ports, 1 to
 // 16 lanes per port, so lane totals that are not multiples of 8 and,
 // above 8 lanes, a tile port spanning two words — the flow control, the
 // destination buffer, clock gating and the seed of the wire data. Each
 // further byte is one cycle's operation bits (opConfig and the rest),
-// some followed by their operands; a cycle may
-// stage configuration writes, flip a converter's Enabled flag between
-// cycles, drive new input and acknowledgement wires, and push and pop
-// tile words before or after the assembly's Eval, as a tile component
-// registered before or after it would. Twenty idle cycles follow the
-// input so that words in flight drain; bytes past maxStepInput are not
-// read.
+// some followed by their operands; a cycle may stage configuration
+// writes, flip a converter's enable through SetEnabled between cycles,
+// drive new input and acknowledgement wires, and push and pop tile
+// words before or after the assembly's Eval, as a tile component
+// registered before or after it would. On odd cycles without tile
+// operations a quiescent assembly is skipped as the kernel skips it:
+// IdleWindow(1) against the reference's own meter tick. Twenty idle
+// cycles follow the input so that words in flight drain; bytes past
+// maxStepInput are not read.
 func FuzzAssemblyStep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAssemblyStep(t, data)
@@ -36,7 +42,7 @@ func FuzzAssemblyStep(f *testing.F) {
 // The bits of one cycle's operation byte.
 const (
 	opConfig  = 1 << 0 // stage 1–3 configuration writes
-	opEnable  = 1 << 1 // set one converter's Enabled flag
+	opEnable  = 1 << 1 // set one converter's enable
 	opInputs  = 1 << 2 // drive new values on the foreign input lanes
 	opAcks    = 1 << 3 // drive new acknowledgements on the foreign output lanes
 	opPush    = 1 << 4 // push a word into every ready transmit converter
@@ -146,9 +152,11 @@ func checkAssemblyStep(t *testing.T, data []byte) {
 			b := rd.next()
 			i, on := int(b>>2)%lanes, b&2 != 0
 			if b&1 == 0 {
-				a.Tx[i].Enabled, ref.Tx[i].Enabled = on, on
+				a.Tx[i].SetEnabled(on)
+				ref.Tx[i].SetEnabled(on)
 			} else {
-				a.Rx[i].Enabled, ref.Rx[i].Enabled = on, on
+				a.Rx[i].SetEnabled(on)
+				ref.Rx[i].SetEnabled(on)
 			}
 		}
 		if op&opInputs != 0 {
@@ -165,21 +173,63 @@ func checkAssemblyStep(t *testing.T, data []byte) {
 			}
 		}
 
+		checkMasks(t, cycle, a)
 		if got, want := a.R.Quiescent(), ref.R.Quiescent(); got != want {
 			t.Fatalf("cycle %d: Router.Quiescent = %v, reference %v", cycle, got, want)
 		}
-		if got, want := a.Quiescent(), ref.Quiescent(); got != want {
-			t.Fatalf("cycle %d: Assembly.Quiescent = %v, reference %v", cycle, got, want)
+		quiet := a.Quiescent()
+		if want := ref.Quiescent(); quiet != want {
+			t.Fatalf("cycle %d: Assembly.Quiescent = %v, reference %v", cycle, quiet, want)
 		}
-		tile(false, op)
-		a.Eval()
-		ref.Eval()
-		tile(true, op)
-		a.Commit()
-		ref.Commit()
+		if quiet && cycle%2 == 1 && op&(opPush|opPop) == 0 {
+			a.IdleWindow(1)
+			refIdleCycle(ref)
+		} else {
+			tile(false, op)
+			a.Eval()
+			ref.Eval()
+			tile(true, op)
+			a.Commit()
+			ref.Commit()
+		}
 
 		compareAssemblies(t, cycle, a, ref, am, rm)
 	}
+}
+
+// checkMasks fails the test if the assembly's enable masks disagree
+// with its converters' enables, or if a converter outside its on|busy
+// masks is not Quiescent or is a receive converter holding words a tile
+// could pop.
+func checkMasks(t *testing.T, cycle int, a *Assembly) {
+	t.Helper()
+	for i, tx := range a.Tx {
+		on, busy := a.txOn>>uint(i)&1 == 1, a.txBusy>>uint(i)&1 == 1
+		if on != tx.Enabled() || !on && !busy && !tx.Quiescent() {
+			t.Fatalf("cycle %d: Tx[%d] enabled %v, quiescent %v, in masks on %v busy %v",
+				cycle, i, tx.Enabled(), tx.Quiescent(), on, busy)
+		}
+	}
+	for i, rx := range a.Rx {
+		on, busy := a.rxOn>>uint(i)&1 == 1, a.rxBusy>>uint(i)&1 == 1
+		if on != rx.Enabled() || !on && !busy && (!rx.Quiescent() || rx.Available() != 0) {
+			t.Fatalf("cycle %d: Rx[%d] enabled %v, quiescent %v, holds %d words, in masks on %v busy %v",
+				cycle, i, rx.Enabled(), rx.Quiescent(), rx.Available(), on, busy)
+		}
+	}
+}
+
+// refIdleCycle charges the reference a skipped cycle's meter tick, as
+// its Commit would.
+func refIdleCycle(ref *refAssembly) {
+	if ref.meter == nil {
+		return
+	}
+	if !ref.gated {
+		ref.meter.Tick()
+		return
+	}
+	ref.meter.TickGated(ref.gatedClockFJ())
 }
 
 // compareAssemblies fails the test at the first register, converter

@@ -321,12 +321,12 @@ func (a *refAssembly) Quiescent() bool {
 
 func (a *refAssembly) anyConverterEnabled() bool {
 	for _, tx := range a.Tx {
-		if tx.Enabled {
+		if tx.Enabled() {
 			return true
 		}
 	}
 	for _, rx := range a.Rx {
-		if rx.Enabled {
+		if rx.Enabled() {
 			return true
 		}
 	}

@@ -213,10 +213,10 @@ func (b *LaneBook) Configure(paths [][]Segment) error {
 				return err
 			}
 			if i == 0 && seg.Circuit.In.Port == core.Tile {
-				a.Tx[seg.Circuit.In.Lane].Enabled = true
+				a.Tx[seg.Circuit.In.Lane].SetEnabled(true)
 			}
 			if i == len(path)-1 && seg.Circuit.Out.Port == core.Tile {
-				a.Rx[seg.Circuit.Out.Lane].Enabled = true
+				a.Rx[seg.Circuit.Out.Lane].SetEnabled(true)
 			}
 		}
 	}
@@ -232,10 +232,10 @@ func (b *LaneBook) Release(paths [][]Segment) {
 			a := b.m.At(seg.Node)
 			a.R.Deactivate(seg.Circuit.Out)
 			if i == 0 && seg.Circuit.In.Port == core.Tile {
-				a.Tx[seg.Circuit.In.Lane].Enabled = false
+				a.Tx[seg.Circuit.In.Lane].SetEnabled(false)
 			}
 			if i == len(path)-1 && seg.Circuit.Out.Port == core.Tile {
-				a.Rx[seg.Circuit.Out.Lane].Enabled = false
+				a.Rx[seg.Circuit.Out.Lane].SetEnabled(false)
 			}
 		}
 	}

@@ -169,10 +169,10 @@ func (g *refCCN) Configure(c *refConn) error {
 				return err
 			}
 			if i == 0 && seg.Circuit.In.Port == core.Tile {
-				a.Tx[seg.Circuit.In.Lane].Enabled = true
+				a.Tx[seg.Circuit.In.Lane].SetEnabled(true)
 			}
 			if i == len(lane)-1 && seg.Circuit.Out.Port == core.Tile {
-				a.Rx[seg.Circuit.Out.Lane].Enabled = true
+				a.Rx[seg.Circuit.Out.Lane].SetEnabled(true)
 			}
 		}
 	}
@@ -187,10 +187,10 @@ func (g *refCCN) Release(c *refConn) {
 			g.used(seg.Node)[g.m.P.Global(seg.Circuit.Out)] = false
 			if i == 0 && seg.Circuit.In.Port == core.Tile {
 				g.tileIn(seg.Node)[seg.Circuit.In.Lane] = false
-				a.Tx[seg.Circuit.In.Lane].Enabled = false
+				a.Tx[seg.Circuit.In.Lane].SetEnabled(false)
 			}
 			if i == len(lane)-1 && seg.Circuit.Out.Port == core.Tile {
-				a.Rx[seg.Circuit.Out.Lane].Enabled = false
+				a.Rx[seg.Circuit.Out.Lane].SetEnabled(false)
 			}
 		}
 	}
@@ -333,10 +333,10 @@ func (a *refPattern) tryRoute(route []Coord) (*core.TxConverter, *core.RxConvert
 			return nil, nil, err
 		}
 		if i == 0 && s.circ.In.Port == core.Tile {
-			asm.Tx[s.circ.In.Lane].Enabled = true
+			asm.Tx[s.circ.In.Lane].SetEnabled(true)
 		}
 		if i == len(segs)-1 && s.circ.Out.Port == core.Tile {
-			asm.Rx[s.circ.Out.Lane].Enabled = true
+			asm.Rx[s.circ.Out.Lane].SetEnabled(true)
 		}
 	}
 	return a.m.At(route[0]).Tx[tin], a.m.At(dstC).Rx[l], nil

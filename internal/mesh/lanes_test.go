@@ -74,7 +74,7 @@ func TestReserveAdmitsAtEndpoints(t *testing.T) {
 		t.Errorf("the last free tile lanes at both ends: %v", err)
 	}
 	for l, tx := range m.At(src).Tx {
-		if tx.Enabled {
+		if tx.Enabled() {
 			t.Errorf("Reserve enabled transmit converter %d; only Configure may", l)
 		}
 	}
@@ -149,7 +149,7 @@ func decodeLaneSteps(data []byte) (w, h int, steps []laneStep) {
 // CCN's and the pattern harness's, kept in lanes_ref_test.go) through
 // one generated reserve/release sequence, each on its own mesh, and
 // checks after every step that they agree on success, route, every
-// segment, every router's configuration bits, every converter's Enabled
+// segment, every router's configuration bits, every converter's enable
 // flag and both utilisation figures. The pattern allocator follows a
 // sequence while it only reserves single lane paths — it never
 // released — and drops out at the first step it could not take.
@@ -234,7 +234,7 @@ func FuzzLaneReserve(f *testing.F) {
 								i, c, got.R.Config().Bits(), want.R.Config().Bits())
 						}
 						for l := range want.Tx {
-							if got.Tx[l].Enabled != want.Tx[l].Enabled || got.Rx[l].Enabled != want.Rx[l].Enabled {
+							if got.Tx[l].Enabled() != want.Tx[l].Enabled() || got.Rx[l].Enabled() != want.Rx[l].Enabled() {
 								t.Fatalf("step %d: converter enables at %v lane %d differ", i, c, l)
 							}
 						}

@@ -165,6 +165,10 @@ type Sampler struct {
 	cbrNum uint64 // rate in 1/cbrScale words per cycle
 	cbrAcc uint64 // fractional word accumulator, < cbrScale
 
+	// gap draws the Bernoulli and Poisson gaps and the on-off silences;
+	// burst draws the on-off burst lengths.
+	gap, burst geometric
+
 	burstLeft uint64 // words remaining in the current on-off burst
 }
 
@@ -182,11 +186,26 @@ func NewSampler(inj Injection, seed uint64) *Sampler {
 	if num > cbrScale {
 		num = cbrScale
 	}
-	return &Sampler{
+	s := &Sampler{
 		inj:    inj,
 		rng:    bitvec.NewXorShift64(sweep.Mix64(seed ^ 0x494E4A454354)), // "INJECT"
 		cbrNum: num,
 	}
+	switch inj.Proc {
+	case Bernoulli:
+		s.gap = newGeometric(inj.Rate)
+	case Poisson:
+		// ceil(Exp(rate)) is exactly Geometric(1 - e^-rate).
+		s.gap = newGeometric(1 - math.Exp(-inj.Rate))
+	case OnOff:
+		// Between bursts: a geometric silence whose mean makes the
+		// long-run rate come out to Rate, then a new geometric burst.
+		b := inj.Burstiness
+		meanOff := b * (1 - inj.Rate) / inj.Rate
+		s.gap = newGeometric(1 / (meanOff + 1))
+		s.burst = newGeometric(1 / b)
+	}
+	return s
 }
 
 // NextGap returns the number of cycles from the previous arrival to the
@@ -199,32 +218,39 @@ func (s *Sampler) NextGap() uint64 {
 		gap := (cbrScale - s.cbrAcc + s.cbrNum - 1) / s.cbrNum
 		s.cbrAcc = s.cbrAcc + gap*s.cbrNum - cbrScale
 		return gap
-	case Bernoulli:
-		return geometricGap(s.rng, s.inj.Rate)
-	case Poisson:
-		// ceil(Exp(rate)) is exactly Geometric(1 - e^-rate).
-		return geometricGap(s.rng, 1-math.Exp(-s.inj.Rate))
+	case Bernoulli, Poisson:
+		return s.gap.draw(s.rng)
 	case OnOff:
 		if s.burstLeft > 0 {
 			s.burstLeft--
 			return 1
 		}
-		// Between bursts: a geometric silence whose mean makes the
-		// long-run rate come out to Rate, then a new geometric burst.
-		b := s.inj.Burstiness
-		meanOff := b * (1 - s.inj.Rate) / s.inj.Rate
-		gap := geometricGap(s.rng, 1/(meanOff+1))
-		s.burstLeft = geometricGap(s.rng, 1/b) - 1
+		gap := s.gap.draw(s.rng)
+		s.burstLeft = s.burst.draw(s.rng) - 1
 		return gap
 	default:
 		panic(fmt.Sprintf("pattern: unknown process %d", int(s.inj.Proc)))
 	}
 }
 
-// geometricGap draws a geometric inter-arrival gap (support 1,2,...)
-// with success probability p, by inversion of the exponential tail.
-func geometricGap(rng *bitvec.XorShift64, p float64) uint64 {
+// geometric draws geometric inter-arrival gaps (support 1,2,...) of one
+// success probability p, by inversion of the exponential tail. logQ is
+// log(1-p), computed once; sure marks p >= 1, whose gap is always 1 and
+// draws nothing from the RNG.
+type geometric struct {
+	logQ float64
+	sure bool
+}
+
+func newGeometric(p float64) geometric {
 	if p >= 1 {
+		return geometric{sure: true}
+	}
+	return geometric{logQ: math.Log(1 - p)}
+}
+
+func (g geometric) draw(rng *bitvec.XorShift64) uint64 {
+	if g.sure {
 		return 1
 	}
 	u := rng.Float64()
@@ -232,9 +258,9 @@ func geometricGap(rng *bitvec.XorShift64, p float64) uint64 {
 	for u == 0 {
 		u = rng.Float64()
 	}
-	g := 1 + uint64(math.Floor(math.Log(u)/math.Log(1-p)))
-	if g < 1 {
-		g = 1
+	n := 1 + uint64(math.Floor(math.Log(u)/g.logQ))
+	if n < 1 {
+		n = 1
 	}
-	return g
+	return n
 }

@@ -104,6 +104,72 @@ func TestSamplerDeterminism(t *testing.T) {
 	}
 }
 
+// refNextGap is NextGap as it was before NewSampler hoisted the
+// per-arrival constants: it recomputes 1-e^-rate, the on-off silence
+// and burst probabilities and log(1-p) on every draw. It steps the
+// sampler's own RNG, accumulator and burst state.
+func refNextGap(s *Sampler) uint64 {
+	switch s.inj.Proc {
+	case CBR:
+		gap := (cbrScale - s.cbrAcc + s.cbrNum - 1) / s.cbrNum
+		s.cbrAcc = s.cbrAcc + gap*s.cbrNum - cbrScale
+		return gap
+	case Bernoulli:
+		return refGeometricGap(s, s.inj.Rate)
+	case Poisson:
+		return refGeometricGap(s, 1-math.Exp(-s.inj.Rate))
+	default: // OnOff
+		if s.burstLeft > 0 {
+			s.burstLeft--
+			return 1
+		}
+		b := s.inj.Burstiness
+		meanOff := b * (1 - s.inj.Rate) / s.inj.Rate
+		gap := refGeometricGap(s, 1/(meanOff+1))
+		s.burstLeft = refGeometricGap(s, 1/b) - 1
+		return gap
+	}
+}
+
+func refGeometricGap(s *Sampler, p float64) uint64 {
+	if p >= 1 {
+		return 1
+	}
+	u := s.rng.Float64()
+	for u == 0 {
+		u = s.rng.Float64()
+	}
+	g := 1 + uint64(math.Floor(math.Log(u)/math.Log(1-p)))
+	if g < 1 {
+		g = 1
+	}
+	return g
+}
+
+// TestSamplerMatchesPerArrivalDraws pins the hoisted constants: every
+// process at every rate, from 1 (always a unit gap, with no RNG draw for
+// Bernoulli) down to 1e-6, draws the same gaps as refNextGap.
+func TestSamplerMatchesPerArrivalDraws(t *testing.T) {
+	var injs []Injection
+	for _, rate := range []float64{1, 0.9, 0.5, 0.3, 0.05, 1e-3, 1e-6} {
+		injs = append(injs,
+			Injection{Proc: CBR, Rate: rate},
+			Injection{Proc: Bernoulli, Rate: rate},
+			Injection{Proc: Poisson, Rate: rate})
+		for _, b := range []float64{1, DefaultBurstiness, 37.5} {
+			injs = append(injs, Injection{Proc: OnOff, Rate: rate, Burstiness: b})
+		}
+	}
+	for _, inj := range injs {
+		got, want := NewSampler(inj, 5), NewSampler(inj, 5)
+		for i := 0; i < 10000; i++ {
+			if g, w := got.NextGap(), refNextGap(want); g != w {
+				t.Fatalf("%v: gap %d = %d, per-arrival draw %d", inj, i, g, w)
+			}
+		}
+	}
+}
+
 func TestParseInjection(t *testing.T) {
 	cases := map[string]Injection{
 		"poisson:0.05": {Proc: Poisson, Rate: 0.05},

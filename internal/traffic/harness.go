@@ -35,7 +35,7 @@ func newCircuitWorld(p core.Params, opt core.AssemblyOptions, wopts ...sim.World
 // meter, matching the single-router measurement setup of the paper.
 func (cw *circuitWorld) Feeder(in core.LaneID) *core.TxConverter {
 	tx := core.NewTxConverter(cw.p, core.FlowParams{})
-	tx.Enabled = true
+	tx.SetEnabled(true)
 	cw.A.R.ConnectIn(cw.p.Global(in), &tx.Out)
 	cw.W.Add(tx)
 	return tx

@@ -44,10 +44,8 @@ type RunConfig struct {
 	Kernel sim.Kernel
 	// WordsPerStream caps each stream source's emitted words; 0 means
 	// unlimited (the paper's open-loop scenarios). With a cap, exhausted
-	// sources retire and the network drains. RunCircuit, RunTDM and the
-	// pattern runners then fast-forward the drained tail; RunPacket does
-	// not, because its injector, feeder and drain are sim.Funcs that run
-	// every cycle.
+	// sources retire and the network drains, and every runner then
+	// fast-forwards the drained tail.
 	WordsPerStream uint64
 	// Observe, when non-nil, receives the simulation world after the run
 	// completes — kernel diagnostics (fast-forward windows, per-component
@@ -257,46 +255,18 @@ func RunPacket(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 			period: laneWordPeriod, limit: cfg.WordsPerStream,
 		}
 		if st.In == core.Tile {
-			tracer, track := cfg.Obs.Tracer, fmt.Sprintf("stream%d.src", st.ID)
-			var cycle uint64
-			w.Add(&sim.Func{OnEval: func() {
-				if f, ok := gen.next(); ok {
-					if !r.Inject(f) {
-						gen.retry(f)
-					} else if tracer != nil {
-						tracer.Emit(obs.Event{Cycle: cycle, Track: track,
-							Kind: obs.KindInject, Value: int64(f.Kind)})
-					}
-				}
-			}, OnCommit: func() { cycle++ }})
+			w.Add(&packetInjector{r: r, gen: gen,
+				tracer: cfg.Obs.Tracer, track: fmt.Sprintf("stream%d.src", st.ID)})
 		} else {
 			// Feeder register standing in for the upstream router.
-			inPort := st.In
 			slot := new(packetsw.Flit)
-			r.ConnectIn(inPort, slot)
-			w.Add(&sim.Func{OnEval: func() {
-				*slot = packetsw.Flit{}
-				if f, ok := gen.next(); ok {
-					*slot = f
-				}
-			}})
+			r.ConnectIn(st.In, slot)
+			w.Add(&packetFeeder{gen: gen, slot: slot})
 		}
 	}
 	// The tile ejection sink drains continuously.
-	delivered := uint64(0)
-	drainTracer := cfg.Obs.Tracer
-	var drainCycle uint64
-	w.Add(&sim.Func{OnEval: func() {
-		for _, f := range r.Drain() {
-			if f.Kind == packetsw.Body || f.Kind == packetsw.Tail {
-				delivered++
-				if drainTracer != nil {
-					drainTracer.Emit(obs.Event{Cycle: drainCycle, Track: "tile.sink",
-						Kind: obs.KindDeliver, Value: int64(delivered)})
-				}
-			}
-		}
-	}, OnCommit: func() { drainCycle++ }})
+	drain := &packetDrain{r: r, tracer: cfg.Obs.Tracer}
+	w.Add(drain)
 
 	w.Run(cfg.Cycles)
 	if cfg.Observe != nil {
@@ -306,7 +276,7 @@ func RunPacket(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 	for _, s := range sources {
 		res.WordsSent += s.Sent()
 	}
-	res.WordsDelivered = delivered
+	res.WordsDelivered = drain.delivered
 	res.Power = meter.Report("packet switched / scenario " + sc.Name)
 	res.Attribution = meter.AttributionSorted()
 	return res, nil
@@ -375,3 +345,125 @@ func (g *packetGen) next() (packetsw.Flit, bool) {
 
 // retry re-queues a flit the router could not accept this cycle.
 func (g *packetGen) retry(f packetsw.Flit) { g.retrySlot = &f }
+
+// retired reports whether the generator will emit nothing more: its
+// word budget is spent at a packet boundary and no flit is queued or
+// waiting to retry. From then on next only advances the cycle count,
+// which skip replays.
+func (g *packetGen) retired() bool {
+	return g.limit > 0 && g.inPacket == 0 && g.retrySlot == nil && len(g.queued) == 0 &&
+		g.src.Sent() >= g.limit
+}
+
+// skip replays n cycles of a retired generator.
+func (g *packetGen) skip(n uint64) { g.cycle += int(n) }
+
+// packetInjector injects one stream's flits at the router's tile port,
+// retrying a flit the router refuses on the next cycle. Once its
+// generator is retired it is quiescent, so a finite stream run can
+// fast-forward its drained tail.
+type packetInjector struct {
+	r   *packetsw.Router
+	gen *packetGen
+
+	// tracer, when non-nil, receives an inject event per accepted flit
+	// on the track name.
+	tracer obs.Tracer
+	track  string
+	cycle  uint64
+}
+
+// Eval implements sim.Clocked.
+func (d *packetInjector) Eval() {
+	f, ok := d.gen.next()
+	if !ok {
+		return
+	}
+	if !d.r.Inject(f) {
+		d.gen.retry(f)
+	} else if d.tracer != nil {
+		d.tracer.Emit(obs.Event{Cycle: d.cycle, Track: d.track,
+			Kind: obs.KindInject, Value: int64(f.Kind)})
+	}
+}
+
+// Commit implements sim.Clocked.
+func (d *packetInjector) Commit() { d.cycle++ }
+
+// Quiescent implements sim.Quiescer.
+func (d *packetInjector) Quiescent() bool { return d.gen.retired() }
+
+// IdleWindow implements sim.Quiescer: a retired injector's generator
+// and trace clock still count the skipped cycles.
+func (d *packetInjector) IdleWindow(n uint64) {
+	d.gen.skip(n)
+	d.cycle += n
+}
+
+// packetFeeder presents one stream's flits on the feeder register of a
+// neighbour input port, one per cycle, clearing it on cycles with none.
+// It is quiescent once its generator is retired and the register is
+// clear.
+type packetFeeder struct {
+	gen  *packetGen
+	slot *packetsw.Flit
+}
+
+// Eval implements sim.Clocked.
+func (d *packetFeeder) Eval() {
+	*d.slot = packetsw.Flit{}
+	if f, ok := d.gen.next(); ok {
+		*d.slot = f
+	}
+}
+
+// Commit implements sim.Clocked.
+func (d *packetFeeder) Commit() {}
+
+// Quiescent implements sim.Quiescer.
+func (d *packetFeeder) Quiescent() bool {
+	return d.gen.retired() && *d.slot == packetsw.Flit{}
+}
+
+// IdleWindow implements sim.Quiescer: a retired feeder's generator
+// still counts the skipped cycles.
+func (d *packetFeeder) IdleWindow(n uint64) { d.gen.skip(n) }
+
+// packetDrain pops the router's tile ejection queue and counts the data
+// words delivered. It is quiescent while nothing is ejected.
+type packetDrain struct {
+	r         *packetsw.Router
+	delivered uint64
+
+	// tracer, when non-nil, receives a deliver event per data word on
+	// the tile.sink track.
+	tracer obs.Tracer
+	cycle  uint64
+}
+
+// Eval implements sim.Clocked.
+func (d *packetDrain) Eval() {
+	for _, f := range d.r.Drain() {
+		if f.Kind == packetsw.Body || f.Kind == packetsw.Tail {
+			d.delivered++
+			if d.tracer != nil {
+				d.tracer.Emit(obs.Event{Cycle: d.cycle, Track: "tile.sink",
+					Kind: obs.KindDeliver, Value: int64(d.delivered)})
+			}
+		}
+	}
+}
+
+// Commit implements sim.Clocked.
+func (d *packetDrain) Commit() { d.cycle++ }
+
+// Quiescent implements sim.Quiescer: nothing ejected, nothing to drain.
+func (d *packetDrain) Quiescent() bool { return d.r.EjectedPending() == 0 }
+
+// IdleWindow implements sim.Quiescer: an empty drain accrues only its
+// trace clock.
+func (d *packetDrain) IdleWindow(n uint64) { d.cycle += n }
+
+var _ sim.Quiescer = (*packetInjector)(nil)
+var _ sim.Quiescer = (*packetFeeder)(nil)
+var _ sim.Quiescer = (*packetDrain)(nil)

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"strings"
@@ -61,7 +62,10 @@ func fuzzPatternCase(data []byte) (func(...Option) Fabric, Scenario) {
 // contract on generated pattern scenarios: an uncached run, a cache
 // miss, a cache hit, a naive-kernel run and a run with tracing and
 // metrics on must give identical Result JSON, and on a fresh cache the
-// miss run misses, and the hit run hits, once per replication.
+// miss run misses, and the hit run hits, once per replication. A
+// four-job sweep of the scenario — it and a reseeded copy, each
+// replicated twice — must print the same SweepJSON bytes with 1 and 4
+// workers.
 func FuzzCacheEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		build, sc := fuzzPatternCase(data)
@@ -107,6 +111,22 @@ func FuzzCacheEquivalence(f *testing.F) {
 		if hits := afterHit.Hits - afterMiss.Hits; hits != reps || afterHit.Misses != afterMiss.Misses {
 			t.Fatalf("%+v: hit run counters %+v after %+v, want %d hits and no misses",
 				sc, afterHit, afterMiss, reps)
+		}
+
+		a, b := sc, sc
+		a.Replications, b.Replications = 2, 2
+		b.Name, b.Seed = "fuzz-reseeded", sc.Seed+1
+		sweepOut := func(workers int) string {
+			spec := SweepSpec{Fabrics: []FabricSpec{{Kind: build().Kind()}},
+				Scenarios: []Scenario{a, b}, Workers: workers}
+			var out bytes.Buffer
+			if err := SweepJSON(context.Background(), spec, &out); err != nil {
+				t.Fatalf("%+v: sweep with %d workers: %v", sc, workers, err)
+			}
+			return out.String()
+		}
+		if w1, w4 := sweepOut(1), sweepOut(4); w1 != w4 {
+			t.Fatalf("%+v: sweep output differs across worker counts\n1 worker: %s\n4 workers: %s", sc, w1, w4)
 		}
 	})
 }

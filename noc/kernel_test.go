@@ -34,8 +34,7 @@ var allKernels = []Kernel{KernelNaive, KernelActive}
 // scenario, every fabric, with and without the clock-gating ablation —
 // the contract the CI naive-vs-default byte-compare enforces end to end.
 // A finite variant (WordsPerStream) adds the retired-source case, where
-// the production kernel fast-forwards the drained tail of the circuit
-// and TDM runs.
+// the production kernel fast-forwards the drained tail.
 func TestKernelEquivalenceScenarios(t *testing.T) {
 	scenarios := PaperScenarios()
 	finite, err := PaperScenario("IV")

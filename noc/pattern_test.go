@@ -275,6 +275,31 @@ func TestTDMFiniteRunFastForwards(t *testing.T) {
 	}
 }
 
+// TestPacketFiniteRunFastForwards: RunPacket's injector, feeder and
+// drain go quiescent once the streams retire and drain, so a finite
+// packet stream run fast-forwards its drained tail, with the naive
+// kernel's Result bytes. Scenario III has a tile-injected and a
+// neighbour-fed stream.
+func TestPacketFiniteRunFastForwards(t *testing.T) {
+	sc, err := PaperScenario("III")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Cycles = 20000
+	sc.WordsPerStream = 100
+	var windows, ffCycles uint64
+	active := runJSON(t, PacketSwitched(withWorldObserver(func(w *sim.World) {
+		windows, ffCycles = w.FastForwards()
+	})), sc)
+	if windows == 0 {
+		t.Errorf("packet finite run took no fast-forward window")
+	}
+	if naive := runJSON(t, PacketSwitched(WithKernel(KernelNaive)), sc); !bytes.Equal(active, naive) {
+		t.Errorf("packet finite run differs across kernels\nactive: %s\nnaive:  %s", active, naive)
+	}
+	t.Logf("%d fast-forward windows, %d cycles", windows, ffCycles)
+}
+
 // TestPatternSweepDeterminism: a pattern grid sweep is byte-identical
 // across worker counts and across kernels.
 func TestPatternSweepDeterminism(t *testing.T) {

@@ -218,11 +218,9 @@ type Scenario struct {
 	// paper's open-loop scenarios). The packet fabrics round the cap up
 	// to their packet boundary, since a wormhole packet must close with
 	// its Tail flit. With a cap the run is a finite workload: sources
-	// retire once their budget is spent and the network drains. Pattern
-	// runs and the circuit and TDM stream runs then fast-forward the
-	// drained tail; the packet fabric's stream run does not, because its
-	// injector, feeder and drain run every cycle. Ignored by workload
-	// runs, whose channels are rate-driven.
+	// retire once their budget is spent and the network drains, and the
+	// run fast-forwards the drained tail. Ignored by workload runs,
+	// whose channels are rate-driven.
 	WordsPerStream uint64 `json:"words_per_stream,omitempty"`
 
 	// poolLatency asks the run to retain its raw per-word latency
