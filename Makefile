@@ -4,7 +4,7 @@ NOCVET := $(CURDIR)/bin/nocvet
 
 # BENCH_BASE is the tracked benchmark baseline the regression gate
 # compares against; bump the number when re-baselining on purpose.
-BENCH_BASE := BENCH_18.json
+BENCH_BASE := BENCH_19.json
 
 .PHONY: build test race vet nocvet bench bench-json benchdiff
 
@@ -45,30 +45,36 @@ bench:
 # name, and its BenchmarkRouterStepSaturated. The best-effort mesh
 # experiment, BenchmarkBELoad, runs again at a fixed count with -benchmem
 # to record its allocations; like the other experiment benchmarks it
-# stays out of the gate. CI archives the file and gates it against
+# stays out of the gate. The set-up pass times building the hotspot32
+# circuit run (BenchmarkHotspot32Setup) and the 64×64 port-flow
+# projection (BenchmarkPortFlows64x64) at fixed counts with -benchmem;
+# both gate. The kernel, pattern, sweep and hotspot passes record their
+# allocations too. CI archives the file and gates it against
 # $(BENCH_BASE) via `make benchdiff`.
 bench-json:
 	go test -bench . -benchtime 1x -run '^$$' ./... | tee bench.txt
 	go test -bench '^Benchmark(RouterStep|RouterStepMetered|RouterStepSaturated|AssemblyStep|AssemblyPassThrough)$$' -benchtime 200000x -benchmem -count 3 -run '^$$' ./internal/core ./internal/packetsw | tee -a bench.txt
 	go test -bench '^Benchmark(CircuitRouterCycle|PacketRouterCycle|BERouterFlit|ConverterRoundTrip)$$' -benchtime 20000x -benchmem -count 3 -run '^$$' . | tee -a bench.txt
-	go test -bench '(Mesh|Scenario).*Kernel' -benchtime 20000x -run '^$$' . | tee -a bench.txt
-	go test -bench 'MeshSparse(Active|TracerNil)Kernel' -benchtime 20000x -count 6 -run '^$$' . | tee -a bench.txt
-	go test -bench 'FiniteWorkload' -benchtime 50x -run '^$$' . | tee -a bench.txt
-	go test -bench 'Pattern16|PatternSource' -benchtime 5x -run '^$$' . | tee -a bench.txt
-	go test -bench 'PatternSource' -benchtime 5x -count 6 -run '^$$' . | tee -a bench.txt
-	go test -bench 'Sweep(Single|Replicated)' -benchtime 20x -count 4 -run '^$$' . | tee -a bench.txt
-	go test -bench 'SweepOverlap' -benchtime 5x -run '^$$' . | tee -a bench.txt
-	go test -bench 'Hotspot(16x16|64x64)' -benchtime 2x -run '^$$' . | tee -a bench.txt
+	go test -bench '(Mesh|Scenario).*Kernel' -benchtime 20000x -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench 'MeshSparse(Active|TracerNil)Kernel' -benchtime 20000x -benchmem -count 6 -run '^$$' . | tee -a bench.txt
+	go test -bench 'FiniteWorkload' -benchtime 50x -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench 'Pattern16|PatternSource' -benchtime 5x -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench 'PatternSource' -benchtime 5x -benchmem -count 6 -run '^$$' . | tee -a bench.txt
+	go test -bench 'Sweep(Single|Replicated)' -benchtime 20x -benchmem -count 4 -run '^$$' . | tee -a bench.txt
+	go test -bench 'SweepOverlap' -benchtime 5x -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench 'Hotspot(16x16|64x64)' -benchtime 2x -benchmem -run '^$$' . | tee -a bench.txt
+	go test -bench '^Benchmark(Hotspot32Setup|PortFlows64x64)$$' -benchtime 20x -benchmem -count 3 -run '^$$' . ./internal/pattern | tee -a bench.txt
 	go test -bench '^BenchmarkBELoad$$' -benchtime 5x -benchmem -count 3 -run '^$$' . | tee -a bench.txt
 	go run ./cmd/benchdiff -parse bench.txt -out BENCH_ci.json
 
 # benchdiff gates the current canonical figures against the tracked
 # baseline: >15% ns/op growth (or a vanished benchmark) on the
-# component/kernel/sweep/pattern benchmarks fails. Every kernel and
-# pattern benchmark name ends in "Kernel"; the sweep-engine benchmarks —
-# including the cache's warm/cold overlap pair — and the fixed-count
-# component benchmarks are named explicitly, the latter anchored so
-# that only measured names gate (-match sees names, not packages).
+# component/kernel/sweep/pattern/set-up benchmarks fails. Every kernel
+# and pattern benchmark name ends in "Kernel"; the sweep-engine
+# benchmarks — including the cache's warm/cold overlap pair — and the
+# fixed-count component and set-up benchmarks are named explicitly, the
+# latter anchored so that only measured names gate (-match sees names,
+# not packages).
 # Experiment benchmarks measured only at 1x (table/figure regeneration)
 # are too noisy to gate and stay out.
 #
@@ -76,5 +82,5 @@ bench-json:
 # overhead within the same bench run: the nil-tracer kernel twin must
 # stay within 2% of its untouched twin (host-speed drift cancels out).
 benchdiff:
-	go run ./cmd/benchdiff -base $(BENCH_BASE) -cur BENCH_ci.json -match 'Kernel$$|SweepSingleRun|SweepReplicated|SweepOverlap|^Benchmark(RouterStep|RouterStepMetered|RouterStepSaturated|AssemblyStep|AssemblyPassThrough|CircuitRouterCycle|PacketRouterCycle|BERouterFlit|ConverterRoundTrip)$$'
+	go run ./cmd/benchdiff -base $(BENCH_BASE) -cur BENCH_ci.json -match 'Kernel$$|SweepSingleRun|SweepReplicated|SweepOverlap|^Benchmark(RouterStep|RouterStepMetered|RouterStepSaturated|AssemblyStep|AssemblyPassThrough|CircuitRouterCycle|PacketRouterCycle|BERouterFlit|ConverterRoundTrip|Hotspot32Setup|PortFlows64x64)$$'
 	go run ./cmd/benchdiff -cur BENCH_ci.json -threshold 0.02 -pair 'BenchmarkMeshSparseTracerNilKernel=BenchmarkMeshSparseActiveKernel'

@@ -26,7 +26,9 @@ type Assembly struct {
 
 	p     Params
 	meter *power.Meter
-	lib   stdcell.Lib
+	// lib is the library the gated clock energy is priced in, shared
+	// with every assembly bound alongside; only gatedClockFJ reads it.
+	lib   *stdcell.Lib
 	gated bool
 
 	// idle-cycle clock-energy cache for the activity-tracked kernel: the
@@ -75,34 +77,53 @@ func DefaultAssemblyOptions() AssemblyOptions {
 
 // NewAssembly builds a router plus converters and wires the tile port.
 func NewAssembly(p Params, opt AssemblyOptions) *Assembly {
-	if err := p.Validate(); err != nil {
-		panic(err)
+	return NewAssemblies(1, p, opt)[0]
+}
+
+// NewAssemblies builds n assemblies, each a router plus converters with
+// its tile port wired. Every kind of state is allocated once for all n:
+// the assemblies, the routers and their state (see newRouters), the
+// transmit and receive converters and the two converter pointer tables.
+// Each assembly's tables are carved with cap == len, so no append can
+// spill into a neighbour's.
+func NewAssemblies(n int, p Params, opt AssemblyOptions) []*Assembly {
+	rs := newRouters(n, p)
+	l := p.LanesPerPort
+	txs := newTxConverters(n*l, p, opt.Flow)
+	rxs := newRxConverters(n*l, p, opt.Flow, opt.RxBufCap)
+	txp := make([]*TxConverter, n*l)
+	rxp := make([]*RxConverter, n*l)
+	as := make([]Assembly, n)
+	out := make([]*Assembly, n)
+	for i := range as {
+		a := &as[i]
+		a.R, a.Tx, a.Rx, a.p = &rs[i], carve(txp, i, l), carve(rxp, i, l), p
+		for lane := range a.Tx {
+			tx, rx := &txs[i*l+lane], &rxs[i*l+lane]
+			tx.asm, tx.lane = a, uint8(lane)
+			rx.asm, rx.lane = a, uint8(lane)
+			g := p.Global(LaneID{Port: Tile, Lane: lane})
+			a.R.ConnectIn(g, &tx.Out)
+			tx.ConnectAck(&a.R.AckOut[g])
+			rx.ConnectIn(&a.R.Out[g])
+			a.R.ConnectAckIn(g, &rx.AckOut)
+			a.Tx[lane], a.Rx[lane] = tx, rx
+		}
+		out[i] = a
 	}
-	a := &Assembly{R: NewRouter(p), p: p}
-	for l := 0; l < p.LanesPerPort; l++ {
-		tx := NewTxConverter(p, opt.Flow)
-		rx := NewRxConverter(p, opt.Flow, opt.RxBufCap)
-		tx.asm, tx.lane = a, uint8(l)
-		rx.asm, rx.lane = a, uint8(l)
-		g := p.Global(LaneID{Port: Tile, Lane: l})
-		a.R.ConnectIn(g, &tx.Out)
-		tx.ConnectAck(&a.R.AckOut[g])
-		rx.ConnectIn(&a.R.Out[g])
-		a.R.ConnectAckIn(g, &rx.AckOut)
-		a.Tx = append(a.Tx, tx)
-		a.Rx = append(a.Rx, rx)
-	}
-	return a
+	return out
 }
 
 // Params returns the assembly's design parameters.
 func (a *Assembly) Params() Params { return a.p }
 
 // BindMeter attaches a power meter covering the router and its converters.
-// The design the meter was created with should be Netlist(p, lib) so that
-// the ungated clock energy matches the register census. With gated true the
-// assembly models the configuration-driven clock gating of Section 7.3.
-func (a *Assembly) BindMeter(m *power.Meter, lib stdcell.Lib, gated bool) {
+// The design the meter was created with should be Netlist(p, *lib) so
+// that the ungated clock energy matches the register census. With gated
+// true the assembly models the configuration-driven clock gating of
+// Section 7.3, priced in *lib, which must not change while bound; a mesh
+// binds all its assemblies to one library.
+func (a *Assembly) BindMeter(m *power.Meter, lib *stdcell.Lib, gated bool) {
 	a.meter = m
 	a.lib = lib
 	a.gated = gated
@@ -200,12 +221,12 @@ func (a *Assembly) Commit() {
 // configuration-driven gating of Section 7.3. A disabled converter
 // draws none, so only the enabled ones are summed, in lane order.
 func (a *Assembly) gatedClockFJ() float64 {
-	e := a.R.ClockFJ(a.lib, true)
+	e := a.R.ClockFJ(*a.lib, true)
 	for m := a.txOn; m != 0; m &= m - 1 {
-		e += a.Tx[bits.TrailingZeros64(m)].ClockFJ(a.lib, true)
+		e += a.Tx[bits.TrailingZeros64(m)].ClockFJ(*a.lib, true)
 	}
 	for m := a.rxOn; m != 0; m &= m - 1 {
-		e += a.Rx[bits.TrailingZeros64(m)].ClockFJ(a.lib, true)
+		e += a.Rx[bits.TrailingZeros64(m)].ClockFJ(*a.lib, true)
 	}
 	return e
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -112,7 +114,7 @@ func TestAssemblyPowerUngatedOffset(t *testing.T) {
 	run := func(load bool) power.Breakdown {
 		a := NewAssembly(p, DefaultAssemblyOptions())
 		m := power.NewMeter(d, lib, 25)
-		a.BindMeter(m, lib, false)
+		a.BindMeter(m, &lib, false)
 		w := sim.NewWorld()
 		w.Add(a)
 		if load {
@@ -153,7 +155,7 @@ func TestAssemblyClockGatingRemovesOffset(t *testing.T) {
 	run := func(gated bool) power.Breakdown {
 		a := NewAssembly(p, DefaultAssemblyOptions())
 		m := power.NewMeter(d, lib, 25)
-		a.BindMeter(m, lib, gated)
+		a.BindMeter(m, &lib, gated)
 		w := sim.NewWorld()
 		w.Add(a)
 		w.Run(1000)
@@ -176,7 +178,7 @@ func TestAssemblyGatedTickNeverExceedsBudget(t *testing.T) {
 	lib := stdcell.Default013()
 	a := NewAssembly(p, DefaultAssemblyOptions())
 	m := power.NewMeter(Netlist(p, lib), lib, 25)
-	a.BindMeter(m, lib, true)
+	a.BindMeter(m, &lib, true)
 	// Enable every output lane and every converter.
 	for g := 0; g < p.TotalLanes(); g++ {
 		out := p.LaneOf(g)
@@ -252,8 +254,8 @@ func TestAssemblyStreamingAllocatesNothing(t *testing.T) {
 	p := DefaultParams()
 	lib := stdcell.Default013()
 	m := power.NewMeter(Netlist(p, lib), lib, 25)
-	a.BindMeter(m, lib, false)
-	b.BindMeter(m, lib, false)
+	a.BindMeter(m, &lib, false)
+	b.BindMeter(m, &lib, false)
 	next := uint16(0)
 	// word streams until one word arrives at B's tile: push at A, Eval
 	// both assemblies, pop at B during the Eval phase, Commit both.
@@ -308,7 +310,7 @@ func TestLanesPerPortBounded(t *testing.T) {
 	internalUW := func(replay bool) float64 {
 		a := NewAssembly(p, DefaultAssemblyOptions())
 		m := power.NewMeter(d, lib, 25)
-		a.BindMeter(m, lib, true)
+		a.BindMeter(m, &lib, true)
 		a.IdleWindow(1) // fills the idle-energy cache
 		a.Tx[p.LanesPerPort-1].SetEnabled(true)
 		if replay {
@@ -323,4 +325,127 @@ func TestLanesPerPortBounded(t *testing.T) {
 		t.Fatalf("idle window after enabling the last lane's Tx charged %v µW, a committed cycle %v µW",
 			idle, committed)
 	}
+}
+
+// TestAssembliesDoNotAlias builds three assemblies in one call and
+// drives the middle one through a looped-back circuit: pushes, pops,
+// acks, a configuration change and converter disables. Its neighbours
+// in the slabs must stay equal to freshly built assemblies, and every
+// slice carved for an assembly must have len == cap, so no append can
+// spill into a neighbour.
+func TestAssembliesDoNotAlias(t *testing.T) {
+	p := DefaultParams()
+	opt := DefaultAssemblyOptions()
+	as := NewAssemblies(3, p, opt)
+	for i, a := range as {
+		checkCarved(t, i, a)
+	}
+	mid := as[1]
+	// Loop the East output lanes back into the West input lanes, acks
+	// reversed, so a word leaves and re-enters the same router.
+	for l := 0; l < p.LanesPerPort; l++ {
+		e := p.Global(LaneID{Port: East, Lane: l})
+		w := p.Global(LaneID{Port: West, Lane: l})
+		mid.R.ConnectIn(w, &mid.R.Out[e])
+		mid.R.ConnectAckIn(e, &mid.R.AckOut[w])
+	}
+	loop := func(lane int) {
+		t.Helper()
+		for _, c := range []Circuit{
+			{In: LaneID{Port: Tile, Lane: lane}, Out: LaneID{Port: East, Lane: lane}},
+			{In: LaneID{Port: West, Lane: lane}, Out: LaneID{Port: Tile, Lane: lane}},
+		} {
+			if err := mid.EstablishLocal(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	w := sim.NewWorld()
+	w.Add(as[0], as[1], as[2])
+	lane, sent, got := 0, 0, 0
+	w.Add(&sim.Func{OnEval: func() {
+		if mid.Tx[lane].Ready() && mid.Tx[lane].Push(DataWord(uint16(sent))) {
+			sent++
+		}
+		if _, ok := mid.Rx[lane].Pop(); ok {
+			got++
+		}
+	}})
+	loop(0)
+	w.Run(400)
+	// Move the stream to lane 1: disable lane 0's circuit and
+	// converters, and configure lane 1.
+	mid.R.Deactivate(LaneID{Port: East, Lane: 0})
+	mid.R.Deactivate(LaneID{Port: Tile, Lane: 0})
+	mid.Tx[0].SetEnabled(false)
+	mid.Rx[0].SetEnabled(false)
+	lane = 1
+	loop(1)
+	w.Run(400)
+	if got < 100 || mid.Tx[0].Sent() == 0 || mid.Tx[1].Sent() == 0 {
+		t.Fatalf("looped stream delivered %d words (lane 0 sent %d, lane 1 %d)",
+			got, mid.Tx[0].Sent(), mid.Tx[1].Sent())
+	}
+	fresh := NewAssembly(p, opt)
+	for _, i := range []int{0, 2} {
+		a := as[i]
+		if !bytes.Equal(a.R.out, fresh.R.out) || !bytes.Equal(a.R.nextOut, fresh.R.nextOut) ||
+			!bytes.Equal(a.R.ack, fresh.R.ack) || !bytes.Equal(a.R.nextAck, fresh.R.nextAck) ||
+			!bytes.Equal(a.R.tile, fresh.R.tile) {
+			t.Errorf("assembly %d: lane images changed", i)
+		}
+		for g := range a.R.AckOut {
+			if a.R.AckOut[g] != fresh.R.AckOut[g] {
+				t.Errorf("assembly %d: AckOut[%d] = %v", i, g, a.R.AckOut[g])
+			}
+		}
+		if !a.R.Config().Bits().Equal(fresh.R.Config().Bits()) {
+			t.Errorf("assembly %d: configuration changed", i)
+		}
+		for l := range a.Tx {
+			if got, want := txState(a.Tx[l]), txState(fresh.Tx[l]); !reflect.DeepEqual(got, want) {
+				t.Errorf("assembly %d: Tx[%d] is %+v, fresh %+v", i, l, got, want)
+			}
+			if got, want := rxState(a.Rx[l]), rxState(fresh.Rx[l]); !reflect.DeepEqual(got, want) {
+				t.Errorf("assembly %d: Rx[%d] is %+v, fresh %+v", i, l, got, want)
+			}
+		}
+		checkCarved(t, i, a)
+	}
+}
+
+// checkCarved fails unless every slice carved for the assembly has
+// len == cap.
+func checkCarved(t *testing.T, i int, a *Assembly) {
+	t.Helper()
+	r, c := a.R, a.R.cfg
+	for _, s := range []struct {
+		name     string
+		len, cap int
+	}{
+		{"Out", len(r.Out), cap(r.Out)}, {"AckOut", len(r.AckOut), cap(r.AckOut)},
+		{"in", len(r.in), cap(r.in)}, {"ackIn", len(r.ackIn), cap(r.ackIn)},
+		{"out", len(r.out), cap(r.out)}, {"nextOut", len(r.nextOut), cap(r.nextOut)},
+		{"ack", len(r.ack), cap(r.ack)}, {"nextAck", len(r.nextAck), cap(r.nextAck)},
+		{"tile", len(r.tile), cap(r.tile)}, {"sels", len(c.sels), cap(c.sels)},
+		{"src", len(c.src), cap(c.src)}, {"Tx", len(a.Tx), cap(a.Tx)}, {"Rx", len(a.Rx), cap(a.Rx)},
+	} {
+		if s.len != s.cap {
+			t.Errorf("assembly %d: %s has len %d, cap %d", i, s.name, s.len, s.cap)
+		}
+	}
+}
+
+// txState and rxState copy a converter without its wiring: the pointers
+// to its assembly, its lane registers and its wake closure.
+func txState(c *TxConverter) TxConverter {
+	s := *c
+	s.asm, s.ackIn, s.wake = nil, nil, nil
+	return s
+}
+
+func rxState(c *RxConverter) RxConverter {
+	s := *c
+	s.asm, s.in, s.wake = nil, nil, nil
+	return s
 }

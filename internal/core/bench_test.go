@@ -122,7 +122,7 @@ func BenchmarkAssemblyPassThrough(b *testing.B) {
 	p := DefaultParams()
 	lib := stdcell.Default013()
 	a := NewAssembly(p, DefaultAssemblyOptions())
-	a.BindMeter(power.NewMeter(Netlist(p, lib), lib, 25), lib, false)
+	a.BindMeter(power.NewMeter(Netlist(p, lib), lib, 25), &lib, false)
 	var in uint8
 	a.R.ConnectIn(p.Global(LaneID{Port: West, Lane: 0}), &in)
 	if err := a.R.Configure(Circuit{

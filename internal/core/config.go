@@ -90,16 +90,25 @@ type Config struct {
 const noInput = -1
 
 // NewConfig returns an all-disabled configuration memory.
-func NewConfig(p Params) *Config {
-	n := p.TotalLanes()
-	if n > math.MaxInt32 {
-		panic(fmt.Sprintf("core: %d lanes exceed the crossbar select table", n))
+func NewConfig(p Params) *Config { return &newConfigs(1, p)[0] }
+
+// newConfigs returns n all-disabled configuration memories, their
+// select images and input tables each carved from one allocation.
+func newConfigs(n int, p Params) []Config {
+	lanes := p.TotalLanes()
+	if lanes > math.MaxInt32 {
+		panic(fmt.Sprintf("core: %d lanes exceed the crossbar select table", lanes))
 	}
-	src := make([]int32, n)
+	cs := make([]Config, n)
+	sels := make([]LaneSel, n*lanes)
+	src := make([]int32, n*lanes)
 	for g := range src {
 		src[g] = noInput
 	}
-	return &Config{p: p, sels: make([]LaneSel, n), src: src}
+	for i := range cs {
+		cs[i] = Config{p: p, sels: carve(sels, i, lanes), src: carve(src, i, lanes)}
+	}
+	return cs
 }
 
 // Lane returns the configuration of output lane g.

@@ -88,6 +88,12 @@ type TxConverter struct {
 
 // NewTxConverter returns an idle transmit converter.
 func NewTxConverter(p Params, flow FlowParams) *TxConverter {
+	return &newTxConverters(1, p, flow)[0]
+}
+
+// newTxConverters returns n idle transmit converters from one
+// allocation.
+func newTxConverters(n int, p Params, flow FlowParams) []TxConverter {
 	mustFig6Format(p)
 	if err := flow.Validate(); err != nil {
 		panic(err)
@@ -96,7 +102,11 @@ func NewTxConverter(p Params, flow FlowParams) *TxConverter {
 	if !flow.UseAck {
 		wc = 0
 	}
-	return &TxConverter{p: p, flow: flow, wc: wc}
+	ts := make([]TxConverter, n)
+	for i := range ts {
+		ts[i] = TxConverter{p: p, flow: flow, wc: wc}
+	}
+	return ts
 }
 
 // ConnectAck wires the acknowledgement input (the router's AckOut register
@@ -338,6 +348,12 @@ type RxConverter struct {
 // holds bufCap words. For overflow-free operation the paper's window
 // mechanism requires WC ≤ bufCap.
 func NewRxConverter(p Params, flow FlowParams, bufCap int) *RxConverter {
+	return &newRxConverters(1, p, flow, bufCap)[0]
+}
+
+// newRxConverters returns n idle receive converters from one
+// allocation.
+func newRxConverters(n int, p Params, flow FlowParams, bufCap int) []RxConverter {
 	mustFig6Format(p)
 	if err := flow.Validate(); err != nil {
 		panic(err)
@@ -345,7 +361,11 @@ func NewRxConverter(p Params, flow FlowParams, bufCap int) *RxConverter {
 	if bufCap < 1 {
 		panic("core: destination buffer must hold at least one word")
 	}
-	return &RxConverter{p: p, flow: flow, bufCap: bufCap}
+	rs := make([]RxConverter, n)
+	for i := range rs {
+		rs[i] = RxConverter{p: p, flow: flow, bufCap: bufCap}
+	}
+	return rs
 }
 
 // ConnectIn wires the converter to the router's tile-port output lane.

@@ -84,32 +84,51 @@ type Router struct {
 type lanePair struct{ out, in int32 }
 
 // NewRouter returns an unconfigured router with all lanes idle.
-func NewRouter(p Params) *Router {
+func NewRouter(p Params) *Router { return &newRouters(1, p)[0] }
+
+// newRouters returns n unconfigured routers with all lanes idle, built
+// from one allocation per kind of state: the routers, their lane
+// images, AckOut, in and ackIn tables and their configuration memories.
+// Each router's slices are carved with cap == len, so no append can
+// spill into a neighbour's state.
+func newRouters(n int, p Params) []Router {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	n := p.TotalLanes()
-	span := (n + 7) &^ 7
-	img := make([]uint8, 5*span) // one allocation for the five images
-	r := &Router{
-		P:       p,
-		Out:     img[:n:n],
-		AckOut:  make([]bool, n),
-		in:      make([]*uint8, n),
-		ackIn:   make([]*bool, n),
-		cfg:     NewConfig(p),
-		out:     img[:span],
-		nextOut: img[span : 2*span],
-		ack:     img[2*span : 3*span],
-		nextAck: img[3*span : 4*span],
-		tile:    img[4*span:],
-		mask:    uint8(1<<uint(p.LaneWidth) - 1),
+	lanes := p.TotalLanes()
+	span := (lanes + 7) &^ 7
+	rs := make([]Router, n)
+	img := make([]uint8, n*5*span) // the five images of every router
+	ackOut := make([]bool, n*lanes)
+	in := make([]*uint8, n*lanes)
+	ackIn := make([]*bool, n*lanes)
+	cfgs := newConfigs(n, p)
+	for i := range rs {
+		im := carve(img, i, 5*span)
+		rs[i] = Router{
+			P:       p,
+			Out:     im[:lanes:lanes],
+			AckOut:  carve(ackOut, i, lanes),
+			in:      carve(in, i, lanes),
+			ackIn:   carve(ackIn, i, lanes),
+			cfg:     &cfgs[i],
+			out:     carve(im, 0, span),
+			nextOut: carve(im, 1, span),
+			ack:     carve(im, 2, span),
+			nextAck: carve(im, 3, span),
+			tile:    carve(im, 4, span),
+			mask:    uint8(1<<uint(p.LaneWidth) - 1),
+		}
+		for g := 0; g < p.LanesPerPort; g++ {
+			rs[i].tile[g] = 0xFF
+		}
 	}
-	for g := 0; g < p.LanesPerPort; g++ {
-		r.tile[g] = 0xFF
-	}
-	return r
+	return rs
 }
+
+// carve returns the i-th of the consecutive k-element blocks of a slab,
+// with cap == len.
+func carve[T any](slab []T, i, k int) []T { return slab[i*k : (i+1)*k : (i+1)*k] }
 
 // ConnectIn wires input lane g to read data from src (a registered output
 // of the upstream component).

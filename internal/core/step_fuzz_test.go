@@ -88,7 +88,7 @@ func checkAssemblyStep(t *testing.T, data []byte) {
 	a, ref := NewAssembly(p, opt), newRefAssembly(p, opt)
 	am := power.NewMeter(Netlist(p, lib), lib, 25)
 	rm := power.NewMeter(Netlist(p, lib), lib, 25)
-	a.BindMeter(am, lib, gated)
+	a.BindMeter(am, &lib, gated)
 	ref.BindMeter(rm, lib, gated)
 	a.SetWake(nil)
 	ref.SetWake(nil)

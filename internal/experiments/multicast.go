@@ -48,7 +48,7 @@ func MulticastData() ([]MulticastPoint, error) {
 		cp := core.DefaultParams()
 		a := core.NewAssembly(cp, core.AssemblyOptions{Flow: core.FlowParams{}, RxBufCap: 8})
 		cm := power.NewMeter(core.Netlist(cp, lib), lib, 25)
-		a.BindMeter(cm, lib, false)
+		a.BindMeter(cm, &lib, false)
 		for i := 0; i < k; i++ {
 			if err := a.EstablishLocal(core.Circuit{
 				In:  core.LaneID{Port: core.Tile, Lane: 0},

@@ -92,6 +92,17 @@ func (b *LaneBook) freeEnds(src, dst Coord) (ins, outs int) {
 	return ins, outs
 }
 
+// freeLanes counts the free lanes of the node's output port.
+func (b *LaneBook) freeLanes(c Coord, port core.Port) int {
+	free := 0
+	for l := 0; l < b.m.P.LanesPerPort; l++ {
+		if !b.out[b.outIdx(c, core.LaneID{Port: port, Lane: l})] {
+			free++
+		}
+	}
+	return free
+}
+
 // Reserve reserves n parallel lane paths from src to dst, all or
 // nothing, and returns the route taken (both endpoints included) and,
 // per path, one Segment per router from src to dst. It tries XYPath
@@ -104,6 +115,10 @@ func (b *LaneBook) freeEnds(src, dst Coord) (ins, outs int) {
 // either free fails on any route. Rejecting it here costs O(1) instead
 // of two O(route) probes, which matters in saturated pattern runs: in a
 // 64×64 hotspot run ~4k flows fail at the hotspot's tile outputs.
+//
+// A route is probed before anything is reserved or built along it, and
+// a rejection returns a *laneError that formats its message only when
+// read, so a turned-away request allocates its error alone.
 func (b *LaneBook) Reserve(src, dst Coord, n int) ([]Coord, [][]Segment, error) {
 	if !b.m.InBounds(src) || !b.m.InBounds(dst) {
 		return nil, nil, fmt.Errorf("mesh: endpoints %v->%v outside mesh", src, dst)
@@ -117,53 +132,61 @@ func (b *LaneBook) Reserve(src, dst Coord, n int) ([]Coord, [][]Segment, error) 
 	ins, outs := b.freeEnds(src, dst)
 	if ins < n {
 		b.rejects.Add(1)
-		return nil, nil, fmt.Errorf("mesh: %d free tile input lanes at %v, need %d", ins, src, n)
+		return nil, nil, &laneError{kind: noTileIn, at: src, free: ins, need: n}
 	}
 	if outs < n {
 		b.rejects.Add(1)
-		return nil, nil, fmt.Errorf("mesh: %d free tile output lanes at %v, need %d", outs, dst, n)
+		return nil, nil, &laneError{kind: noTileOut, at: dst, free: outs, need: n}
 	}
-	route := XYPath(src, dst)
+	xFirst := true
 	b.probes.Add(1)
-	paths, err := b.reserveRoute(route, n)
-	if err != nil {
-		route = YXPath(src, dst)
+	at, next, free := b.probe(src, dst, xFirst, n)
+	if free < n {
+		xFirst = false
 		b.probes.Add(1)
-		paths, err = b.reserveRoute(route, n)
+		at, next, free = b.probe(src, dst, xFirst, n)
 	}
-	if err != nil {
+	if free < n {
 		b.rejects.Add(1)
-		return nil, nil, err
+		return nil, nil, &laneError{kind: noHopLane, at: at, to: next}
+	}
+	route := routeOf(src, dst, xFirst)
+	paths := make([][]Segment, n)
+	for i := range paths {
+		paths[i] = b.reservePath(route)
 	}
 	b.hops.Observe(uint64(len(route) - 1))
 	return route, paths, nil
 }
 
-// reserveRoute reserves n lane paths along the route, one after the
-// other; on failure nothing stays reserved.
-func (b *LaneBook) reserveRoute(route []Coord, n int) ([][]Segment, error) {
-	paths := make([][]Segment, 0, n)
-	for len(paths) < n {
-		path, err := b.reservePath(route)
-		if err != nil {
-			for _, p := range paths {
-				b.free(p)
-			}
-			return nil, err
+// probe walks the route from src to dst, X first when xFirst, and
+// returns the hop whose port towards the next router has the fewest
+// free lanes, the first such hop if several tie, and that count, or n
+// when every hop has n or more. Paths are reserved one after another,
+// each taking the lowest free lane on every hop, so path k runs out at
+// the first hop with k or fewer free lanes: the first path to fail is
+// path free, at the returned hop. Endpoint admission already holds the
+// tile ports, so only the hops between routers are counted.
+func (b *LaneBook) probe(src, dst Coord, xFirst bool, n int) (at, next Coord, free int) {
+	free = n
+	for c := src; c != dst; {
+		port := exitPort(c, dst, xFirst)
+		nc := c.step(port)
+		if f := b.freeLanes(c, port); f < free {
+			at, next, free = c, nc, f
 		}
-		paths = append(paths, path)
+		c = nc
 	}
-	return paths, nil
+	return at, next, free
 }
 
-// reservePath reserves one lane path along the route; on failure
-// nothing stays reserved. The endpoint admission in Reserve guarantees
-// a free tile input at the source and a free tile output at the
-// destination, so only a hop can run out of lanes. The tile input is
-// claimed last, so freeing a partial path clears it as a no-op.
-func (b *LaneBook) reservePath(route []Coord) ([]Segment, error) {
+// reservePath reserves one lane path along a route that probe found
+// room on: the lowest free tile input at the source, the lowest free
+// lane on every hop and the lowest free tile output at the destination.
+func (b *LaneBook) reservePath(route []Coord) []Segment {
 	src := route[0]
 	tin := b.freeTileIn(src)
+	b.in[b.inIdx(src, tin)] = true
 	segs := make([]Segment, 0, len(route))
 	in := core.LaneID{Port: core.Tile, Lane: tin}
 	last := len(route) - 1
@@ -173,10 +196,6 @@ func (b *LaneBook) reservePath(route []Coord) ([]Segment, error) {
 			port, _ = PortTowards(node, route[h+1]) // adjacent by construction
 		}
 		l := b.freeLane(node, port)
-		if l < 0 {
-			b.free(segs)
-			return nil, fmt.Errorf("mesh: no free lane %v -> %v", node, route[h+1])
-		}
 		out := core.LaneID{Port: port, Lane: l}
 		b.out[b.outIdx(node, out)] = true
 		segs = append(segs, Segment{Node: node, Circuit: core.Circuit{In: in, Out: out}})
@@ -186,8 +205,36 @@ func (b *LaneBook) reservePath(route []Coord) ([]Segment, error) {
 			in = core.LaneID{Port: port.Opposite(), Lane: l}
 		}
 	}
-	b.in[b.inIdx(src, tin)] = true
-	return segs, nil
+	return segs
+}
+
+// laneErrorKind names what a lane-path request ran out of.
+type laneErrorKind uint8
+
+const (
+	noTileIn  laneErrorKind = iota // free tile input lanes at the source
+	noTileOut                      // free tile output lanes at the destination
+	noHopLane                      // a free lane between two routers
+)
+
+// laneError is a lane-path request the book turned away. Error formats
+// the message only when it is read: a saturated pattern run turns away
+// most of its flows and reads none of the messages.
+type laneError struct {
+	kind       laneErrorKind
+	at, to     Coord // the endpoint, or the hop's router and the next
+	free, need int   // the endpoint's free lanes and the lanes requested
+}
+
+func (e *laneError) Error() string {
+	switch e.kind {
+	case noTileIn:
+		return fmt.Sprintf("mesh: %d free tile input lanes at %v, need %d", e.free, e.at, e.need)
+	case noTileOut:
+		return fmt.Sprintf("mesh: %d free tile output lanes at %v, need %d", e.free, e.at, e.need)
+	default:
+		return fmt.Sprintf("mesh: no free lane %v -> %v", e.at, e.to)
+	}
 }
 
 // free returns a path's lanes to the book: every output lane, and the

@@ -261,3 +261,45 @@ func FuzzLaneReserve(f *testing.F) {
 		}
 	})
 }
+
+// TestReserveRejectAllocs: a request turned away at an endpoint or at a
+// hop allocates at most its error, and the error reads exactly as the
+// formatted message the allocator has always returned.
+func TestReserveRejectAllocs(t *testing.T) {
+	// On a 6×1 mesh (both routes of a row are the same), three lane
+	// paths (0,0)->(2,0) leave one free East lane at (1,0) and one free
+	// tile output at (2,0); four (3,0)->(4,0) exhaust (3,0)'s tile
+	// inputs and East lanes and (4,0)'s tile outputs.
+	b, _ := newBook(6, 1, obs.NewRegistry())
+	for _, req := range []struct {
+		src, dst Coord
+		n        int
+	}{{Coord{X: 0}, Coord{X: 2}, 3}, {Coord{X: 3}, Coord{X: 4}, 4}} {
+		if _, _, err := b.Reserve(req.src, req.dst, req.n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, req := range []struct {
+		src, dst Coord
+		n        int
+		want     string
+	}{
+		{Coord{X: 3}, Coord{X: 1}, 1, "mesh: 0 free tile input lanes at (3,0), need 1"},
+		{Coord{X: 1}, Coord{X: 4}, 1, "mesh: 0 free tile output lanes at (4,0), need 1"},
+		{Coord{X: 1}, Coord{X: 2}, 2, "mesh: 1 free tile output lanes at (2,0), need 2"},
+		// The first path fits; the second runs out at (1,0).
+		{Coord{X: 1}, Coord{X: 3}, 2, "mesh: no free lane (1,0) -> (2,0)"},
+		// The first path runs out at (3,0), before the second would at
+		// (1,0).
+		{Coord{X: 1}, Coord{X: 5}, 2, "mesh: no free lane (3,0) -> (4,0)"},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(20, func() { _, _, err = b.Reserve(req.src, req.dst, req.n) })
+		if err == nil || err.Error() != req.want {
+			t.Errorf("%v->%v x%d: error %v, want %q", req.src, req.dst, req.n, err, req.want)
+		}
+		if allocs > 1 {
+			t.Errorf("%v->%v x%d: rejected in %v allocations, want at most 1", req.src, req.dst, req.n, allocs)
+		}
+	}
+}

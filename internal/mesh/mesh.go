@@ -47,11 +47,14 @@ func New(w, h int, p core.Params, opt core.AssemblyOptions, wopts ...sim.WorldOp
 		panic(fmt.Sprintf("mesh: invalid size %dx%d", w, h))
 	}
 	m := &Mesh{W: w, H: h, P: p, world: sim.NewWorld(wopts...)}
-	m.nodes = make([]*core.Assembly, w*h)
-	for i := range m.nodes {
-		m.nodes[i] = core.NewAssembly(p, opt)
-		m.world.Add(m.nodes[i])
+	// All nodes are built in one call and registered in one, in
+	// row-major order.
+	m.nodes = core.NewAssemblies(w*h, p, opt)
+	cs := make([]sim.Clocked, len(m.nodes))
+	for i, a := range m.nodes {
+		cs[i] = a
 	}
+	m.world.Add(cs...)
 	// Wire neighbour links: East↔West and South↔North, lane by lane, data
 	// forward and acknowledgement reverse.
 	for y := 0; y < h; y++ {
@@ -117,20 +120,28 @@ func (m *Mesh) Run(n int) { m.world.Run(n) }
 // Neighbour returns the coordinate adjacent to c through the given port
 // and whether it exists. The tile port has no neighbour.
 func (m *Mesh) Neighbour(c Coord, p core.Port) (Coord, bool) {
-	var n Coord
+	switch p {
+	case core.North, core.South, core.East, core.West:
+		n := c.step(p)
+		return n, m.InBounds(n)
+	}
+	return Coord{}, false
+}
+
+// step returns the coordinate one hop from c through a mesh port, in or
+// out of any mesh; through the tile port it returns c.
+func (c Coord) step(p core.Port) Coord {
 	switch p {
 	case core.North:
-		n = Coord{c.X, c.Y - 1}
+		c.Y--
 	case core.South:
-		n = Coord{c.X, c.Y + 1}
+		c.Y++
 	case core.East:
-		n = Coord{c.X + 1, c.Y}
+		c.X++
 	case core.West:
-		n = Coord{c.X - 1, c.Y}
-	default:
-		return Coord{}, false
+		c.X--
 	}
-	return n, m.InBounds(n)
+	return c
 }
 
 // PortTowards returns the port of a that faces b, which must be an
@@ -153,31 +164,39 @@ func PortTowards(a, b Coord) (core.Port, error) {
 
 // XYPath returns the dimension-ordered (X first, then Y) route between two
 // coordinates, inclusive of both endpoints.
-func XYPath(from, to Coord) []Coord {
-	path := []Coord{from}
-	c := from
-	for c.X != to.X {
-		if to.X > c.X {
-			c.X++
-		} else {
-			c.X--
-		}
-		path = append(path, c)
-	}
-	for c.Y != to.Y {
-		if to.Y > c.Y {
-			c.Y++
-		} else {
-			c.Y--
-		}
-		path = append(path, c)
-	}
-	return path
-}
+func XYPath(from, to Coord) []Coord { return routeOf(from, to, true) }
 
 // YXPath returns the Y-then-X alternative to XYPath, inclusive of both
 // endpoints: it turns at (from.X, to.Y).
-func YXPath(from, to Coord) []Coord {
-	mid := Coord{X: from.X, Y: to.Y}
-	return append(XYPath(from, mid), XYPath(mid, to)[1:]...)
+func YXPath(from, to Coord) []Coord { return routeOf(from, to, false) }
+
+// routeOf returns the route from one coordinate to another, X first when
+// xFirst, inclusive of both endpoints.
+func routeOf(from, to Coord, xFirst bool) []Coord {
+	dx, dy := to.X-from.X, to.Y-from.Y
+	route := make([]Coord, 1, 1+max(dx, -dx)+max(dy, -dy))
+	route[0] = from
+	for c := from; c != to; {
+		c = c.step(exitPort(c, to, xFirst))
+		route = append(route, c)
+	}
+	return route
+}
+
+// exitPort returns the port by which the route to dst leaves c, X first
+// when xFirst, or Tile at dst.
+func exitPort(c, dst Coord, xFirst bool) core.Port {
+	switch {
+	case c.X != dst.X && (xFirst || c.Y == dst.Y):
+		if dst.X > c.X {
+			return core.East
+		}
+		return core.West
+	case c.Y < dst.Y:
+		return core.South
+	case c.Y > dst.Y:
+		return core.North
+	default:
+		return core.Tile
+	}
 }

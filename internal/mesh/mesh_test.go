@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/stdcell"
 )
 
 func newMesh(w, h int) *Mesh {
@@ -213,5 +214,24 @@ func TestAckTravelsBackAcrossMesh(t *testing.T) {
 func TestCoordString(t *testing.T) {
 	if (Coord{2, 3}).String() != "(2,3)" {
 		t.Fatal("coord rendering")
+	}
+}
+
+// TestMeshBuildAllocs pins the mesh's slab construction: building a
+// metered mesh allocates once per kind of state, whatever its size, plus
+// two wake closures per node (the kernel's and the assembly's). So a
+// 32×32 build may allocate at most two objects per added node more than
+// a 16×16 one.
+func TestMeshBuildAllocs(t *testing.T) {
+	lib := stdcell.Default013()
+	build := func(side int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			m := New(side, side, core.DefaultParams(), core.DefaultAssemblyOptions())
+			m.BindMeters(lib, 25, true)
+		})
+	}
+	small, large := build(16), build(32)
+	if added := 32*32 - 16*16; large-small > 2*float64(added) {
+		t.Errorf("16x16 build: %.0f allocations, 32x32: %.0f; want at most %d more", small, large, 2*added)
 	}
 }

@@ -355,10 +355,12 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 			return true
 		}
 		ms.Source = src
-		src.Tracer = tracer
-		src.Track = fmt.Sprintf("flow%d.src", flowIdx)
-		sink := &patternSink{rx: rx, stamps: ms.stamps, lat: &res.Latency, rec: latRec,
-			tracer: tracer, track: fmt.Sprintf("flow%d.sink", flowIdx)}
+		sink := &patternSink{rx: rx, stamps: ms.stamps, lat: &res.Latency, rec: latRec}
+		if tracer != nil {
+			// Only the tracer reads the track names.
+			src.Tracer, src.Track = tracer, fmt.Sprintf("flow%d.src", flowIdx)
+			sink.tracer, sink.track = tracer, fmt.Sprintf("flow%d.sink", flowIdx)
+		}
 		m.World().Add(ms, sink)
 		live = append(live, liveFlow{src: ms, sink: sink, idx: len(res.Flows)})
 		res.Flows = append(res.Flows, pf)

@@ -22,16 +22,12 @@ type PowerDomain struct {
 // Section 7.3 — unconfigured routers then cost only leakage plus their
 // configuration memory's clock.
 func (m *Mesh) BindMeters(lib stdcell.Lib, freqMHz float64, gated bool) *PowerDomain {
-	d := &PowerDomain{m: m, freqMHz: freqMHz}
-	design := core.Netlist(m.P, lib)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			meter := power.NewMeter(design, lib, freqMHz)
-			m.At(Coord{x, y}).BindMeter(meter, lib, gated)
-			d.meters = append(d.meters, meter)
-		}
+	meters := power.NewMeters(core.Netlist(m.P, lib), lib, freqMHz, len(m.nodes))
+	// Every node prices its gated clock in this one copy of the library.
+	for i, a := range m.nodes {
+		a.BindMeter(meters[i], &lib, gated)
 	}
-	return d
+	return &PowerDomain{meters: meters, m: m, freqMHz: freqMHz}
 }
 
 // Node returns the meter of one node.

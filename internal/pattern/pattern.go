@@ -319,14 +319,16 @@ type PortFlow struct {
 //
 // An XY route crosses obs = (ox, oy) only on its X leg, which runs
 // along the source's row, or on its Y leg, which runs along the
-// destination's column. So only sources in row oy (against every
-// destination) and destinations in column ox (for every other source)
-// are visited: O(N·(W+H)) pairs instead of N². They are visited in
-// ascending source-then-destination order, so every port pair receives
-// the same float additions in the same order as a full N² scan would
-// give it, and the weights are bit-identical to that scan's. A relation
-// with probability 0 (every non-hotspot destination under hotspot:1)
-// still creates its port pair.
+// destination's column. So only sources in row oy and destinations in
+// column ox (for every other source) are candidates, and of those the
+// scan walks only the coordinate ranges whose leg reaches obs:
+// O(N·(W+H)) pairs instead of N², every one of them crossing. They are
+// visited in ascending source-then-destination order, so every port
+// pair receives the same float additions in the same order as a full N²
+// scan would give it, and the weights are bit-identical to that scan's.
+// A relation with probability 0 (every non-hotspot destination under
+// hotspot:1) still creates its port pair. Each source's destination
+// distribution is resolved once, so no visited pair divides.
 func PortFlows(sp Spatial, w, h, obs int, seed uint64) []PortFlow {
 	n := w * h
 	ox, oy := obs%w, obs/w
@@ -337,22 +339,35 @@ func PortFlows(sp Spatial, w, h, obs int, seed uint64) []PortFlow {
 	// Port pairs, indexed by core.Port (Tile through West).
 	var weight [5][5]float64
 	var present [5][5]bool
-	for src := 0; src < n; src++ {
-		first, step := ox, w
-		if src/w == oy {
-			first, step = 0, 1
+	visit := func(d *destDist, dx, dy int) {
+		p, ok := d.prob(dy*w+dx, dx, dy)
+		if !ok {
+			return
 		}
-		for dst := first; dst < n; dst += step {
-			p, ok := sp.prob(src, dst, w, h, perm)
-			if !ok {
+		in, out := portsAt(d.sx, d.sy, dx, dy, ox, oy)
+		weight[in][out] += p
+		present[in][out] = true
+	}
+	for src, sy := 0, 0; sy < h; sy++ {
+		for sx := 0; sx < w; sx, src = sx+1, src+1 {
+			d := sp.destDist(src, sx, sy, w, h, perm)
+			if sy != oy {
+				// The Y leg down column ox crosses obs only when oy
+				// lies between sy and dy.
+				lo, hi := beyond(sy, oy, h)
+				for dy := lo; dy <= hi; dy++ {
+					visit(&d, ox, dy)
+				}
 				continue
 			}
-			in, out, ok := portsThrough(src, dst, obs, w)
-			if !ok {
-				continue
+			// A route from row oy crosses obs on its X leg when ox
+			// lies between sx and dx, and otherwise not at all.
+			lo, hi := beyond(sx, ox, w)
+			for dy := 0; dy < h; dy++ {
+				for dx := lo; dx <= hi; dx++ {
+					visit(&d, dx, dy)
+				}
 			}
-			weight[in][out] += p
-			present[in][out] = true
 		}
 	}
 	// XY routing admits at most 16 port pairs: four exits each from the
@@ -368,69 +383,103 @@ func PortFlows(sp Spatial, w, h, obs int, seed uint64) []PortFlow {
 	return flows
 }
 
-// prob returns the probability that a word injected at src is addressed
-// to dst — the analytic counterpart of Draw — and whether dst is in the
-// support of src's destination distribution at all. A destination can
-// be in the support with probability 0: under hotspot:1 every
-// non-hotspot destination of a non-hotspot source is. perm is the
-// permutation table, needed only for Permutation.
-func (sp Spatial) prob(src, dst, w, h int, perm []int) (float64, bool) {
-	if dst == src {
-		return 0, false
-	}
-	n := w * h
+// destDist is one source's destination distribution — the analytic
+// counterpart of Draw — resolved once per source for PortFlows.
+type destDist struct {
+	src, sx, sy int
+	kind        destKind
+	// fixed is the one destination of a deterministic pattern, or -1
+	// for a fixed point.
+	fixed int
+	// p is the probability of every destination in the support; hot,
+	// when not -1, is the one destination with probability pHot.
+	p, pHot float64
+	hot     int
+}
+
+// destKind is the shape of a source's destination distribution.
+type destKind uint8
+
+const (
+	spread    destKind = iota // every other node: uniform, hotspot
+	adjacent                  // the node's mesh neighbours
+	singleDst                 // one fixed destination
+)
+
+// destDist resolves the destination distribution of source src at
+// (sx, sy). perm is the permutation table, needed only for Permutation.
+func (sp Spatial) destDist(src, sx, sy, w, h int, perm []int) destDist {
+	d := destDist{src: src, sx: sx, sy: sy, fixed: -1, hot: -1}
 	switch sp.Kind {
 	case Uniform:
-		return 1 / float64(n-1), true
+		d.p = 1 / float64(w*h-1)
 	case Hotspot:
 		hot := HotspotNode(w, h)
 		a := sp.alpha()
 		if src == hot {
 			a = 0
 		}
-		p := (1 - a) / float64(n-1)
-		if dst == hot {
-			p += a
-		}
-		return p, true
+		d.p = (1 - a) / float64(w*h-1)
+		d.hot, d.pHot = hot, d.p+a
 	case Neighbour:
-		sx, sy, dx, dy := src%w, src/w, dst%w, dst/w
-		adjacent := (sy == dy && (dx == sx+1 || dx == sx-1)) ||
-			(sx == dx && (dy == sy+1 || dy == sy-1))
-		if !adjacent {
-			return 0, false
-		}
+		d.kind = adjacent
 		degree := 0
 		for _, has := range [4]bool{sy > 0, sx+1 < w, sy+1 < h, sx > 0} {
 			if has {
 				degree++
 			}
 		}
-		return 1 / float64(degree), true
+		d.p = 1 / float64(degree)
 	case Permutation:
-		return 1, perm[src] == dst
+		d.kind, d.fixed = singleDst, perm[src]
 	default:
-		return 1, sp.fixedDest(src, w, h) == dst
+		d.kind, d.fixed = singleDst, sp.fixedDest(src, w, h)
+	}
+	return d
+}
+
+// prob returns the probability that a word from the source is addressed
+// to dst at (dx, dy), and whether dst is in the support of the source's
+// destination distribution at all. A destination can be in the support
+// with probability 0: under hotspot:1 every non-hotspot destination of
+// a non-hotspot source is.
+func (d *destDist) prob(dst, dx, dy int) (float64, bool) {
+	switch {
+	case dst == d.src:
+		return 0, false
+	case d.kind == singleDst:
+		return 1, dst == d.fixed
+	case d.kind == adjacent:
+		near := (d.sy == dy && (dx == d.sx+1 || dx == d.sx-1)) ||
+			(d.sx == dx && (dy == d.sy+1 || dy == d.sy-1))
+		return d.p, near
+	case dst == d.hot:
+		return d.pHot, true
+	default:
+		return d.p, true
 	}
 }
 
-// portsThrough XY-routes src→dst (X first, then Y) and reports the entry
-// and exit ports at node obs, if the route passes through it.
-func portsThrough(src, dst, obs, w int) (in, out core.Port, ok bool) {
-	if src == dst {
-		return 0, 0, false
+// beyond returns the range [lo, hi] of the coordinates c in [0, n) for
+// which o lies between s and c, both included.
+func beyond(s, o, n int) (lo, hi int) {
+	switch {
+	case s < o:
+		return o, n - 1
+	case s > o:
+		return 0, o
+	default:
+		return 0, n - 1
 	}
-	sx, sy := src%w, src/w
-	dx, dy := dst%w, dst/w
-	ox, oy := obs%w, obs/w
+}
 
-	// The XY route: move along row sy from sx to dx, then along column
-	// dx from sy to dy. Check whether obs lies on either leg.
+// portsAt returns the entry and exit ports at the observed node
+// (ox, oy) of the XY route (sx, sy)→(dx, dy), X first, then Y, which
+// must pass through it. The endpoints differ.
+func portsAt(sx, sy, dx, dy, ox, oy int) (in, out core.Port) {
+	// The XY route moves along row sy from sx to dx, then along column
+	// dx from sy to dy.
 	onX := oy == sy && between(ox, sx, dx)
-	onY := ox == dx && between(oy, sy, dy)
-	if !onX && !onY {
-		return 0, 0, false
-	}
 
 	// Entry port: where the word comes from, seen from obs.
 	switch {
@@ -467,7 +516,7 @@ func portsThrough(src, dst, obs, w int) (in, out core.Port, ok bool) {
 			out = core.North
 		}
 	}
-	return in, out, true
+	return in, out
 }
 
 // between reports whether v lies on the inclusive segment [a,b] (in

@@ -261,6 +261,64 @@ func referencePortFlows(sp Spatial, w, h, obs int, seed uint64) []PortFlow {
 	return out
 }
 
+// portsThrough XY-routes src→dst (X first, then Y) and reports the entry
+// and exit ports at node obs, if the route passes through it. It is the
+// index-dividing form PortFlows used per pair, kept as the reference
+// scan's router.
+func portsThrough(src, dst, obs, w int) (in, out core.Port, ok bool) {
+	if src == dst {
+		return 0, 0, false
+	}
+	sx, sy := src%w, src/w
+	dx, dy := dst%w, dst/w
+	ox, oy := obs%w, obs/w
+
+	// The XY route: move along row sy from sx to dx, then along column
+	// dx from sy to dy. Check whether obs lies on either leg.
+	onX := oy == sy && between(ox, sx, dx)
+	onY := ox == dx && between(oy, sy, dy)
+	if !onX && !onY {
+		return 0, 0, false
+	}
+
+	// Entry port: where the word comes from, seen from obs.
+	switch {
+	case ox == sx && oy == sy:
+		in = core.Tile
+	case onX: // arrived moving horizontally
+		if dx > sx {
+			in = core.West
+		} else {
+			in = core.East
+		}
+	default: // arrived moving vertically on the Y leg
+		if dy > sy {
+			in = core.North
+		} else {
+			in = core.South
+		}
+	}
+
+	// Exit port: where the word goes next.
+	switch {
+	case ox == dx && oy == dy:
+		out = core.Tile
+	case onX && ox != dx: // keeps moving horizontally
+		if dx > sx {
+			out = core.East
+		} else {
+			out = core.West
+		}
+	default: // turns or continues vertically
+		if dy > sy {
+			out = core.South
+		} else {
+			out = core.North
+		}
+	}
+	return in, out, true
+}
+
 // checkPortFlows compares PortFlows against the reference scan: the
 // same port pairs in the same order, with bit-identical weights.
 func checkPortFlows(t *testing.T, sp Spatial, w, h, obs int, seed uint64) {

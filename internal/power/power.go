@@ -154,19 +154,37 @@ type toggleCost struct{ internal, switching float64 }
 // NewMeter returns a meter for the design at the given clock frequency,
 // which must be finite and positive.
 func NewMeter(d *netlist.Design, lib stdcell.Lib, freqMHz float64) *Meter {
+	return NewMeters(d, lib, freqMHz, 1)[0]
+}
+
+// NewMeters returns n meters for the design at the given clock
+// frequency, which must be finite and positive. The design's clock,
+// leakage and toggle costs are resolved once for all n. The meters come
+// from one allocation, and each meter's first clock run from a second
+// one, carved with cap == len: a meter that needs a second run moves
+// its record out rather than into a neighbour's.
+func NewMeters(d *netlist.Design, lib stdcell.Lib, freqMHz float64, n int) []*Meter {
 	if !(freqMHz > 0) || math.IsInf(freqMHz, 1) {
 		panic(fmt.Sprintf("power: frequency %v MHz must be finite and positive", freqMHz))
 	}
-	m := &Meter{
+	proto := Meter{
 		freqMHz:     freqMHz,
 		fullClockFJ: d.ClockEnergyPerCycle(lib),
 		staticUW:    d.LeakageUW(lib),
 	}
-	for k := range m.energy {
+	for k := range proto.energy {
 		in, sw := toggleEnergy(lib, ToggleKind(k))
-		m.energy[k] = toggleCost{internal: in, switching: sw}
+		proto.energy[k] = toggleCost{internal: in, switching: sw}
 	}
-	return m
+	ms := make([]Meter, n)
+	runs := make([]clockRun, n)
+	out := make([]*Meter, n)
+	for i := range ms {
+		ms[i] = proto
+		ms[i].clockRuns = runs[i : i : i+1]
+		out[i] = &ms[i]
+	}
+	return out
 }
 
 // Tick records one clock cycle with the full (ungated) clock network active.

@@ -77,6 +77,7 @@
 package sim
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/obs"
@@ -260,8 +261,18 @@ func (w *World) Kernel() Kernel { return w.kernel }
 // Add registers components with the world's clock. Nil components are
 // rejected so wiring bugs fail fast. A component Added mid-run — even
 // mid-cycle — joins the sweep at the next cycle boundary. A Timed
-// component is not registered as a Sleeper, so it never parks.
+// component is not registered as a Sleeper, so it never parks. The
+// world's tables grow once per call, so a mesh registers all its nodes
+// with one.
 func (w *World) Add(cs ...Clocked) {
+	k := len(cs)
+	w.components = slices.Grow(w.components, k)
+	w.quiescers = slices.Grow(w.quiescers, k)
+	w.timed = slices.Grow(w.timed, k)
+	w.sleepers = slices.Grow(w.sleepers, k)
+	w.skipped = slices.Grow(w.skipped, k)
+	w.parkedAt = slices.Grow(w.parkedAt, k)
+	w.live = slices.Grow(w.live, (len(w.components)+k+63)>>6-len(w.live))
 	for _, c := range cs {
 		if c == nil {
 			panic("sim: adding nil component")

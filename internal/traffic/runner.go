@@ -167,8 +167,9 @@ func RunCircuit(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 	opt := core.AssemblyOptions{Flow: core.FlowParams{}, RxBufCap: 64}
 	cw := newCircuitWorld(p, opt, cfg.worldOpts()...)
 	a := cw.A
-	meter := power.NewMeter(core.Netlist(p, cfg.Lib), cfg.Lib, cfg.FreqMHz)
-	a.BindMeter(meter, cfg.Lib, cfg.Gated)
+	lib := cfg.Lib
+	meter := power.NewMeter(core.Netlist(p, lib), lib, cfg.FreqMHz)
+	a.BindMeter(meter, &lib, cfg.Gated)
 
 	var sources []*Source
 	var res Result

@@ -333,6 +333,31 @@ func BenchmarkHotspot64x64ShortActiveKernel(b *testing.B) {
 	benchPatternHotspot(b, 64, 64, 500, sim.KernelActive)
 }
 
+// BenchmarkHotspot32Setup measures what building the nocperf hotspot32
+// circuit run costs: its inputs (hotspot:1, bernoulli:0.05, 32×32,
+// 25 MHz) through mesh.RunPattern for one cycle, so the mesh, its
+// meters, the lane book and 1,024 admission decisions are the bill.
+// Its allocations are the figure to watch: the mesh is built from one
+// allocation per kind of state, plus two wake closures per node.
+func BenchmarkHotspot32Setup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := mesh.RunPattern(mesh.PatternConfig{
+			W: 32, H: 32, Cycles: 1, FreqMHz: 25,
+			Lib:       experiments.Lib(),
+			Spatial:   pattern.Spatial{Kind: pattern.Hotspot, Alpha: 1},
+			Injection: pattern.Injection{Proc: pattern.Bernoulli, Rate: 0.05},
+			FlipProb:  0.5, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.FlowsEstablished == 0 {
+			b.Fatal("no flow established")
+		}
+	}
+}
+
 // benchPatternSource measures one event-scheduled source alone: the
 // per-cycle cost of the generator layer itself, per simulated cycle.
 func benchPatternSource(b *testing.B, k sim.Kernel, inj pattern.Injection) {
