@@ -561,7 +561,6 @@ func runSweep(w io.Writer, path string, fl sweepFlags) error {
 		spec.Replications = fl.reps
 	}
 	if fl.cacheDir != "" {
-		spec.Cache = true
 		spec.CacheDir = fl.cacheDir
 	}
 	if fl.traceFile != "" {

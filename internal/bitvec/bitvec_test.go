@@ -6,109 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestVecBasic(t *testing.T) {
-	v := New(100)
-	if v.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", v.Len())
-	}
-	if v.OnesCount() != 0 {
-		t.Fatalf("new vector not zero: %d ones", v.OnesCount())
-	}
-	v.SetBit(0, true)
-	v.SetBit(63, true)
-	v.SetBit(64, true)
-	v.SetBit(99, true)
-	for _, i := range []int{0, 63, 64, 99} {
-		if v.Bit(i) != 1 {
-			t.Errorf("bit %d = 0, want 1", i)
-		}
-	}
-	if v.OnesCount() != 4 {
-		t.Fatalf("OnesCount = %d, want 4", v.OnesCount())
-	}
-	v.SetBit(63, false)
-	if v.Bit(63) != 0 {
-		t.Error("clearing bit 63 failed")
-	}
-}
-
-func TestVecFieldRoundTrip(t *testing.T) {
-	v := New(100)
-	// The router's configuration memory is exactly this shape: twenty 5-bit
-	// fields.
-	for lane := 0; lane < 20; lane++ {
-		v.SetField(lane*5, 5, uint64(lane)&0x1F)
-	}
-	for lane := 0; lane < 20; lane++ {
-		if got := v.Field(lane*5, 5); got != uint64(lane)&0x1F {
-			t.Errorf("lane %d field = %d, want %d", lane, got, lane&0x1F)
-		}
-	}
-}
-
-func TestVecFieldCrossesWordBoundary(t *testing.T) {
-	v := New(128)
-	v.SetField(60, 10, 0x3A5)
-	if got := v.Field(60, 10); got != 0x3A5 {
-		t.Fatalf("cross-boundary field = %#x, want 0x3a5", got)
-	}
-}
-
-func TestVecHamming(t *testing.T) {
-	a, b := New(70), New(70)
-	a.SetBit(0, true)
-	a.SetBit(69, true)
-	b.SetBit(69, true)
-	b.SetBit(35, true)
-	if d := a.Hamming(b); d != 2 {
-		t.Fatalf("Hamming = %d, want 2", d)
-	}
-}
-
-func TestVecCopyEqual(t *testing.T) {
-	a, c := New(33), New(33)
-	a.SetField(10, 8, 0xAB)
-	c.SetField(10, 8, 0xAB)
-	if !a.Equal(c) {
-		t.Fatal("equal contents compare unequal")
-	}
-	c.SetBit(0, true)
-	if a.Equal(c) {
-		t.Fatal("differing contents compare equal")
-	}
-	if a.Equal(New(34)) {
-		t.Fatal("differing widths compare equal")
-	}
-}
-
-func TestVecString(t *testing.T) {
-	v := New(5)
-	v.SetBit(0, true)
-	v.SetBit(4, true)
-	if s := v.String(); s != "10001" {
-		t.Fatalf("String = %q, want 10001", s)
-	}
-}
-
-func TestVecPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"negative width": func() { New(-1) },
-		"bit range":      func() { New(4).Bit(4) },
-		"field range":    func() { New(8).Field(5, 4) },
-		"field width":    func() { New(80).Field(0, 65) },
-		"hamming width":  func() { New(4).Hamming(New(5)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestNibbleSplitJoin(t *testing.T) {
 	// The 20-bit lane packet: header nibble then 4 data nibbles, MSB first.
 	const pkt = uint32(0x9ABCD) // header 0x9, data 0xABCD

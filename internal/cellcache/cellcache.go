@@ -7,15 +7,14 @@
 // byte — the store never needs to validate payloads against anything but
 // its own integrity framing.
 //
-// The store is two-level: a bounded in-memory LRU in front of an optional
-// on-disk directory. Disk entries are written atomically (temp file +
-// rename) and framed with a magic, version, length and CRC32 so a
-// truncated or corrupted file degrades to a miss, never to a wrong
-// result.
+// A store is its directory: one file per entry, nothing held in memory,
+// so every process pointed at the directory shares its entries. Entries
+// are written atomically (temp file + rename) and framed with a magic,
+// version, length and CRC32 so a truncated or corrupted file degrades to
+// a miss, never to a wrong result.
 package cellcache
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -24,7 +23,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -41,117 +40,62 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Stats counts the store's traffic since construction.
 type Stats struct {
-	// Hits and Misses count Get outcomes (a disk hit counts as a hit).
+	// Hits and Misses count Get outcomes.
 	Hits, Misses uint64
 	// Puts counts stored payloads.
 	Puts uint64
 }
 
-// DefaultMaxEntries bounds the in-memory LRU when the caller passes a
-// non-positive capacity.
-const DefaultMaxEntries = 4096
-
-// Store is a bounded in-memory LRU, optionally backed by a directory.
-// All methods are safe for concurrent use.
+// Store is a directory of entries. All methods are safe for concurrent
+// use: each entry is read and replaced whole, and the counters are
+// atomic, so no lock is held across disk I/O.
 type Store struct {
-	mu    sync.Mutex
-	cap   int
-	mem   map[Key]*list.Element
-	lru   list.List // front = most recent; values are *entry
-	dir   string
-	stats Stats
+	dir                string
+	hits, misses, puts atomic.Uint64
 }
 
-// entry is one resident cache line.
-type entry struct {
-	k Key
-	v []byte
-}
-
-// New returns a memory-only store holding at most maxEntries payloads.
-func New(maxEntries int) *Store {
-	if maxEntries <= 0 {
-		maxEntries = DefaultMaxEntries
-	}
-	s := &Store{cap: maxEntries, mem: make(map[Key]*list.Element)}
-	s.lru.Init()
-	return s
-}
-
-// NewDir returns a store backed by dir (created if missing). Evicted and
-// restarted entries survive on disk; reads promote them back into memory.
-func NewDir(dir string, maxEntries int) (*Store, error) {
+// NewDir returns a store backed by dir (created if missing). The second
+// argument is ignored: entries live only on disk.
+func NewDir(dir string, _ int) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("cellcache: empty cache directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cellcache: %w", err)
 	}
-	s := New(maxEntries)
-	s.dir = dir
-	return s, nil
+	return &Store{dir: dir}, nil
 }
 
-// Get returns the payload stored under k. The boolean reports whether the
-// key was found (in memory or on disk); the returned slice is a copy the
-// caller may keep.
+// Get returns the payload stored under k. The boolean reports whether an
+// intact entry was found; the returned slice is the caller's to keep.
 func (s *Store) Get(k Key) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.mem[k]; ok {
-		s.lru.MoveToFront(el)
-		s.stats.Hits++
-		return clone(el.Value.(*entry).v), true
-	}
-	if s.dir != "" {
-		if v, err := s.readDisk(k); err == nil {
-			s.insert(k, v)
-			s.stats.Hits++
-			return clone(v), true
+	if b, err := os.ReadFile(s.path(k)); err == nil {
+		if v, err := DecodeEntry(b); err == nil {
+			s.hits.Add(1)
+			return v, true
 		}
 	}
-	s.stats.Misses++
+	s.misses.Add(1)
 	return nil, false
 }
 
-// Put stores payload under k, overwriting any previous value. The store
-// keeps its own copy. Disk write failures are swallowed: the cache is an
-// accelerator, never a correctness dependency.
+// Put stores payload under k, overwriting any previous value. Disk write
+// failures are swallowed: the cache is an accelerator, never a
+// correctness dependency.
 func (s *Store) Put(k Key, payload []byte) {
-	v := clone(payload)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Puts++
-	if el, ok := s.mem[k]; ok {
-		el.Value.(*entry).v = v
-		s.lru.MoveToFront(el)
-	} else {
-		s.insert(k, v)
-	}
-	if s.dir != "" {
-		s.writeDisk(k, v)
-	}
+	s.puts.Add(1)
+	s.writeDisk(k, payload)
 }
 
 // Stats returns a snapshot of the traffic counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Puts: s.puts.Load()}
 }
 
-// Len returns the number of payloads resident in memory.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mem)
-}
-
-// MetricsInto publishes the store's traffic counters and occupancy into
-// the registry as gauges (a nil registry is a no-op). Gauges, not
-// counters: the store is shared across runs, so each snapshot reports
-// the store's lifetime totals at that moment rather than accumulating
-// them again per run.
+// MetricsInto publishes the store's traffic counters into the registry
+// as gauges (a nil registry is a no-op). Gauges, not counters: the store
+// is shared across runs, so each snapshot reports the store's lifetime
+// totals at that moment rather than accumulating them again per run.
 func (s *Store) MetricsInto(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -160,30 +104,10 @@ func (s *Store) MetricsInto(reg *obs.Registry) {
 	reg.Gauge("cellcache.hits").Set(int64(st.Hits))
 	reg.Gauge("cellcache.misses").Set(int64(st.Misses))
 	reg.Gauge("cellcache.puts").Set(int64(st.Puts))
-	reg.Gauge("cellcache.entries").Set(int64(s.Len()))
-}
-
-// insert adds a fresh entry and evicts past capacity. Callers hold mu.
-func (s *Store) insert(k Key, v []byte) {
-	s.mem[k] = s.lru.PushFront(&entry{k: k, v: v})
-	for s.lru.Len() > s.cap {
-		back := s.lru.Back()
-		delete(s.mem, back.Value.(*entry).k)
-		s.lru.Remove(back)
-	}
 }
 
 // path returns the on-disk file for k.
 func (s *Store) path(k Key) string { return filepath.Join(s.dir, k.String()+".cell") }
-
-// readDisk loads and verifies one entry file.
-func (s *Store) readDisk(k Key) ([]byte, error) {
-	b, err := os.ReadFile(s.path(k))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeEntry(b)
-}
 
 // writeDisk persists one entry atomically: a unique temp file in the same
 // directory, then rename. A concurrent writer of the same key races to an

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/bitvec"
+	"math/bits"
+	"slices"
 )
 
 // LaneSel is the configuration of one crossbar output lane: which foreign
@@ -76,8 +76,8 @@ func DecodeConfigCmd(p Params, w uint32) (ConfigCmd, error) {
 type Config struct {
 	p Params
 	// sels is the memory image: every lane's select and activation bits,
-	// including the stale select of a disabled lane, which Bits prices
-	// on configuration writes.
+	// including the stale select of a disabled lane, which writeToggles
+	// prices on configuration writes.
 	sels []LaneSel
 	// src[g] is output lane g's selected global input lane, or noInput
 	// when the lane is disabled. It is derived from sels, written only
@@ -150,21 +150,24 @@ func (c *Config) InputFor(g int) (int, bool) {
 	return int(in), true
 }
 
-// Bits renders the configuration memory as its hardware bit image
-// (ConfigBitsPerLane bits per output lane, lane 0 first), used to count
-// configuration register toggles during reconfiguration and to verify the
-// 100-bit size of the paper.
-func (c *Config) Bits() *bitvec.Vec {
-	per := c.p.ConfigBitsPerLane()
-	v := bitvec.New(c.p.ConfigBits())
-	for g, s := range c.sels {
-		f := uint64(s.In)
-		if s.Enable {
-			f |= 1 << uint(c.p.SelBits())
+// writeToggles returns how many configuration memory bits a batch of
+// writes, applied in order, flips: for each lane the batch writes, the
+// distance between its last write and its current select and
+// activation bits. A lane written back to its current value flips
+// nothing, and stale selects count, as in the hardware memory.
+func (c *Config) writeToggles(batch []ConfigCmd) int {
+	n := 0
+	for i, cmd := range batch {
+		if slices.ContainsFunc(batch[i+1:], func(later ConfigCmd) bool { return later.Out == cmd.Out }) {
+			continue
 		}
-		v.SetField(g*per, per, f)
+		cur := c.sels[cmd.Out]
+		n += bits.OnesCount64(uint64(cur.In ^ cmd.Sel.In))
+		if cur.Enable != cmd.Sel.Enable {
+			n++
+		}
 	}
-	return v
+	return n
 }
 
 // Copy returns a deep copy of the configuration.

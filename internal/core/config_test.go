@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -61,9 +62,11 @@ func TestDecodeConfigCmdErrors(t *testing.T) {
 
 func TestConfigMemorySize(t *testing.T) {
 	p := DefaultParams()
-	c := NewConfig(p)
-	if got := c.Bits().Len(); got != 100 {
+	if got := p.ConfigBits(); got != 100 {
 		t.Fatalf("config memory = %d bits, want the paper's 100", got)
+	}
+	if got := len(NewConfig(p).sels) * p.ConfigBitsPerLane(); got != p.ConfigBits() {
+		t.Fatalf("config memory holds %d bits, ConfigBits says %d", got, p.ConfigBits())
 	}
 }
 
@@ -92,16 +95,20 @@ func TestConfigSetLaneAndInputFor(t *testing.T) {
 func TestConfigBitsReflectChanges(t *testing.T) {
 	p := DefaultParams()
 	c := NewConfig(p)
-	before := c.Bits()
-	c.SetLane(0, LaneSel{Enable: true, In: 5})
-	after := c.Bits()
-	if before.Hamming(after) == 0 {
-		t.Fatal("configuration change did not alter the bit image")
+	sel := LaneSel{Enable: true, In: 5}
+	write := []ConfigCmd{{Out: 0, Sel: sel}}
+	want := bits.OnesCount64(selField(p, c.Lane(0)) ^ selField(p, sel))
+	if got := c.writeToggles(write); got != want || want == 0 {
+		t.Fatalf("write prices %d toggles, want %d (non-zero)", got, want)
 	}
-	// Applying the same value again is idempotent.
-	c.SetLane(0, LaneSel{Enable: true, In: 5})
-	if !c.Bits().Equal(after) {
-		t.Fatal("idempotent write changed bits")
+	c.SetLane(0, sel)
+	// Applying the same value again flips nothing, and a lane written
+	// and written back within one batch flips nothing either.
+	if got := c.writeToggles(write); got != 0 {
+		t.Fatalf("idempotent write prices %d toggles", got)
+	}
+	if got := c.writeToggles([]ConfigCmd{{Out: 0}, {Out: 0, Sel: sel}}); got != 0 {
+		t.Fatalf("written-back lane prices %d toggles", got)
 	}
 }
 

@@ -45,7 +45,6 @@ func (f FlowParams) Validate() error {
 // onto one 4-bit lane, header nibble first, under window-counter flow
 // control. Its output register feeds a tile-port input lane of the router.
 type TxConverter struct {
-	p    Params
 	flow FlowParams
 
 	// Out is the registered lane value the router's tile input lane reads.
@@ -104,7 +103,7 @@ func newTxConverters(n int, p Params, flow FlowParams) []TxConverter {
 	}
 	ts := make([]TxConverter, n)
 	for i := range ts {
-		ts[i] = TxConverter{p: p, flow: flow, wc: wc}
+		ts[i] = TxConverter{flow: flow, wc: wc}
 	}
 	return ts
 }
@@ -197,7 +196,7 @@ func (t *TxConverter) Eval() {
 		t.nextOut = uint8(t.shift >> topShift & 0xF)
 		if t.canLoad() {
 			t.nextShift = t.pending.Pack()
-			t.nextCnt = t.p.PacketNibbles()
+			t.nextCnt = fig6Nibbles
 			t.willLoad = true
 		} else {
 			t.nextShift = 0
@@ -207,7 +206,7 @@ func (t *TxConverter) Eval() {
 		t.nextOut = 0
 		if t.canLoad() {
 			t.nextShift = t.pending.Pack()
-			t.nextCnt = t.p.PacketNibbles()
+			t.nextCnt = fig6Nibbles
 			t.willLoad = true
 		} else {
 			t.nextShift = 0
@@ -271,6 +270,17 @@ func (t *TxConverter) Commit() {
 	}
 }
 
+// The Fig. 6 format that mustFig6Format admits, as the converters use
+// it: a packet crosses the lane in five nibble transfers, a lane value
+// keeps four bits, and TxRegBits and RxRegBits of the format are 37 and
+// 32 registers.
+const (
+	fig6Nibbles   = 5
+	fig6LaneMask  = 0xF
+	fig6TxRegBits = 37
+	fig6RxRegBits = 32
+)
+
 // mustFig6Format restricts the cycle-accurate converters to the paper's
 // wire format of Fig. 6 (4-bit lanes carrying a 4-bit header and a 16-bit
 // word in five transfers). Other geometries remain available to the
@@ -299,7 +309,7 @@ func (t *TxConverter) ClockFJ(lib stdcell.Lib, gated bool) float64 {
 	if gated && !t.enabled {
 		return 0
 	}
-	return power.ClockEnergyFor(lib, TxRegBits(t.p), 0)
+	return power.ClockEnergyFor(lib, fig6TxRegBits, 0)
 }
 
 // RxConverter is the receive half of the data converter: it watches one
@@ -308,7 +318,6 @@ func (t *TxConverter) ClockFJ(lib stdcell.Lib, gated bool) float64 {
 // tile. Consumed words are acknowledged in batches of X over the reverse
 // acknowledgement wire.
 type RxConverter struct {
-	p    Params
 	flow FlowParams
 
 	// AckOut is the registered acknowledgement wire towards the network;
@@ -363,7 +372,7 @@ func newRxConverters(n int, p Params, flow FlowParams, bufCap int) []RxConverter
 	}
 	rs := make([]RxConverter, n)
 	for i := range rs {
-		rs[i] = RxConverter{p: p, flow: flow, bufCap: bufCap}
+		rs[i] = RxConverter{flow: flow, bufCap: bufCap}
 	}
 	return rs
 }
@@ -424,7 +433,7 @@ func (r *RxConverter) Quiescent() bool {
 		return false
 	}
 	if r.enabled && r.in != nil {
-		nib := *r.in & uint8(1<<uint(r.p.LaneWidth)-1)
+		nib := *r.in & fig6LaneMask
 		if Header(nib)&HdrValid != 0 {
 			return false
 		}
@@ -454,7 +463,7 @@ func (r *RxConverter) Eval() {
 	r.completed = false
 	var nib uint8
 	if r.in != nil {
-		nib = *r.in & uint8(1<<uint(r.p.LaneWidth)-1)
+		nib = *r.in & fig6LaneMask
 	}
 	if !r.enabled {
 		r.nextAcc, r.nextCnt = 0, 0
@@ -471,7 +480,7 @@ func (r *RxConverter) Eval() {
 	}
 	r.nextAcc = r.acc<<4 | uint32(nib)
 	r.nextCnt = r.cnt + 1
-	if r.nextCnt == r.p.PacketNibbles() {
+	if r.nextCnt == fig6Nibbles {
 		r.complete, r.completed = Unpack(r.nextAcc), true
 		r.nextAcc, r.nextCnt = 0, 0
 	}
@@ -533,7 +542,7 @@ func (r *RxConverter) ClockFJ(lib stdcell.Lib, gated bool) float64 {
 	if gated && !r.enabled {
 		return 0
 	}
-	return power.ClockEnergyFor(lib, RxRegBits(r.p), 0)
+	return power.ClockEnergyFor(lib, fig6RxRegBits, 0)
 }
 
 // ConverterRegBits returns the census of a full tile-interface data

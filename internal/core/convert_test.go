@@ -31,6 +31,21 @@ func newTxRx(t *testing.T, flow FlowParams, bufCap int) *txRxHarness {
 	return h
 }
 
+// TestFig6Constants pins the converters' constants to the Fig. 6 format
+// they stand for, at the paper's geometry and at another port and lane
+// count, which mustFig6Format leaves free.
+func TestFig6Constants(t *testing.T) {
+	for _, p := range []Params{DefaultParams(), {Ports: 3, LanesPerPort: 12, LaneWidth: 4, TileWidth: 16}} {
+		mustFig6Format(p)
+		if p.PacketNibbles() != fig6Nibbles || 1<<uint(p.LaneWidth)-1 != fig6LaneMask ||
+			TxRegBits(p) != fig6TxRegBits || RxRegBits(p) != fig6RxRegBits {
+			t.Errorf("%+v: nibbles %d, lane mask %#x, registers %d/%d; the constants say %d, %#x, %d/%d",
+				p, p.PacketNibbles(), 1<<uint(p.LaneWidth)-1, TxRegBits(p), RxRegBits(p),
+				fig6Nibbles, fig6LaneMask, fig6TxRegBits, fig6RxRegBits)
+		}
+	}
+}
+
 func TestSerializeDeserializeOneWord(t *testing.T) {
 	h := newTxRx(t, FlowParams{}, 8)
 	want := Word{Hdr: HdrValid | HdrSOB, Data: 0xCAFE}

@@ -289,15 +289,10 @@ func (r *Router) Commit() {
 
 	if len(r.cfgPending) > 0 {
 		if r.meter != nil {
-			before := r.cfg.Bits()
-			for _, cmd := range r.cfgPending {
-				r.cfg.Apply(cmd)
-			}
-			r.meter.AddToggles(power.ToggleReg, before.Hamming(r.cfg.Bits()))
-		} else {
-			for _, cmd := range r.cfgPending {
-				r.cfg.Apply(cmd)
-			}
+			r.meter.AddToggles(power.ToggleReg, r.cfg.writeToggles(r.cfgPending))
+		}
+		for _, cmd := range r.cfgPending {
+			r.cfg.Apply(cmd)
 		}
 		r.cfgPending = r.cfgPending[:0]
 		if k := r.cfg.EnabledLanes(); cap(r.pairs) < k {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/power"
@@ -169,11 +170,11 @@ func (r *refRouter) Commit() {
 
 	if len(r.cfgPending) > 0 {
 		if r.meter != nil {
-			before := r.cfg.Bits()
+			before := configImage(r.cfg)
 			for _, cmd := range r.cfgPending {
 				r.cfg.Apply(cmd)
 			}
-			r.meter.AddToggles(power.ToggleReg, before.Hamming(r.cfg.Bits()))
+			r.meter.AddToggles(power.ToggleReg, imageDistance(before, configImage(r.cfg)))
 		} else {
 			for _, cmd := range r.cfgPending {
 				r.cfg.Apply(cmd)
@@ -182,6 +183,33 @@ func (r *refRouter) Commit() {
 		r.cfgPending = r.cfgPending[:0]
 		r.activeLanes = r.cfg.EnabledLanes()
 	}
+}
+
+// configImage renders a configuration memory as its hardware bit image,
+// ConfigBitsPerLane bits per output lane, lane 0 first: the reference
+// prices a batch of writes by the distance between the images before
+// and after it.
+func configImage(c *Config) []uint64 {
+	per := c.p.ConfigBitsPerLane()
+	img := make([]uint64, (c.p.ConfigBits()+63)/64)
+	for g, s := range c.sels {
+		f := selField(c.p, s)
+		for b := 0; b < per; b++ {
+			if i := g*per + b; f>>uint(b)&1 == 1 {
+				img[i/64] |= 1 << uint(i%64)
+			}
+		}
+	}
+	return img
+}
+
+// imageDistance returns the number of bits in which two images differ.
+func imageDistance(a, b []uint64) int {
+	n := 0
+	for i := range a {
+		n += bits.OnesCount64(a[i] ^ b[i])
+	}
+	return n
 }
 
 func (r *refRouter) ClockFJ(lib stdcell.Lib, gated bool) float64 {

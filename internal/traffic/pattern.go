@@ -310,8 +310,7 @@ func RunPacketPattern(flows []pattern.PortFlow, inj pattern.Injection, flipProb 
 		gen := bitvec.NewFlipGen(patternWordBits, flipProb, flowSeed(cfg.Seed, i)^0xDA7A)
 		out := f.Out
 		src := pattern.NewSource(flowInjection(inj, pktRate), flowSeed(cfg.Seed, i), perFlowPacketCap(cfg.WordsPerStream))
-		src.Tracer = cfg.Obs.Tracer
-		src.Track = fmt.Sprintf("flow%d.src", i)
+		src.Tracer, src.Track = cfg.Obs.Tracer, trackName(cfg.Obs.Tracer, "flow%d.src", i)
 		srcRef := src
 		src.Emit = func() bool {
 			if len(*queue) >= feederQueueCap*(PatternPacketWords+1) {
@@ -368,7 +367,8 @@ func perFlowPacketCap(words uint64) uint64 {
 // the frame); flows the table cannot fully admit run degraded on
 // whatever slots they got, and flows with no slots are not established
 // — TDM's admission-time answer to overload, the analogue of the
-// circuit fabric's lane blocking.
+// circuit fabric's lane blocking. Flows must use distinct (in,out) port
+// pairs: the slot table books slots per pair, not per flow.
 func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.Injection, flipProb float64, cfg RunConfig) (PatternRunResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return PatternRunResult{}, err
@@ -381,6 +381,14 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 	}
 	if flipProb < 0 || flipProb > 1 {
 		return PatternRunResult{}, fmt.Errorf("traffic: flip probability %v out of [0,1]", flipProb)
+	}
+	seenPair := map[[2]core.Port]bool{}
+	for _, f := range flows {
+		pair := [2]core.Port{f.In, f.Out}
+		if seenPair[pair] {
+			return PatternRunResult{}, fmt.Errorf("traffic: TDM router: two flows from port %v to port %v", f.In, f.Out)
+		}
+		seenPair[pair] = true
 	}
 	r := aethereal.NewRouter(ap)
 	meter := power.NewMeter(aethereal.Netlist(ap, cfg.Lib), cfg.Lib, cfg.FreqMHz)
@@ -396,8 +404,9 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 		// retention switched on, the warm-up path always retains.
 		res.Latency.Retain()
 	}
-	toggleBits := int(flipProb*patternWordBits + 0.5)
 	latRec := latWarmupRec(cfg)
+	sinks := tdmSinks{lat: &res.Latency, rec: latRec, meter: meter,
+		toggles: int(flipProb*patternWordBits + 0.5), tracer: cfg.Obs.Tracer}
 
 	presenters := map[int]*tdmPresenter{}
 	var presenterOrder []*tdmPresenter
@@ -420,19 +429,16 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 
 		pres := presenters[in]
 		if pres == nil {
-			pres = newTDMPresenter(r, in)
+			pres = newTDMPresenter(r, in, sinks)
 			presenters[in] = pres
 			presenterOrder = append(presenterOrder, pres)
 			w.Add(pres)
 		}
-		fs := pres.addFlow(out, slots, &res.Latency, toggleBits, meter)
-		fs.rec = latRec
-		fs.tracer, fs.track = cfg.Obs.Tracer, fmt.Sprintf("flow%d.tdm", i)
+		fs := pres.addFlow(out, trackName(sinks.tracer, "flow%d.tdm", i))
 
 		gen := bitvec.NewFlipGen(patternWordBits, flipProb, flowSeed(cfg.Seed, i)^0xDA7A)
 		src := pattern.NewSource(flowInjection(inj, rate), flowSeed(cfg.Seed, i), cfg.WordsPerStream)
-		src.Tracer = cfg.Obs.Tracer
-		src.Track = fmt.Sprintf("flow%d.src", i)
+		src.Tracer, src.Track = sinks.tracer, trackName(sinks.tracer, "flow%d.src", i)
 		srcRef := src
 		src.Emit = func() bool {
 			if fs.backlog() >= feederQueueCap*PatternPacketWords {

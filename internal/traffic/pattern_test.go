@@ -1,7 +1,9 @@
 package traffic
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/aethereal"
@@ -95,6 +97,21 @@ func TestRunTDMPatternAdmission(t *testing.T) {
 	}
 	if res.FlowsEstablished == 0 {
 		t.Error("no flow admitted at all")
+	}
+}
+
+// TestRunTDMPatternRejectsDuplicatePair: the slot table books slots per
+// (in,out) pair, so a second flow on a pair must fail the run, naming
+// the pair, rather than share the first flow's slots.
+func TestRunTDMPatternRejectsDuplicatePair(t *testing.T) {
+	flows := testFlows()
+	dup := flows[len(flows)-1]
+	flows = append(flows, dup)
+	_, err := RunTDMPattern(aethereal.DefaultParams(), flows, pattern.Injection{Proc: pattern.Poisson, Rate: 0.05},
+		0.5, patternRC(sim.KernelActive))
+	want := fmt.Sprintf("two flows from port %v to port %v", dup.In, dup.Out)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("duplicated pair %v->%v: err = %v, want one containing %q", dup.In, dup.Out, err, want)
 	}
 }
 

@@ -188,10 +188,10 @@ func RunCircuit(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 		src := NewSourceSeeded(pat, st.ID, cfg.Seed)
 		sources = append(sources, src)
 		cw.W.Add(&sourceDriver{src: src, tx: tx, limit: cfg.WordsPerStream,
-			tracer: cfg.Obs.Tracer, track: fmt.Sprintf("stream%d.src", st.ID)})
+			tracer: cfg.Obs.Tracer, track: trackName(cfg.Obs.Tracer, "stream%d.src", st.ID)})
 		if st.Out == core.Tile {
 			cw.W.Add(&sinkDriver{rx: a.Rx[lane],
-				tracer: cfg.Obs.Tracer, track: fmt.Sprintf("stream%d.sink", st.ID)})
+				tracer: cfg.Obs.Tracer, track: trackName(cfg.Obs.Tracer, "stream%d.sink", st.ID)})
 		}
 	}
 
@@ -209,6 +209,15 @@ func RunCircuit(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 	res.Power = meter.Report("circuit switched / scenario " + sc.Name)
 	res.Attribution = meter.AttributionSorted()
 	return res, nil
+}
+
+// trackName formats a component's trace track name, or returns "" for
+// an untraced run: only the tracer reads the names.
+func trackName(t obs.Tracer, format string, n int) string {
+	if t == nil {
+		return ""
+	}
+	return fmt.Sprintf(format, n)
 }
 
 // laneWordPeriod is the cycles per word of one circuit-switched lane:
@@ -257,7 +266,7 @@ func RunPacket(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 		}
 		if st.In == core.Tile {
 			w.Add(&packetInjector{r: r, gen: gen,
-				tracer: cfg.Obs.Tracer, track: fmt.Sprintf("stream%d.src", st.ID)})
+				tracer: cfg.Obs.Tracer, track: trackName(cfg.Obs.Tracer, "stream%d.src", st.ID)})
 		} else {
 			// Feeder register standing in for the upstream router.
 			slot := new(packetsw.Flit)

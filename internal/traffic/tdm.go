@@ -24,20 +24,15 @@ type tdmPending struct {
 }
 
 // tdmFlow is one (in,out) flow multiplexed by a tdmPresenter: a queue
-// of words waiting for the flow's reserved slots, the words in flight
-// through the crossbar, and the flow's measurement sinks.
+// of words waiting for the slots the router's table reserves for the
+// pair, and the words in flight through the crossbar. The measurement
+// sinks are the presenter's, shared by its flows.
 type tdmFlow struct {
+	p        *tdmPresenter
 	out      int
-	reserved []bool       // per slot: this flow owns the slot
 	staged   []tdmPending // enqueued this cycle; merged into queue at Commit
 	queue    []tdmPending
 	inFlight []tdmPending
-	lat      *stats.Series
-	rec      *stats.TimedSeries // non-nil when warm-up accounting is on
-	toggles  int
-	meter    *power.Meter
-	wake     func() // the owning presenter's wake, set by addFlow
-	tracer   obs.Tracer
 	track    string
 
 	delivered uint64
@@ -53,11 +48,13 @@ type tdmFlow struct {
 // taken this cycle so that Commit actually runs.
 func (f *tdmFlow) enqueue(word uint32, stamp uint64) {
 	f.staged = append(f.staged, tdmPending{word: word, stamp: stamp})
-	if f.tracer != nil {
-		f.tracer.Emit(obs.Event{Cycle: stamp, Track: f.track,
+	if t := f.p.tracer; t != nil {
+		t.Emit(obs.Event{Cycle: stamp, Track: f.track,
 			Kind: obs.KindInject, Value: int64(f.out)})
 	}
-	f.wake()
+	if f.p.wake != nil {
+		f.p.wake()
+	}
 }
 
 // backlog returns the number of words queued but not yet presented.
@@ -69,13 +66,14 @@ func (f *tdmFlow) idle() bool {
 }
 
 // tdmPresenter owns one TDM input port's data/valid registers and
-// multiplexes its flows onto their reserved slots. It also observes
-// deliveries on each flow's output register: a word counts as
-// delivered, records its latency and pays its ToggleReg/Gate/Link
-// energy once it has crossed the crossbar into the output register.
-// It is skippable whenever the port has nothing queued or in flight,
-// and is the one implementation of the slot algorithm behind RunTDM
-// and RunTDMPattern.
+// multiplexes its flows onto the slots the router's table reserves for
+// them. It also observes deliveries on each flow's output register: a
+// word counts as delivered, records its latency and pays its
+// ToggleReg/Gate/Link energy once it has crossed the crossbar into the
+// output register. It is skippable whenever the port has nothing queued
+// or in flight, and is the one implementation of the slot algorithm
+// behind RunTDM and RunTDMPattern. Reading the table is exact because
+// each (in,out) pair has at most one flow.
 type tdmPresenter struct {
 	r     *aethereal.Router
 	in    int
@@ -84,6 +82,7 @@ type tdmPresenter struct {
 	flows []*tdmFlow
 	cycle uint64
 	wake  func()
+	tdmSinks
 }
 
 // SetWake implements sim.Waker: enqueue is a staging mutator invoked
@@ -92,30 +91,29 @@ type tdmPresenter struct {
 // own cycle, whatever order the components were registered in.
 func (p *tdmPresenter) SetWake(fn func()) { p.wake = fn }
 
+// tdmSinks are the measurement sinks of a TDM run, shared by all its
+// presenters and their flows.
+type tdmSinks struct {
+	lat     *stats.Series
+	rec     *stats.TimedSeries // non-nil when warm-up accounting is on
+	meter   *power.Meter
+	toggles int // bits charged per delivered word
+	tracer  obs.Tracer
+}
+
 // newTDMPresenter wires a presenter to the router's input port in and
 // returns it; register it with the simulation world after the router.
-func newTDMPresenter(r *aethereal.Router, in int) *tdmPresenter {
-	p := &tdmPresenter{r: r, in: in, data: new(uint32), valid: new(bool)}
+func newTDMPresenter(r *aethereal.Router, in int, s tdmSinks) *tdmPresenter {
+	p := &tdmPresenter{r: r, in: in, data: new(uint32), valid: new(bool), tdmSinks: s}
 	r.ConnectIn(in, p.data, p.valid)
 	return p
 }
 
-// addFlow attaches one flow to the presenter: words enqueued on the
-// returned flow are presented in the given slots, and deliveries are
-// observed on output port out, feeding the latency series and charging
-// toggleBits per delivered word to the meter.
-func (p *tdmPresenter) addFlow(out int, slots []int, lat *stats.Series,
-	toggleBits int, meter *power.Meter) *tdmFlow {
-	f := &tdmFlow{out: out, reserved: make([]bool, p.r.P.Slots), lat: lat,
-		toggles: toggleBits, meter: meter}
-	for _, s := range slots {
-		f.reserved[s] = true
-	}
-	f.wake = func() {
-		if p.wake != nil {
-			p.wake()
-		}
-	}
+// addFlow attaches the flow to output port out, traced on the given
+// track: words enqueued on it are presented in the slots the table
+// reserves for (in,out), and deliveries are observed on output port out.
+func (p *tdmPresenter) addFlow(out int, track string) *tdmFlow {
+	f := &tdmFlow{p: p, out: out, track: track}
 	p.flows = append(p.flows, f)
 	return f
 }
@@ -132,27 +130,27 @@ func (p *tdmPresenter) Eval() {
 			f.inFlight = f.inFlight[1:]
 			f.delivered++
 			lat := float64(p.cycle - head.stamp)
-			if f.rec != nil {
-				f.rec.Add(p.cycle, lat)
+			if p.rec != nil {
+				p.rec.Add(p.cycle, lat)
 			} else {
-				f.lat.Add(lat)
+				p.lat.Add(lat)
 			}
-			f.meter.AddToggles(power.ToggleReg, f.toggles)
-			f.meter.AddToggles(power.ToggleGate, f.toggles)
-			f.meter.AddToggles(power.ToggleLink, f.toggles)
-			if f.tracer != nil {
-				f.tracer.Emit(obs.Event{Cycle: p.cycle, Track: f.track,
+			p.meter.AddToggles(power.ToggleReg, p.toggles)
+			p.meter.AddToggles(power.ToggleGate, p.toggles)
+			p.meter.AddToggles(power.ToggleLink, p.toggles)
+			if p.tracer != nil {
+				p.tracer.Emit(obs.Event{Cycle: p.cycle, Track: f.track,
 					Kind: obs.KindDeliver, Value: int64(f.delivered)})
 			}
 		}
 	}
 	// The router's next Eval uses the slot after the current one;
-	// present a word iff that slot belongs to one of this input's flows
-	// and the flow has data queued.
+	// present a word iff the table gives that slot to one of this
+	// input's flows and the flow has data queued.
 	*p.valid = false
 	upcoming := (p.r.Slot() + 1) % slots
 	for _, f := range p.flows {
-		if f.reserved[upcoming] && len(f.queue) > 0 {
+		if p.r.Table.Entry(upcoming, f.out) == p.in && len(f.queue) > 0 {
 			head := f.queue[0]
 			f.queue = f.queue[1:]
 			*p.data = head.word
@@ -290,7 +288,8 @@ func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Resul
 	}
 	// The average toggling bits per forwarded word under the pattern's
 	// flip probability, split over register, crossbar and link nets.
-	toggleBits := int(pat.FlipProb*patternWordBits + 0.5)
+	sinks := tdmSinks{lat: &res.Latency, meter: meter,
+		toggles: int(pat.FlipProb*patternWordBits + 0.5), tracer: cfg.Obs.Tracer}
 	slotsNeeded := (ap.Slots + laneWordPeriod - 1) / laneWordPeriod
 	var sources []*Source
 	var presenters []*tdmPresenter
@@ -309,10 +308,9 @@ func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Resul
 		// A word offered this cycle is staged through enqueue, merged at
 		// the presenter's Commit and presentable the next cycle — the
 		// registration order of offerer and presenter does not matter.
-		pres := newTDMPresenter(r, in)
+		pres := newTDMPresenter(r, in, sinks)
 		presenters = append(presenters, pres)
-		flow := pres.addFlow(out, slots, &res.Latency, toggleBits, meter)
-		flow.tracer, flow.track = cfg.Obs.Tracer, fmt.Sprintf("stream%d.tdm", st.ID)
+		flow := pres.addFlow(out, trackName(sinks.tracer, "stream%d.tdm", st.ID))
 		w.Add(&tdmOffer{src: src, flow: flow, limit: cfg.WordsPerStream}, pres)
 	}
 	if err := r.Table.Validate(); err != nil {

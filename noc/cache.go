@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime/debug"
@@ -179,11 +180,11 @@ func decodeResultEnvelope(b []byte) (*Result, error) {
 	return &r, nil
 }
 
-// Cache is the façade's content-addressed Result store: an in-memory
-// LRU, optionally mirrored to a directory. One Cache is safely shared
-// by concurrent runs; instances are deduplicated per directory within
-// the process, so every fabric and sweep pointed at the same directory
-// shares one store.
+// Cache is the façade's content-addressed Result store: a directory of
+// encoded Results. One Cache is safely shared by concurrent runs;
+// instances are deduplicated per directory within the process, so every
+// fabric and sweep pointed at the same directory shares one store and
+// its counters.
 type Cache struct {
 	store *cellcache.Store
 }
@@ -205,31 +206,27 @@ func (c *Cache) Counters() CacheCounters {
 	return CacheCounters{Hits: s.Hits, Misses: s.Misses, Puts: s.Puts}
 }
 
-// cacheRegistry deduplicates Cache instances: one process-wide
-// in-memory instance, plus one instance per cleaned directory path.
+// cacheRegistry deduplicates Cache instances, one per cleaned directory
+// path.
 var cacheRegistry struct {
 	mu    sync.Mutex
-	mem   *Cache
 	byDir map[string]*Cache
 }
 
-// OpenCache returns the shared cache instance for the given directory;
-// the empty string selects the process-wide in-memory cache. Opening
-// the same directory twice returns the same instance.
+// OpenCache returns the shared cache instance for the given directory,
+// creating the directory if missing. Opening the same directory twice
+// returns the same instance; the empty string is an error.
 func OpenCache(dir string) (*Cache, error) {
+	if dir == "" {
+		return nil, errors.New("noc: cache: empty cache directory")
+	}
 	cacheRegistry.mu.Lock()
 	defer cacheRegistry.mu.Unlock()
-	if dir == "" {
-		if cacheRegistry.mem == nil {
-			cacheRegistry.mem = &Cache{store: cellcache.New(cellcache.DefaultMaxEntries)}
-		}
-		return cacheRegistry.mem, nil
-	}
 	dir = filepath.Clean(dir)
 	if c, ok := cacheRegistry.byDir[dir]; ok {
 		return c, nil
 	}
-	store, err := cellcache.NewDir(dir, cellcache.DefaultMaxEntries)
+	store, err := cellcache.NewDir(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("noc: cache: %w", err)
 	}

@@ -326,7 +326,6 @@ func cacheSweepSpec(workers int, dir string) SweepSpec {
 		},
 		Seed:     99,
 		Workers:  workers,
-		Cache:    true,
 		CacheDir: dir,
 	}
 }
@@ -341,7 +340,7 @@ func TestSweepCacheColdWarmByteCompare(t *testing.T) {
 	ctx := context.Background()
 
 	baseline := cacheSweepSpec(1, dir)
-	baseline.Cache, baseline.CacheDir = false, ""
+	baseline.CacheDir = ""
 	var off bytes.Buffer
 	if err := SweepJSON(ctx, baseline, &off); err != nil {
 		t.Fatal(err)
@@ -413,7 +412,7 @@ func TestSweepCacheReplications(t *testing.T) {
 	}
 
 	plain := spec
-	plain.Cache, plain.CacheDir = false, ""
+	plain.CacheDir = ""
 	if err := SweepJSON(ctx, plain, &off); err != nil {
 		t.Fatal(err)
 	}

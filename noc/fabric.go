@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -34,8 +35,8 @@ type fabric struct {
 
 	worldObserver func(*sim.World) // test hook: kernel diagnostics after a run
 
-	cacheOn  bool   // content-addressed result cache enabled
-	cacheDir string // cache directory; "" = process-wide in-memory cache
+	cacheOn  bool   // WithCache given
+	cacheDir string // its cache directory
 	cache    *Cache // resolved instance (sweep engine / tests inject it)
 
 	trace     io.Writer // Chrome trace-event JSON destination (WithTrace)
@@ -88,6 +89,9 @@ func (f fabric) Validate() error {
 	}
 	if f.traceCycles < 0 {
 		return fmt.Errorf("noc: negative trace depth %d", f.traceCycles)
+	}
+	if f.cacheOn && f.cacheDir == "" {
+		return errors.New("noc: WithCache: empty cache directory")
 	}
 	switch f.Kind() {
 	case KindCircuit:

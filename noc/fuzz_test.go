@@ -88,7 +88,11 @@ func FuzzCacheEquivalence(f *testing.F) {
 		}
 		plain := run(build())
 
-		c := &Cache{store: cellcache.New(16)}
+		store, err := cellcache.NewDir(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &Cache{store: store}
 		miss := run(cached(c))
 		afterMiss := c.Counters()
 		hit := run(cached(c))

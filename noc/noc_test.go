@@ -22,6 +22,7 @@ func TestOptionValidationErrors(t *testing.T) {
 		{"negative BE depth", AetherealTDM(WithBEDepth(-1)), "BE depth"},
 		{"bad corner", CircuitSwitched(WithLibraryCorner("ulp")), "corner"},
 		{"bad latency words", PacketSwitched(WithLatencyWords(-7)), "latency"},
+		{"empty cache directory", CircuitSwitched(WithCache("")), "WithCache"},
 	}
 	for _, c := range cases {
 		err := c.fabric.Validate()

@@ -94,18 +94,18 @@ func WithNodeTrace(cycles int) Option { return func(f *fabric) { f.traceCycles =
 // from the sweep pool, one run per worker.
 func WithKernel(k Kernel) Option { return func(f *fabric) { f.Kernel = string(k) } }
 
-// WithCache enables the content-addressed result cache: every single
-// run (including each replication of a replicated run) is keyed by a
-// canonical hash of its fully resolved configuration, seed and a
-// code-version fingerprint, and a repeated run is served from the cache
-// byte-identically instead of re-simulating. dir persists results on
-// disk across processes; the empty string keeps a process-wide
-// in-memory cache. Caches for the same directory are shared within the
-// process. The cache reuses whole runs only: a run that differs from a
-// cached one in any key field (its length included) simulates from
-// cycle 0. With WithMetrics, Result.Metrics reports the lookup as
-// cache.hits or cache.misses. See also SweepSpec.Cache /
-// SweepSpec.CacheDir and the `nocbench -cache` flag.
+// WithCache enables the content-addressed result cache in directory
+// dir (created if missing): every single run (including each
+// replication of a replicated run) is keyed by a canonical hash of its
+// fully resolved configuration, seed and a code-version fingerprint,
+// and a repeated run is served from the directory byte-identically
+// instead of re-simulating, in this process or a later one. Caches for
+// the same directory are shared within the process; Validate rejects
+// an empty dir. The cache reuses whole runs only: a run that differs
+// from a cached one in any key field (its length included) simulates
+// from cycle 0. With WithMetrics, Result.Metrics reports the lookup as
+// cache.hits or cache.misses. See also SweepSpec.CacheDir and the
+// `nocbench -cache` flag.
 func WithCache(dir string) Option {
 	return func(f *fabric) { f.cacheOn, f.cacheDir = true, dir }
 }

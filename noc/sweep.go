@@ -301,16 +301,13 @@ type SweepSpec struct {
 	// -kernel` flag sets it from the command line; unknown names are
 	// rejected at spec validation with the valid kernels listed.
 	Kernel string `json:"kernel,omitempty"`
-	// Cache enables the content-addressed result cache: each cell (and
-	// each replication of a replicated cell) is keyed by its fully
-	// resolved configuration and served from the cache when a previous
-	// run already computed it. Hits are byte-exact, so sweep output is
-	// byte-identical with the cache on or off, warm or cold, for any
-	// worker count. With no CacheDir the cache is the process-wide
-	// in-memory store.
-	Cache bool `json:"cache,omitempty"`
-	// CacheDir mirrors the cache to a directory so it survives the
-	// process (the `nocbench -cache` flag). Setting it implies Cache.
+	// CacheDir, when non-empty, turns on the content-addressed result
+	// cache in that directory (the `nocbench -cache` flag): each cell
+	// (and each replication of a replicated cell) is keyed by its fully
+	// resolved configuration and served from the directory when a
+	// previous run, in this process or an earlier one, already computed
+	// it. Hits are byte-exact, so sweep output is byte-identical with the
+	// cache on or off, warm or cold, for any worker count.
 	CacheDir string `json:"cache_dir,omitempty"`
 	// Obs configures the sweep's observability sinks — tracing, shared
 	// metrics, live progress. It is wired programmatically (nocbench
@@ -379,16 +376,9 @@ type SweepProgress struct {
 	CyclesDone uint64
 }
 
-// monitorAdapter bridges the exported SweepMonitor to the worker pool's
-// monitor interface.
-type monitorAdapter struct{ m SweepMonitor }
-
-func (a monitorAdapter) JobStart(worker, job int) { a.m.JobStart(worker, job) }
-func (a monitorAdapter) JobDone(worker, job int)  { a.m.JobDone(worker, job) }
-
 // resolveCache opens the spec's cache, if enabled.
 func (s SweepSpec) resolveCache() (*Cache, error) {
-	if !s.Cache && s.CacheDir == "" {
+	if s.CacheDir == "" {
 		return nil, nil
 	}
 	return OpenCache(s.CacheDir)
@@ -607,11 +597,7 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 	var pending []*Result
 	var pendingErr string
 	prog := SweepProgress{CellsTotal: len(cells), JobsTotal: len(jobs)}
-	var monitor sweep.Monitor
-	if spec.Obs.Monitor != nil {
-		monitor = monitorAdapter{m: spec.Obs.Monitor}
-	}
-	err = sweep.RunMonitored(ctx, len(jobs), spec.Workers, monitor,
+	err = sweep.RunMonitored(ctx, len(jobs), spec.Workers, spec.Obs.Monitor,
 		func(ctx context.Context, i int) (repOut, error) {
 			j := jobs[i]
 			cell := cells[j.cell]

@@ -317,6 +317,7 @@ func TestParseSweepSpec(t *testing.T) {
 		{`{"sim_workers": 8}`, "sim_workers"},
 		{`{"fabrics": [{"kind": "circuit", "sim_workers": 8}]}`, "sim_workers"},
 		{`{"fabrics": [{"kind": "circuit", "lane_width": 4}]}`, "lane_width"},
+		{`{"cache": true}`, "cache"},
 	} {
 		if _, err := ParseSweepSpec([]byte(c.spec)); err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("%s: err = %v, want an unknown-field error naming %s", c.spec, err, c.field)

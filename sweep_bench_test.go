@@ -70,7 +70,6 @@ func overlapSpec(rates []float64, seed uint64, dir string) noc.SweepSpec {
 		},
 		Workers:  1,
 		Seed:     seed,
-		Cache:    dir != "",
 		CacheDir: dir,
 	}
 }
