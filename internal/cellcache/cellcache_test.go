@@ -29,26 +29,38 @@ func TestReturnedSliceIsACopy(t *testing.T) {
 	}
 }
 
-// TestDiskRoundTrip: a miss, a put and a hit are counted once each, a
-// second store over the same directory sees the entry, and nothing is
-// held in memory — once the file is corrupted, the next read misses.
-func TestDiskRoundTrip(t *testing.T) {
+// TestMemoryGetPut: within one store handle, a miss, a put and a hit
+// are counted once each.
+func TestMemoryGetPut(t *testing.T) {
+	s, err := NewDir(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := KeyOf([]byte("cell-a"))
+	if _, ok := s.Get(k); ok {
+		t.Fatal("hit on empty store")
+	}
+	s.Put(k, []byte("payload"))
+	v, ok := s.Get(k)
+	if !ok || string(v) != "payload" {
+		t.Fatalf("got %q ok=%v", v, ok)
+	}
+	if st := s.Stats(); st != (Stats{Hits: 1, Misses: 1, Puts: 1}) {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestDiskRoundTripAndPromotion: a second store over the same directory
+// sees an entry, and a read promotes nothing into memory — once the file
+// is corrupted, the next read misses.
+func TestDiskRoundTripAndPromotion(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewDir(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := KeyOf([]byte("disk"))
-	if _, ok := s.Get(k); ok {
-		t.Fatal("hit on empty store")
-	}
 	s.Put(k, []byte("persisted"))
-	if v, ok := s.Get(k); !ok || string(v) != "persisted" {
-		t.Fatalf("got %q ok=%v", v, ok)
-	}
-	if st := s.Stats(); st != (Stats{Hits: 1, Misses: 1, Puts: 1}) {
-		t.Fatalf("stats %+v", st)
-	}
 
 	s2, err := NewDir(dir, 0)
 	if err != nil {
