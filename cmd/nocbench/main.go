@@ -208,6 +208,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cliFlags, error) {
 	if set["cache"] && f.sweepFile == "" {
 		return nil, fmt.Errorf("-cache only applies to -sweep runs")
 	}
+	if set["cache"] && f.cacheDir == "" {
+		return nil, fmt.Errorf("-cache needs a directory")
+	}
 	if set["trace"] && !sweepOrPattern {
 		return nil, fmt.Errorf("-trace only applies to -sweep and -pattern runs")
 	}

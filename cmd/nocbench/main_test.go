@@ -35,6 +35,7 @@ func TestParseFlags(t *testing.T) {
 		{[]string{"-pattern", "uniform", "-reps", "-1"}, "-reps must be non-negative"},
 		{[]string{"-warmup", "auto"}, "-warmup"},
 		{[]string{"-cache", "dir"}, "-cache"},
+		{[]string{"-sweep", "s.json", "-cache", ""}, "-cache"},
 		{[]string{"-trace", "t.json"}, "-trace"},
 		{[]string{"-progress"}, "-progress"},
 		{[]string{"-metrics"}, "-metrics"},

@@ -150,7 +150,8 @@ func EncodeEntry(payload []byte) []byte {
 
 // DecodeEntry unframes a disk entry, verifying magic, version, length and
 // checksum. Any mismatch — short file, trailing garbage, flipped bit —
-// returns an error, which the store treats as a miss.
+// returns an error, which the store treats as a miss. The payload it
+// returns aliases b; an empty payload is an empty, non-nil slice.
 func DecodeEntry(b []byte) ([]byte, error) {
 	if len(b) < entryHeader {
 		return nil, fmt.Errorf("cellcache: entry truncated at %d bytes", len(b))
@@ -170,13 +171,5 @@ func DecodeEntry(b []byte) ([]byte, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, errors.New("cellcache: entry checksum mismatch")
 	}
-	return clone(payload), nil
-}
-
-// clone copies a byte slice (nil-preserving for empty payload symmetry).
-func clone(b []byte) []byte {
-	if len(b) == 0 {
-		return []byte{}
-	}
-	return append([]byte(nil), b...)
+	return payload, nil
 }

@@ -113,8 +113,8 @@ func TestEntryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode(encode(%d bytes)): %v", len(payload), err)
 		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("round trip changed payload (%d bytes)", len(payload))
+		if !bytes.Equal(got, payload) || got == nil {
+			t.Fatalf("round trip changed payload (%d bytes; nil result %v)", len(payload), got == nil)
 		}
 	}
 }

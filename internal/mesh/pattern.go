@@ -44,17 +44,14 @@ type PatternConfig struct {
 	// sources retire, and once the network drains the kernel
 	// fast-forwards the rest of the run.
 	WordsPerFlow uint64
-	// WarmupCycles truncates the measurement window: words injected or
-	// delivered before this cycle are excluded from the aggregate
-	// counts and the latency distribution (per-flow counts stay
-	// full-run), so open-loop statistics are not biased by the
-	// empty-network startup transient. Throughput should be computed
-	// over the MeasuredCycles the result reports.
-	WarmupCycles int
-	// WarmupAuto detects the warm-up automatically with the MSER-5
-	// steady-state rule over the delivery-latency sequence. Mutually
-	// exclusive with WarmupCycles.
-	WarmupAuto bool
+	// Window is the measurement window: a warm-up cut excludes the
+	// words injected or delivered before it from the aggregate counts
+	// and the latency distribution (per-flow counts stay full-run), so
+	// open-loop statistics are not biased by the empty-network startup
+	// transient, and Retain keeps the raw per-word latencies for
+	// pooling. RunPattern reads it. Throughput should be computed over
+	// the MeasuredCycles the result reports.
+	Window stats.Window
 	// Params overrides the router geometry (nil: paper defaults).
 	Params *core.Params
 	// Kernel selects the simulation kernel (zero value: the production
@@ -69,11 +66,6 @@ type PatternConfig struct {
 	// and rejections). The zero value disables both; enabling them never
 	// changes the simulated result.
 	Obs obs.Hooks
-	// RetainLatency keeps the raw per-word latency observations on the
-	// result's Latency series (Samples), so replicated runs can pool
-	// them into one distribution. Off by default: a plain run only needs
-	// the summary moments.
-	RetainLatency bool
 }
 
 // Validate checks the configuration.
@@ -93,7 +85,7 @@ func (c PatternConfig) Validate() error {
 	if err := c.Injection.Validate(); err != nil {
 		return err
 	}
-	if err := stats.CheckWarmup(c.WarmupCycles, c.Cycles, c.WarmupAuto); err != nil {
+	if err := c.Window.Check(c.Cycles); err != nil {
 		return fmt.Errorf("mesh: %w", err)
 	}
 	if c.Params != nil {
@@ -173,19 +165,15 @@ func (s *flowStamps) pop() (uint64, bool) {
 // patternSink drains one flow's receive converter and records each
 // word's delivery latency. It is a first-class quiescent component:
 // while the converter buffer is empty, popping is a no-op and the
-// kernel skips the sink, so a drained mesh quiesces end to end. With
-// warm-up accounting on, samples go to the cycle-stamped recorder so
-// the transient can be truncated after the run; otherwise they
-// accumulate directly. The recorder and series are shared by every
-// sink in the run, so samples are recorded in the Commit phase — in
-// registration order, the same accumulation order under every kernel —
-// never in the Eval phase, where a wake may run a missed Eval out of
-// registration order.
+// kernel skips the sink, so a drained mesh quiesces end to end. The
+// recorder is shared by every sink in the run, so samples are recorded
+// in the Commit phase — in registration order, the same accumulation
+// order under every kernel — never in the Eval phase, where a wake may
+// run a missed Eval out of registration order.
 type patternSink struct {
 	rx     *core.RxConverter
 	stamps *flowStamps
-	lat    *stats.Series
-	rec    *stats.TimedSeries // non-nil when warm-up accounting is on
+	rec    *stats.Recorder
 	cycle  uint64
 	popped uint64
 
@@ -213,11 +201,7 @@ func (d *patternSink) Eval() {
 // Commit implements sim.Clocked.
 func (d *patternSink) Commit() {
 	if d.hasPending {
-		if d.rec != nil {
-			d.rec.Add(d.cycle, d.pendingLat)
-		} else {
-			d.lat.Add(d.pendingLat)
-		}
+		d.rec.Add(d.cycle, d.pendingLat)
 		if d.tracer != nil {
 			d.tracer.Emit(obs.Event{Cycle: d.cycle, Track: d.track,
 				Kind: obs.KindDeliver, Value: int64(d.pendingLat)})
@@ -246,7 +230,7 @@ type patternSource struct {
 	*pattern.Source
 	gen    *bitvec.FlipGen
 	stamps *flowStamps
-	sent   []uint64 // injection stamps, warm-up accounting only
+	sent   []uint64 // injection stamps, only when the window cuts
 }
 
 // TraceName implements sim.TraceNamer.
@@ -281,25 +265,13 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 	dom := m.BindMeters(cfg.Lib, cfg.FreqMHz, cfg.Gated)
 	book := NewLaneBook(m, cfg.Obs.Metrics)
 
-	if cfg.RetainLatency {
-		// The sinks feed res.Latency directly; under warm-up accounting
-		// the series is rebuilt from the timed record, which always
-		// retains.
-		res.Latency.Retain()
-	}
 	flows := cfg.Spatial.Flows(cfg.W, cfg.H, cfg.Seed)
 	res.FlowsRequested = len(flows)
 
-	// Warm-up accounting: cycle-stamped latency samples and injection
-	// stamps, collected only when a measurement window is requested so
-	// the default path stays allocation-free. Injection stamps are
-	// collected per flow (each source's Eval appends to its own slice)
-	// and only counted after the run.
-	warmup := cfg.WarmupCycles > 0 || cfg.WarmupAuto
-	var latRec *stats.TimedSeries
-	if warmup {
-		latRec = &stats.TimedSeries{}
-	}
+	// Injection stamps are collected only when the window cuts a
+	// warm-up, so the default path stays allocation-free; each source's
+	// Eval appends to its own slice, counted after the run.
+	rec, cut := stats.NewRecorder(cfg.Window), cfg.Window.Cuts()
 
 	tracer := cfg.Obs.Tracer
 	var live []liveFlow
@@ -349,13 +321,13 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 				return false
 			}
 			ms.stamps.push(src.Cycle())
-			if warmup {
+			if cut {
 				ms.sent = append(ms.sent, src.Cycle())
 			}
 			return true
 		}
 		ms.Source = src
-		sink := &patternSink{rx: rx, stamps: ms.stamps, lat: &res.Latency, rec: latRec}
+		sink := &patternSink{rx: rx, stamps: ms.stamps, rec: rec}
 		if tracer != nil {
 			// Only the tracer reads the track names.
 			src.Tracer, src.Track = tracer, fmt.Sprintf("flow%d.src", flowIdx)
@@ -377,21 +349,16 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 		res.WordsSent += pf.WordsSent
 		res.WordsDelivered += pf.WordsDelivered
 	}
-	res.MeasuredCycles = uint64(cfg.Cycles)
-	if warmup {
-		// Resolve the effective warm-up cycle — configured, or the
-		// MSER-5 steady-state truncation of the delivery-latency
-		// sequence — then recompute the aggregate statistics over the
-		// measurement window. Per-flow counts stay full-run.
-		w, start, lat := latRec.Window(uint64(cfg.WarmupCycles), cfg.WarmupAuto)
-		res.Latency = lat
-		res.WarmupCycles = w
-		res.MeasuredCycles = uint64(cfg.Cycles) - w
-		res.WordsDelivered = uint64(latRec.Len() - start)
+	res.WarmupCycles, res.Latency = rec.Result()
+	res.MeasuredCycles = uint64(cfg.Cycles) - res.WarmupCycles
+	if cut {
+		// The aggregate counts cover the measurement window; per-flow
+		// counts stay full-run.
+		res.WordsDelivered = uint64(res.Latency.N())
 		var sent uint64
 		for _, lf := range live {
 			for _, c := range lf.src.sent {
-				if c >= w {
+				if c >= res.WarmupCycles {
 					sent++
 				}
 			}

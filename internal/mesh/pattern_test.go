@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/pattern"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/stdcell"
 )
 
@@ -166,7 +167,7 @@ func TestRunPatternWarmupExplicit(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := patternCfg(sim.KernelActive)
-	cfg.WarmupCycles = 1000
+	cfg.Window.Warmup = 1000
 	warm, err := RunPattern(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +199,7 @@ func TestRunPatternWarmupExplicit(t *testing.T) {
 	// Kernel equivalence holds under truncation too.
 	for _, k := range []sim.Kernel{sim.KernelNaive} {
 		cfg := patternCfg(k)
-		cfg.WarmupCycles = 1000
+		cfg.Window.Warmup = 1000
 		other, err := RunPattern(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -217,7 +218,7 @@ func TestRunPatternWarmupExplicit(t *testing.T) {
 // across kernels.
 func TestRunPatternWarmupAuto(t *testing.T) {
 	cfg := patternCfg(sim.KernelActive)
-	cfg.WarmupAuto = true
+	cfg.Window.Auto = true
 	first, err := RunPattern(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +234,7 @@ func TestRunPatternWarmupAuto(t *testing.T) {
 	}
 	for _, k := range []sim.Kernel{sim.KernelActive, sim.KernelNaive} {
 		cfg := patternCfg(k)
-		cfg.WarmupAuto = true
+		cfg.Window.Auto = true
 		again, err := RunPattern(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -248,17 +249,17 @@ func TestRunPatternWarmupAuto(t *testing.T) {
 // TestPatternConfigWarmupValidation pins the config errors.
 func TestPatternConfigWarmupValidation(t *testing.T) {
 	cfg := patternCfg(sim.KernelActive)
-	cfg.WarmupCycles = cfg.Cycles
+	cfg.Window.Warmup = cfg.Cycles
 	if _, err := RunPattern(cfg); err == nil {
 		t.Fatal("warm-up >= cycles should be rejected")
 	}
 	cfg = patternCfg(sim.KernelActive)
-	cfg.WarmupCycles = -1
+	cfg.Window.Warmup = -1
 	if _, err := RunPattern(cfg); err == nil {
 		t.Fatal("negative warm-up should be rejected")
 	}
 	cfg = patternCfg(sim.KernelActive)
-	cfg.WarmupCycles, cfg.WarmupAuto = 10, true
+	cfg.Window = stats.Window{Warmup: 10, Auto: true}
 	if _, err := RunPattern(cfg); err == nil {
 		t.Fatal("explicit + auto warm-up should be rejected")
 	}

@@ -113,63 +113,87 @@ func TestMSER(t *testing.T) {
 	}
 }
 
-func TestTimedSeries(t *testing.T) {
-	var ts TimedSeries
-	for i := 0; i < 10; i++ {
-		ts.Add(uint64(i*10), float64(i))
+// record feeds the recorder one observation per (cycle, value) pair.
+func record(w Window, cycles []uint64, values []float64) *Recorder {
+	r := NewRecorder(w)
+	for i, c := range cycles {
+		r.Add(c, values[i])
 	}
-	if ts.Len() != 10 {
-		t.Fatalf("Len = %d", ts.Len())
+	return r
+}
+
+func TestRecorder(t *testing.T) {
+	var cycles []uint64
+	var values []float64
+	for i := 0; i < 10; i++ {
+		cycles, values = append(cycles, uint64(i*10)), append(values, float64(i))
 	}
 	// An explicit warm-up keeps the observations from its cycle on.
 	for _, c := range []struct {
-		warmup uint64
-		start  int
-	}{{35, 4}, {0, 0}, {1000, 10}} {
-		if w, start, s := ts.Window(c.warmup, false); w != c.warmup || start != c.start || s.N() != 10-c.start {
-			t.Fatalf("Window(%d) = %d, %d, %s; want %d, %d", c.warmup, w, start, s.String(), c.warmup, c.start)
+		warmup, start int
+	}{{35, 4}, {1000, 10}} {
+		w, s := record(Window{Warmup: c.warmup}, cycles, values).Result()
+		if w != uint64(c.warmup) || s.N() != 10-c.start {
+			t.Fatalf("Warmup %d: Result = %d, %s; want %d, n=%d", c.warmup, w, s.String(), c.warmup, 10-c.start)
 		}
 	}
-	if _, _, s := ts.Window(35, false); s.Min() != 4 || s.Max() != 9 || len(s.Samples()) != 6 {
-		t.Fatalf("Window(35) summarizes %s", s.String())
+	if _, s := record(Window{Warmup: 35}, cycles, values).Result(); s.Min() != 4 || s.Max() != 9 || len(s.Samples()) != 6 {
+		t.Fatalf("Warmup 35 summarizes %s with %d samples", s.String(), len(s.Samples()))
+	}
+	// No cut: warm-up 0 and every observation, retained only on request.
+	for _, retain := range []bool{false, true} {
+		w, s := record(Window{Retain: retain}, cycles, values).Result()
+		if w != 0 || s.N() != 10 || s.Min() != 0 || s.Max() != 9 {
+			t.Fatalf("Retain %v: Result = %d, %s", retain, w, s.String())
+		}
+		if got := s.Samples(); (got != nil) != retain || (retain && len(got) != 10) {
+			t.Fatalf("Retain %v: Samples = %v", retain, got)
+		}
+	}
+	// A cut window always retains, whatever Retain says.
+	for _, w := range []Window{{Warmup: 1}, {Auto: true}} {
+		if _, s := record(w, cycles, values).Result(); len(s.Samples()) != s.N() || s.N() == 0 {
+			t.Fatalf("%+v: %d samples of n=%d", w, len(s.Samples()), s.N())
+		}
 	}
 	// Auto-detection cuts at the MSER index, and the warm-up becomes the
 	// cycle of the first kept observation.
-	var trans TimedSeries
+	var tc []uint64
+	var tv []float64
 	for i := 0; i < 100; i++ {
 		v := 10 + float64(i%2)
 		if i < 20 {
 			v = 100 - float64(i)
 		}
-		trans.Add(uint64(i*3), v)
+		tc, tv = append(tc, uint64(i*3)), append(tv, v)
 	}
-	w, start, s := trans.Window(0, true)
+	start := mser(tv, mserBatch)
+	w, s := record(Window{Auto: true}, tc, tv).Result()
 	if start == 0 || w != uint64(start*3) || s.N() != 100-start {
-		t.Fatalf("auto Window = %d, %d, n=%d; want a transient cut at cycle 3*start", w, start, s.N())
+		t.Fatalf("auto Result = %d, n=%d; want a transient cut at cycle 3*%d", w, s.N(), start)
 	}
 	// No observations: auto detection keeps the configured warm-up.
-	var empty TimedSeries
-	if w, start, s := empty.Window(0, true); w != 0 || start != 0 || s.N() != 0 {
-		t.Fatalf("empty auto Window = %d, %d, n=%d", w, start, s.N())
+	if w, s := NewRecorder(Window{Auto: true}).Result(); w != 0 || s.N() != 0 {
+		t.Fatalf("empty auto Result = %d, n=%d", w, s.N())
 	}
 }
 
-func TestCheckWarmup(t *testing.T) {
+func TestWindowCheck(t *testing.T) {
 	for _, c := range []struct {
-		warmup, cycles int
-		auto           bool
-		err            string
+		w      Window
+		cycles int
+		err    string
 	}{
-		{0, 1, false, ""},
-		{0, 1, true, ""},
-		{99, 100, false, ""},
-		{-1, 100, false, "warm-up -1 out of [0, cycles=100)"},
-		{100, 100, false, "warm-up 100 out of [0, cycles=100)"},
-		{10, 100, true, "explicit warm-up and auto-detection are mutually exclusive"},
+		{Window{}, 1, ""},
+		{Window{Auto: true}, 1, ""},
+		{Window{Warmup: 99, Retain: true}, 100, ""},
+		{Window{Warmup: -1}, 100, "warm-up -1 out of [0, cycles=100)"},
+		{Window{Warmup: 100}, 100, "warm-up 100 out of [0, cycles=100)"},
+		{Window{Warmup: 10, Auto: true}, 100, "explicit warm-up and auto-detection are mutually exclusive"},
 	} {
-		err := CheckWarmup(c.warmup, c.cycles, c.auto)
+		err := c.w.Check(c.cycles)
 		if got := fmt.Sprint(err); (c.err == "" && err != nil) || (c.err != "" && got != c.err) {
-			t.Errorf("CheckWarmup(%d, %d, %v) = %v, want %q", c.warmup, c.cycles, c.auto, err, c.err)
+			t.Errorf("%+v.Check(%d) = %v, want %q", c.w, c.cycles, err, c.err)
 		}
 	}
 }

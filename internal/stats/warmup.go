@@ -5,23 +5,39 @@ import (
 	"sort"
 )
 
-// This file holds the warm-up (initial-transient) machinery of the
-// replication subsystem: a cycle-stamped observation series and the
-// MSER truncation rule that picks a steady-state measurement window, so
-// confidence intervals over replicated open-loop runs are not biased by
-// the empty-network startup transient.
+// This file holds the latency measurement window of the replication
+// subsystem: the request a run is given (warm-up cut, MSER truncation,
+// sample retention) and the recorder every in-run latency sink feeds,
+// so confidence intervals over replicated open-loop runs are not biased
+// by the empty-network startup transient.
 
 // mserBatch is the conventional batch size of the MSER-5 rule.
 const mserBatch = 5
 
-// CheckWarmup validates a warm-up request for a run of the given length:
-// an explicit warm-up lies in [0, cycles) and excludes automatic
-// detection. Callers prefix the error with their own context.
-func CheckWarmup(warmup, cycles int, auto bool) error {
-	if warmup < 0 || warmup >= cycles {
-		return fmt.Errorf("warm-up %d out of [0, cycles=%d)", warmup, cycles)
+// Window is a run's latency measurement request.
+type Window struct {
+	// Warmup excludes observations taken before this cycle.
+	Warmup int
+	// Auto detects the warm-up with the MSER-5 steady-state rule over
+	// the observation sequence. Mutually exclusive with Warmup.
+	Auto bool
+	// Retain keeps the raw observations on the measured Series
+	// (Samples), so replicated runs can pool them into one
+	// distribution. A window that cuts a warm-up always retains.
+	Retain bool
+}
+
+// Cuts reports whether the window truncates a warm-up.
+func (w Window) Cuts() bool { return w.Warmup > 0 || w.Auto }
+
+// Check validates the window for a run of the given length: an explicit
+// warm-up lies in [0, cycles) and excludes automatic detection. Callers
+// prefix the error with their own context.
+func (w Window) Check(cycles int) error {
+	if w.Warmup < 0 || w.Warmup >= cycles {
+		return fmt.Errorf("warm-up %d out of [0, cycles=%d)", w.Warmup, cycles)
 	}
-	if warmup > 0 && auto {
+	if w.Warmup > 0 && w.Auto {
 		return fmt.Errorf("explicit warm-up and auto-detection are mutually exclusive")
 	}
 	return nil
@@ -76,53 +92,59 @@ func mser(obs []float64, batch int) int {
 	return bestD * batch
 }
 
-// TimedSample is one observation stamped with the simulation cycle it
-// was taken at.
-type TimedSample struct {
-	Cycle uint64
-	Value float64
+// Recorder measures one run's latency under a Window. Without a cut it
+// keeps the running moments as observations arrive, retaining them only
+// when the window asks; with a cut it stamps each observation with its
+// cycle and cuts the warm-up off in Result.
+type Recorder struct {
+	w      Window
+	series Series
+	cycles []uint64 // with a cut: the cycle of each observation
+	values []float64
 }
 
-// TimedSeries accumulates cycle-stamped observations in simulation
-// order. Cycles must be nondecreasing (the simulator appends samples as
-// the clock advances); Window relies on that ordering.
-type TimedSeries struct {
-	samples []TimedSample
+// NewRecorder returns a recorder for the window.
+func NewRecorder(w Window) *Recorder {
+	r := &Recorder{w: w}
+	if w.Retain {
+		r.series.Retain()
+	}
+	return r
 }
 
-// Add records an observation taken at the given cycle.
-func (t *TimedSeries) Add(cycle uint64, v float64) {
-	t.samples = append(t.samples, TimedSample{Cycle: cycle, Value: v})
+// Add records observation v taken at the given cycle. Cycles must be
+// nondecreasing (sinks record as the clock advances); the cut relies on
+// that order.
+func (r *Recorder) Add(cycle uint64, v float64) {
+	if r.w.Cuts() {
+		r.cycles = append(r.cycles, cycle)
+		r.values = append(r.values, v)
+		return
+	}
+	r.series.Add(v)
 }
 
-// Len returns the number of observations.
-func (t *TimedSeries) Len() int { return len(t.samples) }
-
-// Window cuts a run's warm-up off the observations. With auto set and
-// at least one observation, the MSER-5 steady-state rule picks the cut
-// and the warm-up becomes the cycle of the first kept observation;
-// otherwise the window starts at the first observation taken at or
-// after the given warm-up cycle. Window returns the effective warm-up
-// cycle, the index of the first observation in the window (Len() if
-// none) and the window summarized as a Series. The Series retains its
-// samples (the timed series already holds them all, so the window stays
-// poolable at no extra asymptotic cost).
-func (t *TimedSeries) Window(warmup uint64, auto bool) (uint64, int, Series) {
-	start := sort.Search(len(t.samples), func(i int) bool {
-		return t.samples[i].Cycle >= warmup
-	})
-	if auto && len(t.samples) > 0 {
-		vals := make([]float64, len(t.samples))
-		for i, s := range t.samples {
-			vals[i] = s.Value
-		}
-		start = mser(vals, mserBatch)
-		warmup = t.samples[start].Cycle
+// Result returns the effective warm-up cycle and the measured window as
+// a Series. Without a cut the warm-up is 0 and the Series holds every
+// observation. With Auto set and at least one observation, the MSER-5
+// rule picks the cut and the warm-up becomes the cycle of the first
+// kept observation; otherwise the window starts at the first
+// observation taken at or after the configured warm-up. A cut window's
+// Series retains its samples: the recorder already holds them all.
+func (r *Recorder) Result() (uint64, Series) {
+	if !r.w.Cuts() {
+		return 0, r.series
+	}
+	warmup := uint64(r.w.Warmup)
+	start := sort.Search(len(r.cycles), func(i int) bool { return r.cycles[i] >= warmup })
+	if r.w.Auto && len(r.values) > 0 {
+		start = mser(r.values, mserBatch)
+		warmup = r.cycles[start]
 	}
 	var s Series
 	s.Retain()
-	for _, smp := range t.samples[start:] {
-		s.Add(smp.Value)
+	for _, v := range r.values[start:] {
+		s.Add(v)
 	}
-	return warmup, start, s
+	return warmup, s
 }

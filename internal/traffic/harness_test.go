@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/packetsw"
+	"repro/internal/pattern"
 	"repro/internal/sim"
 	"repro/internal/stdcell"
 )
@@ -134,5 +136,42 @@ func TestWordsPerStreamPacketBoundary(t *testing.T) {
 	if res.WordsDelivered != perStream {
 		t.Fatalf("delivered %d, want %d: stream 2's final packet did not drain",
 			res.WordsDelivered, perStream)
+	}
+}
+
+// TestPacketDrainTrace: both packet harnesses pop the tile ejection
+// queue through one drain. A traced stream run emits one deliver event
+// per delivered data word on the tile.sink track; a traced pattern run,
+// whose deliveries are timed per flow, emits none there.
+func TestPacketDrainTrace(t *testing.T) {
+	sinkDelivers := func(c *obs.Collector) int {
+		n := 0
+		for _, e := range c.Events() {
+			if e.Track == "tile.sink" && e.Kind == obs.KindDeliver {
+				n++
+			}
+		}
+		return n
+	}
+	c := obs.NewCollector()
+	cfg := RunConfig{Cycles: 1500, FreqMHz: 25, Lib: stdcell.Default013(), Obs: obs.Hooks{Tracer: c}}
+	res, err := RunPacket(Scenarios()[2], Pattern{FlipProb: 0.5, Load: 1}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sinkDelivers(c); res.WordsDelivered == 0 || got != int(res.WordsDelivered) {
+		t.Fatalf("stream run: %d tile.sink deliveries for %d words delivered", got, res.WordsDelivered)
+	}
+
+	c = obs.NewCollector()
+	rc := patternRC(sim.KernelActive)
+	rc.Obs.Tracer = c
+	pr, err := RunPacketPattern(testFlows(), pattern.Injection{Proc: pattern.Poisson, Rate: 0.05}, 0.5, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sinkDelivers(c); pr.WordsDelivered == 0 || c.Len() == 0 || got != 0 {
+		t.Fatalf("pattern run: %d tile.sink deliveries (%d events, %d words delivered), want none",
+			got, c.Len(), pr.WordsDelivered)
 	}
 }

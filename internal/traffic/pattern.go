@@ -6,6 +6,7 @@ import (
 	"repro/internal/aethereal"
 	"repro/internal/bitvec"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/packetsw"
 	"repro/internal/pattern"
 	"repro/internal/power"
@@ -49,27 +50,6 @@ type PatternRunResult struct {
 	// flows and how many the fabric could admit (slot-table capacity on
 	// TDM; the packet router admits everything and queues instead).
 	FlowsRequested, FlowsEstablished int
-}
-
-// latWarmupRec returns the cycle-stamped recorder a pattern run needs
-// for warm-up truncation, or nil when no truncation was requested.
-func latWarmupRec(cfg RunConfig) *stats.TimedSeries {
-	if cfg.WarmupCycles > 0 || cfg.WarmupAuto {
-		return &stats.TimedSeries{}
-	}
-	return nil
-}
-
-// applyLatWarmup resolves the effective warm-up cycle — configured, or
-// MSER-5 steady-state detection — and replaces the aggregate latency
-// distribution with the truncated window. No-op without a recorder.
-func applyLatWarmup(cfg RunConfig, rec *stats.TimedSeries, lat *stats.Series) uint64 {
-	if rec == nil {
-		return 0
-	}
-	w, _, window := rec.Window(uint64(cfg.WarmupCycles), cfg.WarmupAuto)
-	*lat = window
-	return w
 }
 
 // flowRate converts a projected port-flow weight into this flow's
@@ -179,17 +159,20 @@ func (d *flitFeeder) Quiescent() bool { return len(d.queue) == 0 && !d.dirty }
 // per-cycle state, so idle replay is a no-op.
 func (d *flitFeeder) IdleWindow(n uint64) {}
 
-// patternDrain pops the router's tile ejection queue, counting data
-// words and closing the latency measurement on tagged head flits. With
-// warm-up accounting on, latency samples go to the cycle-stamped
-// recorder so the transient can be truncated after the run.
+// patternDrain pops the packet router's tile ejection queue for both
+// packet harnesses: it counts the data words delivered and closes the
+// latency measurement of a head flit whose flow tag has an injection
+// stamp waiting. It is quiescent while nothing is ejected.
 type patternDrain struct {
 	r         *packetsw.Router
-	stamps    map[int]*[]uint64
-	lat       *stats.Series
-	rec       *stats.TimedSeries // non-nil when warm-up accounting is on
+	stamps    [][]uint64 // per flow tag: injection cycles of packets in flight
+	rec       *stats.Recorder
 	delivered uint64
 	cycle     uint64
+
+	// tracer, when non-nil, receives a deliver event per data word on
+	// the tile.sink track.
+	tracer obs.Tracer
 }
 
 // Eval implements sim.Clocked.
@@ -198,16 +181,14 @@ func (d *patternDrain) Eval() {
 		switch f.Kind {
 		case packetsw.Body, packetsw.Tail:
 			d.delivered++
+			if d.tracer != nil {
+				d.tracer.Emit(obs.Event{Cycle: d.cycle, Track: "tile.sink",
+					Kind: obs.KindDeliver, Value: int64(d.delivered)})
+			}
 		case packetsw.Head, packetsw.HeadTail:
-			tag := int(f.Data >> 3)
-			if q, ok := d.stamps[tag]; ok && len(*q) > 0 {
-				lat := float64(d.cycle - (*q)[0])
-				if d.rec != nil {
-					d.rec.Add(d.cycle, lat)
-				} else {
-					d.lat.Add(lat)
-				}
-				*q = (*q)[1:]
+			if tag := int(f.Data >> 3); tag < len(d.stamps) && len(d.stamps[tag]) > 0 {
+				d.rec.Add(d.cycle, float64(d.cycle-d.stamps[tag][0]))
+				d.stamps[tag] = d.stamps[tag][1:]
 			}
 		}
 	}
@@ -219,7 +200,8 @@ func (d *patternDrain) Commit() { d.cycle++ }
 // Quiescent implements sim.Quiescer: nothing ejected, nothing to drain.
 func (d *patternDrain) Quiescent() bool { return d.r.EjectedPending() == 0 }
 
-// IdleWindow implements sim.Quiescer.
+// IdleWindow implements sim.Quiescer: an empty drain accrues only its
+// clock.
 func (d *patternDrain) IdleWindow(n uint64) { d.cycle += n }
 
 // feederQueueCap bounds a port driver's backlog, in packets: a source
@@ -254,14 +236,7 @@ func RunPacketPattern(flows []pattern.PortFlow, inj pattern.Injection, flipProb 
 
 	var res PatternRunResult
 	res.FlowsRequested = len(flows)
-	if cfg.RetainLatency {
-		// Warm-up accounting rebuilds the series from the timed record,
-		// which always retains; this covers the direct path.
-		res.Latency.Retain()
-	}
-
-	latRec := latWarmupRec(cfg)
-	drain := &patternDrain{r: r, stamps: map[int]*[]uint64{}, lat: &res.Latency, rec: latRec}
+	drain := &patternDrain{r: r, stamps: make([][]uint64, len(flows)), rec: stats.NewRecorder(cfg.Window)}
 
 	// One driver per distinct input port, in flow order (which is
 	// port-major, so drivers come up in a deterministic order).
@@ -303,10 +278,6 @@ func RunPacketPattern(flows []pattern.PortFlow, inj pattern.Injection, flipProb 
 		}
 
 		tag := i
-		stamps := new([]uint64)
-		if f.Out == core.Tile {
-			drain.stamps[tag] = stamps
-		}
 		gen := bitvec.NewFlipGen(patternWordBits, flipProb, flowSeed(cfg.Seed, i)^0xDA7A)
 		out := f.Out
 		src := pattern.NewSource(flowInjection(inj, pktRate), flowSeed(cfg.Seed, i), perFlowPacketCap(cfg.WordsPerStream))
@@ -323,7 +294,7 @@ func RunPacketPattern(flows []pattern.PortFlow, inj pattern.Injection, flipProb 
 			head := uint16(tag)<<3 | packetsw.HeadData(out)
 			*queue = append(*queue, packetsw.MakePacket(vc, head, payload)...)
 			if out == core.Tile {
-				*stamps = append(*stamps, srcRef.Cycle())
+				drain.stamps[tag] = append(drain.stamps[tag], srcRef.Cycle())
 			}
 			return true
 		}
@@ -341,7 +312,7 @@ func RunPacketPattern(flows []pattern.PortFlow, inj pattern.Injection, flipProb 
 		res.WordsSent += s.Sent() * PatternPacketWords
 	}
 	res.WordsDelivered = drain.delivered
-	res.WarmupCycles = applyLatWarmup(cfg, latRec, &res.Latency)
+	res.WarmupCycles, res.Latency = drain.rec.Result()
 	res.Power = meter.Report("packet switched / pattern")
 	res.Attribution = meter.AttributionSorted()
 	return res, nil
@@ -399,13 +370,7 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 
 	var res PatternRunResult
 	res.FlowsRequested = len(flows)
-	if cfg.RetainLatency {
-		// Same arrangement as the packet harness: the direct path needs
-		// retention switched on, the warm-up path always retains.
-		res.Latency.Retain()
-	}
-	latRec := latWarmupRec(cfg)
-	sinks := tdmSinks{lat: &res.Latency, rec: latRec, meter: meter,
+	sinks := tdmSinks{rec: stats.NewRecorder(cfg.Window), meter: meter,
 		toggles: int(flipProb*patternWordBits + 0.5), tracer: cfg.Obs.Tracer}
 
 	presenters := map[int]*tdmPresenter{}
@@ -463,7 +428,7 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 		res.WordsSent += s.Sent()
 	}
 	res.WordsDelivered = tdmDelivered(presenterOrder)
-	res.WarmupCycles = applyLatWarmup(cfg, latRec, &res.Latency)
+	res.WarmupCycles, res.Latency = sinks.rec.Result()
 	res.Power = meter.Report("aethereal / pattern")
 	res.Attribution = meter.AttributionSorted()
 	return res, nil

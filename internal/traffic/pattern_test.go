@@ -11,6 +11,7 @@ import (
 	"repro/internal/packetsw"
 	"repro/internal/pattern"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/stdcell"
 )
 
@@ -178,7 +179,7 @@ func TestPatternWarmupTruncatesLatency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s full: %v", fabric.name, err)
 		}
-		rc.WarmupCycles = 800
+		rc.Window.Warmup = 800
 		warm, err := fabric.run(rc)
 		if err != nil {
 			t.Fatalf("%s warm: %v", fabric.name, err)
@@ -199,9 +200,9 @@ func TestPatternWarmupTruncatesLatency(t *testing.T) {
 			for i, k := range []sim.Kernel{sim.KernelActive, sim.KernelNaive} {
 				rc := patternRC(k)
 				if auto {
-					rc.WarmupAuto = true
+					rc.Window.Auto = true
 				} else {
-					rc.WarmupCycles = 800
+					rc.Window.Warmup = 800
 				}
 				got, err := fabric.run(rc)
 				if err != nil {
@@ -222,12 +223,12 @@ func TestPatternWarmupTruncatesLatency(t *testing.T) {
 // TestRunConfigWarmupValidation pins the config errors.
 func TestRunConfigWarmupValidation(t *testing.T) {
 	rc := patternRC(sim.KernelActive)
-	rc.WarmupCycles = rc.Cycles
+	rc.Window.Warmup = rc.Cycles
 	if err := rc.Validate(); err == nil {
 		t.Fatal("warm-up >= cycles should be rejected")
 	}
 	rc = patternRC(sim.KernelActive)
-	rc.WarmupCycles, rc.WarmupAuto = 5, true
+	rc.Window = stats.Window{Warmup: 5, Auto: true}
 	if err := rc.Validate(); err == nil {
 		t.Fatal("explicit + auto warm-up should be rejected")
 	}

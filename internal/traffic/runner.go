@@ -51,21 +51,15 @@ type RunConfig struct {
 	// completes — kernel diagnostics (fast-forward windows, per-component
 	// activity) for tests and benchmarks. It must not mutate the world.
 	Observe func(*sim.World)
-	// WarmupCycles excludes delivery-latency observations taken before
-	// this cycle from a pattern run's Latency distribution, so the
-	// startup transient does not bias replication confidence
-	// intervals. The single-router projections truncate the latency
-	// distribution only; word counts stay full-run (the mesh pattern
-	// runner truncates its whole measurement window).
-	WarmupCycles int
-	// WarmupAuto detects the warm-up automatically with the MSER-5
-	// steady-state rule. Mutually exclusive with WarmupCycles.
-	WarmupAuto bool
-	// RetainLatency keeps the raw per-word latency observations on the
-	// result's Latency series (Samples), so replicated runs can pool
-	// them into one distribution. Off by default: a plain run only needs
-	// the summary moments.
-	RetainLatency bool
+	// Window is the in-run latency measurement: the warm-up it cuts and
+	// whether it retains the raw samples for pooling. RunTDM and the
+	// pattern runners (RunPacketPattern, RunTDMPattern) record their
+	// Latency through it, and the pattern runners report the effective
+	// warm-up; the single-router projections cut the latency
+	// distribution only, word counts stay full-run (mesh.RunPattern
+	// cuts its whole measurement window). RunCircuit and RunPacket
+	// measure no in-run latency.
+	Window stats.Window
 	// Obs carries the run's observability sinks: a structured event
 	// tracer (per-stream injections and deliveries plus kernel
 	// scheduling) and a metrics registry. The zero value disables both;
@@ -97,7 +91,7 @@ func (c RunConfig) Validate() error {
 			return err
 		}
 	}
-	if err := stats.CheckWarmup(c.WarmupCycles, c.Cycles, c.WarmupAuto); err != nil {
+	if err := c.Window.Check(c.Cycles); err != nil {
 		return fmt.Errorf("traffic: %w", err)
 	}
 	return nil
@@ -274,8 +268,9 @@ func RunPacket(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 			w.Add(&packetFeeder{gen: gen, slot: slot})
 		}
 	}
-	// The tile ejection sink drains continuously.
-	drain := &packetDrain{r: r, tracer: cfg.Obs.Tracer}
+	// The tile ejection sink drains continuously. No stream is stamped,
+	// so it records no latency.
+	drain := &patternDrain{r: r, tracer: cfg.Obs.Tracer}
 	w.Add(drain)
 
 	w.Run(cfg.Cycles)
@@ -439,41 +434,5 @@ func (d *packetFeeder) Quiescent() bool {
 // still counts the skipped cycles.
 func (d *packetFeeder) IdleWindow(n uint64) { d.gen.skip(n) }
 
-// packetDrain pops the router's tile ejection queue and counts the data
-// words delivered. It is quiescent while nothing is ejected.
-type packetDrain struct {
-	r         *packetsw.Router
-	delivered uint64
-
-	// tracer, when non-nil, receives a deliver event per data word on
-	// the tile.sink track.
-	tracer obs.Tracer
-	cycle  uint64
-}
-
-// Eval implements sim.Clocked.
-func (d *packetDrain) Eval() {
-	for _, f := range d.r.Drain() {
-		if f.Kind == packetsw.Body || f.Kind == packetsw.Tail {
-			d.delivered++
-			if d.tracer != nil {
-				d.tracer.Emit(obs.Event{Cycle: d.cycle, Track: "tile.sink",
-					Kind: obs.KindDeliver, Value: int64(d.delivered)})
-			}
-		}
-	}
-}
-
-// Commit implements sim.Clocked.
-func (d *packetDrain) Commit() { d.cycle++ }
-
-// Quiescent implements sim.Quiescer: nothing ejected, nothing to drain.
-func (d *packetDrain) Quiescent() bool { return d.r.EjectedPending() == 0 }
-
-// IdleWindow implements sim.Quiescer: an empty drain accrues only its
-// trace clock.
-func (d *packetDrain) IdleWindow(n uint64) { d.cycle += n }
-
 var _ sim.Quiescer = (*packetInjector)(nil)
 var _ sim.Quiescer = (*packetFeeder)(nil)
-var _ sim.Quiescer = (*packetDrain)(nil)

@@ -94,8 +94,7 @@ func (p *tdmPresenter) SetWake(fn func()) { p.wake = fn }
 // tdmSinks are the measurement sinks of a TDM run, shared by all its
 // presenters and their flows.
 type tdmSinks struct {
-	lat     *stats.Series
-	rec     *stats.TimedSeries // non-nil when warm-up accounting is on
+	rec     *stats.Recorder
 	meter   *power.Meter
 	toggles int // bits charged per delivered word
 	tracer  obs.Tracer
@@ -129,12 +128,7 @@ func (p *tdmPresenter) Eval() {
 			head := f.inFlight[0]
 			f.inFlight = f.inFlight[1:]
 			f.delivered++
-			lat := float64(p.cycle - head.stamp)
-			if p.rec != nil {
-				p.rec.Add(p.cycle, lat)
-			} else {
-				p.lat.Add(lat)
-			}
+			p.rec.Add(p.cycle, float64(p.cycle-head.stamp))
 			p.meter.AddToggles(power.ToggleReg, p.toggles)
 			p.meter.AddToggles(power.ToggleGate, p.toggles)
 			p.meter.AddToggles(power.ToggleLink, p.toggles)
@@ -283,12 +277,9 @@ func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Resul
 	}
 
 	var res Result
-	if cfg.RetainLatency {
-		res.Latency.Retain()
-	}
 	// The average toggling bits per forwarded word under the pattern's
 	// flip probability, split over register, crossbar and link nets.
-	sinks := tdmSinks{lat: &res.Latency, meter: meter,
+	sinks := tdmSinks{rec: stats.NewRecorder(cfg.Window), meter: meter,
 		toggles: int(pat.FlipProb*patternWordBits + 0.5), tracer: cfg.Obs.Tracer}
 	slotsNeeded := (ap.Slots + laneWordPeriod - 1) / laneWordPeriod
 	var sources []*Source
@@ -326,6 +317,7 @@ func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Resul
 		res.WordsSent += s.Sent()
 	}
 	res.WordsDelivered = tdmDelivered(presenters)
+	_, res.Latency = sinks.rec.Result()
 	res.Power = meter.Report("aethereal / scenario " + sc.Name)
 	res.Attribution = meter.AttributionSorted()
 	return res, nil

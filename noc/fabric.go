@@ -209,10 +209,9 @@ func (f fabric) runConfig(sc Scenario) traffic.RunConfig {
 		Cycles: sc.Cycles, FreqMHz: sc.FreqMHz, Lib: f.mustLib(),
 		Seed: sc.Seed, Kernel: f.simKernel(),
 		WordsPerStream: sc.WordsPerStream,
-		WarmupCycles:   sc.WarmupCycles, WarmupAuto: sc.WarmupAuto,
-		RetainLatency: sc.poolLatency,
-		Observe:       f.observeKernel(),
-		Obs:           f.obs,
+		Window:         sc.window(),
+		Observe:        f.observeKernel(),
+		Obs:            f.obs,
 	}
 	switch f.Kind() {
 	case KindCircuit:

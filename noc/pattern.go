@@ -26,11 +26,9 @@ func runCircuitPattern(f fabric, sc Scenario) (*Result, error) {
 		FlipProb: sc.Data.FlipProb,
 		Seed:     sc.Seed, WordsPerFlow: sc.WordsPerStream,
 		Params: &p, Kernel: f.simKernel(),
-		Observe:       f.observeKernel(),
-		WarmupCycles:  sc.WarmupCycles,
-		WarmupAuto:    sc.WarmupAuto,
-		RetainLatency: sc.poolLatency,
-		Obs:           f.obs,
+		Observe: f.observeKernel(),
+		Window:  sc.window(),
+		Obs:     f.obs,
 	})
 	if err != nil {
 		return nil, err

@@ -231,6 +231,12 @@ type Scenario struct {
 	poolLatency bool
 }
 
+// window is the scenario's latency measurement request, built once per
+// run for the fabric's runner.
+func (s Scenario) window() stats.Window {
+	return stats.Window{Warmup: s.WarmupCycles, Auto: s.WarmupAuto, Retain: s.poolLatency}
+}
+
 // IsWorkload reports whether the scenario is a mesh workload run.
 func (s Scenario) IsWorkload() bool { return len(s.Workloads) > 0 }
 
@@ -301,7 +307,7 @@ func (s Scenario) Validate() error {
 	if (s.WarmupCycles != 0 || s.WarmupAuto) && !s.IsPattern() {
 		return fmt.Errorf("noc: scenario %q: warm-up truncation applies to pattern scenarios only", s.Name)
 	}
-	if err := stats.CheckWarmup(s.WarmupCycles, s.Cycles, s.WarmupAuto); err != nil {
+	if err := s.window().Check(s.Cycles); err != nil {
 		return fmt.Errorf("noc: scenario %q: %w", s.Name, err)
 	}
 	if s.IsPattern() {
