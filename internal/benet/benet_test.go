@@ -1,10 +1,12 @@
 package benet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/mesh"
 	"repro/internal/packetsw"
@@ -295,5 +297,112 @@ func TestSteppingAllocatesNothing(t *testing.T) {
 	}
 	if n.Pending() == 0 {
 		t.Fatal("traffic drained before the measured cycles ended")
+	}
+}
+
+// TestSelfSendDelivers: a message addressed to its own source never
+// enters the router, where XY routing would turn it back out of the tile
+// port it came in by, a U-turn the router never serves. The next Step
+// delivers it, alone or ahead of a later message from the same node,
+// which still arrives.
+func TestSelfSendDelivers(t *testing.T) {
+	n := New(4, 4, packetsw.DefaultParams())
+	home, next := mesh.Coord{X: 1, Y: 1}, mesh.Coord{X: 2, Y: 1}
+	loopback := func(word uint16) {
+		t.Helper()
+		n.Step()
+		d := n.Delivered()
+		if len(d) != 1 || d[0].Dst != home || d[0].Payload[0] != word || d[0].RecvCycle != d[0].SentCycle {
+			t.Fatalf("step after sending word %d to itself delivered %+v", word, d)
+		}
+	}
+	n.Send(Message{Src: home, Dst: home, Payload: []uint16{6}})
+	loopback(6)
+	n.Send(Message{Src: home, Dst: home, Payload: []uint16{7}})
+	n.Send(Message{Src: home, Dst: next, Payload: []uint16{8}})
+	loopback(7)
+	var d []Message
+	for i := 0; i < 1000 && len(d) == 0; i++ {
+		n.Step()
+		d = n.Delivered()
+	}
+	if len(d) != 1 || d[0].Dst != next || d[0].Payload[0] != 8 || n.Pending() != 0 {
+		t.Fatalf("neighbour send: delivered %+v, Pending() = %d", d, n.Pending())
+	}
+}
+
+// TestQueuedPacketFlits: a queued packet yields, flit by flit, exactly
+// the flits packetsw.MakePacket builds for its message.
+func TestQueuedPacketFlits(t *testing.T) {
+	dst := mesh.Coord{X: 3, Y: 2}
+	for words := 1; words <= 6; words++ {
+		payload := make([]uint16, words)
+		for i := range payload {
+			payload[i] = uint16(0x100*words + i)
+		}
+		p := packet{route: HeadDataXY(dst), payload: payload}
+		var got []packetsw.Flit
+		for ; p.next <= len(p.payload); p.next++ {
+			got = append(got, p.flit())
+		}
+		if want := packetsw.MakePacket(0, HeadDataXY(dst), payload); !slices.Equal(got, want) {
+			t.Errorf("%d words: flits %v, want %v", words, got, want)
+		}
+	}
+}
+
+// TestSendReclaimsQueues: the send queues and in-flight lists reuse the
+// buffers a backlog grew. After three rounds of sending a fixed backlog
+// and draining it, a further round allocates nothing.
+func TestSendReclaimsQueues(t *testing.T) {
+	n := New(4, 4, packetsw.DefaultParams())
+	payload := []uint16{1, 2, 3, 4}
+	round := func() {
+		for k := 1; k <= 8; k++ {
+			for i := 0; i < 16; i++ {
+				dst := (i + 5*k) % 16
+				n.Send(Message{Src: mesh.Coord{X: i % 4, Y: i / 4},
+					Dst: mesh.Coord{X: dst % 4, Y: dst / 4}, Payload: payload})
+			}
+		}
+		for i := 0; i < 2000 && n.Pending() > 0; i++ {
+			n.Step()
+			n.Delivered()
+		}
+	}
+	for r := 0; r < 3; r++ {
+		round()
+	}
+	if n.Pending() != 0 {
+		t.Fatalf("backlog left %d messages pending", n.Pending())
+	}
+	if got := testing.AllocsPerRun(3, round); got != 0 {
+		t.Fatalf("a round of sending and draining the backlog allocates %v times, want 0", got)
+	}
+}
+
+// TestFIFOReclaimsInPlace: the queue pops in push order, and a push
+// into a full buffer grows it only while more than half of it is live.
+func TestFIFOReclaimsInPlace(t *testing.T) {
+	var q fifo[int]
+	var model []int
+	rng := bitvec.NewXorShift64(3)
+	high := 0
+	for i := 0; i < 20000; i++ {
+		if rng.Intn(2) == 0 || len(model) == 0 {
+			q.push(i)
+			model = append(model, i)
+		} else if got := q.pop(); got != model[0] {
+			t.Fatalf("step %d: pop %d, want %d", i, got, model[0])
+		} else {
+			model = model[1:]
+		}
+		high = max(high, len(model))
+		if q.len() != len(model) {
+			t.Fatalf("step %d: len %d, want %d", i, q.len(), len(model))
+		}
+		if cap(q.buf) > 4*high {
+			t.Fatalf("step %d: buffer of %d for a live high-water mark of %d", i, cap(q.buf), high)
+		}
 	}
 }

@@ -350,6 +350,26 @@ func TestFullRouterReconfigBudget(t *testing.T) {
 	}
 }
 
+// TestFullRouterReconfigOfCCNNode: commands for the CCN's own router are
+// self-addressed BE messages, which the network delivers without routing
+// them, so reconfiguring that router applies all 20 commands.
+func TestFullRouterReconfigOfCCNNode(t *testing.T) {
+	_, m := newMgr(4, 4, 25)
+	home := mesh.Coord{X: 0, Y: 0}
+	bc := &BEConfigurator{Net: benet.New(4, 4, packetsw.DefaultParams()), Mesh: m, CCNNode: home}
+	res, err := bc.FullRouterReconfig(home)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Commands != 20 {
+		t.Fatalf("commands = %d, want 20 (one per output lane)", res.Commands)
+	}
+	m.Step()
+	if got := m.At(home).R.Config().EnabledLanes(); got != 20 {
+		t.Fatalf("enabled lanes = %d, want 20", got)
+	}
+}
+
 // TestBEConfigRejectsWordsWiderThanPayload: a router whose configuration
 // word exceeds the BE network's 16-bit payload word (64 lanes per port
 // need 18 bits) is refused up front instead of being configured from a

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/benet"
 	"repro/internal/bitvec"
@@ -47,8 +48,11 @@ type BELoadPoint struct {
 // keeps GT traffic off this network.
 func BELoadData() ([]BELoadPoint, error) {
 	loads := []float64{0.02, 0.05, 0.1, 0.2, 0.3}
-	return sweep.Map(context.Background(), len(loads), 0, func(i int) (BELoadPoint, error) {
-		load := loads[i]
+	// The pool starts jobs in index order, so the points run heaviest
+	// first: the 0.3 point costs several times the 0.02 one, and the
+	// worker left with the last job then holds a light one.
+	pts, err := sweep.Map(context.Background(), len(loads), 0, func(i int) (BELoadPoint, error) {
+		load := loads[len(loads)-1-i]
 		n := benet.New(4, 4, packetsw.DefaultParams())
 		rng := bitvec.NewXorShift64(uint64(1 + load*1000))
 		const cycles = 4000
@@ -86,6 +90,11 @@ func BELoadData() ([]BELoadPoint, error) {
 			Throughput:  float64(delivered) / 16 / cycles * 100,
 		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	slices.Reverse(pts)
+	return pts, nil
 }
 
 // JSONFloat is a float64 whose JSON encoding writes the values

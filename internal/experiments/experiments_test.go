@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -201,6 +202,36 @@ func TestSetupDataBudgets(t *testing.T) {
 	}
 	if r.PathCommands != 14 { // 2 lanes × 7 hops of the 4x4 cross path
 		t.Errorf("commands = %d, want 14", r.PathCommands)
+	}
+}
+
+// TestBELoadShape checks the best-effort latency-throughput curve: five
+// points in ascending load, mean latency that never falls as load rises,
+// and below the knee a throughput that tracks the offered load (a
+// 15/16 share of sends, since a node never addresses itself).
+func TestBELoadShape(t *testing.T) {
+	pts, err := BELoadData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 5 {
+		t.Fatalf("%d points, want 5", len(pts))
+	}
+	for i := 1; i < len(pts); i++ {
+		if pts[i].OfferedLoad <= pts[i-1].OfferedLoad {
+			t.Fatalf("loads not ascending: %v then %v", pts[i-1].OfferedLoad, pts[i].OfferedLoad)
+		}
+		if pts[i].MeanLatency < pts[i-1].MeanLatency {
+			t.Errorf("mean latency falls from %.1f to %.1f cycles as load rises to %v",
+				pts[i-1].MeanLatency, pts[i].MeanLatency, pts[i].OfferedLoad)
+		}
+	}
+	for _, p := range pts[:3] {
+		want := p.OfferedLoad * 15 / 16 * 100
+		if math.Abs(p.Throughput-want) > 0.05*want {
+			t.Errorf("load %v: throughput %.2f msgs/node/100cy, want within 5%% of %.3f",
+				p.OfferedLoad, p.Throughput, want)
+		}
 	}
 }
 
