@@ -13,6 +13,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/packetsw"
 	"repro/internal/sim"
+	"repro/internal/stdcell"
 	"repro/internal/synth"
 	"repro/internal/traffic"
 )
@@ -20,7 +21,7 @@ import (
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if err := experiments.RunOne(io.Discard, id); err != nil {
+		if err := experiments.RunMany(io.Discard, []string{id}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +80,7 @@ func BenchmarkSetup(b *testing.B) {
 
 // BenchmarkLanes runs the lane-geometry design sweep.
 func BenchmarkLanes(b *testing.B) {
-	lib := experiments.Lib()
+	lib := stdcell.Default013()
 	for i := 0; i < b.N; i++ {
 		if pts := synth.LaneSweep(lib, []int{2, 4, 6, 8}, []int{2, 4, 8}); len(pts) == 0 {
 			b.Fatal("empty sweep")
@@ -112,7 +113,7 @@ func BenchmarkCrossover(b *testing.B) {
 // circuit-switched assembly (cycles per second of wall clock).
 func BenchmarkCircuitRouterCycle(b *testing.B) {
 	sc := traffic.Scenarios()[3]
-	cfg := traffic.RunConfig{Cycles: 1, FreqMHz: 25, Lib: experiments.Lib()}
+	cfg := traffic.RunConfig{Cycles: 1, FreqMHz: 25, Lib: stdcell.Default013()}
 	// One long run amortized over b.N: build once, step b.N times.
 	cfg.Cycles = b.N
 	b.ResetTimer()
@@ -125,7 +126,7 @@ func BenchmarkCircuitRouterCycle(b *testing.B) {
 // simulation rate under scenario IV.
 func BenchmarkPacketRouterCycle(b *testing.B) {
 	sc := traffic.Scenarios()[3]
-	cfg := traffic.RunConfig{Cycles: b.N, FreqMHz: 25, Lib: experiments.Lib()}
+	cfg := traffic.RunConfig{Cycles: b.N, FreqMHz: 25, Lib: stdcell.Default013()}
 	b.ResetTimer()
 	if _, err := traffic.RunPacket(sc, traffic.Pattern{FlipProb: 0.5, Load: 1}, cfg); err != nil {
 		b.Fatal(err)

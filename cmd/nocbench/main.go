@@ -30,6 +30,12 @@
 // them in deterministic order, so the output is byte-identical for any
 // worker count.
 //
+// -list, -vcd, -sweep and -pattern each pick a mode, and with none of
+// them nocbench runs experiments. A flag its mode would ignore is an
+// error: the modes exclude one another, -run, -json and -parallel apply
+// only to experiment runs, -csv only to -sweep, and -workers to -sweep
+// and -parallel.
+//
 // -pattern runs a synthetic traffic pattern on all three fabrics:
 // a spatial pattern name ("uniform", "transpose", "bitcomp", "bitrev",
 // "hotspot[:frac]", "neighbour", "perm") optionally combined with
@@ -220,8 +226,37 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cliFlags, error) {
 	if f.metrics && !sweepOrPattern {
 		return nil, fmt.Errorf("-metrics only applies to -sweep and -pattern runs")
 	}
-	if f.vcdFile != "" && sweepOrPattern {
-		return nil, fmt.Errorf("-vcd is a standalone single-router capture; it does not combine with -sweep or -pattern")
+	if f.csv && f.sweepFile == "" {
+		return nil, fmt.Errorf("-csv only applies to -sweep runs")
+	}
+	if set["workers"] && f.sweepFile == "" && !f.parallel {
+		return nil, fmt.Errorf("-workers only applies to -sweep and -parallel runs")
+	}
+	// -list, -vcd, -sweep and -pattern each pick a mode; with none of
+	// them nocbench runs experiments, the only mode -run, -json and
+	// -parallel apply to.
+	mode := ""
+	for _, m := range []struct {
+		flag string
+		on   bool
+	}{
+		{"-list", f.list},
+		{"-vcd", f.vcdFile != ""},
+		{"-sweep", f.sweepFile != ""},
+		{"-pattern", f.pattern != ""},
+	} {
+		switch {
+		case !m.on:
+		case mode != "":
+			return nil, fmt.Errorf("%s does not combine with %s", mode, m.flag)
+		default:
+			mode = m.flag
+		}
+	}
+	for _, name := range []string{"run", "json", "parallel"} {
+		if set[name] && mode != "" {
+			return nil, fmt.Errorf("-%s only applies to experiment runs, not to %s", name, mode)
+		}
 	}
 	return f, nil
 }
@@ -285,22 +320,25 @@ func run() (err error) {
 		fmt.Fprintf(os.Stderr, "nocbench: serving http://%s/debug/vars and /debug/pprof\n", ln.Addr())
 	}
 
-	if fl.vcdFile != "" {
+	switch {
+	case fl.vcdFile != "":
 		return writeQuicklookVCD(w, fl.vcdFile)
+	case fl.sweepFile != "":
+		return runSweep(w, fl)
+	case fl.pattern != "":
+		return runPattern(w, fl)
 	}
-	if fl.sweepFile != "" {
-		return runSweep(w, fl.sweepFile, sweepFlags{
-			workers: fl.workers, reps: fl.reps,
-			csv: fl.csv, kernel: fl.kernel, cacheDir: fl.cacheDir,
-			traceFile: fl.traceFile, progress: fl.progress, metrics: fl.metrics,
-			expvars: fl.httpAddr != "",
-		})
-	}
-	if fl.pattern != "" {
-		return runPattern(w, fl.pattern, fl.inject, fl.meshSize, fl.cycles, fl.kernel,
-			fl.reps, fl.warmup, fl.traceFile, fl.metrics)
-	}
+	return runExperiments(w, fl)
+}
 
+// runExperiments measures the experiments -run names (default: all) and
+// writes them to w as text or, with -json, as one JSON array of the
+// experiments' documents. They are measured one after another, or with
+// -parallel on -workers workers; the bytes are the same either way.
+// Every id is looked up before anything is measured, and the JSON array
+// is written only after every experiment is measured, so an unknown id
+// writes nothing and a failed measurement never leaves truncated JSON.
+func runExperiments(w io.Writer, fl *cliFlags) error {
 	var ids []string
 	if fl.runIDs == "" {
 		for _, e := range noc.Experiments() {
@@ -311,41 +349,28 @@ func run() (err error) {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
-
-	if fl.jsonOut {
-		// Measure everything before emitting, so an unknown id or a
-		// failed run never leaves truncated JSON on stdout. With
-		// -parallel the measurements run on all cores; the emitted
-		// JSON is identical either way.
-		jsonWorkers := 1
-		if fl.parallel {
-			jsonWorkers = fl.workers
-		}
-		parts, jerr := noc.ExperimentsJSON(ids, jsonWorkers)
-		if jerr != nil {
-			return jerr
-		}
-		fmt.Fprint(w, "[\n")
-		for i, b := range parts {
-			if _, werr := w.Write(b); werr != nil {
-				return werr
-			}
-			if i < len(parts)-1 {
-				fmt.Fprint(w, ",")
-			}
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintln(w, "]")
-		return nil
-	}
+	workers := 1
 	if fl.parallel {
-		return noc.RunExperimentsParallel(w, ids, fl.workers)
+		workers = fl.workers
 	}
-	for _, id := range ids {
-		if rerr := noc.RunExperiment(w, id); rerr != nil {
-			return rerr
+	if !fl.jsonOut {
+		return noc.RunExperimentsParallel(w, ids, workers)
+	}
+	docs, err := noc.ExperimentsJSON(ids, workers)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, "[\n")
+	for i, b := range docs {
+		if _, err := w.Write(b); err != nil {
+			return err
 		}
+		if i < len(docs)-1 {
+			fmt.Fprint(w, ",")
+		}
+		fmt.Fprintln(w)
 	}
+	fmt.Fprintln(w, "]")
 	return nil
 }
 
@@ -401,37 +426,37 @@ func dumpMetrics(label string, samples []obs.Sample) {
 	}
 }
 
-// runPattern executes one synthetic-pattern scenario on all three
-// fabrics and emits one JSON result per fabric. With traceFile each
-// fabric's structured events go to their own Chrome trace JSON; with
-// metrics each fabric's registry snapshot is dumped to stderr. Neither
-// changes a byte of the JSON results on stdout.
-func runPattern(w io.Writer, name, inject string, meshSize, cycles int, kernel string, reps int, warmup, traceFile string, metrics bool) error {
-	sc := noc.Scenario{Name: "pattern:" + name, Pattern: name}
-	if inject != "" {
-		inj, err := noc.ParseInjection(inject)
+// runPattern executes the -pattern scenario on all three fabrics and
+// emits one JSON result per fabric. With -trace each fabric's structured
+// events go to their own Chrome trace JSON; with -metrics each fabric's
+// registry snapshot is dumped to stderr. Neither changes a byte of the
+// JSON results on stdout.
+func runPattern(w io.Writer, fl *cliFlags) error {
+	sc := noc.Scenario{Name: "pattern:" + fl.pattern, Pattern: fl.pattern}
+	if fl.inject != "" {
+		inj, err := noc.ParseInjection(fl.inject)
 		if err != nil {
 			return err
 		}
 		sc.Injection = &inj
 	}
-	if meshSize != 0 {
-		sc.MeshWidth, sc.MeshHeight = meshSize, meshSize
+	if fl.meshSize != 0 {
+		sc.MeshWidth, sc.MeshHeight = fl.meshSize, fl.meshSize
 	}
-	sc.Cycles = cycles
-	sc.Replications = reps
-	if warmup != "" {
-		if warmup == "auto" {
+	sc.Cycles = fl.cycles
+	sc.Replications = fl.reps
+	if fl.warmup != "" {
+		if fl.warmup == "auto" {
 			sc.WarmupAuto = true
 		} else {
-			n, err := strconv.Atoi(warmup)
+			n, err := strconv.Atoi(fl.warmup)
 			if err != nil || n < 0 {
-				return fmt.Errorf(`-warmup must be "auto" or a non-negative cycle count, got %q`, warmup)
+				return fmt.Errorf(`-warmup must be "auto" or a non-negative cycle count, got %q`, fl.warmup)
 			}
 			sc.WarmupCycles = n
 		}
 	}
-	k, err := noc.ParseKernel(kernel)
+	k, err := noc.ParseKernel(fl.kernel)
 	if err != nil {
 		return err
 	}
@@ -439,15 +464,15 @@ func runPattern(w io.Writer, name, inject string, meshSize, cycles int, kernel s
 	fabricOpts := make([][]noc.Option, len(kinds))
 	for i, kind := range kinds {
 		fabricOpts[i] = []noc.Option{noc.WithKernel(k)}
-		if traceFile != "" {
-			f, ferr := os.Create(patternTracePath(traceFile, kind))
+		if fl.traceFile != "" {
+			f, ferr := os.Create(patternTracePath(fl.traceFile, kind))
 			if ferr != nil {
 				return ferr
 			}
 			defer f.Close()
 			fabricOpts[i] = append(fabricOpts[i], noc.WithTrace(f))
 		}
-		if metrics {
+		if fl.metrics {
 			fabricOpts[i] = append(fabricOpts[i], noc.WithMetrics(true))
 		}
 	}
@@ -476,20 +501,12 @@ func runPattern(w io.Writer, name, inject string, meshSize, cycles int, kernel s
 			fmt.Fprint(w, ",")
 		}
 		fmt.Fprintln(w)
-		if metrics {
+		if fl.metrics {
 			dumpMetrics(string(r.Fabric)+".", r.Metrics)
 		}
 	}
 	fmt.Fprintln(w, "]")
 	return nil
-}
-
-// sweepFlags bundles the command-line knobs of a -sweep run.
-type sweepFlags struct {
-	workers, reps               int
-	csv, progress, metrics      bool
-	kernel, cacheDir, traceFile string
-	expvars                     bool
 }
 
 // busyMonitor tracks per-worker wall-clock busy time from the sweep
@@ -540,13 +557,13 @@ func (m *busyMonitor) busyFraction(workers int, elapsed time.Duration) float64 {
 	return float64(total) / (float64(workers) * float64(elapsed))
 }
 
-// runSweep loads a noc.SweepSpec from the file and streams the cells to
-// w. Ctrl-C cancels the sweep cleanly mid-run. The observability flags
-// (-cache traffic, -trace, -progress, -metrics) all report to stderr or
-// side files — sweep output on stdout stays byte-identical with any
-// combination of them enabled.
-func runSweep(w io.Writer, path string, fl sweepFlags) error {
-	b, err := os.ReadFile(path)
+// runSweep loads the -sweep noc.SweepSpec and streams the cells to w.
+// Ctrl-C cancels the sweep cleanly mid-run. The observability flags
+// (-cache traffic, -trace, -progress, -metrics, -http) all report to
+// stderr, side files or /debug/vars — sweep output on stdout stays
+// byte-identical with any combination of them enabled.
+func runSweep(w io.Writer, fl *cliFlags) error {
+	b, err := os.ReadFile(fl.sweepFile)
 	if err != nil {
 		return err
 	}
@@ -579,33 +596,25 @@ func runSweep(w io.Writer, path string, fl sweepFlags) error {
 		reg = obs.NewRegistry()
 		spec.Obs.Metrics = reg
 	}
-	var mon *busyMonitor
-	if fl.expvars && !fl.progress {
-		// -http without -progress still publishes the live sweep
-		// counters to /debug/vars; only the stderr heartbeat is tied
-		// to -progress.
-		jobsDone := expvar.NewInt("nocbench.sweep.jobs_done")
-		cellsDone := expvar.NewInt("nocbench.sweep.cells_done")
-		spec.Obs.Progress = func(p noc.SweepProgress) error {
-			jobsDone.Set(int64(p.JobsDone))
-			cellsDone.Set(int64(p.CellsDone))
-			return nil
-		}
+	// -http publishes the live sweep counters to /debug/vars, with or
+	// without -progress; only the stderr heartbeat is tied to -progress.
+	var jobsDone, cellsDone *expvar.Int
+	if fl.httpAddr != "" {
+		jobsDone = expvar.NewInt("nocbench.sweep.jobs_done")
+		cellsDone = expvar.NewInt("nocbench.sweep.cells_done")
 	}
+	var mon *busyMonitor
 	if fl.progress {
 		mon = newBusyMonitor()
 		spec.Obs.Monitor = mon
+	}
+	if jobsDone != nil || mon != nil {
 		poolWorkers := spec.Workers
 		if poolWorkers == 0 {
 			poolWorkers = runtime.GOMAXPROCS(0)
 		}
 		start := time.Now()
 		var lastBeat time.Time
-		var jobsDone, cellsDone *expvar.Int
-		if fl.expvars {
-			jobsDone = expvar.NewInt("nocbench.sweep.jobs_done")
-			cellsDone = expvar.NewInt("nocbench.sweep.cells_done")
-		}
 		// Progress is called from the engine's single emission goroutine
 		// in deterministic job order; everything wall-clock-derived is
 		// computed here.
@@ -613,6 +622,9 @@ func runSweep(w io.Writer, path string, fl sweepFlags) error {
 			if jobsDone != nil {
 				jobsDone.Set(int64(p.JobsDone))
 				cellsDone.Set(int64(p.CellsDone))
+			}
+			if mon == nil {
+				return nil
 			}
 			done := p.JobsDone == p.JobsTotal
 			if !done && time.Since(lastBeat) < 250*time.Millisecond {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
 	"strings"
@@ -41,6 +42,18 @@ func TestParseFlags(t *testing.T) {
 		{[]string{"-metrics"}, "-metrics"},
 		{[]string{"-pattern", "uniform", "-vcd", "q.vcd"}, "-vcd"},
 		{[]string{"-run", "fig9", "extra"}, `"extra"`},
+		{[]string{"-csv", "-run", "table3"}, "-csv only applies to -sweep runs"},
+		{[]string{"-workers", "3", "-run", "table3"}, "-workers only applies to -sweep and -parallel runs"},
+		{[]string{"-sweep", "s.json", "-json", "-run", "fig9", "-parallel"}, "only applies to experiment runs, not to -sweep"},
+		{[]string{"-pattern", "uniform", "-mesh", "4", "-cycles", "50", "-csv", "-json", "-run", "fig9"}, "-csv"},
+		{[]string{"-list", "-sweep", "s.json"}, "-list does not combine with -sweep"},
+		{[]string{"-pattern", "uniform", "-json"}, "-json only applies to experiment runs, not to -pattern"},
+		{[]string{"-vcd", "q.vcd", "-parallel"}, "-parallel only applies to experiment runs, not to -vcd"},
+		{[]string{"-list", "-run", "fig9"}, "-run only applies to experiment runs, not to -list"},
+		{[]string{"-sweep", "s.json", "-pattern", "uniform"}, "-sweep does not combine with -pattern"},
+		{[]string{"-list"}, ""},
+		{[]string{"-run", "table3", "-json", "-parallel", "-workers", "3"}, ""},
+		{[]string{"-sweep", "s.json", "-csv", "-workers", "3"}, ""},
 	}
 	for _, c := range cases {
 		fs := flag.NewFlagSet("nocbench", flag.ContinueOnError)
@@ -72,6 +85,7 @@ func FuzzParseFlags(f *testing.F) {
 		"-run\x00fig9\x00extra",
 		"-nope",
 		"-h",
+		"-list\x00-sweep\x00s.json\x00-json",
 	} {
 		f.Add(args)
 	}
@@ -107,4 +121,38 @@ func FuzzParseFlags(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRunExperimentsUnknownIDWritesNothing: every -run id is looked up
+// before anything is measured, so a bad id fails with nothing written,
+// as text and as JSON.
+func TestRunExperimentsUnknownIDWritesNothing(t *testing.T) {
+	for _, jsonOut := range []bool{false, true} {
+		var buf bytes.Buffer
+		err := runExperiments(&buf, &cliFlags{runIDs: "table3,nope", jsonOut: jsonOut})
+		if err == nil || err.Error() != `experiments: unknown experiment "nope"` {
+			t.Errorf("json=%v: error %v, want the unknown-experiment error", jsonOut, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("json=%v: wrote %d bytes before failing:\n%s", jsonOut, buf.Len(), buf.String())
+		}
+	}
+}
+
+// TestRunExperimentsParallelSameBytes: -parallel changes only how many
+// experiments are measured at once, never a byte of the text or JSON.
+func TestRunExperimentsParallelSameBytes(t *testing.T) {
+	for _, jsonOut := range []bool{false, true} {
+		var seq, par bytes.Buffer
+		if err := runExperiments(&seq, &cliFlags{runIDs: "table3, table1", jsonOut: jsonOut}); err != nil {
+			t.Fatal(err)
+		}
+		if err := runExperiments(&par, &cliFlags{runIDs: "table3, table1", jsonOut: jsonOut, parallel: true, workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if seq.Len() == 0 || !bytes.Equal(seq.Bytes(), par.Bytes()) {
+			t.Errorf("json=%v: -parallel output differs:\n--- sequential ---\n%s\n--- parallel ---\n%s",
+				jsonOut, seq.String(), par.String())
+		}
+	}
 }

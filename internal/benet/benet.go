@@ -31,23 +31,11 @@ func DecodeXY(d uint16) mesh.Coord {
 }
 
 // RouteXY returns the dimension-ordered routing function for a router at
-// the given coordinate: first correct X (East/West), then Y (South/North),
-// then eject at the tile port.
+// the given coordinate: mesh.ExitPort's X-then-Y rule toward the head
+// flit's destination.
 func RouteXY(here mesh.Coord) packetsw.RouteFunc {
 	return func(head uint16) core.Port {
-		dst := DecodeXY(head)
-		switch {
-		case dst.X > here.X:
-			return core.East
-		case dst.X < here.X:
-			return core.West
-		case dst.Y > here.Y:
-			return core.South
-		case dst.Y < here.Y:
-			return core.North
-		default:
-			return core.Tile
-		}
+		return mesh.ExitPort(here, DecodeXY(head), true)
 	}
 }
 

@@ -90,30 +90,16 @@ func Lookup(id string) (Experiment, bool) {
 	return e, ok
 }
 
-// DataFor runs the experiment's measurement and returns its typed result.
-func DataFor(id string) (any, error) {
-	e, ok := Lookup(id)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
-	}
-	data, err := e.Data()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", e.ID, err)
-	}
-	return data, nil
-}
-
-// RunMany measures the given experiments on a bounded worker pool
-// (workers <= 0 means GOMAXPROCS) and renders them to w in the order the
-// ids were given — the parallel full-suite path behind `nocbench
-// -parallel`. Measurement and rendering are decoupled: every Data
-// function runs concurrently, while the text output stays byte-identical
-// to the sequential RunOne loop. The worker bound applies to whole
+// Run measures the given experiments on the sweep pool (workers <= 0
+// means GOMAXPROCS, 1 measures them one after another) and hands each
+// experiment and its data to emit in the order the ids were given. Every
+// id is looked up before anything is measured, so an unknown id fails
+// before emit sees anything. The worker bound applies to whole
 // experiments; grid-shaped experiments additionally parallelize their
 // own cells, so transient goroutine counts can exceed the bound (the
 // extra goroutines are CPU-bound and cheap — Go's scheduler degrades
 // gracefully under that oversubscription).
-func RunMany(w io.Writer, ids []string, workers int) error {
+func Run(ids []string, workers int, emit func(e Experiment, data any) error) error {
 	exps := make([]Experiment, len(ids))
 	for i, id := range ids {
 		e, ok := Lookup(id)
@@ -122,7 +108,7 @@ func RunMany(w io.Writer, ids []string, workers int) error {
 		}
 		exps[i] = e
 	}
-	return sweep.Run(context.Background(), len(exps), workers,
+	return sweep.Run(context.Background(), len(exps), workers, nil,
 		func(_ context.Context, i int) (any, error) {
 			data, err := exps[i].Data()
 			if err != nil {
@@ -134,37 +120,24 @@ func RunMany(w io.Writer, ids []string, workers int) error {
 			if err != nil {
 				return err
 			}
-			e := exps[i]
-			fmt.Fprintf(w, "=== %s: %s (%s) ===\n", e.ID, e.Title, e.Paper)
-			if err := e.Render(w, data); err != nil {
-				return fmt.Errorf("experiments: %s: %w", e.ID, err)
-			}
-			fmt.Fprintln(w)
-			return nil
+			return emit(exps[i], data)
 		})
 }
 
-// RunOne measures and renders a single experiment with its header.
-func RunOne(w io.Writer, id string) error {
-	e, ok := Lookup(id)
-	if !ok {
-		return fmt.Errorf("experiments: unknown experiment %q", id)
-	}
-	fmt.Fprintf(w, "=== %s: %s (%s) ===\n", e.ID, e.Title, e.Paper)
-	data, err := e.Data()
-	if err != nil {
-		return fmt.Errorf("experiments: %s: %w", e.ID, err)
-	}
-	if err := e.Render(w, data); err != nil {
-		return fmt.Errorf("experiments: %s: %w", e.ID, err)
-	}
-	fmt.Fprintln(w)
-	return nil
+// RunMany measures the given experiments as Run does and renders each to
+// w as text under its header, followed by a blank line. The bytes are
+// the same for any worker count; only the wall-clock changes.
+func RunMany(w io.Writer, ids []string, workers int) error {
+	return Run(ids, workers, func(e Experiment, data any) error {
+		fmt.Fprintf(w, "=== %s: %s (%s) ===\n", e.ID, e.Title, e.Paper)
+		if err := e.Render(w, data); err != nil {
+			return fmt.Errorf("experiments: %s: %w", e.ID, err)
+		}
+		fmt.Fprintln(w)
+		return nil
+	})
 }
 
 // lib is the shared technology library; all experiments price hardware
 // with the same calibration point.
 var lib = stdcell.Default013()
-
-// Lib exposes the library used by the experiments.
-func Lib() stdcell.Lib { return lib }

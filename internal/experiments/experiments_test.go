@@ -37,8 +37,8 @@ func TestLookup(t *testing.T) {
 	if _, ok := Lookup("nope"); ok {
 		t.Fatal("phantom experiment")
 	}
-	if err := RunOne(io.Discard, "nope"); err == nil {
-		t.Fatal("RunOne accepted unknown id")
+	if err := RunMany(io.Discard, []string{"nope"}, 1); err == nil {
+		t.Fatal("RunMany accepted unknown id")
 	}
 }
 
@@ -51,7 +51,7 @@ func TestTablesRender(t *testing.T) {
 			"area ratio packet/circuit"},
 	} {
 		var buf bytes.Buffer
-		if err := RunOne(&buf, id); err != nil {
+		if err := RunMany(&buf, []string{id}, 1); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		for _, f := range fragments {
@@ -252,26 +252,26 @@ func TestCrossoverAlwaysFavoursCircuit(t *testing.T) {
 
 func TestRunManyMatchesSequentialByteForByte(t *testing.T) {
 	ids := []string{"table3", "psdepth", "setup", "window", "table1"}
-	var seq bytes.Buffer
-	for _, id := range ids {
-		if err := RunOne(&seq, id); err != nil {
-			t.Fatal(err)
-		}
+	var seq, par bytes.Buffer
+	if err := RunMany(&seq, ids, 1); err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 8} {
-		var par bytes.Buffer
-		if err := RunMany(&par, ids, workers); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-			t.Fatalf("workers=%d output differs from sequential:\n--- seq ---\n%s\n--- par ---\n%s",
-				workers, seq.String(), par.String())
-		}
+	if err := RunMany(&par, ids, 8); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
+		t.Fatalf("8 workers' output differs from 1 worker's:\n--- 1 ---\n%s\n--- 8 ---\n%s",
+			seq.String(), par.String())
 	}
 }
 
 func TestRunManyUnknownID(t *testing.T) {
-	if err := RunMany(io.Discard, []string{"table3", "nope"}, 2); err == nil {
-		t.Fatal("RunMany accepted unknown id")
+	var buf bytes.Buffer
+	err := RunMany(&buf, []string{"table3", "nope"}, 2)
+	if err == nil || err.Error() != `experiments: unknown experiment "nope"` {
+		t.Fatalf("err = %v, want the unknown-experiment error", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("wrote %d bytes before failing on the unknown id", buf.Len())
 	}
 }

@@ -170,7 +170,7 @@ func (b *LaneBook) Reserve(src, dst Coord, n int) ([]Coord, [][]Segment, error) 
 func (b *LaneBook) probe(src, dst Coord, xFirst bool, n int) (at, next Coord, free int) {
 	free = n
 	for c := src; c != dst; {
-		port := exitPort(c, dst, xFirst)
+		port := ExitPort(c, dst, xFirst)
 		nc := c.step(port)
 		if f := b.freeLanes(c, port); f < free {
 			at, next, free = c, nc, f

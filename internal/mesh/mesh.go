@@ -177,15 +177,16 @@ func routeOf(from, to Coord, xFirst bool) []Coord {
 	route := make([]Coord, 1, 1+max(dx, -dx)+max(dy, -dy))
 	route[0] = from
 	for c := from; c != to; {
-		c = c.step(exitPort(c, to, xFirst))
+		c = c.step(ExitPort(c, to, xFirst))
 		route = append(route, c)
 	}
 	return route
 }
 
-// exitPort returns the port by which the route to dst leaves c, X first
-// when xFirst, or Tile at dst.
-func exitPort(c, dst Coord, xFirst bool) core.Port {
+// ExitPort returns the port by which the route to dst leaves c, X first
+// when xFirst, or Tile at dst: with xFirst, East or West until X
+// matches, then South or North.
+func ExitPort(c, dst Coord, xFirst bool) core.Port {
 	switch {
 	case c.X != dst.X && (xFirst || c.Y == dst.Y):
 		if dst.X > c.X {

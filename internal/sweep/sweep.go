@@ -2,9 +2,9 @@
 // pool that executes independent jobs concurrently and delivers their
 // results in strict index order, so any output assembled from the
 // results is byte-identical no matter how many workers ran or how the
-// scheduler interleaved them. The public noc.Sweep subsystem and the
-// grid-shaped experiments (fig9, fig10, freqsweep, psdepth, ...) both
-// run their cells through this engine.
+// scheduler interleaved them. The public noc.Sweep subsystem, every
+// experiment run (experiments.Run) and the grid-shaped experiments'
+// cells (fig9, fig10, freqsweep, psdepth, ...) all run on this engine.
 package sweep
 
 import (
@@ -59,20 +59,13 @@ type Monitor interface {
 
 // Run executes jobs 0..n-1 on a bounded worker pool and hands each
 // result to emit in strict index order, regardless of completion order.
-// workers <= 0 selects DefaultWorkers. Job errors are not fatal to the
+// workers <= 0 selects DefaultWorkers. A non-nil m observes the pool's
+// scheduling; nil attaches no monitor. Job errors are not fatal to the
 // pool: they are passed through to emit, which decides. If emit returns
 // an error the sweep stops and Run returns that error; if ctx is
 // cancelled Run returns ctx.Err(). emit is always called from the
 // Run goroutine, so it needs no locking.
-func Run[T any](ctx context.Context, n, workers int,
-	job func(ctx context.Context, i int) (T, error),
-	emit func(i int, v T, err error) error) error {
-	return RunMonitored(ctx, n, workers, nil, job, emit)
-}
-
-// RunMonitored is Run with a scheduling monitor attached to the worker
-// pool; a nil monitor is exactly Run.
-func RunMonitored[T any](ctx context.Context, n, workers int, m Monitor,
+func Run[T any](ctx context.Context, n, workers int, m Monitor,
 	job func(ctx context.Context, i int) (T, error),
 	emit func(i int, v T, err error) error) error {
 	if n <= 0 {
@@ -160,7 +153,7 @@ func RunMonitored[T any](ctx context.Context, n, workers int, m Monitor,
 func Map[T any](ctx context.Context, n, workers int,
 	f func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := Run(ctx, n, workers, func(_ context.Context, i int) (T, error) {
+	err := Run(ctx, n, workers, nil, func(_ context.Context, i int) (T, error) {
 		return f(i)
 	}, func(i int, v T, err error) error {
 		if err != nil {

@@ -14,7 +14,7 @@ func TestRunEmitsInOrder(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 57
 			var got []int
-			err := Run(context.Background(), n, workers,
+			err := Run(context.Background(), n, workers, nil,
 				func(_ context.Context, i int) (int, error) {
 					// Finish later jobs first to stress the reorder buffer.
 					time.Sleep(time.Duration(n-i) * 10 * time.Microsecond)
@@ -46,7 +46,7 @@ func TestRunEmitsInOrder(t *testing.T) {
 }
 
 func TestRunZeroJobs(t *testing.T) {
-	err := Run(context.Background(), 0, 4,
+	err := Run(context.Background(), 0, 4, nil,
 		func(_ context.Context, i int) (int, error) { return 0, nil },
 		func(i, v int, err error) error {
 			t.Fatal("emit called for empty sweep")
@@ -60,7 +60,7 @@ func TestRunZeroJobs(t *testing.T) {
 func TestRunJobErrorReachesEmit(t *testing.T) {
 	boom := errors.New("boom")
 	var seen int
-	err := Run(context.Background(), 4, 2,
+	err := Run(context.Background(), 4, 2, nil,
 		func(_ context.Context, i int) (int, error) {
 			if i == 2 {
 				return 0, boom
@@ -88,7 +88,7 @@ func TestRunJobErrorReachesEmit(t *testing.T) {
 func TestRunEmitErrorStops(t *testing.T) {
 	stop := errors.New("stop")
 	var emitted int32
-	err := Run(context.Background(), 100, 4,
+	err := Run(context.Background(), 100, 4, nil,
 		func(_ context.Context, i int) (int, error) { return i, nil },
 		func(i, v int, err error) error {
 			if atomic.AddInt32(&emitted, 1) == 3 {
@@ -110,7 +110,7 @@ func TestRunContextCancellation(t *testing.T) {
 	errc := make(chan error, 1)
 	started := make(chan struct{}, 1)
 	go func() {
-		errc <- Run(ctx, 1000, 2,
+		errc <- Run(ctx, 1000, 2, nil,
 			func(ctx context.Context, i int) (int, error) {
 				select {
 				case started <- struct{}{}:

@@ -14,11 +14,11 @@ import (
 	"repro/internal/benet"
 	"repro/internal/bitvec"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/mesh"
 	"repro/internal/packetsw"
 	"repro/internal/pattern"
 	"repro/internal/sim"
+	"repro/internal/stdcell"
 	"repro/internal/traffic"
 )
 
@@ -115,7 +115,7 @@ func BenchmarkMeshDenseNaiveKernel(b *testing.B) {
 func benchScenarioKernel(b *testing.B, scenario int, k sim.Kernel) {
 	sc := traffic.Scenarios()[scenario]
 	cfg := traffic.RunConfig{Cycles: b.N, FreqMHz: 25,
-		Lib: experiments.Lib(), Kernel: k}
+		Lib: stdcell.Default013(), Kernel: k}
 	b.ResetTimer()
 	if _, err := traffic.RunCircuit(sc, traffic.Pattern{FlipProb: 0.5, Load: 1}, cfg); err != nil {
 		b.Fatal(err)
@@ -238,7 +238,7 @@ func benchFiniteWorkload(b *testing.B, k sim.Kernel) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := traffic.RunConfig{Cycles: 20000, FreqMHz: 25,
-			Lib: experiments.Lib(), Kernel: k, WordsPerStream: 100}
+			Lib: stdcell.Default013(), Kernel: k, WordsPerStream: 100}
 		if _, err := traffic.RunCircuit(sc, pat, cfg); err != nil {
 			b.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func benchPattern16(b *testing.B, k sim.Kernel) {
 	for i := 0; i < b.N; i++ {
 		res, err := mesh.RunPattern(mesh.PatternConfig{
 			W: 16, H: 16, Cycles: 20000, FreqMHz: 25,
-			Lib:       experiments.Lib(),
+			Lib:       stdcell.Default013(),
 			Spatial:   pattern.Spatial{Kind: pattern.Uniform},
 			Injection: pattern.Injection{Proc: pattern.Bernoulli, Rate: 0.05},
 			FlipProb:  0.5, Seed: 9, WordsPerFlow: 4, Kernel: k,
@@ -298,7 +298,7 @@ func benchPatternHotspot(b *testing.B, w, h, cycles int, k sim.Kernel) {
 	for i := 0; i < b.N; i++ {
 		res, err := mesh.RunPattern(mesh.PatternConfig{
 			W: w, H: h, Cycles: cycles, FreqMHz: 25,
-			Lib:       experiments.Lib(),
+			Lib:       stdcell.Default013(),
 			Spatial:   pattern.Spatial{Kind: pattern.Hotspot, Alpha: 1},
 			Injection: pattern.Injection{Proc: pattern.Bernoulli, Rate: 0.05},
 			FlipProb:  0.5, Seed: 9, Kernel: k,
@@ -344,7 +344,7 @@ func BenchmarkHotspot32Setup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := mesh.RunPattern(mesh.PatternConfig{
 			W: 32, H: 32, Cycles: 1, FreqMHz: 25,
-			Lib:       experiments.Lib(),
+			Lib:       stdcell.Default013(),
 			Spatial:   pattern.Spatial{Kind: pattern.Hotspot, Alpha: 1},
 			Injection: pattern.Injection{Proc: pattern.Bernoulli, Rate: 0.05},
 			FlipProb:  0.5, Seed: 1,
@@ -406,7 +406,7 @@ func TestFiniteWorkloadFastForward(t *testing.T) {
 	run := func(k sim.Kernel) stats {
 		var st stats
 		cfg := traffic.RunConfig{Cycles: 20000, FreqMHz: 25,
-			Lib: experiments.Lib(), Kernel: k, WordsPerStream: 100,
+			Lib: stdcell.Default013(), Kernel: k, WordsPerStream: 100,
 			Observe: func(w *sim.World) {
 				_, st.ffCycles = w.FastForwards()
 				st.cycles = w.Cycle()

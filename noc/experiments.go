@@ -1,12 +1,10 @@
 package noc
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 
 	"repro/internal/experiments"
-	"repro/internal/sweep"
 )
 
 // Experiment describes one registered reproduction of a paper artefact
@@ -31,46 +29,41 @@ func Experiments() []Experiment {
 
 // RunExperiment measures one experiment and renders it as text to w.
 func RunExperiment(w io.Writer, id string) error {
-	return experiments.RunOne(w, id)
+	return experiments.RunMany(w, []string{id}, 1)
 }
 
-// RunExperimentsParallel measures the given experiments concurrently on
-// a bounded worker pool (workers <= 0 means GOMAXPROCS) and renders them
-// to w in the given order. The text output is byte-identical to running
-// RunExperiment over the ids sequentially; only the wall-clock changes.
+// RunExperimentsParallel measures the given experiments on a bounded
+// worker pool (workers <= 0 means GOMAXPROCS, 1 measures them one after
+// another) and renders them to w in the given order. The text is the
+// same for any worker count, and equals RunExperiment over the ids in
+// turn; only the wall-clock changes. An unknown id fails before
+// anything is written.
 func RunExperimentsParallel(w io.Writer, ids []string, workers int) error {
 	return experiments.RunMany(w, ids, workers)
 }
 
-// ExperimentData measures one experiment and returns its typed,
-// JSON-marshalable result (e.g. the eight power bars of fig9).
-func ExperimentData(id string) (any, error) {
-	return experiments.DataFor(id)
-}
-
 // ExperimentsJSON measures the given experiments on a bounded worker
-// pool (workers <= 0 means GOMAXPROCS, 1 is sequential) and returns one
-// JSON document per id, in the order the ids were given. The documents
-// are identical to calling ExperimentJSON per id; only the wall-clock
-// changes.
+// pool (workers <= 0 means GOMAXPROCS, 1 measures them one after
+// another) and returns one indented JSON document per id, in the order
+// the ids were given: the experiment's identity and its typed result
+// (e.g. the eight power bars of fig9) under "data". The documents are
+// the same for any worker count, and all of them are measured before
+// any is returned.
 func ExperimentsJSON(ids []string, workers int) ([][]byte, error) {
-	return sweep.Map(context.Background(), len(ids), workers, func(i int) ([]byte, error) {
-		return ExperimentJSON(ids[i])
+	docs := make([][]byte, 0, len(ids))
+	err := experiments.Run(ids, workers, func(e experiments.Experiment, data any) error {
+		b, err := json.MarshalIndent(struct {
+			Experiment
+			Data any `json:"data"`
+		}{Experiment{ID: e.ID, Title: e.Title, Paper: e.Paper}, data}, "", "  ")
+		if err != nil {
+			return err
+		}
+		docs = append(docs, b)
+		return nil
 	})
-}
-
-// ExperimentJSON measures one experiment and returns its result as
-// indented JSON, wrapped with the experiment's identity.
-func ExperimentJSON(id string) ([]byte, error) {
-	data, err := experiments.DataFor(id)
 	if err != nil {
 		return nil, err
 	}
-	e, _ := experiments.Lookup(id)
-	return json.MarshalIndent(struct {
-		ID    string `json:"id"`
-		Title string `json:"title"`
-		Paper string `json:"paper"`
-		Data  any    `json:"data"`
-	}{ID: e.ID, Title: e.Title, Paper: e.Paper, Data: data}, "", "  ")
+	return docs, nil
 }

@@ -43,7 +43,7 @@
 // Beyond simulation, the package exposes the paper's full evaluation:
 // Experiments lists every table/figure reproduction, RunExperiment
 // renders one as text (RunExperimentsParallel measures many at once)
-// and ExperimentData returns its typed result for JSON output;
+// and ExperimentsJSON returns their typed results as JSON documents;
 // RenderSynthTable and friends print the synthesis model (Table 4);
 // CaptureWaveform records the lane-level timing diagram the trace
 // subsystem produces.

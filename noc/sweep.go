@@ -597,7 +597,7 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 	var pending []*Result
 	var pendingErr string
 	prog := SweepProgress{CellsTotal: len(cells), JobsTotal: len(jobs)}
-	err = sweep.RunMonitored(ctx, len(jobs), spec.Workers, spec.Obs.Monitor,
+	err = sweep.Run(ctx, len(jobs), spec.Workers, spec.Obs.Monitor,
 		func(ctx context.Context, i int) (repOut, error) {
 			j := jobs[i]
 			cell := cells[j.cell]

@@ -148,37 +148,37 @@ func TestExperimentsFacade(t *testing.T) {
 	if !strings.Contains(buf.String(), "Stream") {
 		t.Errorf("table3 render: %q", buf.String())
 	}
-	data, err := ExperimentData("table3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data == nil {
-		t.Fatal("nil experiment data")
-	}
 	// Every experiment encodes as JSON and decodes again with its
 	// identity and data intact; a non-finite float in a result (beload's
 	// P95 lies past its histogram's last bound at high load) must not
 	// break the encoding.
-	for _, e := range exps {
-		b, err := ExperimentJSON(e.ID)
-		if err != nil {
-			t.Errorf("%s: %v", e.ID, err)
-			continue
-		}
+	ids := make([]string, len(exps))
+	for i, e := range exps {
+		ids[i] = e.ID
+	}
+	docs, err := ExperimentsJSON(ids, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(docs) != len(exps) {
+		t.Fatalf("%d documents for %d experiments", len(docs), len(exps))
+	}
+	for i, e := range exps {
 		var decoded struct {
-			ID   string          `json:"id"`
+			Experiment
 			Data json.RawMessage `json:"data"`
 		}
-		if err := json.Unmarshal(b, &decoded); err != nil {
+		if err := json.Unmarshal(docs[i], &decoded); err != nil {
 			t.Errorf("%s: experiment JSON invalid: %v", e.ID, err)
 			continue
 		}
-		if decoded.ID != e.ID || len(decoded.Data) == 0 || string(decoded.Data) == "null" {
-			t.Errorf("%s: experiment JSON incomplete: %.200s", e.ID, b)
+		if decoded.Experiment != e || len(decoded.Data) == 0 || string(decoded.Data) == "null" {
+			t.Errorf("%s: experiment JSON incomplete: %.200s", e.ID, docs[i])
 		}
 	}
-	if _, err := ExperimentData("nope"); err == nil {
-		t.Error("unknown experiment accepted")
+	docs, err = ExperimentsJSON([]string{"table3", "nope"}, 1)
+	if err == nil || err.Error() != `experiments: unknown experiment "nope"` || docs != nil {
+		t.Errorf("unknown experiment: %d documents, error %v", len(docs), err)
 	}
 }
 
