@@ -121,7 +121,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "nocbench:", err)
 		os.Exit(1)
 	}
@@ -261,11 +261,12 @@ func parseFlags(fs *flag.FlagSet, args []string) (*cliFlags, error) {
 	return f, nil
 }
 
-// run owns every deferred cleanup (profile flushes, file closes), so any
-// exit path — error, Ctrl-C cancellation, success — leaves complete,
-// loadable pprof files behind.
-func run() (err error) {
-	fl, err := parseFlags(flag.CommandLine, os.Args[1:])
+// run parses args on fs and writes the chosen mode's output to stdout
+// (and to the -out file). It owns every deferred cleanup (profile
+// flushes, file closes), so any exit path — error, Ctrl-C cancellation,
+// success — leaves complete, loadable pprof files behind.
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) (err error) {
+	fl, err := parseFlags(fs, args)
 	if err != nil {
 		return err
 	}
@@ -289,21 +290,14 @@ func run() (err error) {
 		}()
 	}
 
-	if fl.list {
-		for _, e := range noc.Experiments() {
-			fmt.Printf("%-10s %-55s [%s]\n", e.ID, e.Title, e.Paper)
-		}
-		return nil
-	}
-
-	var w io.Writer = os.Stdout
+	w := stdout
 	if fl.out != "" {
 		f, ferr := os.Create(fl.out)
 		if ferr != nil {
 			return ferr
 		}
 		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		w = io.MultiWriter(stdout, f)
 	}
 
 	if fl.httpAddr != "" {
@@ -321,6 +315,11 @@ func run() (err error) {
 	}
 
 	switch {
+	case fl.list:
+		for _, e := range noc.Experiments() {
+			fmt.Fprintf(w, "%-10s %-55s [%s]\n", e.ID, e.Title, e.Paper)
+		}
+		return nil
 	case fl.vcdFile != "":
 		return writeQuicklookVCD(w, fl.vcdFile)
 	case fl.sweepFile != "":

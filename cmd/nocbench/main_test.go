@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -154,5 +156,25 @@ func TestRunExperimentsParallelSameBytes(t *testing.T) {
 			t.Errorf("json=%v: -parallel output differs:\n--- sequential ---\n%s\n--- parallel ---\n%s",
 				jsonOut, seq.String(), par.String())
 		}
+	}
+}
+
+// TestListHonoursOut: -list is one of the modes, so its listing goes
+// through the same writer as every other mode's output: -out receives
+// the bytes stdout gets.
+func TestListHonoursOut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "list.txt")
+	fs := flag.NewFlagSet("nocbench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var stdout bytes.Buffer
+	if err := run(fs, []string{"-list", "-out", path}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stdout.String(), "\nfig9 ") || !bytes.Equal(got, stdout.Bytes()) {
+		t.Errorf("-list -out: file holds %q, stdout got %q", got, stdout.String())
 	}
 }

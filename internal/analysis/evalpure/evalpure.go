@@ -1,21 +1,30 @@
 // Package evalpure implements the nocvet analyzer that enforces the
 // two-phase Eval/Commit discipline mechanically: inside an Eval method,
-// no assignment may write a field of another component. Eval computes
-// next state from the currently visible outputs of all components; only
-// Commit may publish state. A cross-component write in Eval makes the
-// result depend on component evaluation order — exactly the property the
-// kernels must be able to assume never holds, since a skipped or parked
-// component's missed Eval may run out of registration order when a wake
-// revises its skip.
+// no assignment may write a field of another component or a wire it
+// reaches through a pointer. Eval computes next state from the
+// currently visible outputs of all components; only Commit may publish
+// state. A cross-component write in Eval makes the result depend on
+// component evaluation order — exactly the property the kernels must be
+// able to assume never holds, since a skipped or parked component's
+// missed Eval may run out of registration order when a wake revises its
+// skip.
 //
-// The rule: for every assignment (including ++/-- and compound forms)
-// whose left-hand side selects a struct field, if the expression being
-// selected on has a type that implements sim.Clocked and is not the
-// method's own receiver, the write is flagged. Writes to the receiver's
-// own fields (r.x = …) and to non-component sub-structs (r.latch.v = …)
-// stay allowed; mutations through the sanctioned staging-mutator calls
-// (peer.Push(w), with sim.Waker wake-up) are method calls, not field
-// writes, and are untouched.
+// The rules, for every assignment (including ++/-- and compound forms):
+//
+//   - If the left-hand side selects a struct field and the expression
+//     being selected on has a type that implements sim.Clocked and is
+//     not the method's own receiver, the write is flagged.
+//   - If the left-hand side dereferences a pointer-typed struct field
+//     (*d.slot = f, *p.valid = false), the write is flagged whoever
+//     owns the field: such a field is a wire into another component —
+//     the input register a feeder drives — and a register is latched in
+//     Commit.
+//
+// Writes to the receiver's own fields (r.x = …), to non-component
+// sub-structs (r.latch.v = …) and through local pointers stay allowed;
+// mutations through the sanctioned staging-mutator calls (peer.Push(w),
+// with sim.Waker wake-up) are method calls, not field writes, and are
+// untouched.
 package evalpure
 
 import (
@@ -29,10 +38,11 @@ import (
 	"repro/internal/analysis/nocvet"
 )
 
-// Analyzer flags cross-component field writes inside Eval methods.
+// Analyzer flags cross-component field writes and writes through
+// pointer fields inside Eval methods.
 var Analyzer = &analysis.Analyzer{
 	Name: "evalpure",
-	Doc: "flag writes to another component's fields from inside an Eval method\n\n" +
+	Doc: "flag writes to another component's fields, or through a pointer field, from inside an Eval method\n\n" +
 		"The two-phase kernel contract requires Eval to leave every externally visible " +
 		"value unchanged; cross-component writes belong in Commit or behind a staging " +
 		"mutator. Suppress with //nocvet:allow evalpure.",
@@ -98,12 +108,23 @@ func evalReceiver(pass *analysis.Pass, fd *ast.FuncDecl, clocked *types.Interfac
 	return sig.Recv()
 }
 
-// checkWrite flags lhs when it is a field selection reached through a
-// component expression other than the receiver itself. The whole base
-// chain is walked so r.peer.Credit = 1, p.Credit = 1 (p := r.peer) and
+// checkWrite flags lhs when it dereferences a pointer-typed struct
+// field, or when it is a field selection reached through a component
+// expression other than the receiver itself. The whole base chain is
+// walked so r.peer.Credit = 1, p.Credit = 1 (p := r.peer) and
 // r.peer.latch.V = 1 are all caught, while r.x and r.latch.V stay
 // allowed.
 func checkWrite(pass *analysis.Pass, sup *nocvet.Suppressions, clocked *types.Interface, recv *types.Var, lhs ast.Expr) {
+	if star, ok := ast.Unparen(lhs).(*ast.StarExpr); ok {
+		if sel, ok := ast.Unparen(star.X).(*ast.SelectorExpr); ok {
+			if s := pass.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				nocvet.Report(pass, sup, lhs.Pos(),
+					"Eval writes through pointer field %s: a pointer field is a wire into another component, so latch the value in Commit",
+					sel.Sel.Name)
+			}
+		}
+		return
+	}
 	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 	if !ok {
 		return

@@ -10,6 +10,7 @@ type Latch struct{ V int }
 type Peer struct {
 	Credit int
 	latch  Latch
+	In     *int // an input register wired to a neighbour
 }
 
 func (p *Peer) Eval()   {}
@@ -25,6 +26,7 @@ type R struct {
 	latch Latch
 	peer  *Peer
 	peers []*Peer
+	wire  *int // the register R drives, wired into a peer's input
 }
 
 func (r *R) Eval() {
@@ -47,11 +49,26 @@ func (r *R) Eval() {
 	_ = local
 
 	r.peer.Credit = 9 //nocvet:allow evalpure -- config write, world not running
+
+	*r.wire = 12        // want `Eval writes through pointer field wire`
+	*r.wire++           // want `Eval writes through pointer field wire`
+	*(r.wire) += 1      // want `Eval writes through pointer field wire`
+	*r.peer.In = 13     // want `Eval writes through pointer field In`
+	*r.peers[0].In = 14 // want `Eval writes through pointer field In`
+
+	r.wire = &r.x // re-pointing the own field, no write through it: allowed
+	w := r.wire
+	*w = 15 // through a local pointer: not a field, allowed
+	x := *r.wire
+	_ = x // reading through the wire: allowed
+
+	*r.wire = 16 //nocvet:allow evalpure -- reset before the world runs
 }
 
 // Commit may publish anywhere — only Eval is checked.
 func (r *R) Commit() {
 	r.peer.Credit = 10
+	*r.wire = 17
 }
 
 // Eval on a non-component type (no Commit) is not checked.

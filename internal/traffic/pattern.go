@@ -15,7 +15,8 @@ import (
 	"repro/internal/sweep"
 )
 
-// This file holds the single-router pattern harnesses: the
+// This file holds the single-router pattern harnesses, and the packet
+// router's port drivers and drain that RunPacket shares with them: the
 // packet-switched and TDM models are single-router models, so a mesh
 // traffic pattern reaches them as a port-to-port flow matrix — the
 // projection pattern.PortFlows computes for the observed router. Every
@@ -79,8 +80,66 @@ func flowSeed(base uint64, i int) uint64 {
 }
 
 // ---------------------------------------------------------------------
-// Packet-switched pattern harness
+// Packet-switched harness: the port drivers and drain RunPacket shares,
+// and the pattern runner
 // ---------------------------------------------------------------------
+
+// packetPorts makes the packet router's input-port drivers on first
+// use, one per port: a tileInjector for the tile port and a flitFeeder
+// on a fresh input register for each neighbour port. Both packet
+// harnesses append every stream's or flow's flits to the queue of the
+// driver of the port it enters on, so the streams entering one port
+// share one flit per cycle, as its link does.
+type packetPorts struct {
+	r      *packetsw.Router
+	queues map[core.Port]*[]packetsw.Flit
+	made   []sim.Clocked // drivers made since the last register
+}
+
+func newPacketPorts(r *packetsw.Router) *packetPorts {
+	return &packetPorts{r: r, queues: map[core.Port]*[]packetsw.Flit{}}
+}
+
+// queue returns the flit queue of port in's driver, making the driver
+// on first use.
+func (p *packetPorts) queue(in core.Port) *[]packetsw.Flit {
+	if q := p.queues[in]; q != nil {
+		return q
+	}
+	var q *[]packetsw.Flit
+	if in == core.Tile {
+		d := &tileInjector{r: p.r}
+		p.made, q = append(p.made, d), &d.queue
+	} else {
+		d := &flitFeeder{r: p.r, port: in, slot: new(packetsw.Flit), prevVC: -1}
+		p.r.ConnectIn(in, d.slot)
+		p.made, q = append(p.made, d), &d.queue
+	}
+	p.queues[in] = q
+	return q
+}
+
+// register adds the drivers made since the last call to the world, in
+// the order they were made.
+func (p *packetPorts) register(w *sim.World) {
+	w.Add(p.made...)
+	p.made = p.made[:0]
+}
+
+// popFlit removes and returns the oldest flit of a non-empty driver
+// queue. An emptied queue restarts at the front of its remaining
+// buffer: a stream driver empties its queue after nearly every word, and
+// advancing past the last flit would leave appends no room, so each
+// word would grow a new array.
+func popFlit(q *[]packetsw.Flit) packetsw.Flit {
+	f := (*q)[0]
+	if len(*q) == 1 {
+		*q = (*q)[:0]
+	} else {
+		*q = (*q)[1:]
+	}
+	return f
+}
 
 // tileInjector stages queued flits into the router's tile port, one per
 // cycle, retrying on backpressure. Quiescent when nothing is queued.
@@ -95,7 +154,7 @@ func (d *tileInjector) Eval() {
 		return
 	}
 	if d.r.Inject(d.queue[0]) {
-		d.queue = d.queue[1:]
+		popFlit(&d.queue)
 	}
 }
 
@@ -111,46 +170,51 @@ func (d *tileInjector) IdleWindow(n uint64) {}
 
 // flitFeeder presents queued flits on an upstream input register, one
 // per cycle — the stand-in for a neighbouring router's registered
-// output. It only presents when the target VC's input FIFO has room
-// (the credit path a real upstream router would observe), stalling the
-// queue otherwise; a flit presented in the previous cycle is still in
-// flight (it enters the FIFO at this cycle's Commit), so it counts
-// against the room too — exact accounting that works at any Depth,
-// including 1. dirty tracks a presented flit that still needs the
-// register cleared, so the component never goes quiescent with stale
-// data on the wire.
+// output. Like that register it chooses its next flit in Eval and
+// latches it in Commit, so the router samples the same flit whenever
+// in the cycle its Eval runs. It only presents when the target VC's
+// input FIFO has room (the credit path a real upstream router would
+// observe), stalling the queue otherwise; a flit presented in the
+// previous cycle is still in flight (it enters the FIFO at this
+// cycle's Commit), so it counts against the room too — exact
+// accounting that works at any Depth, including 1. dirty tracks a
+// presented flit that still needs the register cleared, so the
+// component never goes quiescent with stale data on the wire.
 type flitFeeder struct {
 	r      *packetsw.Router
 	port   core.Port
 	slot   *packetsw.Flit
 	queue  []packetsw.Flit
+	next   packetsw.Flit // the flit Commit latches into slot
 	dirty  bool
 	prevVC int // VC presented in the previous cycle, -1 if none
 }
 
-// Eval implements sim.Clocked.
+// Eval implements sim.Clocked: choose the flit to present next.
 func (d *flitFeeder) Eval() {
-	*d.slot = packetsw.Flit{}
-	d.dirty = false
+	d.next = packetsw.Flit{}
 	inFlight := d.prevVC
 	d.prevVC = -1
-	if len(d.queue) > 0 {
-		vc := d.queue[0].VC
-		backlog := d.r.InputBacklog(d.port, vc)
-		if inFlight == vc {
-			backlog++
-		}
-		if backlog < d.r.P.Depth {
-			*d.slot = d.queue[0]
-			d.queue = d.queue[1:]
-			d.dirty = true
-			d.prevVC = vc
-		}
+	if len(d.queue) == 0 {
+		return
+	}
+	vc := d.queue[0].VC
+	backlog := d.r.InputBacklog(d.port, vc)
+	if inFlight == vc {
+		backlog++
+	}
+	if backlog < d.r.P.Depth {
+		d.next = popFlit(&d.queue)
+		d.prevVC = vc
 	}
 }
 
-// Commit implements sim.Clocked.
-func (d *flitFeeder) Commit() {}
+// Commit implements sim.Clocked: latch the chosen flit, or clear the
+// register.
+func (d *flitFeeder) Commit() {
+	*d.slot = d.next
+	d.dirty = d.next.Valid()
+}
 
 // Quiescent implements sim.Quiescer.
 func (d *flitFeeder) Quiescent() bool { return len(d.queue) == 0 && !d.dirty }
@@ -238,10 +302,9 @@ func RunPacketPattern(flows []pattern.PortFlow, inj pattern.Injection, flipProb 
 	res.FlowsRequested = len(flows)
 	drain := &patternDrain{r: r, stamps: make([][]uint64, len(flows)), rec: stats.NewRecorder(cfg.Window)}
 
-	// One driver per distinct input port, in flow order (which is
-	// port-major, so drivers come up in a deterministic order).
-	tileDrv := (*tileInjector)(nil)
-	feeders := map[core.Port]*flitFeeder{}
+	// One driver per distinct input port, each registered before the
+	// sources of its first flow.
+	ports := newPacketPorts(r)
 	perPortFlows := map[core.Port]int{}
 	var sources []*pattern.Source
 
@@ -258,29 +321,13 @@ func RunPacketPattern(flows []pattern.PortFlow, inj pattern.Injection, flipProb 
 		vc := perPortFlows[f.In] % pp.VCs
 		perPortFlows[f.In]++
 
-		var queue *[]packetsw.Flit
-		if f.In == core.Tile {
-			if tileDrv == nil {
-				tileDrv = &tileInjector{r: r}
-				w.Add(tileDrv)
-			}
-			queue = &tileDrv.queue
-		} else {
-			fd := feeders[f.In]
-			if fd == nil {
-				slot := new(packetsw.Flit)
-				r.ConnectIn(f.In, slot)
-				fd = &flitFeeder{r: r, port: f.In, slot: slot, prevVC: -1}
-				feeders[f.In] = fd
-				w.Add(fd)
-			}
-			queue = &fd.queue
-		}
+		queue := ports.queue(f.In)
+		ports.register(w)
 
 		tag := i
 		gen := bitvec.NewFlipGen(patternWordBits, flipProb, flowSeed(cfg.Seed, i)^0xDA7A)
 		out := f.Out
-		src := pattern.NewSource(flowInjection(inj, pktRate), flowSeed(cfg.Seed, i), perFlowPacketCap(cfg.WordsPerStream))
+		src := pattern.NewSource(flowInjection(inj, pktRate), flowSeed(cfg.Seed, i), wholePackets(cfg.WordsPerStream, PatternPacketWords))
 		src.Tracer, src.Track = cfg.Obs.Tracer, trackName(cfg.Obs.Tracer, "flow%d.src", i)
 		srcRef := src
 		src.Emit = func() bool {
@@ -316,16 +363,6 @@ func RunPacketPattern(flows []pattern.PortFlow, inj pattern.Injection, flipProb 
 	res.Power = meter.Report("packet switched / pattern")
 	res.Attribution = meter.AttributionSorted()
 	return res, nil
-}
-
-// perFlowPacketCap converts a per-flow word budget into the packet
-// budget a source retires at (rounded up to whole packets); 0 stays
-// unlimited.
-func perFlowPacketCap(words uint64) uint64 {
-	if words == 0 {
-		return 0
-	}
-	return (words + PatternPacketWords - 1) / PatternPacketWords
 }
 
 // ---------------------------------------------------------------------

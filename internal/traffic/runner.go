@@ -220,16 +220,64 @@ func trackName(t obs.Tracer, format string, n int) string {
 // lane" offers one word per period on every fabric.
 const laneWordPeriod = 5
 
+// streamOffer drives one Table-3 stream's source on the packet and TDM
+// routers: on cycles phase, phase+laneWordPeriod, … while the stream is
+// under its word budget, it draws through the source's load gate and
+// hands each word and its cycle to enqueue. While the source is live
+// the offerer runs every cycle (the load gate draws once per offer
+// opportunity, part of the cross-kernel byte-identity contract); once
+// the budget is spent it goes quiescent for good, the port drivers
+// drain, and the kernel fast-forwards the rest of the run.
+type streamOffer struct {
+	src     *Source
+	phase   uint64 // cycle of the first offer, below laneWordPeriod
+	limit   uint64 // emitted-word budget; 0 = unlimited
+	enqueue func(word uint32, cycle uint64)
+	cycle   uint64
+}
+
+// Eval implements sim.Clocked.
+func (s *streamOffer) Eval() {
+	if s.cycle%laneWordPeriod == s.phase && !s.Quiescent() {
+		if word, ok := s.src.Offer(); ok {
+			s.enqueue(uint32(word.Data), s.cycle)
+		}
+	}
+}
+
+// Commit implements sim.Clocked.
+func (s *streamOffer) Commit() { s.cycle++ }
+
+// Quiescent implements sim.Quiescer: only a retired source is
+// skippable — a live one's load gate must draw every period. Drained
+// queues are the port drivers' quiescence condition, not the offerer's.
+func (s *streamOffer) Quiescent() bool {
+	return s.limit > 0 && s.src.Sent() >= s.limit
+}
+
+// IdleWindow implements sim.Quiescer: a retired offerer accrues only
+// its clock.
+func (s *streamOffer) IdleWindow(n uint64) { s.cycle += n }
+
 // PacketWordsPerPacket is the payload length used when mapping a word
 // stream onto the packet-switched router: 16 words per packet keeps the
 // head-flit overhead near the paper's "same maximum bandwidth" framing.
 const PacketWordsPerPacket = 16
 
+// packetOfferPhase is the packet streams' first offer cycle: their
+// words fall on cycles 4, 9, 14, ….
+const packetOfferPhase = laneWordPeriod - 1
+
 // RunPacket simulates the packet-switched router under the same scenario.
-// Each stream travels on virtual channel ID-1 and is throttled to one data
-// word per laneWordPeriod cycles — the bandwidth of one circuit-switched
-// lane, the paper's "100% load of a single lane". Streams to a shared
-// output port (scenario IV) are time multiplexed by the switch allocator.
+// Each stream travels on virtual channel ID-1 and offers one data word
+// per laneWordPeriod cycles — the bandwidth of one circuit-switched
+// lane, the paper's "100% load of a single lane" — framed in packets of
+// PacketWordsPerPacket words. A word budget is rounded up to whole
+// packets: a wormhole packet without its Tail flit would hold its
+// output VC forever. The streams entering one port queue their flits on
+// that port's one driver (see packetPorts), which hands the router one
+// flit per cycle as the port's link does; streams to a shared output
+// port (scenario IV) are time multiplexed by the switch allocator.
 func RunPacket(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 	if err := pat.Validate(); err != nil {
 		return Result{}, err
@@ -245,6 +293,8 @@ func RunPacket(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 	w := sim.NewWorld(cfg.worldOpts()...)
 	w.Add(r)
 
+	ports := newPacketPorts(r)
+	limit := wholePackets(cfg.WordsPerStream, PacketWordsPerPacket) * PacketWordsPerPacket
 	var sources []*Source
 	var res Result
 	for _, st := range sc.Streams {
@@ -254,20 +304,13 @@ func RunPacket(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 		}
 		src := NewSourceSeeded(pat, st.ID, cfg.Seed)
 		sources = append(sources, src)
-		gen := &packetGen{
-			src: src, vc: vc, dst: st.Out,
-			period: laneWordPeriod, limit: cfg.WordsPerStream,
-		}
-		if st.In == core.Tile {
-			w.Add(&packetInjector{r: r, gen: gen,
-				tracer: cfg.Obs.Tracer, track: trackName(cfg.Obs.Tracer, "stream%d.src", st.ID)})
-		} else {
-			// Feeder register standing in for the upstream router.
-			slot := new(packetsw.Flit)
-			r.ConnectIn(st.In, slot)
-			w.Add(&packetFeeder{gen: gen, slot: slot})
-		}
+		w.Add(&streamOffer{src: src, phase: packetOfferPhase, limit: limit,
+			enqueue: packetizer(ports.queue(st.In), vc, st.Out, src,
+				cfg.Obs.Tracer, trackName(cfg.Obs.Tracer, "stream%d.src", st.ID))})
 	}
+	// The offerers come before the port drivers, so a word's first flit
+	// leaves its driver in the cycle it is offered.
+	ports.register(w)
 	// The tile ejection sink drains continuously. No stream is stamped,
 	// so it records no latency.
 	drain := &patternDrain{r: r, tracer: cfg.Obs.Tracer}
@@ -287,152 +330,34 @@ func RunPacket(sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 	return res, nil
 }
 
-// packetGen converts a word source into a flit stream: packets of
-// PacketWordsPerPacket words, one data word per period cycles plus the
-// head flit when a packet opens.
-type packetGen struct {
-	src    *Source
-	vc     int
-	dst    core.Port
-	period int
-	limit  uint64 // emitted-word budget; 0 = unlimited
-
-	cycle     int
-	inPacket  int // payload words emitted in the current packet
-	queued    []packetsw.Flit
-	retrySlot *packetsw.Flit
-}
-
-// next returns the flit to emit this cycle, if any.
-func (g *packetGen) next() (packetsw.Flit, bool) {
-	g.cycle++
-	if g.retrySlot != nil {
-		f := *g.retrySlot
-		g.retrySlot = nil
-		return f, true
-	}
-	if len(g.queued) > 0 {
-		f := g.queued[0]
-		g.queued = g.queued[1:]
-		return f, true
-	}
-	if g.cycle%g.period != 0 {
-		return packetsw.Flit{}, false
-	}
-	// A retired source (word budget exhausted) stops drawing from the
-	// load gate, mirroring the circuit runner's sourceDriver. The budget
-	// is applied at packet boundaries only: a packet already opened is
-	// completed (rounding the cap up to the packet length), because a
-	// wormhole packet without its Tail flit would hold its output VC's
-	// ownership in every router on the path forever.
-	if g.limit > 0 && g.inPacket == 0 && g.src.Sent() >= g.limit {
-		return packetsw.Flit{}, false
-	}
-	word, ok := g.src.Offer()
-	if !ok {
-		return packetsw.Flit{}, false
-	}
-	kind := packetsw.Body
-	g.inPacket++
-	if g.inPacket >= PacketWordsPerPacket {
-		kind = packetsw.Tail
-		g.inPacket = 0
-	}
-	data := packetsw.Flit{Kind: kind, VC: g.vc, Data: word.Data}
-	if g.inPacket == 1 {
-		// Open the packet: head first, then the data word.
-		g.queued = append(g.queued, data)
-		return packetsw.Flit{Kind: packetsw.Head, VC: g.vc,
-			Data: packetsw.HeadData(g.dst)}, true
-	}
-	return data, true
-}
-
-// retry re-queues a flit the router could not accept this cycle.
-func (g *packetGen) retry(f packetsw.Flit) { g.retrySlot = &f }
-
-// retired reports whether the generator will emit nothing more: its
-// word budget is spent at a packet boundary and no flit is queued or
-// waiting to retry. From then on next only advances the cycle count,
-// which skip replays.
-func (g *packetGen) retired() bool {
-	return g.limit > 0 && g.inPacket == 0 && g.retrySlot == nil && len(g.queued) == 0 &&
-		g.src.Sent() >= g.limit
-}
-
-// skip replays n cycles of a retired generator.
-func (g *packetGen) skip(n uint64) { g.cycle += int(n) }
-
-// packetInjector injects one stream's flits at the router's tile port,
-// retrying a flit the router refuses on the next cycle. Once its
-// generator is retired it is quiescent, so a finite stream run can
-// fast-forward its drained tail.
-type packetInjector struct {
-	r   *packetsw.Router
-	gen *packetGen
-
-	// tracer, when non-nil, receives an inject event per accepted flit
-	// on the track name.
-	tracer obs.Tracer
-	track  string
-	cycle  uint64
-}
-
-// Eval implements sim.Clocked.
-func (d *packetInjector) Eval() {
-	f, ok := d.gen.next()
-	if !ok {
-		return
-	}
-	if !d.r.Inject(f) {
-		d.gen.retry(f)
-	} else if d.tracer != nil {
-		d.tracer.Emit(obs.Event{Cycle: d.cycle, Track: d.track,
-			Kind: obs.KindInject, Value: int64(f.Kind)})
+// packetizer returns a packet stream's enqueue callback: it frames the
+// words src offers into packets of PacketWordsPerPacket words on
+// virtual channel vc, bound for port dst, and appends their flits to
+// the input port's queue — a Head and the word on a packet's first
+// word, a Tail on its last. A traced run gets one inject event per word
+// on the track, valued with the words sent.
+func packetizer(queue *[]packetsw.Flit, vc int, dst core.Port, src *Source, tracer obs.Tracer, track string) func(uint32, uint64) {
+	return func(word uint32, cycle uint64) {
+		n := src.Sent() // this word's number in the stream, from 1
+		if (n-1)%PacketWordsPerPacket == 0 {
+			*queue = append(*queue, packetsw.Flit{Kind: packetsw.Head, VC: vc, Data: packetsw.HeadData(dst)})
+		}
+		kind := packetsw.Body
+		if n%PacketWordsPerPacket == 0 {
+			kind = packetsw.Tail
+		}
+		*queue = append(*queue, packetsw.Flit{Kind: kind, VC: vc, Data: uint16(word)})
+		if tracer != nil {
+			tracer.Emit(obs.Event{Cycle: cycle, Track: track,
+				Kind: obs.KindInject, Value: int64(n)})
+		}
 	}
 }
 
-// Commit implements sim.Clocked.
-func (d *packetInjector) Commit() { d.cycle++ }
-
-// Quiescent implements sim.Quiescer.
-func (d *packetInjector) Quiescent() bool { return d.gen.retired() }
-
-// IdleWindow implements sim.Quiescer: a retired injector's generator
-// and trace clock still count the skipped cycles.
-func (d *packetInjector) IdleWindow(n uint64) {
-	d.gen.skip(n)
-	d.cycle += n
+// wholePackets returns the packets of size words that carry a budget of
+// words, rounded up; 0 stays unlimited.
+func wholePackets(words uint64, size int) uint64 {
+	return (words + uint64(size) - 1) / uint64(size)
 }
 
-// packetFeeder presents one stream's flits on the feeder register of a
-// neighbour input port, one per cycle, clearing it on cycles with none.
-// It is quiescent once its generator is retired and the register is
-// clear.
-type packetFeeder struct {
-	gen  *packetGen
-	slot *packetsw.Flit
-}
-
-// Eval implements sim.Clocked.
-func (d *packetFeeder) Eval() {
-	*d.slot = packetsw.Flit{}
-	if f, ok := d.gen.next(); ok {
-		*d.slot = f
-	}
-}
-
-// Commit implements sim.Clocked.
-func (d *packetFeeder) Commit() {}
-
-// Quiescent implements sim.Quiescer.
-func (d *packetFeeder) Quiescent() bool {
-	return d.gen.retired() && *d.slot == packetsw.Flit{}
-}
-
-// IdleWindow implements sim.Quiescer: a retired feeder's generator
-// still counts the skipped cycles.
-func (d *packetFeeder) IdleWindow(n uint64) { d.gen.skip(n) }
-
-var _ sim.Quiescer = (*packetInjector)(nil)
-var _ sim.Quiescer = (*packetFeeder)(nil)
+var _ sim.Quiescer = (*streamOffer)(nil)

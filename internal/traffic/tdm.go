@@ -79,9 +79,13 @@ type tdmPresenter struct {
 	in    int
 	data  *uint32
 	valid *bool
-	flows []*tdmFlow
-	cycle uint64
-	wake  func()
+	// next and nextValid are the register values Commit latches into
+	// data and valid.
+	next      uint32
+	nextValid bool
+	flows     []*tdmFlow
+	cycle     uint64
+	wake      func()
 	tdmSinks
 }
 
@@ -141,25 +145,27 @@ func (p *tdmPresenter) Eval() {
 	// The router's next Eval uses the slot after the current one;
 	// present a word iff the table gives that slot to one of this
 	// input's flows and the flow has data queued.
-	*p.valid = false
+	p.nextValid = false
 	upcoming := (p.r.Slot() + 1) % slots
 	for _, f := range p.flows {
 		if p.r.Table.Entry(upcoming, f.out) == p.in && len(f.queue) > 0 {
 			head := f.queue[0]
 			f.queue = f.queue[1:]
-			*p.data = head.word
-			*p.valid = true
+			p.next, p.nextValid = head.word, true
 			f.inFlight = append(f.inFlight, head)
 			break
 		}
 	}
 }
 
-// Commit implements sim.Clocked: words staged by enqueue during this
-// cycle's Eval phase become queued — visible to the next cycle's
-// presentation — in the commit sweep, so the hand-off is deterministic
-// under every kernel.
+// Commit implements sim.Clocked: it latches the word chosen in Eval
+// into the data/valid registers, like the upstream output register
+// they stand in for, and words staged by enqueue during this cycle's
+// Eval phase become queued — visible to the next cycle's presentation
+// — in the commit sweep, so the hand-off is deterministic under every
+// kernel.
 func (p *tdmPresenter) Commit() {
+	*p.data, *p.valid = p.next, p.nextValid
 	for _, f := range p.flows {
 		if len(f.staged) > 0 {
 			f.queue = append(f.queue, f.staged...)
@@ -194,48 +200,6 @@ func tdmDelivered(presenters []*tdmPresenter) uint64 {
 	}
 	return n
 }
-
-// tdmOffer drives one Table-3 stream's source: it offers words at the
-// lane rate through the load gate and enqueues them on the stream's
-// tdmFlow, whose presenter does the rest. It is a first-class component
-// rather than a bare sim.Func so the kernel can retire it: while the
-// source is live the offerer runs every cycle (the load gate draws once
-// per offer opportunity, part of the cross-kernel byte-identity
-// contract), but once the word budget is spent it goes quiescent
-// forever, the presenter drains, and the kernel fast-forwards the rest
-// of the run.
-type tdmOffer struct {
-	src   *Source
-	flow  *tdmFlow
-	limit uint64 // emitted-word budget; 0 = unlimited
-	cycle uint64
-}
-
-// Eval implements sim.Clocked: offer words at the lane rate, gated by
-// the load knob. A retired source (word budget exhausted) stops drawing
-// from the load gate, mirroring the other runners' drivers.
-func (s *tdmOffer) Eval() {
-	if s.cycle%laneWordPeriod == 0 && (s.limit == 0 || s.src.Sent() < s.limit) {
-		if word, ok := s.src.Offer(); ok {
-			s.flow.enqueue(uint32(word.Data), s.cycle)
-		}
-	}
-}
-
-// Commit implements sim.Clocked.
-func (s *tdmOffer) Commit() { s.cycle++ }
-
-// Quiescent implements sim.Quiescer: only a retired source is
-// skippable — a live one's load gate must draw every period. Drained
-// queues are the presenter's quiescence condition, not the offerer's.
-func (s *tdmOffer) Quiescent() bool {
-	return s.limit > 0 && s.src.Sent() >= s.limit
-}
-
-// IdleWindow implements sim.Quiescer: the local clock tracks skipped
-// cycles (only reachable after retirement, where it is no longer read,
-// but kept exact regardless).
-func (s *tdmOffer) IdleWindow(n uint64) { s.cycle += n }
 
 // RunTDM simulates the Æthereal-style TDM router under the scenario.
 // Each stream gets a contention-free guaranteed-throughput reservation
@@ -299,10 +263,11 @@ func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Resul
 		// A word offered this cycle is staged through enqueue, merged at
 		// the presenter's Commit and presentable the next cycle — the
 		// registration order of offerer and presenter does not matter.
+		// The words fall on cycles 0, 5, 10, ….
 		pres := newTDMPresenter(r, in, sinks)
 		presenters = append(presenters, pres)
 		flow := pres.addFlow(out, trackName(sinks.tracer, "stream%d.tdm", st.ID))
-		w.Add(&tdmOffer{src: src, flow: flow, limit: cfg.WordsPerStream}, pres)
+		w.Add(&streamOffer{src: src, limit: cfg.WordsPerStream, enqueue: flow.enqueue}, pres)
 	}
 	if err := r.Table.Validate(); err != nil {
 		return Result{}, err
@@ -326,5 +291,4 @@ func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Resul
 var (
 	_ sim.Quiescer = (*tdmPresenter)(nil)
 	_ sim.Waker    = (*tdmPresenter)(nil)
-	_ sim.Quiescer = (*tdmOffer)(nil)
 )
