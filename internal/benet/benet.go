@@ -31,11 +31,12 @@ func DecodeXY(d uint16) mesh.Coord {
 }
 
 // RouteXY returns the dimension-ordered routing function for a router at
-// the given coordinate: mesh.ExitPort's X-then-Y rule toward the head
+// the given coordinate: core.ExitPort's X-then-Y rule toward the head
 // flit's destination.
 func RouteXY(here mesh.Coord) packetsw.RouteFunc {
 	return func(head uint16) core.Port {
-		return mesh.ExitPort(here, DecodeXY(head), true)
+		dst := DecodeXY(head)
+		return core.ExitPort(here.X, here.Y, dst.X, dst.Y, true)
 	}
 }
 

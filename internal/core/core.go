@@ -76,6 +76,29 @@ func (p Port) Opposite() Port {
 	}
 }
 
+// ExitPort returns the port by which a dimension-ordered route to
+// (dx, dy) leaves the router at (x, y), X first when xFirst, or Tile
+// at the destination: with xFirst, East or West until X matches, then
+// South or North; otherwise the reverse. X grows eastward, Y southward.
+// It is the one rule of the mesh's X-then-Y and Y-then-X routes: the
+// lane allocator, the best-effort network and the single-router
+// pattern projection all take their ports from it.
+func ExitPort(x, y, dx, dy int, xFirst bool) Port {
+	switch {
+	case x != dx && (xFirst || y == dy):
+		if dx > x {
+			return East
+		}
+		return West
+	case y < dy:
+		return South
+	case y > dy:
+		return North
+	default:
+		return Tile
+	}
+}
+
 // Params are the design-time parameters of the circuit-switched router
 // (Section 5.1: "The width and number of lanes are adjustable parameters in
 // the design").

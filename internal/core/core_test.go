@@ -75,6 +75,70 @@ func TestPortOpposite(t *testing.T) {
 	Tile.Opposite()
 }
 
+// TestExitPortRoutes walks ExitPort from every source to every other
+// destination of every mesh from 1×1 to 9×9, X first and Y first: each
+// walk is a shortest route, |dx|+|dy| hops ending on Tile at the
+// destination, that finishes one dimension before it moves in the
+// other. At every router after the source on the X-then-Y route, the
+// entry port — the one facing the previous router — is the port by
+// which the Y-then-X route back to the source leaves: the identity the
+// pattern projection takes its entry ports from.
+func TestExitPortRoutes(t *testing.T) {
+	step := func(x, y int, p Port) (int, int) {
+		switch p {
+		case North:
+			return x, y - 1
+		case South:
+			return x, y + 1
+		case East:
+			return x + 1, y
+		case West:
+			return x - 1, y
+		}
+		t.Fatalf("step through %v", p)
+		return x, y
+	}
+	abs := func(v int) int { return max(v, -v) }
+	horizontal := func(p Port) bool { return p == East || p == West }
+	for w := 1; w <= 9; w++ {
+		for h := 1; h <= 9; h++ {
+			for s := 0; s < w*h; s++ {
+				for d := 0; d < w*h; d++ {
+					if s == d {
+						continue
+					}
+					sx, sy, dx, dy := s%w, s/w, d%w, d/w
+					want := abs(dx-sx) + abs(dy-sy)
+					for _, xFirst := range []bool{true, false} {
+						x, y, hops, turned := sx, sy, 0, false
+						for p := ExitPort(x, y, dx, dy, xFirst); p != Tile; p = ExitPort(x, y, dx, dy, xFirst) {
+							if horizontal(p) != xFirst {
+								turned = true
+							} else if turned {
+								t.Fatalf("%dx%d %d->%d xFirst=%v: %v after the turn at (%d,%d)", w, h, s, d, xFirst, p, x, y)
+							}
+							x, y = step(x, y, p)
+							if x < 0 || x >= w || y < 0 || y >= h || hops == want {
+								t.Fatalf("%dx%d %d->%d xFirst=%v: walked to (%d,%d) after %d hops", w, h, s, d, xFirst, x, y, hops+1)
+							}
+							hops++
+							if xFirst {
+								in := p.Opposite()
+								if back := ExitPort(x, y, sx, sy, false); back != in {
+									t.Fatalf("%dx%d %d->%d: at (%d,%d) entry %v, Y-then-X exit to the source %v", w, h, s, d, x, y, in, back)
+								}
+							}
+						}
+						if x != dx || y != dy || hops != want {
+							t.Fatalf("%dx%d %d->%d xFirst=%v: Tile at (%d,%d) after %d hops, want (%d,%d) after %d", w, h, s, d, xFirst, x, y, hops, dx, dy, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGlobalLaneRoundTrip(t *testing.T) {
 	p := DefaultParams()
 	for g := 0; g < p.TotalLanes(); g++ {

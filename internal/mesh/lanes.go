@@ -105,10 +105,11 @@ func (b *LaneBook) freeLanes(c Coord, port core.Port) int {
 
 // Reserve reserves n parallel lane paths from src to dst, all or
 // nothing, and returns the route taken (both endpoints included) and,
-// per path, one Segment per router from src to dst. It tries XYPath
-// first, then YXPath; each path takes the lowest free tile input at src,
-// the lowest free lane on every hop and the lowest free tile output at
-// dst. Nothing is configured: Configure applies the paths.
+// per path, one Segment per router from src to dst. It tries the
+// X-then-Y route first, then the Y-then-X one; each path takes the
+// lowest free tile input at src, the lowest free lane on every hop and
+// the lowest free tile output at dst. Nothing is configured: Configure
+// applies the paths.
 //
 // Endpoint admission runs first: both routes start at src's tile inputs
 // and end at dst's tile outputs, so a request that finds fewer than n of
@@ -153,7 +154,7 @@ func (b *LaneBook) Reserve(src, dst Coord, n int) ([]Coord, [][]Segment, error) 
 	route := routeOf(src, dst, xFirst)
 	paths := make([][]Segment, n)
 	for i := range paths {
-		paths[i] = b.reservePath(route)
+		paths[i] = b.reservePath(route, xFirst)
 	}
 	b.hops.Observe(uint64(len(route) - 1))
 	return route, paths, nil
@@ -170,7 +171,7 @@ func (b *LaneBook) Reserve(src, dst Coord, n int) ([]Coord, [][]Segment, error) 
 func (b *LaneBook) probe(src, dst Coord, xFirst bool, n int) (at, next Coord, free int) {
 	free = n
 	for c := src; c != dst; {
-		port := ExitPort(c, dst, xFirst)
+		port := core.ExitPort(c.X, c.Y, dst.X, dst.Y, xFirst)
 		nc := c.step(port)
 		if f := b.freeLanes(c, port); f < free {
 			at, next, free = c, nc, f
@@ -180,28 +181,25 @@ func (b *LaneBook) probe(src, dst Coord, xFirst bool, n int) (at, next Coord, fr
 	return at, next, free
 }
 
-// reservePath reserves one lane path along a route that probe found
-// room on: the lowest free tile input at the source, the lowest free
-// lane on every hop and the lowest free tile output at the destination.
-func (b *LaneBook) reservePath(route []Coord) []Segment {
-	src := route[0]
+// reservePath reserves one lane path along a route, X first when
+// xFirst, that probe found room on: the lowest free tile input at the
+// source, the lowest free lane on every hop and the lowest free tile
+// output at the destination.
+func (b *LaneBook) reservePath(route []Coord, xFirst bool) []Segment {
+	src, dst := route[0], route[len(route)-1]
 	tin := b.freeTileIn(src)
 	b.in[b.inIdx(src, tin)] = true
 	segs := make([]Segment, 0, len(route))
 	in := core.LaneID{Port: core.Tile, Lane: tin}
-	last := len(route) - 1
-	for h, node := range route {
-		port := core.Tile
-		if h < last {
-			port, _ = PortTowards(node, route[h+1]) // adjacent by construction
-		}
+	for _, node := range route {
+		port := core.ExitPort(node.X, node.Y, dst.X, dst.Y, xFirst)
 		l := b.freeLane(node, port)
 		out := core.LaneID{Port: port, Lane: l}
 		b.out[b.outIdx(node, out)] = true
 		segs = append(segs, Segment{Node: node, Circuit: core.Circuit{In: in, Out: out}})
-		if h < last {
+		if port != core.Tile {
 			// The link wires lane l of this port to lane l of the
-			// neighbour's opposite port.
+			// neighbour's opposite port; the tile port at dst has none.
 			in = core.LaneID{Port: port.Opposite(), Lane: l}
 		}
 	}

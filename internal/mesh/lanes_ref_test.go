@@ -66,7 +66,7 @@ func (g *refCCN) Allocate(src, dst Coord, lanes int) (*refConn, error) {
 	if src == dst {
 		return nil, fmt.Errorf("ccn: source and destination tile coincide")
 	}
-	routes := [][]Coord{XYPath(src, dst), refYXPath(src, dst)}
+	routes := [][]Coord{xyPath(src, dst), refYXPath(src, dst)}
 	var lastErr error
 	for _, route := range routes {
 		conn, err := g.tryAllocate(route, lanes)
@@ -116,7 +116,7 @@ func (g *refCCN) tryAllocate(route []Coord, lanes int) (*refConn, error) {
 		inLane := core.LaneID{Port: core.Tile, Lane: tin}
 		for h := 0; h < len(route)-1; h++ {
 			node, next := route[h], route[h+1]
-			outPort, err := PortTowards(node, next)
+			outPort, err := portTowards(node, next)
 			if err != nil {
 				release()
 				return nil, err
@@ -156,9 +156,47 @@ func (g *refCCN) tryAllocate(route []Coord, lanes int) (*refConn, error) {
 // refYXPath is the CCN's Y-then-X route, built from two XY legs.
 func refYXPath(from, to Coord) []Coord {
 	mid := Coord{X: from.X, Y: to.Y}
-	path := XYPath(from, mid)
-	rest := XYPath(mid, to)
+	path := xyPath(from, mid)
+	rest := xyPath(mid, to)
 	return append(path, rest[1:]...)
+}
+
+// xyPath is the X-then-Y route, inclusive of both endpoints, walked
+// one coordinate at a time: X until it matches, then Y. It shares no
+// code with core.ExitPort, the rule LaneBook routes by.
+func xyPath(from, to Coord) []Coord {
+	path := []Coord{from}
+	for c := from; c != to; path = append(path, c) {
+		switch {
+		case c.X < to.X:
+			c.X++
+		case c.X > to.X:
+			c.X--
+		case c.Y < to.Y:
+			c.Y++
+		default:
+			c.Y--
+		}
+	}
+	return path
+}
+
+// portTowards returns the port of a that faces b, which must be an
+// adjacent coordinate.
+func portTowards(a, b Coord) (core.Port, error) {
+	dx, dy := b.X-a.X, b.Y-a.Y
+	switch {
+	case dx == 1 && dy == 0:
+		return core.East, nil
+	case dx == -1 && dy == 0:
+		return core.West, nil
+	case dx == 0 && dy == 1:
+		return core.South, nil
+	case dx == 0 && dy == -1:
+		return core.North, nil
+	default:
+		return 0, fmt.Errorf("mesh: %v and %v are not adjacent", a, b)
+	}
 }
 
 func (g *refCCN) Configure(c *refConn) error {
@@ -247,7 +285,7 @@ func (a *refPattern) establish(src, dst Coord) (*core.TxConverter, *core.RxConve
 	if a.freeLane(dst, core.Tile) < 0 {
 		return nil, nil, 0, fmt.Errorf("mesh: no free tile output lane at %v", dst)
 	}
-	routes := [][]Coord{XYPath(src, dst), refYXPath(src, dst)}
+	routes := [][]Coord{xyPath(src, dst), refYXPath(src, dst)}
 	var lastErr error
 	for _, route := range routes {
 		tx, rx, err := a.tryRoute(route)
@@ -293,7 +331,7 @@ func (a *refPattern) tryRoute(route []Coord) (*core.TxConverter, *core.RxConvert
 	inLane := core.LaneID{Port: core.Tile, Lane: tin}
 	for h := 0; h < len(route)-1; h++ {
 		node, next := route[h], route[h+1]
-		outPort, err := PortTowards(node, next)
+		outPort, err := portTowards(node, next)
 		if err != nil {
 			release()
 			return nil, nil, err

@@ -87,8 +87,8 @@ func TestYXPath(t *testing.T) {
 	for a := 0; a < 20; a++ {
 		for c := 0; c < 20; c++ {
 			from, to := Coord{X: a % 5, Y: a / 5}, Coord{X: c % 5, Y: c / 5}
-			if got, want := YXPath(from, to), refYXPath(from, to); !reflect.DeepEqual(got, want) {
-				t.Fatalf("YXPath(%v, %v) = %v, want %v", from, to, got, want)
+			if got, want := routeOf(from, to, false), refYXPath(from, to); !reflect.DeepEqual(got, want) {
+				t.Fatalf("routeOf(%v, %v, false) = %v, want %v", from, to, got, want)
 			}
 		}
 	}

@@ -144,32 +144,6 @@ func (c Coord) step(p core.Port) Coord {
 	return c
 }
 
-// PortTowards returns the port of a that faces b, which must be an
-// adjacent coordinate.
-func PortTowards(a, b Coord) (core.Port, error) {
-	dx, dy := b.X-a.X, b.Y-a.Y
-	switch {
-	case dx == 1 && dy == 0:
-		return core.East, nil
-	case dx == -1 && dy == 0:
-		return core.West, nil
-	case dx == 0 && dy == 1:
-		return core.South, nil
-	case dx == 0 && dy == -1:
-		return core.North, nil
-	default:
-		return 0, fmt.Errorf("mesh: %v and %v are not adjacent", a, b)
-	}
-}
-
-// XYPath returns the dimension-ordered (X first, then Y) route between two
-// coordinates, inclusive of both endpoints.
-func XYPath(from, to Coord) []Coord { return routeOf(from, to, true) }
-
-// YXPath returns the Y-then-X alternative to XYPath, inclusive of both
-// endpoints: it turns at (from.X, to.Y).
-func YXPath(from, to Coord) []Coord { return routeOf(from, to, false) }
-
 // routeOf returns the route from one coordinate to another, X first when
 // xFirst, inclusive of both endpoints.
 func routeOf(from, to Coord, xFirst bool) []Coord {
@@ -177,27 +151,8 @@ func routeOf(from, to Coord, xFirst bool) []Coord {
 	route := make([]Coord, 1, 1+max(dx, -dx)+max(dy, -dy))
 	route[0] = from
 	for c := from; c != to; {
-		c = c.step(ExitPort(c, to, xFirst))
+		c = c.step(core.ExitPort(c.X, c.Y, to.X, to.Y, xFirst))
 		route = append(route, c)
 	}
 	return route
-}
-
-// ExitPort returns the port by which the route to dst leaves c, X first
-// when xFirst, or Tile at dst: with xFirst, East or West until X
-// matches, then South or North.
-func ExitPort(c, dst Coord, xFirst bool) core.Port {
-	switch {
-	case c.X != dst.X && (xFirst || c.Y == dst.Y):
-		if dst.X > c.X {
-			return core.East
-		}
-		return core.West
-	case c.Y < dst.Y:
-		return core.South
-	case c.Y > dst.Y:
-		return core.North
-	default:
-		return core.Tile
-	}
 }

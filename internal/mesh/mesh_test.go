@@ -41,6 +41,9 @@ func TestNewPanicsOnBadSize(t *testing.T) {
 	newMesh(0, 3)
 }
 
+// TestNeighbourAndPortTowards: each port leads to the neighbour on
+// that side, and the route to a neighbour leaves by the port that faces
+// it, X first or Y first.
 func TestNeighbourAndPortTowards(t *testing.T) {
 	m := newMesh(3, 3)
 	c := Coord{1, 1}
@@ -52,9 +55,10 @@ func TestNeighbourAndPortTowards(t *testing.T) {
 		if !ok || got != want {
 			t.Errorf("Neighbour(%v, %v) = %v,%v", c, p, got, ok)
 		}
-		back, err := PortTowards(c, want)
-		if err != nil || back != p {
-			t.Errorf("PortTowards(%v, %v) = %v, %v", c, want, back, err)
+		for _, xFirst := range []bool{true, false} {
+			if back := core.ExitPort(c.X, c.Y, want.X, want.Y, xFirst); back != p {
+				t.Errorf("ExitPort(%v, %v, %v) = %v, want %v", c, want, xFirst, back, p)
+			}
 		}
 	}
 	if _, ok := m.Neighbour(Coord{0, 0}, core.North); ok {
@@ -63,13 +67,10 @@ func TestNeighbourAndPortTowards(t *testing.T) {
 	if _, ok := m.Neighbour(c, core.Tile); ok {
 		t.Fatal("tile port has no neighbour")
 	}
-	if _, err := PortTowards(Coord{0, 0}, Coord{2, 2}); err == nil {
-		t.Fatal("non-adjacent accepted")
-	}
 }
 
 func TestXYPath(t *testing.T) {
-	p := XYPath(Coord{0, 0}, Coord{2, 1})
+	p := routeOf(Coord{0, 0}, Coord{2, 1}, true)
 	want := []Coord{{0, 0}, {1, 0}, {2, 0}, {2, 1}}
 	if len(p) != len(want) {
 		t.Fatalf("path = %v", p)
@@ -79,7 +80,7 @@ func TestXYPath(t *testing.T) {
 			t.Fatalf("path = %v, want %v", p, want)
 		}
 	}
-	if got := XYPath(Coord{1, 1}, Coord{1, 1}); len(got) != 1 {
+	if got := routeOf(Coord{1, 1}, Coord{1, 1}, true); len(got) != 1 {
 		t.Fatalf("self path = %v", got)
 	}
 }
@@ -90,7 +91,7 @@ func TestXYPathProperty(t *testing.T) {
 	f := func(ax, ay, bx, by uint8) bool {
 		a := Coord{int(ax % 8), int(ay % 8)}
 		b := Coord{int(bx % 8), int(by % 8)}
-		p := XYPath(a, b)
+		p := routeOf(a, b, true)
 		if p[0] != a || p[len(p)-1] != b {
 			return false
 		}
@@ -99,7 +100,7 @@ func TestXYPathProperty(t *testing.T) {
 			return false
 		}
 		for i := 1; i < len(p); i++ {
-			if _, err := PortTowards(p[i-1], p[i]); err != nil {
+			if _, err := portTowards(p[i-1], p[i]); err != nil {
 				return false
 			}
 		}

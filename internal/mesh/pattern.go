@@ -307,7 +307,7 @@ func RunPattern(cfg PatternConfig) (*PatternResult, error) {
 
 		// Per-flow deterministic streams: data words and arrival times
 		// both derive from the run seed and the flow's source node.
-		flowSeed := sweep.Mix64(cfg.Seed + uint64(f.Src)*0x9E3779B97F4A7C15)
+		flowSeed := sweep.Seed(cfg.Seed, f.Src)
 		ms := &patternSource{
 			gen:    bitvec.NewFlipGen(16, cfg.FlipProb, flowSeed^0xDA7A),
 			stamps: &flowStamps{},

@@ -242,7 +242,7 @@ func (sp Spatial) Flows(w, h int, seed uint64) []Flow {
 		case Permutation:
 			dst = perm[src]
 		case Uniform, Hotspot, Neighbour:
-			rng := bitvec.NewXorShift64(sweep.Mix64(seed + uint64(src)*0x9E3779B97F4A7C15 + 1))
+			rng := bitvec.NewXorShift64(sweep.Seed(seed+1, src))
 			dst = sp.Draw(rng, src, w, h)
 		default:
 			dst = sp.fixedDest(src, w, h)
@@ -344,7 +344,10 @@ func PortFlows(sp Spatial, w, h, obs int, seed uint64) []PortFlow {
 		if !ok {
 			return
 		}
-		in, out := portsAt(d.sx, d.sy, dx, dy, ox, oy)
+		// The X-then-Y route enters obs by the port by which the
+		// Y-then-X route from obs back to the source leaves it.
+		in := core.ExitPort(ox, oy, d.sx, d.sy, false)
+		out := core.ExitPort(ox, oy, dx, dy, true)
 		weight[in][out] += p
 		present[in][out] = true
 	}
@@ -471,59 +474,4 @@ func beyond(s, o, n int) (lo, hi int) {
 	default:
 		return 0, n - 1
 	}
-}
-
-// portsAt returns the entry and exit ports at the observed node
-// (ox, oy) of the XY route (sx, sy)→(dx, dy), X first, then Y, which
-// must pass through it. The endpoints differ.
-func portsAt(sx, sy, dx, dy, ox, oy int) (in, out core.Port) {
-	// The XY route moves along row sy from sx to dx, then along column
-	// dx from sy to dy.
-	onX := oy == sy && between(ox, sx, dx)
-
-	// Entry port: where the word comes from, seen from obs.
-	switch {
-	case ox == sx && oy == sy:
-		in = core.Tile
-	case onX: // arrived moving horizontally
-		if dx > sx {
-			in = core.West
-		} else {
-			in = core.East
-		}
-	default: // arrived moving vertically on the Y leg
-		if dy > sy {
-			in = core.North
-		} else {
-			in = core.South
-		}
-	}
-
-	// Exit port: where the word goes next.
-	switch {
-	case ox == dx && oy == dy:
-		out = core.Tile
-	case onX && ox != dx: // keeps moving horizontally
-		if dx > sx {
-			out = core.East
-		} else {
-			out = core.West
-		}
-	default: // turns or continues vertically
-		if dy > sy {
-			out = core.South
-		} else {
-			out = core.North
-		}
-	}
-	return in, out
-}
-
-// between reports whether v lies on the inclusive segment [a,b] (in
-// either direction).
-func between(v, a, b int) bool {
-	if a > b {
-		a, b = b, a
-	}
-	return v >= a && v <= b
 }

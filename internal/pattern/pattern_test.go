@@ -319,6 +319,15 @@ func portsThrough(src, dst, obs, w int) (in, out core.Port, ok bool) {
 	return in, out, true
 }
 
+// between reports whether v lies on the inclusive segment [a,b] (in
+// either direction).
+func between(v, a, b int) bool {
+	if a > b {
+		a, b = b, a
+	}
+	return v >= a && v <= b
+}
+
 // checkPortFlows compares PortFlows against the reference scan: the
 // same port pairs in the same order, with bit-identical weights.
 func checkPortFlows(t *testing.T, sp Spatial, w, h, obs int, seed uint64) {

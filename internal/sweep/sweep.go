@@ -27,6 +27,14 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// Seed returns seed i of the stream based at base: one Mix64 step over
+// base advanced by i golden-ratio strides. Sweep cells, replications
+// and pattern flows each draw their seeds from such a stream, each with
+// its own base.
+func Seed(base uint64, i int) uint64 {
+	return Mix64(base + uint64(i)*0x9E3779B97F4A7C15)
+}
+
 // Normalize clamps a worker count to [1, n]: non-positive values mean
 // DefaultWorkers, and a pool never exceeds the job count.
 func Normalize(workers, n int) int {

@@ -75,9 +75,7 @@ func flowInjection(inj pattern.Injection, rate float64) pattern.Injection {
 
 // flowSeed derives one flow's RNG seed from the run seed and the flow's
 // position, so flows are decorrelated but each is reproducible.
-func flowSeed(base uint64, i int) uint64 {
-	return sweep.Mix64(base + uint64(i)*0x9E3779B97F4A7C15 + 0xF10)
-}
+func flowSeed(base uint64, i int) uint64 { return sweep.Seed(base+0xF10, i) }
 
 // ---------------------------------------------------------------------
 // Packet-switched harness: the port drivers and drain RunPacket shares,
@@ -390,13 +388,10 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 	if flipProb < 0 || flipProb > 1 {
 		return PatternRunResult{}, fmt.Errorf("traffic: flip probability %v out of [0,1]", flipProb)
 	}
-	seenPair := map[[2]core.Port]bool{}
-	for _, f := range flows {
-		pair := [2]core.Port{f.In, f.Out}
-		if seenPair[pair] {
-			return PatternRunResult{}, fmt.Errorf("traffic: TDM router: two flows from port %v to port %v", f.In, f.Out)
-		}
-		seenPair[pair] = true
+	if err := distinctPairs(len(flows), func(i int) (core.Port, core.Port) {
+		return flows[i].In, flows[i].Out
+	}); err != nil {
+		return PatternRunResult{}, err
 	}
 	r := aethereal.NewRouter(ap)
 	meter := power.NewMeter(aethereal.Netlist(ap, cfg.Lib), cfg.Lib, cfg.FreqMHz)
@@ -410,8 +405,7 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 	sinks := tdmSinks{rec: stats.NewRecorder(cfg.Window), meter: meter,
 		toggles: int(flipProb*patternWordBits + 0.5), tracer: cfg.Obs.Tracer}
 
-	presenters := map[int]*tdmPresenter{}
-	var presenterOrder []*tdmPresenter
+	ports := &tdmPorts{r: r, w: w, sinks: sinks}
 	var sources []*pattern.Source
 	for i, f := range flows {
 		rate := flowRate(inj, f.Weight)
@@ -429,14 +423,7 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 		}
 		res.FlowsEstablished++
 
-		pres := presenters[in]
-		if pres == nil {
-			pres = newTDMPresenter(r, in, sinks)
-			presenters[in] = pres
-			presenterOrder = append(presenterOrder, pres)
-			w.Add(pres)
-		}
-		fs := pres.addFlow(out, trackName(sinks.tracer, "flow%d.tdm", i))
+		fs := ports.flow(in, out, trackName(sinks.tracer, "flow%d.tdm", i))
 
 		gen := bitvec.NewFlipGen(patternWordBits, flipProb, flowSeed(cfg.Seed, i)^0xDA7A)
 		src := pattern.NewSource(flowInjection(inj, rate), flowSeed(cfg.Seed, i), cfg.WordsPerStream)
@@ -464,7 +451,7 @@ func RunTDMPattern(ap aethereal.Params, flows []pattern.PortFlow, inj pattern.In
 	for _, s := range sources {
 		res.WordsSent += s.Sent()
 	}
-	res.WordsDelivered = tdmDelivered(presenterOrder)
+	res.WordsDelivered = ports.delivered()
 	res.WarmupCycles, res.Latency = sinks.rec.Result()
 	res.Power = meter.Report("aethereal / pattern")
 	res.Attribution = meter.AttributionSorted()

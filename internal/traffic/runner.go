@@ -223,11 +223,13 @@ const laneWordPeriod = 5
 // streamOffer drives one Table-3 stream's source on the packet and TDM
 // routers: on cycles phase, phase+laneWordPeriod, … while the stream is
 // under its word budget, it draws through the source's load gate and
-// hands each word and its cycle to enqueue. While the source is live
-// the offerer runs every cycle (the load gate draws once per offer
-// opportunity, part of the cross-kernel byte-identity contract); once
-// the budget is spent it goes quiescent for good, the port drivers
-// drain, and the kernel fast-forwards the rest of the run.
+// hands each word and its cycle to enqueue. Between its offer cycles
+// the offerer is quiescent and reports the next one through NextEvent,
+// so the kernel skips it there and may fast-forward up to it; the load
+// gate still draws once per offer opportunity, part of the
+// cross-kernel byte-identity contract. Once the budget is spent it is
+// quiescent for good, the port drivers drain, and the kernel
+// fast-forwards the rest of the run.
 type streamOffer struct {
 	src     *Source
 	phase   uint64 // cycle of the first offer, below laneWordPeriod
@@ -238,7 +240,7 @@ type streamOffer struct {
 
 // Eval implements sim.Clocked.
 func (s *streamOffer) Eval() {
-	if s.cycle%laneWordPeriod == s.phase && !s.Quiescent() {
+	if !s.Quiescent() {
 		if word, ok := s.src.Offer(); ok {
 			s.enqueue(uint32(word.Data), s.cycle)
 		}
@@ -248,16 +250,30 @@ func (s *streamOffer) Eval() {
 // Commit implements sim.Clocked.
 func (s *streamOffer) Commit() { s.cycle++ }
 
-// Quiescent implements sim.Quiescer: only a retired source is
-// skippable — a live one's load gate must draw every period. Drained
-// queues are the port drivers' quiescence condition, not the offerer's.
-func (s *streamOffer) Quiescent() bool {
+// retired reports the word budget spent.
+func (s *streamOffer) retired() bool {
 	return s.limit > 0 && s.src.Sent() >= s.limit
 }
 
-// IdleWindow implements sim.Quiescer: a retired offerer accrues only
+// Quiescent implements sim.Quiescer: off its offer cycles, or retired.
+// Drained queues are the port drivers' quiescence condition, not the
+// offerer's.
+func (s *streamOffer) Quiescent() bool {
+	return s.cycle%laneWordPeriod != s.phase || s.retired()
+}
+
+// IdleWindow implements sim.Quiescer: a skipped offerer accrues only
 // its clock.
 func (s *streamOffer) IdleWindow(n uint64) { s.cycle += n }
+
+// NextEvent implements sim.Timed: a live offerer's next offer cycle,
+// which ends its quiescence with no external stimulus.
+func (s *streamOffer) NextEvent() (uint64, bool) {
+	if s.retired() {
+		return 0, false
+	}
+	return s.cycle + (s.phase+laneWordPeriod-s.cycle%laneWordPeriod)%laneWordPeriod, true
+}
 
 // PacketWordsPerPacket is the payload length used when mapping a word
 // stream onto the packet-switched router: 16 words per packet keeps the
@@ -360,4 +376,4 @@ func wholePackets(words uint64, size int) uint64 {
 	return (words + uint64(size) - 1) / uint64(size)
 }
 
-var _ sim.Quiescer = (*streamOffer)(nil)
+var _ sim.Timed = (*streamOffer)(nil)

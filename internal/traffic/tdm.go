@@ -12,9 +12,9 @@ import (
 )
 
 // This file holds the Æthereal-style TDM router's harness: the slot
-// presenter both TDM runners share, and the Table-3 stream runner
-// RunTDM. The pattern runner, RunTDMPattern, sits with the other
-// pattern harnesses in pattern.go.
+// presenters both TDM runners share, one per input port (tdmPorts), and
+// the Table-3 stream runner RunTDM. The pattern runner, RunTDMPattern,
+// sits with the other pattern harnesses in pattern.go.
 
 // tdmPending is one word queued at a TDM input with its injection
 // stamp.
@@ -104,23 +104,6 @@ type tdmSinks struct {
 	tracer  obs.Tracer
 }
 
-// newTDMPresenter wires a presenter to the router's input port in and
-// returns it; register it with the simulation world after the router.
-func newTDMPresenter(r *aethereal.Router, in int, s tdmSinks) *tdmPresenter {
-	p := &tdmPresenter{r: r, in: in, data: new(uint32), valid: new(bool), tdmSinks: s}
-	r.ConnectIn(in, p.data, p.valid)
-	return p
-}
-
-// addFlow attaches the flow to output port out, traced on the given
-// track: words enqueued on it are presented in the slots the table
-// reserves for (in,out), and deliveries are observed on output port out.
-func (p *tdmPresenter) addFlow(out int, track string) *tdmFlow {
-	f := &tdmFlow{p: p, out: out, track: track}
-	p.flows = append(p.flows, f)
-	return f
-}
-
 // Eval implements sim.Clocked.
 func (p *tdmPresenter) Eval() {
 	slots := p.r.P.Slots
@@ -190,15 +173,65 @@ func (p *tdmPresenter) Quiescent() bool {
 // IdleWindow implements sim.Quiescer.
 func (p *tdmPresenter) IdleWindow(n uint64) { p.cycle += n }
 
-// tdmDelivered sums the words the presenters' flows delivered.
-func tdmDelivered(presenters []*tdmPresenter) uint64 {
+// tdmPorts makes the TDM router's input-port presenters on first use,
+// one per port, and registers each with the world as it is made. Both
+// TDM harnesses attach every stream or flow to the presenter of the
+// port it enters on, so the flows entering one port share its one
+// data/valid register pair, as the router's input stage does.
+type tdmPorts struct {
+	r          *aethereal.Router
+	w          *sim.World
+	sinks      tdmSinks
+	presenters []*tdmPresenter // in the order they were made
+}
+
+// flow attaches a flow from input port in to output port out, traced on
+// the given track: words enqueued on it are presented in the slots the
+// table reserves for (in,out), and deliveries are observed on output
+// port out. The caller keeps each (in,out) pair to one flow.
+func (t *tdmPorts) flow(in, out int, track string) *tdmFlow {
+	var p *tdmPresenter
+	for _, q := range t.presenters {
+		if q.in == in {
+			p = q
+			break
+		}
+	}
+	if p == nil {
+		p = &tdmPresenter{r: t.r, in: in, data: new(uint32), valid: new(bool), tdmSinks: t.sinks}
+		t.r.ConnectIn(in, p.data, p.valid)
+		t.presenters = append(t.presenters, p)
+		t.w.Add(p)
+	}
+	f := &tdmFlow{p: p, out: out, track: track}
+	p.flows = append(p.flows, f)
+	return f
+}
+
+// delivered sums the words every flow delivered.
+func (t *tdmPorts) delivered() uint64 {
 	var n uint64
-	for _, p := range presenters {
+	for _, p := range t.presenters {
 		for _, f := range p.flows {
 			n += f.delivered
 		}
 	}
 	return n
+}
+
+// distinctPairs returns an error if two of n flows, whose ports pair
+// returns, share one (in,out) port pair: the slot table books slots per
+// pair, so a presenter could not tell the two apart.
+func distinctPairs(n int, pair func(i int) (in, out core.Port)) error {
+	seen := map[[2]core.Port]bool{}
+	for i := 0; i < n; i++ {
+		in, out := pair(i)
+		if seen[[2]core.Port{in, out}] {
+			return fmt.Errorf("traffic: TDM router: two flows from port %v to port %v", in, out)
+		}
+		seen[[2]core.Port{in, out}] = true
+	}
+	return nil
 }
 
 // RunTDM simulates the Æthereal-style TDM router under the scenario.
@@ -207,10 +240,12 @@ func tdmDelivered(presenters []*tdmPresenter) uint64 {
 // forwards one word per reserved slot, so matching a lane's word per
 // laneWordPeriod cycles takes that fraction of the table, rounded up (the
 // 32-bit link has bandwidth to spare — the slot count, not the link
-// width, is the limit). A stream that gets fewer slots fails the run.
-// Words are then streamed through the reservations and metered; the
-// latency series covers every delivered word, since the functional
-// model observes every output port.
+// width, is the limit). A stream that gets fewer slots fails the run,
+// and so do two streams on one (in,out) pair; the streams entering one
+// input port share its presenter (tdmPorts), which multiplexes them
+// onto their slots. Words are then streamed through the reservations
+// and metered; the latency series covers every delivered word, since
+// the functional model observes every output port.
 func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Result, error) {
 	if err := pat.Validate(); err != nil {
 		return Result{}, err
@@ -221,6 +256,11 @@ func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Resul
 	if err := ap.Validate(); err != nil {
 		return Result{}, err
 	}
+	if err := distinctPairs(len(sc.Streams), func(i int) (core.Port, core.Port) {
+		return sc.Streams[i].In, sc.Streams[i].Out
+	}); err != nil {
+		return Result{}, err
+	}
 	r := aethereal.NewRouter(ap)
 	meter := power.NewMeter(aethereal.Netlist(ap, cfg.Lib), cfg.Lib, cfg.FreqMHz)
 	// The router ticks the meter itself (Commit and IdleWindow), so
@@ -229,25 +269,14 @@ func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Resul
 	w := sim.NewWorld(cfg.worldOpts()...)
 	w.Add(r)
 
-	// One stream per input port: the functional model registers one
-	// upstream word per port, like the real router's input stage, so
-	// each stream gets its own presenter.
-	seenIn := map[core.Port]bool{}
-	for _, st := range sc.Streams {
-		if seenIn[st.In] {
-			return Result{}, fmt.Errorf("traffic: TDM router: two streams enter on port %v", st.In)
-		}
-		seenIn[st.In] = true
-	}
-
 	var res Result
 	// The average toggling bits per forwarded word under the pattern's
 	// flip probability, split over register, crossbar and link nets.
 	sinks := tdmSinks{rec: stats.NewRecorder(cfg.Window), meter: meter,
 		toggles: int(pat.FlipProb*patternWordBits + 0.5), tracer: cfg.Obs.Tracer}
+	ports := &tdmPorts{r: r, w: w, sinks: sinks}
 	slotsNeeded := (ap.Slots + laneWordPeriod - 1) / laneWordPeriod
 	var sources []*Source
-	var presenters []*tdmPresenter
 	for _, st := range sc.Streams {
 		in, out := int(st.In), int(st.Out)
 		slots, err := r.Table.ReserveSpread(in, out, slotsNeeded)
@@ -264,10 +293,8 @@ func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Resul
 		// the presenter's Commit and presentable the next cycle — the
 		// registration order of offerer and presenter does not matter.
 		// The words fall on cycles 0, 5, 10, ….
-		pres := newTDMPresenter(r, in, sinks)
-		presenters = append(presenters, pres)
-		flow := pres.addFlow(out, trackName(sinks.tracer, "stream%d.tdm", st.ID))
-		w.Add(&streamOffer{src: src, limit: cfg.WordsPerStream, enqueue: flow.enqueue}, pres)
+		flow := ports.flow(in, out, trackName(sinks.tracer, "stream%d.tdm", st.ID))
+		w.Add(&streamOffer{src: src, limit: cfg.WordsPerStream, enqueue: flow.enqueue})
 	}
 	if err := r.Table.Validate(); err != nil {
 		return Result{}, err
@@ -281,7 +308,7 @@ func RunTDM(ap aethereal.Params, sc Scenario, pat Pattern, cfg RunConfig) (Resul
 	for _, s := range sources {
 		res.WordsSent += s.Sent()
 	}
-	res.WordsDelivered = tdmDelivered(presenters)
+	res.WordsDelivered = ports.delivered()
 	_, res.Latency = sinks.rec.Result()
 	res.Power = meter.Report("aethereal / scenario " + sc.Name)
 	res.Attribution = meter.AttributionSorted()

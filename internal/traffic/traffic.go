@@ -13,10 +13,11 @@
 // stream's words come from one lane-rate offerer (streamOffer); both
 // packet harnesses feed the router through one driver per input port
 // (packetPorts) and pop its tile ejection queue through one drain; both
-// TDM harnesses present words through one slot presenter. Every driver
-// of a router input register chooses the register's next value in Eval
-// and latches it in Commit, so results are byte-identical under both
-// simulation kernels whatever order the components are registered in.
+// TDM harnesses present words through one slot presenter per input port
+// (tdmPorts). Every driver of a router input register chooses the
+// register's next value in Eval and latches it in Commit, so results
+// are byte-identical under both simulation kernels whatever order the
+// components are registered in.
 package traffic
 
 import (

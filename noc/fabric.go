@@ -27,11 +27,12 @@ const defaultLatencyWords = 200
 // virtual-channel baseline and the Æthereal-style slot-table TDM
 // comparator. Every knob is declared once, in the embedded FabricSpec,
 // whose zero fields mean the paper's defaults; beside it sit
-// WithNodeTrace's depth and the run-time hooks, none of which changes a
-// Result byte.
+// WithNodeTrace's depth, the simulation kernel and the run-time hooks,
+// none of which changes a Result byte.
 type fabric struct {
 	FabricSpec
-	traceCycles int // workload runs: VCD capture depth for node (0,0)
+	traceCycles int    // workload runs: VCD capture depth for node (0,0)
+	kernel      Kernel // WithKernel, or the sweep's kernel
 
 	worldObserver func(*sim.World) // test hook: kernel diagnostics after a run
 
@@ -81,10 +82,10 @@ func (f fabric) Validate() error {
 	if _, err := cornerLib(f.Corner); err != nil {
 		return err
 	}
-	if _, err := ParseKernel(f.Kernel); err != nil {
+	if _, err := ParseKernel(string(f.kernel)); err != nil {
 		return err
 	}
-	if f.LatencyWords != nil && *f.LatencyWords < -1 {
+	if f.LatencyWords != nil && *f.LatencyWords < 0 {
 		return fmt.Errorf("noc: negative latency word count %d", *f.LatencyWords)
 	}
 	if f.traceCycles < 0 {
@@ -293,10 +294,10 @@ func (f fabric) tdmParams() aethereal.Params {
 	return p
 }
 
-// latencySamples resolves the latency word count: unset and -1 mean
-// the default.
+// latencySamples resolves the latency word count: unset means the
+// default.
 func (f fabric) latencySamples() int {
-	if f.LatencyWords == nil || *f.LatencyWords == -1 {
+	if f.LatencyWords == nil {
 		return defaultLatencyWords
 	}
 	return *f.LatencyWords
@@ -307,7 +308,7 @@ func (f fabric) latencySamples() int {
 // Validate rejects them via ParseKernel before any world is built, and
 // every other accepted name means the production kernel.
 func (f fabric) simKernel() sim.Kernel {
-	if Kernel(f.Kernel) == KernelNaive {
+	if f.kernel == KernelNaive {
 		return sim.KernelNaive
 	}
 	return sim.KernelActive

@@ -199,16 +199,17 @@ func TestParseKernel(t *testing.T) {
 }
 
 // TestSweepSpecRejectsUnknownKernel: a typoed kernel in the sweep spec
-// or a fabric spec fails validation instead of silently running the
-// default.
+// fails validation instead of silently running the default, and a
+// fabric spec has no kernel: the kernel changes no Result byte, so it
+// is the sweep's, not a cell's.
 func TestSweepSpecRejectsUnknownKernel(t *testing.T) {
 	spec := SweepSpec{Kernel: "warp"}
 	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "warp") {
 		t.Fatalf("spec-level kernel: Validate() = %v", err)
 	}
-	spec = SweepSpec{Fabrics: []FabricSpec{{Kind: KindCircuit, Kernel: "warp"}}}
-	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "warp") {
-		t.Fatalf("fabric-level kernel: Validate() = %v", err)
+	fabricLevel := `{"fabrics":[{"kind":"circuit","kernel":"naive"}]}`
+	if _, err := ParseSweepSpec([]byte(fabricLevel)); err == nil || !strings.Contains(err.Error(), `unknown field "kernel"`) {
+		t.Fatalf("ParseSweepSpec(%s) = %v, want an unknown-field error", fabricLevel, err)
 	}
 	for _, k := range []string{"warp", "gated", "event"} {
 		spec := fmt.Sprintf(`{"kernel":%q}`, k)

@@ -10,7 +10,7 @@
 // declaratively from a FabricSpec) and tuned with functional options
 // (WithLanes, WithBufferDepth, WithClockGating, ...). One fabric type
 // implements all three kinds: every knob is declared once, as a
-// FabricSpec field each option sets, and one Run dispatches a scenario
+// FabricSpec field its option sets, and one Run dispatches a scenario
 // on its shape and the fabric's kind. Invalid option combinations
 // surface as errors from Fabric.Validate, which NewSimulator and Run
 // call for you:

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -22,6 +23,7 @@ func TestOptionValidationErrors(t *testing.T) {
 		{"negative BE depth", AetherealTDM(WithBEDepth(-1)), "BE depth"},
 		{"bad corner", CircuitSwitched(WithLibraryCorner("ulp")), "corner"},
 		{"bad latency words", PacketSwitched(WithLatencyWords(-7)), "latency"},
+		{"latency words -1", CircuitSwitched(WithLatencyWords(-1)), "latency"},
 		{"empty cache directory", CircuitSwitched(WithCache("")), "WithCache"},
 	}
 	for _, c := range cases {
@@ -221,13 +223,38 @@ func TestLaneOptionBoundsStreams(t *testing.T) {
 	}
 }
 
-func TestTDMRejectsSharedInputPort(t *testing.T) {
-	sc := Scenario{Name: "shared", Streams: []Stream{
-		{ID: 1, In: Tile, Out: East},
-		{ID: 2, In: Tile, Out: West},
-	}}
-	if _, err := AetherealTDM().Run(sc); err == nil {
-		t.Fatal("TDM fabric accepted two streams on one input port")
+// TestTDMSharedInputPort: streams entering one input port share its
+// presenter, which multiplexes them onto the slots the table reserves
+// for each (in,out) pair. Each stream set runs under both kernels with
+// the same bytes, and every stream's words arrive but the last one
+// still in flight at the end of the run. Two streams on one (in,out)
+// pair still fail: the table books slots per pair.
+func TestTDMSharedInputPort(t *testing.T) {
+	for _, c := range []struct {
+		streams         []Stream
+		sent, delivered uint64
+	}{
+		{[]Stream{{ID: 1, In: Tile, Out: East}, {ID: 2, In: Tile, Out: West}}, 2000, 1998},
+		{[]Stream{{ID: 1, In: North, Out: Tile}, {ID: 2, In: North, Out: East}, {ID: 3, In: North, Out: West}}, 3000, 2997},
+	} {
+		sc := Scenario{Name: "shared", Streams: c.streams}
+		naive := runJSON(t, AetherealTDM(WithKernel(KernelNaive)), sc)
+		active := runJSON(t, AetherealTDM(), sc)
+		if !bytes.Equal(naive, active) {
+			t.Fatalf("%v: kernels disagree\nnaive:  %s\nactive: %s", c.streams, naive, active)
+		}
+		var res Result
+		if err := json.Unmarshal(active, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.WordsSent != c.sent || res.WordsDelivered != c.delivered {
+			t.Errorf("%v: sent %d, delivered %d words; want %d and %d",
+				c.streams, res.WordsSent, res.WordsDelivered, c.sent, c.delivered)
+		}
+	}
+	dup := Scenario{Name: "dup", Streams: []Stream{{ID: 1, In: Tile, Out: East}, {ID: 2, In: Tile, Out: East}}}
+	if _, err := AetherealTDM().Run(dup); err == nil || !strings.Contains(err.Error(), "two flows from port Tile to port East") {
+		t.Errorf("two streams on one (in,out) pair: err = %v", err)
 	}
 }
 

@@ -41,11 +41,11 @@ func ParseKernel(s string) (Kernel, error) {
 }
 
 // Option tunes a fabric away from the paper's default configuration:
-// each sets one FabricSpec field, or one of WithNodeTrace's depth and
-// the run-time hooks. Options that do not apply to a fabric are ignored
-// by it (e.g. WithBufferDepth on the circuit-switched fabric, which has
-// no buffers). Invalid values are reported by Fabric.Validate, not at
-// option time.
+// each sets one FabricSpec field, or one of WithNodeTrace's depth, the
+// simulation kernel and the run-time hooks. Options that do not apply
+// to a fabric are ignored by it (e.g. WithBufferDepth on the
+// circuit-switched fabric, which has no buffers). Invalid values are
+// reported by Fabric.Validate, not at option time.
 type Option func(*fabric)
 
 // WithLanes sets the circuit-switched router's lane count per port
@@ -78,8 +78,9 @@ func WithLibraryCorner(corner string) Option { return func(f *fabric) { f.Corner
 
 // WithLatencyWords sets how many timed word deliveries the latency
 // measurement of the circuit and packet fabrics collects per
-// single-router stream run (default 200); 0 disables that measurement.
-// The TDM fabric measures latency in-run and ignores the count.
+// single-router stream run (default 200); 0 disables that measurement,
+// and a negative count is an error. The TDM fabric measures latency
+// in-run and ignores the count.
 func WithLatencyWords(n int) Option { return func(f *fabric) { f.LatencyWords = &n } }
 
 // WithNodeTrace records up to the given number of cycles of node (0,0)'s
@@ -92,7 +93,7 @@ func WithNodeTrace(cycles int) Option { return func(f *fabric) { f.traceCycles =
 // speed. The naive kernel evaluates everything and exists for
 // verification. Every simulation is single-threaded; parallelism comes
 // from the sweep pool, one run per worker.
-func WithKernel(k Kernel) Option { return func(f *fabric) { f.Kernel = string(k) } }
+func WithKernel(k Kernel) Option { return func(f *fabric) { f.kernel = k } }
 
 // WithCache enables the content-addressed result cache in directory
 // dir (created if missing): every single run (including each

@@ -300,6 +300,39 @@ func TestPacketFiniteRunFastForwards(t *testing.T) {
 	t.Logf("%d fast-forward windows, %d cycles", windows, ffCycles)
 }
 
+// TestStreamOffersSleepBetweenOffers: a stream's offerer acts on one
+// cycle in laneWordPeriod and is skipped on the others, so the finite
+// scenario-III run (100-word streams, 20,000 cycles) evaluates fewer
+// components than the per-stream generators it replaced did on the
+// packet fabric (1,695 evals), and than an offerer evaluated every
+// cycle did on the TDM fabric (2,170).
+func TestStreamOffersSleepBetweenOffers(t *testing.T) {
+	sc, err := PaperScenario("III")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Cycles = 20000
+	sc.WordsPerStream = 100
+	for _, c := range []struct {
+		kind  Kind
+		fab   func(...Option) Fabric
+		below uint64
+	}{
+		{KindPacket, PacketSwitched, 1695},
+		{KindTDM, AetherealTDM, 2170},
+	} {
+		var evals uint64
+		f := c.fab(WithLatencyWords(0), withWorldObserver(func(w *sim.World) { evals = w.Evals() }))
+		if _, err := f.Run(sc); err != nil {
+			t.Fatal(err)
+		}
+		if evals == 0 || evals >= c.below {
+			t.Errorf("%s finite scenario III: %d evals, want fewer than %d", c.kind, evals, c.below)
+		}
+		t.Logf("%s: %d evals", c.kind, evals)
+	}
+}
+
 // TestPatternSweepDeterminism: a pattern grid sweep is byte-identical
 // across worker counts and across kernels.
 func TestPatternSweepDeterminism(t *testing.T) {

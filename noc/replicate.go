@@ -28,7 +28,7 @@ const replicationSalt = 0xC2B2AE3D27D4EB4F
 // ratio strided by the replication index. Exported so tests can pin the
 // stream's disjointness from the sweep engine's per-cell seeds.
 func ReplicationSeed(base uint64, rep int) uint64 {
-	return sweep.Mix64((base ^ replicationSalt) + uint64(rep)*0x9E3779B97F4A7C15)
+	return sweep.Seed(base^replicationSalt, rep)
 }
 
 // replicaScenario returns replication rep's scenario: the same knobs

@@ -44,11 +44,6 @@ type FabricSpec struct {
 	// latency measurement (WithLatencyWords). The TDM fabric measures
 	// latency in-run and ignores it.
 	LatencyWords *int `json:"latency_words,omitempty"`
-	// Kernel selects the simulation kernel: "active" (the default) or
-	// "naive" (WithKernel). Results are byte-identical under both; the CI
-	// equivalence check runs the same sweep under each and compares.
-	// Unknown names are rejected at spec validation.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // Fabric builds and validates the fabric the spec describes.
@@ -296,10 +291,12 @@ type SweepSpec struct {
 	// cells; 0 or 1 means single runs, exactly the pre-replication
 	// behaviour.
 	Replications int `json:"replications,omitempty"`
-	// Kernel is the default simulation kernel for every fabric that does
-	// not choose its own: "active" (the default) or "naive". The `nocbench
-	// -kernel` flag sets it from the command line; unknown names are
-	// rejected at spec validation with the valid kernels listed.
+	// Kernel is the simulation kernel every cell runs on: "active" (the
+	// default) or "naive" (WithKernel). Results are byte-identical under
+	// both, so the kernel is not part of a cell; the CI equivalence check
+	// runs the same sweep under each and compares. The `nocbench -kernel`
+	// flag sets it from the command line; unknown names are rejected at
+	// spec validation with the valid kernels listed.
 	Kernel string `json:"kernel,omitempty"`
 	// CacheDir, when non-empty, turns on the content-addressed result
 	// cache in that directory (the `nocbench -cache` flag): each cell
@@ -530,9 +527,7 @@ func (s SweepSpec) Cells() ([]SweepCell, error) {
 
 // cellSeed derives a cell's RNG seed from the sweep seed and the cell
 // index with a SplitMix64 step, so neighbouring cells are decorrelated.
-func cellSeed(base uint64, index int) uint64 {
-	return sweep.Mix64(base + uint64(index)*0x9E3779B97F4A7C15)
-}
+func cellSeed(base uint64, index int) uint64 { return sweep.Seed(base, index) }
 
 // cellReps is a cell's job multiplicity in the sweep's fan-out.
 func cellReps(sc Scenario) int {
@@ -604,19 +599,15 @@ func Sweep(ctx context.Context, spec SweepSpec, fn func(SweepCell) error) error 
 			if err := ctx.Err(); err != nil {
 				return repOut{}, err
 			}
-			// The sweep-level kernel is applied at run time, not stored in
-			// the cell, so naive and production runs of the same spec emit
-			// byte-identical cells — the property the CI equivalence check
-			// compares.
-			fs := cell.Fabric
-			if fs.Kernel == "" {
-				fs.Kernel = spec.Kernel
-			}
-			f, err := fs.build()
+			f, err := cell.Fabric.build()
 			if err != nil {
 				return repOut{errText: err.Error()}, nil
 			}
-			f.cache, f.obs = cache, cellHooks(j.cell)
+			// The sweep's kernel is applied at run time, not stored in
+			// the cell, so naive and production runs of the same spec emit
+			// byte-identical cells — the property the CI equivalence check
+			// compares.
+			f.kernel, f.cache, f.obs = Kernel(spec.Kernel), cache, cellHooks(j.cell)
 			sc := cell.Scenario
 			replicated := sc.Replications > 1
 			if replicated {
